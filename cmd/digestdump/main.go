@@ -2,8 +2,10 @@
 // scheme × topology × seed point of the audit matrix (the same points
 // internal/core/determinism_test.go replays). Its output is the
 // digest-identity evidence for refactors that must not change
-// simulated behaviour: capture the output before and after a change
-// and diff — any drift means the change was not behaviour-preserving.
+// simulated behaviour: testdata/*.golden hold the committed output of
+// two windows, `go test ./cmd/digestdump` regenerates and diffs them
+// serially and tile-parallel, and any drift means the change was not
+// behaviour-preserving.
 //
 // Usage:
 //
@@ -17,6 +19,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -32,7 +36,14 @@ func main() {
 		parallel = flag.Int("parallel", 0, "tile workers per run (output must match a serial dump byte for byte)")
 	)
 	flag.Parse()
+	if err := dump(os.Stdout, *seeds, *warm, *cycles, *parallel); err != nil {
+		fmt.Fprintln(os.Stderr, "digestdump:", err)
+		os.Exit(1)
+	}
+}
 
+// dump writes one digest line per audit-matrix point to w.
+func dump(w io.Writer, seeds string, warm, cycles int64, parallel int) error {
 	schemes := []config.Scheme{
 		config.SchemeBaseline,
 		config.SchemeDelegatedReplies,
@@ -44,26 +55,32 @@ func main() {
 		config.TopoFlattenedButterfly,
 		config.TopoDragonfly,
 	}
-	for _, s := range strings.Split(*seeds, ",") {
+	run := func(cfg config.Config, seed int64, gpu, cpu string, label any) error {
+		cfg.Seed = seed
+		cfg.WarmupCycles = warm
+		cfg.MeasureCycles = cycles
+		cfg.GPU.KernelCycles = 300
+		a, err := core.RunAuditCtrl(core.RunControl{Parallel: parallel}, cfg, gpu, cpu)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "seed=%-3d %-10v %-10v cycles=%-6d digest=%#016x\n",
+			seed, cfg.Scheme, label, a.Cycles, a.Digest)
+		return err
+	}
+	for _, s := range strings.Split(seeds, ",") {
 		seed, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		for _, scheme := range schemes {
 			for _, topo := range topologies {
 				cfg := config.Default()
 				cfg.Scheme = scheme
 				cfg.NoC.Topology = topo
-				cfg.Seed = seed
-				cfg.WarmupCycles = *warm
-				cfg.MeasureCycles = *cycles
-				cfg.GPU.KernelCycles = 300
-				a, err := core.RunAuditCtrl(core.RunControl{Parallel: *parallel}, cfg, "NN", "vips")
-				if err != nil {
-					panic(err)
+				if err := run(cfg, seed, "NN", "vips", topo); err != nil {
+					return err
 				}
-				fmt.Printf("seed=%-3d %-10v %-10v cycles=%-6d digest=%#016x\n",
-					seed, scheme, topo, a.Cycles, a.Digest)
 			}
 		}
 		// Shared-L1 organisations (extra cluster state).
@@ -71,18 +88,12 @@ func main() {
 			cfg := config.Default()
 			cfg.Scheme = config.SchemeDelegatedReplies
 			cfg.NoC.Topology = config.TopoMesh
-			cfg.Seed = seed
-			cfg.WarmupCycles = *warm
-			cfg.MeasureCycles = *cycles
-			cfg.GPU.KernelCycles = 300
 			cfg.GPU.Org = org
 			cfg.GPU.DynEBEpoch = 256
-			a, err := core.RunAuditCtrl(core.RunControl{Parallel: *parallel}, cfg, "2DCON", "dedup")
-			if err != nil {
-				panic(err)
+			if err := run(cfg, seed, "2DCON", "dedup", org); err != nil {
+				return err
 			}
-			fmt.Printf("seed=%-3d %-10v %-10v cycles=%-6d digest=%#016x\n",
-				seed, config.SchemeDelegatedReplies, org, a.Cycles, a.Digest)
 		}
 	}
+	return nil
 }

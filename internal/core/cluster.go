@@ -104,21 +104,22 @@ func (c *Cluster) sliceFor(line cache.Addr) *slice {
 
 // Access enqueues a read on the line's slice, or performs a
 // write-through. Reads always resolve asynchronously (slice port
-// serialization); a full slice queue blocks the warp.
+// serialization); a full slice queue blocks the warp. Read refusals are
+// AccessBusy, never memoised: a full queue is counted every time it is
+// met, and the port budget refills on its own.
 func (c *Cluster) Access(g *GPUCore, line cache.Addr, write bool, warp int) gpu.AccessResult {
 	if write {
 		// Write-through, no-write-allocate; the shared copy is updated
 		// in place without consuming a slice port (store path).
-		res := g.writeThrough(line)
-		return res
+		return g.writeThrough(line)
 	}
 	sl := c.sliceFor(line)
 	if len(sl.q) >= sliceQCap {
 		c.Stats.QueueFullEv++
-		return gpu.AccessBlocked
+		return gpu.AccessBusy
 	}
 	if g.budget <= 0 {
-		return gpu.AccessBlocked
+		return gpu.AccessBusy
 	}
 	g.budget--
 	g.Stats.L1Accesses++
@@ -259,6 +260,7 @@ func (c *Cluster) setShared(on bool) {
 	}
 	for _, g := range c.cores {
 		g.l1.InvalidateAll()
+		g.SM.Unblock() // accesses take the other organisation's path now
 	}
 }
 

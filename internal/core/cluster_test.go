@@ -65,8 +65,10 @@ func TestClusterSliceQueueBlocks(t *testing.T) {
 		}
 	}
 	g.BeginCycle()
-	if res := c.Access(g, lines[sliceQCap], false, 0); res != gpu.AccessBlocked {
-		t.Fatalf("access on full slice queue = %v, want blocked", res)
+	// The refusal is counted each time it is met, so it must be the
+	// every-cycle kind (AccessBusy), never the memoised AccessBlocked.
+	if res := c.Access(g, lines[sliceQCap], false, 0); res != gpu.AccessBusy {
+		t.Fatalf("access on full slice queue = %v, want busy", res)
 	}
 	if c.Stats.QueueFullEv == 0 {
 		t.Fatal("queue-full event not counted")

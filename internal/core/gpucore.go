@@ -129,9 +129,14 @@ func (g *GPUCore) Access(sm int, line cache.Addr, write bool, warp int) gpu.Acce
 	return g.accessPrivate(line, write, warp)
 }
 
+// accessPrivate is the private-L1 path. Its AccessBlocked refusals
+// depend only on the L1 tags, the MSHR file, outWrites and the request
+// outbox; every event that can turn one into an acceptance calls
+// SM.Unblock (the inventory is DESIGN.md §9). An exhausted port budget
+// refills next cycle on its own, so that refusal is AccessBusy.
 func (g *GPUCore) accessPrivate(line cache.Addr, write bool, warp int) gpu.AccessResult {
 	if g.budget <= 0 {
-		return gpu.AccessBlocked
+		return gpu.AccessBusy
 	}
 	if write {
 		return g.writeThrough(line)
@@ -159,6 +164,7 @@ func (g *GPUCore) accessPrivate(line cache.Addr, write bool, warp int) gpu.Acces
 	g.l1.RecordMiss()
 	g.sys.sampleLocality(g, line)
 	g.mshr.Allocate(line, mshrTarget{Warp: warp, Remote: -1})
+	g.SM.Unblock() // a refused read of this line now merges
 	if g.sys.isRP() && g.predictProbe() {
 		g.sendProbes(line)
 	} else {
@@ -252,6 +258,7 @@ func (g *GPUCore) HandlePacket(p *noc.Packet) bool {
 		return false
 	case MsgWriteAck:
 		g.outWrites--
+		g.SM.Unblock()
 		g.al.retire(p)
 		return true
 	}
@@ -340,6 +347,7 @@ func (g *GPUCore) handleReply(m *Msg) bool {
 // waking local warps and forwarding delayed-hit replies.
 func (g *GPUCore) fillAndWake(line cache.Addr) {
 	g.l1.Insert(line, 0, false)
+	g.SM.Unblock() // the line now hits and an MSHR entry is free
 	for _, t := range g.mshr.Release(line) {
 		tgt := t.(mshrTarget)
 		if tgt.Warp >= 0 {
@@ -382,6 +390,7 @@ func (g *GPUCore) drainOutbox() {
 			break
 		}
 		g.outReq, _ = fifo.PopFront(g.outReq)
+		g.SM.Unblock() // request outbox space
 	}
 	repNI := g.sys.repNI(g.Node)
 	for len(g.outRep) > 0 && repNI.CanInject(noc.ClassReply) {
@@ -510,7 +519,10 @@ func (g *GPUCore) sendProbes(line cache.Addr) {
 }
 
 // FlushL1 invalidates the local L1 (kernel-boundary software coherence).
-func (g *GPUCore) FlushL1() { g.l1.InvalidateAll() }
+func (g *GPUCore) FlushL1() {
+	g.l1.InvalidateAll()
+	g.SM.Unblock()
+}
 
 // ResetStats zeroes the measurement counters (end of warmup).
 func (g *GPUCore) ResetStats() {

@@ -110,8 +110,10 @@ func TestLoadDoneWithoutOutstandingPanics(t *testing.T) {
 	sm.LoadDone(0)
 }
 
-// blockThenHit blocks the first N accesses, then hits.
+// blockThenHit refuses the first N accesses with the given result, then
+// hits.
 type blockThenHit struct {
+	refusal  AccessResult
 	blocks   int
 	accesses []cache.Addr
 }
@@ -120,26 +122,32 @@ func (b *blockThenHit) Access(sm int, line cache.Addr, write bool, warp int) Acc
 	b.accesses = append(b.accesses, line)
 	if b.blocks > 0 {
 		b.blocks--
-		return AccessBlocked
+		return b.refusal
 	}
 	return AccessHit
 }
 
 // TestBlockedRetainsAddress is the regression test for the re-roll
-// bias: a blocked access must retry the same address, not draw afresh.
+// bias: a refused access must retry the same address, not draw afresh —
+// every cycle for AccessBusy, after each Unblock for AccessBlocked.
 func TestBlockedRetainsAddress(t *testing.T) {
-	mem := &blockThenHit{blocks: 5}
-	sm := newTestSM(mem, 1)
-	for i := 0; i < 50; i++ {
-		sm.Tick()
-	}
-	if len(mem.accesses) < 6 {
-		t.Fatalf("only %d accesses", len(mem.accesses))
-	}
-	first := mem.accesses[0]
-	for i := 1; i <= 5; i++ {
-		if mem.accesses[i] != first {
-			t.Fatalf("retry %d used address %d, want %d", i, mem.accesses[i], first)
+	for _, refusal := range []AccessResult{AccessBusy, AccessBlocked} {
+		mem := &blockThenHit{refusal: refusal, blocks: 5}
+		sm := newTestSM(mem, 1)
+		for i := 0; i < 50; i++ {
+			if refusal == AccessBlocked {
+				sm.Unblock()
+			}
+			sm.Tick()
+		}
+		if len(mem.accesses) < 6 {
+			t.Fatalf("refusal %d: only %d accesses", refusal, len(mem.accesses))
+		}
+		first := mem.accesses[0]
+		for i := 1; i <= 5; i++ {
+			if mem.accesses[i] != first {
+				t.Fatalf("refusal %d: retry %d used address %d, want %d", refusal, i, mem.accesses[i], first)
+			}
 		}
 	}
 }

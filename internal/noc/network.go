@@ -31,13 +31,15 @@ type event struct {
 // instances (request and reply); AVCP and the virtual-network study use
 // a single shared instance with per-class VC ranges.
 //
-// Tick is activity-gated: routers with no buffered flits and NIs with
-// no injection/ejection work are skipped. The gating is exact — every
-// piece of per-cycle state a skipped component would have touched is
-// either provably unchanged when idle or derived from the cycle count
-// (router saPortPtr, NI class round-robin) — so results are
+// Tick is activity-gated: routers with no buffered flits, routers
+// whose last tick changed nothing (dormant, see Router.dormant) and NIs
+// with no injection/ejection work are skipped. The gating is exact —
+// every piece of per-cycle state a skipped component would have touched
+// is either provably unchanged when idle or stuck, or derived from the
+// cycle count (router saPortPtr, NI class round-robin) — so results are
 // bit-identical to ungated execution. Under HARE routing every router
-// still ticks (the EWMA congestion estimate decays per cycle).
+// still ticks its EWMA congestion estimate (it decays per cycle), and
+// only the allocators are skipped.
 type Network struct {
 	Label    string
 	topo     Topology
@@ -87,7 +89,9 @@ type Network struct {
 
 	// DebugChecks enables the slow cross-checks: Quiet and
 	// CheckCreditInvariant re-derive the activity counters by full
-	// scan and panic/error on divergence. Tests switch this on.
+	// scan and panic/error on divergence, and dormant routers are
+	// ticked anyway and panic if they make progress. Tests switch this
+	// on.
 	DebugChecks bool
 
 	// TraceSink, when non-nil, receives every ejected packet that
@@ -239,7 +243,7 @@ func (n *Network) Tick() {
 			n.ctr.flyFlits--
 			r.acceptFlit(ev.port, ev.vc, ev.flit)
 		case evCredit:
-			r.out[ev.port].credits[ev.vc]++
+			r.addCredit(ev.port, ev.vc, 1)
 		}
 	}
 	n.ring[slot] = evs[:0]

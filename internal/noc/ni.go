@@ -272,7 +272,7 @@ func (ni *NI) tickEject() {
 				buf.PopFront()
 			}
 			ni.ejFlits -= pkt.SizeFlits
-			rtr.out[ni.port].credits[v] += pkt.SizeFlits
+			rtr.addCredit(ni.port, v, pkt.SizeFlits)
 			pkt.Ejected = ni.net.now
 			ni.net.PktLat[pkt.Prio].Add(float64(pkt.Ejected - pkt.Enqueued))
 			if pkt.Trace != nil && ni.net.TraceSink != nil {

@@ -1,6 +1,11 @@
 package noc
 
-import "delrep/internal/fifo"
+import (
+	"fmt"
+	"math/bits"
+
+	"delrep/internal/fifo"
+)
 
 // vcBuf is the input buffer state of one virtual channel: a fixed-
 // capacity flit ring (sized to bufDepth — credits bound occupancy)
@@ -32,6 +37,8 @@ func (b *vcBuf) clearRoute() {
 
 // outPort is the output side of a router port: per-VC downstream
 // credits, per-VC wormhole ownership, and the attached link or NI.
+// credits and owner are views into the router's flat per-output-VC
+// arrays (see Router.credits).
 type outPort struct {
 	credits   []int
 	owner     []int32 // owner key (inPort<<8|inVC) holding the VC, -1 free
@@ -81,6 +88,12 @@ type Router struct {
 	in     [][]vcBuf
 	inFrom []feeder
 	out    []outPort
+	// credits and owner back every out[p].credits / out[p].owner,
+	// indexed port*numVCs+vc — the same flat bit index the candidate
+	// masks use, so VC allocation filters a requested output VC with two
+	// loads. Unconnected ports keep zero credits forever.
+	credits []int
+	owner   []int32
 
 	saInPtr  []int // per input port: rotating VC pointer
 	vaOutPtr []int // per output port: rotating grant pointer (VC allocation)
@@ -96,6 +109,20 @@ type Router struct {
 	// over this byte array, instead of re-dereferencing ring fronts and
 	// packet priorities in their rotating inner loops.
 	headPrio []int8
+	// reqMask is, per priority, the union of the candidate masks of the
+	// heads waiting for an output VC this tick: VC allocation visits
+	// only output VCs somebody requests.
+	reqMask [3][]uint64
+
+	// dormant is set by a tick that changed nothing (no route computed,
+	// no VC granted, no flit traversed). Such a tick would repeat
+	// identically until a flit arrives or a credit returns — the
+	// rotating pointers move only on grants, and the one cycle-derived
+	// input, the switch-allocation port order, only orders candidates
+	// that all fail — so the router is skipped until pushFlit or
+	// addCredit wakes it. With Network.DebugChecks a dormant router is
+	// ticked anyway and must make no progress.
+	dormant bool
 
 	// buffered counts flits across all input VC rings; it drives the
 	// active-set scheduler and the O(1) BufferedFlits/Quiet paths.
@@ -121,9 +148,17 @@ func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
 		outputUsed: make([]bool, nports),
 		candBuf:    make([]Candidate, 0, 4),
 		headPrio:   make([]int8, nports*numVCs),
+		credits:    make([]int, nports*numVCs),
+		owner:      make([]int32, nports*numVCs),
 		ewma:       make([]float64, nports),
 	}
 	maskWords := (nports*numVCs + 63) / 64
+	for i := range r.reqMask {
+		r.reqMask[i] = make([]uint64, maskWords)
+	}
+	for i := range r.owner {
+		r.owner[i] = ownerFree
+	}
 	r.inFlat = make([]vcBuf, nports*numVCs)
 	for p := 0; p < nports; p++ {
 		r.in[p] = r.inFlat[p*numVCs : (p+1)*numVCs : (p+1)*numVCs]
@@ -134,11 +169,8 @@ func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
 			b.outPort, b.outVC = -1, -1
 		}
 		r.out[p] = outPort{
-			credits: make([]int, numVCs),
-			owner:   make([]int32, numVCs),
-		}
-		for v := range r.out[p].owner {
-			r.out[p].owner[v] = ownerFree
+			credits: r.credits[p*numVCs : (p+1)*numVCs : (p+1)*numVCs],
+			owner:   r.owner[p*numVCs : (p+1)*numVCs : (p+1)*numVCs],
 		}
 	}
 	return r
@@ -152,6 +184,15 @@ func (r *Router) pushFlit(port, vc int, f Flit) {
 	r.in[port][vc].q.PushBack(f)
 	r.buffered++
 	r.ctr.bufFlits++
+	r.dormant = false
+}
+
+// addCredit returns n credits to output VC (port, vc). Every credit
+// return — link credit events and NI ejection — goes through here so a
+// dormant router cannot miss the event that unblocks it.
+func (r *Router) addCredit(port, vc, n int) {
+	r.out[port].credits[vc] += n
+	r.dormant = false
 }
 
 // sched queues a delivery through the network's serial delay ring or,
@@ -184,11 +225,17 @@ func (r *Router) tick() {
 	if r.net.hare {
 		r.updateEWMA()
 	}
-	if r.buffered == 0 {
+	if r.buffered == 0 || r.dormant && !r.net.DebugChecks {
 		return
 	}
-	r.allocateVCs()
-	r.switchAllocAndTraverse()
+	progress := r.allocateVCs()
+	if r.switchAllocAndTraverse() {
+		progress = true
+	}
+	if progress && r.dormant {
+		panic(fmt.Sprintf("noc: dormant router %d made progress at cycle %d", r.ID, r.net.now))
+	}
+	r.dormant = !progress
 }
 
 // allocateVCs performs route computation for new heads, then VC
@@ -197,15 +244,21 @@ func (r *Router) tick() {
 // rotating pointer. Higher priorities allocate first. Input-side
 // iteration orders (fixed or cycle-stepped) are not used because they
 // let persistent flows resonance-lock the allocator and starve traffic
-// turning in from other dimensions at merge routers.
-func (r *Router) allocateVCs() {
+// turning in from other dimensions at merge routers. It reports whether
+// any route was computed or VC granted.
+func (r *Router) allocateVCs() bool {
 	numVCs := r.net.numVCs
 	// Single classification pass: route any new head, then record the
-	// priority of every VC still waiting for an output. Routing one VC
+	// priority of every VC still waiting for an output and fold its
+	// candidate mask into that priority's request mask. Routing one VC
 	// touches only that VC's own mask/routed state, so classifying as
 	// we go sees the same values as a separate counting pass would.
 	var waiting [3]int
 	headPrio := r.headPrio
+	progress := false
+	for _, req := range r.reqMask {
+		clear(req)
+	}
 	for idx := range r.inFlat {
 		b := &r.inFlat[idx]
 		if b.q.Len() == 0 || b.outPort >= 0 {
@@ -226,9 +279,13 @@ func (r *Router) allocateVCs() {
 			}
 			b.routed = true
 			r.candBuf = cands[:0] // keep a grown buffer for reuse
+			progress = true
 		}
 		prio := head.Pkt.Prio
 		headPrio[idx] = int8(prio)
+		for w, m := range b.mask {
+			r.reqMask[prio][w] |= m
+		}
 		waiting[prio]++
 	}
 	total := r.nports * numVCs
@@ -236,17 +293,19 @@ func (r *Router) allocateVCs() {
 		if waiting[prio] == 0 {
 			continue
 		}
+		// Visit, in (port, vc) order, the output VCs that are requested
+		// at this priority, free and credited; any other output VC could
+		// not grant. A request bit left behind by a head granted earlier
+		// in this pass finds no requester and grants nothing.
 		granted := 0
-		for op := 0; op < r.nports; op++ {
-			out := &r.out[op]
-			if !out.connected {
-				continue
-			}
-			for ovc := range out.credits {
-				if out.owner[ovc] != ownerFree || out.credits[ovc] <= 0 {
+	outputs:
+		for w, word := range r.reqMask[prio] {
+			for ; word != 0; word &= word - 1 {
+				bit := w<<6 + bits.TrailingZeros64(word)
+				if r.owner[bit] != ownerFree || r.credits[bit] <= 0 {
 					continue
 				}
-				bit := op*numVCs + ovc
+				op := bit / numVCs
 				for k := 0; k < total; k++ {
 					idx := r.vaOutPtr[op] + k
 					if idx >= total {
@@ -259,10 +318,9 @@ func (r *Router) allocateVCs() {
 					if !b.allows(bit) {
 						continue
 					}
-					p, v := idx/numVCs, idx%numVCs
-					out.owner[ovc] = ownerKey(p, v)
+					r.owner[bit] = ownerKey(idx/numVCs, idx%numVCs)
 					b.outPort = op
-					b.outVC = ovc
+					b.outVC = bit - op*numVCs
 					headPrio[idx] = -1 // granted: no longer waiting
 					if pkt := b.q.Front().Pkt; pkt.Trace != nil {
 						pkt.Trace.vcAlloc(r.ID, r.net.now)
@@ -275,36 +333,35 @@ func (r *Router) allocateVCs() {
 					break
 				}
 				if granted == waiting[prio] {
-					break
+					break outputs
 				}
 			}
-			if granted == waiting[prio] {
-				break
-			}
+		}
+		if granted > 0 {
+			progress = true
 		}
 	}
+	return progress
 }
 
 // switchAllocAndTraverse picks at most one flit per input port and per
 // output port (separable allocation, priority classes first, rotating
-// pointers for fairness within a class) and forwards the winners.
-func (r *Router) switchAllocAndTraverse() {
-	inputUsed, outputUsed := r.inputUsed, r.outputUsed
-	for i := range inputUsed {
-		inputUsed[i] = false
-		outputUsed[i] = false
-	}
-	// Classify sendable heads once. A grant only mutates the granted
-	// VC (popped and possibly released), and inputUsed masks that VC's
+// pointers for fairness within a class) and forwards the winners. It
+// reports whether any flit traversed.
+func (r *Router) switchAllocAndTraverse() bool {
+	// Classify sendable heads once: a head is sendable when it holds an
+	// output VC with a credit. Only the VC's own traversal spends that
+	// credit (wormhole ownership), a grant only mutates the granted VC
+	// (popped and possibly released), and inputUsed masks that VC's
 	// whole port for the rest of the allocation, so the snapshot stays
-	// valid across the priority passes; output contention and credits
-	// are still checked live in the loop.
+	// valid across the priority passes; output contention is still
+	// checked live in the loop.
 	numVCs := r.net.numVCs
 	headPrio := r.headPrio
 	var present [3]int
 	for idx := range r.inFlat {
 		b := &r.inFlat[idx]
-		if b.q.Len() == 0 || b.outPort < 0 {
+		if b.q.Len() == 0 || b.outPort < 0 || r.credits[b.outPort*numVCs+b.outVC] <= 0 {
 			headPrio[idx] = -1
 			continue
 		}
@@ -312,10 +369,19 @@ func (r *Router) switchAllocAndTraverse() {
 		headPrio[idx] = int8(prio)
 		present[prio]++
 	}
+	if present == [3]int{} {
+		return false
+	}
+	inputUsed, outputUsed := r.inputUsed, r.outputUsed
+	for i := range inputUsed {
+		inputUsed[i] = false
+		outputUsed[i] = false
+	}
 	// The historical saPortPtr advanced by one every cycle regardless
 	// of traffic; derive it from the cycle count so skipped idle ticks
 	// cannot desynchronise it.
 	base := int((r.net.now - 1) % int64(r.nports))
+	traversed := false
 	for prio := int(PrioCPU); prio >= int(PrioGPU); prio-- {
 		if present[prio] == 0 {
 			continue
@@ -342,11 +408,9 @@ func (r *Router) switchAllocAndTraverse() {
 				if outputUsed[b.outPort] {
 					continue
 				}
-				if r.out[b.outPort].credits[b.outVC] <= 0 {
-					continue
-				}
 				outPort := b.outPort
 				r.traverse(p, v, b)
+				traversed = true
 				inputUsed[p] = true
 				outputUsed[outPort] = true
 				r.saInPtr[p] = v + 1
@@ -357,6 +421,7 @@ func (r *Router) switchAllocAndTraverse() {
 			}
 		}
 	}
+	return traversed
 }
 
 // traverse moves the front flit of input VC (p, v) through the crossbar

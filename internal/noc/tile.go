@@ -140,7 +140,7 @@ func (t *tile) run() {
 			t.ctr.flyFlits--
 			r.acceptFlit(ev.port, ev.vc, ev.flit)
 		case evCredit:
-			r.out[ev.port].credits[ev.vc]++
+			r.addCredit(ev.port, ev.vc, 1)
 		}
 	}
 	t.ring[slot] = evs[:0]

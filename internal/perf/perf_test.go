@@ -106,14 +106,12 @@ func BenchmarkNetworkTickIdle(b *testing.B) {
 	}
 }
 
-// BenchmarkSystemCycle measures one full heterogeneous-system cycle
-// (memory nodes, both networks, clusters, GPU and CPU cores) under the
-// default Delegated Replies configuration.
-func BenchmarkSystemCycle(b *testing.B) {
-	cfg := config.Default()
-	cfg.Scheme = config.SchemeDelegatedReplies
-	sys := core.NewSystem(cfg, "NN", "vips")
-	for i := 0; i < 1000; i++ {
+// benchSystemCycle measures one full heterogeneous-system cycle
+// (memory nodes, both networks, clusters, GPU and CPU cores) after the
+// given number of warm-up cycles.
+func benchSystemCycle(b *testing.B, cfg config.Config, gpu, cpu string, warm int) {
+	sys := core.NewSystem(cfg, gpu, cpu)
+	for i := 0; i < warm; i++ {
 		sys.Tick()
 	}
 	b.ReportAllocs()
@@ -121,6 +119,27 @@ func BenchmarkSystemCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys.Tick()
 	}
+}
+
+// BenchmarkSystemCycle measures the system cycle under the default
+// Delegated Replies configuration.
+func BenchmarkSystemCycle(b *testing.B) {
+	cfg := config.Default()
+	cfg.Scheme = config.SchemeDelegatedReplies
+	benchSystemCycle(b, cfg, "NN", "vips", 1000)
+}
+
+// BenchmarkSystemCycleClogged measures the system cycle in the regime
+// the paper studies: the baseline scheme under HS+vips on the mesh,
+// 5 000 cycles in, with memory nodes blocked, reply buffers full and
+// most SMs refused. BenchmarkSystemCycle (NN, delegated, 1 000 cycles)
+// never gets there, which is how a per-cycle retry storm of refused L1
+// accesses once went unseen.
+func BenchmarkSystemCycleClogged(b *testing.B) {
+	cfg := config.Default()
+	cfg.Scheme = config.SchemeBaseline
+	cfg.NoC.Topology = config.TopoMesh
+	benchSystemCycle(b, cfg, "HS", "vips", 5000)
 }
 
 // TestNoCTickZeroAllocs is the allocation-regression gate: in steady
