@@ -22,7 +22,7 @@
 //
 // On SIGINT/SIGTERM the coordinator stops admitting jobs, cancels
 // in-flight ones (propagating the cancellation to workers), and exits.
-// See internal/fleet and DESIGN.md §13 for the architecture.
+// See internal/fleet and DESIGN.md §12 for the architecture.
 package main
 
 import (

@@ -19,14 +19,16 @@
 // prints the canonical simspec.Result (spec, results, determinism
 // digest), byte-comparable with the daemon's "result" field.
 //
-// With -parallel N, the single run ticks in parallel on N workers —
-// network tiles and node shards on one pool (see DESIGN.md §11–§12).
+// With -parallel N, the single run's cycle is spread over N workers —
+// network tiles and node shards on one pool (see DESIGN.md §11).
 // Results and digests are bit-identical at every N, so -parallel
 // composes with -json verification: the same spec run at different
 // worker counts prints the same bytes. The engine clamps N to what the
-// topology can use; when that happens the effective count is reported
-// on stderr. -phase-profile prints the per-phase wall-time breakdown
-// (the Amdahl view of the tick) to stderr after the run.
+// topology can use, and to 1 when an observer is attached
+// (-metrics-out, -trace-out, -clog); when that happens the effective
+// count is reported on stderr. -phase-profile prints the per-phase
+// wall-time breakdown (the Amdahl view of the tick) to stderr after
+// the run.
 package main
 
 import (
@@ -59,7 +61,7 @@ func main() {
 		warm      = flag.Int64("warm", 20000, "warmup cycles")
 		cycles    = flag.Int64("cycles", 60000, "measured cycles")
 		seed      = flag.Int64("seed", 1, "random seed")
-		parallel  = flag.Int("parallel", 0, "tick the system in parallel on this many workers (results are bit-identical at any value; 0/1 = serial)")
+		parallel  = flag.Int("parallel", 0, "tick the system across this many workers (results are bit-identical at any value; 0/1 = inline on one)")
 		phaseProf = flag.Bool("phase-profile", false, "print the per-phase wall-time breakdown of the tick to stderr after the run")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		heatmap   = flag.Bool("heatmap", false, "print link-utilization heatmaps (mesh only)")
@@ -198,20 +200,10 @@ func main() {
 
 	buildSpan := tr.Root().Start("build")
 	sys := core.NewSystem(cfg, norm.GPU, norm.CPU)
-	if spec.Parallel > 1 {
-		// Resolve stripped the hint from norm (execution hints are not
-		// run identity), so read it from the submitted spec. Attaching
-		// an observer below silently drops back to serial — its trace
-		// hooks run inside the compute phase.
-		sys.SetParallel(spec.Parallel)
-		defer sys.Close()
-		if eff := sys.Parallel(); eff != spec.Parallel {
-			// The engine clamps to what the topology can use; say so
-			// rather than silently running at a different width.
-			fmt.Fprintf(os.Stderr, "delrepsim: -parallel %d clamped to %d effective workers\n",
-				spec.Parallel, eff)
-		}
-	}
+	// Resolve stripped the hint from norm (execution hints are not run
+	// identity), so read it from the submitted spec.
+	sys.SetParallel(spec.Parallel)
+	defer sys.Close()
 	var profile *core.PhaseProfile
 	if *phaseProf {
 		profile = &core.PhaseProfile{}
@@ -229,6 +221,14 @@ func main() {
 			ClogUtil:    *clogUtil,
 		})
 		sys.AttachObserver(observer)
+	}
+	if eff := sys.Parallel(); eff < spec.Parallel {
+		// The engine clamps to what the topology can use, and to one
+		// worker under an observer (its trace hooks run inside the
+		// compute sections); say so rather than silently running at a
+		// different width.
+		fmt.Fprintf(os.Stderr, "delrepsim: -parallel %d clamped to %d effective workers\n",
+			spec.Parallel, eff)
 	}
 	buildSpan.End()
 	runSpan := tr.Root().Start("simulate")

@@ -4,16 +4,16 @@
 // digest-identity evidence for refactors that must not change
 // simulated behaviour: testdata/*.golden hold the committed output of
 // two windows, `go test ./cmd/digestdump` regenerates and diffs them
-// serially and tile-parallel, and any drift means the change was not
+// at one and at four workers, and any drift means the change was not
 // behaviour-preserving.
 //
 // Usage:
 //
 //	digestdump [-seeds 1,7,99] [-warm 200] [-cycles 450] [-parallel N]
 //
-// -parallel ticks every run tile-parallel on N workers; the output
-// must be byte-identical to a serial dump (diff the two to certify the
-// two-phase tick after touching internal/noc).
+// -parallel spreads every run's cycle over N workers; the output must
+// be byte-identical at every N (diff two dumps to certify the tick
+// engine after touching internal/noc or internal/core).
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 		seeds    = flag.String("seeds", "1,7,99", "comma-separated seeds")
 		warm     = flag.Int64("warm", 200, "warmup cycles")
 		cycles   = flag.Int64("cycles", 450, "measured cycles")
-		parallel = flag.Int("parallel", 0, "tile workers per run (output must match a serial dump byte for byte)")
+		parallel = flag.Int("parallel", 0, "workers per run (output is byte-identical at every value)")
 	)
 	flag.Parse()
 	if err := dump(os.Stdout, *seeds, *warm, *cycles, *parallel); err != nil {

@@ -16,7 +16,7 @@
 // GOMAXPROCS) and are memoized on disk, so a rerun with a warm cache
 // performs zero simulations. -parallel N additionally ticks each
 // simulation on N workers (network tiles + node shards, DESIGN.md
-// §11–§12) — useful when a figure has fewer independent runs than the
+// §11) — useful when a figure has fewer independent runs than the
 // machine has cores. Everything printed to stdout is byte-identical at
 // any -j or -parallel value and any cache state; progress, timing, and
 // cache accounting go to stderr.
@@ -114,7 +114,7 @@ func main() {
 		cycles   = flag.Int64("cycles", 0, "override measured cycles")
 		seed     = flag.Int64("seed", 1, "random seed")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-		parallel = flag.Int("parallel", 0, "intra-run workers per simulation (stdout is byte-identical at any value; 0/1 = serial)")
+		parallel = flag.Int("parallel", 0, "intra-run workers per simulation (stdout is byte-identical at any value; 0/1 = inline on one)")
 		cacheDir = flag.String("cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
 		remote   = flag.String("remote", "", "delegate cache-missing simulations to a delrepd or delrepfleet endpoint at this base URL")
 

@@ -44,9 +44,9 @@ func TestFRQMergeCoalesces(t *testing.T) {
 	mem := sys.Mems[0].Node
 	// Two delegated replies for the same line: the second must merge
 	// rather than occupy an FRQ entry.
-	pa := sys.newPacket(mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
+	pa := sys.newPacketOn(&sys.shards[0].al, mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
 		&Msg{Type: MsgDelegated, Line: line, Requester: reqA})
-	pb := sys.newPacket(mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
+	pb := sys.newPacketOn(&sys.shards[0].al, mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
 		&Msg{Type: MsgDelegated, Line: line, Requester: reqB})
 	if !g.HandlePacket(pa) || !g.HandlePacket(pb) {
 		t.Fatal("delegated replies refused")
@@ -79,7 +79,7 @@ func TestFRQMergeOffKeepsSeparateEntries(t *testing.T) {
 	line := cache.Addr(556)
 	mem := sys.Mems[0].Node
 	for i, req := range []int{sys.GPUs[5].Node, sys.GPUs[6].Node} {
-		p := sys.newPacket(mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
+		p := sys.newPacketOn(&sys.shards[0].al, mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
 			&Msg{Type: MsgDelegated, Line: line, Requester: req})
 		if !g.HandlePacket(p) {
 			t.Fatalf("entry %d refused", i)

@@ -20,12 +20,11 @@ func (s *System) StatsDigest() uint64 {
 	var d stats.Digest
 	d.Int64(s.cycle)
 	d.Int64(s.warmed)
-	// Total packets created across every allocator. The split of the
-	// count across shard allocators (and the IDs they hand out) is an
-	// execution detail; the total is a pure function of the simulated
-	// protocol and so matches bit-for-bit between serial and parallel
-	// runs.
-	created := s.al.created
+	// Total packets created across the shard allocators. The split of
+	// the count (and the IDs handed out) is an execution detail; the
+	// total is a pure function of the simulated protocol and so matches
+	// bit-for-bit at every shard count.
+	var created uint64
 	for _, sh := range s.shards {
 		created += sh.al.created
 	}
@@ -105,8 +104,8 @@ type AuditRun struct {
 	Digest  uint64
 	Results Results
 	// Workers is the engine-effective worker count the run executed
-	// with (1 when serial): the requested parallelism after the engine
-	// clamps it to what the topology and node population can use.
+	// with: the requested parallelism after the engine clamps it to
+	// what the topology and node population can use (at least 1).
 	// Execution metadata only — it never enters the canonical Result.
 	Workers int
 }

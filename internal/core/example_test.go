@@ -7,9 +7,10 @@ import (
 	"delrep/internal/core"
 )
 
-// ExampleSystem_SetParallel runs one configuration serially and then
-// tile-parallel, and compares the end-state digests. Parallelism is a
-// pure execution strategy (DESIGN.md §11): the two-phase tick commits
+// ExampleSystem_SetParallel runs one configuration on the partition
+// NewSystem builds (one tile, one shard, inline) and then spread over
+// four workers, and compares the end-state digests. The partition is a
+// pure execution choice (DESIGN.md §11): the two-phase tick commits
 // cross-tile events in a fixed order, so the digest — a hash of every
 // counter, queue, and latency sampler — is bit-identical at any worker
 // count, and callers may pick N purely for wall-clock time.
@@ -18,8 +19,8 @@ func ExampleSystem_SetParallel() {
 	cfg.Scheme = config.SchemeDelegatedReplies
 	cfg.WarmupCycles, cfg.MeasureCycles = 300, 800 // example-sized windows
 
-	serial := core.NewSystem(cfg, "HS", "vips")
-	serial.RunWorkload()
+	inline := core.NewSystem(cfg, "HS", "vips")
+	inline.RunWorkload()
 
 	tiled := core.NewSystem(cfg, "HS", "vips")
 	tiled.SetParallel(4) // must precede the first cycle
@@ -27,7 +28,7 @@ func ExampleSystem_SetParallel() {
 	tiled.RunWorkload()
 
 	fmt.Printf("tiled across %d workers\n", tiled.Parallel())
-	fmt.Printf("digests identical: %v\n", serial.StatsDigest() == tiled.StatsDigest())
+	fmt.Printf("digests identical: %v\n", inline.StatsDigest() == tiled.StatsDigest())
 	// Output:
 	// tiled across 4 workers
 	// digests identical: true

@@ -63,8 +63,8 @@ type GPUCore struct {
 	Idx  int // index among GPU cores
 	SM   *gpu.SM
 
-	al  *alloc       // packet allocator (the owning shard's when sharded)
-	loc *locCounters // locality sample sink (the owning shard's when sharded)
+	al  *alloc       // packet allocator: the owning shard's (see buildShards)
+	loc *locCounters // locality sample sink: the owning shard's delta
 
 	l1        *cache.Cache
 	mshr      *cache.MSHR
@@ -96,8 +96,6 @@ func newGPUCore(sys *System, node, idx int) *GPUCore {
 		sys:  sys,
 		Node: node,
 		Idx:  idx,
-		al:   &sys.al,
-		loc:  &sys.loc,
 		l1: cache.New(cache.Config{
 			SizeBytes: sys.Cfg.GPU.L1Bytes,
 			Assoc:     sys.Cfg.GPU.L1Assoc,

@@ -35,7 +35,7 @@ type MemNode struct {
 	sys  *System
 	Node int
 	Idx  int
-	al   *alloc // packet allocator (the owning shard's when sharded)
+	al   *alloc // packet allocator: the owning shard's (see buildShards)
 
 	llc   *cache.Cache
 	mshr  *cache.MSHR
@@ -56,7 +56,6 @@ func newMemNode(sys *System, node, idx int) *MemNode {
 		sys:  sys,
 		Node: node,
 		Idx:  idx,
-		al:   &sys.al,
 		llc: cache.New(cache.Config{
 			SizeBytes: sys.Cfg.LLC.SliceBytes,
 			Assoc:     sys.Cfg.LLC.Assoc,
@@ -69,17 +68,8 @@ func newMemNode(sys *System, node, idx int) *MemNode {
 	}
 }
 
-// BeginCycle resets the per-cycle LLC port budget and samples blocking.
-// It is the serial composition of the two begin-of-cycle steps; a
-// parallel tick calls them separately because they have different
-// sharding constraints (see beginQuota and sampleBlocked).
-func (m *MemNode) BeginCycle() {
-	m.sampleBlocked()
-	m.beginQuota()
-}
-
 // beginQuota resets the per-cycle LLC port budget. It touches only the
-// node's own state, so a sharded begin phase may run it concurrently.
+// node's own state, so it rides the shard begin phase.
 func (m *MemNode) beginQuota() {
 	m.llcQuota = 1
 	m.refused = false
@@ -87,8 +77,8 @@ func (m *MemNode) beginQuota() {
 
 // sampleBlocked samples reply-injection-buffer blocking (the paper's
 // clogging metric). It reads NI occupancy as it stands before the
-// network phase, so a parallel tick must run it serially before the
-// fused compute dispatch.
+// network phase, so it runs in System.begin, ahead of the compute
+// dispatch.
 func (m *MemNode) sampleBlocked() {
 	if m.sys.repNI(m.Node).Full(noc.ClassReply) {
 		m.Stats.BlockedCycles++

@@ -16,10 +16,11 @@ import (
 // this).
 func (s *System) AttachObserver(o *obs.Observer) {
 	s.obs = o
-	// Trace hooks dereference packets inside the network tick, which in
-	// tiled mode is the concurrent compute phase; an observed run
-	// therefore drops to serial ticking. Digest-inert: parallelism
-	// never changes results, only wall time.
+	// Trace hooks dereference packets inside the network compute
+	// sections, and packet IDs are only the creation sequence with one
+	// shard; an observed run is therefore the one-tile, one-shard
+	// partition. Digest-inert: the partition never changes results,
+	// only wall time.
 	if s.parallel > 1 {
 		s.SetParallel(1)
 	}

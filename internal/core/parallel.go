@@ -2,30 +2,30 @@ package core
 
 import "delrep/internal/par"
 
-// SetParallel configures deterministic intra-run parallelism: both
-// networks are tile-partitioned (capped at the router count) and the
-// node phase is sharded (capped by the legal shard count, see
-// shard.go) across one persistent worker pool of up to `workers`
-// workers. The cap is the larger of the two, so a crossbar run — one
-// router, nothing to tile — still parallelizes its node phase.
-// Results and StatsDigest are bit-identical to serial execution at
-// every worker count; see internal/noc/tile.go, shard.go, and
-// DESIGN.md §11–§12 for the argument.
+// SetParallel sizes the partition the cycle runs over (System.Tick):
+// both networks are split into tiles (capped at the router count) and
+// the node phase into shards (capped by the legal shard count, see
+// shard.go) on one persistent pool of up to `workers` workers. The cap
+// is the larger of the two, so each structure takes what it can use:
+// a crossbar — one router — is one tile and many shards, shared-L1
+// DynEB is many tiles and one shard. Results and StatsDigest are
+// bit-identical at every worker count; see System.Tick,
+// internal/noc/tile.go, shard.go, and DESIGN.md §11 for the argument.
 //
-// It must be called after NewSystem and before the first Tick.
-// workers <= 1 (or a system nothing in which can be partitioned)
-// restores serial ticking. An attached observer forces serial
-// execution: its trace hooks read packets inside what would be the
-// concurrent compute phase, and since parallelism never changes
-// results, dropping to serial is observable only in wall time.
+// NewSystem builds the one-tile, one-shard partition, which runs
+// inline on the caller; SetParallel may replace it after NewSystem and
+// before the first Tick. workers < 1 means 1. An attached observer
+// also means 1: its trace hooks read packets inside the compute
+// sections, and since the partition never changes results the clamp
+// is observable only in wall time.
 //
 // Callers can read the engine-effective worker count back with
 // Parallel(); requests are clamped silently so that one binary can ask
 // for "8 workers" across every topology, but surfacing the clamp is
 // the caller's job (the runner records it in AuditRun.Workers).
 //
-// A System with parallelism configured owns n-1 worker goroutines;
-// call Close when done with it.
+// A System with more than one worker owns n-1 worker goroutines; call
+// Close when done with it.
 func (s *System) SetParallel(workers int) {
 	if s.cycle != 0 {
 		panic("core: SetParallel after the first tick")
@@ -34,146 +34,24 @@ func (s *System) SetParallel(workers int) {
 		workers = 1
 	}
 	maxShards := s.maxNodeShards()
-	eff := workers
-	if lim := max(len(s.ReqNet.Routers), maxShards); eff > lim {
-		eff = lim
-	}
-	// Tear down any previous configuration.
+	eff := max(1, min(workers, max(len(s.ReqNet.Routers), maxShards)))
 	s.Close()
-	s.parallel = 1
-	s.phase1Fn, s.phase2Fn = nil, nil
-	s.teardownShards()
-	s.ReqNet.SetParallel(nil, 1)
-	if s.RepNet != s.ReqNet {
-		s.RepNet.SetParallel(nil, 1)
-	}
-	if eff <= 1 {
-		return
-	}
 	s.pool = par.NewPool(eff)
 	s.parallel = eff
-	if nt := min(eff, len(s.ReqNet.Routers)); nt > 1 {
-		s.ReqNet.SetParallel(s.pool, nt)
-		if s.RepNet != s.ReqNet {
-			s.RepNet.SetParallel(s.pool, nt)
-		}
-		s.phase1Fn = s.phase1
+	s.ReqNet.SetParallel(s.pool, eff)
+	if s.RepNet != s.ReqNet {
+		s.RepNet.SetParallel(s.pool, eff)
 	}
-	if k := min(eff, maxShards); k > 1 {
-		s.buildShards(k)
-		s.phase2Fn = s.phase2
-	}
+	s.buildShards(min(eff, maxShards))
 }
 
-// Parallel returns the engine-effective worker count (1 when serial).
-func (s *System) Parallel() int {
-	if s.parallel < 1 {
-		return 1
-	}
-	return s.parallel
-}
+// Parallel returns the engine-effective worker count.
+func (s *System) Parallel() int { return s.parallel }
 
-// Close releases the worker pool, if any. Idempotent; a serial System
-// never needs it.
+// Close releases the pool's worker goroutines, if any. Idempotent; a
+// one-worker System has none and never needs it.
 func (s *System) Close() {
 	if s.pool != nil {
 		s.pool.Close()
-		s.pool = nil
-	}
-}
-
-// tickParallel is the fused parallel cycle: at most two pool
-// dispatches regardless of how many structures are partitioned.
-//
-//	serial   pre-step: memory blocking samples (read NI state pre-net)
-//	         begin-of-cycle budget resets, unless the shards carry them
-//	phase 1  both networks' tile compute phases + the shard begin phase
-//	serial   network commits (stats folds, packet ejection in node order)
-//	phase 2  shard node ticks (mems -> clusters -> gpus -> cpus)
-//	serial   locality-delta folds, kernel flush, observer
-//
-// Equivalence with the serial order rests on two arguments beyond the
-// per-network one in noc/tile.go:
-//
-//   - Fusing the two networks' compute phases is safe because they
-//     share no state: a request-ejection handler (which runs later, in
-//     the serial commit) is the only code that touches both networks
-//     in one cycle. Its injections into the reply network land as tail
-//     appends with ReadyAt >= cycle+LLC.Latency (>= 1), which the
-//     already-finished reply compute phase could never have observed:
-//     headReady rejects future ReadyAt, and tail appends cannot change
-//     any head streaming decision already taken.
-//   - The Enqueued stamp a serial run gives those injections is the
-//     reply network's pre-tick clock. The fused tick pre-advances both
-//     clocks, so the reply network's injection stamp (noc's enqNow) is
-//     held at the previous cycle until the request network has
-//     committed, then released (ReleaseEnq) before the reply commit.
-//     With a shared physical network there is only one clock and one
-//     tick, exactly as in serial mode, so no hold is needed.
-func (s *System) tickParallel() {
-	s.cycle++
-	for _, m := range s.Mems {
-		m.sampleBlocked()
-	}
-	if s.phase1Fn == nil || len(s.shards) == 0 {
-		// The begin phase runs serially whenever the fused dispatch
-		// cannot carry it: untiled networks (crossbar) dispatch only
-		// the shard phase; an unsharded node phase has no shard begins.
-		for _, m := range s.Mems {
-			m.beginQuota()
-		}
-		for _, g := range s.GPUs {
-			g.BeginCycle()
-		}
-	}
-	if s.phase1Fn != nil {
-		s.ReqNet.BeginTickParallel(false)
-		if s.RepNet != s.ReqNet {
-			s.RepNet.BeginTickParallel(true)
-		}
-		s.pool.Run(s.phase1Fn)
-		s.ReqNet.CommitTick()
-		if s.RepNet != s.ReqNet {
-			s.RepNet.ReleaseEnq()
-			s.RepNet.CommitTick()
-		}
-	} else {
-		s.netSerial()
-	}
-	if len(s.shards) > 0 {
-		s.pool.Run(s.phase2Fn)
-		s.commitShards()
-	} else {
-		s.nodeSerial()
-	}
-	s.endCycle()
-}
-
-// phase1 is the per-worker body of the fused first dispatch: both
-// networks' tile compute sections, then this worker's shard begins.
-func (s *System) phase1(worker int) {
-	s.ReqNet.ComputeSection(worker)
-	if s.RepNet != s.ReqNet {
-		s.RepNet.ComputeSection(worker)
-	}
-	for i := worker; i < len(s.shards); i += s.pool.Size() {
-		s.shards[i].begin()
-	}
-}
-
-// phase2 is the per-worker body of the node dispatch: worker w ticks
-// shards w, w+P, w+2P, ...
-func (s *System) phase2(worker int) {
-	for i := worker; i < len(s.shards); i += s.pool.Size() {
-		s.shards[i].tick()
-	}
-}
-
-// commitShards folds the shard-private locality deltas into the
-// canonical counters in fixed shard order.
-func (s *System) commitShards() {
-	for _, sh := range s.shards {
-		s.loc.add(&sh.loc)
-		sh.loc = locCounters{}
 	}
 }

@@ -7,15 +7,14 @@ import "delrep/internal/noc"
 // Packet+Msg pair per protocol step; recycling them through a LIFO
 // keeps the steady-state tick path allocation-free.
 //
-// The canonical allocator (System.al) hands out IDs 1,2,3,... exactly
-// as the old global counter did. Node-phase sharding gives each shard
-// its own allocator with a disjoint strided stream (shard k of K
-// starts at k+1 and strides by K) so concurrent shards never touch a
-// shared counter. Packet IDs are never observable when sharding is
-// active: they feed only the trace layer, and an attached observer
-// forces serial execution (see SetParallel). What the digest folds is
-// the total packet count across allocators, which depends only on the
-// simulated protocol, not on which allocator created which packet.
+// Each node shard owns one allocator with a disjoint strided stream
+// (shard k of K starts at k+1 and strides by K) so concurrent shards
+// never touch a shared counter; a one-shard system hands out IDs
+// 1,2,3,... in creation order. Packet IDs are observable only there:
+// they feed only the trace layer, and an attached observer means one
+// shard (see SetParallel). What the digest folds is the total packet
+// count across allocators, which depends only on the simulated
+// protocol, not on which allocator created which packet.
 //
 // Determinism: unlike sync.Pool, reuse order is a pure function of
 // the simulation itself (LIFO over the deterministic retire order),
@@ -24,8 +23,8 @@ import "delrep/internal/noc"
 // digests included — depends on whether pooling is enabled, or on
 // which allocator a free happens to return an object to: a packet may
 // legally be created by one shard's allocator and retired into
-// another's, because ownership transfers at serial ejection time and
-// the pool barriers order the transfer.
+// another's, because ownership transfers at ejection (commit) time
+// and the dispatch barriers order the transfer.
 //
 // Ownership rule: a packet is retired exactly once, at the point the
 // protocol consumes it — a handler that refuses delivery
@@ -40,7 +39,7 @@ type alloc struct {
 
 	created  uint64 // packets ever created through this allocator
 	idNext   uint64 // next packet ID to hand out
-	idStride uint64 // ID stream stride (1 for the canonical allocator)
+	idStride uint64 // ID stream stride (the shard count)
 }
 
 // initIDs aims the allocator's ID stream. Streams with distinct

@@ -8,25 +8,25 @@ import (
 
 // PhaseProfile accumulates per-phase wall time across a run: the
 // Amdahl breakdown of the system tick. Attach one with
-// SetPhaseProfile before running; Run then dispatches to an
-// instrumented orchestrator that executes the identical tick sequence
-// with a timestamp between phases.
+// SetPhaseProfile before running; Run then steps the cycle through
+// profiledStep, which calls the same six phase methods as Tick with a
+// timestamp between them.
 //
-// The instrumented orchestrators live here, outside the Tick call
-// graph, deliberately: wall-clock reads are banned from per-cycle
-// entry points (simlint's tickpurity analyzer), and profiling is a
+// The instrumented step lives here, outside the Tick call graph,
+// deliberately: wall-clock reads are banned from per-cycle entry
+// points (simlint's tickpurity analyzer), and profiling is a
 // measurement harness around the tick phases, not part of them.
 // Profiling never touches simulated state, so profiled runs stay
 // bit-identical to unprofiled ones.
 type PhaseProfile struct {
 	Cycles int64
 
-	// Parallelizable phases.
-	NetCompute  time.Duration // network tile compute (phase-1 dispatch)
-	NodeCompute time.Duration // node shard ticks (phase-2 dispatch)
+	// Dispatched phases (what more workers divide).
+	NetCompute  time.Duration // network tile sections + shard begins
+	NodeCompute time.Duration // node shard ticks
 
-	// Serial phases (the Amdahl floor).
-	Begin      time.Duration // blocking samples + budget resets
+	// Coordinator-only phases (the Amdahl floor).
+	Begin      time.Duration // blocking samples
 	NetCommit  time.Duration // stats folds + packet ejection
 	NodeCommit time.Duration // shard delta folds
 	Serial     time.Duration // end-of-cycle residue (flush, observer)
@@ -85,93 +85,30 @@ func stamp() time.Time {
 	return time.Now()
 }
 
-// runProfiled advances n cycles with per-phase timing.
-func (s *System) runProfiled(n int64) {
-	for i := int64(0); i < n; i++ {
-		if s.parallel > 1 {
-			s.profiledParallelStep()
-		} else {
-			s.profiledSerialStep()
-		}
-	}
-}
-
-// profiledSerialStep is the serial Tick with a timestamp between
-// phases. In serial mode the whole network and node phases count as
-// compute: there is no separate commit to attribute.
-func (s *System) profiledSerialStep() {
-	p := s.prof
-	p.Cycles++
+// profiledStep is Tick with a timestamp between phases. The dispatch
+// cost of a compute phase is attributed to that phase's bucket (it is
+// what a worker-count scan amortizes).
+func (s *System) profiledStep() {
 	t0 := stamp()
-	s.cycle++
-	s.beginSerial()
+	s.begin()
 	t1 := stamp()
-	p.Begin += t1.Sub(t0)
-	s.netSerial()
+	s.netCompute()
 	t2 := stamp()
-	p.NetCompute += t2.Sub(t1)
-	s.nodeSerial()
+	s.netCommit()
 	t3 := stamp()
-	p.NodeCompute += t3.Sub(t2)
+	s.nodeCompute()
+	t4 := stamp()
+	s.nodeCommit()
+	t5 := stamp()
 	s.endCycle()
-	p.Serial += stamp().Sub(t3)
-}
+	t6 := stamp()
 
-// profiledParallelStep is tickParallel with a timestamp between
-// phases. The dispatch cost of a fused phase is attributed to that
-// phase's compute bucket (it is what a worker-count scan amortizes).
-func (s *System) profiledParallelStep() {
 	p := s.prof
 	p.Cycles++
-	t0 := stamp()
-	s.cycle++
-	for _, m := range s.Mems {
-		m.sampleBlocked()
-	}
-	if s.phase1Fn == nil || len(s.shards) == 0 {
-		for _, m := range s.Mems {
-			m.beginQuota()
-		}
-		for _, g := range s.GPUs {
-			g.BeginCycle()
-		}
-	}
-	t1 := stamp()
 	p.Begin += t1.Sub(t0)
-	if s.phase1Fn != nil {
-		s.ReqNet.BeginTickParallel(false)
-		if s.RepNet != s.ReqNet {
-			s.RepNet.BeginTickParallel(true)
-		}
-		s.pool.Run(s.phase1Fn)
-		t2 := stamp()
-		p.NetCompute += t2.Sub(t1)
-		s.ReqNet.CommitTick()
-		if s.RepNet != s.ReqNet {
-			s.RepNet.ReleaseEnq()
-			s.RepNet.CommitTick()
-		}
-		t1 = stamp()
-		p.NetCommit += t1.Sub(t2)
-	} else {
-		s.netSerial()
-		t2 := stamp()
-		p.NetCompute += t2.Sub(t1)
-		t1 = t2
-	}
-	if len(s.shards) > 0 {
-		s.pool.Run(s.phase2Fn)
-		t2 := stamp()
-		p.NodeCompute += t2.Sub(t1)
-		s.commitShards()
-		t1 = stamp()
-		p.NodeCommit += t1.Sub(t2)
-	} else {
-		s.nodeSerial()
-		t2 := stamp()
-		p.NodeCompute += t2.Sub(t1)
-		t1 = t2
-	}
-	s.endCycle()
-	p.Serial += stamp().Sub(t1)
+	p.NetCompute += t2.Sub(t1)
+	p.NetCommit += t3.Sub(t2)
+	p.NodeCompute += t4.Sub(t3)
+	p.NodeCommit += t5.Sub(t4)
+	p.Serial += t6.Sub(t5)
 }

@@ -8,9 +8,9 @@ import (
 
 // CancelCheckWindow is the default number of simulated cycles between
 // cooperative cancellation checkpoints. The cycle loop itself stays
-// serial and pure (no context plumbing inside Tick); cancellation is
-// only observed at window boundaries, so a cancelled run stops within
-// one window's worth of simulated work.
+// pure (no context plumbing inside Tick); cancellation is only
+// observed at window boundaries, so a cancelled run stops within one
+// window's worth of simulated work.
 const CancelCheckWindow = 4096
 
 // RunControl parameterizes a controlled workload run. The zero value
@@ -28,12 +28,12 @@ type RunControl struct {
 	// cycles simulated so far and the total cycles of the run
 	// (warm-up + measurement). It must not mutate simulation state.
 	OnProgress func(done, total int64)
-	// Parallel, when > 1, ticks the system across that many workers —
-	// network tiles and node shards on one pool (System.SetParallel).
-	// Results are bit-identical at any value, so it is an execution
-	// hint, not part of the run's identity. Checkpoints sit between
-	// ticks either way, so cancellation and progress stay
-	// window-aligned.
+	// Parallel is the worker count the system ticks across — network
+	// tiles and node shards on one pool (System.SetParallel; values
+	// below 1 mean 1, which runs inline). Results are bit-identical at
+	// any value, so it is an execution hint, not part of the run's
+	// identity. Checkpoints sit between ticks either way, so
+	// cancellation and progress stay window-aligned.
 	Parallel int
 }
 
@@ -84,10 +84,8 @@ func (s *System) RunWorkloadCtx(rc RunControl) (Results, error) {
 // digest, results). A cancelled run returns the context's error.
 func RunAuditCtrl(rc RunControl, cfg config.Config, gpuBench, cpuBench string) (AuditRun, error) {
 	sys := NewSystem(cfg, gpuBench, cpuBench)
-	if rc.Parallel > 1 {
-		sys.SetParallel(rc.Parallel)
-		defer sys.Close()
-	}
+	sys.SetParallel(rc.Parallel)
+	defer sys.Close()
 	res, err := sys.RunWorkloadCtx(rc)
 	if err != nil {
 		return AuditRun{}, err

@@ -6,21 +6,22 @@ import (
 	"delrep/internal/par"
 )
 
-// This file implements node-phase sharding: the begin and tick phases
+// This file implements the node partition: the begin and tick phases
 // of the per-node components (memory nodes, clusters, GPU cores, CPU
-// cores) are partitioned into contiguous shards ticked concurrently on
-// the same worker pool that drives the network tiles.
+// cores) run over contiguous shards, as sections of the same pool
+// dispatches that drive the network tiles. Every System has at least
+// one shard; how many is SetParallel's choice.
 //
-// Race-freedom argument (DESIGN.md §12 is the long form): during the
+// Race-freedom argument (DESIGN.md §11 is the long form): during the
 // node phase every cross-node interaction flows through the networks —
 // a node only ever appends to its own NIs' injection queues, and those
 // are drained by the next cycle's network phase, after a barrier. The
 // only cross-shard reads are the locality probes (probeLocal /
 // Cluster.Probe), which are read-only Peeks against cache tags that
-// change exclusively at serial commit time (network ejection handlers
-// and the serial end-of-cycle flush), never during the node phase.
+// change exclusively at commit time (network ejection handlers and the
+// end-of-cycle flush), never during the node phase.
 //
-// Two structures would break that argument, so they constrain the
+// Three structures would break that argument, so they constrain the
 // partition instead:
 //
 //   - Wavefronts are shared by the cores of one sharing group
@@ -32,26 +33,23 @@ import (
 //     shard owning its first core.
 //   - DynEB's mode controller invalidates member L1 tags mid-phase
 //     (setShared), which would race remote locality probes; under
-//     DynEB the node phase stays serial entirely (maxNodeShards = 1).
+//     DynEB the node phase is one shard (maxNodeShards = 1).
 //
 // Memory and CPU nodes have no cross-node state and partition freely.
 //
-// Determinism: each shard ticks its slice in the canonical serial
-// order, all orderings inside one cycle that serial execution fixes
-// across shard boundaries are either commutative (disjoint state) or
-// deferred to the serial commit phases, and the two mutable aggregates
-// a shard feeds — the packet allocator and the locality counters — are
-// shard-private deltas folded (or digested) in fixed shard order.
-// Results and StatsDigest are bit-identical to serial execution at
-// every shard count.
+// Determinism: each shard ticks its slice in the canonical order
+// (memory nodes, clusters, GPU cores, CPU cores), every ordering
+// inside one cycle that crosses a shard boundary is either commutative
+// (disjoint state) or deferred to the commit phases, and the two
+// mutable aggregates a shard feeds — the packet allocator and the
+// locality counters — are shard-private, folded (or digested) in fixed
+// shard order. Results and StatsDigest are bit-identical at every
+// shard count.
 
 // shard owns a contiguous slice of each node population plus the
-// shard-private allocator and locality delta its components write
-// through while the node phase runs concurrently.
+// allocator and locality delta its components write through during
+// the node phase.
 type shard struct {
-	sys *System
-	id  int
-
 	mems     []*MemNode
 	clusters []*Cluster
 	gpus     []*GPUCore
@@ -62,10 +60,12 @@ type shard struct {
 	_   [64]byte // no false sharing between adjacent shards' deltas
 }
 
-// begin runs the shard's slice of the begin phase: per-cycle budget
-// resets only (memory blocking is sampled serially before the fused
-// dispatch — see MemNode.sampleBlocked).
-func (sh *shard) begin() {
+// BeginCycle runs the shard's slice of the begin phase: per-cycle
+// budget resets only (memory blocking is sampled before the dispatch —
+// see System.begin). Like Tick below it carries a name simlint's
+// hot-path analyzers root at, because the dispatch reaches both
+// through a prebound function value their call graph cannot follow.
+func (sh *shard) BeginCycle() {
 	for _, m := range sh.mems {
 		m.beginQuota()
 	}
@@ -74,9 +74,9 @@ func (sh *shard) begin() {
 	}
 }
 
-// tick runs the shard's slice of the node phase in the canonical
-// serial order: memory nodes, clusters, GPU cores, CPU cores.
-func (sh *shard) tick() {
+// Tick runs the shard's slice of the node phase in the canonical
+// order: memory nodes, clusters, GPU cores, CPU cores.
+func (sh *shard) Tick() {
 	for _, m := range sh.mems {
 		m.Tick()
 	}
@@ -102,7 +102,7 @@ func (s *System) gpuCutLegal(i int) bool {
 }
 
 // maxNodeShards returns the largest legal shard count for this
-// system's node phase (1 means the node phase cannot be partitioned).
+// system's node phase (1 means it cannot be split).
 func (s *System) maxNodeShards() int {
 	if s.Cfg.GPU.Org == config.L1DynEB {
 		return 1 // setShared would race remote locality probes
@@ -127,17 +127,18 @@ func sliceRange(bounds []int, i int) (int, int) {
 	return bounds[i], bounds[i+1]
 }
 
-// buildShards partitions the node populations into k contiguous shards
-// and points every partitioned component at its shard's allocator and
+// buildShards partitions the node populations into k >= 1 contiguous
+// shards and points every component at its shard's allocator and
 // locality delta. Shard allocators draw from disjoint strided ID
-// streams so concurrent creation never touches a shared counter.
+// streams so concurrent creation never touches a shared counter; one
+// shard hands out 1, 2, 3, ...
 func (s *System) buildShards(k int) {
 	gpuB := par.Cuts(len(s.GPUs), k, s.gpuCutLegal)
 	memB := par.Cuts(len(s.Mems), k, nil)
 	cpuB := par.Cuts(len(s.CPUs), k, nil)
 	s.shards = make([]*shard, k)
 	for i := 0; i < k; i++ {
-		sh := &shard{sys: s, id: i}
+		sh := &shard{}
 		sh.al.initIDs(uint64(i+1), uint64(k))
 		lo, hi := sliceRange(gpuB, i)
 		sh.gpus = s.GPUs[lo:hi]
@@ -165,20 +166,4 @@ func (s *System) buildShards(k int) {
 		}
 		s.shards[i] = sh
 	}
-}
-
-// teardownShards restores serial node ticking: every component points
-// back at the canonical allocator and locality block.
-func (s *System) teardownShards() {
-	for _, g := range s.GPUs {
-		g.al = &s.al
-		g.loc = &s.loc
-	}
-	for _, m := range s.Mems {
-		m.al = &s.al
-	}
-	for i := range s.allocOf {
-		s.allocOf[i] = &s.al
-	}
-	s.shards = nil
 }

@@ -43,17 +43,16 @@ type System struct {
 	cycle  int64
 	warmed int64 // cycle at which stats were last reset
 	rng    *rand.Rand
-	al     alloc // canonical packet/Msg allocator (see pool.go)
 
 	// allocOf maps a node id to the allocator its tick-phase sends draw
-	// from: the canonical allocator when serial, the owning shard's when
-	// the node phase is sharded. Only CPU nodes route through this table
-	// (GPU cores and memory nodes carry their own pointer).
+	// from: the owning shard's (see pool.go). Only CPU nodes route
+	// through this table (GPU cores and memory nodes carry their own
+	// pointer).
 	allocOf []*alloc
 
 	// Inter-core locality sampling (Figure 2): on a sampled subset of
 	// L1 read misses, check whether any remote GPU L1 holds the line.
-	// Canonical counters; sharded ticks accumulate into per-shard deltas
+	// Canonical counters; node ticks accumulate into per-shard deltas
 	// folded here at node commit (see locCounters).
 	loc locCounters
 
@@ -68,33 +67,33 @@ type System struct {
 	// AttachObserver). Strictly measurement-only.
 	obs *obs.Observer
 
-	// pool drives both tile-parallel network ticking and node-phase
-	// sharding; nil when serial (see SetParallel in parallel.go).
+	// pool runs the two compute dispatches of the cycle — network tile
+	// sections, then node shards — across `parallel` workers; a pool of
+	// one runs them inline (see SetParallel in parallel.go).
 	pool     *par.Pool
 	parallel int
 
-	// shards partitions the node phase (Mems/Clusters/GPUs/CPUs) for
-	// parallel ticking; empty when the node phase runs serially.
+	// shards partitions the node phase (Mems/Clusters/GPUs/CPUs); there
+	// is always at least one (see shard.go).
 	shards []*shard
 
-	// Prebound phase closures so the per-cycle pool dispatches do not
-	// allocate. phase1Fn is nil when the networks are untiled (crossbar);
-	// phase2Fn is nil when the node phase is unsharded.
-	phase1Fn func(int)
-	phase2Fn func(int)
+	// Prebound section bodies so the per-cycle dispatches do not
+	// allocate.
+	netSectionFn  func(int)
+	nodeSectionFn func(int)
 
 	// prof, when non-nil, accumulates per-phase wall time (see
-	// profile.go). Measurement-only: Run dispatches to an instrumented
-	// orchestrator, the tick sequence itself is unchanged.
+	// profile.go). Measurement-only: Run steps the same phase methods
+	// as Tick with a clock read between them.
 	prof *PhaseProfile
 
 	nextFlush int64
 }
 
 // locCounters is the inter-core locality sample block. The canonical
-// copy lives in the System; sharded node phases write through a
-// per-shard delta that the commit step folds into the canonical copy
-// every cycle in fixed shard order.
+// copy lives in the System; node ticks write through a per-shard
+// delta that the node commit folds into the canonical copy every cycle
+// in fixed shard order.
 type locCounters struct {
 	samples       int64
 	hits          int64
@@ -181,11 +180,12 @@ func NewSystem(cfg config.Config, gpuBench, cpuBench string) *System {
 		writeFlits:    cfg.NoC.FlitsForData(cfg.GPU.L1LineBytes),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
-	s.al.initIDs(1, 1)
 	s.buildNetworks()
 	s.buildNodes()
 	s.prewarmLLC()
 	s.nextFlush = int64(cfg.GPU.KernelCycles)
+	s.netSectionFn, s.nodeSectionFn = s.netSection, s.nodeSection
+	s.SetParallel(1)
 	return s
 }
 
@@ -283,7 +283,6 @@ func (s *System) buildNodes() {
 	s.allocOf = make([]*alloc, n)
 	for i := range s.gpuIdx {
 		s.gpuIdx[i], s.cpuIdx[i], s.memIdx[i] = -1, -1, -1
-		s.allocOf[i] = &s.al
 	}
 	for node := 0; node < n; node++ {
 		switch l.Kind(node) {
@@ -401,9 +400,9 @@ func (s *System) memNodeFor(line cache.Addr) int {
 }
 
 // newPacketOn constructs a packet with a fresh id from the given
-// allocator. The packet comes from the free list (scrubbed on
-// retire), so untouched fields are zero exactly as in a fresh
-// allocation.
+// allocator (the creating node's shard's). The packet comes from the
+// free list (scrubbed on retire), so untouched fields are zero exactly
+// as in a fresh allocation.
 func (s *System) newPacketOn(a *alloc, src, dst int, class noc.Class, prio noc.Priority, flits int, m *Msg) *noc.Packet {
 	p := a.allocPacket()
 	p.ID, p.Src, p.Dst = a.nextID(), src, dst
@@ -414,18 +413,13 @@ func (s *System) newPacketOn(a *alloc, src, dst int, class noc.Class, prio noc.P
 	return p
 }
 
-// newPacket constructs a packet from the canonical allocator.
-func (s *System) newPacket(src, dst int, class noc.Class, prio noc.Priority, flits int, m *Msg) *noc.Packet {
-	return s.newPacketOn(&s.al, src, dst, class, prio, flits, m)
-}
-
 // isDelegated and isRP report the active scheme.
 func (s *System) isDelegated() bool { return s.Cfg.Scheme == config.SchemeDelegatedReplies }
 func (s *System) isRP() bool        { return s.Cfg.Scheme == config.SchemeRP }
 
 // SendCPURead implements cpu.Sender. It runs inside the node phase
 // (cpu.Core.Tick), so the packet draws from the node's shard-local
-// allocator when the node phase is sharded.
+// allocator.
 func (s *System) SendCPURead(node int, line cache.Addr) bool {
 	ni := s.reqNI(node)
 	if !ni.CanInject(noc.ClassRequest) {
@@ -451,10 +445,9 @@ func (s *System) cpuHandle(node int, p *noc.Packet) bool {
 // sampleLocality measures Figure 2's inter-core locality: on a sampled
 // L1 read miss, check whether any remote GPU L1 (or shared slice) holds
 // the line. Measurement only; no timing effect. Counters accumulate
-// through the core's locality block (the shard delta when the node
-// phase is sharded); the remote probes are read-only Peeks against
-// tags that only change at serial commit time, so they are safe to
-// issue from inside a shard.
+// through the core's locality block (its shard's delta); the remote
+// probes are read-only Peeks against tags that only change at commit
+// time, so they are safe to issue from inside a shard.
 func (s *System) sampleLocality(g *GPUCore, line cache.Addr) {
 	if (g.Stats.L1ReadMisses+int64(g.Idx))%localitySamplePeriod != 0 {
 		return
@@ -504,55 +497,110 @@ func (s *System) PredLocality() (int64, int64) { return s.loc.predSamples, s.loc
 // Cycle returns the current cycle.
 func (s *System) Cycle() int64 { return s.cycle }
 
-// Tick advances the whole system one cycle. The cycle decomposes into
-// the same four phases in every execution mode — begin, network, node,
-// end — and the parallel orchestrator (tickParallel in parallel.go)
-// reuses the serial phase bodies below wherever a piece cannot be
-// partitioned, so serial and parallel runs execute identical work in
-// an identical observable order.
+// Tick advances the whole system one cycle. This is the only
+// orchestration of the cycle: six phases over a partition of the
+// networks into tiles (noc/tile.go) and of the nodes into shards
+// (shard.go), two of them dispatched across the pool.
+//
+//	begin        memory blocking samples (read NI state pre-network)
+//	netCompute   both networks' tile sections + shard begins, one dispatch
+//	netCommit    ReqNet commit -> ReleaseEnq -> RepNet commit
+//	             (stats folds, packet ejection in node order)
+//	nodeCompute  shard ticks (mems -> clusters -> gpus -> cpus), one dispatch
+//	nodeCommit   locality-delta folds in shard order
+//	endCycle     kernel flush, observer
+//
+// Partition sizes are an execution choice SetParallel derives from the
+// topology and configuration; a one-tile, one-shard system runs both
+// dispatches inline. Results do not depend on them. Beyond the
+// per-network argument in noc/tile.go and the per-shard one in
+// shard.go, that rests on the order the two networks are ticked in:
+// the request network logically ticks first, and its ejection
+// handlers — the only code that touches both networks in one cycle —
+// inject into a reply network that has not ticked yet. Computing both
+// networks before either commits preserves that order because:
+//
+//   - The compute phases share no state. The handlers' reply
+//     injections land as tail appends with ReadyAt >= cycle+LLC.Latency
+//     (>= 1), which the already-finished reply compute phase could
+//     never have observed: headReady rejects future ReadyAt, and tail
+//     appends cannot change any head streaming decision already taken.
+//   - The Enqueued stamp of those injections is the reply network's
+//     pre-tick clock, and the capacity they see is its pre-tick
+//     occupancy. So the reply network's injection stamp and an
+//     occupancy snapshot (noc's enqNow / NI.holdLen) are held at the
+//     previous cycle until the request network has committed, then
+//     released (ReleaseEnq) before the reply commit. With a shared
+//     physical network there is one clock and one tick, so no hold.
 func (s *System) Tick() {
-	if s.parallel > 1 {
-		s.tickParallel()
-		return
-	}
-	s.cycle++
-	s.beginSerial()
-	s.netSerial()
-	s.nodeSerial()
+	s.begin()
+	s.netCompute()
+	s.netCommit()
+	s.nodeCompute()
+	s.nodeCommit()
 	s.endCycle()
 }
 
-// beginSerial resets per-cycle budgets and samples memory blocking.
-func (s *System) beginSerial() {
+// begin advances the clock and samples memory blocking, which reads NI
+// occupancy as it stands before the network phase and so cannot ride
+// the compute dispatch.
+func (s *System) begin() {
+	s.cycle++
 	for _, m := range s.Mems {
-		m.BeginCycle()
-	}
-	for _, g := range s.GPUs {
-		g.BeginCycle()
+		m.sampleBlocked()
 	}
 }
 
-// netSerial ticks the networks in serial mode.
-func (s *System) netSerial() {
-	s.ReqNet.Tick()
+// netCompute opens both networks' cycles and dispatches their tile
+// compute sections together with the shards' begin-of-cycle resets.
+func (s *System) netCompute() {
+	s.ReqNet.BeginTick(false)
 	if s.RepNet != s.ReqNet {
-		s.RepNet.Tick()
+		s.RepNet.BeginTick(true)
+	}
+	s.pool.Run(s.netSectionFn)
+}
+
+// netSection is worker w's share of the netCompute dispatch.
+func (s *System) netSection(worker int) {
+	s.ReqNet.ComputeSection(worker)
+	if s.RepNet != s.ReqNet {
+		s.RepNet.ComputeSection(worker)
+	}
+	for i := worker; i < len(s.shards); i += s.parallel {
+		s.shards[i].BeginCycle()
 	}
 }
 
-// nodeSerial ticks every node in the canonical serial order.
-func (s *System) nodeSerial() {
-	for _, m := range s.Mems {
-		m.Tick()
+// netCommit commits the request network, then releases the reply
+// network's held injection stamp and commits it.
+func (s *System) netCommit() {
+	s.ReqNet.CommitTick()
+	if s.RepNet != s.ReqNet {
+		s.RepNet.ReleaseEnq()
+		s.RepNet.CommitTick()
 	}
-	for _, c := range s.Clusters {
-		c.Tick()
+}
+
+// nodeCompute dispatches the shard ticks.
+func (s *System) nodeCompute() {
+	s.pool.Run(s.nodeSectionFn)
+}
+
+// nodeSection is worker w's share of the nodeCompute dispatch: shards
+// w, w+P, w+2P, ...
+func (s *System) nodeSection(worker int) {
+	for i := worker; i < len(s.shards); i += s.parallel {
+		s.shards[i].Tick()
 	}
-	for _, g := range s.GPUs {
-		g.Tick()
-	}
-	for _, c := range s.CPUs {
-		c.Tick()
+}
+
+// nodeCommit folds the shard-private locality deltas into the
+// canonical counters in fixed shard order.
+func (s *System) nodeCommit() {
+	for _, sh := range s.shards {
+		s.loc.add(&sh.loc)
+		sh.loc = locCounters{}
 	}
 }
 
@@ -584,16 +632,16 @@ func (s *System) kernelFlush() {
 	}
 }
 
-// Run advances n cycles. With a phase profile attached it dispatches
-// to the instrumented orchestrator (profile.go); the tick sequence is
-// identical either way.
+// Run advances n cycles. With a phase profile attached each cycle is
+// the instrumented step (profile.go): the same phase methods with a
+// clock read between them.
 func (s *System) Run(n int64) {
+	step := s.Tick
 	if s.prof != nil {
-		s.runProfiled(n)
-		return
+		step = s.profiledStep
 	}
 	for i := int64(0); i < n; i++ {
-		s.Tick()
+		step()
 	}
 }
 
@@ -616,10 +664,7 @@ func (s *System) ResetStats() {
 	for _, c := range s.Clusters {
 		c.ResetStats()
 	}
-	s.loc = locCounters{}
-	for _, sh := range s.shards {
-		sh.loc = locCounters{}
-	}
+	s.loc = locCounters{} // shard deltas are zero between cycles
 	for i := range s.loadLat {
 		s.loadLat[i].Reset()
 	}

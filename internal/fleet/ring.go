@@ -22,7 +22,7 @@
 // The non-negotiable invariant: a fleet-served result is
 // byte-comparable — same simspec.Result JSON, same digest — with a
 // direct delrepsim -json run of the same spec, including after
-// mid-sweep worker failures. DESIGN.md §13 has the full architecture.
+// mid-sweep worker failures. DESIGN.md §12 has the full architecture.
 package fleet
 
 import (

@@ -15,8 +15,8 @@ import (
 // flits and go dormant, fires exactly one wake source at a dormant
 // router, and requires the observable outcome — the cycle a port first
 // moves, every packet's ejection cycle — to equal a reference run in
-// which no router is ever allowed to stay dormant, serially and with
-// the two routers on different tiles.
+// which no router is ever allowed to stay dormant, at one tile and
+// with the two routers on different tiles of four.
 
 const (
 	wakeUp = 8  // source of the stuck flow (row 1, tile 0 of 4)
@@ -124,8 +124,8 @@ func (g *wakeRig) drain(pkts []*Packet) []int64 {
 // wakeScenario runs one scripted scenario and returns what it observed.
 type wakeScenario func(g *wakeRig) []int64
 
-// runWakeScenario requires the dormancy runs (serial, tiled) to observe
-// exactly what the never-dormant reference observes.
+// runWakeScenario requires the dormancy runs (one tile, four tiles) to
+// observe exactly what the never-dormant reference observes.
 func runWakeScenario(t *testing.T, sc wakeScenario) {
 	want := sc(newWakeRig(t, 1, true))
 	for _, workers := range []int{1, 4} {

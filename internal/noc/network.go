@@ -31,9 +31,12 @@ type event struct {
 // instances (request and reply); AVCP and the virtual-network study use
 // a single shared instance with per-class VC ranges.
 //
-// Tick is activity-gated: routers with no buffered flits, routers
-// whose last tick changed nothing (dormant, see Router.dormant) and NIs
-// with no injection/ejection work are skipped. The gating is exact —
+// Tick runs the phased cycle of tile.go — begin, tile compute
+// sections, commit — over a tile partition that always exists (one
+// tile from NewNetwork on; SetParallel re-partitions). It is
+// activity-gated: routers with no buffered flits, routers whose last
+// tick changed nothing (dormant, see Router.dormant) and NIs with no
+// injection/ejection work are skipped. The gating is exact —
 // every piece of per-cycle state a skipped component would have touched
 // is either provably unchanged when idle or stuck, or derived from the
 // cycle count (router saPortPtr, NI class round-robin) — so results are
@@ -52,40 +55,38 @@ type Network struct {
 	Routers []*Router
 	NIs     []*NI
 
-	ring [][]event
-	now  int64
+	now int64
 
-	// enqNow is the cycle stamped onto packets at Inject. Serially it
-	// always equals now; a fused parallel tick pre-advances both
-	// networks' clocks before the request network commits, so the
-	// reply network holds enqNow one cycle back until then (see
-	// BeginTickParallel) to keep Enqueued stamps — and everything
-	// derived from them: PktLat, delegation wait — bit-identical to
-	// serial execution.
+	// enqNow is the cycle stamped onto packets at Inject. Standalone it
+	// always equals now; the system cycle computes both networks before
+	// the request network commits, so the reply network holds enqNow
+	// one cycle back until then (see BeginTick) and Enqueued stamps —
+	// and everything derived from them: PktLat, delegation wait — read
+	// as if the request network had ticked first.
 	enqNow int64
 
 	// enqHeld is true while enqNow is held back: during that window the
 	// NIs also serve capacity queries (CanInject/InjLen) from the
 	// occupancy snapshot taken when the hold began, because this
 	// network's compute phase has already run but the handlers now
-	// executing serially precede it (see NI.occupancy).
+	// executing logically precede it (see NI.occupancy).
 	enqHeld bool
 
 	// ctr is the canonical statistics block: activity counters
 	// (buffered flits across all router input rings, in-flight flit
 	// events in the delay rings — Quiet derives from these in O(#NIs)
 	// instead of rescanning every buffer) plus the measurement
-	// counters. Routers and NIs update it through a pointer; in tiled
-	// mode that pointer aims at a per-tile delta instead, folded back
-	// here each cycle (see tile.go).
+	// counters. Routers and NIs write their tile's delta, which the
+	// commit phase folds in here each cycle (see tile.go).
 	ctr netCounters
 
-	// Tile-parallel ticking state; nil/empty when serial (see tile.go).
-	pool      *par.Pool
+	// The tile partition (see tile.go): at least one tile, whose delay
+	// rings are the network's only delay rings.
+	pool      *par.Pool // runs the compute sections; size 1 runs them inline
 	tiles     []*tile
 	tileOf    []int                   // router -> owning tile
 	stage     par.Matrix[stagedEvent] // cross-tile staging, double-buffered by cycle parity
-	sectionFn func(int)               // prebound compute-phase fan-out body
+	sectionFn func(int)               // prebound ComputeSection, so a dispatch does not allocate
 
 	// DebugChecks enables the slow cross-checks: Quiet and
 	// CheckCreditInvariant re-derive the activity counters by full
@@ -102,8 +103,8 @@ type Network struct {
 
 	// Statistics (reset at the end of warmup). The flit counters live
 	// in ctr; PktLat stays here because float samplers are
-	// order-sensitive and only ever updated from the serial commit
-	// phase (tickEject).
+	// order-sensitive and only ever updated from the commit phase
+	// (tickEject).
 	PktLat   [3]stats.Sampler // per priority
 	measured int64            // cycles since last ResetStats
 }
@@ -135,7 +136,6 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 		hopDelay: cfg.RouterDelay + cfg.LinkDelay,
 		hare:     cfg.Routing == config.RoutingHARE,
 	}
-	n.ring = make([][]event, n.hopDelay+2)
 	n.Routers = make([]*Router, topo.NumRouters())
 	for r := range n.Routers {
 		n.Routers[r] = newRouter(n, r, topo.NumPorts(r), numVCs, n.bufDepth)
@@ -167,7 +167,7 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 			injCap[ClassReply] = p.InjCapMem
 		}
 		ni := &NI{
-			net: n, ctr: &n.ctr, Node: node, router: r, port: port,
+			net: n, Node: node, router: r, port: port,
 			injCap: injCap,
 			ejBuf:  make([]fifo.Ring[Flit], numVCs),
 			asmCap: p.AsmCap,
@@ -189,6 +189,7 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 			out.credits[v] = p.EjCap
 		}
 	}
+	n.SetParallel(nil, 1)
 	return n
 }
 
@@ -209,65 +210,14 @@ func (n *Network) Now() int64 { return n.now }
 // Topology returns the network's topology.
 func (n *Network) Topology() Topology { return n.topo }
 
-// schedule queues a delivery `delay` cycles in the future (>= 1).
-func (n *Network) schedule(delay int, ev event) {
-	if delay < 1 {
-		delay = 1
-	}
-	if ev.kind == evFlit {
-		n.ctr.flyFlits++
-	}
-	slot := (n.now + int64(delay)) % int64(len(n.ring))
-	n.ring[slot] = append(n.ring[slot], ev)
-}
-
-// Tick advances the network one cycle. Only active components run:
-// see the Network doc comment for the exactness argument. With a tile
-// partition configured (SetParallel) the cycle runs compute/commit
-// phased across the worker pool instead — bit-identical results
-// either way (see tile.go).
+// Tick advances the network one cycle on its own: begin, one dispatch
+// of the tile compute sections, commit. The system cycle runs the same
+// three steps itself so that it can fuse both networks' compute phases
+// into one dispatch (internal/core).
 func (n *Network) Tick() {
-	if n.tiles != nil {
-		n.tickTiled()
-		return
-	}
-	n.now++
-	n.measured++
-	n.enqNow = n.now
-	slot := n.now % int64(len(n.ring))
-	evs := n.ring[slot]
-	for _, ev := range evs {
-		r := n.Routers[ev.router]
-		switch ev.kind {
-		case evFlit:
-			n.ctr.flyFlits--
-			r.acceptFlit(ev.port, ev.vc, ev.flit)
-		case evCredit:
-			r.addCredit(ev.port, ev.vc, 1)
-		}
-	}
-	n.ring[slot] = evs[:0]
-	for _, ni := range n.NIs {
-		if ni.injActive() {
-			ni.tickInject()
-		}
-	}
-	if n.hare {
-		for _, r := range n.Routers {
-			r.tick()
-		}
-	} else if n.ctr.bufFlits > 0 {
-		for _, r := range n.Routers {
-			if r.buffered > 0 {
-				r.tick()
-			}
-		}
-	}
-	for _, ni := range n.NIs {
-		if ni.ejActive() {
-			ni.tickEject()
-		}
-	}
+	n.BeginTick(false)
+	n.pool.Run(n.sectionFn)
+	n.CommitTick()
 }
 
 // ResetStats zeroes all measurement counters (end of warmup) without

@@ -23,7 +23,7 @@ import "delrep/internal/fifo"
 // bound their occupancy).
 type NI struct {
 	net    *Network
-	ctr    *netCounters // statistics sink (canonical block or owning tile's delta)
+	ctr    *netCounters // statistics sink: the owning tile's delta
 	Node   int
 	router int
 	port   int
@@ -59,13 +59,13 @@ type injStream struct {
 }
 
 // occupancy returns the class's buffered-packet count (queued plus
-// streaming). While the owning network's clock is held (a fused
-// parallel tick, see Network.enqNow), it reports the snapshot taken
+// streaming). While the owning network's injection stamp is held (the
+// system cycle, see Network.enqNow), it reports the snapshot taken
 // when the hold began, advanced by injections since: the network's
 // compute phase has already processed this cycle's injection side, but
-// serially the handlers now running would observe the buffer as it
-// stood before that — a stream completing mid-tick must not free
-// capacity to a handler that serially could not have seen it.
+// the handlers now running logically precede it and must observe the
+// buffer as it stood before that — a stream completing mid-tick must
+// not free capacity to a handler ordered ahead of that tick.
 func (ni *NI) occupancy(c Class) int {
 	if ni.net.enqHeld {
 		return ni.holdLen[c]
@@ -95,9 +95,9 @@ func (ni *NI) Blocked(c Class) bool { return ni.blocked[c] }
 
 // Inject queues a packet on its class queue; it fails when full.
 // The Enqueued stamp comes from enqNow, not now: the two agree except
-// inside a fused parallel tick, where the reply network's clock is
-// pre-advanced but injections from request-ejection handlers must
-// still stamp the cycle a serial run would (see Network.enqNow).
+// inside the system cycle's hold, where the reply network's clock is
+// already advanced but injections from request-ejection handlers must
+// still stamp the previous cycle (see Network.enqNow).
 func (ni *NI) Inject(p *Packet) bool {
 	if !ni.CanInject(p.Class) {
 		return false

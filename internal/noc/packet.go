@@ -7,10 +7,10 @@
 // the substrate on which network clogging arises and Delegated Replies
 // operates.
 //
-// A Network ticks serially by default; SetParallel partitions it into
-// router tiles ticked by a worker Pool with a two-phase compute/commit
-// cycle whose results are bit-identical to serial execution at any
-// worker count (see tile.go for the determinism argument).
+// A Network ticks one two-phase compute/commit cycle over a partition
+// into router tiles: one tile, run inline, unless SetParallel spreads
+// more across a worker Pool. Results are bit-identical at every
+// partition size (see tile.go for the determinism argument).
 package noc
 
 // Class separates request and reply traffic, either onto physically

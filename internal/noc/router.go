@@ -73,11 +73,11 @@ func ownerKey(port, vc int) int32 { return int32(port<<8 | vc) }
 // The switch-allocation input-port pointer is not stored: it advances
 // exactly once per network cycle since construction, so it is
 // recomputed from the cycle count. That keeps it bit-identical even
-// when idle routers skip their tick entirely (see Network.Tick).
+// when idle routers skip their tick entirely (see tile.Step).
 type Router struct {
 	net    *Network
-	tl     *tile        // owning tile (nil when the network is serial)
-	ctr    *netCounters // statistics sink: the network's canonical block, or the tile's delta
+	tl     *tile        // owning tile: schedules this router's deliveries
+	ctr    *netCounters // statistics sink: the owning tile's delta
 	ID     int
 	nports int
 	// inFlat is the contiguous backing store for all input VC buffers,
@@ -136,7 +136,6 @@ type Router struct {
 func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
 	r := &Router{
 		net:        net,
-		ctr:        &net.ctr,
 		ID:         id,
 		nports:     nports,
 		in:         make([][]vcBuf, nports),
@@ -193,17 +192,6 @@ func (r *Router) pushFlit(port, vc int, f Flit) {
 func (r *Router) addCredit(port, vc, n int) {
 	r.out[port].credits[vc] += n
 	r.dormant = false
-}
-
-// sched queues a delivery through the network's serial delay ring or,
-// in tiled mode, through the owning tile (which stages cross-tile
-// deliveries for commit; see tile.go).
-func (r *Router) sched(delay int, ev event) {
-	if r.tl != nil {
-		r.tl.schedule(delay, ev)
-		return
-	}
-	r.net.schedule(delay, ev)
 }
 
 // acceptFlit places an arriving flit into an input VC buffer. Credits
@@ -453,7 +441,7 @@ func (r *Router) traverse(p, v int, b *vcBuf) {
 
 	if op.link != nil {
 		op.credits[b.outVC]--
-		r.sched(r.net.hopDelay, event{
+		r.tl.schedule(r.net.hopDelay, event{
 			kind: evFlit, router: op.link.to, port: op.link.toPort, vc: b.outVC, flit: f,
 		})
 	} else if op.eject != nil {
@@ -463,7 +451,7 @@ func (r *Router) traverse(p, v int, b *vcBuf) {
 
 	// Return a credit to whoever feeds this input port.
 	if fd := r.inFrom[p]; fd.ok {
-		r.sched(r.net.cfg.LinkDelay, event{
+		r.tl.schedule(r.net.cfg.LinkDelay, event{
 			kind: evCredit, router: fd.r, port: fd.port, vc: v,
 		})
 	}

@@ -27,20 +27,6 @@ func TestPoolRunsEveryWorker(t *testing.T) {
 	}
 }
 
-func TestPoolPhases(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var computed int64
-	committed := int64(-1)
-	p.Phases(
-		func(w int) { atomic.AddInt64(&computed, 1) },
-		func() { committed = atomic.LoadInt64(&computed) },
-	)
-	if computed != 4 || committed != 4 {
-		t.Fatalf("computed=%d committed=%d, want 4/4 (commit after the barrier)", computed, committed)
-	}
-}
-
 func TestCutsEvenSplit(t *testing.T) {
 	// With every cut legal, Cuts reproduces the classic i*n/k split.
 	for _, tc := range []struct{ n, k int }{{10, 4}, {7, 3}, {5, 5}, {9, 1}, {3, 8}} {

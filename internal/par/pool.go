@@ -8,18 +8,19 @@
 // shards (internal/core/shard.go) are built on this package, and both
 // follow the same two-phase discipline: a compute phase where every
 // partition touches only partition-owned state (staging anything
-// cross-partition), then a serial commit phase that drains staged
-// state in fixed partition order. DESIGN.md §11 and §12 carry the
-// exactness arguments.
+// cross-partition), then a commit phase on the coordinator that
+// drains staged state in fixed partition order. DESIGN.md §11 carries
+// the exactness argument.
 package par
 
 import "sync"
 
-// Pool is a persistent worker pool for two-phase parallel ticking.
-// It exists so the per-cycle fan-out costs two channel operations per
-// worker instead of a goroutine spawn: the workers are parked on their
-// work channels between cycles, and the caller's goroutine doubles as
-// worker 0, so a Pool of size n adds only n-1 goroutines.
+// Pool is a persistent worker pool for two-phase ticking. It exists so
+// the per-cycle fan-out costs two channel operations per worker
+// instead of a goroutine spawn: the workers are parked on their work
+// channels between cycles, and the caller's goroutine doubles as
+// worker 0, so a Pool of size n adds only n-1 goroutines — and a Pool
+// of size 1 is the caller alone: Run is a plain call, Close a no-op.
 //
 // Run is not safe for concurrent use from multiple goroutines; the
 // simulator drives it from the single coordinator goroutine that owns
@@ -73,15 +74,6 @@ func (p *Pool) Run(f func(worker int)) {
 	for range p.work {
 		<-p.done
 	}
-}
-
-// Phases runs one two-phase step: compute fans out across every
-// worker (Run's return is the only barrier), then commit runs
-// serially on the caller. The commit function is where staged
-// cross-partition state must be drained in fixed partition order.
-func (p *Pool) Phases(compute func(worker int), commit func()) {
-	p.Run(compute)
-	commit()
 }
 
 // Close releases the worker goroutines. Idempotent; the pool must be

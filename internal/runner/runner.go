@@ -5,10 +5,10 @@
 // every (config, GPU benchmark, CPU benchmark) triple is an isolated
 // deterministic computation, and the Engine's bounded worker pool runs
 // whole simulations concurrently. Within a run, the coordinating cycle
-// loop stays serial and pure (the tickpurity analyzer in cmd/simlint
-// enforces it), but the network tick may additionally be
-// tile-partitioned across cores (core.SetParallel, DESIGN.md §11) —
-// a pure execution strategy that is bit-identical to serial at any
+// loop stays one goroutine's and pure (the tickpurity analyzer in
+// cmd/simlint enforces it), but it may spread the compute phases of
+// its cycle over a private worker pool (core.SetParallel, DESIGN.md
+// §11) — a pure execution strategy that is bit-identical at any
 // worker count, which is why it never appears in a run's Key.
 //
 // The contract that keeps parallel runs trustworthy:
@@ -167,8 +167,8 @@ type Options struct {
 	// starts. Writes are serialized (one Write call per line), so
 	// os.Stderr stays readable under concurrency.
 	Progress io.Writer
-	// RunParallel, when > 1, tile-partitions each simulation's network
-	// tick across that many workers (core.SetParallel). It is an
+	// RunParallel, when > 1, spreads each simulation's cycle across
+	// that many workers (core.SetParallel). It is an
 	// execution hint: results and digests are bit-identical at any
 	// value, so it does not enter the memo/cache Key, and SubmitCtxParallel
 	// can override it per submission.

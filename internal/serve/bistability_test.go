@@ -23,7 +23,7 @@ import (
 // Retry-After is computed from the *live* backlog (mean job latency ×
 // (queued+1) / workers, clamped to [1, 600]), so the estimate shrinks
 // as the queue drains and the feedback is proportional rather than
-// latching. See DESIGN.md §13.
+// latching. See DESIGN.md §12.
 
 // The estimator must track the live backlog proportionally and clamp.
 func TestRetryAfterTracksBacklog(t *testing.T) {
