@@ -119,3 +119,37 @@ func TestMSHRResetStats(t *testing.T) {
 		t.Fatal("reset must not drop entries")
 	}
 }
+
+// The file is a fixed slab: a release swaps the last live entry into
+// the hole (every other line stays findable with its own targets), and
+// a steady state of allocate / merge / release allocates nothing.
+func TestMSHRSlabReleaseAndRecycle(t *testing.T) {
+	m := NewMSHR(4)
+	for l := Addr(1); l <= 4; l++ {
+		m.Allocate(l, int(l))
+		m.Merge(l, int(l)*10)
+	}
+	if got := m.Release(2); len(got) != 2 || got[0] != 2 || got[1] != 20 {
+		t.Fatalf("released targets = %v", got)
+	}
+	for _, l := range []Addr{1, 3, 4} {
+		e, ok := m.Lookup(l)
+		if !ok || e.Line != l || len(e.Targets) != 2 || e.Targets[0] != int(l) || e.Targets[1] != int(l)*10 {
+			t.Fatalf("line %d after a neighbour's release: %+v, %v", l, e, ok)
+		}
+	}
+	if _, ok := m.Lookup(2); ok || m.Len() != 3 || len(m.Lines()) != 3 {
+		t.Fatalf("released line still outstanding (len %d, lines %v)", m.Len(), m.Lines())
+	}
+	var target any = t // boxed once, outside the measured loop
+	if allocs := testing.AllocsPerRun(200, func() {
+		m.Allocate(9, target)
+		m.Merge(9, target)
+		m.Allocate(9, target)
+		if len(m.Release(9)) != 3 {
+			t.Fatal("targets lost")
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state allocate/merge/release allocates %.1f times", allocs)
+	}
+}

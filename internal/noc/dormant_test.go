@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"delrep/internal/par"
@@ -28,7 +29,7 @@ const (
 type wakeRig struct {
 	t       *testing.T
 	net     *Network
-	awake   bool // reference mode: clear every dormant flag before each cycle
+	awake   bool // reference mode: wake every router before each cycle
 	blocked bool
 	stuck   []*Packet
 	nextID  uint64
@@ -46,10 +47,13 @@ func newWakeRig(t *testing.T, workers int, awake bool) *wakeRig {
 	return rig
 }
 
+// awake reports whether router r is in its tile's awake set.
+func awake(r *Router) bool { return *r.awakeWord&r.awakeBit != 0 }
+
 func (g *wakeRig) step() {
 	if g.awake {
 		for _, r := range g.net.Routers {
-			r.dormant = false
+			r.wake()
 		}
 	}
 	g.net.Tick()
@@ -79,22 +83,22 @@ func (g *wakeRig) clog() {
 		if rt.buffered == 0 {
 			g.t.Fatalf("router %d holds no stuck flits", r)
 		}
-		if !g.awake && !rt.dormant {
+		if !g.awake && awake(rt) {
 			g.t.Fatalf("router %d is stuck but not dormant", r)
 		}
 	}
 }
 
-// mustBeDormant and mustBeAwake check router r's dormant flag in the
+// mustBeDormant and mustBeAwake check router r's awake bit in the
 // dormancy runs (the reference run keeps every router awake).
 func (g *wakeRig) mustBeDormant(r int) {
-	if !g.awake && !g.net.Routers[r].dormant {
+	if !g.awake && awake(g.net.Routers[r]) {
 		g.t.Fatalf("cycle %d: router %d should still be dormant", g.net.now, r)
 	}
 }
 
 func (g *wakeRig) mustBeAwake(r int) {
-	if !g.awake && g.net.Routers[r].dormant {
+	if !g.awake && !awake(g.net.Routers[r]) {
 		g.t.Fatalf("cycle %d: router %d was not woken", g.net.now, r)
 	}
 }
@@ -232,22 +236,38 @@ func TestDormantWakeLocalInjection(t *testing.T) {
 	})
 }
 
-// TestDormantDebugCheckPanics shows the self-check: with DebugChecks a
-// dormant router is ticked anyway, and progress it should not have been
-// able to make is a panic naming the router and the cycle.
+// TestDormantDebugCheckPanics shows the self-checks: with DebugChecks
+// every router's state words are recounted each cycle and a sleeping
+// router is ticked anyway, so state changed behind the mutation points'
+// back — a credit handed to a sleeping router without addCredit, an
+// occupancy bit dropped without a pop — is a panic naming the router
+// and the cycle (which of the two checks fires first depends on whether
+// the corrupted VC was free; silence is the only wrong answer).
 func TestDormantDebugCheckPanics(t *testing.T) {
-	g := newWakeRig(t, 1, false)
-	g.clog()
-	g.net.DebugChecks = true
-	g.step() // dormant routers tick, make no progress: fine
-	// Corrupt the flag's invariant: hand back a credit behind its back.
-	g.net.Routers[wakeUp].out[PortS].credits[0]++
-	defer func() {
-		msg, _ := recover().(string)
-		want := fmt.Sprintf("noc: dormant router %d made progress at cycle %d", wakeUp, g.net.now)
-		if msg != want {
-			t.Fatalf("recovered %q, want %q", msg, want)
-		}
-	}()
-	g.step()
+	corruptions := map[string]func(r *Router){
+		"credit": func(r *Router) { r.vc[PortS*r.numVCs].credits++ },
+		"occ": func(r *Router) {
+			for w := range r.occ {
+				r.occ[w] &= r.occ[w] - 1
+			}
+		},
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			g := newWakeRig(t, 1, false)
+			g.clog()
+			g.net.DebugChecks = true
+			g.step() // sleeping routers tick, make no progress: fine
+			corrupt(g.net.Routers[wakeUp])
+			defer func() {
+				msg, _ := recover().(string)
+				who := fmt.Sprintf("router %d ", wakeUp)
+				when := fmt.Sprintf("cycle %d", g.net.now)
+				if !strings.HasPrefix(msg, "noc: ") || !strings.Contains(msg, who) || !strings.Contains(msg, when) {
+					t.Fatalf("recovered %q, want a noc panic naming %q and %q", msg, who, when)
+				}
+			}()
+			g.step()
+		})
+	}
 }

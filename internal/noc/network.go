@@ -9,23 +9,6 @@ import (
 	"delrep/internal/stats"
 )
 
-type evKind uint8
-
-const (
-	evFlit evKind = iota
-	evCredit
-)
-
-// event is a timed delivery: a flit arriving at a router input VC, or a
-// credit returning to a router output VC.
-type event struct {
-	kind   evKind
-	router int
-	port   int
-	vc     int
-	flit   Flit
-}
-
 // Network is one physical interconnect: routers wired per the topology,
 // plus one network interface per node. The baseline uses two Network
 // instances (request and reply); AVCP and the virtual-network study use
@@ -34,9 +17,9 @@ type event struct {
 // Tick runs the phased cycle of tile.go — begin, tile compute
 // sections, commit — over a tile partition that always exists (one
 // tile from NewNetwork on; SetParallel re-partitions). It is
-// activity-gated: routers with no buffered flits, routers whose last
-// tick changed nothing (dormant, see Router.dormant) and NIs with no
-// injection/ejection work are skipped. The gating is exact —
+// activity-gated: routers outside their tile's awake set (no buffered
+// flits, or a last tick that changed nothing, see Router.awakeWord) and
+// NIs with no injection/ejection work are skipped. The gating is exact —
 // every piece of per-cycle state a skipped component would have touched
 // is either provably unchanged when idle or stuck, or derived from the
 // cycle count (router saPortPtr, NI class round-robin) — so results are
@@ -54,6 +37,8 @@ type Network struct {
 
 	Routers []*Router
 	NIs     []*NI
+	// injBusy/ejBusy[node]: the NI may have injection/ejection work (NI.injActive).
+	injBusy, ejBusy []bool
 
 	now int64
 
@@ -124,8 +109,8 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 	if cfg.SharedPhys {
 		numVCs = cfg.ReqVCs + cfg.RepVCs
 	}
-	if numVCs <= 0 {
-		panic("noc: network needs at least one VC")
+	if numVCs <= 0 || numVCs > 64 { // switch allocation holds a port's VCs in one word
+		panic("noc: network needs between 1 and 64 VCs")
 	}
 	n := &Network{
 		Label:    label,
@@ -147,17 +132,15 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 			if !ok {
 				continue
 			}
-			out := &n.Routers[r].out[port]
-			out.link = &wire{to: peer, toPort: peerPort}
-			out.connected = true
-			for v := range out.credits {
-				out.credits[v] = n.bufDepth
-			}
-			n.Routers[peer].inFrom[peerPort] = feeder{r: r, port: port, ok: true}
+			out, in := &n.Routers[r].ports[port], &n.Routers[peer].ports[peerPort]
+			out.to, out.toBase = int32(peer), int32(peerPort*numVCs)
+			in.from, in.fromBase = int32(r), int32(port*numVCs)
+			n.Routers[r].initCredits(port, n.bufDepth)
 		}
 	}
 	// Attach NIs.
 	n.NIs = make([]*NI, nodes)
+	n.injBusy, n.ejBusy = make([]bool, nodes), make([]bool, nodes)
 	for node := 0; node < nodes; node++ {
 		r, port := topo.NodePort(node)
 		injCap := [2]int{p.InjCapCore, p.InjCapCore}
@@ -167,7 +150,7 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 			injCap[ClassReply] = p.InjCapMem
 		}
 		ni := &NI{
-			net: n, Node: node, router: r, port: port,
+			net: n, Node: node, router: r, base: port * numVCs,
 			injCap: injCap,
 			ejBuf:  make([]fifo.Ring[Flit], numVCs),
 			asmCap: p.AsmCap,
@@ -182,12 +165,8 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 			ni.ejBuf[v].Init(p.EjCap)
 		}
 		n.NIs[node] = ni
-		out := &n.Routers[r].out[port]
-		out.eject = ni
-		out.connected = true
-		for v := range out.credits {
-			out.credits[v] = p.EjCap
-		}
+		n.Routers[r].ports[port].eject = ni
+		n.Routers[r].initCredits(port, p.EjCap)
 	}
 	n.SetParallel(nil, 1)
 	return n
@@ -234,8 +213,8 @@ func (n *Network) ResetStats() {
 	n.ctr.flitHops = 0
 	n.measured = 0
 	for _, r := range n.Routers {
-		for p := range r.out {
-			r.out[p].sent = 0
+		for p := range r.ports {
+			r.ports[p].sent = 0
 		}
 	}
 	for _, ni := range n.NIs {
@@ -279,10 +258,10 @@ func (n *Network) PortSent(r, port int) int64 {
 		return 0
 	}
 	rt := n.Routers[r]
-	if port < 0 || port >= len(rt.out) {
+	if port < 0 || port >= len(rt.ports) {
 		return 0
 	}
-	return rt.out[port].sent
+	return rt.ports[port].sent
 }
 
 // Quiet reports whether the network holds no buffered or in-flight
@@ -317,7 +296,7 @@ func (n *Network) quietScan() bool {
 	}
 	fly := 0
 	n.forEachPending(func(ev event) {
-		if ev.kind == evFlit {
+		if ev.pkt != nil {
 			fly++
 		}
 	})
@@ -342,16 +321,15 @@ func (n *Network) quietScan() bool {
 // buffer depth, and that the maintained activity counters match a
 // full recount. It returns an error describing the first violation.
 func (n *Network) CheckCreditInvariant() error {
-	inFlight := make(map[[3]int]int) // (router, port, vc) -> flits on the wire
-	credits := make(map[[3]int]int)  // (router, port, vc) -> credits on the wire
+	inFlight := make(map[[2]int32]int) // (router, input VC) -> flits on the wire
+	credits := make(map[[2]int32]int)  // (router, output VC) -> credits on the wire
 	fly := 0
 	n.forEachPending(func(ev event) {
-		k := [3]int{ev.router, ev.port, ev.vc}
-		if ev.kind == evFlit {
-			inFlight[k]++
+		if ev.pkt != nil {
+			inFlight[[2]int32{ev.router, ev.vc}]++
 			fly++
 		} else {
-			credits[k]++
+			credits[[2]int32{ev.router, ev.vc}]++
 		}
 	})
 	if fly != n.ctr.flyFlits {
@@ -368,21 +346,26 @@ func (n *Network) CheckCreditInvariant() error {
 	if buffered != n.ctr.bufFlits {
 		return fmt.Errorf("network buffered-flit counter drifted: counter=%d scan=%d", n.ctr.bufFlits, buffered)
 	}
+	for node, ni := range n.NIs {
+		if ni.injActive() && !n.injBusy[node] || ni.ejActive() && !n.ejBusy[node] {
+			return fmt.Errorf("NI %d has work its busy flag does not show", node)
+		}
+	}
 	for _, r := range n.Routers {
-		for p := range r.out {
-			op := &r.out[p]
-			if op.link == nil {
+		for p := range r.ports {
+			op := &r.ports[p]
+			if op.to < 0 {
 				continue
 			}
-			for v := range op.credits {
-				down := n.Routers[op.link.to]
-				occ := down.in[op.link.toPort][v].q.Len()
-				fly := inFlight[[3]int{op.link.to, op.link.toPort, v}]
-				cred := credits[[3]int{r.ID, p, v}]
-				total := op.credits[v] + occ + fly + cred
+			for v := 0; v < n.numVCs; v++ {
+				o, in := int32(p*n.numVCs+v), op.toBase+int32(v)
+				occ := n.Routers[op.to].vcLen(int(in))
+				fly := inFlight[[2]int32{op.to, in}]
+				cred := credits[[2]int32{int32(r.ID), o}]
+				total := int(r.vc[o].credits) + occ + fly + cred
 				if total != n.bufDepth {
 					return fmt.Errorf("credit invariant violated at router %d port %d vc %d: credits=%d occ=%d inflight=%d creditsInFlight=%d depth=%d",
-						r.ID, p, v, op.credits[v], occ, fly, cred, n.bufDepth)
+						r.ID, p, v, r.vc[o].credits, occ, fly, cred, n.bufDepth)
 				}
 			}
 		}
@@ -392,41 +375,3 @@ func (n *Network) CheckCreditInvariant() error {
 
 // NI returns the network interface of a node.
 func (n *Network) NI(node int) *NI { return n.NIs[node] }
-
-// DebugPortState summarises an output port's credits and VC ownership
-// (diagnostics).
-func (n *Network) DebugPortState(r, port int) string {
-	op := &n.Routers[r].out[port]
-	s := "E:"
-	for v := range op.credits {
-		owner := "free"
-		if op.owner[v] != ownerFree {
-			owner = "held"
-		}
-		s += fmt.Sprintf("vc%d(c%d,%s)", v, op.credits[v], owner)
-	}
-	return s
-}
-
-// DebugLocalIn summarises the local input port VC occupancy
-// (diagnostics).
-func (n *Network) DebugLocalIn(r int) string {
-	rt := n.Routers[r]
-	s := "L:"
-	for v := range rt.in[0] {
-		b := &rt.in[0][v]
-		s += fmt.Sprintf("vc%d(q%d,out%d)", v, b.q.Len(), b.outPort)
-	}
-	return s
-}
-
-// DebugInPort summarises an input port's VC occupancy (diagnostics).
-func (n *Network) DebugInPort(r, port int) string {
-	rt := n.Routers[r]
-	s := ""
-	for v := range rt.in[port] {
-		b := &rt.in[port][v]
-		s += fmt.Sprintf("vc%d(q%d,out%d)", v, b.q.Len(), b.outPort)
-	}
-	return s
-}

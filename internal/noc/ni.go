@@ -26,7 +26,7 @@ type NI struct {
 	ctr    *netCounters // statistics sink: the owning tile's delta
 	Node   int
 	router int
-	port   int
+	base   int // flat index of VC 0 of the router port this NI feeds and drains
 
 	injQ     [2][]*Packet
 	injCap   [2]int
@@ -107,6 +107,7 @@ func (ni *NI) Inject(p *Packet) bool {
 		ni.holdLen[p.Class]++
 	}
 	ni.injQ[p.Class] = append(ni.injQ[p.Class], p)
+	ni.net.injBusy[ni.Node] = true
 	return true
 }
 
@@ -133,7 +134,10 @@ func (ni *NI) RemoveQueued(c Class, i int) *Packet {
 // tickInject entirely: the only state that tick would touch — the
 // blocked flags and the class round-robin — is provably unaffected
 // (blocked is always false once the streams drain, and the class
-// round-robin is derived from the cycle count, see startStreams).
+// round-robin is derived from the cycle count, see startStreams). The
+// tick loops ask only the NIs flagged in Network.injBusy/ejBusy — set
+// by Inject and accept, the only sources of new work, and dropped by
+// the first visit that finds none (CheckCreditInvariant cross-checks).
 func (ni *NI) injActive() bool {
 	return len(ni.injQ[0]) > 0 || len(ni.injQ[1]) > 0 || len(ni.streams) > 0
 }
@@ -181,7 +185,7 @@ func (ni *NI) startStreams() {
 			lo, hi := ni.net.VCRange(pkt.Class)
 			vc := -1
 			for v := lo; v <= hi; v++ {
-				if ni.vcFree(v) && rtr.in[ni.port][v].q.Len() < ni.net.bufDepth {
+				if ni.vcFree(v) && rtr.vcLen(ni.base+v) < ni.net.bufDepth {
 					vc = v
 					break
 				}
@@ -210,17 +214,14 @@ func (ni *NI) tickInject() {
 	for i := 0; i < n; i++ {
 		idx := (ni.rrStream + i) % n
 		st := &ni.streams[idx]
-		if rtr.in[ni.port][st.vc].q.Len() >= ni.net.bufDepth {
+		if rtr.vcLen(ni.base+st.vc) >= ni.net.bufDepth {
 			continue
 		}
 		f := Flit{Pkt: st.pkt, Seq: st.seq}
 		if f.Head() {
 			st.pkt.Injected = ni.net.now
-			if st.pkt.Trace != nil {
-				st.pkt.Trace.arrive(ni.router, ni.net.now)
-			}
 		}
-		rtr.pushFlit(ni.port, st.vc, f)
+		rtr.pushFlit(ni.base+st.vc, f)
 		ni.ctr.injFlits[st.pkt.Class]++
 		st.seq++
 		if st.seq >= st.pkt.SizeFlits {
@@ -244,6 +245,9 @@ func (ni *NI) tickInject() {
 // accept receives a flit from the router's ejection port.
 func (ni *NI) accept(f Flit, vc int) {
 	ni.ejBuf[vc].PushBack(f)
+	if !ni.net.ejBusy[ni.Node] { // tiles share the line: write it only on change
+		ni.net.ejBusy[ni.Node] = true
+	}
 	ni.ejFlits++
 	ni.ctr.ejFlits[f.Pkt.Class]++
 	ni.EjFlitsByClass[f.Pkt.Class]++
@@ -272,7 +276,7 @@ func (ni *NI) tickEject() {
 				buf.PopFront()
 			}
 			ni.ejFlits -= pkt.SizeFlits
-			rtr.addCredit(ni.port, v, pkt.SizeFlits)
+			rtr.addCredit(ni.base+v, pkt.SizeFlits)
 			pkt.Ejected = ni.net.now
 			ni.net.PktLat[pkt.Prio].Add(float64(pkt.Ejected - pkt.Enqueued))
 			if pkt.Trace != nil && ni.net.TraceSink != nil {

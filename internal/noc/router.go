@@ -3,67 +3,31 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-
-	"delrep/internal/fifo"
 )
 
-// vcBuf is the input buffer state of one virtual channel: a fixed-
-// capacity flit ring (sized to bufDepth — credits bound occupancy)
-// plus the routing/allocation state of the packet currently at its
-// front. Routing candidates are folded into a per-(port,vc) claimed
-// bitmap so VC allocation tests membership with one bit probe instead
-// of a linear candidate scan.
-type vcBuf struct {
-	q       fifo.Ring[Flit]
-	mask    []uint64 // bit (port*numVCs + vc) set: candidate output VC
-	routed  bool     // route computed for the current head packet
-	outPort int
-	outVC   int
-}
-
-// allows reports whether output (port, vc) — encoded as a flat bit
-// index — is a routing candidate for the buffered head packet.
-func (b *vcBuf) allows(bit int) bool {
-	return b.mask[bit>>6]&(1<<(uint(bit)&63)) != 0
-}
-
-// clearRoute drops the head packet's routing state (tail departed).
-func (b *vcBuf) clearRoute() {
-	for i := range b.mask {
-		b.mask[i] = 0
-	}
-	b.routed = false
-}
-
-// outPort is the output side of a router port: per-VC downstream
-// credits, per-VC wormhole ownership, and the attached link or NI.
-// credits and owner are views into the router's flat per-output-VC
-// arrays (see Router.credits).
-type outPort struct {
-	credits   []int
-	owner     []int32 // owner key (inPort<<8|inVC) holding the VC, -1 free
-	link      *wire   // inter-router connection (nil otherwise)
-	eject     *NI     // local ejection target (nil otherwise)
-	connected bool    // link or eject present
-	sent      int64   // flits transferred (utilization statistic)
-}
-
-// wire records where an output port's flits are delivered.
-type wire struct {
-	to     int // destination router
-	toPort int
-}
-
-// feeder records where an input port's flits come from, for credit return.
-type feeder struct {
-	r    int
-	port int
-	ok   bool // false for local (NI-fed) or unconnected inputs
+// port is one router port: where its output side delivers (a link to a
+// downstream router, or the local NI) and where its input side is fed
+// from (for credit return). The per-VC credits and wormhole ownership of
+// the output side live in the router's flat vcState records.
+type port struct {
+	to, toBase     int32 // output link: downstream router (-1 none) and the flat index of VC 0 of its input port
+	from, fromBase int32 // input link: upstream router (-1 NI-fed or unconnected) and VC 0 of its output port
+	eject          *NI   // local ejection target (nil otherwise)
+	sent           int64 // flits transferred (utilization statistic)
 }
 
 const ownerFree = int32(-1)
 
-func ownerKey(port, vc int) int32 { return int32(port<<8 | vc) }
+// vcState is the scalar state of flat VC index i = port*numVCs + vc,
+// which names both an input VC buffer of the router and, on the output
+// side, a downstream VC.
+type vcState struct {
+	head, qlen int32 // input ring: position of the front flit, flits buffered
+	outVC      int32 // output VC the packet at the input ring's front holds, -1 none
+	credits    int32 // output VC: downstream credits (unconnected ports keep zero forever)
+	owner      int32 // output VC: the input VC holding it, or ownerFree
+	port       int32 // i / numVCs, sparing the hot paths a division
+}
 
 // Router is an input-queued virtual-channel router with credit-based
 // wormhole flow control, per-class VC ranges, and separable switch
@@ -73,59 +37,66 @@ func ownerKey(port, vc int) int32 { return int32(port<<8 | vc) }
 // The switch-allocation input-port pointer is not stored: it advances
 // exactly once per network cycle since construction, so it is
 // recomputed from the cycle count. That keeps it bit-identical even
-// when idle routers skip their tick entirely (see tile.Step).
+// when sleeping routers skip their tick entirely (see tile.Step).
+//
+// All per-VC state is flat — flit slots, vcState records, and words
+// with one bit per flat index (Go cannot mix pointer and scalar arrays
+// in one allocation) — and a tick costs what changed, not
+// nports×numVCs: the allocators walk the set bits of the state words,
+// which are written only at the four mutation points (pushFlit,
+// traverse, the VC grant, addCredit/initCredits) and recounted every
+// tick under Network.DebugChecks (recount).
 type Router struct {
 	net    *Network
 	tl     *tile        // owning tile: schedules this router's deliveries
 	ctr    *netCounters // statistics sink: the owning tile's delta
 	ID     int
 	nports int
-	// inFlat is the contiguous backing store for all input VC buffers,
-	// indexed port*numVCs+vc; in[p] is a subslice view of it. The
-	// allocator inner loops index inFlat directly so a probe is one
-	// bounds-checked load instead of a slice-of-slice chase.
-	inFlat []vcBuf
-	in     [][]vcBuf
-	inFrom []feeder
-	out    []outPort
-	// credits and owner back every out[p].credits / out[p].owner,
-	// indexed port*numVCs+vc — the same flat bit index the candidate
-	// masks use, so VC allocation filters a requested output VC with two
-	// loads. Unconnected ports keep zero credits forever.
-	credits []int
-	owner   []int32
+	numVCs int // == net.numVCs
+	depth  int // == net.bufDepth, the ring capacity of every input VC
+	ports  []port
 
-	saInPtr  []int // per input port: rotating VC pointer
-	vaOutPtr []int // per output port: rotating grant pointer (VC allocation)
+	vc    []vcState
+	flits []Flit // input VC i's ring is flits[i*depth:(i+1)*depth]
+	// mask[i*W:(i+1)*W] (W = len(occ)) is the candidate output-VC set of
+	// the routed head of input VC i, folded once at route time.
+	mask []uint64
 
-	// Scratch buffers reused every tick (allocated once here, never
-	// on the tick path).
-	inputUsed  []bool
-	outputUsed []bool
-	candBuf    []Candidate
-	// headPrio caches, per input VC (indexed port*numVCs+vc), the
-	// priority of an arbitration-eligible head flit, or -1. Both
-	// allocators classify heads in a single scan and then arbitrate
-	// over this byte array, instead of re-dereferencing ring fronts and
-	// packet priorities in their rotating inner loops.
-	headPrio []int8
-	// reqMask is, per priority, the union of the candidate masks of the
-	// heads waiting for an output VC this tick: VC allocation visits
-	// only output VCs somebody requests.
-	reqMask [3][]uint64
+	// State words (DESIGN.md §9 tabulates who sets and clears each and
+	// the skipped work it licenses). Input side: occ, ring non-empty;
+	// held, owns an output VC; ready, which also holds a credit; pri[p],
+	// route computed for the packet at the front and its priority is p
+	// (the allocators never chase ring → flit → packet). Output side:
+	// avail, free ∧ credited.
+	occ, held, ready, avail []uint64
+	pri                     [3][]uint64
 
-	// dormant is set by a tick that changed nothing (no route computed,
-	// no VC granted, no flit traversed). Such a tick would repeat
-	// identically until a flit arrives or a credit returns — the
-	// rotating pointers move only on grants, and the one cycle-derived
-	// input, the switch-allocation port order, only orders candidates
-	// that all fail — so the router is skipped until pushFlit or
-	// addCredit wakes it. With Network.DebugChecks a dormant router is
-	// ticked anyway and must make no progress.
-	dormant bool
+	saInPtr  []int32 // per input port: rotating VC pointer
+	vaOutPtr []int32 // per output port: rotating grant pointer (VC allocation)
+
+	// Per-tick scratch, from the word slab. req[p]: union of the
+	// candidate masks of the priority-p heads waiting for an output VC.
+	// send: sendable input VCs of the priority being switch-allocated.
+	// inUsed/outUsed: ports matched by this tick's switch allocation.
+	req                   [3][]uint64
+	send                  []uint64
+	used, inUsed, outUsed []uint64
+	candBuf               []Candidate
+
+	// awakeWord/awakeBit address this router's bit in its tile's awake
+	// set. A tick that changed nothing (no route computed, no VC
+	// granted, no flit traversed) would repeat identically until a flit
+	// arrives or a credit returns — the rotating pointers move only on
+	// grants, and the one cycle-derived input, the switch-allocation
+	// port order, only orders candidates that all fail — so it clears
+	// the bit and the router sleeps until pushFlit or addCredit sets it.
+	// With Network.DebugChecks a sleeping router is ticked anyway and
+	// must make no progress.
+	awakeWord *uint64
+	awakeBit  uint64
 
 	// buffered counts flits across all input VC rings; it drives the
-	// active-set scheduler and the O(1) BufferedFlits/Quiet paths.
+	// O(1) BufferedFlits/Quiet paths.
 	buffered int
 
 	// Adaptive routing state (see routing.go).
@@ -134,96 +105,129 @@ type Router struct {
 }
 
 func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
+	n := nports * numVCs
+	w := (n + 63) / 64
+	pw := (nports + 63) / 64
 	r := &Router{
-		net:        net,
-		ID:         id,
-		nports:     nports,
-		in:         make([][]vcBuf, nports),
-		inFrom:     make([]feeder, nports),
-		out:        make([]outPort, nports),
-		saInPtr:    make([]int, nports),
-		vaOutPtr:   make([]int, nports),
-		inputUsed:  make([]bool, nports),
-		outputUsed: make([]bool, nports),
-		candBuf:    make([]Candidate, 0, 4),
-		headPrio:   make([]int8, nports*numVCs),
-		credits:    make([]int, nports*numVCs),
-		owner:      make([]int32, nports*numVCs),
-		ewma:       make([]float64, nports),
+		net: net, ID: id, nports: nports, numVCs: numVCs, depth: bufDepth,
+		ports:   make([]port, nports),
+		vc:      make([]vcState, n),
+		flits:   make([]Flit, n*bufDepth),
+		candBuf: make([]Candidate, 0, 4),
+		ewma:    make([]float64, nports),
 	}
-	maskWords := (nports*numVCs + 63) / 64
-	for i := range r.reqMask {
-		r.reqMask[i] = make([]uint64, maskWords)
+	r.saInPtr, r.vaOutPtr = make([]int32, nports), make([]int32, nports)
+	words := make([]uint64, n*w+11*w+2*pw)
+	carve := func(k int) []uint64 { s := words[:k:k]; words = words[k:]; return s }
+	r.occ, r.held, r.ready, r.avail, r.send = carve(w), carve(w), carve(w), carve(w), carve(w)
+	for p := range r.pri {
+		r.pri[p], r.req[p] = carve(w), carve(w)
 	}
-	for i := range r.owner {
-		r.owner[i] = ownerFree
+	r.used, r.mask = carve(2*pw), carve(n*w)
+	r.inUsed, r.outUsed = r.used[:pw], r.used[pw:]
+	for i := range r.vc {
+		r.vc[i] = vcState{outVC: -1, owner: ownerFree, port: int32(i / numVCs)}
 	}
-	r.inFlat = make([]vcBuf, nports*numVCs)
-	for p := 0; p < nports; p++ {
-		r.in[p] = r.inFlat[p*numVCs : (p+1)*numVCs : (p+1)*numVCs]
-		for v := 0; v < numVCs; v++ {
-			b := &r.in[p][v]
-			b.q.Init(bufDepth)
-			b.mask = make([]uint64, maskWords)
-			b.outPort, b.outVC = -1, -1
-		}
-		r.out[p] = outPort{
-			credits: r.credits[p*numVCs : (p+1)*numVCs : (p+1)*numVCs],
-			owner:   r.owner[p*numVCs : (p+1)*numVCs : (p+1)*numVCs],
-		}
+	for p := range r.ports {
+		r.ports[p].to, r.ports[p].from = -1, -1
 	}
 	return r
 }
 
-// pushFlit appends a flit to input VC (port, vc), maintaining the
-// router and network activity counters. All buffer insertions (link
-// deliveries and local NI injection) go through here so the counters
-// that gate idle routers cannot drift from the rings.
-func (r *Router) pushFlit(port, vc int, f Flit) {
-	r.in[port][vc].q.PushBack(f)
-	r.buffered++
-	r.ctr.bufFlits++
-	r.dormant = false
+func bit(i int) uint64 { return 1 << (uint(i) & 63) }
+
+// field extracts the n (<= 64) bits starting at bit lo of a word set.
+func field(ws []uint64, lo, n int) uint64 {
+	w, s := lo>>6, uint(lo)&63
+	f := ws[w] >> s
+	if s+uint(n) > 64 {
+		f |= ws[w+1] << (64 - s)
+	}
+	return f & (1<<uint(n) - 1)
 }
 
-// addCredit returns n credits to output VC (port, vc). Every credit
-// return — link credit events and NI ejection — goes through here so a
-// dormant router cannot miss the event that unblocks it.
-func (r *Router) addCredit(port, vc, n int) {
-	r.out[port].credits[vc] += n
-	r.dormant = false
-}
+// vcLen returns the number of flits buffered in input VC i.
+func (r *Router) vcLen(i int) int { return int(r.vc[i].qlen) }
 
-// acceptFlit places an arriving flit into an input VC buffer. Credits
-// guarantee space; a violation indicates a flow-control bug.
-func (r *Router) acceptFlit(port, vc int, f Flit) {
-	if r.in[port][vc].q.Len() >= r.net.bufDepth {
+// front returns the flit at the front of the non-empty input VC i.
+func (r *Router) front(i int) *Flit { return &r.flits[i*r.depth+int(r.vc[i].head)] }
+
+// candidates returns the candidate output-VC mask of input VC i.
+func (r *Router) candidates(i int) []uint64 { return r.mask[i*len(r.occ) : (i+1)*len(r.occ)] }
+
+// wake puts the router into its tile's awake set.
+func (r *Router) wake() { *r.awakeWord |= r.awakeBit }
+
+// pushFlit appends a flit to input VC i, maintaining occ, the router
+// and network activity counters and the awake set. All buffer
+// insertions (link deliveries and local NI injection) go through here
+// so the words that gate skipped work cannot drift from the rings.
+// Credits guarantee space; a violation indicates a flow-control bug.
+func (r *Router) pushFlit(i int, f Flit) {
+	v := &r.vc[i]
+	if int(v.qlen) >= r.depth {
 		panic("noc: input buffer overflow (credit accounting bug)")
 	}
-	if f.Pkt.Trace != nil && f.Head() {
+	pos := int(v.head + v.qlen)
+	if pos >= r.depth {
+		pos -= r.depth
+	}
+	if f.Head() && f.Pkt.Trace != nil {
 		f.Pkt.Trace.arrive(r.ID, r.net.now)
 	}
-	r.pushFlit(port, vc, f)
+	r.flits[i*r.depth+pos] = f
+	v.qlen++
+	r.occ[i>>6] |= bit(i)
+	r.buffered++
+	r.ctr.bufFlits++
+	r.wake()
+}
+
+// addCredit returns n credits to output VC o. Every credit return —
+// link credit events and NI ejection — goes through here so avail and
+// ready track the credits and a sleeping router cannot miss the event
+// that unblocks it.
+func (r *Router) addCredit(o, n int) {
+	v := &r.vc[o]
+	v.credits += int32(n)
+	if v.owner == ownerFree {
+		r.avail[o>>6] |= bit(o)
+	} else {
+		r.ready[v.owner>>6] |= bit(int(v.owner))
+	}
+	r.wake()
+}
+
+// initCredits gives a newly wired output port n credits per (free) VC.
+func (r *Router) initCredits(port, n int) {
+	for o := port * r.numVCs; o < (port+1)*r.numVCs; o++ {
+		r.vc[o].credits = int32(n)
+		r.avail[o>>6] |= bit(o)
+	}
 }
 
 // tick runs one router cycle: route computation and VC allocation for
-// waiting heads, then separable switch allocation, then switch/link
-// traversal for the winners.
+// waiting heads, then separable switch allocation and switch/link
+// traversal for the winners. tile.Step ticks the awake routers.
 func (r *Router) tick() {
-	if r.net.hare {
-		r.updateEWMA()
+	asleep := false
+	if r.net.DebugChecks {
+		r.recount()
+		asleep = *r.awakeWord&r.awakeBit == 0
 	}
-	if r.buffered == 0 || r.dormant && !r.net.DebugChecks {
-		return
+	progress := false
+	if r.buffered > 0 {
+		progress = r.allocateVCs()
+		if r.switchAllocAndTraverse() {
+			progress = true
+		}
 	}
-	progress := r.allocateVCs()
-	if r.switchAllocAndTraverse() {
-		progress = true
-	}
-	if progress && r.dormant {
+	if progress && asleep {
 		panic(fmt.Sprintf("noc: dormant router %d made progress at cycle %d", r.ID, r.net.now))
 	}
-	r.dormant = !progress
+	if !progress {
+		*r.awakeWord &^= r.awakeBit
+	}
 }
 
 // allocateVCs performs route computation for new heads, then VC
@@ -235,101 +239,118 @@ func (r *Router) tick() {
 // turning in from other dimensions at merge routers. It reports whether
 // any route was computed or VC granted.
 func (r *Router) allocateVCs() bool {
-	numVCs := r.net.numVCs
-	// Single classification pass: route any new head, then record the
-	// priority of every VC still waiting for an output and fold its
-	// candidate mask into that priority's request mask. Routing one VC
-	// touches only that VC's own mask/routed state, so classifying as
-	// we go sees the same values as a separate counting pass would.
+	// Classify the waiting heads (occ &^ held): route the new ones in
+	// ascending index order, then fold every waiting head's candidate
+	// mask into its priority's request mask. Routing one VC touches only
+	// that VC's own state, so routing first sees the same values as
+	// routing interleaved with the folding would.
 	var waiting [3]int
-	headPrio := r.headPrio
 	progress := false
-	for _, req := range r.reqMask {
-		clear(req)
-	}
-	for idx := range r.inFlat {
-		b := &r.inFlat[idx]
-		if b.q.Len() == 0 || b.outPort >= 0 {
-			headPrio[idx] = -1
+	for w := range r.occ {
+		wait := r.occ[w] &^ r.held[w]
+		if wait == 0 {
 			continue
 		}
-		head := b.q.Front()
-		if !b.routed {
-			if !head.Head() {
-				panic("noc: body flit at VC front without allocated route")
-			}
-			cands := r.net.topo.Route(r.net, r.ID, head.Pkt, r.candBuf[:0])
-			for _, c := range cands {
-				for vc := c.VCLo; vc <= c.VCHi; vc++ {
-					bit := c.Port*numVCs + vc
-					b.mask[bit>>6] |= 1 << (uint(bit) & 63)
-				}
-			}
-			b.routed = true
-			r.candBuf = cands[:0] // keep a grown buffer for reuse
+		for m := wait &^ (r.pri[0][w] | r.pri[1][w] | r.pri[2][w]); m != 0; m &= m - 1 {
+			r.route(w<<6 + bits.TrailingZeros64(m))
 			progress = true
 		}
-		prio := head.Pkt.Prio
-		headPrio[idx] = int8(prio)
-		for w, m := range b.mask {
-			r.reqMask[prio][w] |= m
+		for p, req := range r.req {
+			for m := wait & r.pri[p][w]; m != 0; m &= m - 1 {
+				if waiting[p]++; waiting[p] == 1 {
+					clear(req)
+				}
+				for k, c := range r.candidates(w<<6 + bits.TrailingZeros64(m)) {
+					req[k] |= c
+				}
+			}
 		}
-		waiting[prio]++
 	}
-	total := r.nports * numVCs
 	for prio := int(PrioCPU); prio >= int(PrioGPU); prio-- {
 		if waiting[prio] == 0 {
 			continue
 		}
 		// Visit, in (port, vc) order, the output VCs that are requested
-		// at this priority, free and credited; any other output VC could
-		// not grant. A request bit left behind by a head granted earlier
-		// in this pass finds no requester and grants nothing.
+		// at this priority and available (free ∧ credited); any other
+		// output VC could not grant, so when the two sets are disjoint —
+		// the usual case on a clogged chip — the pass touches nothing. A
+		// grant only clears its own avail bit, so intersecting a word at
+		// a time sees what a per-bit probe would. A request bit left
+		// behind by a head granted earlier in this pass finds no
+		// requester and grants nothing.
 		granted := 0
 	outputs:
-		for w, word := range r.reqMask[prio] {
-			for ; word != 0; word &= word - 1 {
-				bit := w<<6 + bits.TrailingZeros64(word)
-				if r.owner[bit] != ownerFree || r.credits[bit] <= 0 {
+		for w, req := range r.req[prio] {
+			for m := req & r.avail[w]; m != 0; m &= m - 1 {
+				o := w<<6 + bits.TrailingZeros64(m)
+				ptr := &r.vaOutPtr[r.vc[o].port]
+				i := r.requester(prio, o, int(*ptr))
+				if i < 0 {
 					continue
 				}
-				op := bit / numVCs
-				for k := 0; k < total; k++ {
-					idx := r.vaOutPtr[op] + k
-					if idx >= total {
-						idx -= total
-					}
-					if int(headPrio[idx]) != prio {
-						continue
-					}
-					b := &r.inFlat[idx]
-					if !b.allows(bit) {
-						continue
-					}
-					r.owner[bit] = ownerKey(idx/numVCs, idx%numVCs)
-					b.outPort = op
-					b.outVC = bit - op*numVCs
-					headPrio[idx] = -1 // granted: no longer waiting
-					if pkt := b.q.Front().Pkt; pkt.Trace != nil {
-						pkt.Trace.vcAlloc(r.ID, r.net.now)
-					}
-					r.vaOutPtr[op] = idx + 1
-					if r.vaOutPtr[op] == total {
-						r.vaOutPtr[op] = 0
-					}
-					granted++
-					break
+				r.vc[o].owner = int32(i)
+				r.vc[i].outVC = int32(o)
+				r.avail[w] &^= bit(o)
+				r.held[i>>6] |= bit(i)  // granted: no longer waiting,
+				r.ready[i>>6] |= bit(i) // and o is credited
+				if pkt := r.front(i).Pkt; pkt.Trace != nil {
+					pkt.Trace.vcAlloc(r.ID, r.net.now)
 				}
-				if granted == waiting[prio] {
+				if *ptr = int32(i) + 1; int(*ptr) == len(r.vc) {
+					*ptr = 0
+				}
+				progress = true
+				if granted++; granted == waiting[prio] {
 					break outputs
 				}
 			}
 		}
-		if granted > 0 {
-			progress = true
-		}
 	}
 	return progress
+}
+
+// route computes the routing candidates of the new head packet at the
+// front of input VC i, folds them into the VC's candidate mask and
+// records the packet's priority.
+func (r *Router) route(i int) {
+	head := r.front(i)
+	if !head.Head() {
+		panic("noc: body flit at VC front without allocated route")
+	}
+	cands := r.net.topo.Route(r.net, r.ID, head.Pkt, r.candBuf[:0])
+	mask := r.candidates(i)
+	for _, c := range cands {
+		for o := c.Port*r.numVCs + c.VCLo; o <= c.Port*r.numVCs+c.VCHi; o++ {
+			mask[o>>6] |= bit(o)
+		}
+	}
+	r.candBuf = cands[:0] // keep a grown buffer for reuse
+	r.pri[head.Pkt.Prio][i>>6] |= bit(i)
+}
+
+// requester returns the first input VC at or cyclically after index
+// from whose head waits at priority prio with output VC o among its
+// candidates, or -1.
+func (r *Router) requester(prio, o, from int) int {
+	nw := len(r.occ)
+	w := from >> 6
+	for n := 0; n <= nw; n++ { // the start word is visited twice: tail, then head
+		m := r.occ[w] &^ r.held[w] & r.pri[prio][w]
+		if n == 0 {
+			m &^= bit(from) - 1
+		} else if n == nw {
+			m &= bit(from) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			if i := w<<6 + bits.TrailingZeros64(m); r.candidates(i)[o>>6]&bit(o) != 0 {
+				return i
+			}
+		}
+		if w++; w == nw {
+			w = 0
+		}
+	}
+	return -1
 }
 
 // switchAllocAndTraverse picks at most one flit per input port and per
@@ -337,89 +358,83 @@ func (r *Router) allocateVCs() bool {
 // pointers for fairness within a class) and forwards the winners. It
 // reports whether any flit traversed.
 func (r *Router) switchAllocAndTraverse() bool {
-	// Classify sendable heads once: a head is sendable when it holds an
-	// output VC with a credit. Only the VC's own traversal spends that
-	// credit (wormhole ownership), a grant only mutates the granted VC
-	// (popped and possibly released), and inputUsed masks that VC's
-	// whole port for the rest of the allocation, so the snapshot stays
-	// valid across the priority passes; output contention is still
-	// checked live in the loop.
-	numVCs := r.net.numVCs
-	headPrio := r.headPrio
-	var present [3]int
-	for idx := range r.inFlat {
-		b := &r.inFlat[idx]
-		if b.q.Len() == 0 || b.outPort < 0 || r.credits[b.outPort*numVCs+b.outVC] <= 0 {
-			headPrio[idx] = -1
-			continue
-		}
-		prio := b.q.Front().Pkt.Prio
-		headPrio[idx] = int8(prio)
-		present[prio]++
+	// A head is sendable when it holds an output VC with a credit: occ &
+	// ready. Only the VC's own traversal spends that credit (wormhole
+	// ownership), a grant only mutates the granted VC (popped and
+	// possibly released), and inUsed masks that VC's whole port for the
+	// rest of the allocation, so the sets read at the start of each
+	// priority pass stay valid through it; output contention is checked
+	// live in the loop.
+	some := false
+	for w := range r.occ {
+		some = some || r.occ[w]&r.ready[w] != 0
 	}
-	if present == [3]int{} {
+	if !some {
 		return false
 	}
-	inputUsed, outputUsed := r.inputUsed, r.outputUsed
-	for i := range inputUsed {
-		inputUsed[i] = false
-		outputUsed[i] = false
-	}
+	clear(r.used)
 	// The historical saPortPtr advanced by one every cycle regardless
-	// of traffic; derive it from the cycle count so skipped idle ticks
+	// of traffic; derive it from the cycle count so skipped ticks
 	// cannot desynchronise it.
-	base := int((r.net.now - 1) % int64(r.nports))
-	traversed := false
+	nvc := r.numVCs
+	start := int((r.net.now - 1) % int64(r.nports))
 	for prio := int(PrioCPU); prio >= int(PrioGPU); prio-- {
-		if present[prio] == 0 {
-			continue
+		some = false
+		for w := range r.send {
+			r.send[w] = r.occ[w] & r.ready[w] & r.pri[prio][w]
+			some = some || r.send[w] != 0
 		}
-		for i := 0; i < r.nports; i++ {
-			p := base + i
-			if p >= r.nports {
-				p -= r.nports
+		for k, p := 0, start; some && k < r.nports; k, p = k+1, p+1 {
+			if p == r.nports {
+				p = 0
 			}
-			if inputUsed[p] {
+			// This port's sendable VCs, rotated so bit j is VC saInPtr+j.
+			f, s := field(r.send, p*nvc, nvc), int(r.saInPtr[p])
+			if f == 0 || r.inUsed[p>>6]&bit(p) != 0 {
 				continue
 			}
-			nvc := numVCs
-			pv := p * numVCs
-			for j := 0; j < nvc; j++ {
-				v := r.saInPtr[p] + j
+			for f = (f>>uint(s) | f<<uint(nvc-s)) & (1<<uint(nvc) - 1); f != 0; f &= f - 1 {
+				v := s + bits.TrailingZeros64(f)
 				if v >= nvc {
 					v -= nvc
 				}
-				if int(headPrio[pv+v]) != prio {
+				op := int(r.vc[r.vc[p*nvc+v].outVC].port)
+				if r.outUsed[op>>6]&bit(op) != 0 {
 					continue
 				}
-				b := &r.inFlat[pv+v]
-				if outputUsed[b.outPort] {
-					continue
+				r.traverse(p*nvc + v)
+				r.inUsed[p>>6] |= bit(p)
+				r.outUsed[op>>6] |= bit(op)
+				if v++; v == nvc {
+					v = 0
 				}
-				outPort := b.outPort
-				r.traverse(p, v, b)
-				traversed = true
-				inputUsed[p] = true
-				outputUsed[outPort] = true
-				r.saInPtr[p] = v + 1
-				if r.saInPtr[p] == nvc {
-					r.saInPtr[p] = 0
-				}
+				r.saInPtr[p] = int32(v)
 				break
 			}
 		}
 	}
-	return traversed
+	return true // the first sendable head visited found every port free
 }
 
-// traverse moves the front flit of input VC (p, v) through the crossbar
+// traverse moves the front flit of input VC i through the crossbar
 // onto its allocated output, returning a credit upstream and releasing
 // the wormhole channel on tails. The caller has verified eligibility.
-func (r *Router) traverse(p, v int, b *vcBuf) {
-	f := b.q.PopFront()
+func (r *Router) traverse(i int) {
+	v := &r.vc[i]
+	slot := &r.flits[i*r.depth+int(v.head)]
+	f := *slot
+	*slot = Flit{} // do not pin the packet
+	if v.head++; int(v.head) == r.depth {
+		v.head = 0
+	}
+	if v.qlen--; v.qlen == 0 {
+		r.occ[i>>6] &^= bit(i)
+	}
 	r.buffered--
 	r.ctr.bufFlits--
-	op := &r.out[b.outPort]
+	o := int(v.outVC)
+	ov := &r.vc[o]
+	op := &r.ports[ov.port]
 	op.sent++
 	r.ctr.flitHops++
 	// Wormhole routing sends every flit of a packet over the head's
@@ -427,6 +442,7 @@ func (r *Router) traverse(p, v int, b *vcBuf) {
 	// head traverses. This keeps the packet untouched during body/tail
 	// traversals, which may run on another tile while the head is
 	// already being processed downstream; the final value is identical.
+	tail := f.Tail()
 	if f.Head() {
 		f.Pkt.Hops += f.Pkt.SizeFlits
 	}
@@ -434,32 +450,39 @@ func (r *Router) traverse(p, v int, b *vcBuf) {
 		if f.Head() {
 			f.Pkt.Trace.depart(r.ID, r.net.now)
 		}
-		if f.Tail() {
+		if tail {
 			f.Pkt.Trace.tailDepart(r.ID, r.net.now)
 		}
 	}
 
-	if op.link != nil {
-		op.credits[b.outVC]--
-		r.tl.schedule(r.net.hopDelay, event{
-			kind: evFlit, router: op.link.to, port: op.link.toPort, vc: b.outVC, flit: f,
-		})
+	outVC := o - int(ov.port)*r.numVCs
+	if op.to >= 0 {
+		ov.credits--
+		r.tl.schedule(r.net.hopDelay, event{pkt: f.Pkt, seq: int32(f.Seq), router: op.to, vc: op.toBase + int32(outVC)})
 	} else if op.eject != nil {
-		op.credits[b.outVC]--
-		op.eject.accept(f, b.outVC)
+		ov.credits--
+		op.eject.accept(f, outVC)
 	}
 
 	// Return a credit to whoever feeds this input port.
-	if fd := r.inFrom[p]; fd.ok {
-		r.tl.schedule(r.net.cfg.LinkDelay, event{
-			kind: evCredit, router: fd.r, port: fd.port, vc: v,
-		})
+	if in := &r.ports[v.port]; in.from >= 0 {
+		r.tl.schedule(r.net.cfg.LinkDelay, event{router: in.from, vc: in.fromBase + int32(i) - v.port*int32(r.numVCs)})
 	}
 
-	if f.Tail() {
-		op.owner[b.outVC] = ownerFree
-		b.outPort, b.outVC = -1, -1
-		b.clearRoute()
+	if tail {
+		ov.owner = ownerFree
+		if ov.credits > 0 {
+			r.avail[o>>6] |= bit(o)
+		}
+		v.outVC = -1
+		r.held[i>>6] &^= bit(i)
+		r.ready[i>>6] &^= bit(i)
+		for _, pri := range r.pri {
+			pri[i>>6] &^= bit(i)
+		}
+		clear(r.candidates(i))
+	} else if ov.credits <= 0 {
+		r.ready[i>>6] &^= bit(i)
 	}
 }
 
@@ -472,10 +495,40 @@ func (r *Router) BufferedFlits() int { return r.buffered }
 // debug-mode cross-check for the maintained counter.
 func (r *Router) bufferedScan() int {
 	n := 0
-	for p := range r.in {
-		for v := range r.in[p] {
-			n += r.in[p][v].q.Len()
-		}
+	for i := range r.vc {
+		n += int(r.vc[i].qlen)
 	}
 	return n
+}
+
+// recount re-derives every state word from the rings, owner and
+// credits and panics on drift — what bufferedScan is to buffered, for
+// the words the allocators trust instead of scanning.
+func (r *Router) recount() {
+	for i := range r.vc {
+		v, w, b := &r.vc[i], i>>6, bit(i)
+		held, prio, nprio := v.outVC >= 0, -1, 0
+		for p, pri := range r.pri {
+			if pri[w]&b != 0 {
+				prio, nprio = p, nprio+1
+			}
+		}
+		routed := nprio == 1
+		ok := nprio <= 1 && (routed || !held) &&
+			(r.occ[w]&b != 0) == (v.qlen > 0) &&
+			(r.held[w]&b != 0) == held && (!held || r.vc[v.outVC].owner == int32(i)) &&
+			(r.ready[w]&b != 0) == (held && r.vc[v.outVC].credits > 0) &&
+			(v.owner == ownerFree || r.vc[v.owner].outVC == int32(i)) &&
+			(r.avail[w]&b != 0) == (v.owner == ownerFree && v.credits > 0) &&
+			(!routed || v.qlen == 0 || prio == int(r.front(i).Pkt.Prio))
+		for _, c := range r.candidates(i) {
+			ok = ok && (routed || c == 0)
+		}
+		if !ok {
+			panic(fmt.Sprintf("noc: router %d state words drifted from rings/owner/credits at VC %d, cycle %d", r.ID, i, r.net.now))
+		}
+	}
+	if scan := r.bufferedScan(); scan != r.buffered {
+		panic(fmt.Sprintf("noc: router %d buffered-flit counter drifted at cycle %d: counter=%d scan=%d", r.ID, r.net.now, r.buffered, scan))
+	}
 }

@@ -21,36 +21,51 @@ func twoNodeNet() *Network {
 	return net
 }
 
+// allows reports whether output VC o is a routing candidate for the
+// head packet of input VC i.
+func allows(r *Router, i, o int) bool { return r.candidates(i)[o>>6]&bit(o) != 0 }
+
 func TestClaimedBitmapCoversCandidates(t *testing.T) {
-	// The claimed bitmap must answer exactly the question the old
-	// linear candidate scan answered: does any candidate permit
-	// output (port, vc)?
-	const numVCs = 2
-	cands := []Candidate{{Port: 1, VCLo: 1, VCHi: 1}, {Port: 3, VCLo: 0, VCHi: 0}}
-	b := vcBuf{mask: make([]uint64, (5*numVCs+63)/64)}
-	for _, c := range cands {
-		for vc := c.VCLo; vc <= c.VCHi; vc++ {
-			bit := c.Port*numVCs + vc
-			b.mask[bit>>6] |= 1 << (uint(bit) & 63)
+	// The candidate mask route() folds must answer exactly the question
+	// a linear candidate scan answers: does any candidate permit output
+	// (port, vc)? The mesh DOR route of a packet 0 -> 1 at router 0 is
+	// the single candidate (PortE, every VC of the class).
+	net := twoNodeNet()
+	r0 := net.Routers[0]
+	numVCs := r0.numVCs
+	in := PortLocal*numVCs + 1
+	pkt := &Packet{ID: 1, Src: 0, Dst: 1, Class: ClassRequest, SizeFlits: 1}
+	r0.pushFlit(in, Flit{Pkt: pkt})
+	r0.route(in)
+	cands := net.topo.Route(net, 0, pkt, nil)
+	for port := 0; port < r0.nports; port++ {
+		for vc := 0; vc < numVCs; vc++ {
+			want := false
+			for _, c := range cands {
+				want = want || c.Port == port && c.VCLo <= vc && vc <= c.VCHi
+			}
+			if got := allows(r0, in, port*numVCs+vc); got != want {
+				t.Errorf("allows(%d,%d) = %v, want %v", port, vc, got, want)
+			}
 		}
 	}
-	cases := []struct {
-		port, vc int
-		want     bool
-	}{
-		{1, 1, true}, {1, 0, false}, {3, 0, true}, {3, 1, false}, {2, 0, false},
+	if !allows(r0, in, PortE*numVCs) {
+		t.Fatal("DOR candidate missing from the mask")
 	}
-	for _, c := range cases {
-		if got := b.allows(c.port*numVCs + c.vc); got != c.want {
-			t.Errorf("allows(%d,%d) = %v", c.port, c.vc, got)
-		}
+	// The tail's departure clears the mask with the route.
+	r0.allocateVCs()
+	r0.traverse(in)
+	if allows(r0, in, PortE*numVCs) || (r0.pri[0][0]|r0.pri[1][0]|r0.pri[2][0])&bit(in) != 0 {
+		t.Error("candidate mask survives the tail's departure")
 	}
-	b.clearRoute()
-	for _, c := range cases {
-		if b.allows(c.port*numVCs + c.vc) {
-			t.Errorf("allows(%d,%d) after clearRoute", c.port, c.vc)
-		}
+}
+
+// eastOwners returns the wormhole owners of the east output port's VCs.
+func eastOwners(r *Router) (owners []int32) {
+	for _, v := range r.vc[PortE*r.numVCs : (PortE+1)*r.numVCs] {
+		owners = append(owners, v.owner)
 	}
+	return owners
 }
 
 func TestWormholeOwnershipReleasedOnTail(t *testing.T) {
@@ -61,8 +76,8 @@ func TestWormholeOwnershipReleasedOnTail(t *testing.T) {
 	sawHeld := false
 	for i := 0; i < 100; i++ {
 		net.Tick()
-		for v := range r0.out[PortE].owner {
-			if r0.out[PortE].owner[v] != ownerFree {
+		for _, owner := range eastOwners(r0) {
+			if owner != ownerFree {
 				sawHeld = true
 			}
 		}
@@ -76,8 +91,8 @@ func TestWormholeOwnershipReleasedOnTail(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		net.Tick()
 	}
-	for v := range r0.out[PortE].owner {
-		if r0.out[PortE].owner[v] != ownerFree {
+	for v, owner := range eastOwners(r0) {
+		if owner != ownerFree {
 			t.Fatalf("VC %d still owned after tail passed", v)
 		}
 	}
@@ -166,6 +181,6 @@ func TestAcceptFlitOverflowPanics(t *testing.T) {
 	}()
 	f := Flit{Pkt: &Packet{SizeFlits: 100}}
 	for i := 0; i < 100; i++ {
-		r0.acceptFlit(PortW, 0, f)
+		r0.pushFlit(PortW*r0.numVCs, f)
 	}
 }

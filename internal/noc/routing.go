@@ -88,9 +88,9 @@ const ewmaAlpha = 0.05
 // port into the router's history estimate (called once per cycle when
 // HARE routing is active).
 func (r *Router) updateEWMA() {
-	for port := range r.out {
-		if !r.out[port].connected {
-			continue
+	for port := range r.ports {
+		if p := &r.ports[port]; p.to < 0 && p.eject == nil {
+			continue // leads nowhere
 		}
 		r.ewma[port] = (1-ewmaAlpha)*r.ewma[port] + ewmaAlpha*float64(r.freeCredits(port))
 	}
@@ -100,8 +100,8 @@ func (r *Router) updateEWMA() {
 // output port: the congestion signal the adaptive policies consume.
 func (r *Router) freeCredits(port int) int {
 	s := 0
-	for _, c := range r.out[port].credits {
-		s += c
+	for _, v := range r.vc[port*r.numVCs : (port+1)*r.numVCs] {
+		s += int(v.credits)
 	}
 	return s
 }

@@ -46,6 +46,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"delrep/internal/par"
 )
@@ -77,6 +78,16 @@ func (c *netCounters) add(d *netCounters) {
 	c.flitHops += d.flitHops
 }
 
+// event is a timed delivery to flat VC index vc of a router: the flit
+// (pkt, seq) arriving at that input VC, or — pkt nil — a credit for that
+// output VC, which the delay rings keep as the 8-byte creditEv.
+type event struct {
+	pkt             *Packet
+	seq, router, vc int32
+}
+
+type creditEv struct{ router, vc int32 }
+
 // stagedEvent is a cross-tile delivery captured during the compute
 // phase: the event plus the ring slot it was scheduled into.
 type stagedEvent struct {
@@ -85,16 +96,21 @@ type stagedEvent struct {
 }
 
 // tile owns a contiguous router range, the NIs attached to those
-// routers, the delay ring of deliveries due at them, and a private
-// statistics delta.
+// routers, the delay rings of deliveries due at them, the set of its
+// routers that need ticking, and a private statistics delta.
 type tile struct {
 	net     *Network
 	id      int
 	routers []*Router
-	nis     []*NI
-	ring    [][]event // hopDelay+2 slots, indexed by due cycle
-	ctr     netCounters
-	_       [64]byte // no false sharing between adjacent tiles' deltas
+	nodes   []int32      // the nodes whose NIs attach to those routers, ascending
+	flits   [][]event    // hopDelay+2 slots, indexed by due cycle
+	credits [][]creditEv // likewise
+	slot    int          // this cycle's ring slot, now mod len(flits)
+	// awake holds one bit per router of the tile (see Router.awakeWord):
+	// the routers Step ticks.
+	awake []uint64
+	ctr   netCounters
+	_     [64]byte // no false sharing between adjacent tiles' deltas
 }
 
 // schedule queues a delivery `delay` cycles in the future (>= 1):
@@ -102,61 +118,84 @@ type tile struct {
 // cross-tile deliveries are staged for the destination tile to drain
 // next cycle, which the delay bound makes always in time.
 func (t *tile) schedule(delay int, ev event) {
-	if delay < 1 {
-		delay = 1
-	}
-	if ev.kind == evFlit {
+	if ev.pkt != nil {
 		t.ctr.flyFlits++
 	}
-	n := t.net
-	slot := (n.now + int64(delay)) % int64(len(t.ring))
-	dst := n.tileOf[ev.router]
-	if dst == t.id {
-		t.ring[slot] = append(t.ring[slot], ev)
+	slot := t.slot + max(delay, 1)
+	if slot >= len(t.flits) {
+		slot -= len(t.flits)
+	}
+	if dst := t.net.tileOf[ev.router]; dst != t.id {
+		t.net.stage.At(par.WriteParity(t.net.now), t.id, dst).S.Push(stagedEvent{slot: int32(slot), ev: ev})
 		return
 	}
-	n.stage.At(par.WriteParity(n.now), t.id, dst).S.Push(stagedEvent{slot: int32(slot), ev: ev})
+	t.enqueue(slot, ev)
+}
+
+// enqueue files an event under its kind in ring slot `slot`.
+func (t *tile) enqueue(slot int, ev event) {
+	if ev.pkt == nil {
+		t.credits[slot] = append(t.credits[slot], creditEv{ev.router, ev.vc})
+	} else {
+		t.flits[slot] = append(t.flits[slot], ev)
+	}
 }
 
 // Step executes the tile's compute phase for the current cycle:
 // drain staged cross-tile events (fixed source order), deliver the
-// tile ring's due slot, inject from the tile's NIs, tick the tile's
-// routers. Everything it touches is owned by this tile this cycle.
-// The name is one simlint's hot-path analyzers root at: the dispatch
-// reaches it through a prebound function value their call graph
-// cannot follow.
+// tile rings' due slot, inject from the tile's NIs, tick the tile's
+// awake routers. Everything it touches is owned by this tile this
+// cycle. The name is one simlint's hot-path analyzers root at: the
+// dispatch reaches it through a prebound function value their call
+// graph cannot follow.
 func (t *tile) Step() {
 	n := t.net
+	if t.slot++; t.slot == len(t.flits) { // every cycle steps every tile: slot == now mod len
+		t.slot = 0
+	}
 	parity := par.DrainParity(n.now)
 	for src := 0; src < n.stage.Parts(); src++ {
 		sb := n.stage.At(parity, src, t.id)
 		for _, se := range sb.S.Items() {
-			t.ring[se.slot] = append(t.ring[se.slot], se.ev)
+			t.enqueue(int(se.slot), se.ev)
 		}
 		sb.S.Reset()
 	}
-	slot := n.now % int64(len(t.ring))
-	evs := t.ring[slot]
-	for _, ev := range evs {
-		r := n.Routers[ev.router]
-		switch ev.kind {
-		case evFlit:
-			t.ctr.flyFlits--
-			r.acceptFlit(ev.port, ev.vc, ev.flit)
-		case evCredit:
-			r.addCredit(ev.port, ev.vc, 1)
+	flits := t.flits[t.slot]
+	t.ctr.flyFlits -= len(flits)
+	for _, ev := range flits {
+		n.Routers[ev.router].pushFlit(int(ev.vc), Flit{Pkt: ev.pkt, Seq: int(ev.seq)})
+	}
+	t.flits[t.slot] = flits[:0]
+	for _, ev := range t.credits[t.slot] {
+		n.Routers[ev.router].addCredit(int(ev.vc), 1)
+	}
+	t.credits[t.slot] = t.credits[t.slot][:0]
+	for _, node := range t.nodes {
+		if n.injBusy[node] {
+			if ni := n.NIs[node]; ni.injActive() {
+				ni.tickInject()
+			} else {
+				n.injBusy[node] = false
+			}
 		}
 	}
-	t.ring[slot] = evs[:0]
-	for _, ni := range t.nis {
-		if ni.injActive() {
-			ni.tickInject()
+	// Under HARE every router, asleep or not, decays its congestion
+	// estimate; a router's estimate reads only its own credits, which no
+	// other router's tick writes, so estimating first changes nothing.
+	if n.hare {
+		for _, r := range t.routers {
+			r.updateEWMA()
 		}
 	}
-	// Under HARE an empty router still decays its congestion estimate.
-	for _, r := range t.routers {
-		if r.buffered > 0 || n.hare {
-			r.tick()
+	for w, word := range t.awake {
+		if n.DebugChecks { // tick the sleepers too: they must make no progress
+			word = ^uint64(0)
+		}
+		for ; word != 0; word &= word - 1 {
+			if i := w<<6 + bits.TrailingZeros64(word); i < len(t.routers) {
+				t.routers[i].tick()
+			}
 		}
 	}
 }
@@ -187,18 +226,25 @@ func (n *Network) SetParallel(pool *par.Pool, workers int) {
 			net:     n,
 			id:      i,
 			routers: n.Routers[bounds[i]:bounds[i+1]],
-			ring:    make([][]event, n.hopDelay+2),
+			flits:   make([][]event, n.hopDelay+2),
+			credits: make([][]creditEv, n.hopDelay+2),
 		}
-		for _, r := range t.routers {
+		// A whole cache line, so that neighbouring tiles' sets never share one.
+		t.awake = make([]uint64, (len(t.routers)+63)/64, max(8, (len(t.routers)+63)/64))
+		for li, r := range t.routers {
 			n.tileOf[r.ID] = i
 			r.tl = t
 			r.ctr = &t.ctr
+			r.awakeWord, r.awakeBit = &t.awake[li>>6], bit(li)
+			if r.buffered > 0 {
+				r.wake()
+			}
 		}
 		n.tiles[i] = t
 	}
 	for _, ni := range n.NIs {
 		t := n.tiles[n.tileOf[ni.router]]
-		t.nis = append(t.nis, ni)
+		t.nodes = append(t.nodes, int32(ni.Node))
 		ni.ctr = &t.ctr
 	}
 	n.stage.Init(nt)
@@ -256,23 +302,30 @@ func (n *Network) CommitTick() {
 		n.ctr.add(&t.ctr)
 		t.ctr = netCounters{}
 	}
-	for _, ni := range n.NIs {
-		if ni.ejActive() {
-			ni.tickEject()
+	for node, busy := range n.ejBusy {
+		if busy {
+			if ni := n.NIs[node]; ni.ejActive() {
+				ni.tickEject()
+			} else {
+				n.ejBusy[node] = false
+			}
 		}
 	}
 }
 
 // forEachPending invokes fn for every scheduled-but-undelivered event:
-// every tile's ring and both parities of the staging buffers (events
+// every tile's rings and both parities of the staging buffers (events
 // staged on the last cycle sit undrained until their destination
 // tile's next compute phase). Quiet and the credit invariant check use
 // it so they stay exact at every partition size.
 func (n *Network) forEachPending(fn func(event)) {
 	for _, t := range n.tiles {
-		for _, slot := range t.ring {
-			for _, ev := range slot {
+		for s := range t.flits {
+			for _, ev := range t.flits[s] {
 				fn(ev)
+			}
+			for _, c := range t.credits[s] {
+				fn(event{router: c.router, vc: c.vc})
 			}
 		}
 	}
