@@ -27,16 +27,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"sync"
-	"syscall"
 	"time"
 
 	"delrep/internal/prof"
@@ -62,17 +57,8 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	var handler slog.Handler
-	if *logJSON {
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	} else {
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	}
-	logger := slog.New(handler)
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
+	logger := serve.NewLogger(*logJSON)
+	fatal := func(msg string, args ...any) { serve.Fatal(logger, msg, args...) }
 
 	// stopProf is safe to call from both the normal exit path and the
 	// signal path; only the first call writes the heap profile, so a
@@ -110,34 +96,12 @@ func main() {
 		EnablePprof:    *pprofOn,
 	})
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "workers", srv.Workers(), "queue_depth", *queue,
+	logger.Info("serving", "addr", *addr, "workers", eng.Workers(), "queue_depth", *queue,
 		"telemetry", *telem, "pprof", *pprofOn)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		logger.Info("draining", "signal", sig.String(), "timeout", drain.String())
-	case err := <-errCh:
-		fatal("listening failed", "addr", *addr, "error", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		logger.WarnContext(ctx, "drain deadline passed: running jobs cancelled", "error", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.WarnContext(ctx, "http shutdown", "error", err)
-	}
 	// Stop profiling inside the signal-driven path too: SIGTERM is the
 	// normal way a service manager stops the daemon, and the -memprofile
 	// snapshot should reflect the drained (quiescent) heap.
-	stopProf()
-	logger.InfoContext(ctx, "stopped")
+	serve.ListenAndDrain(logger, *addr, *drain, srv, stopProf)
 }
 
 // openCache resolves the -cache flag the same way delrepsim does:

@@ -26,19 +26,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"delrep/internal/fleet"
+	"delrep/internal/serve"
 )
 
 // workerList collects repeated -worker flags and comma-separated
@@ -76,19 +70,9 @@ func main() {
 	flag.Var(&workers, "workers", "comma-separated worker base URLs")
 	flag.Parse()
 
-	var handler slog.Handler
-	if *logJSON {
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	} else {
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	}
-	logger := slog.New(handler)
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
+	logger := serve.NewLogger(*logJSON)
 	if len(workers) == 0 {
-		fatal("no workers configured (use -worker URL, repeatable)")
+		serve.Fatal(logger, "no workers configured (use -worker URL, repeatable)")
 	}
 
 	srv, err := fleet.New(fleet.Options{
@@ -100,30 +84,9 @@ func main() {
 		Telemetry:     *telem,
 	})
 	if err != nil {
-		fatal("starting coordinator", "error", err)
+		serve.Fatal(logger, "starting coordinator", "error", err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
 	logger.Info("coordinating", "addr", *addr, "workers", len(workers), "telemetry", *telem)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		logger.Info("draining", "signal", sig.String(), "timeout", drain.String())
-	case err := <-errCh:
-		fatal("listening failed", "addr", *addr, "error", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		logger.WarnContext(ctx, "drain deadline passed", "error", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.WarnContext(ctx, "http shutdown", "error", err)
-	}
-	logger.InfoContext(ctx, "stopped")
+	serve.ListenAndDrain(logger, *addr, *drain, srv.Server, nil)
 }

@@ -1,3 +1,23 @@
+// Package fleet is the job API's second Executor: the coordinator
+// behind cmd/delrepfleet. The API itself — routes, wire types, job
+// table, SSE, traces, drain, shared metrics — is internal/serve's (its
+// package comment is the one API table); this package holds only what
+// is different about running a job somewhere else:
+//
+//   - routing: consistent hashing of the run's content key over a Ring
+//     of delrepd workers, so a repeated spec lands on the worker whose
+//     disk cache already holds it;
+//   - probe: GET /v1/cache/{key} on that shard before spending a queue
+//     slot — the workers' warm caches form one distributed cache tier;
+//   - failover: a Registry health-checks workers via /readyz; a job
+//     whose worker dies, drains or refuses is replayed on the next
+//     ready worker in ring order, for up to Retries+1 rounds — safe
+//     because simulations are deterministic and content-addressed;
+//   - steal: a job whose home worker is a straggler goes to an idle
+//     worker instead.
+//
+// Client is the other direction: a runner.Resolver that submits to any
+// /v1/jobs endpoint, used by delrepsim -remote and expdriver -remote.
 package fleet
 
 import (
@@ -11,13 +31,14 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"delrep/internal/config"
 	"delrep/internal/core"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
-	"delrep/internal/telemetry"
 )
 
 // Options configures a coordinator Server.
@@ -45,77 +66,31 @@ type Options struct {
 	HTTPClient *http.Client
 	// Logger receives structured logs; nil discards them.
 	Logger *slog.Logger
-	// Telemetry records a wall-clock span tree per job (route →
-	// dispatch attempts → watch), exported by GET /v1/jobs/{id}/trace.
+	// Telemetry records a wall-clock span tree per job (receive →
+	// admission → dispatch attempts), exported by GET
+	// /v1/jobs/{id}/trace.
 	Telemetry bool
 }
 
-// Server is the fleet coordinator: it accepts the same /v1/jobs API as
-// a single delrepd and shards the jobs across workers by content key.
-// Create with New; serve its Handler; stop with Shutdown.
+// Server is the fleet coordinator: the embedded serve.Server is the job
+// API (Handler, Shutdown), and Server itself is the serve.Executor
+// that API runs jobs through — one dispatcher goroutine per job,
+// sharding over the workers by content key. Create with New.
 type Server struct {
+	*serve.Server
 	ring        *Ring
 	reg         *Registry
 	client      *http.Client // bounded-timeout calls (submit, probe, poll, cancel)
 	stream      *http.Client // unbounded, for SSE watch streams
-	logger      *slog.Logger
 	retries     int
 	stealMargin int
-	telemetry   bool
-	started     time.Time
-	mux         *http.ServeMux
-	wg          sync.WaitGroup
+	wg          sync.WaitGroup // live dispatchers
 
-	mu           sync.Mutex
-	jobs         map[string]*fleetJob
-	order        []*fleetJob
-	seq          int
-	draining     bool
-	runningCount int
-	sseSubs      int
-	statusCounts map[serve.Status]int64
-	nDispatch    int64 // jobs handed to a worker queue
-	nRetry       int64 // failover re-dispatches after a worker loss
-	nSteal       int64 // jobs rerouted off a straggling home worker
-	nProbeHit    int64 // cache-tier probes answered 200
-	nProbeMiss   int64 // cache-tier probes answered 404
-}
-
-// fleetJob is one job the coordinator owns. Identity fields are
-// immutable after creation; mutable state is guarded by Server.mu.
-type fleetJob struct {
-	id      string
-	req     serve.SubmitRequest // forwarded verbatim to workers
-	spec    simspec.Spec        // canonical form, echoed to clients
-	key     string              // full runner cache key
-	addr    string              // runner.CacheAddr(key), for /v1/cache probes
-	specKey string
-	prio    serve.Priority
-	ctx     context.Context
-	cancel  context.CancelFunc
-	doneCh  chan struct{}
-	log     *slog.Logger
-	trace   *telemetry.Trace // nil when telemetry is off
-
-	// Guarded by Server.mu.
-	status   serve.Status
-	errMsg   string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	worker   string // current/final worker base URL
-	remoteID string // the job's id on that worker
-	source   string
-	workersN int
-	progress *serve.ProgressView
-	result   *simspec.Result
-	subs     map[chan sseEvent]struct{}
-}
-
-// sseEvent mirrors the worker daemon's event framing.
-type sseEvent struct {
-	name string
-	data any
+	nDispatch  atomic.Int64 // jobs handed to a worker queue
+	nRetry     atomic.Int64 // failover re-dispatches after a worker loss
+	nSteal     atomic.Int64 // jobs rerouted off a straggling home worker
+	nProbeHit  atomic.Int64 // cache-tier probes answered 200
+	nProbeMiss atomic.Int64 // cache-tier probes answered 404
 }
 
 // errPermanent wraps failures that re-dispatching cannot fix (a spec
@@ -141,239 +116,114 @@ func New(opts Options) (*Server, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	s := &Server{
 		ring: NewRing(opts.Workers, opts.Replicas),
 		// SSE watch streams live as long as the job runs; strip any
 		// overall timeout but keep the transport (and its dial/TLS
 		// limits) so tests can inject one.
-		client:       client,
-		stream:       &http.Client{Transport: client.Transport},
-		logger:       logger,
-		retries:      opts.Retries,
-		stealMargin:  opts.StealMargin,
-		telemetry:    opts.Telemetry,
-		jobs:         map[string]*fleetJob{},
-		statusCounts: map[serve.Status]int64{},
+		client:      client,
+		stream:      &http.Client{Transport: client.Transport},
+		retries:     opts.Retries,
+		stealMargin: opts.StealMargin,
 	}
-	//simlint:ignore rngsource coordinator start timestamp, outside any simulation
-	s.started = time.Now()
-	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, logger)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/workers", s.handleWorkers)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, opts.Logger)
+	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, opts.Telemetry, 0, 0)
 	return s, nil
 }
-
-// Handler returns the HTTP handler serving the coordinator API.
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the worker registry (for status surfaces and tests).
 func (s *Server) Registry() *Registry { return s.reg }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+// Routes registers the coordinator-only endpoint.
+func (s *Server) Routes(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/workers", s.handleWorkers)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
+// Ready: a coordinator whose whole fleet is down could only queue
+// submissions into failure.
+func (s *Server) Ready() (bool, string) {
+	return s.reg.ReadyCount() > 0, "no ready workers"
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var tr *telemetry.Trace
-	if s.telemetry {
-		tr = telemetry.New("job")
-	}
-	var req serve.SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	prio, err := serve.ParsePriority(req.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Resolve locally first: the coordinator rejects malformed specs
-	// itself and derives the routing key from the canonical config —
-	// the same key every worker would compute.
-	cfg, norm, err := req.Spec.Resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Client == "" {
-		req.Client = r.Header.Get("X-Delrep-Client")
-	}
-	key := runner.Key(cfg, norm.GPU, norm.CPU)
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "coordinator is draining")
-		return
-	}
-	s.seq++
-	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &fleetJob{
-		id:      fmt.Sprintf("f%06d", s.seq),
-		req:     req,
-		spec:    norm,
-		key:     key,
-		addr:    runner.CacheAddr(key),
-		specKey: runner.KeyHash(cfg, norm.GPU, norm.CPU),
-		prio:    prio,
-		ctx:     ctx,
-		cancel:  cancel,
-		doneCh:  make(chan struct{}),
-		status:  serve.StatusQueued,
-		subs:    map[chan sseEvent]struct{}{},
-		trace:   tr,
-	}
-	//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-	j.created = time.Now()
-	j.log = s.logger.With("job", j.id, "client", req.Client, "spec_key", j.specKey)
-	if tr != nil {
-		tr.Root().Set("job", j.id)
-		tr.Root().Set("client", req.Client)
-		tr.Root().Set("spec_key", j.specKey)
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
-	view := s.viewLocked(j)
+// Admit never refuses: the workers' own admission control is the
+// fleet's, met per attempt. It starts the job's dispatcher.
+func (s *Server) Admit(j *serve.Job, req serve.SubmitRequest, cfg config.Config) *serve.Rejection {
 	s.wg.Add(1)
-	s.mu.Unlock()
-	j.log.InfoContext(r.Context(), "job accepted",
-		"gpu", norm.GPU, "cpu", norm.CPU, "scheme", norm.Scheme, "priority", prio.String())
-	go s.dispatch(j)
-
-	if r.URL.Query().Has("wait") {
-		select {
-		case <-j.doneCh:
-			s.mu.Lock()
-			view = s.viewLocked(j)
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, view)
-		case <-r.Context().Done():
-			// The waiting client went away: its job goes with it, exactly
-			// as on a single daemon — cancellation propagates to the
-			// worker holding the job.
-			j.cancel()
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, view)
+	go s.dispatch(j, req, cfg)
+	return nil
 }
 
-// viewLocked renders the job in the shared /v1/jobs wire shape.
-// Server.mu must be held.
-func (s *Server) viewLocked(j *fleetJob) serve.JobView {
-	v := serve.JobView{
-		ID:       j.id,
-		Status:   j.status,
-		Priority: j.prio.String(),
-		Client:   j.req.Client,
-		Spec:     j.spec,
-		Created:  j.created.UTC().Format(time.RFC3339Nano),
-		Error:    j.errMsg,
-		Worker:   j.worker,
+// Cancel has nothing to add: every job has a dispatcher watching its
+// context, which propagates the cancellation to the worker.
+func (s *Server) Cancel(*serve.Job) {}
+
+// Drain cancels every live job (a coordinator exits promptly; the
+// workers keep the results they finish), waits for the dispatchers,
+// and stops the registry.
+func (s *Server) Drain(live []*serve.Job) {
+	for _, j := range live {
+		j.Cancel()
 	}
-	if !j.started.IsZero() {
-		v.Started = j.started.UTC().Format(time.RFC3339Nano)
-	}
-	if !j.finished.IsZero() {
-		v.Finished = j.finished.UTC().Format(time.RFC3339Nano)
-	}
-	if j.status == serve.StatusRunning {
-		v.Progress = j.progress
-	}
-	if j.status == serve.StatusDone {
-		v.Source = j.source
-		v.Workers = j.workersN
-		v.Result = j.result
-	}
-	return v
+	s.wg.Wait()
+	s.reg.Close()
 }
 
 // dispatch drives one job to a terminal state: route by ring order,
 // probe the cache tier, submit, watch, and fail over on worker loss.
-func (s *Server) dispatch(j *fleetJob) {
+func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, cfg config.Config) {
 	defer s.wg.Done()
-	defer j.cancel()
-	var root *telemetry.Span
-	if j.trace != nil {
-		root = j.trace.Root()
-	}
+	// The routing key is the full run key, its content address what the
+	// cache tier is probed by — the same both every worker would compute.
+	spec := j.Spec()
+	key := runner.Key(cfg, spec.GPU, spec.CPU)
+	addr := runner.CacheAddr(key)
+	ctx := j.Context()
 	var lastErr error = errors.New("no ready workers")
-	for round := 0; round <= s.retries; round++ {
-		if j.ctx.Err() != nil {
-			s.finish(j, serve.StatusCancelled, "cancelled", "")
-			return
+	for round := 0; round <= s.retries && ctx.Err() == nil; round++ {
+		if round > 0 {
+			// Every candidate failed (or none were ready): give the
+			// registry a probe cycle to notice recoveries first.
+			select {
+			case <-time.After(time.Second):
+			case <-ctx.Done():
+				continue
+			}
 		}
-		cands, stolen := s.candidates(j)
+		cands, stolen := s.candidates(key)
 		if stolen {
-			s.mu.Lock()
-			s.nSteal++
-			s.mu.Unlock()
+			s.nSteal.Add(1)
 		}
 		for _, worker := range cands {
-			if j.ctx.Err() != nil {
-				s.finish(j, serve.StatusCancelled, "cancelled", "")
-				return
+			if ctx.Err() != nil {
+				break
 			}
-			span := root.Start("fleet.attempt")
+			span := j.Span().Start("fleet.attempt")
 			span.Set("worker", worker)
-			done, err := s.attempt(j, worker)
+			out, err := s.attempt(j, req, addr, worker)
 			span.End()
-			if done {
-				return
-			}
 			var perm errPermanent
-			if errors.As(err, &perm) {
-				s.finish(j, serve.StatusFailed, perm.Error(), worker)
+			switch {
+			case err == nil:
+				j.Finish(out)
+				return
+			case errors.As(err, &perm):
+				j.Finish(serve.Outcome{Status: serve.StatusFailed, Error: perm.Error(), Worker: worker})
 				return
 			}
-			if err != nil {
-				// A retryable attempt failure: the job falls over to the
-				// next candidate (or the next round). Replay is safe
-				// because simulations are deterministic and idempotent.
-				lastErr = err
-				s.mu.Lock()
-				s.nRetry++
-				s.mu.Unlock()
-				j.log.Warn("dispatch attempt failed", "worker", worker, "error", err)
-			}
-		}
-		// Every candidate failed (or none were ready): give the registry
-		// a probe cycle to notice recoveries before the next round.
-		select {
-		case <-time.After(time.Second):
-		case <-j.ctx.Done():
+			// A retryable attempt failure: the job falls over to the
+			// next candidate (or the next round). Replay is safe
+			// because simulations are deterministic and idempotent.
+			lastErr = err
+			s.nRetry.Add(1)
+			j.Log().WarnContext(ctx, "dispatch attempt failed", "worker", worker, "error", err)
 		}
 	}
-	s.finish(j, serve.StatusFailed,
-		fmt.Sprintf("no worker could run the job after %d rounds: %v", s.retries+1, lastErr), "")
+	if ctx.Err() != nil {
+		j.Finish(serve.Outcome{Status: serve.StatusCancelled, Error: "cancelled"})
+		return
+	}
+	j.Finish(serve.Outcome{Status: serve.StatusFailed,
+		Error: fmt.Sprintf("no worker could run the job after %d rounds: %v", s.retries+1, lastErr)})
 }
 
 // candidates returns the ready workers in failover order for the job's
@@ -381,8 +231,8 @@ func (s *Server) dispatch(j *fleetJob) {
 // straggler (outstanding ≥ slots + margin) and a later worker has a
 // free slot, that idle worker is promoted to the front. The reported
 // bool is true when a steal reordered the list.
-func (s *Server) candidates(j *fleetJob) ([]string, bool) {
-	seq := s.ring.Sequence(j.key)
+func (s *Server) candidates(key string) ([]string, bool) {
+	seq := s.ring.Sequence(key)
 	ready := make([]string, 0, len(seq))
 	for _, w := range seq {
 		if s.reg.Ready(w) {
@@ -417,94 +267,68 @@ func (s *Server) candidates(j *fleetJob) ([]string, bool) {
 	return ready, false
 }
 
-// attempt runs the job once against one worker. It returns done=true
-// when the job reached a terminal state (including cancellation); a
-// false return with a non-nil error means the next candidate should be
-// tried, unless the error is errPermanent.
-func (s *Server) attempt(j *fleetJob, worker string) (bool, error) {
+// attempt runs the job once against one worker. A nil error carries
+// the job's terminal outcome (including cancellation); a non-nil one
+// means the next candidate should be tried, unless it is errPermanent.
+func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker string) (serve.Outcome, error) {
+	ctx := j.Context()
 	// Cache-tier probe first: if this shard already holds the result,
 	// answer without consuming a worker queue slot.
-	if res, digest, ok, err := s.probeCache(j, worker); err != nil {
+	if res, digest, ok, err := s.probeCache(ctx, addr, worker); err != nil {
 		s.reg.MarkFailed(worker, err.Error())
-		return false, err
+		return serve.Outcome{}, err
 	} else if ok {
-		s.mu.Lock()
-		j.worker = worker
-		if j.started.IsZero() {
-			//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-			j.started = time.Now()
-		}
-		j.source = runner.SourceDisk.String()
-		//simlint:ignore detflow the timestamp above is job metadata; the Result is built purely from the worker's cached res/digest
-		r := simspec.Result{Spec: j.spec, Results: res, Digest: digest}
-		j.result = &r
-		s.mu.Unlock()
-		s.finish(j, serve.StatusDone, "", worker)
-		j.log.Info("job served from cache tier", "worker", worker)
-		return true, nil
+		j.Log().InfoContext(ctx, "job served from cache tier", "worker", worker)
+		return serve.Outcome{
+			Status: serve.StatusDone, Source: runner.SourceDisk.String(), Worker: worker,
+			Result: &simspec.Result{Spec: j.Spec(), Results: res, Digest: digest},
+		}, nil
 	}
 
-	view, err := s.submit(j, worker)
+	remoteID, err := s.submit(ctx, req, worker)
 	if err != nil {
-		return false, err
+		return serve.Outcome{}, err
 	}
-	s.mu.Lock()
-	j.worker = worker
-	j.remoteID = view.ID
-	if j.status != serve.StatusRunning {
-		j.status = serve.StatusRunning
-		//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-		j.started = time.Now()
-		s.runningCount++
-	}
-	s.nDispatch++
-	s.notifyLocked(j)
-	s.mu.Unlock()
+	j.Running(worker)
+	s.nDispatch.Add(1)
 	s.reg.AddOutstanding(worker, 1)
 	defer s.reg.AddOutstanding(worker, -1)
-	j.log.Info("job dispatched", "worker", worker, "remote_job", view.ID)
+	j.Log().InfoContext(ctx, "job dispatched", "worker", worker, "remote_job", remoteID)
 
-	term, err := s.watch(j, worker, view.ID)
+	term, err := s.watch(j, worker, remoteID)
 	if err != nil {
 		s.reg.MarkFailed(worker, err.Error())
-		return false, err
+		return serve.Outcome{}, err
 	}
 	switch term.Status {
 	case serve.StatusDone:
-		s.mu.Lock()
-		j.source = term.Source
-		j.workersN = term.Workers
-		j.result = term.Result
-		s.mu.Unlock()
-		s.finish(j, serve.StatusDone, "", worker)
-		return true, nil
+		return serve.Outcome{
+			Status: serve.StatusDone, Source: term.Source, Workers: term.Workers, Worker: worker,
+			Result: term.Result,
+		}, nil
 	case serve.StatusFailed:
 		// A completed-but-failed simulation is deterministic: it would
 		// fail identically anywhere, so failover cannot help.
-		return false, errPermanent{fmt.Errorf("worker %s: %s", worker, term.Error)}
+		return serve.Outcome{}, errPermanent{fmt.Errorf("worker %s: %s", worker, term.Error)}
 	case serve.StatusCancelled:
-		if j.ctx.Err() != nil {
-			s.finish(j, serve.StatusCancelled, "cancelled", worker)
-			return true, nil
+		if ctx.Err() != nil {
+			return serve.Outcome{Status: serve.StatusCancelled, Error: "cancelled", Worker: worker}, nil
 		}
 		// The worker cancelled the job out from under us (it is
 		// draining): fail over to a survivor.
-		return false, fmt.Errorf("worker %s cancelled the job (draining?)", worker)
+		return serve.Outcome{}, fmt.Errorf("worker %s cancelled the job (draining?)", worker)
 	}
-	return false, fmt.Errorf("worker %s: job ended in unexpected state %q", worker, term.Status)
+	return serve.Outcome{}, fmt.Errorf("worker %s: job ended in unexpected state %q", worker, term.Status)
 }
 
 // probeCache checks one worker's disk-cache shard for the job's
 // content address. ok=true carries the cached results; a nil error
 // with ok=false is a plain miss; a non-nil error is a worker-health
-// problem.
-func (s *Server) probeCache(j *fleetJob, worker string) (res core.Results, digest string, ok bool, err error) {
-	s.mu.Lock()
-	s.nProbeMiss++ // corrected to a hit below
-	s.mu.Unlock()
-	ctx, cancel := context.WithTimeout(j.ctx, 10*time.Second)
+// problem (already accounted as a retry, so neither a hit nor a miss).
+func (s *Server) probeCache(ctx context.Context, addr, worker string) (res core.Results, digest string, ok bool, err error) {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+j.addr, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+addr, nil)
 	if err != nil {
 		return res, "", false, err
 	}
@@ -522,40 +346,36 @@ func (s *Server) probeCache(j *fleetJob, worker string) (res core.Results, diges
 		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
 			return res, "", false, fmt.Errorf("decoding cache entry: %v", err)
 		}
-		s.mu.Lock()
-		s.nProbeMiss--
-		s.nProbeHit++
-		s.mu.Unlock()
+		s.nProbeHit.Add(1)
 		return entry.Results, entry.Digest, true, nil
-	case resp.StatusCode == http.StatusNotFound:
-		return res, "", false, nil
 	case resp.StatusCode >= 500:
 		return res, "", false, fmt.Errorf("cache probe: worker answered %d", resp.StatusCode)
 	default:
-		// An unexpected 4xx (an old worker without the endpoint answers
-		// 404 via the mux anyway) — treat as a miss, not a failure.
+		// 404, or an unexpected 4xx (an old worker without the endpoint
+		// answers 404 via the mux anyway): a miss, not a failure.
+		s.nProbeMiss.Add(1)
 		return res, "", false, nil
 	}
 }
 
 // submit POSTs the job's original request to a worker and returns the
-// accepted job view.
-func (s *Server) submit(j *fleetJob, worker string) (serve.JobView, error) {
-	body, err := json.Marshal(j.req)
+// id the worker accepted it under.
+func (s *Server) submit(ctx context.Context, body serve.SubmitRequest, worker string) (string, error) {
+	b, err := json.Marshal(body)
 	if err != nil {
-		return serve.JobView{}, errPermanent{err}
+		return "", errPermanent{err}
 	}
-	ctx, cancel := context.WithTimeout(j.ctx, 30*time.Second)
+	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(b))
 	if err != nil {
-		return serve.JobView{}, err
+		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := s.client.Do(req)
 	if err != nil {
 		s.reg.MarkFailed(worker, err.Error())
-		return serve.JobView{}, err
+		return "", err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
@@ -565,19 +385,19 @@ func (s *Server) submit(j *fleetJob, worker string) (serve.JobView, error) {
 	case resp.StatusCode == http.StatusAccepted:
 		var view serve.JobView
 		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			return serve.JobView{}, fmt.Errorf("decoding submit response: %v", err)
+			return "", fmt.Errorf("decoding submit response: %v", err)
 		}
-		return view, nil
+		return view.ID, nil
 	case resp.StatusCode == http.StatusTooManyRequests:
 		// Admission control pushed back: the worker is saturated, not
 		// dead. Try the next candidate without marking it down.
-		return serve.JobView{}, fmt.Errorf("worker %s is saturated (429)", worker)
+		return "", fmt.Errorf("worker %s is saturated (429)", worker)
 	case resp.StatusCode == http.StatusBadRequest:
-		return serve.JobView{}, errPermanent{fmt.Errorf("worker %s rejected the spec: %s", worker, readErrorBody(resp.Body))}
+		return "", errPermanent{fmt.Errorf("worker %s rejected the spec: %s", worker, readErrorBody(resp.Body))}
 	default:
 		err := fmt.Errorf("worker %s: submit answered %d", worker, resp.StatusCode)
 		s.reg.MarkFailed(worker, err.Error())
-		return serve.JobView{}, err
+		return "", err
 	}
 }
 
@@ -591,21 +411,26 @@ func readErrorBody(r io.Reader) string {
 	return "(no detail)"
 }
 
-// watch follows the worker's SSE stream for the remote job, proxying
-// progress to the coordinator's own subscribers, until a terminal view
-// arrives. A dropped stream falls back to one status poll so a worker
+// watch follows the worker's SSE stream for the remote job, feeding
+// the job's progress source, until a terminal view arrives. A dropped stream falls back to one status poll so a worker
 // that died between events is distinguished from one that merely
 // closed the stream after the terminal event. If the coordinator job
 // is cancelled mid-watch, the cancellation is propagated to the worker
 // via DELETE before returning.
-func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, error) {
-	req, err := http.NewRequestWithContext(j.ctx, http.MethodGet, worker+"/v1/jobs/"+remoteID+"/events", nil)
+func (s *Server) watch(j *serve.Job, worker, remoteID string) (serve.JobView, error) {
+	ctx := j.Context()
+	// The hub paces progress to the coordinator's own subscribers from
+	// the last value the worker reported.
+	report := func(pv *serve.ProgressView) {
+		j.SetProgress(func() (int64, int64) { return pv.CyclesDone, pv.CyclesTotal })
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+remoteID+"/events", nil)
 	if err != nil {
 		return serve.JobView{}, err
 	}
 	resp, err := s.stream.Do(req)
 	if err != nil {
-		if j.ctx.Err() != nil {
+		if ctx.Err() != nil {
 			s.propagateCancel(j, worker, remoteID)
 			return serve.JobView{Status: serve.StatusCancelled}, nil
 		}
@@ -624,25 +449,14 @@ func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, err
 			if json.Unmarshal(data, &pv) != nil {
 				return true
 			}
-			s.mu.Lock()
-			j.progress = &pv
-			ev := sseEvent{name: "progress", data: &pv}
-			for ch := range j.subs {
-				select {
-				case ch <- ev:
-				default:
-				}
-			}
-			s.mu.Unlock()
+			report(&pv)
 		case "status":
 			var view serve.JobView
 			if json.Unmarshal(data, &view) != nil {
 				return true
 			}
 			if view.Progress != nil {
-				s.mu.Lock()
-				j.progress = view.Progress
-				s.mu.Unlock()
+				report(view.Progress)
 			}
 			if view.Status.Terminal() {
 				terminal = &view
@@ -651,7 +465,7 @@ func (s *Server) watch(j *fleetJob, worker, remoteID string) (serve.JobView, err
 		}
 		return true
 	})
-	if j.ctx.Err() != nil && (terminal == nil || !terminal.Status.Terminal()) {
+	if ctx.Err() != nil && (terminal == nil || !terminal.Status.Terminal()) {
 		s.propagateCancel(j, worker, remoteID)
 		return serve.JobView{Status: serve.StatusCancelled}, nil
 	}
@@ -700,7 +514,7 @@ func (s *Server) pollJob(worker, remoteID string) (serve.JobView, error) {
 // worker holding the job. Best effort: the job is already cancelled
 // from the client's point of view, and an unreachable worker will
 // cancel it anyway when it notices (or has died with it).
-func (s *Server) propagateCancel(j *fleetJob, worker, remoteID string) {
+func (s *Server) propagateCancel(j *serve.Job, worker, remoteID string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, worker+"/v1/jobs/"+remoteID, nil)
@@ -709,12 +523,12 @@ func (s *Server) propagateCancel(j *fleetJob, worker, remoteID string) {
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		j.log.WarnContext(ctx, "cancel propagation failed", "worker", worker, "error", err)
+		j.Log().WarnContext(ctx, "cancel propagation failed", "worker", worker, "error", err)
 		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	j.log.InfoContext(ctx, "cancel propagated", "worker", worker, "remote_job", remoteID)
+	j.Log().InfoContext(ctx, "cancel propagated", "worker", worker, "remote_job", remoteID)
 }
 
 // readSSE parses a text/event-stream, invoking fn per event; fn
@@ -742,239 +556,4 @@ func readSSE(r io.Reader, fn func(event string, data []byte) bool) error {
 		}
 	}
 	return sc.Err()
-}
-
-// finish retires the job. Idempotent: only the first call transitions.
-func (s *Server) finish(j *fleetJob, status serve.Status, errMsg, worker string) {
-	s.mu.Lock()
-	if j.status.Terminal() {
-		s.mu.Unlock()
-		return
-	}
-	if j.status == serve.StatusRunning {
-		s.runningCount--
-	}
-	wasStarted := !j.started.IsZero()
-	j.status = status
-	j.errMsg = errMsg
-	if worker != "" {
-		j.worker = worker
-	}
-	//simlint:ignore rngsource coordinator job timestamp, outside any simulation
-	j.finished = time.Now()
-	if !wasStarted {
-		j.started = j.finished
-	}
-	s.statusCounts[status]++
-	s.notifyLocked(j)
-	close(j.doneCh)
-	view := s.viewLocked(j)
-	s.mu.Unlock()
-	if j.trace != nil {
-		j.trace.Root().Set("outcome", string(status))
-		j.trace.End()
-	}
-	if errMsg != "" {
-		j.log.Info("job finished", "status", status, "error", errMsg, "worker", view.Worker)
-	} else {
-		j.log.Info("job finished", "status", status, "source", view.Source, "worker", view.Worker)
-	}
-}
-
-// notifyLocked pushes the job's current view to subscribers; Server.mu
-// must be held. Sends never block.
-func (s *Server) notifyLocked(j *fleetJob) {
-	if len(j.subs) == 0 {
-		return
-	}
-	ev := sseEvent{name: "status", data: s.viewLocked(j)}
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	views := make([]serve.JobView, 0, len(s.order))
-	for _, j := range s.order {
-		v := s.viewLocked(j)
-		v.Result = nil // keep listings light; fetch the job for results
-		views = append(views, v)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, struct {
-		Jobs []serve.JobView `json:"jobs"`
-	}{views})
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	view := s.viewLocked(j)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	if j.status.Terminal() {
-		view := s.viewLocked(j)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusConflict, view)
-		return
-	}
-	s.mu.Unlock()
-	j.cancel()
-	// Give the dispatcher a moment to converge so the response usually
-	// carries the terminal view; it finishes asynchronously regardless.
-	select {
-	case <-j.doneCh:
-	case <-time.After(2 * time.Second):
-	}
-	s.mu.Lock()
-	view := s.viewLocked(j)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleEvents streams the coordinator job's lifecycle as SSE in the
-// same framing as a worker daemon: a "status" event on subscription
-// and at every transition, proxied "progress" events while the job
-// runs, and a final terminal "status" event.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	f, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-
-	ch := make(chan sseEvent, 8)
-	s.mu.Lock()
-	j.subs[ch] = struct{}{}
-	s.sseSubs++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(j.subs, ch)
-		s.sseSubs--
-		s.mu.Unlock()
-	}()
-
-	emitView := func() (terminal bool, err error) {
-		s.mu.Lock()
-		view := s.viewLocked(j)
-		s.mu.Unlock()
-		return view.Status.Terminal(), writeSSE(w, f, sseEvent{name: "status", data: view})
-	}
-	if terminal, err := emitView(); terminal || err != nil {
-		return
-	}
-	for {
-		select {
-		case ev := <-ch:
-			if err := writeSSE(w, f, ev); err != nil {
-				return
-			}
-			if view, ok := ev.data.(serve.JobView); ok && view.Status.Terminal() {
-				return
-			}
-		case <-j.doneCh:
-			_, _ = emitView()
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeSSE(w http.ResponseWriter, f http.Flusher, ev sseEvent) error {
-	b, err := json.Marshal(ev.data)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, b); err != nil {
-		return err
-	}
-	f.Flush()
-	return nil
-}
-
-// handleTrace exports a fleet job's telemetry span tree (?format=tree
-// for the nested form), mirroring the worker daemon's endpoint.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	if j.trace == nil {
-		writeError(w, http.StatusNotFound, "telemetry is disabled; start the coordinator with -telemetry")
-		return
-	}
-	if r.URL.Query().Get("format") == "tree" {
-		writeJSON(w, http.StatusOK, j.trace.Snapshot())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := j.trace.WriteChrome(w); err != nil {
-		s.logger.WarnContext(r.Context(), "trace export failed", "job", j.id, "error", err)
-	}
-}
-
-// Shutdown stops admission, cancels every live job, waits for their
-// dispatchers, and stops the registry. If ctx expires first, Shutdown
-// returns its error once the dispatchers exit.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	var live []*fleetJob
-	for _, j := range s.order {
-		if !j.status.Terminal() {
-			live = append(live, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range live {
-		j.cancel()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		<-done
-	}
-	s.reg.Close()
-	return err
 }

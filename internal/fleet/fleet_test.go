@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,15 +84,18 @@ func newWorker(t *testing.T, dir string) *testWorker {
 
 func newCoordinator(t *testing.T, workers ...*testWorker) (*Server, *httptest.Server) {
 	t.Helper()
-	urls := make([]string, len(workers))
-	for i, w := range workers {
-		urls[i] = w.ts.URL
+	return newCoordinatorOpts(t, Options{Retries: 3}, workers...)
+}
+
+// newCoordinatorOpts is newCoordinator with the caller's Options (the
+// worker URLs and a fast probe cadence are filled in).
+func newCoordinatorOpts(t *testing.T, opts Options, workers ...*testWorker) (*Server, *httptest.Server) {
+	t.Helper()
+	for _, w := range workers {
+		opts.Workers = append(opts.Workers, w.ts.URL)
 	}
-	s, err := New(Options{
-		Workers:       urls,
-		ProbeInterval: 25 * time.Millisecond,
-		Retries:       3,
-	})
+	opts.ProbeInterval = 25 * time.Millisecond
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +148,36 @@ func trySubmitWait(base string, spec simspec.Spec) (serve.JobView, error) {
 		return serve.JobView{}, err
 	}
 	return view, nil
+}
+
+// getJSON decodes a GET's body into v and returns the status code.
+func getJSON(t *testing.T, url string, v any) int {
+	t.Helper()
+	resp, raw, _ := call(t, http.MethodGet, url, nil)
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("GET %s: %v in %s", url, err, raw)
+	}
+	return resp.StatusCode
+}
+
+func getJob(t *testing.T, base, id string) serve.JobView {
+	t.Helper()
+	var v serve.JobView
+	if code := getJSON(t, base+"/v1/jobs/"+id, &v); code != http.StatusOK {
+		t.Fatalf("GET job %s: status %d", id, code)
+	}
+	return v
+}
+
+func listJobs(t *testing.T, base string) []serve.JobView {
+	t.Helper()
+	var list struct {
+		Jobs []serve.JobView `json:"jobs"`
+	}
+	if code := getJSON(t, base+"/v1/jobs", &list); code != http.StatusOK {
+		t.Fatalf("GET jobs: status %d", code)
+	}
+	return list.Jobs
 }
 
 func resultBytes(t *testing.T, view serve.JobView) []byte {
@@ -217,11 +252,9 @@ func TestFleetFailoverMidRun(t *testing.T) {
 	// Wait until the job is running on a worker, then kill that worker.
 	var victim, survivor *testWorker
 	waitFor(t, "job dispatched", func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		for _, j := range coord.order {
-			if j.status == serve.StatusRunning && j.worker != "" {
-				if j.worker == w1.ts.URL {
+		for _, j := range listJobs(t, ts.URL) {
+			if j.Status == serve.StatusRunning && j.Worker != "" {
+				if j.Worker == w1.ts.URL {
 					victim, survivor = w1, w2
 				} else {
 					victim, survivor = w2, w1
@@ -247,10 +280,7 @@ func TestFleetFailoverMidRun(t *testing.T) {
 
 	// The retry counter recorded the failover and the registry marked
 	// the victim down.
-	coord.mu.Lock()
-	retries := coord.nRetry
-	coord.mu.Unlock()
-	if retries == 0 {
+	if coord.nRetry.Load() == 0 {
 		t.Error("failover did not count a retry round")
 	}
 	if coord.Registry().Ready(victim.ts.URL) {
@@ -419,19 +449,8 @@ func TestClientResolverLocalFallback(t *testing.T) {
 		t.Fatal("local-fallback run differs from a direct run")
 	}
 	// The worker saw no job.
-	resp, err := http.Get(w.ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var list struct {
-		Jobs []serve.JobView `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Jobs) != 0 {
-		t.Fatalf("worker saw %d jobs, want 0", len(list.Jobs))
+	if n := len(listJobs(t, w.ts.URL)); n != 0 {
+		t.Fatalf("worker saw %d jobs, want 0", n)
 	}
 }
 
@@ -439,7 +458,7 @@ func TestClientResolverLocalFallback(t *testing.T) {
 // job stops running instead of burning a slot to completion.
 func TestFleetCancelPropagation(t *testing.T) {
 	w := newWorker(t, t.TempDir())
-	coord, ts := newCoordinator(t, w)
+	_, ts := newCoordinator(t, w)
 
 	b, err := json.Marshal(serve.SubmitRequest{Spec: foreverSpec(550), Client: "fleet-test"})
 	if err != nil {
@@ -458,15 +477,17 @@ func TestFleetCancelPropagation(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 
+	// The worker is fresh, so the one job it lists is the remote half.
+	var remoteID string
 	waitFor(t, "job running on worker", func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		j := coord.jobs[view.ID]
-		return j != nil && j.status == serve.StatusRunning && j.remoteID != ""
+		if getJob(t, ts.URL, view.ID).Status != serve.StatusRunning {
+			return false
+		}
+		for _, wj := range listJobs(t, w.ts.URL) {
+			remoteID = wj.ID
+		}
+		return remoteID != ""
 	})
-	coord.mu.Lock()
-	remoteID := coord.jobs[view.ID].remoteID
-	coord.mu.Unlock()
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+view.ID, nil)
 	if err != nil {
@@ -481,20 +502,64 @@ func TestFleetCancelPropagation(t *testing.T) {
 
 	// Both ends reach cancelled: the coordinator job and the worker job.
 	waitFor(t, "coordinator job cancelled", func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		return coord.jobs[view.ID].status == serve.StatusCancelled
+		return getJob(t, ts.URL, view.ID).Status == serve.StatusCancelled
 	})
 	waitFor(t, "worker job cancelled", func() bool {
-		r, err := http.Get(w.ts.URL + "/v1/jobs/" + remoteID)
-		if err != nil {
-			return false
-		}
-		defer r.Body.Close()
-		var wv serve.JobView
-		if json.NewDecoder(r.Body).Decode(&wv) != nil {
-			return false
-		}
-		return wv.Status == serve.StatusCancelled
+		return getJob(t, w.ts.URL, remoteID).Status == serve.StatusCancelled
 	})
+}
+
+// A probe the worker could not answer (transport error, 5xx, garbage)
+// is a worker-health problem, already counted as a retry — not a cache
+// miss.
+func TestFleetFailedProbeIsNotAMiss(t *testing.T) {
+	var up atomic.Bool
+	up.Store(true)
+	mux := http.NewServeMux()
+	mux.Handle("/", fakeWorker(&up, 2))
+	mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "disk on fire", http.StatusInternalServerError)
+	})
+	sick := httptest.NewServer(mux)
+	defer sick.Close()
+	_, ts := newCoordinatorOpts(t, Options{Retries: 1}, &testWorker{ts: sick})
+
+	view := submitWait(t, ts.URL, shortSpec(570))
+	if view.Status != serve.StatusFailed {
+		t.Fatalf("job ended %s, want failed (its only worker cannot answer probes)", view.Status)
+	}
+	for series, want := range map[string]func(n int) bool{
+		`delrepfleet_cache_probes_total{result="hit"}`:  func(n int) bool { return n == 0 },
+		`delrepfleet_cache_probes_total{result="miss"}`: func(n int) bool { return n == 0 },
+		`delrepfleet_retries_total`:                     func(n int) bool { return n >= 1 },
+	} {
+		if n, err := strconv.Atoi(gauge(t, ts.URL, series)); err != nil || !want(n) {
+			t.Errorf("%s = %d (%v) after two failed probes", series, n, err)
+		}
+	}
+}
+
+// "No worker could run the job" is reported when the last round ends,
+// not a probe cycle later.
+func TestFleetUnplaceableJobFailsPromptly(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	const retries = 1
+	coord, err := New(Options{Workers: []string{dead.URL}, Retries: retries, ProbeInterval: 25 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	defer shutdown(t, coord)
+
+	start := time.Now()
+	view := submitWait(t, ts.URL, shortSpec(571))
+	took := time.Since(start)
+	if view.Status != serve.StatusFailed || !strings.Contains(view.Error, "after 2 rounds") {
+		t.Fatalf("job ended %s (%q), want failed after 2 rounds", view.Status, view.Error)
+	}
+	if limit := retries*time.Second + 500*time.Millisecond; took > limit {
+		t.Errorf("failure took %v, want under %v (one probe cycle between rounds, none after the last)", took, limit)
+	}
 }

@@ -1,99 +1,64 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
-
-	"delrep/internal/serve"
 )
 
-// handleHealthz is liveness: the coordinator process is up.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is readiness: 200 while accepting jobs and at least one
-// worker is ready; 503 when draining or the whole fleet is down, so
-// load balancers stop routing submissions at a coordinator that could
-// only queue them into failure.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case draining:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-	case s.reg.ReadyCount() == 0:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "no ready workers")
-	default:
-		fmt.Fprintln(w, "ready")
-	}
+// sortedInfos is the registry's view of the fleet in URL order.
+func (s *Server) sortedInfos() []WorkerInfo {
+	infos := s.reg.Infos()
+	sort.Slice(infos, func(i, j int) bool { return infos[i].URL < infos[j].URL })
+	return infos
 }
 
 // handleWorkers reports the registry's view of the fleet.
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	infos := s.reg.Infos()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].URL < infos[j].URL })
-	writeJSON(w, http.StatusOK, struct {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(struct {
 		Workers []WorkerInfo `json:"workers"`
-	}{infos})
+	}{s.sortedInfos()})
 }
 
-// handleMetrics writes the coordinator's state in the Prometheus text
-// exposition format: fleet-wide gauges, dispatch/failover/steal
-// counters, the cache-tier probe accounting, and per-worker health.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	infos := s.reg.Infos()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].URL < infos[j].URL })
-
-	s.mu.Lock()
-	var b strings.Builder
+// Metrics appends the coordinator's own families: fleet-wide gauges,
+// dispatch/failover/steal counters, the cache-tier probe accounting,
+// and per-worker health.
+func (s *Server) Metrics(b *strings.Builder) {
+	infos := s.sortedInfos()
 	ready := 0
 	for _, wi := range infos {
 		if wi.Ready {
 			ready++
 		}
 	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_workers gauge\ndelrepfleet_workers %d\n", len(infos))
-	fmt.Fprintf(&b, "# TYPE delrepfleet_workers_ready gauge\ndelrepfleet_workers_ready %d\n", ready)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_jobs_running gauge\ndelrepfleet_jobs_running %d\n", s.runningCount)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_sse_subscribers gauge\ndelrepfleet_sse_subscribers %d\n", s.sseSubs)
+	fmt.Fprintf(b, "# TYPE delrepfleet_workers gauge\ndelrepfleet_workers %d\n", len(infos))
+	fmt.Fprintf(b, "# TYPE delrepfleet_workers_ready gauge\ndelrepfleet_workers_ready %d\n", ready)
+	fmt.Fprintf(b, "# TYPE delrepfleet_dispatch_total counter\ndelrepfleet_dispatch_total %d\n", s.nDispatch.Load())
+	fmt.Fprintf(b, "# TYPE delrepfleet_retries_total counter\ndelrepfleet_retries_total %d\n", s.nRetry.Load())
+	fmt.Fprintf(b, "# TYPE delrepfleet_steals_total counter\ndelrepfleet_steals_total %d\n", s.nSteal.Load())
+	fmt.Fprintf(b, "# TYPE delrepfleet_cache_probes_total counter\n")
+	fmt.Fprintf(b, "delrepfleet_cache_probes_total{result=\"hit\"} %d\n", s.nProbeHit.Load())
+	fmt.Fprintf(b, "delrepfleet_cache_probes_total{result=\"miss\"} %d\n", s.nProbeMiss.Load())
 
-	fmt.Fprintf(&b, "# TYPE delrepfleet_jobs_total counter\n")
-	for _, st := range []serve.Status{serve.StatusDone, serve.StatusFailed, serve.StatusCancelled} {
-		fmt.Fprintf(&b, "delrepfleet_jobs_total{status=%q} %d\n", st, s.statusCounts[st])
-	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_dispatch_total counter\ndelrepfleet_dispatch_total %d\n", s.nDispatch)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_retries_total counter\ndelrepfleet_retries_total %d\n", s.nRetry)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_steals_total counter\ndelrepfleet_steals_total %d\n", s.nSteal)
-	fmt.Fprintf(&b, "# TYPE delrepfleet_cache_probes_total counter\n")
-	fmt.Fprintf(&b, "delrepfleet_cache_probes_total{result=\"hit\"} %d\n", s.nProbeHit)
-	fmt.Fprintf(&b, "delrepfleet_cache_probes_total{result=\"miss\"} %d\n", s.nProbeMiss)
-	s.mu.Unlock()
-
-	fmt.Fprintf(&b, "# TYPE delrepfleet_worker_up gauge\n")
+	fmt.Fprintf(b, "# TYPE delrepfleet_worker_up gauge\n")
 	for _, wi := range infos {
 		up := 0
 		if wi.Ready {
 			up = 1
 		}
-		fmt.Fprintf(&b, "delrepfleet_worker_up{worker=%q} %d\n", wi.URL, up)
+		fmt.Fprintf(b, "delrepfleet_worker_up{worker=%q} %d\n", wi.URL, up)
 	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_worker_outstanding gauge\n")
+	fmt.Fprintf(b, "# TYPE delrepfleet_worker_outstanding gauge\n")
 	for _, wi := range infos {
-		fmt.Fprintf(&b, "delrepfleet_worker_outstanding{worker=%q} %d\n", wi.URL, wi.Outstanding)
+		fmt.Fprintf(b, "delrepfleet_worker_outstanding{worker=%q} %d\n", wi.URL, wi.Outstanding)
 	}
-	fmt.Fprintf(&b, "# TYPE delrepfleet_worker_slots gauge\n")
+	fmt.Fprintf(b, "# TYPE delrepfleet_worker_slots gauge\n")
 	for _, wi := range infos {
-		fmt.Fprintf(&b, "delrepfleet_worker_slots{worker=%q} %d\n", wi.URL, wi.Slots)
+		fmt.Fprintf(b, "delrepfleet_worker_slots{worker=%q} %d\n", wi.URL, wi.Slots)
 	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, b.String())
 }

@@ -27,12 +27,13 @@ import (
 
 // The estimator must track the live backlog proportionally and clamp.
 func TestRetryAfterTracksBacklog(t *testing.T) {
-	s := New(Options{Engine: runner.New(runner.Options{Workers: 2}), Workers: 2})
-	defer s.Shutdown(t.Context())
+	srv := New(Options{Engine: runner.New(runner.Options{Workers: 2}), Workers: 2})
+	defer srv.Shutdown(t.Context())
+	s := srv.exec.(*local)
 
 	// No completed jobs yet: the estimate is the 1-second floor, not a
 	// guess that could latch high.
-	s.mu.Lock()
+	srv.mu.Lock()
 	if got := s.retryAfterLocked(); got != 1 {
 		t.Errorf("empty history: Retry-After = %d, want 1", got)
 	}
@@ -62,7 +63,7 @@ func TestRetryAfterTracksBacklog(t *testing.T) {
 		t.Errorf("huge backlog: Retry-After = %d, want the 600 clamp", got)
 	}
 	s.queuedCount = 0
-	s.mu.Unlock()
+	srv.mu.Unlock()
 }
 
 // Closed-loop regression: more clients than queue+worker slots, held

@@ -25,8 +25,8 @@ type CacheEntry struct {
 // result already sits in this worker's cache shard is answered without
 // consuming a queue slot or a worker goroutine — the warm disk caches
 // of the fleet collectively form a distributed cache tier.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	cache := s.eng.DiskCache()
+func (x *local) handleCacheGet(w http.ResponseWriter, r *http.Request) {
+	cache := x.opts.Engine.DiskCache()
 	if cache == nil {
 		writeError(w, http.StatusNotFound, "this daemon runs uncached")
 		return

@@ -8,21 +8,6 @@ import (
 	"delrep/internal/telemetry"
 )
 
-// handleDebugJobs dumps the flight recorder: summaries (with span
-// trees) of the last N completed jobs, newest first. 404 when
-// telemetry is off.
-func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "telemetry is disabled; start the daemon with -telemetry")
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Total    int64                 `json:"total"`
-		Capacity int                   `json:"capacity"`
-		Jobs     []telemetry.JobRecord `json:"jobs"`
-	}{s.flight.Total(), s.flight.Cap(), s.flight.Snapshot()})
-}
-
 // statusPage is the data fed to the /debug/status template.
 type statusPage struct {
 	Uptime       string
@@ -91,14 +76,15 @@ th { background: #f0f0f0; }
 // handleDebugStatus renders a human-oriented HTML snapshot of the
 // daemon: gauges, terminal counters, cache accounting, and the flight
 // recorder's recent jobs with links to their traces.
-func (s *Server) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
-	cacheStats := s.eng.DiskCache().Stats()
+func (x *local) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
+	s := x.srv
+	cacheStats := x.opts.Engine.DiskCache().Stats()
 	s.mu.Lock()
 	page := statusPage{
-		Uptime:       time.Since(s.started).Round(time.Second).String(),
-		Workers:      s.workers,
-		Queued:       s.queuedCount,
-		Running:      s.runningCount,
+		Uptime:       time.Since(x.started).Round(time.Second).String(),
+		Workers:      x.opts.Workers,
+		Queued:       x.queuedCount,
+		Running:      s.running,
 		Draining:     s.draining,
 		SSESubs:      s.sseSubs,
 		Done:         s.statusCounts[StatusDone],

@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"delrep/internal/config"
-	"delrep/internal/runner"
 	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
 
 // Status is a job's lifecycle state. Transitions are monotonic:
-// queued → running → {done, failed, cancelled}, with queued →
-// cancelled allowed for jobs cancelled (or drained at shutdown) before
-// a worker picked them up.
+// queued → running → {done, failed, cancelled}, with queued → terminal
+// allowed for jobs that end before anything ran them (cancelled while
+// waiting, drained at shutdown, answered from the fleet's cache tier).
 type Status string
 
 const (
@@ -66,22 +65,20 @@ func (p Priority) String() string {
 	return "normal"
 }
 
-// Job is one submitted simulation. Identity fields are immutable after
-// creation; mutable state is guarded by the owning Server's mutex.
+// Job is one submitted simulation: the single record of it, shared by
+// the Server that owns the table and the Executor that runs it.
+// Identity fields are immutable after creation; mutable state is
+// guarded by the owning Server's mutex. An Executor drives it through
+// Running, SetProgress and Finish.
 type Job struct {
+	srv     *Server
 	id      string
 	client  string
 	prio    Priority
 	spec    simspec.Spec // canonical form, echoed back to clients
-	cfg     config.Config
-	specKey string // short content hash of the resolved spec
-	// reqParallel is the intra-run parallelism the submitted spec asked
-	// for. Resolve strips it from the canonical spec (it is an
-	// execution hint, not identity), so it is carried here verbatim and
-	// clamped against the server's cap and load at dispatch.
-	reqParallel int
-	ctx         context.Context
-	cancel      context.CancelFunc
+	specKey string       // short content hash of the resolved spec
+	ctx     context.Context
+	cancel  context.CancelFunc
 	// doneCh closes when the job reaches a terminal status.
 	doneCh chan struct{}
 	// log carries the job's identity attrs (job/client/spec-key) on
@@ -92,30 +89,114 @@ type Job struct {
 	trace *telemetry.Trace
 
 	// Guarded by Server.mu.
-	status    Status
-	errMsg    string
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	fut       *runner.Future
-	run       runner.Run
-	parallel  int // effective tile workers, fixed at dispatch
-	subs      map[chan sseEvent]struct{}
-	spanQueue *telemetry.Span // open queue.wait span, ended at dispatch
+	status   Status
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	worker   string                     // coordinator only: current/final worker base URL
+	parallel int                        // daemon only: effective tile workers, fixed at dispatch
+	progress func() (done, total int64) // nil until the executor has something to report
+	out      Outcome                    // zero until terminal
+	subs     map[chan sseEvent]struct{} // live SSE subscribers, allocated on first use
+
+	// The local executor's share of the record (immutable after Admit,
+	// except spanQueue which Server.mu guards).
+	cfg config.Config
+	// reqParallel is the intra-run parallelism the submitted spec asked
+	// for. Resolve strips it from the canonical spec (it is an
+	// execution hint, not identity), so it is carried here verbatim and
+	// clamped against the server's cap and load at dispatch.
+	reqParallel int
+	spanQueue   *telemetry.Span // open queue.wait span, ended at dispatch
+}
+
+// Outcome is how a job ended, as its Executor reports it to Finish.
+type Outcome struct {
+	Status Status // done, failed or cancelled
+	Error  string // failed and cancelled only
+	// Source, Workers and Result describe a done job: where the result
+	// came from (executed | memo | disk), the engine-effective worker
+	// count of an executed run, and the canonical result itself.
+	Source  string
+	Workers int
+	Result  *simspec.Result
+	// Worker, when set, replaces the job's current worker URL.
+	Worker string
+}
+
+// Context is cancelled when the job should stop: DELETE, a dropped
+// ?wait connection, or a drain. The executor running the job watches
+// it and answers with Finish.
+func (j *Job) Context() context.Context { return j.ctx }
+
+// Spec returns the canonical spec the job's result belongs to.
+func (j *Job) Spec() simspec.Spec { return j.spec }
+
+// Log returns the job's logger (job, client and spec_key attrs set).
+func (j *Job) Log() *slog.Logger { return j.log }
+
+// Span returns the root of the job's trace, nil when telemetry is off
+// (a nil *telemetry.Span is a valid no-op parent).
+func (j *Job) Span() *telemetry.Span { return j.trace.Root() }
+
+// Cancel stops the job in any non-terminal state: its context is
+// cancelled and the executor is told, so a job still waiting to run
+// finishes at once and a running one at its executor's next look at
+// the context. A no-op on a terminal job.
+func (j *Job) Cancel() {
+	j.cancel()
+	j.srv.exec.Cancel(j)
+}
+
+// Running marks the job running on worker (empty on the daemon) and
+// publishes the transition. Calling it again — a failover re-dispatch —
+// only moves the worker; after Finish it does nothing.
+func (j *Job) Running(worker string) {
+	s := j.srv
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.status.Terminal() {
+		return
+	}
+	s.startLocked(j)
+	j.worker = worker
+	s.notifyLocked(j)
+}
+
+// SetProgress installs the source the job's views and the SSE hub's
+// progress ticker read while the job runs.
+func (j *Job) SetProgress(src func() (done, total int64)) {
+	j.srv.mu.Lock()
+	j.progress = src
+	j.srv.mu.Unlock()
+}
+
+// Finish retires the job with its outcome: terminal status, subscriber
+// and ?wait wake-up, counters, trace retirement and the flight-recorder
+// entry. Only the first call transitions; later ones are no-ops.
+func (j *Job) Finish(out Outcome) {
+	s := j.srv
+	s.mu.Lock()
+	if j.status.Terminal() {
+		s.mu.Unlock()
+		return
+	}
+	s.settleLocked(j, out)
+	s.publishLocked(j)
+	s.mu.Unlock()
+	s.retire(j)
 }
 
 // ProgressView is the running-job progress fragment of a job view.
-// Exported because it is wire format: the fleet coordinator
-// (internal/fleet) re-emits it verbatim when proxying worker progress.
+// Exported because it is wire format: the fleet coordinator decodes it
+// from the worker's event stream.
 type ProgressView struct {
 	CyclesDone  int64 `json:"cycles_done"`
 	CyclesTotal int64 `json:"cycles_total"`
 }
 
-// JobView is the JSON rendering of a job returned by the API. It is
-// the shared wire form of the /v1/jobs surface: delrepd serves it, the
-// fleet coordinator serves the same shape (so every client works
-// against either), and fleet clients decode it.
+// JobView is the JSON rendering of a job returned by the API, the one
+// wire form of the /v1/jobs surface whichever executor is behind it.
 type JobView struct {
 	ID       string       `json:"id"`
 	Status   Status       `json:"status"`
@@ -152,7 +233,8 @@ func (j *Job) viewLocked() JobView {
 		Client:   j.client,
 		Spec:     j.spec,
 		Created:  j.created.UTC().Format(time.RFC3339Nano),
-		Error:    j.errMsg,
+		Error:    j.out.Error,
+		Worker:   j.worker,
 	}
 	if !j.started.IsZero() {
 		v.Started = j.started.UTC().Format(time.RFC3339Nano)
@@ -163,15 +245,14 @@ func (j *Job) viewLocked() JobView {
 	if j.parallel > 1 {
 		v.Parallel = j.parallel
 	}
-	if j.status == StatusRunning && j.fut != nil {
-		done, total := j.fut.Progress()
+	if j.status == StatusRunning && j.progress != nil {
+		done, total := j.progress()
 		v.Progress = &ProgressView{CyclesDone: done, CyclesTotal: total}
 	}
 	if j.status == StatusDone {
-		v.Source = j.run.Source.String()
-		v.Workers = j.run.Workers
-		r := simspec.NewResult(j.spec, j.run.Results, j.run.Digest)
-		v.Result = &r
+		v.Source = j.out.Source
+		v.Workers = j.out.Workers
+		v.Result = j.out.Result
 	}
 	return v
 }

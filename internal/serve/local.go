@@ -1,0 +1,432 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
+	"math"
+	"net/http"
+	netpprof "net/http/pprof"
+	"strings"
+	"sync"
+	"time"
+
+	"delrep/internal/config"
+	"delrep/internal/runner"
+	"delrep/internal/simspec"
+	"delrep/internal/stats"
+	"delrep/internal/telemetry"
+)
+
+// Options configures the daemon: a Server over the local executor.
+type Options struct {
+	// Engine runs the simulations. Required.
+	Engine *runner.Engine
+	// Workers bounds concurrently running jobs; <= 0 uses the engine's
+	// worker count.
+	Workers int
+	// QueueDepth bounds jobs waiting for a worker; a full queue rejects
+	// submissions with 429. <= 0 selects 64.
+	QueueDepth int
+	// ClientInFlight caps one client's queued+running jobs; 0 disables
+	// the cap.
+	ClientInFlight int
+	// CacheMaxBytes, when > 0, prunes the engine's disk cache (oldest
+	// entries first) to this size after each executed job, bounding a
+	// long-lived daemon's disk use.
+	CacheMaxBytes int64
+	// ProgressInterval is the SSE progress-event cadence for running
+	// jobs; <= 0 selects 500ms.
+	ProgressInterval time.Duration
+	// Logger receives structured logs (one record per job transition,
+	// admission rejection, prune, …); nil discards them. Every job
+	// record carries job/client/spec-key attrs, so one job's lifecycle
+	// greps out of a mixed stream.
+	Logger *slog.Logger
+	// Telemetry records a wall-clock span tree per job (exported by
+	// GET /v1/jobs/{id}/trace) and feeds the flight recorder behind
+	// /debug/jobs. Off by default: a nil trace costs one pointer check
+	// per instrumentation site and nothing else.
+	Telemetry bool
+	// FlightSize bounds the flight recorder's ring of completed-job
+	// summaries (<= 0 selects 128). Only meaningful with Telemetry.
+	FlightSize int
+	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
+	// CPU/heap/goroutine profiling of the daemon.
+	EnablePprof bool
+	// MaxRunParallel caps the intra-run tile parallelism a job's spec
+	// may request ("parallel" field). <= 0 disables intra-run
+	// parallelism entirely: every job runs serial, exactly as before
+	// the tile tick existed. The cap is admission-aware — a requested
+	// N is additionally clamped to the cap divided by the number of
+	// running jobs at dispatch, so a busy daemon never oversubscribes
+	// cores it is already using to run jobs side by side. Clamping is
+	// behavior-neutral: results are bit-identical at any worker count,
+	// so this knob trades wall time only.
+	MaxRunParallel int
+}
+
+// local is the Executor that runs jobs on this process's
+// runner.Engine. Admission control is two-layered: a bounded queue (a
+// full queue answers 429 with a Retry-After estimated from recent job
+// latency) and a per-client in-flight cap, so one greedy sweep cannot
+// starve interactive users. Scheduling is strict priority with FIFO
+// order within each level.
+//
+// It has no lock of its own: its queue and accounting change in the
+// same critical sections as the job transitions they belong to, so
+// they live under srv.mu.
+type local struct {
+	srv     *Server
+	opts    Options // Workers and QueueDepth with their defaults applied
+	started time.Time
+	wg      sync.WaitGroup
+	pruneMu sync.Mutex
+
+	// Guarded by srv.mu.
+	cond        *sync.Cond
+	queue       [numPriorities][]*Job
+	queuedCount int
+	inflight    map[string]int // client -> queued+running jobs
+
+	latency   *stats.Histogram                // completed-job wall seconds (all priorities)
+	queueWait [numPriorities]*stats.Histogram // admission → dispatch, per priority
+	execTime  [numPriorities]*stats.Histogram // dispatch → terminal, per priority
+	totalTime [numPriorities]*stats.Histogram // submit → terminal, per priority
+}
+
+// New builds the daemon's Server and starts its worker pool.
+func New(opts Options) *Server {
+	if opts.Engine == nil {
+		panic("serve: Options.Engine is required")
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = opts.Engine.Workers()
+	}
+	if opts.QueueDepth <= 0 {
+		opts.QueueDepth = 64
+	}
+	x := &local{
+		opts:     opts,
+		inflight: map[string]int{},
+		// 60 one-second buckets; sweeps that run longer land in +Inf.
+		latency: stats.NewHistogram(60, 1),
+	}
+	//simlint:ignore rngsource daemon start timestamp, outside any simulation
+	x.started = time.Now()
+	for p := 0; p < int(numPriorities); p++ {
+		x.queueWait[p] = stats.NewHistogram(60, 1)
+		x.execTime[p] = stats.NewHistogram(60, 1)
+		x.totalTime[p] = stats.NewHistogram(60, 1)
+	}
+	s := NewServer(x, "j", "delrepd", opts.Logger, opts.Telemetry, opts.FlightSize, opts.ProgressInterval)
+	s.rejects["queue_full"], s.rejects["client_cap"] = 0, 0 // exported at 0 from the first scrape
+	x.srv = s
+	x.cond = sync.NewCond(&s.mu)
+	for i := 0; i < x.opts.Workers; i++ {
+		x.wg.Add(1)
+		go x.worker()
+	}
+	return s
+}
+
+// Routes registers the daemon-only endpoints.
+func (x *local) Routes(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/cache/{key}", x.handleCacheGet)
+	mux.HandleFunc("GET /debug/status", x.handleDebugStatus)
+	if x.opts.EnablePprof {
+		mux.HandleFunc("GET /debug/pprof/", netpprof.Index)
+		mux.HandleFunc("GET /debug/pprof/cmdline", netpprof.Cmdline)
+		mux.HandleFunc("GET /debug/pprof/profile", netpprof.Profile)
+		mux.HandleFunc("GET /debug/pprof/symbol", netpprof.Symbol)
+		mux.HandleFunc("GET /debug/pprof/trace", netpprof.Trace)
+	}
+}
+
+// Ready: a daemon can always queue.
+func (x *local) Ready() (bool, string) { return true, "" }
+
+// Admit applies the two admission caps and queues the job for the
+// worker pool. srv.mu is held.
+func (x *local) Admit(j *Job, req SubmitRequest, cfg config.Config) *Rejection {
+	if x.opts.ClientInFlight > 0 && x.inflight[j.client] >= x.opts.ClientInFlight {
+		return &Rejection{
+			Reason: "client_cap", Status: http.StatusTooManyRequests, RetryAfter: x.retryAfterLocked(),
+			Message: fmt.Sprintf("client %q already has %d jobs in flight (cap %d)", j.client, x.opts.ClientInFlight, x.opts.ClientInFlight),
+		}
+	}
+	if x.queuedCount >= x.opts.QueueDepth {
+		return &Rejection{
+			Reason: "queue_full", Status: http.StatusTooManyRequests, RetryAfter: x.retryAfterLocked(),
+			Message: fmt.Sprintf("job queue is full (%d queued)", x.opts.QueueDepth),
+		}
+	}
+	j.cfg = cfg
+	// Resolve zeroed the canonical spec's Parallel (execution hints are
+	// not identity), so the request's hint is carried separately.
+	j.reqParallel = req.Spec.Parallel
+	j.spanQueue = j.Span().Start("queue.wait")
+	x.queue[j.prio] = append(x.queue[j.prio], j)
+	x.queuedCount++
+	x.inflight[j.client]++
+	x.cond.Signal()
+	return nil
+}
+
+// retryAfterLocked estimates seconds until a queue slot frees up:
+// recent mean job latency times the queue backlog per worker.
+func (x *local) retryAfterLocked() int {
+	mean := x.latency.Mean()
+	if x.latency.Count() == 0 || mean <= 0 {
+		return 1
+	}
+	est := int(math.Ceil(mean * float64(x.queuedCount+1) / float64(x.opts.Workers)))
+	if est < 1 {
+		est = 1
+	}
+	if est > 600 {
+		est = 600
+	}
+	return est
+}
+
+// Cancel retires a job that is still queued; a running job's worker
+// sees the cancelled context at the next simulation checkpoint and
+// owns the bookkeeping.
+func (x *local) Cancel(j *Job) {
+	x.srv.mu.Lock()
+	defer x.srv.mu.Unlock()
+	if j.status == StatusQueued {
+		x.finishQueuedLocked(j, "cancelled before start")
+	}
+}
+
+// finishQueuedLocked retires a job that never started; callers hold
+// srv.mu. The job stays in its queue slice until next() skips over it.
+func (x *local) finishQueuedLocked(j *Job, msg string) {
+	j.spanQueue.End()
+	j.spanQueue = nil
+	x.queuedCount--
+	x.dropInflightLocked(j.client)
+	x.srv.settleLocked(j, Outcome{Status: StatusCancelled, Error: msg})
+	x.totalTime[j.prio].Add(j.finished.Sub(j.created).Seconds())
+	x.srv.publishLocked(j)
+	x.srv.retire(j)
+}
+
+func (x *local) dropInflightLocked(client string) {
+	if x.inflight[client]--; x.inflight[client] <= 0 {
+		delete(x.inflight, client)
+	}
+}
+
+// worker dispatches queued jobs until shutdown drains the queue.
+func (x *local) worker() {
+	defer x.wg.Done()
+	for {
+		j := x.next()
+		if j == nil {
+			return
+		}
+		x.runJob(j)
+	}
+}
+
+// next blocks until a job is dispatchable and marks it running.
+// Highest priority wins; FIFO within a priority. Returns nil when the
+// server is draining and the queue is empty.
+func (x *local) next() *Job {
+	s := x.srv
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for p := numPriorities - 1; p >= 0; p-- {
+			for len(x.queue[p]) > 0 {
+				j := x.queue[p][0]
+				x.queue[p] = x.queue[p][1:]
+				if j.status != StatusQueued {
+					continue // cancelled while queued; already retired
+				}
+				x.queuedCount--
+				s.startLocked(j)
+				j.spanQueue.End()
+				j.spanQueue = nil
+				x.queueWait[j.prio].Add(j.started.Sub(j.created).Seconds())
+				j.parallel = x.effectiveParallelLocked(j.reqParallel)
+				s.notifyLocked(j)
+				return j
+			}
+		}
+		if s.draining {
+			return nil
+		}
+		x.cond.Wait()
+	}
+}
+
+// effectiveParallelLocked clamps a job's requested intra-run
+// parallelism against the server cap and the current load. The
+// admission-aware term divides the cap by the number of running jobs
+// (including the one being dispatched), so concurrent jobs share the
+// tile-worker budget instead of each grabbing the full cap. Because
+// results are bit-identical at any worker count, the clamp can never
+// change what a job returns — only how fast.
+func (x *local) effectiveParallelLocked(requested int) int {
+	if requested <= 1 || x.opts.MaxRunParallel <= 1 {
+		return 1
+	}
+	eff := requested
+	if eff > x.opts.MaxRunParallel {
+		eff = x.opts.MaxRunParallel
+	}
+	if share := x.opts.MaxRunParallel / x.srv.running; eff > share {
+		eff = share
+	}
+	if eff < 1 {
+		eff = 1
+	}
+	return eff
+}
+
+// runJob executes one dispatched job on the engine and retires it.
+func (x *local) runJob(j *Job) {
+	s := x.srv
+	rspec := runner.Spec{Cfg: j.cfg, GPU: j.spec.GPU, CPU: j.spec.CPU}
+	root := j.Span()
+	submitSpan := root.Start("runner.submit")
+	runCtx := telemetry.ContextWithSpan(j.ctx, submitSpan)
+	var run runner.Run
+	for {
+		// j.parallel was fixed at dispatch by the same goroutine (next
+		// runs in this worker), so the unlocked read is ordered.
+		fut := x.opts.Engine.SubmitCtxParallel(runCtx, rspec, j.parallel)
+		j.SetProgress(fut.Progress)
+		run = fut.Wait()
+		if run.Err == nil || j.ctx.Err() != nil || !errors.Is(run.Err, context.Canceled) {
+			break
+		}
+		// The shared future was cancelled by a different job's waiter
+		// between our submission and completion; this job is still
+		// wanted, so resubmit (the failed future has left the memo).
+	}
+	submitSpan.Set("source", run.Source.String())
+	submitSpan.End()
+
+	var out Outcome
+	switch {
+	case run.Err == nil:
+		res := simspec.NewResult(j.spec, run.Results, run.Digest)
+		out = Outcome{Status: StatusDone, Source: run.Source.String(), Workers: run.Workers, Result: &res}
+	case j.ctx.Err() != nil && errors.Is(run.Err, context.Canceled):
+		out = Outcome{Status: StatusCancelled, Error: "cancelled"}
+	default:
+		out = Outcome{Status: StatusFailed, Error: run.Err.Error()}
+	}
+	s.mu.Lock()
+	s.settleLocked(j, out)
+	x.dropInflightLocked(j.client)
+	x.latency.Add(j.finished.Sub(j.started).Seconds())
+	x.execTime[j.prio].Add(j.finished.Sub(j.started).Seconds())
+	x.totalTime[j.prio].Add(j.finished.Sub(j.created).Seconds())
+	// encode measures rendering the terminal job view — the bytes every
+	// poller and ?wait response will receive from here on.
+	if enc := root.Start("encode"); enc != nil {
+		if b, err := json.Marshal(j.viewLocked()); err == nil {
+			enc.Set("bytes", len(b))
+		}
+		enc.End()
+	}
+	reply := root.Start("reply")
+	s.publishLocked(j)
+	reply.End()
+	s.mu.Unlock()
+
+	s.retire(j)
+	if out.Status == StatusDone && run.Source == runner.SourceExecuted {
+		x.maybePrune()
+	}
+}
+
+// maybePrune bounds the disk cache after an executed (cache-growing)
+// run. Skipped when a prune is already in progress.
+func (x *local) maybePrune() {
+	cache := x.opts.Engine.DiskCache()
+	if x.opts.CacheMaxBytes <= 0 || cache == nil {
+		return
+	}
+	if !x.pruneMu.TryLock() {
+		return
+	}
+	defer x.pruneMu.Unlock()
+	removed, freed, err := cache.Prune(x.opts.CacheMaxBytes)
+	if err != nil {
+		x.srv.logger.Warn("cache prune failed", "error", err)
+	} else if removed > 0 {
+		x.srv.logger.Info("cache pruned",
+			"removed", removed, "freed_bytes", freed, "max_bytes", x.opts.CacheMaxBytes)
+	}
+}
+
+// Drain cancels every queued job and lets the workers finish what is
+// running: they exit once the queue is empty and the server draining.
+func (x *local) Drain(live []*Job) {
+	x.srv.mu.Lock()
+	for _, j := range live {
+		if j.status == StatusQueued {
+			x.finishQueuedLocked(j, "server shutting down")
+		}
+	}
+	x.cond.Broadcast()
+	x.srv.mu.Unlock()
+	x.wg.Wait()
+}
+
+// Metrics appends the daemon's own families: queue and worker gauges,
+// the engine's cache accounting, and the job latency histograms.
+func (x *local) Metrics(b *strings.Builder) {
+	c := x.opts.Engine.Snapshot()
+	cacheStats := x.opts.Engine.DiskCache().Stats()
+
+	x.srv.mu.Lock()
+	defer x.srv.mu.Unlock()
+	fmt.Fprintf(b, "# TYPE delrepd_jobs_queued gauge\ndelrepd_jobs_queued %d\n", x.queuedCount)
+	fmt.Fprintf(b, "# TYPE delrepd_workers gauge\ndelrepd_workers %d\n", x.opts.Workers)
+	fmt.Fprintf(b, "# TYPE delrepd_worker_utilization gauge\ndelrepd_worker_utilization %g\n",
+		float64(x.srv.running)/float64(x.opts.Workers))
+
+	fmt.Fprintf(b, "# TYPE delrepd_engine_runs_total counter\n")
+	fmt.Fprintf(b, "delrepd_engine_runs_total{source=\"executed\"} %d\n", c.Executed)
+	fmt.Fprintf(b, "delrepd_engine_runs_total{source=\"memo\"} %d\n", c.MemoHits)
+	fmt.Fprintf(b, "delrepd_engine_runs_total{source=\"disk\"} %d\n", c.DiskHits)
+	fmt.Fprintf(b, "delrepd_engine_runs_total{source=\"failed\"} %d\n", c.Failed)
+	// Hit ratio over resolved submissions: memo and disk hits per
+	// submission that produced a result.
+	if resolved := c.Executed + c.MemoHits + c.DiskHits; resolved > 0 {
+		fmt.Fprintf(b, "# TYPE delrepd_cache_hit_ratio gauge\ndelrepd_cache_hit_ratio %g\n",
+			float64(c.MemoHits+c.DiskHits)/float64(resolved))
+	} else {
+		fmt.Fprintf(b, "# TYPE delrepd_cache_hit_ratio gauge\ndelrepd_cache_hit_ratio 0\n")
+	}
+	fmt.Fprintf(b, "# TYPE delrepd_disk_cache_total counter\n")
+	fmt.Fprintf(b, "delrepd_disk_cache_total{result=\"hit\"} %d\n", cacheStats.Hits)
+	fmt.Fprintf(b, "delrepd_disk_cache_total{result=\"miss\"} %d\n", cacheStats.Misses)
+	fmt.Fprintf(b, "delrepd_disk_cache_total{result=\"corrupt\"} %d\n", cacheStats.Corrupt)
+
+	// Writes to a strings.Builder cannot fail.
+	_ = x.latency.WriteProm(b, "delrepd_job_seconds")
+	for _, fam := range []struct {
+		name  string
+		hists *[numPriorities]*stats.Histogram
+	}{
+		{"delrepd_job_queue_seconds", &x.queueWait},
+		{"delrepd_job_exec_seconds", &x.execTime},
+		{"delrepd_job_total_seconds", &x.totalTime},
+	} {
+		fmt.Fprintf(b, "# TYPE %s histogram\n", fam.name)
+		for p := Priority(0); p < numPriorities; p++ {
+			_ = fam.hists[p].WritePromLabeled(b, fam.name, fmt.Sprintf("priority=%q", p))
+		}
+	}
+}

@@ -1,252 +1,205 @@
-// Package serve exposes the simulator as a long-lived HTTP service:
+// Package serve is the one implementation of the simulation job API:
 // simulation-as-a-service on top of the deterministic parallel engine
-// in internal/runner.
+// in internal/runner. A Server owns everything that does not depend on
+// where a job runs — wire types, request validation, the job table and
+// its queued → running → {done, failed, cancelled} state machine,
+// ?wait, the SSE hub, traces, drain, health and the shared metrics —
+// and drives jobs through an Executor. There are two: the local
+// executor behind New (cmd/delrepd: a priority queue and worker pool
+// over a runner.Engine, local.go) and the fleet executor in
+// internal/fleet (cmd/delrepfleet: routing over a ring of delrepd
+// workers). Every client works against either binary unchanged.
 //
-// The daemon amortizes exactly what design-space sweeps need: many
-// clients submitting overlapping configuration points against one warm
-// content-addressed result cache. A job that hits the cache (on disk
-// or deduplicated in-process) short-circuits execution and returns a
-// result byte-identical — same stats digest, same float bit patterns —
-// to a direct delrepsim run of the same spec.
+// The API (all JSON unless noted; D = daemon only, C = coordinator
+// only):
 //
-// The API (all JSON unless noted):
-//
-//	POST   /v1/jobs             submit a spec; 202 with the job, or 429
-//	                            (Retry-After) when admission control
-//	                            rejects it. ?wait=1 blocks until the
-//	                            job finishes; a client that disconnects
-//	                            while waiting cancels its job.
-//	GET    /v1/jobs             list jobs, newest last
+//	POST   /v1/jobs             submit a spec; 202 with the job, 503
+//	                            once draining, or (D) 429 + Retry-After
+//	                            when admission control rejects it.
+//	                            ?wait=1 blocks until the job finishes; a
+//	                            client that disconnects while waiting
+//	                            cancels its job.
+//	GET    /v1/jobs             list jobs, newest last (no results)
 //	GET    /v1/jobs/{id}        job status, progress, and result
-//	GET    /v1/jobs/{id}/events server-sent events: status transitions
-//	                            and cycle-level progress
+//	GET    /v1/jobs/{id}/events server-sent events: a "status" event on
+//	                            subscription and at every transition,
+//	                            "progress" at the progress interval
+//	                            while the job runs, and the terminal
+//	                            "status", which ends the stream
 //	GET    /v1/jobs/{id}/trace  the job's wall-clock span tree as Chrome
 //	                            trace-event JSON (?format=tree for the
-//	                            nested form); requires Options.Telemetry
-//	DELETE /v1/jobs/{id}        cancel a queued or running job
-//	GET    /v1/cache/{key}      cached result by content address
-//	                            (runner.CacheAddr); 404 on miss. Lets a
-//	                            fleet coordinator use this daemon's warm
-//	                            disk cache as one shard of a distributed
-//	                            cache tier without enqueueing a job
+//	                            nested form); 404 with telemetry off
+//	DELETE /v1/jobs/{id}        cancel a queued or running job; answers
+//	                            once it is terminal (or after a 2 s
+//	                            grace); 409 if it already was
 //	GET    /healthz             liveness (always ok while serving)
-//	GET    /readyz              readiness (503 once draining)
-//	GET    /metrics             text exposition of queue depth, worker
-//	                            utilization, cache hit ratio, admission
-//	                            rejections, disk-cache outcomes, and
-//	                            latency histograms per priority class
+//	GET    /readyz              readiness: 503 "draining", or (C) 503
+//	                            "no ready workers"
+//	GET    /metrics             text exposition. Shared families:
+//	                            <p>_jobs_running, <p>_sse_subscribers,
+//	                            <p>_jobs_total{status},
+//	                            <p>_rejects_total{reason}, p = delrepd |
+//	                            delrepfleet; the rest is the executor's
+//	                            (testdata/metrics.*.golden lists both)
 //	GET    /debug/jobs          flight recorder: the last N completed
 //	                            jobs with their span trees (JSON)
-//	GET    /debug/status        human-oriented HTML status page
-//	GET    /debug/pprof/        net/http/pprof (Options.EnablePprof)
+//	GET    /v1/cache/{key}   D  cached result by content address
+//	                            (runner.CacheAddr); 404 on miss. Lets a
+//	                            coordinator use this daemon's warm disk
+//	                            cache as one shard of a distributed
+//	                            cache tier without enqueueing a job
+//	GET    /debug/status     D  human-oriented HTML status page
+//	GET    /debug/pprof/     D  net/http/pprof (Options.EnablePprof)
+//	GET    /v1/workers       C  the registry's view of the fleet
 //
 // Telemetry is strictly wall-clock instrumentation of the serving
 // layers: span timestamps never enter the simulation, so a traced
 // job's results and determinism digest are byte-identical to an
 // untraced (or direct delrepsim) run of the same spec.
 //
-// Admission control is two-layered: a bounded queue (a full queue
-// answers 429 with a Retry-After estimated from recent job latency)
-// and a per-client in-flight cap, so one greedy sweep cannot starve
-// interactive users. Scheduling is strict priority with FIFO order
-// within each level.
-//
 // Cancellation is cooperative end to end: DELETE (or a dropped ?wait
-// connection) cancels the job's context, the runner engine propagates
-// it into the simulation's cycle-window checkpoints (core.RunControl),
-// and the freed worker slot immediately dispatches the next queued
-// job. Cancelling one job never disturbs another that shares its
-// deduplicated future.
+// connection) cancels the job's context; the local executor's engine
+// propagates it into the simulation's cycle-window checkpoints
+// (core.RunControl) and the freed worker slot immediately dispatches
+// the next queued job, the fleet executor forwards it to the worker
+// holding the job. Cancelling one job never disturbs another that
+// shares its deduplicated future.
 package serve
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
-	netpprof "net/http/pprof"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"delrep/internal/config"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
-	"delrep/internal/stats"
 	"delrep/internal/telemetry"
 )
 
-// Options configures a Server.
-type Options struct {
-	// Engine runs the simulations. Required.
-	Engine *runner.Engine
-	// Workers bounds concurrently running jobs; <= 0 uses the engine's
-	// worker count.
-	Workers int
-	// QueueDepth bounds jobs waiting for a worker; a full queue rejects
-	// submissions with 429. <= 0 selects 64.
-	QueueDepth int
-	// ClientInFlight caps one client's queued+running jobs; 0 disables
-	// the cap.
-	ClientInFlight int
-	// CacheMaxBytes, when > 0, prunes the engine's disk cache (oldest
-	// entries first) to this size after each executed job, bounding a
-	// long-lived daemon's disk use.
-	CacheMaxBytes int64
-	// ProgressInterval is the SSE progress-event cadence for running
-	// jobs; <= 0 selects 500ms.
-	ProgressInterval time.Duration
-	// Logger receives structured logs (one record per job transition,
-	// admission rejection, prune, …); nil discards them. Every job
-	// record carries job/client/spec-key attrs, so one job's lifecycle
-	// greps out of a mixed stream.
-	Logger *slog.Logger
-	// Telemetry records a wall-clock span tree per job (exported by
-	// GET /v1/jobs/{id}/trace) and feeds the flight recorder behind
-	// /debug/jobs. Off by default: a nil trace costs one pointer check
-	// per instrumentation site and nothing else.
-	Telemetry bool
-	// FlightSize bounds the flight recorder's ring of completed-job
-	// summaries (<= 0 selects 128). Only meaningful with Telemetry.
-	FlightSize int
-	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
-	// CPU/heap/goroutine profiling of the daemon.
-	EnablePprof bool
-	// MaxRunParallel caps the intra-run tile parallelism a job's spec
-	// may request ("parallel" field). <= 0 disables intra-run
-	// parallelism entirely: every job runs serial, exactly as before
-	// the tile tick existed. The cap is admission-aware — a requested
-	// N is additionally clamped to the cap divided by the number of
-	// running jobs at dispatch, so a busy daemon never oversubscribes
-	// cores it is already using to run jobs side by side. Clamping is
-	// behavior-neutral: results are bit-identical at any worker count,
-	// so this knob trades wall time only.
-	MaxRunParallel int
+// Executor is where admitted jobs run: the one seam between the job
+// API and what is different about a binary. The Server guarantees an
+// executor that Admit is atomic with the draining check and the table
+// insert, that every admitted job's Context is cancelled before Cancel
+// is called for it, and that Job.Running / SetProgress / Finish may be
+// called from any goroutine at any time (Finish is idempotent; a job
+// cancelled or finished early simply ignores later transitions). The
+// executor owes the Server one Finish per admitted job.
+//
+// Lock order is Server.mu → executor-private locks: Admit runs with
+// Server.mu held and must not block or call back into Job methods; no
+// other Executor method is called under it, and an executor never
+// holds a lock of its own while calling a Job method.
+type Executor interface {
+	// Admit accepts the job — from here on the executor runs it and
+	// will Finish it — or says why not. req is the body as submitted
+	// (client filled in from X-Delrep-Client when absent), cfg its
+	// resolved configuration.
+	Admit(j *Job, req SubmitRequest, cfg config.Config) *Rejection
+	// Cancel follows the cancellation of j's context. A job that is
+	// still waiting for the executor to pick it up must finish now;
+	// one being run is finished by whoever is watching its context.
+	Cancel(j *Job)
+	// Drain is called once, by Shutdown, after admission has closed,
+	// with the jobs not yet terminal. It cancels those the executor
+	// will not see through and returns when the executor runs nothing
+	// any more. Past Shutdown's deadline the Server cancels the rest.
+	Drain(live []*Job)
+	// Ready reports whether submissions can currently be served; the
+	// reason is the /readyz body when they cannot.
+	Ready() (ok bool, reason string)
+	// Metrics appends the executor's own /metrics families.
+	Metrics(b *strings.Builder)
+	// Routes registers the executor's extra endpoints.
+	Routes(mux *http.ServeMux)
 }
 
-// Server is the simulation daemon. Create with New; serve its
-// Handler; stop with Shutdown.
+// Rejection is an Executor's refusal to admit a job. The Server counts
+// it under <prefix>_rejects_total{reason}, logs it, and answers Status
+// with Message in the error envelope (and Retry-After when positive).
+type Rejection struct {
+	Reason     string
+	Status     int
+	RetryAfter int // seconds
+	Message    string
+}
+
+// Server is the job API over one Executor. Build a daemon with New, a
+// coordinator with fleet.New; serve its Handler; stop with Shutdown.
 type Server struct {
-	eng           *runner.Engine
-	workers       int
-	queueDepth    int
-	clientCap     int
-	maxParallel   int
-	cacheMax      int64
+	exec          Executor
+	idPrefix      string // "j" | "f": job ids are prefix + %06d
+	metricPrefix  string // "delrepd" | "delrepfleet"
 	progressEvery time.Duration
 	logger        *slog.Logger
-	telemetry     bool
 	flight        *telemetry.FlightRecorder // nil when telemetry is off
-	started       time.Time
 	mux           *http.ServeMux
-	wg            sync.WaitGroup
-	pruneMu       sync.Mutex
 
 	mu           sync.Mutex
-	cond         *sync.Cond
 	jobs         map[string]*Job
 	order        []*Job // submission order, for listing
-	queue        [numPriorities][]*Job
-	queuedCount  int
-	runningCount int
-	inflight     map[string]int // client -> queued+running jobs
 	seq          int
 	draining     bool
-	sseSubs      int // live SSE subscriber channels
-
-	latency      *stats.Histogram                // completed-job wall seconds (all priorities)
-	queueWait    [numPriorities]*stats.Histogram // admission → dispatch, per priority
-	execTime     [numPriorities]*stats.Histogram // dispatch → terminal, per priority
-	totalTime    [numPriorities]*stats.Histogram // submit → terminal, per priority
-	statusCounts map[Status]int64                // terminal outcomes
-	rejects      map[string]int64                // admission rejections by reason
+	running      int              // jobs in StatusRunning
+	sseSubs      int              // live SSE subscriber channels
+	statusCounts map[Status]int64 // terminal outcomes
+	rejects      map[string]int64 // admission rejections by reason
 }
 
-// New builds a Server and starts its worker pool.
-func New(opts Options) *Server {
-	if opts.Engine == nil {
-		panic("serve: Options.Engine is required")
+// NewServer builds the job API over exec. idPrefix and metricPrefix
+// are what the two binaries' wire surfaces differ by. A nil logger
+// discards, flightSize <= 0 selects 128, progressEvery <= 0 selects
+// 500ms.
+func NewServer(exec Executor, idPrefix, metricPrefix string,
+	logger *slog.Logger, telemetryOn bool, flightSize int, progressEvery time.Duration) *Server {
+	if logger == nil {
+		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	if progressEvery <= 0 {
+		progressEvery = 500 * time.Millisecond
 	}
 	s := &Server{
-		eng:           opts.Engine,
-		workers:       opts.Workers,
-		queueDepth:    opts.QueueDepth,
-		clientCap:     opts.ClientInFlight,
-		maxParallel:   opts.MaxRunParallel,
-		cacheMax:      opts.CacheMaxBytes,
-		progressEvery: opts.ProgressInterval,
-		logger:        opts.Logger,
-		telemetry:     opts.Telemetry,
+		exec:          exec,
+		idPrefix:      idPrefix,
+		metricPrefix:  metricPrefix,
+		progressEvery: progressEvery,
+		logger:        logger,
+		mux:           http.NewServeMux(),
 		jobs:          map[string]*Job{},
-		inflight:      map[string]int{},
-		// 60 one-second buckets; sweeps that run longer land in +Inf.
-		latency:      stats.NewHistogram(60, 1),
-		statusCounts: map[Status]int64{},
-		rejects:      map[string]int64{},
+		statusCounts:  map[Status]int64{},
+		rejects:       map[string]int64{"draining": 0},
 	}
-	//simlint:ignore rngsource daemon start timestamp, outside any simulation
-	s.started = time.Now()
-	for p := 0; p < int(numPriorities); p++ {
-		s.queueWait[p] = stats.NewHistogram(60, 1)
-		s.execTime[p] = stats.NewHistogram(60, 1)
-		s.totalTime[p] = stats.NewHistogram(60, 1)
+	if telemetryOn {
+		s.flight = telemetry.NewFlightRecorder(flightSize)
 	}
-	if s.workers <= 0 {
-		s.workers = opts.Engine.Workers()
-	}
-	if s.queueDepth <= 0 {
-		s.queueDepth = 64
-	}
-	if s.progressEvery <= 0 {
-		s.progressEvery = 500 * time.Millisecond
-	}
-	if s.logger == nil {
-		s.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if s.telemetry {
-		s.flight = telemetry.NewFlightRecorder(opts.FlightSize)
-	}
-	s.cond = sync.NewCond(&s.mu)
-	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/jobs", s.handleDebugJobs)
-	s.mux.HandleFunc("GET /debug/status", s.handleDebugStatus)
-	if opts.EnablePprof {
-		s.mux.HandleFunc("GET /debug/pprof/", netpprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", netpprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", netpprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", netpprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", netpprof.Trace)
-	}
-	for i := 0; i < s.workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	exec.Routes(s.mux)
 	return s
 }
 
 // Handler returns the HTTP handler serving the API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Workers returns the concurrent-job bound.
-func (s *Server) Workers() int { return s.workers }
-
-// SubmitRequest is the POST /v1/jobs body — shared wire format:
-// delrepd and the fleet coordinator accept the same shape, and the
-// coordinator forwards it (spec as submitted, priority, client)
-// verbatim to the worker it routes the job to.
+// SubmitRequest is the POST /v1/jobs body. The coordinator forwards it
+// (spec as submitted, priority, client) verbatim to the worker it
+// routes the job to.
 type SubmitRequest struct {
 	Spec     simspec.Spec `json:"spec"`
 	Priority string       `json:"priority,omitempty"`
@@ -270,15 +223,32 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// lookup resolves the {id} path segment, answering 404 itself when no
+// such job exists.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
+	s.mu.Lock()
+	j := s.jobs[r.PathValue("id")]
+	s.mu.Unlock()
+	if j == nil {
+		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+	}
+	return j
+}
+
+func (s *Server) view(j *Job) JobView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.viewLocked()
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The trace opens before decoding so http.receive covers the full
 	// request-side cost; it is discarded again on any rejection path.
 	var tr *telemetry.Trace
-	var recv *telemetry.Span
-	if s.telemetry {
+	if s.flight != nil {
 		tr = telemetry.New("job")
-		recv = tr.Root().Start("http.receive")
 	}
+	recv := tr.Root().Start("http.receive")
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
@@ -296,96 +266,53 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	client := req.Client
-	if client == "" {
-		client = r.Header.Get("X-Delrep-Client")
+	if req.Client == "" {
+		req.Client = r.Header.Get("X-Delrep-Client")
 	}
 	specKey := runner.KeyHash(cfg, norm.GPU, norm.CPU)
 	recv.End()
 
 	adm := tr.Root().Start("admission")
-	s.mu.Lock()
-	if s.draining {
-		s.rejects["draining"]++
-		s.mu.Unlock()
-		s.logger.InfoContext(r.Context(), "submit rejected", "reason", "draining", "client", client, "spec_key", specKey)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if s.clientCap > 0 && s.inflight[client] >= s.clientCap {
-		retry := s.retryAfterLocked()
-		s.rejects["client_cap"]++
-		s.mu.Unlock()
-		s.logger.InfoContext(r.Context(), "submit rejected", "reason", "client_cap", "client", client, "spec_key", specKey)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests,
-			"client %q already has %d jobs in flight (cap %d)", client, s.clientCap, s.clientCap)
-		return
-	}
-	if s.queuedCount >= s.queueDepth {
-		retry := s.retryAfterLocked()
-		s.rejects["queue_full"]++
-		s.mu.Unlock()
-		s.logger.InfoContext(r.Context(), "submit rejected", "reason", "queue_full", "client", client, "spec_key", specKey)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests,
-			"job queue is full (%d queued)", s.queueDepth)
-		return
-	}
-	s.seq++
 	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
 	ctx, cancel := context.WithCancel(context.Background())
-	//simlint:ignore rngsource daemon job timestamp, outside any simulation
-	created := time.Now()
 	j := &Job{
-		id:      fmt.Sprintf("j%06d", s.seq),
-		client:  client,
+		srv:     s,
+		client:  req.Client,
 		prio:    prio,
 		spec:    norm,
-		cfg:     cfg,
 		specKey: specKey,
-		// Resolve zeroed norm.Parallel (execution hints are not
-		// identity), so the request's hint is carried separately.
-		reqParallel: req.Spec.Parallel,
-		ctx:         ctx,
-		cancel:      cancel,
-		doneCh:      make(chan struct{}),
-		status:      StatusQueued,
-		created:     created,
-		subs:        map[chan sseEvent]struct{}{},
-		trace:       tr,
+		ctx:     ctx,
+		cancel:  cancel,
+		doneCh:  make(chan struct{}),
+		status:  StatusQueued,
+		trace:   tr,
 	}
-	j.log = s.logger.With("job", j.id, "client", client, "spec_key", specKey)
-	if tr != nil {
-		tr.Root().Set("job", j.id)
-		tr.Root().Set("client", client)
-		tr.Root().Set("spec_key", specKey)
-		tr.Root().Set("priority", prio.String())
-		adm.End()
-		j.spanQueue = tr.Root().Start("queue.wait")
+	s.mu.Lock()
+	if rej := s.admitLocked(j, req, cfg); rej != nil {
+		s.rejects[rej.Reason]++
+		s.mu.Unlock()
+		cancel()
+		s.logger.InfoContext(r.Context(), "submit rejected", "reason", rej.Reason, "client", req.Client, "spec_key", specKey)
+		if rej.RetryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(rej.RetryAfter))
+		}
+		writeError(w, rej.Status, "%s", rej.Message)
+		return
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
-	s.queue[prio] = append(s.queue[prio], j)
-	s.queuedCount++
-	s.inflight[client]++
+	adm.End()
 	view := j.viewLocked()
-	s.cond.Signal()
 	s.mu.Unlock()
-	j.log.InfoContext(r.Context(), "job queued",
+	j.log.InfoContext(r.Context(), "job accepted",
 		"gpu", norm.GPU, "cpu", norm.CPU, "scheme", norm.Scheme, "priority", prio.String())
 
 	if r.URL.Query().Has("wait") {
 		select {
 		case <-j.doneCh:
-			s.mu.Lock()
-			view = j.viewLocked()
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, view)
+			writeJSON(w, http.StatusOK, s.view(j))
 		case <-r.Context().Done():
 			// The waiting client went away: its job goes with it, so a
 			// dropped connection cannot pin a worker slot.
-			s.cancelJob(j)
+			j.Cancel()
 		}
 		return
 	}
@@ -393,21 +320,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, view)
 }
 
-// retryAfterLocked estimates seconds until a queue slot frees up:
-// recent mean job latency times the queue backlog per worker.
-func (s *Server) retryAfterLocked() int {
-	mean := s.latency.Mean()
-	if s.latency.Count() == 0 || mean <= 0 {
-		return 1
+// admitLocked is the admission critical section: the draining gate,
+// id allocation, the executor's verdict and the table insert happen
+// under one hold of s.mu, so a job is either refused or both in the
+// table and owned by the executor.
+func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config) *Rejection {
+	if s.draining {
+		return &Rejection{Reason: "draining", Status: http.StatusServiceUnavailable, Message: "server is draining"}
 	}
-	est := int(math.Ceil(mean * float64(s.queuedCount+1) / float64(s.workers)))
-	if est < 1 {
-		est = 1
+	j.id = fmt.Sprintf("%s%06d", s.idPrefix, s.seq+1)
+	//simlint:ignore rngsource job timestamp, outside any simulation
+	j.created = time.Now()
+	j.log = s.logger.With("job", j.id, "client", j.client, "spec_key", j.specKey)
+	if root := j.Span(); root != nil {
+		root.Set("job", j.id)
+		root.Set("client", j.client)
+		root.Set("spec_key", j.specKey)
+		root.Set("priority", j.prio.String())
 	}
-	if est > 600 {
-		est = 600
+	if rej := s.exec.Admit(j, req, cfg); rej != nil {
+		return rej
 	}
-	return est
+	s.seq++
+	s.jobs[j.id] = j
+	s.order = append(s.order, j)
+	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -425,247 +362,89 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
+	if j := s.lookup(w, r); j != nil {
+		writeJSON(w, http.StatusOK, s.view(j))
 	}
-	view := j.viewLocked()
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+	j := s.lookup(w, r)
+	if j == nil {
 		return
 	}
-	if j.status.Terminal() {
-		view := j.viewLocked()
-		s.mu.Unlock()
+	if view := s.view(j); view.Status.Terminal() {
 		writeJSON(w, http.StatusConflict, view)
 		return
 	}
-	s.mu.Unlock()
-	s.cancelJob(j)
-	s.mu.Lock()
-	view := j.viewLocked()
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, view)
+	j.Cancel()
+	// Give the executor a moment to converge so the response normally
+	// carries the terminal view (a waiting job is terminal at once, a
+	// running simulation at its next checkpoint, a remote one after the
+	// worker's answer); it finishes asynchronously regardless.
+	grace := time.NewTimer(2 * time.Second)
+	defer grace.Stop()
+	select {
+	case <-j.doneCh:
+	case <-grace.C:
+	}
+	writeJSON(w, http.StatusOK, s.view(j))
 }
 
-// cancelJob cancels a job in any non-terminal state: a queued job
-// finishes immediately as cancelled; a running job's context is
-// cancelled and its worker completes the transition at the next
-// simulation checkpoint.
-func (s *Server) cancelJob(j *Job) {
-	s.mu.Lock()
-	if j.status == StatusQueued {
-		s.finishQueuedLocked(j, "cancelled before start")
-		s.mu.Unlock()
-		j.cancel()
+// startLocked is the queued → running transition; callers hold s.mu
+// and publish it with notifyLocked once the job's view is complete.
+func (s *Server) startLocked(j *Job) {
+	if j.status == StatusRunning {
 		return
 	}
-	s.mu.Unlock()
-	// Running (or already terminal, in which case this is a no-op):
-	// the worker owns the bookkeeping.
-	j.cancel()
+	j.status = StatusRunning
+	//simlint:ignore rngsource job timestamp, outside any simulation
+	j.started = time.Now()
+	s.running++
 }
 
-// finishQueuedLocked retires a job that never started. Callers hold
-// s.mu and must call j.cancel() afterwards (outside the transition) to
-// release the context's resources.
-func (s *Server) finishQueuedLocked(j *Job, msg string) {
-	j.status = StatusCancelled
-	j.errMsg = msg
-	//simlint:ignore rngsource daemon job timestamp, outside any simulation
+// settleLocked is the first half of finishing a job: it records the
+// outcome and counts it. The job is terminal afterwards but nobody has
+// been told; publishLocked is the second half. (Two halves because the
+// local executor times the encode and reply spans between them.)
+func (s *Server) settleLocked(j *Job, out Outcome) {
+	if j.status == StatusRunning {
+		s.running--
+	}
+	j.status = out.Status
+	//simlint:ignore rngsource job timestamp, outside any simulation
 	j.finished = time.Now()
-	j.spanQueue.End()
-	j.spanQueue = nil
-	s.queuedCount--
-	s.dropInflightLocked(j.client)
-	s.statusCounts[StatusCancelled]++
-	s.totalTime[j.prio].Add(j.finished.Sub(j.created).Seconds())
+	if out.Status == StatusDone && j.started.IsZero() {
+		// Answered without running (the coordinator's cache tier): a
+		// done job started, at the latest, when it finished.
+		j.started = j.finished
+	}
+	if out.Worker != "" {
+		j.worker = out.Worker
+	}
+	j.out = out
+	j.progress = nil
+	s.statusCounts[out.Status]++
+}
+
+// publishLocked tells subscribers and ?wait callers that the job is
+// terminal.
+func (s *Server) publishLocked(j *Job) {
 	s.notifyLocked(j)
 	close(j.doneCh)
-	s.retireTrace(j, j.viewLocked(), StatusCancelled)
-	j.log.Info("job cancelled while queued", "reason", msg)
 }
 
-func (s *Server) dropInflightLocked(client string) {
-	if s.inflight[client]--; s.inflight[client] <= 0 {
-		delete(s.inflight, client)
-	}
-}
-
-// worker dispatches queued jobs until shutdown drains the queue.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		j := s.next()
-		if j == nil {
-			return
-		}
-		s.runJob(j)
-	}
-}
-
-// next blocks until a job is dispatchable and marks it running.
-// Highest priority wins; FIFO within a priority. Returns nil when the
-// server is draining and the queue is empty.
-func (s *Server) next() *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for p := numPriorities - 1; p >= 0; p-- {
-			for len(s.queue[p]) > 0 {
-				j := s.queue[p][0]
-				s.queue[p] = s.queue[p][1:]
-				if j.status != StatusQueued {
-					continue // cancelled while queued; already retired
-				}
-				if j.ctx.Err() != nil {
-					// Cancelled through its context (a vanished ?wait
-					// client) without going through cancelJob.
-					s.finishQueuedLocked(j, "cancelled before start")
-					continue
-				}
-				s.queuedCount--
-				j.status = StatusRunning
-				//simlint:ignore rngsource daemon job timestamp, outside any simulation
-				j.started = time.Now()
-				j.spanQueue.End()
-				j.spanQueue = nil
-				s.queueWait[j.prio].Add(j.started.Sub(j.created).Seconds())
-				s.runningCount++
-				j.parallel = s.effectiveParallelLocked(j.reqParallel)
-				s.notifyLocked(j)
-				return j
-			}
-		}
-		if s.draining {
-			return nil
-		}
-		s.cond.Wait()
-	}
-}
-
-// effectiveParallelLocked clamps a job's requested intra-run
-// parallelism against the server cap and the current load. The
-// admission-aware term divides the cap by the number of running jobs
-// (including the one being dispatched), so concurrent jobs share the
-// tile-worker budget instead of each grabbing the full cap. Because
-// results are bit-identical at any worker count, the clamp can never
-// change what a job returns — only how fast.
-func (s *Server) effectiveParallelLocked(requested int) int {
-	if requested <= 1 || s.maxParallel <= 1 {
-		return 1
-	}
-	eff := requested
-	if eff > s.maxParallel {
-		eff = s.maxParallel
-	}
-	if share := s.maxParallel / s.runningCount; eff > share {
-		eff = share
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
-}
-
-// runJob executes one dispatched job on the engine and retires it.
-func (s *Server) runJob(j *Job) {
-	rspec := runner.Spec{Cfg: j.cfg, GPU: j.spec.GPU, CPU: j.spec.CPU}
-	var root *telemetry.Span
-	if j.trace != nil {
-		root = j.trace.Root()
-	}
-	submitSpan := root.Start("runner.submit")
-	runCtx := telemetry.ContextWithSpan(j.ctx, submitSpan)
-	var run runner.Run
-	for {
-		// j.parallel was fixed at dispatch by the same goroutine (next
-		// runs in this worker), so the unlocked read is ordered.
-		fut := s.eng.SubmitCtxParallel(runCtx, rspec, j.parallel)
-		s.mu.Lock()
-		j.fut = fut
-		s.mu.Unlock()
-		run = fut.Wait()
-		if run.Err == nil || j.ctx.Err() != nil || !errors.Is(run.Err, context.Canceled) {
-			break
-		}
-		// The shared future was cancelled by a different job's waiter
-		// between our submission and completion; this job is still
-		// wanted, so resubmit (the failed future has left the memo).
-	}
-	submitSpan.Set("source", run.Source.String())
-	submitSpan.End()
-
-	//simlint:ignore rngsource daemon job timestamp, outside any simulation
-	now := time.Now()
-	s.mu.Lock()
-	j.finished = now
-	s.runningCount--
-	s.dropInflightLocked(j.client)
-	s.latency.Add(now.Sub(j.started).Seconds())
-	s.execTime[j.prio].Add(now.Sub(j.started).Seconds())
-	s.totalTime[j.prio].Add(now.Sub(j.created).Seconds())
-	switch {
-	case run.Err == nil:
-		j.run = run
-		j.status = StatusDone
-	case j.ctx.Err() != nil && errors.Is(run.Err, context.Canceled):
-		j.status = StatusCancelled
-		j.errMsg = "cancelled"
-	default:
-		j.status = StatusFailed
-		j.errMsg = run.Err.Error()
-	}
-	s.statusCounts[j.status]++
-	// encode measures rendering the terminal job view — the bytes every
-	// poller and ?wait response will receive from here on.
-	if enc := root.Start("encode"); enc != nil {
-		if b, err := json.Marshal(j.viewLocked()); err == nil {
-			enc.Set("bytes", len(b))
-		}
-		enc.End()
-	}
-	reply := root.Start("reply")
-	s.notifyLocked(j)
-	close(j.doneCh)
-	reply.End()
-	status, errMsg := j.status, j.errMsg
-	view := j.viewLocked()
-	s.mu.Unlock()
-
-	s.retireTrace(j, view, status)
-	if errMsg != "" {
-		j.log.InfoContext(runCtx, "job finished", "status", status, "error", errMsg,
-			"seconds", now.Sub(j.started).Seconds())
-	} else {
-		j.log.InfoContext(runCtx, "job finished", "status", status, "source", run.Source.String(),
-			"seconds", now.Sub(j.started).Seconds())
-	}
-	if status == StatusDone && run.Source == runner.SourceExecuted {
-		s.maybePrune()
-	}
-}
-
-// retireTrace closes a finished job's trace and files its flight-
-// recorder entry. Callers may hold s.mu (lock order is s.mu →
-// trace.mu, never reversed); the job fields read here are immutable
-// once the job is terminal.
-func (s *Server) retireTrace(j *Job, view JobView, status Status) {
+// retire releases a finished job's context, logs the outcome, closes
+// its trace and files its flight-recorder entry. The job fields read
+// here are immutable once the job is terminal, so s.mu is not needed;
+// a caller may hold it (lock order is s.mu → trace.mu, never reversed).
+func (s *Server) retire(j *Job) {
+	j.cancel()
+	j.log.Info("job finished", "status", j.status, "source", j.out.Source, "error", j.out.Error,
+		"worker", j.worker, "seconds", j.finished.Sub(j.created).Seconds())
 	if j.trace == nil {
 		return
 	}
-	j.trace.Root().Set("outcome", string(status))
+	j.trace.Root().Set("outcome", string(j.status))
 	j.trace.End()
 	rec := telemetry.JobRecord{
 		ID:       j.id,
@@ -673,9 +452,9 @@ func (s *Server) retireTrace(j *Job, view JobView, status Status) {
 		Priority: j.prio.String(),
 		Spec:     fmt.Sprintf("%s+%s %s", j.spec.GPU, j.spec.CPU, j.spec.Scheme),
 		SpecKey:  j.specKey,
-		Outcome:  string(status),
-		Source:   view.Source,
-		Error:    view.Error,
+		Outcome:  string(j.status),
+		Source:   j.out.Source,
+		Error:    j.out.Error,
 		Created:  j.created,
 		TotalUS:  j.finished.Sub(j.created).Microseconds(),
 		Trace:    j.trace.Snapshot(),
@@ -684,29 +463,9 @@ func (s *Server) retireTrace(j *Job, view JobView, status Status) {
 		rec.QueueUS = j.started.Sub(j.created).Microseconds()
 		rec.ExecUS = j.finished.Sub(j.started).Microseconds()
 	} else {
-		rec.QueueUS = rec.TotalUS // cancelled while queued
+		rec.QueueUS = rec.TotalUS // never ran
 	}
 	s.flight.Record(rec)
-}
-
-// maybePrune bounds the disk cache after an executed (cache-growing)
-// run. Skipped when a prune is already in progress.
-func (s *Server) maybePrune() {
-	cache := s.eng.DiskCache()
-	if s.cacheMax <= 0 || cache == nil {
-		return
-	}
-	if !s.pruneMu.TryLock() {
-		return
-	}
-	defer s.pruneMu.Unlock()
-	removed, freed, err := cache.Prune(s.cacheMax)
-	if err != nil {
-		s.logger.Warn("cache prune failed", "error", err)
-	} else if removed > 0 {
-		s.logger.Info("cache pruned",
-			"removed", removed, "freed_bytes", freed, "max_bytes", s.cacheMax)
-	}
 }
 
 // handleTrace exports a job's telemetry span tree. The default format
@@ -714,15 +473,12 @@ func (s *Server) maybePrune() {
 // ?format=tree answers the nested SpanView rendering instead. An
 // unfinished job's open spans are snapshotted as running to "now".
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+	j := s.lookup(w, r)
+	if j == nil {
 		return
 	}
 	if j.trace == nil {
-		writeError(w, http.StatusNotFound, "telemetry is disabled; start the daemon with -telemetry")
+		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
 		return
 	}
 	if r.URL.Query().Get("format") == "tree" {
@@ -735,46 +491,102 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Shutdown stops admission, cancels every queued job, and drains
-// running jobs. If ctx expires first, running jobs are cancelled at
-// their next simulation checkpoint and Shutdown returns ctx's error
-// once the workers exit.
+// handleDebugJobs dumps the flight recorder: summaries (with span
+// trees) of the last N completed jobs, newest first. 404 when
+// telemetry is off.
+func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
+	if s.flight == nil {
+		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
+		return
+	}
+	writeJSON(w, http.StatusOK, struct {
+		Total    int64                 `json:"total"`
+		Capacity int                   `json:"capacity"`
+		Jobs     []telemetry.JobRecord `json:"jobs"`
+	}{s.flight.Total(), s.flight.Cap(), s.flight.Snapshot()})
+}
+
+// handleHealthz is liveness: the process is up and serving HTTP.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+// handleReadyz is readiness: 200 while accepting jobs the executor can
+// serve; 503 once draining or when the executor says it cannot (a
+// coordinator whose whole fleet is down), so load balancers stop
+// routing new submissions here.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	ok, body := false, "draining"
+	if !draining {
+		if ok, body = s.exec.Ready(); ok {
+			body = "ready"
+		}
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if !ok {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	fmt.Fprintln(w, body)
+}
+
+// handleMetrics writes the Prometheus text exposition: the families
+// every binary shares, then the executor's own.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var b strings.Builder
+	p := s.metricPrefix
+	s.mu.Lock()
+	fmt.Fprintf(&b, "# TYPE %s_jobs_running gauge\n%s_jobs_running %d\n", p, p, s.running)
+	fmt.Fprintf(&b, "# TYPE %s_sse_subscribers gauge\n%s_sse_subscribers %d\n", p, p, s.sseSubs)
+	fmt.Fprintf(&b, "# TYPE %s_jobs_total counter\n", p)
+	for _, st := range []Status{StatusDone, StatusFailed, StatusCancelled} {
+		fmt.Fprintf(&b, "%s_jobs_total{status=%q} %d\n", p, st, s.statusCounts[st])
+	}
+	fmt.Fprintf(&b, "# TYPE %s_rejects_total counter\n", p)
+	reasons := make([]string, 0, len(s.rejects))
+	for reason := range s.rejects {
+		reasons = append(reasons, reason)
+	}
+	sort.Strings(reasons)
+	for _, reason := range reasons {
+		fmt.Fprintf(&b, "%s_rejects_total{reason=%q} %d\n", p, reason, s.rejects[reason])
+	}
+	s.mu.Unlock()
+	s.exec.Metrics(&b)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	fmt.Fprint(w, b.String())
+}
+
+// Shutdown stops admission and hands the live jobs to the executor's
+// Drain. If ctx expires first, every job still live is cancelled and
+// Shutdown returns ctx's error once the executor has wound down.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	var retired []*Job
-	for p := range s.queue {
-		for _, j := range s.queue[p] {
-			if j.status == StatusQueued {
-				s.finishQueuedLocked(j, "server shutting down")
-				retired = append(retired, j)
-			}
+	var live []*Job
+	for _, j := range s.order {
+		if !j.status.Terminal() {
+			live = append(live, j)
 		}
-		s.queue[p] = nil
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	for _, j := range retired {
-		j.cancel()
-	}
 
-	done := make(chan struct{})
+	idle := make(chan struct{})
 	go func() {
-		s.wg.Wait()
-		close(done)
+		s.exec.Drain(live)
+		close(idle)
 	}()
 	select {
-	case <-done:
+	case <-idle:
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		for _, j := range s.order {
-			if j.status == StatusRunning {
-				j.cancel()
-			}
+		for _, j := range live {
+			j.Cancel()
 		}
-		s.mu.Unlock()
-		<-done
+		<-idle
 		return ctx.Err()
 	}
 }

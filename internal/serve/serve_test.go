@@ -190,7 +190,7 @@ func TestEndToEndByteIdentical(t *testing.T) {
 // are capped by MaxRunParallel, then by the per-running-job share of
 // the cap, and never drop below serial.
 func TestEffectiveParallelClamp(t *testing.T) {
-	s := &Server{maxParallel: 8}
+	s := &local{opts: Options{MaxRunParallel: 8}, srv: &Server{}}
 	cases := []struct{ req, running, want int }{
 		{0, 1, 1},  // no hint: serial
 		{1, 1, 1},  // explicit serial
@@ -200,14 +200,14 @@ func TestEffectiveParallelClamp(t *testing.T) {
 		{8, 10, 1}, // heavy load floors at serial
 	}
 	for _, c := range cases {
-		s.runningCount = c.running
+		s.srv.running = c.running
 		if got := s.effectiveParallelLocked(c.req); got != c.want {
 			t.Errorf("effectiveParallel(req=%d, running=%d) = %d, want %d",
 				c.req, c.running, got, c.want)
 		}
 	}
-	s.maxParallel = 0
-	s.runningCount = 1
+	s.opts.MaxRunParallel = 0
+	s.srv.running = 1
 	if got := s.effectiveParallelLocked(8); got != 1 {
 		t.Errorf("cap disabled: effectiveParallel = %d, want 1", got)
 	}

@@ -34,8 +34,13 @@ func (s *Server) notifyLocked(j *Job) {
 // subscribe registers an event channel on the job; the returned func
 // removes it.
 func (s *Server) subscribe(j *Job) (chan sseEvent, func()) {
+	// Room for every transition a job can make plus failover repeats;
+	// an overflowing subscriber is caught up by the terminal event.
 	ch := make(chan sseEvent, 8)
 	s.mu.Lock()
+	if j.subs == nil {
+		j.subs = map[chan sseEvent]struct{}{}
+	}
 	j.subs[ch] = struct{}{}
 	s.sseSubs++
 	s.mu.Unlock()
@@ -45,6 +50,13 @@ func (s *Server) subscribe(j *Job) (chan sseEvent, func()) {
 		s.sseSubs--
 		s.mu.Unlock()
 	}
+}
+
+// terminal reports whether the event is a terminal status event, the
+// one that ends a stream.
+func (ev sseEvent) terminal() bool {
+	view, ok := ev.data.(JobView)
+	return ok && view.Status.Terminal()
 }
 
 func writeSSE(w http.ResponseWriter, f http.Flusher, ev sseEvent) error {
@@ -61,15 +73,13 @@ func writeSSE(w http.ResponseWriter, f http.Flusher, ev sseEvent) error {
 
 // handleEvents streams a job's lifecycle as server-sent events: a
 // "status" event on subscription and at every transition, "progress"
-// events at the configured interval while the job runs, and a final
-// "status" event carrying the terminal view (including the result for
-// completed jobs), after which the stream ends.
+// events at the configured interval while the job runs and has a
+// progress source, and a final "status" event carrying the terminal
+// view (including the result for completed jobs), after which the
+// stream ends.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+	j := s.lookup(w, r)
+	if j == nil {
 		return
 	}
 	f, ok := w.(http.Flusher)
@@ -87,36 +97,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(s.progressEvery)
 	defer ticker.Stop()
 
-	emitView := func() (terminal bool, err error) {
-		s.mu.Lock()
-		view := j.viewLocked()
-		s.mu.Unlock()
-		return view.Status.Terminal(), writeSSE(w, f, sseEvent{name: "status", data: view})
+	emit := func(ev sseEvent) (done bool) {
+		return writeSSE(w, f, ev) != nil || ev.terminal()
 	}
-	if terminal, err := emitView(); terminal || err != nil {
+	if emit(sseEvent{name: "status", data: s.view(j)}) {
 		return
 	}
 	for {
 		select {
 		case ev := <-ch:
-			if err := writeSSE(w, f, ev); err != nil {
-				return
-			}
-			if view, ok := ev.data.(JobView); ok && view.Status.Terminal() {
+			if emit(ev) {
 				return
 			}
 		case <-ticker.C:
 			s.mu.Lock()
 			var pv *ProgressView
-			if j.status == StatusRunning && j.fut != nil {
-				done, total := j.fut.Progress()
+			if j.status == StatusRunning && j.progress != nil {
+				done, total := j.progress()
 				pv = &ProgressView{CyclesDone: done, CyclesTotal: total}
 			}
 			s.mu.Unlock()
-			if pv == nil {
-				continue
-			}
-			if err := writeSSE(w, f, sseEvent{name: "progress", data: pv}); err != nil {
+			if pv != nil && emit(sseEvent{name: "progress", data: pv}) {
 				return
 			}
 		case <-j.doneCh:
@@ -125,10 +126,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			for {
 				select {
 				case ev := <-ch:
-					if err := writeSSE(w, f, ev); err != nil {
-						return
-					}
-					if view, ok := ev.data.(JobView); ok && view.Status.Terminal() {
+					if emit(ev) {
 						return
 					}
 					continue
@@ -136,7 +134,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 				break
 			}
-			_, _ = emitView()
+			emit(sseEvent{name: "status", data: s.view(j)})
 			return
 		case <-r.Context().Done():
 			return
