@@ -9,16 +9,17 @@
 //	delrepfleet -addr :9090 \
 //	    -worker http://sim1:8080 -worker http://sim2:8080
 //
-// Routing is consistent hashing over the run's content-addressed cache
-// key, so repeated sweeps of overlapping configuration points land on
-// the worker already holding the result in its warm disk cache — the
-// coordinator probes that shard (GET /v1/cache/{key}) before spending
-// a queue slot. Workers are health-checked via /readyz; a dead or
-// draining worker's jobs fail over to the next worker on the ring, and
-// because simulations are deterministic and content-addressed, the
-// replayed job returns byte-identical output. Straggler queues are
-// drained by work stealing: a job whose home worker is saturated is
-// routed to an idle worker instead.
+// Routing is locate, then place. Consistent hashing over the run's
+// content-addressed cache key names each result's home worker; the
+// coordinator probes the worker it remembers holding the result, else
+// the home (GET /v1/cache/{key}), before spending a queue slot, so
+// repeated sweeps of overlapping configuration points are answered
+// from the workers' warm disk caches. A miss is placed on the first
+// worker in the key's ring order with a free slot — a busy home
+// delegates to an idle neighbour. Workers are health-checked via
+// /readyz; a dead or draining worker's jobs fail over to the next
+// worker, and because simulations are deterministic and
+// content-addressed, the replayed job returns byte-identical output.
 //
 // On SIGINT/SIGTERM the coordinator stops admitting jobs, cancels
 // in-flight ones (propagating the cancellation to workers), and exits.
@@ -61,7 +62,6 @@ func main() {
 		addr    = flag.String("addr", ":9090", "listen address")
 		probe   = flag.Duration("probe", 2*time.Second, "worker health-probe interval")
 		retries = flag.Int("retries", 2, "extra failover rounds across the ready workers before a job fails")
-		steal   = flag.Int("steal-margin", 2, "outstanding-over-slots margin that marks a worker a straggler (work stealing kicks in)")
 		drain   = flag.Duration("drain", 30*time.Second, "how long shutdown waits while cancelling in-flight jobs")
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
 		telem   = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace)")
@@ -79,7 +79,6 @@ func main() {
 		Workers:       workers,
 		ProbeInterval: *probe,
 		Retries:       *retries,
-		StealMargin:   *steal,
 		Logger:        logger,
 		Telemetry:     *telem,
 	})

@@ -21,9 +21,9 @@ import (
 // delegates cache-missing runs to the fleet while keeping its dedup,
 // batch ordering, counters, and local disk cache.
 type Client struct {
-	base   string
-	name   string // client identity sent with every submission
-	http   *http.Client
+	base string
+	name string // client identity sent with every submission
+	http *http.Client
 	// maxBusy bounds consecutive 429-and-wait cycles per submission
 	// before giving up, so a permanently saturated fleet fails loudly
 	// instead of retrying forever.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -343,14 +345,18 @@ var conformanceCases = []struct {
 	}},
 	{"trace tree has http.receive, admission and the executor's spans", true, func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(607)})
-		_, raw, _ := call(t, http.MethodGet, base+"/v1/jobs/"+v.ID+"/trace?format=tree", nil)
+		// The ?wait reply is sent when the job is terminal; its trace is
+		// closed and filed right after, so wait for that.
+		var raw []byte
 		var tree telemetry.SpanView
-		if err := json.Unmarshal(raw, &tree); err != nil {
-			t.Fatalf("tree %s: %v", raw, err)
-		}
-		if tree.Name != "job" || tree.Open {
-			t.Errorf("root span = %q open=%v, want a closed \"job\"", tree.Name, tree.Open)
-		}
+		waitFor(t, "a closed \"job\" root span", func() bool {
+			_, raw, _ = call(t, http.MethodGet, base+"/v1/jobs/"+v.ID+"/trace?format=tree", nil)
+			tree = telemetry.SpanView{}
+			if err := json.Unmarshal(raw, &tree); err != nil {
+				t.Fatalf("tree %s: %v", raw, err)
+			}
+			return tree.Name == "job" && !tree.Open
+		})
 		for _, name := range append([]string{"http.receive", "admission"}, tg.spans...) {
 			if _, ok := tree.Find(name); !ok {
 				t.Errorf("trace has no %q span:\n%s", name, raw)
@@ -411,4 +417,57 @@ func TestWireConformance(t *testing.T) {
 			})
 		})
 	}
+
+	// The coordinator's own row: what it adds to a trace is where the
+	// job went.
+	t.Run("delrepfleet/a spilled job's trace names both workers it touched", func(t *testing.T) {
+		w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
+		coord, ts := newCoordinatorOpts(t, Options{Telemetry: true}, w1, w2)
+		// Three keys with one home: two jobs that never end take its two
+		// slots, the third finds it full.
+		spilled := shortSpec(610)
+		home := homeOf(t, coord, spilled)
+		for seed, n := int64(611), 0; n < 2; seed++ {
+			if spec := foreverSpec(seed); homeOf(t, coord, spec) == home {
+				v, _ := post(t, ts.URL, "", serve.SubmitRequest{Spec: spec})
+				defer call(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
+				n++
+			}
+		}
+		// Both reservations show on the status surfaces.
+		waitFor(t, "the home's two slots reserved", func() bool {
+			var fleet struct {
+				Workers []WorkerInfo `json:"workers"`
+			}
+			getJSON(t, ts.URL+"/v1/workers", &fleet)
+			for _, wi := range fleet.Workers {
+				if wi.URL == home {
+					return wi.Outstanding == 2
+				}
+			}
+			return false
+		})
+		if got := gauge(t, ts.URL, `delrepfleet_worker_outstanding{worker="`+home+`"}`); got != "2" {
+			t.Errorf("delrepfleet_worker_outstanding of the full home = %s, want 2", got)
+		}
+
+		v, _ := post(t, ts.URL, "?wait=1", serve.SubmitRequest{Spec: spilled})
+		if v.Status != serve.StatusDone || v.Worker == home {
+			t.Fatalf("job ended %s on %s, want done on the worker that is not its full home %s", v.Status, v.Worker, home)
+		}
+		_, raw, _ := call(t, http.MethodGet, ts.URL+"/v1/jobs/"+v.ID+"/trace?format=tree", nil)
+		var tree telemetry.SpanView
+		if err := json.Unmarshal(raw, &tree); err != nil {
+			t.Fatalf("tree %s: %v", raw, err)
+		}
+		var got []string
+		for _, c := range tree.Children {
+			if c.Name == "fleet.attempt" {
+				got = append(got, fmt.Sprint(c.Attrs["phase"], " ", c.Attrs["placed"], " ", c.Attrs["worker"]))
+			}
+		}
+		if want := []string{"locate home " + home, "run spill " + v.Worker}; !slices.Equal(got, want) {
+			t.Errorf("fleet.attempt spans = %q, want %q:\n%s", got, want, raw)
+		}
+	})
 }

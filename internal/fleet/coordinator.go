@@ -4,17 +4,20 @@
 // package comment is the one API table); this package holds only what
 // is different about running a job somewhere else:
 //
-//   - routing: consistent hashing of the run's content key over a Ring
-//     of delrepd workers, so a repeated spec lands on the worker whose
-//     disk cache already holds it;
-//   - probe: GET /v1/cache/{key} on that shard before spending a queue
-//     slot — the workers' warm caches form one distributed cache tier;
+//   - locate: consistent hashing of the run's content key over a Ring
+//     of delrepd workers names the key's home; one GET /v1/cache/{key}
+//     probe of the worker remembered to hold the result (a bounded
+//     placement memo), else of the home, answers a repeated spec
+//     without spending a queue slot — the workers' warm caches form
+//     one distributed cache tier;
+//   - place: on a miss the job takes a slot on the first ready worker
+//     in the key's ring sequence that has one free, else on the least
+//     loaded, so a busy home delegates to an idle neighbour and the
+//     memo is how the result is found again;
 //   - failover: a Registry health-checks workers via /readyz; a job
 //     whose worker dies, drains or refuses is replayed on the next
-//     ready worker in ring order, for up to Retries+1 rounds — safe
-//     because simulations are deterministic and content-addressed;
-//   - steal: a job whose home worker is a straggler goes to an idle
-//     worker instead.
+//     worker placement picks, for up to Retries+1 rounds — safe
+//     because simulations are deterministic and content-addressed.
 //
 // Client is the other direction: a runner.Resolver that submits to any
 // /v1/jobs endpoint, used by delrepsim -remote and expdriver -remote.
@@ -35,7 +38,6 @@ import (
 	"time"
 
 	"delrep/internal/config"
-	"delrep/internal/core"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
@@ -55,11 +57,6 @@ type Options struct {
 	// worker in ring order up to Retries+1 times before failing.
 	// <= 0 selects 2.
 	Retries int
-	// StealMargin is the work-stealing trigger: a home worker with
-	// outstanding >= slots+StealMargin is a straggler, and its job is
-	// stolen by the first ring-order alternative with a free slot.
-	// <= 0 selects 2.
-	StealMargin int
 	// HTTPClient talks to workers for probes, submissions, and polls;
 	// nil builds one with a sane timeout. SSE streams always use an
 	// untimed variant of its transport.
@@ -78,17 +75,17 @@ type Options struct {
 // sharding over the workers by content key. Create with New.
 type Server struct {
 	*serve.Server
-	ring        *Ring
-	reg         *Registry
-	client      *http.Client // bounded-timeout calls (submit, probe, poll, cancel)
-	stream      *http.Client // unbounded, for SSE watch streams
-	retries     int
-	stealMargin int
-	wg          sync.WaitGroup // live dispatchers
+	ring    *Ring
+	reg     *Registry
+	memo    *memo
+	client  *http.Client // bounded-timeout calls (submit, probe, poll, cancel)
+	stream  *http.Client // unbounded, for SSE watch streams
+	retries int
+	wg      sync.WaitGroup // live dispatchers
 
 	nDispatch  atomic.Int64 // jobs handed to a worker queue
 	nRetry     atomic.Int64 // failover re-dispatches after a worker loss
-	nSteal     atomic.Int64 // jobs rerouted off a straggling home worker
+	nSteal     atomic.Int64 // attempts placed on a worker other than the key's home
 	nProbeHit  atomic.Int64 // cache-tier probes answered 200
 	nProbeMiss atomic.Int64 // cache-tier probes answered 404
 }
@@ -103,28 +100,26 @@ func (e errPermanent) Error() string { return e.err.Error() }
 // New builds a coordinator over the configured workers and starts its
 // health registry.
 func New(opts Options) (*Server, error) {
-	if len(opts.Workers) == 0 {
+	ring := NewRing(opts.Workers, opts.Replicas)
+	if len(ring.Members()) == 0 {
 		return nil, errors.New("fleet: no workers configured")
 	}
 	if opts.Retries <= 0 {
 		opts.Retries = 2
-	}
-	if opts.StealMargin <= 0 {
-		opts.StealMargin = 2
 	}
 	client := opts.HTTPClient
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	s := &Server{
-		ring: NewRing(opts.Workers, opts.Replicas),
+		ring: ring,
 		// SSE watch streams live as long as the job runs; strip any
 		// overall timeout but keep the transport (and its dial/TLS
 		// limits) so tests can inject one.
-		client:      client,
-		stream:      &http.Client{Transport: client.Transport},
-		retries:     opts.Retries,
-		stealMargin: opts.StealMargin,
+		client:  client,
+		stream:  &http.Client{Transport: client.Transport},
+		retries: opts.Retries,
+		memo:    newMemo(memoBound),
 	}
 	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, opts.Logger)
 	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, opts.Telemetry, 0, 0)
@@ -168,8 +163,9 @@ func (s *Server) Drain(live []*serve.Job) {
 	s.reg.Close()
 }
 
-// dispatch drives one job to a terminal state: route by ring order,
-// probe the cache tier, submit, watch, and fail over on worker loss.
+// dispatch drives one job to a terminal state: locate the result in
+// the cache tier, else place the job on a worker with room, watch it,
+// and fail over on worker loss.
 func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, cfg config.Config) {
 	defer s.wg.Done()
 	// The routing key is the full run key, its content address what the
@@ -178,10 +174,72 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, cfg config.Conf
 	key := runner.Key(cfg, spec.GPU, spec.CPU)
 	addr := runner.CacheAddr(key)
 	ctx := j.Context()
+	seq := s.ring.Sequence(key) // never empty: New refuses an empty ring
+	home := seq[0]
 	var lastErr error = errors.New("no ready workers")
+
+	// try runs one fleet.attempt span against worker and reports whether
+	// it ended the job. A retryable failure leaves the job to the next
+	// placement: replay is safe because simulations are deterministic
+	// and idempotent.
+	try := func(phase, worker string, attempt func() (out serve.Outcome, ended bool, err error)) bool {
+		placed := "spill"
+		if worker == home {
+			placed = "home"
+		}
+		span := j.Span().Start("fleet.attempt")
+		span.Set("worker", worker)
+		span.Set("phase", phase)
+		span.Set("placed", placed)
+		out, ended, err := attempt()
+		span.End()
+		var perm errPermanent
+		switch {
+		case ended:
+			if out.Status == serve.StatusDone {
+				// The memo holds only what the ring would not find.
+				if worker == home {
+					s.memo.drop(addr)
+				} else {
+					s.memo.put(addr, worker)
+				}
+			}
+			j.Finish(out)
+			return true
+		case errors.As(err, &perm):
+			j.Finish(serve.Outcome{Status: serve.StatusFailed, Error: perm.Error(), Worker: worker})
+			return true
+		case err == nil || ctx.Err() != nil:
+			return false // a locate miss, or a cancelled job: no worker is at fault
+		}
+		lastErr = err
+		s.nRetry.Add(1)
+		j.Log().WarnContext(ctx, "dispatch attempt failed", "worker", worker, "phase", phase, "error", err)
+		return false
+	}
+
+	// Locate: one probe of the worker remembered to hold this address,
+	// else of its ring home. A hit is the whole job.
+	holder, remembered := s.memo.get(addr)
+	if !remembered {
+		holder = home
+	}
+	missed := "" // the worker whose shard this dispatch already found empty
+	if s.reg.Ready(holder) {
+		if try("locate", holder, func() (serve.Outcome, bool, error) {
+			out, hit, err := s.probeCache(j, addr, holder)
+			if err == nil && !hit {
+				missed = holder
+			}
+			return out, hit, err
+		}) {
+			return
+		}
+	}
+
 	for round := 0; round <= s.retries && ctx.Err() == nil; round++ {
 		if round > 0 {
-			// Every candidate failed (or none were ready): give the
+			// Every placement failed (or no worker was ready): give the
 			// registry a probe cycle to notice recoveries first.
 			select {
 			case <-time.After(time.Second):
@@ -189,33 +247,23 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, cfg config.Conf
 				continue
 			}
 		}
-		cands, stolen := s.candidates(key)
-		if stolen {
-			s.nSteal.Add(1)
-		}
-		for _, worker := range cands {
-			if ctx.Err() != nil {
+		var tried []string
+		for ctx.Err() == nil {
+			worker, ok := s.reg.Reserve(seq, tried)
+			if !ok {
 				break
 			}
-			span := j.Span().Start("fleet.attempt")
-			span.Set("worker", worker)
-			out, err := s.attempt(j, req, addr, worker)
-			span.End()
-			var perm errPermanent
-			switch {
-			case err == nil:
-				j.Finish(out)
-				return
-			case errors.As(err, &perm):
-				j.Finish(serve.Outcome{Status: serve.StatusFailed, Error: perm.Error(), Worker: worker})
+			tried = append(tried, worker)
+			if worker != home {
+				s.nSteal.Add(1)
+			}
+			if try("run", worker, func() (serve.Outcome, bool, error) {
+				defer s.reg.Release(worker)
+				out, err := s.attempt(j, req, addr, worker, worker != missed)
+				return out, err == nil, err
+			}) {
 				return
 			}
-			// A retryable attempt failure: the job falls over to the
-			// next candidate (or the next round). Replay is safe
-			// because simulations are deterministic and idempotent.
-			lastErr = err
-			s.nRetry.Add(1)
-			j.Log().WarnContext(ctx, "dispatch attempt failed", "worker", worker, "error", err)
 		}
 	}
 	if ctx.Err() != nil {
@@ -226,63 +274,28 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, cfg config.Conf
 		Error: fmt.Sprintf("no worker could run the job after %d rounds: %v", s.retries+1, lastErr)})
 }
 
-// candidates returns the ready workers in failover order for the job's
-// key, applying the work-stealing policy: if the home worker is a
-// straggler (outstanding ≥ slots + margin) and a later worker has a
-// free slot, that idle worker is promoted to the front. The reported
-// bool is true when a steal reordered the list.
-func (s *Server) candidates(key string) ([]string, bool) {
-	seq := s.ring.Sequence(key)
-	ready := make([]string, 0, len(seq))
-	for _, w := range seq {
-		if s.reg.Ready(w) {
-			ready = append(ready, w)
-		}
+// blame marks worker down for err — unless the job's own cancellation
+// is what failed the call.
+func (s *Server) blame(ctx context.Context, worker string, err error) {
+	if ctx.Err() == nil {
+		s.reg.MarkFailed(worker, err.Error())
 	}
-	if len(ready) < 2 {
-		return ready, false
-	}
-	home := s.reg.Info(ready[0])
-	slots := home.Slots
-	if slots < 1 {
-		slots = 1 // no scrape yet: assume the minimum
-	}
-	if home.Outstanding < slots+s.stealMargin {
-		return ready, false
-	}
-	for i := 1; i < len(ready); i++ {
-		alt := s.reg.Info(ready[i])
-		altSlots := alt.Slots
-		if altSlots < 1 {
-			altSlots = 1
-		}
-		if alt.Outstanding < altSlots {
-			// Promote the idle worker; the straggler stays next in line
-			// so a genuinely hot key still reaches its cache shard on
-			// failover.
-			reordered := append([]string{ready[i]}, append(append([]string{}, ready[:i]...), ready[i+1:]...)...)
-			return reordered, true
-		}
-	}
-	return ready, false
 }
 
-// attempt runs the job once against one worker. A nil error carries
-// the job's terminal outcome (including cancellation); a non-nil one
-// means the next candidate should be tried, unless it is errPermanent.
-func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker string) (serve.Outcome, error) {
+// attempt runs the job once against one worker, on the slot dispatch
+// reserved there. A nil error carries the job's terminal outcome
+// (including cancellation); a non-nil one means the next placement
+// should be tried, unless it is errPermanent. probe is false for the
+// worker whose shard locate already found empty.
+func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker string, probe bool) (serve.Outcome, error) {
 	ctx := j.Context()
-	// Cache-tier probe first: if this shard already holds the result,
-	// answer without consuming a worker queue slot.
-	if res, digest, ok, err := s.probeCache(ctx, addr, worker); err != nil {
-		s.reg.MarkFailed(worker, err.Error())
-		return serve.Outcome{}, err
-	} else if ok {
-		j.Log().InfoContext(ctx, "job served from cache tier", "worker", worker)
-		return serve.Outcome{
-			Status: serve.StatusDone, Source: runner.SourceDisk.String(), Worker: worker,
-			Result: &simspec.Result{Spec: j.Spec(), Results: res, Digest: digest},
-		}, nil
+	if probe {
+		// This shard may hold the result although the ring and the memo
+		// did not say so (a failover, a restarted coordinator): answer
+		// from it without consuming a worker queue slot.
+		if out, hit, err := s.probeCache(j, addr, worker); err != nil || hit {
+			return out, err
+		}
 	}
 
 	remoteID, err := s.submit(ctx, req, worker)
@@ -291,13 +304,11 @@ func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker str
 	}
 	j.Running(worker)
 	s.nDispatch.Add(1)
-	s.reg.AddOutstanding(worker, 1)
-	defer s.reg.AddOutstanding(worker, -1)
 	j.Log().InfoContext(ctx, "job dispatched", "worker", worker, "remote_job", remoteID)
 
 	term, err := s.watch(j, worker, remoteID)
 	if err != nil {
-		s.reg.MarkFailed(worker, err.Error())
+		s.blame(ctx, worker, err)
 		return serve.Outcome{}, err
 	}
 	switch term.Status {
@@ -322,19 +333,24 @@ func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker str
 }
 
 // probeCache checks one worker's disk-cache shard for the job's
-// content address. ok=true carries the cached results; a nil error
-// with ok=false is a plain miss; a non-nil error is a worker-health
-// problem (already accounted as a retry, so neither a hit nor a miss).
-func (s *Server) probeCache(ctx context.Context, addr, worker string) (res core.Results, digest string, ok bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+// content address. hit=true carries the done outcome; a nil error
+// with hit=false is a plain miss; a non-nil error is a worker-health
+// problem (accounted as a retry, so neither a hit nor a miss).
+func (s *Server) probeCache(j *serve.Job, addr, worker string) (out serve.Outcome, hit bool, err error) {
+	defer func() {
+		if err != nil {
+			s.blame(j.Context(), worker, err)
+		}
+	}()
+	ctx, cancel := context.WithTimeout(j.Context(), 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+addr, nil)
 	if err != nil {
-		return res, "", false, err
+		return out, false, err
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return res, "", false, err
+		return out, false, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
@@ -344,17 +360,21 @@ func (s *Server) probeCache(ctx context.Context, addr, worker string) (res core.
 	case resp.StatusCode == http.StatusOK:
 		var entry serve.CacheEntry
 		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
-			return res, "", false, fmt.Errorf("decoding cache entry: %v", err)
+			return out, false, fmt.Errorf("decoding cache entry: %v", err)
 		}
 		s.nProbeHit.Add(1)
-		return entry.Results, entry.Digest, true, nil
+		j.Log().InfoContext(ctx, "job served from cache tier", "worker", worker)
+		return serve.Outcome{
+			Status: serve.StatusDone, Source: runner.SourceDisk.String(), Worker: worker,
+			Result: &simspec.Result{Spec: j.Spec(), Results: entry.Results, Digest: entry.Digest},
+		}, true, nil
 	case resp.StatusCode >= 500:
-		return res, "", false, fmt.Errorf("cache probe: worker answered %d", resp.StatusCode)
+		return out, false, fmt.Errorf("cache probe: worker answered %d", resp.StatusCode)
 	default:
 		// 404, or an unexpected 4xx (an old worker without the endpoint
 		// answers 404 via the mux anyway): a miss, not a failure.
 		s.nProbeMiss.Add(1)
-		return res, "", false, nil
+		return out, false, nil
 	}
 }
 
@@ -365,16 +385,20 @@ func (s *Server) submit(ctx context.Context, body serve.SubmitRequest, worker st
 	if err != nil {
 		return "", errPermanent{err}
 	}
-	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	// The round trip ignores the job's cancellation: a POST abandoned
+	// half way may still have been admitted, and a job whose id never
+	// came back cannot be cancelled on the worker. watch propagates the
+	// cancellation as soon as the id is known.
+	tctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(tctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(b))
 	if err != nil {
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := s.client.Do(req)
 	if err != nil {
-		s.reg.MarkFailed(worker, err.Error())
+		s.blame(ctx, worker, err)
 		return "", err
 	}
 	defer func() {

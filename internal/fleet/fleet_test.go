@@ -107,7 +107,8 @@ func newCoordinatorOpts(t *testing.T, opts Options, workers ...*testWorker) (*Se
 		_ = s.Shutdown(ctx)
 	})
 	// Wait for the registry's first probe sweep so tests never race
-	// worker readiness.
+	// worker readiness: /readyz answers once any worker is up, placement
+	// needs to know about all of them.
 	waitFor(t, "coordinator ready", func() bool {
 		resp, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
@@ -115,7 +116,7 @@ func newCoordinatorOpts(t *testing.T, opts Options, workers ...*testWorker) (*Se
 		}
 		defer resp.Body.Close()
 		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode == http.StatusOK
+		return resp.StatusCode == http.StatusOK && s.reg.ReadyCount() == len(workers)
 	})
 	return s, ts
 }

@@ -27,7 +27,10 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 
 // Metrics appends the coordinator's own families: fleet-wide gauges,
 // dispatch/failover/steal counters, the cache-tier probe accounting,
-// and per-worker health.
+// and per-worker health. delrepfleet_steals_total counts attempts
+// placed on a worker other than the key's ring home, so it rises
+// whenever a busy home delegates; delrepfleet_worker_outstanding is
+// the slots placement has reserved on each worker.
 func (s *Server) Metrics(b *strings.Builder) {
 	infos := s.sortedInfos()
 	ready := 0

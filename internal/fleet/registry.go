@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,9 +36,10 @@ type WorkerInfo struct {
 	Slots   int `json:"slots,omitempty"`
 	Queued  int `json:"queued,omitempty"`
 	Running int `json:"running,omitempty"`
-	// Outstanding is the coordinator's own count of jobs dispatched to
-	// this worker and not yet terminal — fresher than any scrape, and
-	// the primary load signal for routing and work stealing.
+	// Outstanding is the coordinator's own count of jobs placed on this
+	// worker and not yet terminal: a slot is reserved when the worker
+	// is chosen, before the submit round trip, so it is fresher than
+	// any scrape and is the load signal placement reads.
 	Outstanding int `json:"outstanding"`
 }
 
@@ -287,15 +289,50 @@ func (r *Registry) Ready(url string) bool {
 	return w.ready
 }
 
-// AddOutstanding adjusts the coordinator-observed in-flight count for
-// a worker (+1 at dispatch, -1 at terminal).
-func (r *Registry) AddOutstanding(url string, d int) {
+// Reserve places one job: it picks, among the ready workers of seq (a
+// key's ring sequence) not in tried, the first whose outstanding is
+// below its slots, else the one least loaded relative to its slots
+// (ties in ring order), and counts the job against it before any
+// other placement can look. ok is false when no such worker is ready.
+// Every Reserve is paired with one Release.
+func (r *Registry) Reserve(seq, tried []string) (url string, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var best *worker
+	var bestOut, bestSlots int
+	for _, u := range seq {
+		w := r.workers[u]
+		if w == nil || slices.Contains(tried, u) {
+			continue
+		}
+		w.mu.Lock()
+		ready, out, slots := w.ready, w.outstanding, max(w.slots, 1) // no scrape yet: assume one slot
+		w.mu.Unlock()
+		if !ready {
+			continue
+		}
+		if out < slots {
+			best = w
+			break
+		}
+		if best == nil || out*bestSlots < bestOut*slots {
+			best, bestOut, bestSlots = w, out, slots
+		}
+	}
+	if best == nil {
+		return "", false
+	}
+	best.mu.Lock()
+	best.outstanding++
+	best.mu.Unlock()
+	return best.url, true
+}
+
+// Release returns the slot a Reserve took.
+func (r *Registry) Release(url string) {
 	if w := r.lookup(url); w != nil {
 		w.mu.Lock()
-		w.outstanding += d
-		if w.outstanding < 0 {
-			w.outstanding = 0
-		}
+		w.outstanding--
 		w.mu.Unlock()
 	}
 }

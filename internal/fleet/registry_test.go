@@ -81,18 +81,63 @@ func TestRegistryMarkFailedIsImmediate(t *testing.T) {
 	}
 }
 
+// setWorker puts a registry record into a known state without a
+// probe (use a registry whose probe interval is an hour).
+func setWorker(reg *Registry, url string, ready bool, slots int) {
+	w := reg.lookup(url)
+	w.mu.Lock()
+	w.ready, w.slots = ready, slots
+	w.mu.Unlock()
+}
+
+// Reserve is the placement rule: first ready worker in ring order with
+// a free slot, else the least loaded relative to its slots with ties in
+// ring order; a reservation counts at once and Release returns it.
 func TestRegistryOutstanding(t *testing.T) {
-	reg := NewRegistry([]string{"http://nowhere.invalid:1"}, time.Hour, nil, nil)
+	seq := []string{"http://a.invalid", "http://b.invalid", "http://c.invalid", "http://down.invalid"}
+	a, b, c := seq[0], seq[1], seq[2]
+	reg := NewRegistry(seq, time.Hour, nil, nil)
 	defer reg.Close()
-	reg.AddOutstanding("http://nowhere.invalid:1", 1)
-	reg.AddOutstanding("http://nowhere.invalid:1", 1)
-	reg.AddOutstanding("http://nowhere.invalid:1", -1)
-	if got := reg.Info("http://nowhere.invalid:1").Outstanding; got != 1 {
-		t.Fatalf("outstanding = %d, want 1", got)
+	// The first sweep finds nobody; wait it out so it cannot undo setWorker.
+	waitFor(t, "first probe sweep", func() bool { return reg.Info(seq[3]).Failures > 0 && reg.Info(a).Failures > 0 })
+	setWorker(reg, a, true, 1)
+	setWorker(reg, b, true, 2)
+	setWorker(reg, c, true, 0) // never scraped: one slot assumed
+
+	reserve := func(tried ...string) string {
+		t.Helper()
+		w, ok := reg.Reserve(seq, tried)
+		if !ok {
+			t.Fatalf("Reserve(tried %v) found no worker", tried)
+		}
+		return w
 	}
-	// Never negative, even on unbalanced decrements.
-	reg.AddOutstanding("http://nowhere.invalid:1", -5)
-	if got := reg.Info("http://nowhere.invalid:1").Outstanding; got != 0 {
-		t.Fatalf("outstanding = %d, want 0", got)
+	for i, want := range []string{
+		a, b, b, c, // free slots, in ring order
+		a, // all full at 1.0: the tie goes to ring order
+		b, // a 2/1, b 2/2, c 1/1: b and c tie at 1.0
+		c, // a 2/1, b 3/2, c 1/1
+	} {
+		if got := reserve(); got != want {
+			t.Fatalf("reservation %d went to %s, want %s (%+v)", i, got, want, reg.Infos())
+		}
+	}
+	if got := reg.Info(b).Outstanding; got != 3 {
+		t.Fatalf("b outstanding = %d, want 3: a reservation counts when it is taken", got)
+	}
+	// tried workers and workers that are not ready are passed over.
+	if got := reserve(a, c); got != b {
+		t.Fatalf("Reserve skipping a and c chose %s, want b", got)
+	}
+	if w, ok := reg.Reserve(seq, []string{a, b, c}); ok {
+		t.Fatalf("Reserve chose %s with every ready worker tried", w)
+	}
+	for url, n := range map[string]int{a: 2, b: 4, c: 2} {
+		for ; n > 0; n-- {
+			reg.Release(url)
+		}
+		if got := reg.Info(url).Outstanding; got != 0 {
+			t.Errorf("%s outstanding = %d after releasing every reservation, want 0", url, got)
+		}
 	}
 }
