@@ -418,8 +418,30 @@ func TestWireConformance(t *testing.T) {
 		})
 	}
 
-	// The coordinator's own row: what it adds to a trace is where the
-	// job went.
+	// The coordinator's own rows. A repeat is answered from the cache
+	// tier, and the wire cannot tell a revalidated answer from a fetched
+	// one.
+	t.Run("delrepfleet/a repeated spec returns the same result bytes, from disk, from its holder", func(t *testing.T) {
+		w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
+		_, ts := newCoordinatorOpts(t, Options{}, w1, w2)
+		spec := shortSpec(612)
+		ran, _ := post(t, ts.URL, "?wait=1", serve.SubmitRequest{Spec: spec})
+		want := directResult(t, spec)
+		if ran.Source != "executed" || !bytes.Equal(resultBytes(t, ran), want) {
+			t.Fatalf("first run: source %s, result equal to the direct run's: %v", ran.Source, bytes.Equal(resultBytes(t, ran), want))
+		}
+		// A second coordinator has to fetch what the first revalidates.
+		_, ts2 := newCoordinatorOpts(t, Options{}, w1, w2)
+		for _, base := range []string{ts.URL, ts.URL, ts2.URL, ts2.URL} {
+			v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: spec})
+			if v.Source != "disk" || v.Worker != ran.Worker || !bytes.Equal(resultBytes(t, v), want) {
+				t.Errorf("repeat: source %s from %q, result equal: %v; want disk from %s, equal",
+					v.Source, v.Worker, bytes.Equal(resultBytes(t, v), want), ran.Worker)
+			}
+		}
+	})
+
+	// What the coordinator adds to a trace is where the job went.
 	t.Run("delrepfleet/a spilled job's trace names both workers it touched", func(t *testing.T) {
 		w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
 		coord, ts := newCoordinatorOpts(t, Options{Telemetry: true}, w1, w2)

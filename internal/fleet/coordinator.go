@@ -9,7 +9,10 @@
 //     probe of the worker remembered to hold the result (a bounded
 //     placement memo), else of the home, answers a repeated spec
 //     without spending a queue slot — the workers' warm caches form
-//     one distributed cache tier;
+//     one distributed cache tier. A result the coordinator has already
+//     decoded (a bounded resident table) is revalidated, not fetched:
+//     the probe carries the address as If-None-Match and a 304 moves
+//     no body;
 //   - place: on a miss the job takes a slot on the first ready worker
 //     in the key's ring sequence that has one free, else on the least
 //     loaded, so a busy home delegates to an idle neighbour and the
@@ -75,18 +78,19 @@ type Options struct {
 // sharding over the workers by content key. Create with New.
 type Server struct {
 	*serve.Server
-	ring    *Ring
-	reg     *Registry
-	memo    *memo
-	client  *http.Client // bounded-timeout calls (submit, probe, poll, cancel)
-	stream  *http.Client // unbounded, for SSE watch streams
-	retries int
-	wg      sync.WaitGroup // live dispatchers
+	ring     *Ring
+	reg      *Registry
+	memo     *memo[string]          // addr → worker holding it off its ring home
+	resident *memo[*simspec.Result] // addr → the result, as already decoded here
+	client   *http.Client           // bounded-timeout calls (submit, probe, poll, cancel)
+	stream   *http.Client           // unbounded, for SSE watch streams
+	retries  int
+	wg       sync.WaitGroup // live dispatchers
 
 	nDispatch  atomic.Int64 // jobs handed to a worker queue
 	nRetry     atomic.Int64 // failover re-dispatches after a worker loss
 	nSteal     atomic.Int64 // attempts placed on a worker other than the key's home
-	nProbeHit  atomic.Int64 // cache-tier probes answered 200
+	nProbeHit  atomic.Int64 // cache-tier probes answered 200 or 304
 	nProbeMiss atomic.Int64 // cache-tier probes answered 404
 }
 
@@ -116,10 +120,11 @@ func New(opts Options) (*Server, error) {
 		// SSE watch streams live as long as the job runs; strip any
 		// overall timeout but keep the transport (and its dial/TLS
 		// limits) so tests can inject one.
-		client:  client,
-		stream:  &http.Client{Transport: client.Transport},
-		retries: opts.Retries,
-		memo:    newMemo(memoBound),
+		client:   client,
+		stream:   &http.Client{Transport: client.Transport},
+		retries:  opts.Retries,
+		memo:     newMemo[string](memoBound),
+		resident: newMemo[*simspec.Result](residentBound),
 	}
 	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, opts.Logger)
 	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, opts.Telemetry, 0, 0)
@@ -142,9 +147,9 @@ func (s *Server) Ready() (bool, string) {
 
 // Admit never refuses: the workers' own admission control is the
 // fleet's, met per attempt. It starts the job's dispatcher.
-func (s *Server) Admit(j *serve.Job, req serve.SubmitRequest, cfg config.Config) *serve.Rejection {
+func (s *Server) Admit(j *serve.Job, req serve.SubmitRequest, _ config.Config, key string) *serve.Rejection {
 	s.wg.Add(1)
-	go s.dispatch(j, req, cfg)
+	go s.dispatch(j, req, key)
 	return nil
 }
 
@@ -166,12 +171,10 @@ func (s *Server) Drain(live []*serve.Job) {
 // dispatch drives one job to a terminal state: locate the result in
 // the cache tier, else place the job on a worker with room, watch it,
 // and fail over on worker loss.
-func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, cfg config.Config) {
+func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, key string) {
 	defer s.wg.Done()
 	// The routing key is the full run key, its content address what the
 	// cache tier is probed by — the same both every worker would compute.
-	spec := j.Spec()
-	key := runner.Key(cfg, spec.GPU, spec.CPU)
 	addr := runner.CacheAddr(key)
 	ctx := j.Context()
 	seq := s.ring.Sequence(key) // never empty: New refuses an empty ring
@@ -203,6 +206,9 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, cfg config.Conf
 				} else {
 					s.memo.put(addr, worker)
 				}
+				// Whatever the answer came from — a probe's body, a 304, a
+				// worker's terminal view — the next repeat revalidates it.
+				s.resident.put(addr, out.Result)
 			}
 			j.Finish(out)
 			return true
@@ -344,38 +350,66 @@ func (s *Server) probeCache(j *serve.Job, addr, worker string) (out serve.Outcom
 	}()
 	ctx, cancel := context.WithTimeout(j.Context(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+addr, nil)
-	if err != nil {
-		return out, false, err
+	// Read before the request: a 304 is answered with the result its
+	// validator was sent for, whatever the table evicts meanwhile.
+	held, _ := s.resident.get(addr)
+	res, status, err := s.getCache(ctx, j.Spec(), addr, worker, held)
+	if err == nil && res == nil && status == http.StatusNotModified {
+		// A 304 nobody asked for (no validator was sent): neither a hit
+		// without a result nor a miss to re-simulate. Ask once more.
+		res, status, err = s.getCache(ctx, j.Spec(), addr, worker, nil)
 	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return out, false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		var entry serve.CacheEntry
-		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
-			return out, false, fmt.Errorf("decoding cache entry: %v", err)
-		}
+	case err != nil:
+		return out, false, err
+	case res != nil:
 		s.nProbeHit.Add(1)
 		j.Log().InfoContext(ctx, "job served from cache tier", "worker", worker)
 		return serve.Outcome{
-			Status: serve.StatusDone, Source: runner.SourceDisk.String(), Worker: worker,
-			Result: &simspec.Result{Spec: j.Spec(), Results: entry.Results, Digest: entry.Digest},
+			Status: serve.StatusDone, Source: runner.SourceDisk.String(), Worker: worker, Result: res,
 		}, true, nil
-	case resp.StatusCode >= 500:
-		return out, false, fmt.Errorf("cache probe: worker answered %d", resp.StatusCode)
+	case status >= 500 || status == http.StatusNotModified:
+		return out, false, fmt.Errorf("cache probe: worker answered %d", status)
 	default:
 		// 404, or an unexpected 4xx (an old worker without the endpoint
 		// answers 404 via the mux anyway): a miss, not a failure.
 		s.nProbeMiss.Add(1)
 		return out, false, nil
 	}
+}
+
+// getCache is one GET /v1/cache/{addr} round trip. A non-nil held makes
+// it a revalidation: the address goes along as If-None-Match, and a 304
+// — the worker is alive and still has the entry — answers held itself,
+// so every repeat of a key shares one decoded Result. res is nil unless
+// the worker answered 200, or 304 to the validator.
+func (s *Server) getCache(ctx context.Context, spec simspec.Spec, addr, worker string, held *simspec.Result) (res *simspec.Result, status int, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+addr, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	if held != nil {
+		req.Header.Set("If-None-Match", `"`+addr+`"`)
+	}
+	resp, err := s.client.Do(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		var entry serve.CacheEntry
+		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
+			return nil, resp.StatusCode, fmt.Errorf("decoding cache entry: %v", err)
+		}
+		res = &simspec.Result{Spec: spec, Results: entry.Results, Digest: entry.Digest}
+	case http.StatusNotModified:
+		res = held
+	}
+	return res, resp.StatusCode, nil
 }
 
 // submit POSTs the job's original request to a worker and returns the

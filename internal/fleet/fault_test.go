@@ -6,8 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
 	"path"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,6 +71,20 @@ func (ft *faultTransport) count(method, pattern string) int {
 		}
 	}
 	return n
+}
+
+// validators returns, per cache probe so far, whether it carried
+// If-None-Match.
+func (ft *faultTransport) validators() []bool {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	var out []bool
+	for _, r := range ft.seen {
+		if matches("GET", "", "/v1/cache/*", r) {
+			out = append(out, r.Header.Get("If-None-Match") != "")
+		}
+	}
+	return out
 }
 
 func (ft *faultTransport) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -148,6 +165,29 @@ func (e *faultEnv) submit(t *testing.T) serve.JobView {
 	return submitWait(t, e.base, e.spec)
 }
 
+// corrupt overwrites the spec's entry in w's cache shard with bytes no
+// decoder accepts. The entry must be there.
+func (e *faultEnv) corrupt(t *testing.T, w *testWorker) {
+	t.Helper()
+	entry := filepath.Join(w.eng.DiskCache().Dir(), e.addr+".run")
+	if _, err := os.Stat(entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entry, []byte("not a gob stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// unblamed fails the test if any worker was ever marked failed.
+func (e *faultEnv) unblamed(t *testing.T) {
+	t.Helper()
+	for _, wi := range e.coord.Registry().Infos() {
+		if wi.Failures != 0 {
+			t.Errorf("%s was marked failed: %+v", wi.URL, wi)
+		}
+	}
+}
+
 const failedEvent = "event: status\ndata: {\"id\":\"j000001\",\"status\":\"failed\",\"error\":\"boom\"}\n\n"
 
 // Every way out of dispatch, each through a scripted fault: whatever
@@ -182,6 +222,77 @@ var faultCases = []struct {
 			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 0 || e.ft.count("GET", "/v1/cache/*") != 1 {
 				t.Errorf("source %s from %s after %d dispatches and %d probes, want disk from the home after 0 and 1",
 					v.Source, v.Worker, e.coord.nDispatch.Load(), e.ft.count("GET", "/v1/cache/*"))
+			}
+			e.unblamed(t) // slow is not dead
+		}},
+	{name: "locate hit: a slow revalidation is the whole job too, and nobody is marked down",
+		arrange: func(t *testing.T, e *faultEnv) {
+			e.submit(t) // the coordinator learns the result from the worker's terminal view
+			e.ft.add(fault{method: "GET", path: "/v1/cache/*", times: 1, delay: 30 * time.Millisecond})
+		},
+		status: serve.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 1 || !slices.Equal(e.ft.validators(), []bool{false, true}) {
+				t.Errorf("source %s from %s after %d dispatches, validators %v; want disk from the home after the first job's 1, its miss unconditional and the repeat conditional",
+					v.Source, v.Worker, e.coord.nDispatch.Load(), e.ft.validators())
+			}
+			e.unblamed(t)
+		}},
+	{name: "corrupt entry on the holder, unconditional probe: a miss, one result from the placement",
+		arrange: func(t *testing.T, e *faultEnv) {
+			submitWait(t, e.home.ts.URL, e.spec)
+			e.corrupt(t, e.home)
+		},
+		status: serve.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+			// The worker's decode error is its 404; the job then takes a slot.
+			if v.Source == "disk" || e.coord.nDispatch.Load() != 1 || e.coord.nProbeHit.Load() != 0 || e.coord.nProbeMiss.Load() != 1 {
+				t.Errorf("source %s after %d dispatches, %d probe hits, %d misses; want a run after one miss",
+					v.Source, e.coord.nDispatch.Load(), e.coord.nProbeHit.Load(), e.coord.nProbeMiss.Load())
+			}
+			if got := gauge(t, e.home.ts.URL, `delrepd_disk_cache_total{result="corrupt"}`); got == "0" {
+				t.Error("the holder never saw its corrupt entry")
+			}
+			e.unblamed(t)
+		}},
+	// A 304 attests that the worker is alive and has an entry file for
+	// the address — presence, not content. The bytes served are the
+	// coordinator's own copy, verified when it was learned, so an entry
+	// that rots afterwards cannot reach a client through a revalidation.
+	{name: "entry corrupted after the coordinator learned the result: the 304 answers the verified copy",
+		arrange: func(t *testing.T, e *faultEnv) {
+			e.submit(t)
+			e.corrupt(t, e.home)
+		},
+		status: serve.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 1 || e.coord.nProbeHit.Load() != 1 {
+				t.Errorf("source %s from %s after %d dispatches and %d probe hits, want disk from the home after the first job's 1 and 1",
+					v.Source, v.Worker, e.coord.nDispatch.Load(), e.coord.nProbeHit.Load())
+			}
+		}},
+	{name: "a 304 nobody asked for: asked again once, on the same worker, and the body is the job",
+		arrange: func(t *testing.T, e *faultEnv) {
+			submitWait(t, e.home.ts.URL, e.spec)
+			e.ft.add(fault{method: "GET", path: "/v1/cache/*", times: 1, status: 304})
+		},
+		status: serve.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 0 ||
+				e.coord.nProbeHit.Load() != 1 || e.coord.nProbeMiss.Load() != 0 || !slices.Equal(e.ft.validators(), []bool{false, false}) {
+				t.Errorf("source %s from %s after %d dispatches, %d hits, %d misses, validators %v; want disk from the home by two unconditional probes, one hit, no miss",
+					v.Source, v.Worker, e.coord.nDispatch.Load(), e.coord.nProbeHit.Load(), e.coord.nProbeMiss.Load(), e.ft.validators())
+			}
+			e.unblamed(t)
+		}},
+	{name: "a worker that answers 304 to everything: never a hit without a result, the job fails over",
+		arrange: func(t *testing.T, e *faultEnv) {
+			e.ft.add(fault{method: "GET", host: e.host(e.home), path: "/v1/cache/*", times: -1, status: 304})
+		},
+		status: serve.StatusDone, retries: 1,
+		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+			if v.Source != "executed" || v.Worker != e.other.ts.URL || e.coord.nProbeHit.Load() != 0 {
+				t.Errorf("source %s on %s after %d probe hits, want executed on the other worker after 0", v.Source, v.Worker, e.coord.nProbeHit.Load())
 			}
 		}},
 	{name: "submit 429: a saturated worker is passed over, not marked down",

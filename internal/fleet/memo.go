@@ -7,42 +7,49 @@ import "sync"
 // full memo is ≈10 MB; only keys living off their ring home have one.
 const memoBound = 1 << 16
 
-// memo remembers which worker holds a content address the ring would
-// not find: the fleet's core pointer. It is a hint, never the truth —
-// a wrong or forgotten entry costs one probe or one re-simulation, so
-// it needs no persistence and evicts by generation: when the current
-// map reaches half the bound the previous one is dropped. Every job
-// that ends done puts or drops its address, so what is in use stays in
-// the current generation.
-type memo struct {
+// residentBound caps the resident-result table. One entry is a decoded
+// simspec.Result, ≈1.1 KB with its key, so the full table is ≈5 MB; a
+// forgotten entry costs one body-carrying probe.
+const residentBound = 1 << 12
+
+// memo is what the coordinator remembers per content address, bounded:
+// the worker holding an address the ring would not find (the fleet's
+// core pointer), and the result it has already decoded for one. Either
+// is a hint, never the truth — a wrong or forgotten entry costs one
+// probe, one body or one re-simulation — so it needs no persistence
+// and evicts by generation: when the current map reaches half the
+// bound the previous one is dropped. Every job that ends done puts (or
+// drops) its address, so what is in use stays in the current
+// generation.
+type memo[V any] struct {
 	mu        sync.Mutex
 	half      int
-	cur, prev map[string]string
+	cur, prev map[string]V
 }
 
-func newMemo(bound int) *memo {
-	return &memo{half: max(bound/2, 1), cur: map[string]string{}}
+func newMemo[V any](bound int) *memo[V] {
+	return &memo[V]{half: max(bound/2, 1), cur: map[string]V{}}
 }
 
-func (m *memo) get(addr string) (worker string, ok bool) {
+func (m *memo[V]) get(addr string) (v V, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if worker, ok = m.cur[addr]; !ok {
-		worker, ok = m.prev[addr]
+	if v, ok = m.cur[addr]; !ok {
+		v, ok = m.prev[addr]
 	}
-	return worker, ok
+	return v, ok
 }
 
-func (m *memo) put(addr, worker string) {
+func (m *memo[V]) put(addr string, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.cur[addr]; !ok && len(m.cur) >= m.half {
-		m.prev, m.cur = m.cur, make(map[string]string, m.half)
+		m.prev, m.cur = m.cur, make(map[string]V, m.half)
 	}
-	m.cur[addr] = worker
+	m.cur[addr] = v
 }
 
-func (m *memo) drop(addr string) {
+func (m *memo[V]) drop(addr string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.cur, addr)

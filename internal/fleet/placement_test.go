@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"delrep/internal/config"
+	"delrep/internal/core"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
@@ -21,7 +23,8 @@ import (
 // worker admits stays there until the test releases it, so which worker
 // was busy when is decided by the order of the test's steps, never by
 // host time. Each worker is the real job API (serve.NewServer) over an
-// executor that holds instead of simulating.
+// executor that holds instead of simulating, and its cache tier is the
+// real one: a daemon's GET /v1/cache/{key} over a disk cache of its own.
 type heldFleet struct {
 	workers []*heldWorker
 	// admitted carries every admission, in order. The buffer is above
@@ -49,9 +52,13 @@ type heldWorker struct {
 	url   string
 	ts    *httptest.Server
 
+	cache *runner.DiskCache // this worker's shard
+	tier  http.Handler      // a real daemon over cache, asked for /v1/cache/ only
+
 	held       []heldJob
-	shard      map[string]bool // content addresses this worker's cache holds
-	probes     int             // GET /v1/cache requests answered
+	keys       map[string]string // run key by content address, of every job admitted
+	probes     int               // GET /v1/cache requests answered
+	bodiless   int               // … of them with 304
 	admissions int
 }
 
@@ -65,7 +72,12 @@ func newHeldFleet(t *testing.T, slots ...int) *heldFleet {
 	t.Helper()
 	f := &heldFleet{admitted: make(chan admission, 256)}
 	for _, n := range slots {
-		w := &heldWorker{f: f, slots: n, shard: map[string]bool{}}
+		cache, err := runner.OpenDiskCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		daemon := serve.New(serve.Options{Engine: runner.New(runner.Options{Workers: 1, Cache: cache})})
+		w := &heldWorker{f: f, slots: n, cache: cache, tier: daemon.Handler(), keys: map[string]string{}}
 		srv := serve.NewServer(w, "j", "delrepd", nil, false, 0, 0)
 		w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost {
@@ -84,6 +96,7 @@ func newHeldFleet(t *testing.T, slots ...int) *heldFleet {
 		t.Cleanup(func() {
 			w.ts.Close()
 			shutdown(t, srv)
+			shutdown(t, daemon)
 		})
 	}
 	return f
@@ -132,20 +145,23 @@ func (f *heldFleet) admissions() int {
 	return n
 }
 
-// probes returns each worker's probe count, by URL.
-func (f *heldFleet) probes() map[string]int {
+// probeCount is how many probes a worker has answered, and how many of
+// them without a body.
+type probeCount struct{ all, bodiless int }
+
+// probes returns each worker's probe counts, by URL.
+func (f *heldFleet) probes() map[string]probeCount {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := map[string]int{}
+	out := map[string]probeCount{}
 	for _, w := range f.workers {
-		out[w.url] = w.probes
+		out[w.url] = probeCount{w.probes, w.bodiless}
 	}
 	return out
 }
 
-func (w *heldWorker) Admit(j *serve.Job, _ serve.SubmitRequest, cfg config.Config) *serve.Rejection {
-	spec := j.Spec()
-	addr := runner.CacheAddr(runner.Key(cfg, spec.GPU, spec.CPU))
+func (w *heldWorker) Admit(j *serve.Job, _ serve.SubmitRequest, _ config.Config, key string) *serve.Rejection {
+	addr := runner.CacheAddr(key)
 	f := w.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -159,6 +175,7 @@ func (w *heldWorker) Admit(j *serve.Job, _ serve.SubmitRequest, cfg config.Confi
 		}
 	}
 	w.held = append(w.held, heldJob{addr, j})
+	w.keys[addr] = key
 	w.admissions++
 	f.admitted <- admission{w, addr}
 	return nil
@@ -190,10 +207,23 @@ func (w *heldWorker) release(t *testing.T, addr string) {
 
 func (w *heldWorker) finish(j *serve.Job, addr string) {
 	w.f.mu.Lock()
-	w.shard[addr] = true
+	key := w.keys[addr]
 	w.f.mu.Unlock()
+	w.store(key)
 	j.Finish(serve.Outcome{Status: serve.StatusDone, Source: "executed", Workers: 1,
 		Result: &simspec.Result{Spec: j.Spec(), Digest: addr[:16]}})
+}
+
+// store puts the stand-in result for key — no results, and the first 16
+// digits of its address for a digest — into the worker's shard.
+func (w *heldWorker) store(key string) {
+	digest, err := strconv.ParseUint(runner.CacheAddr(key)[:16], 16, 64)
+	if err == nil {
+		err = w.cache.Put(key, digest, core.Results{})
+	}
+	if err != nil {
+		panic(err)
+	}
 }
 
 func (w *heldWorker) Cancel(j *serve.Job) {
@@ -214,17 +244,27 @@ func (w *heldWorker) Metrics(b *strings.Builder) { fmt.Fprintf(b, "delrepd_worke
 
 func (w *heldWorker) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/cache/{key}", func(rw http.ResponseWriter, r *http.Request) {
-		addr := r.PathValue("key")
 		w.f.mu.Lock()
 		w.probes++
-		held := w.shard[addr]
 		w.f.mu.Unlock()
-		if !held {
-			http.Error(rw, `{"error":"miss"}`, http.StatusNotFound)
-			return
-		}
-		fmt.Fprintf(rw, `{"results":{},"digest":%q}`, addr[:16])
+		w.tier.ServeHTTP(&probeWriter{rw, w}, r)
 	})
+}
+
+// probeWriter counts the 304s among a worker's probe answers, before
+// the answer leaves.
+type probeWriter struct {
+	http.ResponseWriter
+	w *heldWorker
+}
+
+func (pw *probeWriter) WriteHeader(code int) {
+	if code == http.StatusNotModified {
+		pw.w.f.mu.Lock()
+		pw.w.bodiless++
+		pw.w.f.mu.Unlock()
+	}
+	pw.ResponseWriter.WriteHeader(code)
 }
 
 // keyOf returns spec's routing key, as the coordinator computes it.
@@ -353,7 +393,7 @@ func TestPlacementGuard(t *testing.T) {
 			if url == placed[i] {
 				want = 1
 			}
-			if got := after[url] - before[url]; got != want {
+			if got := after[url].all - before[url].all; got != want {
 				t.Errorf("key %d repeated: %d probes to %s, want %d", i, got, url, want)
 			}
 		}
@@ -433,15 +473,25 @@ func TestPlacementReservesAtSelection(t *testing.T) {
 }
 
 // The memo never exceeds its bound, keeps what was written last, and
-// forgets on drop.
+// forgets on drop — whatever it holds.
 func TestMemoBounded(t *testing.T) {
+	t.Run("placement", func(t *testing.T) {
+		testMemoBounded(t, func(i int) string { return fmt.Sprint("w", i) })
+	})
+	t.Run("resident", func(t *testing.T) {
+		testMemoBounded(t, func(i int) *simspec.Result { return &simspec.Result{Digest: fmt.Sprint(i)} })
+	})
+}
+
+func testMemoBounded[V comparable](t *testing.T, val func(i int) V) {
 	const bound = 8
-	m := newMemo(bound)
+	m := newMemo[V](bound)
+	first := val(0)
 	for i := 0; i < 100; i++ {
-		m.put(fmt.Sprint("addr", i), "w")
-		m.put("addr0", "w") // a key in use is re-put by every job that finds it
-		if _, ok := m.get("addr0"); !ok {
-			t.Fatalf("after %d puts the entry written every time was evicted", i+1)
+		m.put(fmt.Sprint("addr", i), val(i))
+		m.put("addr0", first) // a key in use is re-put by every job that finds it
+		if v, ok := m.get("addr0"); !ok || v != first {
+			t.Fatalf("after %d puts the entry written every time was evicted or replaced (%v, %v)", i+1, v, ok)
 		}
 		if n := len(m.cur) + len(m.prev); n > bound {
 			t.Fatalf("memo holds %d entries after %d puts, bound %d", n, i+1, bound)

@@ -39,8 +39,9 @@ const Version = "delrep-run-v3"
 type DiskCache struct {
 	dir string
 
-	// Result-lookup accounting (Get only; blob artifacts are not
-	// counted). Atomics, so readers never contend with the hot path.
+	// Result-lookup accounting (Get, GetAddr, HasAddr; blob artifacts
+	// are not counted). Atomics, so readers never contend with the hot
+	// path.
 	hits    atomic.Int64
 	misses  atomic.Int64
 	corrupt atomic.Int64
@@ -147,10 +148,11 @@ func (c *DiskCache) Get(key string) (res core.Results, digest uint64, ok bool) {
 // verified against it — a filename collision or a hand-crafted address
 // degrades to a miss, never to a wrong result.
 func (c *DiskCache) GetAddr(addr string) (res core.Results, digest uint64, ok bool) {
-	if len(addr) != 2*sha256.Size || strings.ContainsAny(addr, "/.\\") {
-		return core.Results{}, 0, false // never escape the cache dir
+	path, ok := c.addrPath(addr)
+	if !ok {
+		return core.Results{}, 0, false
 	}
-	f, err := os.Open(filepath.Join(c.dir, addr+".run"))
+	f, err := os.Open(path)
 	if err != nil {
 		c.misses.Add(1)
 		return core.Results{}, 0, false
@@ -164,6 +166,32 @@ func (c *DiskCache) GetAddr(addr string) (res core.Results, digest uint64, ok bo
 	}
 	c.hits.Add(1)
 	return e.Results, e.Digest, true
+}
+
+// HasAddr reports whether an entry file exists for a content address,
+// without opening it. It backs the worker's 304 answer to a
+// revalidation: the caller already holds the verified result, so
+// presence is all that is attested — a corrupt file still says yes.
+func (c *DiskCache) HasAddr(addr string) bool {
+	path, ok := c.addrPath(addr)
+	if !ok {
+		return false
+	}
+	if _, err := os.Stat(path); err != nil {
+		c.misses.Add(1)
+		return false
+	}
+	c.hits.Add(1)
+	return true
+}
+
+// addrPath returns the entry file of a content address, ok=false for
+// anything that could name a file outside the cache dir.
+func (c *DiskCache) addrPath(addr string) (path string, ok bool) {
+	if len(addr) != 2*sha256.Size || strings.ContainsAny(addr, "/.\\") {
+		return "", false
+	}
+	return filepath.Join(c.dir, addr+".run"), true
 }
 
 // Put stores one run's results under its key.

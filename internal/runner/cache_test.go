@@ -31,6 +31,13 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if _, _, ok := c.Get("k2"); ok {
 		t.Fatal("unknown key hit")
 	}
+	// By address: the same entry, and presence without opening it.
+	if got, digest, ok := c.GetAddr(CacheAddr("k1")); !ok || digest != 0xdeadbeef || got != res {
+		t.Fatalf("by address: ok=%v digest=%x res=%+v", ok, digest, got)
+	}
+	if !c.HasAddr(CacheAddr("k1")) || c.HasAddr(CacheAddr("k2")) {
+		t.Fatalf("HasAddr: stored %v, unknown %v; want true, false", c.HasAddr(CacheAddr("k1")), c.HasAddr(CacheAddr("k2")))
+	}
 }
 
 func TestDiskCacheCorruptionTolerance(t *testing.T) {
@@ -50,6 +57,14 @@ func TestDiskCacheCorruptionTolerance(t *testing.T) {
 	}
 	if _, _, ok := c.Get("k"); ok {
 		t.Fatal("corrupt entry served as a hit")
+	}
+	if _, _, ok := c.GetAddr(CacheAddr("k")); ok {
+		t.Fatal("corrupt entry served as a hit by address")
+	}
+	// Presence is all HasAddr attests: its caller holds the verified
+	// result already.
+	if !c.HasAddr(CacheAddr("k")) {
+		t.Fatal("HasAddr opened the entry")
 	}
 	// A fresh Put must repair the entry in place.
 	if err := c.Put("k", 2, core.Results{Cycles: 10}); err != nil {

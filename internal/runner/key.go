@@ -30,7 +30,13 @@ func Key(cfg config.Config, gpu, cpu string) string {
 // fleet coordinator also uses it as the consistent-hash routing key,
 // so a spec always routes to the worker holding its cache shard.
 func KeyHash(cfg config.Config, gpu, cpu string) string {
-	sum := sha256.Sum256([]byte(Key(cfg, gpu, cpu)))
+	return HashKey(Key(cfg, gpu, cpu))
+}
+
+// HashKey is KeyHash of an already rendered key, for callers that need
+// the key itself too: rendering the Config is the expensive part.
+func HashKey(key string) string {
+	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:6])
 }
 

@@ -25,6 +25,11 @@ type CacheEntry struct {
 // result already sits in this worker's cache shard is answered without
 // consuming a queue slot or a worker goroutine — the warm disk caches
 // of the fleet collectively form a distributed cache tier.
+//
+// The address is the entry's validator: a 200 carries ETag "<addr>",
+// and a request whose If-None-Match names it is a revalidation by a
+// caller that already holds the result — answered 304 without a body,
+// and without opening the entry, when the entry file exists.
 func (x *local) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	cache := x.opts.Engine.DiskCache()
 	if cache == nil {
@@ -32,11 +37,23 @@ func (x *local) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	addr := r.PathValue("key")
-	res, digest, ok := cache.GetAddr(addr)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for %q", addr)
+	etag := `"` + addr + `"`
+	miss := func() { writeError(w, http.StatusNotFound, "no cached result for %q", addr) }
+	if r.Header.Get("If-None-Match") == etag {
+		if cache.HasAddr(addr) {
+			w.Header().Set("ETag", etag)
+			w.WriteHeader(http.StatusNotModified)
+		} else {
+			miss()
+		}
 		return
 	}
+	res, digest, ok := cache.GetAddr(addr)
+	if !ok {
+		miss()
+		return
+	}
+	w.Header().Set("ETag", etag)
 	writeJSON(w, http.StatusOK, CacheEntry{
 		Results: res,
 		Digest:  fmt.Sprintf("%016x", digest),

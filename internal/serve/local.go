@@ -150,7 +150,7 @@ func (x *local) Ready() (bool, string) { return true, "" }
 
 // Admit applies the two admission caps and queues the job for the
 // worker pool. srv.mu is held.
-func (x *local) Admit(j *Job, req SubmitRequest, cfg config.Config) *Rejection {
+func (x *local) Admit(j *Job, req SubmitRequest, cfg config.Config, _ string) *Rejection {
 	if x.opts.ClientInFlight > 0 && x.inflight[j.client] >= x.opts.ClientInFlight {
 		return &Rejection{
 			Reason: "client_cap", Status: http.StatusTooManyRequests, RetryAfter: x.retryAfterLocked(),

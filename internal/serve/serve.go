@@ -44,7 +44,9 @@
 //	GET    /debug/jobs          flight recorder: the last N completed
 //	                            jobs with their span trees (JSON)
 //	GET    /v1/cache/{key}   D  cached result by content address
-//	                            (runner.CacheAddr); 404 on miss. Lets a
+//	                            (runner.CacheAddr), ETag "<key>"; 404 on
+//	                            miss; If-None-Match "<key>" answers 304,
+//	                            no body, while the entry exists. Lets a
 //	                            coordinator use this daemon's warm disk
 //	                            cache as one shard of a distributed
 //	                            cache tier without enqueueing a job
@@ -102,8 +104,10 @@ type Executor interface {
 	// Admit accepts the job — from here on the executor runs it and
 	// will Finish it — or says why not. req is the body as submitted
 	// (client filled in from X-Delrep-Client when absent), cfg its
-	// resolved configuration.
-	Admit(j *Job, req SubmitRequest, cfg config.Config) *Rejection
+	// resolved configuration, key the run key rendered from it
+	// (runner.Key — rendered once per request, so an executor that
+	// needs it never renders the Config again).
+	Admit(j *Job, req SubmitRequest, cfg config.Config, key string) *Rejection
 	// Cancel follows the cancellation of j's context. A job that is
 	// still waiting for the executor to pick it up must finish now;
 	// one being run is finished by whoever is watching its context.
@@ -269,7 +273,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Client == "" {
 		req.Client = r.Header.Get("X-Delrep-Client")
 	}
-	specKey := runner.KeyHash(cfg, norm.GPU, norm.CPU)
+	// The run key is rendered once per request; everything that
+	// identifies the run downstream is a hash of these bytes. It goes
+	// to the executor as an argument, not onto the Job: the job table
+	// would retain its ≈900 bytes per job.
+	key := runner.Key(cfg, norm.GPU, norm.CPU)
+	specKey := runner.HashKey(key)
 	recv.End()
 
 	adm := tr.Root().Start("admission")
@@ -288,7 +297,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		trace:   tr,
 	}
 	s.mu.Lock()
-	if rej := s.admitLocked(j, req, cfg); rej != nil {
+	if rej := s.admitLocked(j, req, cfg, key); rej != nil {
 		s.rejects[rej.Reason]++
 		s.mu.Unlock()
 		cancel()
@@ -324,7 +333,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // id allocation, the executor's verdict and the table insert happen
 // under one hold of s.mu, so a job is either refused or both in the
 // table and owned by the executor.
-func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config) *Rejection {
+func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config, key string) *Rejection {
 	if s.draining {
 		return &Rejection{Reason: "draining", Status: http.StatusServiceUnavailable, Message: "server is draining"}
 	}
@@ -338,7 +347,7 @@ func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config) *Reje
 		root.Set("spec_key", j.specKey)
 		root.Set("priority", j.prio.String())
 	}
-	if rej := s.exec.Admit(j, req, cfg); rej != nil {
+	if rej := s.exec.Admit(j, req, cfg, key); rej != nil {
 		return rej
 	}
 	s.seq++
