@@ -48,6 +48,7 @@ serve:
 	$(GO) run ./cmd/delrepd -addr :8080
 
 # record refreshes the checked-in quick-windows evaluation record
-# (parallel, cached; stdout is byte-identical at any -j value).
+# (parallel, cached; stdout is byte-identical at any -j value, and
+# `go test ./internal/experiment` holds every figure to it).
 record:
-	$(GO) run ./cmd/expdriver -quick all > experiments_output.txt
+	$(GO) run ./cmd/expdriver -quick -j $$(nproc) all > experiments_output.txt

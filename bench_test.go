@@ -1,289 +1,36 @@
-// Package delrep's benchmark harness: one testing.B benchmark per paper
-// table/figure. Each benchmark runs the simulation(s) behind that
-// experiment and reports the experiment's headline quantity as a custom
-// metric, so `go test -bench=.` regenerates the evaluation's shape.
-// The full figure tables are produced by `go run ./cmd/expdriver all`.
+// Package delrep's benchmark harness: BenchmarkFigure runs every figure
+// value of internal/experiment — the same values `go run
+// ./cmd/expdriver all` prints — at benchmark-sized windows, so `go test
+// -bench=.` times the evaluation figure by figure without re-declaring
+// it. The remaining benchmarks are micro-costs no figure isolates.
 package delrep
 
 import (
+	"io"
 	"testing"
 
 	"delrep/internal/config"
 	"delrep/internal/core"
+	"delrep/internal/experiment"
 	"delrep/internal/power"
+	"delrep/internal/runner"
 	"delrep/internal/workload"
 )
 
-// benchCfg returns benchmark-sized simulation windows.
-func benchCfg(scheme config.Scheme) config.Config {
-	cfg := config.Default()
-	cfg.Scheme = scheme
-	cfg.WarmupCycles = 3_000
-	cfg.MeasureCycles = 6_000
-	return cfg
-}
-
-func run(cfg config.Config, gpu, cpu string) core.Results {
-	sys := core.NewSystem(cfg, gpu, cpu)
-	return sys.RunWorkload()
-}
-
-// gainOver runs a scheme and the baseline on one pairing and returns
-// the relative GPU IPC.
-func gainOver(cfg config.Config, gpu, cpu string) float64 {
-	dr := run(cfg, gpu, cpu)
-	base := cfg
-	base.Scheme = config.SchemeBaseline
-	b := run(base, gpu, cpu)
-	if b.GPUIPC == 0 {
-		return 0
-	}
-	return dr.GPUIPC / b.GPUIPC
-}
-
-// BenchmarkFig2InterCoreLocality measures the Figure 2 statistic.
-func BenchmarkFig2InterCoreLocality(b *testing.B) {
-	var loc float64
-	for i := 0; i < b.N; i++ {
-		r := run(benchCfg(config.SchemeBaseline), "NN", "blackscholes")
-		loc = r.InterCoreLocal
-	}
-	b.ReportMetric(100*loc, "%locality")
-}
-
-// BenchmarkFig5Topology benchmarks each topology at nominal bandwidth.
-func BenchmarkFig5Topology(b *testing.B) {
-	for _, topo := range []config.Topology{config.TopoMesh,
-		config.TopoCrossbar, config.TopoFlattenedButterfly, config.TopoDragonfly} {
-		topo := topo
-		b.Run(topo.String(), func(b *testing.B) {
-			var ipc float64
+// BenchmarkFigure evaluates each figure on the -quick workload set at
+// 3k + 6k cycle windows, uncached, on a fresh engine per iteration
+// (runs shared inside a figure are simulated once, as in expdriver).
+func BenchmarkFigure(b *testing.B) {
+	for _, f := range experiment.Figures() {
+		b.Run(f.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeBaseline)
-				cfg.NoC.Topology = topo
-				ipc = run(cfg, "HS", "vips").GPUIPC
-			}
-			b.ReportMetric(ipc, "GPU-IPC")
-		})
-	}
-}
-
-// BenchmarkFig5DoubleBandwidth measures the 2x-channel mesh.
-func BenchmarkFig5DoubleBandwidth(b *testing.B) {
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(config.SchemeBaseline)
-		cfg.NoC.ChannelBytes *= 2
-		d := run(cfg, "HS", "vips")
-		base := run(benchCfg(config.SchemeBaseline), "HS", "vips")
-		rel = d.GPUIPC / base.GPUIPC
-	}
-	b.ReportMetric(rel, "rel-GPU-perf")
-}
-
-// BenchmarkFig6AVCP measures asymmetric VC partitioning.
-func BenchmarkFig6AVCP(b *testing.B) {
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(config.SchemeBaseline)
-		cfg.NoC.SharedPhys = true
-		cfg.NoC.ChannelBytes *= 2
-		cfg.NoC.ReqVCs, cfg.NoC.RepVCs = 1, 3
-		avcp := run(cfg, "HS", "vips")
-		base := run(benchCfg(config.SchemeBaseline), "HS", "vips")
-		rel = avcp.GPUIPC / base.GPUIPC
-	}
-	b.ReportMetric(rel, "rel-GPU-perf")
-}
-
-// BenchmarkFig7Adaptive measures the adaptive routing schemes.
-func BenchmarkFig7Adaptive(b *testing.B) {
-	for _, alg := range []config.RoutingAlg{config.RoutingDyXY,
-		config.RoutingFootprint, config.RoutingHARE} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeBaseline)
-				cfg.NoC.Routing = alg
-				adaptive := run(cfg, "HS", "vips")
-				base := run(benchCfg(config.SchemeBaseline), "HS", "vips")
-				rel = adaptive.GPUIPC / base.GPUIPC
-			}
-			b.ReportMetric(rel, "rel-GPU-perf")
-		})
-	}
-}
-
-// BenchmarkFig9Layouts measures GPU perf per layout.
-func BenchmarkFig9Layouts(b *testing.B) {
-	for _, l := range config.AllLayouts() {
-		l := l
-		b.Run(l.Name, func(b *testing.B) {
-			var ipc float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeBaseline)
-				cfg.Layout = l
-				cfg.NoC.ReqOrder, cfg.NoC.RepOrder = l.ReqOrder, l.RepOrder
-				ipc = run(cfg, "SRAD", "ferret").GPUIPC
-			}
-			b.ReportMetric(ipc, "GPU-IPC")
-		})
-	}
-}
-
-// BenchmarkFig10GPUPerf is the headline result: DR and RP vs baseline.
-func BenchmarkFig10GPUPerf(b *testing.B) {
-	for _, scheme := range []config.Scheme{config.SchemeRP, config.SchemeDelegatedReplies} {
-		scheme := scheme
-		b.Run(scheme.String(), func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				rel = gainOver(benchCfg(scheme), "HS", "vips")
-			}
-			b.ReportMetric(rel, "rel-GPU-perf")
-		})
-	}
-}
-
-// BenchmarkFig11ReceivedRate measures effective NoC bandwidth.
-func BenchmarkFig11ReceivedRate(b *testing.B) {
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		rate = run(benchCfg(config.SchemeDelegatedReplies), "HS", "vips").GPURecvRate
-	}
-	b.ReportMetric(rate, "flits/cyc/core")
-}
-
-// BenchmarkFig12CPULatency measures CPU network latency under DR.
-func BenchmarkFig12CPULatency(b *testing.B) {
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		dr := run(benchCfg(config.SchemeDelegatedReplies), "HS", "vips")
-		base := run(benchCfg(config.SchemeBaseline), "HS", "vips")
-		rel = dr.CPULatAvg / base.CPULatAvg
-	}
-	b.ReportMetric(rel, "rel-CPU-latency")
-}
-
-// BenchmarkFig13CPUPerf measures CPU throughput under DR.
-func BenchmarkFig13CPUPerf(b *testing.B) {
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		dr := run(benchCfg(config.SchemeDelegatedReplies), "HS", "vips")
-		base := run(benchCfg(config.SchemeBaseline), "HS", "vips")
-		rel = dr.CPUThroughput / base.CPUThroughput
-	}
-	b.ReportMetric(rel, "rel-CPU-perf")
-}
-
-// BenchmarkFig14Breakdown measures forwarded fraction and remote hits.
-func BenchmarkFig14Breakdown(b *testing.B) {
-	var fwd, rh float64
-	for i := 0; i < b.N; i++ {
-		r := run(benchCfg(config.SchemeDelegatedReplies), "NN", "blackscholes")
-		fwd = r.Breakdown.ForwardedFrac()
-		rh = r.Breakdown.RemoteHitFrac()
-	}
-	b.ReportMetric(100*fwd, "%forwarded")
-	b.ReportMetric(100*rh, "%remote-hit")
-}
-
-// BenchmarkFig15SharedL1 measures DR on top of the L1 organisations.
-func BenchmarkFig15SharedL1(b *testing.B) {
-	for _, org := range []config.L1Org{config.L1DCL1, config.L1DynEB} {
-		org := org
-		b.Run(org.String(), func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeDelegatedReplies)
-				cfg.GPU.Org = org
-				rel = gainOver(cfg, "SC", "bodytrack")
-			}
-			b.ReportMetric(rel, "rel-GPU-perf")
-		})
-	}
-}
-
-// BenchmarkFig16Topology measures DR's gain per topology.
-func BenchmarkFig16Topology(b *testing.B) {
-	for _, topo := range []config.Topology{config.TopoMesh, config.TopoCrossbar} {
-		topo := topo
-		b.Run(topo.String(), func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeDelegatedReplies)
-				cfg.NoC.Topology = topo
-				rel = gainOver(cfg, "HS", "vips")
-			}
-			b.ReportMetric(rel, "DR-gain")
-		})
-	}
-}
-
-// BenchmarkFig17Layouts measures DR's gain per layout.
-func BenchmarkFig17Layouts(b *testing.B) {
-	for _, l := range config.AllLayouts() {
-		l := l
-		b.Run(l.Name, func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeDelegatedReplies)
-				cfg.Layout = l
-				cfg.NoC.ReqOrder, cfg.NoC.RepOrder = l.ReqOrder, l.RepOrder
-				rel = gainOver(cfg, "HS", "vips")
-			}
-			b.ReportMetric(rel, "DR-gain")
-		})
-	}
-}
-
-// BenchmarkFig19L1Size sweeps the L1 size sensitivity.
-func BenchmarkFig19L1Size(b *testing.B) {
-	for _, kb := range []int{16, 48, 64} {
-		kb := kb
-		b.Run(map[int]string{16: "16KB", 48: "48KB", 64: "64KB"}[kb], func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeDelegatedReplies)
-				cfg.GPU.L1Bytes = kb * 1024
-				rel = gainOver(cfg, "HS", "vips")
-			}
-			b.ReportMetric(rel, "DR-gain")
-		})
-	}
-}
-
-// BenchmarkFig19NoCBandwidth sweeps the channel-width sensitivity.
-func BenchmarkFig19NoCBandwidth(b *testing.B) {
-	for _, ch := range []int{8, 16, 24} {
-		ch := ch
-		b.Run(map[int]string{8: "8B", 16: "16B", 24: "24B"}[ch], func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeDelegatedReplies)
-				cfg.NoC.ChannelBytes = ch
-				rel = gainOver(cfg, "HS", "vips")
-			}
-			b.ReportMetric(rel, "DR-gain")
-		})
-	}
-}
-
-// BenchmarkFig19NodeCount sweeps mesh size.
-func BenchmarkFig19NodeCount(b *testing.B) {
-	for _, n := range []int{8, 10, 12} {
-		n := n
-		b.Run(map[int]string{8: "8x8", 10: "10x10", 12: "12x12"}[n], func(b *testing.B) {
-			var rel float64
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(config.SchemeDelegatedReplies)
-				if n != 8 {
-					cfg.Layout = config.ScaledBaseline(n, n)
+				plan := experiment.NewPlan(true, 1, runner.New(runner.Options{}))
+				plan.Warm, plan.Measure = 3_000, 6_000
+				plan.Render(io.Discard, f)
+				if plan.Finish("bench") != 0 {
+					b.Fatal("simulations failed")
 				}
-				rel = gainOver(cfg, "HS", "vips")
 			}
-			b.ReportMetric(rel, "DR-gain")
 		})
 	}
 }
@@ -305,7 +52,7 @@ func BenchmarkAreaModel(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw simulation speed
 // (cycles simulated per second of wall clock).
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := benchCfg(config.SchemeDelegatedReplies)
+	cfg := experiment.BaseConfig(config.SchemeDelegatedReplies)
 	sys := core.NewSystem(cfg, "HS", "vips")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

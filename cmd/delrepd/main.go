@@ -28,8 +28,6 @@ package main
 
 import (
 	"flag"
-	"log/slog"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -76,7 +74,13 @@ func main() {
 			fatal("parsing -cache-max", "error", err)
 		}
 	}
-	cache := openCache(logger, *cacheDir)
+	cache, uncached, err := runner.OpenCache(*cacheDir)
+	if err != nil {
+		fatal("opening the result cache", "error", err)
+	}
+	if uncached != nil {
+		logger.Warn("running uncached", "error", uncached)
+	}
 	if cache != nil {
 		logger.Info("result cache open", "dir", cache.Dir())
 	} else if maxBytes > 0 {
@@ -102,33 +106,4 @@ func main() {
 	// normal way a service manager stops the daemon, and the -memprofile
 	// snapshot should reflect the drained (quiescent) heap.
 	serve.ListenAndDrain(logger, *addr, *drain, srv, stopProf)
-}
-
-// openCache resolves the -cache flag the same way delrepsim does:
-// "off" disables it, "auto" selects the per-user default directory
-// (honouring DELREP_CACHE_DIR), anything else is a directory path.
-func openCache(logger *slog.Logger, flagVal string) *runner.DiskCache {
-	switch flagVal {
-	case "off":
-		return nil
-	case "auto":
-		dir, err := runner.DefaultCacheDir()
-		if err != nil {
-			logger.Warn("no user cache dir; running uncached", "error", err)
-			return nil
-		}
-		c, err := runner.OpenDiskCache(dir)
-		if err != nil {
-			logger.Warn("opening cache failed; running uncached", "dir", dir, "error", err)
-			return nil
-		}
-		return c
-	default:
-		c, err := runner.OpenDiskCache(flagVal)
-		if err != nil {
-			logger.Error("opening cache failed", "dir", flagVal, "error", err)
-			os.Exit(1)
-		}
-		return c
-	}
 }

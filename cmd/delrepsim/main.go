@@ -9,63 +9,83 @@
 //	delrepsim -spec run.json -json
 //	delrepsim -cache-prune 512M
 //
+// A run is a simspec.Spec — the wire form the delrepd daemon accepts.
+// The run-identity flags (-gpu … -seed) fill one in, -spec reads one
+// as JSON ("-" is stdin), and either way Spec.Resolve is the only
+// validation. -json prints the canonical simspec.Result (spec,
+// results, determinism digest), byte-comparable with the daemon's
+// "result" field, so a served result can be verified by replaying its
+// spec here.
+//
 // With -sweep, the -gpu, -cpu and -scheme flags accept comma-separated
-// lists and the cross product runs concurrently on -j workers through
-// the shared result cache (see internal/runner).
+// lists; every point of the cross product is resolved like a single
+// run and they execute as one more figure of internal/experiment, on
+// the engine experiment.EngineFlags describes (-j, -cache, -remote,
+// -parallel, the profiles — shared with expdriver).
 //
-// With -spec, the run is described by a JSON spec (see internal/simspec;
-// "-" reads stdin) — the same wire form the delrepd daemon accepts, so
-// a spec can be replayed locally to verify a served result. -json
-// prints the canonical simspec.Result (spec, results, determinism
-// digest), byte-comparable with the daemon's "result" field.
-//
-// With -parallel N, the single run's cycle is spread over N workers —
-// network tiles and node shards on one pool (see DESIGN.md §11).
-// Results and digests are bit-identical at every N, so -parallel
-// composes with -json verification: the same spec run at different
-// worker counts prints the same bytes. The engine clamps N to what the
-// topology can use, and to 1 when an observer is attached
-// (-metrics-out, -trace-out, -clog); when that happens the effective
-// count is reported on stderr. -phase-profile prints the per-phase
-// wall-time breakdown (the Amdahl view of the tick) to stderr after
-// the run.
+// With -parallel N, a single run's cycle is spread over N workers too.
+// The engine clamps N to what the topology can use, and to 1 when an
+// observer is attached (-metrics-out, -trace-out, -clog), and reports
+// the effective count on stderr when it does. -phase-profile prints
+// the per-phase wall-time breakdown (the Amdahl view of the tick) to
+// stderr after the run.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strings"
+	"unicode"
 
 	"delrep/internal/config"
 	"delrep/internal/core"
+	"delrep/internal/experiment"
 	"delrep/internal/obs"
-	"delrep/internal/prof"
+	"delrep/internal/runner"
 	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 	"delrep/internal/workload"
 )
 
+// modeFlag is a flag one of the run modes cannot honour, and whether
+// the command line set it.
+type modeFlag struct {
+	name string
+	set  bool
+}
+
+// rejectFlags exits with a usage error if any of the flags is set.
+func rejectFlags(mode string, flags []modeFlag) {
+	for _, f := range flags {
+		if f.set {
+			fatalf("%s reports on one local simulation and cannot combine with %s", f.name, mode)
+		}
+	}
+}
+
 func main() {
+	// The run-identity flags are the fields of a spec.
+	var spec simspec.Spec
+	flag.StringVar(&spec.GPU, "gpu", "HS", "GPU benchmark (see -list); comma-separated list with -sweep")
+	flag.StringVar(&spec.CPU, "cpu", "vips", "CPU benchmark (see -list); comma-separated list with -sweep")
+	flag.StringVar(&spec.Scheme, "scheme", "baseline", "baseline | delegated | rp; comma-separated list with -sweep")
+	flag.StringVar(&spec.Layout, "layout", "Baseline", "Baseline | B | C | D")
+	flag.StringVar(&spec.Topo, "topo", "mesh", "mesh | fbfly | dragonfly | crossbar")
+	flag.StringVar(&spec.Routing, "routing", "cdr", "cdr | dyxy | footprint | hare")
+	flag.StringVar(&spec.L1Org, "l1org", "private", "private | dcl1 | dyneb")
+	flag.IntVar(&spec.ChannelBytes, "channel", 16, "NoC channel width in bytes")
+	flag.IntVar(&spec.VCDepth, "vcdepth", 0, "override VC buffer depth in flits")
+	flag.Int64Var(&spec.Warmup, "warm", 20000, "warmup cycles")
+	flag.Int64Var(&spec.Cycles, "cycles", 60000, "measured cycles")
+	flag.Int64Var(&spec.Seed, "seed", 1, "random seed")
 	var (
-		gpuBench  = flag.String("gpu", "HS", "GPU benchmark (see -list); comma-separated list with -sweep")
-		cpuBench  = flag.String("cpu", "vips", "CPU benchmark (see -list); comma-separated list with -sweep")
-		scheme    = flag.String("scheme", "baseline", "baseline | delegated | rp; comma-separated list with -sweep")
-		layout    = flag.String("layout", "Baseline", "Baseline | B | C | D")
-		topo      = flag.String("topo", "mesh", "mesh | fbfly | dragonfly | crossbar")
-		routing   = flag.String("routing", "cdr", "cdr | dyxy | footprint | hare")
-		org       = flag.String("l1org", "private", "private | dcl1 | dyneb")
-		channel   = flag.Int("channel", 16, "NoC channel width in bytes")
-		warm      = flag.Int64("warm", 20000, "warmup cycles")
-		cycles    = flag.Int64("cycles", 60000, "measured cycles")
-		seed      = flag.Int64("seed", 1, "random seed")
-		parallel  = flag.Int("parallel", 0, "tick the system across this many workers (results are bit-identical at any value; 0/1 = inline on one)")
+		engine    = experiment.BindEngineFlags(flag.CommandLine)
 		phaseProf = flag.Bool("phase-profile", false, "print the per-phase wall-time breakdown of the tick to stderr after the run")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		heatmap   = flag.Bool("heatmap", false, "print link-utilization heatmaps (mesh only)")
-		vcdepth   = flag.Int("vcdepth", 0, "override VC buffer depth in flits")
 		jsonOut   = flag.Bool("json", false, "emit results as JSON")
 
 		metricsOut    = flag.String("metrics-out", "", "write windowed metric time series (.csv extension selects CSV, else JSON)")
@@ -76,110 +96,56 @@ func main() {
 		clogFlag      = flag.Bool("clog", false, "print the clog-detector narrative after the run")
 		clogUtil      = flag.Float64("clog-util", 0.85, "clog-detector port-utilization threshold")
 
-		specFile = flag.String("spec", "", `run one JSON simulation spec from this file ("-" reads stdin)`)
-		remote   = flag.String("remote", "", "run via a delrepd or delrepfleet endpoint at this base URL instead of locally")
-
-		sweep      = flag.Bool("sweep", false, "run the -gpu x -cpu x -scheme cross product in parallel")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (with -sweep)")
-		cacheDir   = flag.String("cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
+		specFile   = flag.String("spec", "", `run one JSON simulation spec from this file ("-" reads stdin)`)
+		sweep      = flag.Bool("sweep", false, "run the -gpu x -cpu x -scheme cross product on the engine (-j at a time)")
 		cachePrune = flag.String("cache-prune", "", `prune the result cache to this size (e.g. 512M, 2GiB) and exit`)
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := engine.StartProfile()
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer stopProf()
 
 	if *list {
-		var g, c []string
-		for _, p := range workload.GPUProfiles() {
-			g = append(g, p.Name)
-		}
-		for _, p := range workload.CPUProfiles() {
-			c = append(c, p.Name)
-		}
-		fmt.Println("GPU benchmarks:", strings.Join(g, " "))
-		fmt.Println("CPU benchmarks:", strings.Join(c, " "))
+		fmt.Println("GPU benchmarks:", strings.Join(workload.GPUNames(), " "))
+		fmt.Println("CPU benchmarks:", strings.Join(workload.CPUNames(), " "))
 		return
 	}
 
 	if *cachePrune != "" {
-		pruneCache(*cacheDir, *cachePrune)
+		pruneCache(engine, *cachePrune)
 		return
 	}
 
+	// Everything observer- or instrumentation-shaped needs the one
+	// simulation in this process: a sweep has many, and a remote end
+	// runs headless.
+	localOnly := []modeFlag{
+		{"-heatmap", *heatmap}, {"-phase-profile", *phaseProf}, {"-clog", *clogFlag},
+		{"-metrics-out", *metricsOut != ""}, {"-trace-out", *traceOut != ""},
+		{"-telemetry-out", *telemOut != ""},
+	}
 	if *sweep {
-		if *specFile != "" {
-			fatalf("-spec and -sweep are mutually exclusive")
-		}
-		cfg := config.Default()
-		cfg.WarmupCycles = *warm
-		cfg.MeasureCycles = *cycles
-		cfg.Seed = *seed
-		cfg.NoC.ChannelBytes = *channel
-		if *vcdepth > 0 {
-			cfg.NoC.FlitsPerVC = *vcdepth
-		}
-		if cfg.Layout, err = simspec.ParseLayout(*layout); err != nil {
-			fatalf("%v", err)
-		}
-		cfg.NoC.ReqOrder = cfg.Layout.ReqOrder
-		cfg.NoC.RepOrder = cfg.Layout.RepOrder
-		if cfg.NoC.Topology, err = simspec.ParseTopo(*topo); err != nil {
-			fatalf("%v", err)
-		}
-		if cfg.NoC.Routing, err = simspec.ParseRouting(*routing); err != nil {
-			fatalf("%v", err)
-		}
-		if cfg.GPU.Org, err = simspec.ParseOrg(*org); err != nil {
-			fatalf("%v", err)
-		}
-		runSweep(cfg, *gpuBench, *cpuBench, *scheme, *jobs, *cacheDir, *remote)
+		rejectFlags("-sweep", append(localOnly, modeFlag{"-json", *jsonOut}, modeFlag{"-spec", *specFile != ""}))
+		runSweep(spec, engine)
 		return
 	}
 
-	// A single run is described by a spec — from -spec, or assembled
-	// from the individual flags — so both paths share one validation
-	// and one canonical rendering.
-	var spec simspec.Spec
 	if *specFile != "" {
 		if spec, err = readSpecFile(*specFile); err != nil {
 			fatalf("%v", err)
 		}
-	} else {
-		spec = simspec.Spec{
-			GPU: *gpuBench, CPU: *cpuBench, Scheme: *scheme, Layout: *layout,
-			Topo: *topo, Routing: *routing, L1Org: *org, ChannelBytes: *channel,
-			VCDepth: *vcdepth, Warmup: *warm, Cycles: *cycles, Seed: *seed,
-			Parallel: *parallel,
-		}
 	}
-	if *parallel > 0 {
+	if engine.Parallel > 0 {
 		// The flag wins over a spec file's hint; both are pure
 		// execution hints, so the override cannot change results.
-		spec.Parallel = *parallel
+		spec.Parallel = engine.Parallel
 	}
-	if *remote != "" {
-		// Everything observer- or instrumentation-shaped needs the
-		// simulation in this process; the remote end runs headless.
-		for _, bad := range []struct {
-			name string
-			set  bool
-		}{
-			{"-heatmap", *heatmap}, {"-phase-profile", *phaseProf}, {"-clog", *clogFlag},
-			{"-metrics-out", *metricsOut != ""}, {"-trace-out", *traceOut != ""},
-			{"-telemetry-out", *telemOut != ""},
-		} {
-			if bad.set {
-				fatalf("%s needs a local simulation and cannot combine with -remote", bad.name)
-			}
-		}
-		runRemote(*remote, spec, *jsonOut)
+	if engine.Remote != "" {
+		rejectFlags("-remote", localOnly)
+		runRemote(engine, spec, *jsonOut)
 		return
 	}
 
@@ -189,7 +155,7 @@ func main() {
 	// without -telemetry-out.
 	var tr *telemetry.Trace
 	if *telemOut != "" {
-		tr = telemetry.New("delrepsim", telemetry.A("gpu", *gpuBench), telemetry.A("cpu", *cpuBench))
+		tr = telemetry.New("delrepsim", telemetry.A("gpu", spec.GPU), telemetry.A("cpu", spec.CPU))
 	}
 	resolveSpan := tr.Root().Start("resolve")
 	cfg, norm, err := spec.Resolve()
@@ -238,24 +204,19 @@ func main() {
 	flushSpan := tr.Root().Start("flush")
 	flushObserver(observer, *metricsOut, *traceOut)
 	flushSpan.End()
-	writePhaseTrace(tr, *telemOut)
+	if tr != nil {
+		tr.End()
+		writeFile(*telemOut, tr.WriteChrome)
+	}
 	if profile != nil {
 		// Stderr, so -json on stdout stays the canonical Result bytes.
 		fmt.Fprint(os.Stderr, profile.String())
 	}
 
+	printRun(cfg, simspec.NewResult(norm, r, sys.StatsDigest()), *jsonOut)
 	if *jsonOut {
-		out := simspec.NewResult(norm, r, sys.StatsDigest())
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatalf("encoding results: %v", err)
-		}
 		return
 	}
-
-	printResults(cfg, norm, r)
-
 	if *heatmap {
 		printHeatmaps(sys)
 	}
@@ -267,10 +228,85 @@ func main() {
 	}
 }
 
-// printResults renders the human-readable report for one finished run.
-// Shared by the local and -remote paths, so a remotely served result
-// reads identically to a local one.
-func printResults(cfg config.Config, norm simspec.Spec, r core.Results) {
+// runSweep runs the cross product of the comma-separated -gpu, -cpu
+// and -scheme lists as one figure and prints its table: one row per
+// run, schemes outermost, then GPU, then CPU benchmarks. With -remote,
+// cache-missing points run on the fleet; the table is byte-identical
+// either way.
+func runSweep(base simspec.Spec, engine *experiment.EngineFlags) {
+	split := func(list string) []string {
+		return strings.FieldsFunc(list, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	}
+	var points []simspec.Spec
+	for _, scheme := range split(base.Scheme) {
+		for _, g := range split(base.GPU) {
+			for _, c := range split(base.CPU) {
+				pt := base
+				pt.Scheme, pt.GPU, pt.CPU = scheme, g, c
+				points = append(points, pt)
+			}
+		}
+	}
+	if len(points) == 0 {
+		fatalf("-sweep needs at least one GPU benchmark, one CPU benchmark and one scheme")
+	}
+	fig, err := experiment.Sweep(points)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	eng, err := engine.Engine("delrepsim")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	plan := experiment.NewPlan(false, base.Seed, eng)
+	plan.Log = os.Stderr
+	fmt.Print(plan.Eval(fig))
+	if status := plan.Finish("delrepsim"); status != 0 {
+		os.Exit(status)
+	}
+}
+
+// pruneCache implements -cache-prune: shrink the on-disk result cache
+// to the given size budget (oldest entries first) and report what was
+// evicted.
+func pruneCache(engine *experiment.EngineFlags, sizeSpec string) {
+	maxBytes, err := runner.ParseSize(sizeSpec)
+	if err != nil {
+		fatalf("-cache-prune: %v", err)
+	}
+	cache, err := engine.OpenCache("delrepsim")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if cache == nil {
+		fatalf("-cache-prune needs a cache (-cache is %q)", engine.Cache)
+	}
+	before, err := cache.Size()
+	if err != nil {
+		fatalf("sizing cache %s: %v", cache.Dir(), err)
+	}
+	removed, freed, err := cache.Prune(maxBytes)
+	if err != nil {
+		fatalf("pruning cache %s: %v", cache.Dir(), err)
+	}
+	fmt.Printf("cache %s: %d -> %d bytes, %d entries removed (%d bytes freed)\n",
+		cache.Dir(), before, before-freed, removed, freed)
+}
+
+// printRun renders one finished run, as the canonical simspec.Result
+// JSON or as the human-readable report. Shared by the local and
+// -remote paths, so a remotely served result reads identically to a
+// local one.
+func printRun(cfg config.Config, res simspec.Result, asJSON bool) {
+	if asJSON {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(res); err != nil {
+			fatalf("encoding results: %v", err)
+		}
+		return
+	}
+	norm, r := res.Spec, res.Results
 	fmt.Printf("workload           %s + %s\n", norm.GPU, norm.CPU)
 	fmt.Printf("scheme             %s  layout %s  topo %s  routing %s\n",
 		cfg.Scheme, cfg.Layout.Name, cfg.NoC.Topology, cfg.NoC.Routing)
@@ -304,18 +340,13 @@ func printResults(cfg config.Config, norm simspec.Spec, r core.Results) {
 	}
 }
 
-// writePhaseTrace finalizes and writes the CLI phase trace; nil trace
-// (no -telemetry-out) is a no-op.
-func writePhaseTrace(tr *telemetry.Trace, path string) {
-	if tr == nil {
-		return
-	}
-	tr.End()
+// writeFile creates path and fills it with write; any failure is fatal.
+func writeFile(path string, write func(io.Writer) error) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatalf("creating %s: %v", path, err)
 	}
-	err = tr.WriteChrome(f)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -343,35 +374,13 @@ func flushObserver(o *obs.Observer, metricsOut, traceOut string) {
 	if o == nil {
 		return
 	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatalf("creating %s: %v", metricsOut, err)
-		}
-		if strings.HasSuffix(strings.ToLower(metricsOut), ".csv") {
-			err = o.Reg.WriteCSV(f)
-		} else {
-			err = o.Reg.WriteJSON(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatalf("writing %s: %v", metricsOut, err)
-		}
+	if strings.HasSuffix(strings.ToLower(metricsOut), ".csv") {
+		writeFile(metricsOut, o.Reg.WriteCSV)
+	} else if metricsOut != "" {
+		writeFile(metricsOut, o.Reg.WriteJSON)
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatalf("creating %s: %v", traceOut, err)
-		}
-		err = o.WriteTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatalf("writing %s: %v", traceOut, err)
-		}
+		writeFile(traceOut, o.WriteTrace)
 	}
 }
 

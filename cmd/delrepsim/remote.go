@@ -2,17 +2,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 
-	"delrep/internal/fleet"
-	"delrep/internal/serve"
+	"delrep/internal/experiment"
+	"delrep/internal/runner"
 	"delrep/internal/simspec"
 )
 
-// runRemote submits one spec to a delrepd or delrepfleet endpoint and
-// prints the served result. With -json the output is the canonical
+// runRemote has one spec served by a delrepd or delrepfleet endpoint
+// and prints the result. With -json the output is the canonical
 // simspec.Result — byte-identical to a local `delrepsim -json` run of
 // the same spec, which is the fleet's core invariant and the easiest
 // way to audit it:
@@ -20,43 +19,32 @@ import (
 //	delrepsim -gpu HS -cpu vips -json > local.json
 //	delrepsim -gpu HS -cpu vips -json -remote http://fleet:9090 > served.json
 //	cmp local.json served.json
-func runRemote(base string, spec simspec.Spec, jsonOut bool) {
+func runRemote(engine *experiment.EngineFlags, spec simspec.Spec, jsonOut bool) {
 	// Resolve locally first: malformed specs fail fast with the usual
 	// message, and the human report needs the resolved configuration.
 	cfg, norm, err := spec.Resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	client := fleet.NewClient(base, "delrepsim", nil)
-	ctx := context.Background()
-	if err := client.Ping(ctx); err != nil {
-		fatalf("%v", err)
-	}
-	view, err := client.Submit(ctx, spec)
+	// The same resolver path a remote sweep takes, minus the local
+	// cache: the point is to be served, not to recall a result.
+	uncached := *engine
+	uncached.Cache = "off"
+	eng, err := uncached.Engine("delrepsim")
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if view.Status != serve.StatusDone {
-		fatalf("remote job %s ended %s: %s", view.ID, view.Status, view.Error)
-	}
-	if view.Result == nil {
-		fatalf("remote job %s: done without a result", view.ID)
+	run := eng.SubmitCtxParallel(context.Background(),
+		runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}, spec.Parallel).Wait()
+	if run.Err != nil {
+		fatalf("%v", run.Err)
 	}
 	// Stderr, so stdout stays exactly the result (or the canonical
 	// Result bytes under -json).
 	served := "remote"
-	if view.Worker != "" {
-		served = view.Worker
+	if run.Worker != "" {
+		served = run.Worker
 	}
-	fmt.Fprintf(os.Stderr, "delrepsim: served by %s (source %s)\n", served, view.Source)
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(view.Result); err != nil {
-			fatalf("encoding results: %v", err)
-		}
-		return
-	}
-	printResults(cfg, norm, view.Result.Results)
+	fmt.Fprintf(os.Stderr, "delrepsim: served by %s (source %s)\n", served, run.Source)
+	printRun(cfg, simspec.NewResult(norm, run.Results, run.Digest), jsonOut)
 }

@@ -94,6 +94,32 @@ func DefaultCacheDir() (string, error) {
 	return filepath.Join(base, "delrep"), nil
 }
 
+// OpenCache resolves the -cache flag every binary shares: "off"
+// disables the on-disk cache (nil, no error), "auto" selects
+// DefaultCacheDir, anything else is a directory path. When "auto"
+// cannot provide a cache the binary should say why and run without
+// one, so that reason comes back as uncached; an explicit directory
+// that cannot be opened is err, which callers treat as fatal.
+func OpenCache(flagVal string) (c *DiskCache, uncached, err error) {
+	switch flagVal {
+	case "off":
+		return nil, nil, nil
+	case "auto":
+		dir, err := DefaultCacheDir()
+		if err != nil {
+			return nil, fmt.Errorf("no user cache dir (%v)", err), nil
+		}
+		if c, err = OpenDiskCache(dir); err != nil {
+			return nil, fmt.Errorf("opening cache %s: %v", dir, err), nil
+		}
+		return c, nil, nil
+	}
+	if c, err = OpenDiskCache(flagVal); err != nil {
+		return nil, nil, fmt.Errorf("opening cache %s: %v", flagVal, err)
+	}
+	return c, nil, nil
+}
+
 // Dir returns the cache directory.
 func (c *DiskCache) Dir() string { return c.dir }
 

@@ -5,17 +5,18 @@
 // leaves unset takes the Table I default, so the empty spec plus a
 // workload pairing is the paper's baseline machine.
 //
-// The package also owns the flag-token parsers (scheme, layout,
-// topology, routing, L1 organisation) so the CLI flags and the JSON
-// spec accept exactly the same vocabulary, and the canonical Result
-// rendering, so a result served by the daemon is byte-comparable with
-// one printed by delrepsim -json.
+// The package also owns the token vocabulary (scheme, layout,
+// topology, routing, L1 organisation) — delrepsim's flags fill in a
+// Spec, so flags and JSON accept exactly the same spellings — and the
+// canonical Result rendering, so a result served by the daemon is
+// byte-comparable with one printed by delrepsim -json.
 package simspec
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"delrep/internal/config"
@@ -64,52 +65,34 @@ func (s Spec) Resolve() (config.Config, Spec, error) {
 	if norm.CPU == "" {
 		return zero, s, fmt.Errorf("spec: missing cpu benchmark")
 	}
-	if !knownGPU(norm.GPU) {
+	if !slices.Contains(workload.GPUNames(), norm.GPU) {
 		return zero, s, fmt.Errorf("spec: unknown gpu benchmark %q (see delrepsim -list)", norm.GPU)
 	}
-	if !knownCPU(norm.CPU) {
+	if !slices.Contains(workload.CPUNames(), norm.CPU) {
 		return zero, s, fmt.Errorf("spec: unknown cpu benchmark %q (see delrepsim -list)", norm.CPU)
 	}
 
 	cfg := config.Default()
 	def := cfg
 
-	scheme, err := ParseScheme(orDefault(norm.Scheme, "baseline"))
-	if err != nil {
-		return zero, s, fmt.Errorf("spec: %v", err)
+	var err error
+	if cfg.Scheme, norm.Scheme, err = parse("scheme", schemeTokens, norm.Scheme); err != nil {
+		return zero, s, err
 	}
-	cfg.Scheme = scheme
-	norm.Scheme = canonScheme(scheme)
-
-	layout, err := ParseLayout(orDefault(norm.Layout, "Baseline"))
-	if err != nil {
-		return zero, s, fmt.Errorf("spec: %v", err)
+	if cfg.Layout, norm.Layout, err = parseLayout(norm.Layout); err != nil {
+		return zero, s, err
 	}
-	cfg.Layout = layout
-	cfg.NoC.ReqOrder = layout.ReqOrder
-	cfg.NoC.RepOrder = layout.RepOrder
-	norm.Layout = layout.Name
-
-	topo, err := ParseTopo(orDefault(norm.Topo, "mesh"))
-	if err != nil {
-		return zero, s, fmt.Errorf("spec: %v", err)
+	cfg.NoC.ReqOrder = cfg.Layout.ReqOrder
+	cfg.NoC.RepOrder = cfg.Layout.RepOrder
+	if cfg.NoC.Topology, norm.Topo, err = parse("topology", topoTokens, norm.Topo); err != nil {
+		return zero, s, err
 	}
-	cfg.NoC.Topology = topo
-	norm.Topo = canonTopo(topo)
-
-	routing, err := ParseRouting(orDefault(norm.Routing, "cdr"))
-	if err != nil {
-		return zero, s, fmt.Errorf("spec: %v", err)
+	if cfg.NoC.Routing, norm.Routing, err = parse("routing", routingTokens, norm.Routing); err != nil {
+		return zero, s, err
 	}
-	cfg.NoC.Routing = routing
-	norm.Routing = canonRouting(routing)
-
-	org, err := ParseOrg(orDefault(norm.L1Org, "private"))
-	if err != nil {
-		return zero, s, fmt.Errorf("spec: %v", err)
+	if cfg.GPU.Org, norm.L1Org, err = parse("L1 organisation", orgTokens, norm.L1Org); err != nil {
+		return zero, s, err
 	}
-	cfg.GPU.Org = org
-	norm.L1Org = canonOrg(org)
 
 	if norm.ChannelBytes == 0 {
 		norm.ChannelBytes = def.NoC.ChannelBytes
@@ -155,11 +138,11 @@ func FromConfig(cfg config.Config, gpu, cpu string) (Spec, error) {
 	s := Spec{
 		GPU:          gpu,
 		CPU:          cpu,
-		Scheme:       canonScheme(cfg.Scheme),
+		Scheme:       canon(schemeTokens, cfg.Scheme),
 		Layout:       cfg.Layout.Name,
-		Topo:         canonTopo(cfg.NoC.Topology),
-		Routing:      canonRouting(cfg.NoC.Routing),
-		L1Org:        canonOrg(cfg.GPU.Org),
+		Topo:         canon(topoTokens, cfg.NoC.Topology),
+		Routing:      canon(routingTokens, cfg.NoC.Routing),
+		L1Org:        canon(orgTokens, cfg.GPU.Org),
 		ChannelBytes: cfg.NoC.ChannelBytes,
 		VCDepth:      cfg.NoC.FlitsPerVC,
 		Warmup:       cfg.WarmupCycles,
@@ -208,142 +191,82 @@ func NewResult(spec Spec, res core.Results, digest uint64) Result {
 	return Result{Spec: spec, Results: res, Digest: fmt.Sprintf("%016x", digest)}
 }
 
-func orDefault(v, def string) string {
-	if v == "" {
-		return def
-	}
-	return v
+// token is one accepted spelling of a knob value. In each table the
+// first entry is the default (what an empty field means) and the first
+// spelling of a value is its canonical one.
+type token[T comparable] struct {
+	name string
+	val  T
 }
 
-func knownGPU(name string) bool {
-	for _, p := range workload.GPUProfiles() {
-		if p.Name == name {
-			return true
+var (
+	schemeTokens = []token[config.Scheme]{
+		{"baseline", config.SchemeBaseline},
+		{"delegated", config.SchemeDelegatedReplies},
+		{"dr", config.SchemeDelegatedReplies},
+		{"delegatedreplies", config.SchemeDelegatedReplies},
+		{"rp", config.SchemeRP},
+	}
+	topoTokens = []token[config.Topology]{
+		{"mesh", config.TopoMesh},
+		{"fbfly", config.TopoFlattenedButterfly},
+		{"dragonfly", config.TopoDragonfly},
+		{"crossbar", config.TopoCrossbar},
+	}
+	routingTokens = []token[config.RoutingAlg]{
+		{"cdr", config.RoutingCDR},
+		{"dyxy", config.RoutingDyXY},
+		{"footprint", config.RoutingFootprint},
+		{"hare", config.RoutingHARE},
+	}
+	orgTokens = []token[config.L1Org]{
+		{"private", config.L1Private},
+		{"dcl1", config.L1DCL1},
+		{"dc-l1", config.L1DCL1},
+		{"dyneb", config.L1DynEB},
+	}
+)
+
+// parse looks a token up (case-insensitively; empty means the default)
+// and returns its value and canonical spelling.
+func parse[T comparable](what string, toks []token[T], s string) (T, string, error) {
+	if s == "" {
+		s = toks[0].name
+	}
+	for _, t := range toks {
+		if t.name == strings.ToLower(s) {
+			return t.val, canon(toks, t.val), nil
 		}
 	}
-	return false
+	var zero T
+	return zero, "", fmt.Errorf("spec: unknown %s %q", what, s)
 }
 
-func knownCPU(name string) bool {
-	for _, p := range workload.CPUProfiles() {
-		if p.Name == name {
-			return true
+// canon returns the canonical spelling of a knob value.
+func canon[T comparable](toks []token[T], v T) string {
+	for _, t := range toks {
+		if t.val == v {
+			return t.name
 		}
 	}
-	return false
+	return toks[0].name
 }
 
-// ParseScheme parses a scheme token (baseline | delegated | rp).
-func ParseScheme(s string) (config.Scheme, error) {
+// parseLayout parses a chip-layout token (Baseline | B | C | D) and
+// returns the layout and its canonical name.
+func parseLayout(s string) (config.Layout, string, error) {
+	var l config.Layout
 	switch strings.ToLower(s) {
-	case "baseline":
-		return config.SchemeBaseline, nil
-	case "delegated", "dr", "delegatedreplies":
-		return config.SchemeDelegatedReplies, nil
-	case "rp":
-		return config.SchemeRP, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
-
-func canonScheme(s config.Scheme) string {
-	switch s {
-	case config.SchemeDelegatedReplies:
-		return "delegated"
-	case config.SchemeRP:
-		return "rp"
-	}
-	return "baseline"
-}
-
-// ParseLayout parses a chip-layout token (Baseline | B | C | D).
-func ParseLayout(s string) (config.Layout, error) {
-	switch strings.ToLower(s) {
-	case "baseline", "a":
-		return config.BaselineLayout(), nil
+	case "", "baseline", "a":
+		l = config.BaselineLayout()
 	case "b":
-		return config.LayoutB(), nil
+		l = config.LayoutB()
 	case "c":
-		return config.LayoutC(), nil
+		l = config.LayoutC()
 	case "d":
-		return config.LayoutD(), nil
+		l = config.LayoutD()
+	default:
+		return l, "", fmt.Errorf("spec: unknown layout %q", s)
 	}
-	return config.Layout{}, fmt.Errorf("unknown layout %q", s)
-}
-
-// ParseTopo parses a topology token (mesh | fbfly | dragonfly | crossbar).
-func ParseTopo(s string) (config.Topology, error) {
-	switch strings.ToLower(s) {
-	case "mesh":
-		return config.TopoMesh, nil
-	case "fbfly":
-		return config.TopoFlattenedButterfly, nil
-	case "dragonfly":
-		return config.TopoDragonfly, nil
-	case "crossbar":
-		return config.TopoCrossbar, nil
-	}
-	return 0, fmt.Errorf("unknown topology %q", s)
-}
-
-func canonTopo(t config.Topology) string {
-	switch t {
-	case config.TopoFlattenedButterfly:
-		return "fbfly"
-	case config.TopoDragonfly:
-		return "dragonfly"
-	case config.TopoCrossbar:
-		return "crossbar"
-	}
-	return "mesh"
-}
-
-// ParseRouting parses a routing token (cdr | dyxy | footprint | hare).
-func ParseRouting(s string) (config.RoutingAlg, error) {
-	switch strings.ToLower(s) {
-	case "cdr":
-		return config.RoutingCDR, nil
-	case "dyxy":
-		return config.RoutingDyXY, nil
-	case "footprint":
-		return config.RoutingFootprint, nil
-	case "hare":
-		return config.RoutingHARE, nil
-	}
-	return 0, fmt.Errorf("unknown routing %q", s)
-}
-
-func canonRouting(r config.RoutingAlg) string {
-	switch r {
-	case config.RoutingDyXY:
-		return "dyxy"
-	case config.RoutingFootprint:
-		return "footprint"
-	case config.RoutingHARE:
-		return "hare"
-	}
-	return "cdr"
-}
-
-// ParseOrg parses an L1-organisation token (private | dcl1 | dyneb).
-func ParseOrg(s string) (config.L1Org, error) {
-	switch strings.ToLower(s) {
-	case "private":
-		return config.L1Private, nil
-	case "dcl1", "dc-l1":
-		return config.L1DCL1, nil
-	case "dyneb":
-		return config.L1DynEB, nil
-	}
-	return 0, fmt.Errorf("unknown L1 organisation %q", s)
-}
-
-func canonOrg(o config.L1Org) string {
-	switch o {
-	case config.L1DCL1:
-		return "dcl1"
-	case config.L1DynEB:
-		return "dyneb"
-	}
-	return "private"
+	return l, l.Name, nil
 }

@@ -34,6 +34,15 @@ func CPUProfiles() []CPUProfile {
 	}
 }
 
+// CPUNames returns the CPU benchmark names in CPUProfiles order.
+func CPUNames() []string {
+	var names []string
+	for _, p := range CPUProfiles() {
+		names = append(names, p.Name)
+	}
+	return names
+}
+
 // CPUProfileByName returns the named profile; it panics on unknown
 // names (a configuration error).
 func CPUProfileByName(name string) CPUProfile {

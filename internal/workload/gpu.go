@@ -119,6 +119,15 @@ func GPUProfiles() []GPUProfile {
 	}
 }
 
+// GPUNames returns the GPU benchmark names in paper order.
+func GPUNames() []string {
+	var names []string
+	for _, p := range GPUProfiles() {
+		names = append(names, p.Name)
+	}
+	return names
+}
+
 // GPUProfileByName returns the named profile; it panics on unknown names
 // (a configuration error).
 func GPUProfileByName(name string) GPUProfile {
