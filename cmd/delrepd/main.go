@@ -44,7 +44,6 @@ func main() {
 		cacheDir = flag.String("cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
 		cacheMax = flag.String("cache-max", "", "prune the cache to this size after runs (e.g. 2G; empty disables pruning)")
 		queue    = flag.Int("queue", 64, "max queued jobs before submissions get 429")
-		maxPar   = flag.Int("max-parallel", 0, `cap on per-job intra-run tile workers (spec "parallel" field); 0 disables intra-run parallelism`)
 		perCli   = flag.Int("client-inflight", 0, "max queued+running jobs per client (0 = unlimited)")
 		drain    = flag.Duration("drain", 2*time.Minute, "how long shutdown waits for running jobs before cancelling them")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
@@ -92,7 +91,6 @@ func main() {
 		Engine:         eng,
 		QueueDepth:     *queue,
 		ClientInFlight: *perCli,
-		MaxRunParallel: *maxPar,
 		CacheMaxBytes:  maxBytes,
 		Logger:         logger,
 		Telemetry:      *telem,

@@ -36,8 +36,8 @@ import (
 	"delrep/internal/serve"
 )
 
-// workerList collects repeated -worker flags and comma-separated
-// -workers values into one slice.
+// workerList collects repeated -worker flags, each one URL or a
+// comma-separated list, into one slice.
 type workerList []string
 
 func (w *workerList) String() string { return strings.Join(*w, ",") }
@@ -67,7 +67,6 @@ func main() {
 		telem   = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace)")
 	)
 	flag.Var(&workers, "worker", "worker base URL (repeatable)")
-	flag.Var(&workers, "workers", "comma-separated worker base URLs")
 	flag.Parse()
 
 	logger := serve.NewLogger(*logJSON)

@@ -21,14 +21,10 @@
 // lists; every point of the cross product is resolved like a single
 // run and they execute as one more figure of internal/experiment, on
 // the engine experiment.EngineFlags describes (-j, -cache, -remote,
-// -parallel, the profiles — shared with expdriver).
+// the profiles — shared with expdriver).
 //
-// With -parallel N, a single run's cycle is spread over N workers too.
-// The engine clamps N to what the topology can use, and to 1 when an
-// observer is attached (-metrics-out, -trace-out, -clog), and reports
-// the effective count on stderr when it does. -phase-profile prints
-// the per-phase wall-time breakdown (the Amdahl view of the tick) to
-// stderr after the run.
+// -phase-profile prints the per-phase wall-time breakdown of the tick
+// to stderr after the run.
 package main
 
 import (
@@ -138,11 +134,6 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	if engine.Parallel > 0 {
-		// The flag wins over a spec file's hint; both are pure
-		// execution hints, so the override cannot change results.
-		spec.Parallel = engine.Parallel
-	}
 	if engine.Remote != "" {
 		rejectFlags("-remote", localOnly)
 		runRemote(engine, spec, *jsonOut)
@@ -166,10 +157,6 @@ func main() {
 
 	buildSpan := tr.Root().Start("build")
 	sys := core.NewSystem(cfg, norm.GPU, norm.CPU)
-	// Resolve stripped the hint from norm (execution hints are not run
-	// identity), so read it from the submitted spec.
-	sys.SetParallel(spec.Parallel)
-	defer sys.Close()
 	var profile *core.PhaseProfile
 	if *phaseProf {
 		profile = &core.PhaseProfile{}
@@ -187,14 +174,6 @@ func main() {
 			ClogUtil:    *clogUtil,
 		})
 		sys.AttachObserver(observer)
-	}
-	if eff := sys.Parallel(); eff < spec.Parallel {
-		// The engine clamps to what the topology can use, and to one
-		// worker under an observer (its trace hooks run inside the
-		// compute sections); say so rather than silently running at a
-		// different width.
-		fmt.Fprintf(os.Stderr, "delrepsim: -parallel %d clamped to %d effective workers\n",
-			spec.Parallel, eff)
 	}
 	buildSpan.End()
 	runSpan := tr.Root().Start("simulate")

@@ -62,67 +62,18 @@ func delrepsim(t *testing.T, args ...string) (stdout, stderr string) {
 	return stdout, stderr
 }
 
-// TestParallelJSONIdentical pins -parallel as a pure execution hint at
-// the CLI: the canonical -json result is byte-identical at 1 and 4
-// workers, for a topology that tiles (mesh) and one that only shards
-// (crossbar: one router, one tile).
-func TestParallelJSONIdentical(t *testing.T) {
-	for _, topo := range []string{"mesh", "crossbar"} {
-		one, _ := delrepsim(t, "-topo", topo, "-json", "-parallel", "1")
-		four, stderr := delrepsim(t, "-topo", topo, "-json", "-parallel", "4")
-		if one != four {
-			t.Errorf("%s: -json output differs between -parallel 1 and -parallel 4:\n%s\nvs\n%s", topo, one, four)
-		}
-		if !strings.Contains(one, `"digest"`) {
-			t.Errorf("%s: -json output carries no digest:\n%s", topo, one)
-		}
-		if stderr != "" {
-			t.Errorf("%s: -parallel 4 fits the topology but stderr says:\n%s", topo, stderr)
-		}
-	}
-}
-
-// TestParallelClampNotice pins the one stderr notice for a run that
-// executes at fewer workers than asked: the topology's limit, and the
-// observer's (any of -metrics-out, -trace-out, -clog attaches one,
-// which means one worker). The observer clamp used to happen after the
-// notice was decided, so such runs said nothing.
-func TestParallelClampNotice(t *testing.T) {
-	metrics := filepath.Join(t.TempDir(), "metrics.json")
-	for _, tc := range []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"fits", []string{"-parallel", "4"}, ""},
-		{"unset", nil, ""},
-		{"topology", []string{"-parallel", "100000"}, "-parallel 100000 clamped to "},
-		{"metrics-out", []string{"-parallel", "4", "-metrics-out", metrics}, "-parallel 4 clamped to 1 effective workers"},
-		{"clog", []string{"-parallel", "4", "-clog"}, "-parallel 4 clamped to 1 effective workers"},
-	} {
-		_, stderr := delrepsim(t, tc.args...)
-		if tc.want == "" {
-			if stderr != "" {
-				t.Errorf("%s: unexpected stderr:\n%s", tc.name, stderr)
-			}
-			continue
-		}
-		if n := strings.Count(stderr, "clamped to"); n != 1 || !strings.Contains(stderr, tc.want) {
-			t.Errorf("%s: want exactly one notice containing %q, stderr:\n%s", tc.name, tc.want, stderr)
-		}
-	}
-}
-
 // TestFlagSpecParity pins "a CLI run is a simspec.Spec": for every
 // field of the spec, setting it by flag and setting it in a -spec file
 // print identical -json bytes. The flag is named by the field's JSON
-// tag, so a new field without a flag fails here.
+// tag, so a new field without a flag fails here. "parallel" is the one
+// field with no flag: old clients still send it, it is accepted and
+// ignored, so a file carrying it prints what the file without it prints.
 func TestFlagSpecParity(t *testing.T) {
 	// A non-default value per field, by JSON tag.
 	alt := map[string]any{
 		"gpu": "HS", "cpu": "dedup", "scheme": "rp", "layout": "C", "topo": "fbfly",
 		"routing": "dyxy", "l1org": "dyneb", "channel": 24, "vcdepth": 6,
-		"warm": int64(150), "cycles": int64(300), "seed": int64(9), "parallel": 2,
+		"warm": int64(150), "cycles": int64(300), "seed": int64(9), "parallel": 4,
 	}
 	base := simspec.Spec{GPU: "NN", CPU: "vips", Scheme: "delegated", Warmup: 200, Cycles: 450}
 	typ := reflect.TypeOf(base)
@@ -143,7 +94,11 @@ func TestFlagSpecParity(t *testing.T) {
 		if err := os.WriteFile(file, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		byFlag, _ := delrepsim(t, "-"+tag, fmt.Sprint(val), "-json")
+		flags := []string{"-" + tag, fmt.Sprint(val)}
+		if tag == "parallel" {
+			flags = nil
+		}
+		byFlag, _ := delrepsim(t, append(flags, "-json")...)
 		bySpec, _ := delrepsim(t, "-spec", file, "-json")
 		if byFlag != bySpec {
 			t.Errorf("-%s %v: -json differs between the flag and -spec %s:\n%s\nvs\n%s", tag, val, blob, byFlag, bySpec)
@@ -163,7 +118,7 @@ func TestRemoteJSONIsLocalJSON(t *testing.T) {
 	for _, flags := range [][]string{
 		nil,
 		{"-gpu", "HS", "-cpu", "dedup", "-scheme", "rp", "-layout", "C", "-topo", "fbfly", "-routing", "dyxy",
-			"-l1org", "dyneb", "-channel", "24", "-vcdepth", "6", "-seed", "9", "-parallel", "2"},
+			"-l1org", "dyneb", "-channel", "24", "-vcdepth", "6", "-seed", "9"},
 	} {
 		local, _ := delrepsim(t, append(flags, "-json")...)
 		remote, stderr := delrepsim(t, append(flags, "-json", "-remote", srv.URL, "-cache", dir)...)
@@ -257,8 +212,7 @@ func TestSweepFailedRun(t *testing.T) {
 }
 
 // TestSweepSingleRunFlags: -sweep rejects every flag that reports on
-// one local simulation (it used to ignore all but -spec silently), and
-// honours -parallel, which is an engine flag.
+// one local simulation (it used to ignore all but -spec silently).
 func TestSweepSingleRunFlags(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out")
 	for _, flags := range [][]string{
@@ -273,10 +227,5 @@ func TestSweepSingleRunFlags(t *testing.T) {
 	}
 	if _, err := os.Stat(out); err == nil {
 		t.Errorf("a rejected flag still wrote %s", out)
-	}
-	plain, _ := delrepsim(t, "-sweep", "-cache", "off")
-	intra, _ := delrepsim(t, "-sweep", "-cache", "off", "-parallel", "4")
-	if plain != intra || !strings.Contains(plain, "Sweep: 1 runs") {
-		t.Errorf("-sweep table differs under -parallel 4:\n%s\nvs\n%s", plain, intra)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 
@@ -34,8 +33,7 @@ func runRemote(engine *experiment.EngineFlags, spec simspec.Spec, jsonOut bool) 
 	if err != nil {
 		fatalf("%v", err)
 	}
-	run := eng.SubmitCtxParallel(context.Background(),
-		runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}, spec.Parallel).Wait()
+	run := eng.Run(runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU})
 	if run.Err != nil {
 		fatalf("%v", run.Err)
 	}

@@ -11,8 +11,8 @@
 //
 // -quick shrinks the simulation windows and the workload set; use it to
 // validate the harness before a full run. The engine flags (-j, -cache,
-// -parallel, -remote, the profiles) are experiment.EngineFlags, shared
-// with delrepsim and described there; stdout is byte-identical at any
+// -remote, the profiles) are experiment.EngineFlags, shared with
+// delrepsim and described there; stdout is byte-identical at any
 // setting of them.
 package main
 
@@ -100,7 +100,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: expdriver [-quick] [-j N] [-parallel N] [-cache DIR|auto|off] [-warm N] [-cycles N] <experiment>|all|list ...")
+	fmt.Fprintln(os.Stderr, "usage: expdriver [-quick] [-j N] [-cache DIR|auto|off] [-warm N] [-cycles N] <experiment>|all|list ...")
 }
 
 func fatalf(format string, args ...any) {

@@ -45,11 +45,11 @@ func TestRunnerSharesResults(t *testing.T) {
 	p.Warm, p.Measure = 500, 1000 // tiny: this test runs real simulations
 	cfg := experiment.BaseConfig(config.SchemeBaseline)
 	a := p.Defer(cfg, "HS", "vips").Results()
-	if c := eng.Counters(); c.Executed != 1 {
+	if c := eng.Snapshot(); c.Executed != 1 {
 		t.Fatalf("first run executed %d simulations, want 1", c.Executed)
 	}
 	b := p.Defer(cfg, "HS", "vips").Results()
-	if c := eng.Counters(); c.Executed != 1 || c.MemoHits != 1 {
+	if c := eng.Snapshot(); c.Executed != 1 || c.MemoHits != 1 {
 		t.Fatalf("repeat run not shared: %+v", c)
 	}
 	if a != b {
@@ -57,7 +57,7 @@ func TestRunnerSharesResults(t *testing.T) {
 	}
 	cfg.Scheme = config.SchemeDelegatedReplies
 	p.Defer(cfg, "HS", "vips").Wait()
-	if c := eng.Counters(); c.Executed != 2 {
+	if c := eng.Snapshot(); c.Executed != 2 {
 		t.Fatalf("different scheme not re-run: %+v", c)
 	}
 }

@@ -16,30 +16,26 @@ import (
 // expdriver and delrepsim. Independent simulations run concurrently on
 // -j workers and are memoized in the -cache directory ("auto": the
 // per-user default or $DELREP_CACHE_DIR; "off": none), so a rerun with
-// a warm cache performs zero simulations. -parallel N additionally
-// ticks each simulation on N workers (network tiles + node shards,
-// DESIGN.md §11) — useful when a figure has fewer independent runs than
-// the machine has cores. -remote URL delegates cache-missing
-// simulations to a delrepd daemon or a delrepfleet coordinator: points
-// the wire spec can express run there, exotic sensitivity points run
-// locally. None of it is run identity: stdout is byte-identical at any
-// setting and any cache state; progress, timing, cache accounting and
-// the failed-run report (spec, worker, error) go to stderr.
+// a warm cache performs zero simulations. -remote URL delegates
+// cache-missing simulations to a delrepd daemon or a delrepfleet
+// coordinator: points the wire spec can express run there, exotic
+// sensitivity points run locally. None of it is run identity: stdout
+// is byte-identical at any setting and any cache state; progress,
+// timing, cache accounting and the failed-run report (spec, worker,
+// error) go to stderr.
 type EngineFlags struct {
 	Jobs       int
-	Parallel   int
 	Cache      string
 	Remote     string
 	cpuProfile string
 	memProfile string
 }
 
-// BindEngineFlags declares -j, -parallel, -cache, -remote, -cpuprofile
-// and -memprofile on the flag set.
+// BindEngineFlags declares -j, -cache, -remote, -cpuprofile and
+// -memprofile on the flag set.
 func BindEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	f := &EngineFlags{}
 	fs.IntVar(&f.Jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-	fs.IntVar(&f.Parallel, "parallel", 0, "intra-run workers per simulation (results are bit-identical at any value; 0/1 = inline on one)")
 	fs.StringVar(&f.Cache, "cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
 	fs.StringVar(&f.Remote, "remote", "", "run cache-missing simulations on a delrepd or delrepfleet endpoint at this base URL")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -71,7 +67,7 @@ func (f *EngineFlags) Engine(prog string) (*runner.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := runner.Options{Workers: f.Jobs, RunParallel: f.Parallel, Cache: cache, Progress: os.Stderr}
+	opts := runner.Options{Workers: f.Jobs, Cache: cache, Progress: os.Stderr}
 	if f.Remote != "" {
 		client := fleet.NewClient(f.Remote, prog, nil)
 		if err := client.Ping(context.Background()); err != nil {

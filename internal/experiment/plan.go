@@ -159,10 +159,10 @@ func (p *Plan) Eval(f Figure) Report {
 func (p *Plan) Render(w io.Writer, f Figure) {
 	//simlint:ignore rngsource per-figure wall time for the Log line, outside any simulation and never in a Report
 	start := time.Now()
-	c0, obs0, sims0 := p.eng.Counters(), p.observed, p.obsSims
+	c0, obs0, sims0 := p.eng.Snapshot(), p.observed, p.obsSims
 	fmt.Fprintf(w, "### %s — %s\n\n", f.Name, f.About)
 	rep := p.Eval(f)
-	c := p.eng.Counters()
+	c := p.eng.Snapshot()
 	obsSims := int64(p.obsSims - sims0)
 	simulated := c.Executed - c0.Executed + obsSims
 	disk := c.DiskHits - c0.DiskHits + int64(p.observed-obs0) - obsSims
@@ -179,7 +179,7 @@ func (p *Plan) Render(w io.Writer, f Figure) {
 // every failed run by figure, spec, worker and error — and returns the
 // exit status: a figure built on failed runs is quietly wrong, so 1.
 func (p *Plan) Finish(prog string) int {
-	c := p.eng.Counters()
+	c := p.eng.Snapshot()
 	where := "off"
 	if cache := p.eng.DiskCache(); cache != nil {
 		where = cache.Dir()

@@ -48,12 +48,11 @@ func NewClient(base, name string, httpc *http.Client) *Client {
 // submit it with ?wait=1, and decode the terminal job view. Specs the
 // wire form cannot carry return ErrNotRemotable, telling the engine to
 // run them locally.
-func (c *Client) Resolve(ctx context.Context, spec runner.Spec, parallel int) (runner.Remote, error) {
+func (c *Client) Resolve(ctx context.Context, spec runner.Spec) (runner.Remote, error) {
 	wire, err := simspec.FromConfig(spec.Cfg, spec.GPU, spec.CPU)
 	if err != nil {
 		return runner.Remote{}, fmt.Errorf("%w: %v", runner.ErrNotRemotable, err)
 	}
-	wire.Parallel = parallel // execution hint; stripped from identity server-side
 	view, err := c.Submit(ctx, wire)
 	if err != nil {
 		return runner.Remote{}, err

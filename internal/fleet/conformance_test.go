@@ -22,12 +22,13 @@ import (
 
 // target is one binary's job API under the wire-conformance suite: the
 // daemon (serve.New over the local executor) or the coordinator
-// (fleet.New over two in-process daemons). The four fields are
+// (fleet.New over two in-process daemons). The five fields are
 // everything the two are allowed to differ by on the shared surface.
 type target struct {
 	name         string
 	idPattern    string   // job ids
 	metricPrefix string   // /metrics family prefix
+	ranMetric    string   // /metrics sample counting the simulations this target ran, or had a worker run
 	spans        []string // span names a done job's trace must contain, besides the shared ones
 	start        func(t *testing.T, telemetryOn bool) instance
 }
@@ -44,7 +45,8 @@ type instance struct {
 var targets = []target{
 	{
 		name: "delrepd", idPattern: `^j\d{6}$`, metricPrefix: "delrepd",
-		spans: []string{"queue.wait", "runner.submit", "encode", "reply"},
+		ranMetric: `delrepd_engine_runs_total{source="executed"}`,
+		spans:     []string{"queue.wait", "runner.submit", "encode", "reply"},
 		start: func(t *testing.T, telemetryOn bool) instance {
 			srv := serve.New(serve.Options{
 				Engine: runner.New(runner.Options{Workers: 2}), Telemetry: telemetryOn,
@@ -59,7 +61,8 @@ var targets = []target{
 	},
 	{
 		name: "delrepfleet", idPattern: `^f\d{6}$`, metricPrefix: "delrepfleet",
-		spans: []string{"fleet.attempt"},
+		ranMetric: "delrepfleet_dispatch_total",
+		spans:     []string{"fleet.attempt"},
 		start: func(t *testing.T, telemetryOn bool) instance {
 			w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
 			coord, ts := newCoordinatorOpts(t, Options{Telemetry: telemetryOn}, w1, w2)
@@ -204,6 +207,35 @@ var conformanceCases = []struct {
 		}
 		if v.Started == "" || v.Finished == "" || v.Source != "executed" {
 			t.Errorf("terminal view incomplete: %+v", v)
+		}
+	}},
+	{"a spec's \"parallel\" is accepted and ignored: same job, same address, same bytes", false, func(t *testing.T, tg target, base string) {
+		plain := shortSpec(613)
+		hinted := plain
+		hinted.Parallel = 8
+		resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs?wait=1", submitBody(t, serve.SubmitRequest{Spec: hinted}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, body %s; want 200", resp.StatusCode, raw)
+		}
+		var keys struct {
+			Parallel, Workers json.RawMessage
+			Spec              struct{ Parallel json.RawMessage }
+		}
+		if err := json.Unmarshal(raw, &keys); err != nil || keys.Parallel != nil || keys.Workers != nil || keys.Spec.Parallel != nil {
+			t.Errorf("job view carries a parallel or workers key (%v):\n%s", err, raw)
+		}
+		var first serve.JobView
+		if err := json.Unmarshal(raw, &first); err != nil {
+			t.Fatal(err)
+		}
+		want := directResult(t, plain)
+		if got := resultBytes(t, first); first.Source != "executed" || !bytes.Equal(got, want) {
+			t.Errorf("hinted job: source %s, result differs from the unhinted direct run:\n served: %s\n direct: %s", first.Source, got, want)
+		}
+		// The unhinted spec is the same content address: it does not run again.
+		again, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: plain})
+		if got, ran := resultBytes(t, again), gauge(t, base, tg.ranMetric); !bytes.Equal(got, want) || ran != "1" {
+			t.Errorf("unhinted repeat: %s = %s, want 1; result:\n served: %s\n direct: %s", tg.ranMetric, ran, got, want)
 		}
 	}},
 	{"malformed submissions answer 400 in the error envelope", false, func(t *testing.T, tg target, base string) {

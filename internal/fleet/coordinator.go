@@ -320,7 +320,7 @@ func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker str
 	switch term.Status {
 	case serve.StatusDone:
 		return serve.Outcome{
-			Status: serve.StatusDone, Source: term.Source, Workers: term.Workers, Worker: worker,
+			Status: serve.StatusDone, Source: term.Source, Worker: worker,
 			Result: term.Result,
 		}, nil
 	case serve.StatusFailed:

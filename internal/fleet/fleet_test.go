@@ -404,7 +404,7 @@ func TestClientResolverThroughEngine(t *testing.T) {
 	if run.Source != runner.SourceExecuted {
 		t.Fatalf("source = %v, want executed (the fleet executed it)", run.Source)
 	}
-	if c := eng.Counters(); c.Executed != 1 {
+	if c := eng.Snapshot(); c.Executed != 1 {
 		t.Fatalf("counters = %+v, want the remote execution counted as executed", c)
 	}
 

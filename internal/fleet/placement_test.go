@@ -210,7 +210,7 @@ func (w *heldWorker) finish(j *serve.Job, addr string) {
 	key := w.keys[addr]
 	w.f.mu.Unlock()
 	w.store(key)
-	j.Finish(serve.Outcome{Status: serve.StatusDone, Source: "executed", Workers: 1,
+	j.Finish(serve.Outcome{Status: serve.StatusDone, Source: "executed",
 		Result: &simspec.Result{Spec: j.Spec(), Digest: addr[:16]}})
 }
 

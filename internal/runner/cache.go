@@ -19,10 +19,9 @@ import (
 // Bump it whenever a simulator change alters results for an unchanged
 // configuration — stale entries then simply stop being addressable and
 // age out, rather than poisoning new runs. The full policy (what
-// counts as "alters results", and what — like intra-run parallelism —
-// deliberately does not) is documented in DESIGN.md §11.
+// counts as "alters results") is documented in DESIGN.md §11.
 //
-// v3: the tile-parallel tick rework changed packet hop accounting to
+// v3: the tiled tick rework changed packet hop accounting to
 // head-only charging. Final values are identical, but the salt is
 // bumped so any pre-tile build's entries cannot alias a build whose
 // digest definition has been re-certified.

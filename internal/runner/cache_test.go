@@ -106,7 +106,7 @@ func TestEngineWarmCache(t *testing.T) {
 	}
 	coldEng := New(Options{Workers: 4, Cache: cold})
 	first := coldEng.RunAll(specs)
-	if c := coldEng.Counters(); c.Executed != int64(len(specs)) {
+	if c := coldEng.Snapshot(); c.Executed != int64(len(specs)) {
 		t.Fatalf("cold engine executed %d, want %d", c.Executed, len(specs))
 	}
 
@@ -116,7 +116,7 @@ func TestEngineWarmCache(t *testing.T) {
 	}
 	eng := New(Options{Workers: 4, Cache: warm})
 	second := eng.RunAll(specs)
-	c := eng.Counters()
+	c := eng.Snapshot()
 	if c.Executed != 0 {
 		t.Errorf("warm cache executed %d simulations, want 0", c.Executed)
 	}

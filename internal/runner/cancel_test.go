@@ -40,7 +40,7 @@ func TestSubmitCtxCancelMidRun(t *testing.T) {
 	if !errors.Is(run.Err, context.Canceled) {
 		t.Fatalf("run.Err = %v, want context.Canceled", run.Err)
 	}
-	if c := eng.Counters(); c.Failed != 1 {
+	if c := eng.Snapshot(); c.Failed != 1 {
 		t.Fatalf("Counters.Failed = %d, want 1", c.Failed)
 	}
 
@@ -73,7 +73,7 @@ func TestCancelledFutureNotMemoized(t *testing.T) {
 	if run.Source != SourceExecuted {
 		t.Fatalf("resubmission source = %v, want executed", run.Source)
 	}
-	c := eng.Counters()
+	c := eng.Snapshot()
 	if c.Executed != 1 || c.Failed != 1 || c.MemoHits != 0 {
 		t.Fatalf("counters = %+v, want Executed 1, Failed 1, MemoHits 0", c)
 	}
@@ -107,7 +107,7 @@ func TestPanicBecomesError(t *testing.T) {
 	if run.Err == nil {
 		t.Fatal("run with unknown benchmark reported no error")
 	}
-	if c := eng.Counters(); c.Failed != 1 || c.Executed != 0 {
+	if c := eng.Snapshot(); c.Failed != 1 || c.Executed != 0 {
 		t.Fatalf("counters = %+v, want Failed 1, Executed 0", c)
 	}
 }

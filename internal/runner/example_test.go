@@ -26,7 +26,7 @@ func ExampleEngine() {
 	}
 
 	runs := b.Wait() // declaration order, regardless of completion order
-	c := eng.Counters()
+	c := eng.Snapshot()
 	fmt.Printf("delivered %d runs (%d simulated, %d shared)\n",
 		len(runs), c.Executed, c.MemoHits)
 	fmt.Printf("schemes: %s, %s, %s\n",

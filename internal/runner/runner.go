@@ -4,12 +4,9 @@
 // The evaluation's sweeps are embarrassingly parallel *across* runs:
 // every (config, GPU benchmark, CPU benchmark) triple is an isolated
 // deterministic computation, and the Engine's bounded worker pool runs
-// whole simulations concurrently. Within a run, the coordinating cycle
-// loop stays one goroutine's and pure (the tickpurity analyzer in
-// cmd/simlint enforces it), but it may spread the compute phases of
-// its cycle over a private worker pool (core.SetParallel, DESIGN.md
-// §11) — a pure execution strategy that is bit-identical at any
-// worker count, which is why it never appears in a run's Key.
+// whole simulations concurrently. Within a run, the cycle loop is one
+// goroutine's and pure (the tickpurity analyzer in cmd/simlint
+// enforces it).
 //
 // The contract that keeps parallel runs trustworthy:
 //
@@ -99,7 +96,7 @@ type Resolver interface {
 	// cannot be expressed in the wire form; the engine then falls back
 	// to executing locally. Any other error fails the run (the resolver
 	// is expected to have already retried/failed over internally).
-	Resolve(ctx context.Context, spec Spec, parallel int) (Remote, error)
+	Resolve(ctx context.Context, spec Spec) (Remote, error)
 }
 
 // Remote is one remotely resolved run.
@@ -122,17 +119,10 @@ type Run struct {
 	Spec    Spec
 	Results core.Results
 	// Digest is the determinism-audit digest of the simulation's end
-	// state (core.RunAudit); serial and parallel executions of the
-	// same Spec must agree on it bit-for-bit.
+	// state (core.RunAudit); every execution of the same Spec must
+	// agree on it bit-for-bit.
 	Digest uint64
 	Source Source
-	// Workers is the engine-effective intra-run worker count the
-	// simulation actually ticked with (core.AuditRun.Workers): the
-	// requested parallelism after the engine clamps it to what the
-	// topology can use. Execution metadata only — zero for memo and
-	// disk hits (those ran elsewhere, possibly at another N), and
-	// never part of Results or the cache.
-	Workers int
 	// Worker is the base URL of the fleet worker that served the run,
 	// when it was resolved through Options.Remote; empty for local
 	// executions and cache hits. Execution metadata only.
@@ -167,12 +157,6 @@ type Options struct {
 	// starts. Writes are serialized (one Write call per line), so
 	// os.Stderr stays readable under concurrency.
 	Progress io.Writer
-	// RunParallel, when > 1, spreads each simulation's cycle across
-	// that many workers (core.SetParallel). It is an
-	// execution hint: results and digests are bit-identical at any
-	// value, so it does not enter the memo/cache Key, and SubmitCtxParallel
-	// can override it per submission.
-	RunParallel int
 	// Remote, when non-nil, resolves cache-missing specs through a
 	// fleet coordinator (or a single remote daemon) instead of
 	// simulating locally. Specs the wire form cannot express
@@ -185,11 +169,10 @@ type Options struct {
 // Engine is a deterministic parallel execution engine for independent
 // simulations. Methods are safe for concurrent use.
 type Engine struct {
-	cache       *DiskCache
-	progress    io.Writer
-	sem         chan struct{}
-	runParallel int
-	remote      Resolver
+	cache    *DiskCache
+	progress io.Writer
+	sem      chan struct{}
+	remote   Resolver
 
 	// progressMu serializes writes to progress and guards nothing
 	// else: a slow progress writer (a piped stderr, a test buffer)
@@ -226,12 +209,11 @@ func New(opts Options) *Engine {
 		n = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		cache:       opts.Cache,
-		progress:    opts.Progress,
-		sem:         make(chan struct{}, n),
-		runParallel: opts.RunParallel,
-		remote:      opts.Remote,
-		memo:        map[string]*Future{},
+		cache:    opts.Cache,
+		progress: opts.Progress,
+		sem:      make(chan struct{}, n),
+		remote:   opts.Remote,
+		memo:     map[string]*Future{},
 	}
 }
 
@@ -254,9 +236,6 @@ func (e *Engine) Snapshot() Counters {
 	}
 }
 
-// Counters is an alias for Snapshot, kept for existing callers.
-func (e *Engine) Counters() Counters { return e.Snapshot() }
-
 // Future is a handle to one submitted simulation.
 type Future struct {
 	spec Spec
@@ -269,11 +248,6 @@ type Future struct {
 	// that job's trace gets the cache.lookup/engine.run detail, while
 	// deduplicated joiners get a dedup.join span of their own.
 	span *telemetry.Span
-
-	// parallel is the intra-run worker count the execution will use
-	// (first submitter wins on dedup — safe because parallelism never
-	// changes the result, only the wall time).
-	parallel int
 
 	progDone  atomic.Int64
 	progTotal atomic.Int64
@@ -350,19 +324,6 @@ func (e *Engine) Submit(spec Spec) *Future {
 // from the memo table before it completes, so a later submission of
 // the same spec re-executes.
 func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) *Future {
-	return e.SubmitCtxParallel(ctx, spec, 0)
-}
-
-// SubmitCtxParallel is SubmitCtx with a per-submission intra-run
-// parallelism override (<= 0 falls back to Options.RunParallel).
-// Parallelism is deliberately not part of the memo/cache Key: results
-// are bit-identical at any worker count, so a submission may be served
-// by a future or cached result that ran at a different N — when
-// submissions race, the first one's N wins.
-func (e *Engine) SubmitCtxParallel(ctx context.Context, spec Spec, parallel int) *Future {
-	if parallel <= 0 {
-		parallel = e.runParallel
-	}
 	span := telemetry.SpanFromContext(ctx)
 	k := Key(spec.Cfg, spec.GPU, spec.CPU)
 	e.mu.Lock()
@@ -379,7 +340,7 @@ func (e *Engine) SubmitCtxParallel(ctx context.Context, spec Spec, parallel int)
 	}
 	//simlint:ignore ctxflow the run is memoized and shared: its lifetime is the union of all waiter contexts (see addWaiter), not the first submitter's
 	runCtx, cancel := context.WithCancel(context.Background())
-	f := &Future{spec: spec, key: k, done: make(chan struct{}), cancel: cancel, span: span, parallel: parallel}
+	f := &Future{spec: spec, key: k, done: make(chan struct{}), cancel: cancel, span: span}
 	e.memo[k] = f
 	e.mu.Unlock()
 	f.addWaiter(ctx)
@@ -461,7 +422,7 @@ func (e *Engine) execute(f *Future, runCtx context.Context) {
 	}
 	runSpan.Set("cycles", a.Cycles)
 	e.executed.Add(1)
-	f.run = Run{Spec: f.spec, Results: a.Results, Digest: a.Digest, Source: SourceExecuted, Workers: a.Workers}
+	f.run = Run{Spec: f.spec, Results: a.Results, Digest: a.Digest, Source: SourceExecuted}
 	if e.cache != nil {
 		// Best effort: a full or read-only cache must not fail the run.
 		_ = e.cache.Put(f.key, a.Digest, a.Results)
@@ -476,7 +437,7 @@ func (e *Engine) execute(f *Future, runCtx context.Context) {
 // once per spec per cache lifetime.
 func (e *Engine) resolveRemote(f *Future, runCtx context.Context) (done bool) {
 	span := f.span.Start("fleet.resolve")
-	rem, err := e.remote.Resolve(runCtx, f.spec, f.parallel)
+	rem, err := e.remote.Resolve(runCtx, f.spec)
 	if errors.Is(err, ErrNotRemotable) {
 		span.Set("fallback", "local")
 		span.End()
@@ -562,7 +523,6 @@ func runAudit(runCtx context.Context, f *Future, runSpan *telemetry.Span) (a cor
 	return core.RunAuditCtrl(core.RunControl{
 		Ctx:        runCtx,
 		OnProgress: onProgress,
-		Parallel:   f.parallel,
 	}, f.spec.Cfg, f.spec.GPU, f.spec.CPU)
 }
 

@@ -104,7 +104,7 @@ func TestMemoDedup(t *testing.T) {
 		}
 	}
 	a := futs[0].Wait()
-	c := e.Counters()
+	c := e.Snapshot()
 	if c.Executed != 1 {
 		t.Errorf("executed %d simulations, want 1", c.Executed)
 	}
@@ -116,7 +116,7 @@ func TestMemoDedup(t *testing.T) {
 	if b := e.Run(spec); b.Results != a.Results {
 		t.Error("re-run returned different results")
 	}
-	if c := e.Counters(); c.Executed != 1 || c.MemoHits != int64(len(futs)) {
+	if c := e.Snapshot(); c.Executed != 1 || c.MemoHits != int64(len(futs)) {
 		t.Errorf("after re-run: executed %d, memo hits %d", c.Executed, c.MemoHits)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -75,20 +76,23 @@ func TestNoBistableCollapseNearKnee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("closed-loop load test")
 	}
+	const (
+		workers    = 2
+		queueDepth = 2
+		clients    = 8
+		runFor     = 2500 * time.Millisecond
+	)
 	_, ts := newTestServer(t, Options{
-		Engine:     runner.New(runner.Options{Workers: 2}),
-		Workers:    2,
-		QueueDepth: 2,
+		Engine:     runner.New(runner.Options{Workers: workers}),
+		Workers:    workers,
+		QueueDepth: queueDepth,
 	})
 
-	const (
-		clients = 8
-		runFor  = 2500 * time.Millisecond
-	)
 	var (
 		done         atomic.Int64 // jobs completed
 		rejected     atomic.Int64 // 429 responses observed
 		maxRetry     atomic.Int64 // largest Retry-After seen
+		slowest      atomic.Int64 // longest started→finished of a completed job, ns
 		lateDone     atomic.Int64 // completions in the second half
 		halfway      = time.Now().Add(runFor / 2)
 		deadline     = time.Now().Add(runFor)
@@ -129,7 +133,14 @@ func TestNoBistableCollapseNearKnee(t *testing.T) {
 				}
 				switch resp.StatusCode {
 				case http.StatusOK:
+					var v JobView
+					err := json.NewDecoder(resp.Body).Decode(&v)
 					resp.Body.Close()
+					if err != nil {
+						recordedBody(err)
+						return
+					}
+					atomicMax(&slowest, int64(jobTime(t, v.Finished).Sub(jobTime(t, v.Started))))
 					done.Add(1)
 					if time.Now().After(halfway) {
 						lateDone.Add(1)
@@ -138,12 +149,7 @@ func TestNoBistableCollapseNearKnee(t *testing.T) {
 					rejected.Add(1)
 					ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
 					resp.Body.Close()
-					for {
-						cur := maxRetry.Load()
-						if int64(ra) <= cur || maxRetry.CompareAndSwap(cur, int64(ra)) {
-							break
-						}
-					}
+					atomicMax(&maxRetry, int64(ra))
 					// Honor the protocol, but cap the nap at the remaining
 					// test budget.
 					nap := time.Duration(ra) * time.Second
@@ -170,20 +176,44 @@ func TestNoBistableCollapseNearKnee(t *testing.T) {
 	if rejected.Load() == 0 {
 		t.Fatal("no 429s observed: the load never reached the knee")
 	}
-	// No collapse: the two workers can serve ~12 jobs/s of this spec;
-	// even with backoff inefficiency the loop must clear a conservative
-	// floor, and completions must continue into the second half (a
-	// latched low mode serves a burst early and then starves).
-	if done.Load() < 10 {
-		t.Errorf("only %d completions in %v: throughput collapsed", done.Load(), runFor)
-	}
+	// No collapse: completions must continue into the second half at a
+	// rate comparable to the first (a latched low mode serves a burst
+	// early and then starves). A ratio, not a count: how many jobs fit
+	// in the window is the host's speed, which -race divides by ten.
 	if lateDone.Load() == 0 {
 		t.Error("no completions in the second half: the loop latched into the low mode")
 	}
-	// The retry estimate must stay on the order of a real job latency
-	// (sub-second jobs, small queue): a latching estimator inflates far
-	// beyond this bound under the same load.
-	if maxRetry.Load() > 2 {
-		t.Errorf("Retry-After reached %ds for sub-second jobs: estimator inflated", maxRetry.Load())
+	if 3*lateDone.Load() < done.Load() {
+		t.Errorf("%d of %d completions in the second half, want at least a third: throughput collapsed",
+			lateDone.Load(), done.Load())
 	}
+	// The retry estimate must stay on the order of a real job latency:
+	// it is mean latency × backlog per worker, the backlog is at most
+	// the queue plus the submission, and no mean exceeds the slowest
+	// job (sub-second on an idle host: a ceiling of 1–2 s). A latching
+	// estimator inflates far beyond this bound under the same load.
+	ceiling := int64(math.Ceil(time.Duration(slowest.Load()).Seconds() * (queueDepth + 1) / workers))
+	if maxRetry.Load() > max(ceiling, 1) {
+		t.Errorf("Retry-After reached %ds, slowest job %v (ceiling %ds): estimator inflated",
+			maxRetry.Load(), time.Duration(slowest.Load()), ceiling)
+	}
+}
+
+func atomicMax(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// jobTime parses a job view timestamp; called from client goroutines,
+// so a bad one is an Error, not a Fatal.
+func jobTime(t *testing.T, s string) time.Time {
+	ts, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		t.Errorf("job view timestamp %q: %v", s, err)
+	}
+	return ts
 }

@@ -94,32 +94,24 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	worker   string                     // coordinator only: current/final worker base URL
-	parallel int                        // daemon only: effective tile workers, fixed at dispatch
 	progress func() (done, total int64) // nil until the executor has something to report
 	out      Outcome                    // zero until terminal
 	subs     map[chan sseEvent]struct{} // live SSE subscribers, allocated on first use
 
 	// The local executor's share of the record (immutable after Admit,
 	// except spanQueue which Server.mu guards).
-	cfg config.Config
-	// reqParallel is the intra-run parallelism the submitted spec asked
-	// for. Resolve strips it from the canonical spec (it is an
-	// execution hint, not identity), so it is carried here verbatim and
-	// clamped against the server's cap and load at dispatch.
-	reqParallel int
-	spanQueue   *telemetry.Span // open queue.wait span, ended at dispatch
+	cfg       config.Config
+	spanQueue *telemetry.Span // open queue.wait span, ended at dispatch
 }
 
 // Outcome is how a job ended, as its Executor reports it to Finish.
 type Outcome struct {
 	Status Status // done, failed or cancelled
 	Error  string // failed and cancelled only
-	// Source, Workers and Result describe a done job: where the result
-	// came from (executed | memo | disk), the engine-effective worker
-	// count of an executed run, and the canonical result itself.
-	Source  string
-	Workers int
-	Result  *simspec.Result
+	// Source and Result describe a done job: where the result came
+	// from (executed | memo | disk) and the canonical result itself.
+	Source string
+	Result *simspec.Result
 	// Worker, when set, replaces the job's current worker URL.
 	Worker string
 }
@@ -198,24 +190,16 @@ type ProgressView struct {
 // JobView is the JSON rendering of a job returned by the API, the one
 // wire form of the /v1/jobs surface whichever executor is behind it.
 type JobView struct {
-	ID       string       `json:"id"`
-	Status   Status       `json:"status"`
-	Priority string       `json:"priority"`
-	Client   string       `json:"client,omitempty"`
-	Spec     simspec.Spec `json:"spec"`
-	Created  string       `json:"created"`
-	Started  string       `json:"started,omitempty"`
-	Finished string       `json:"finished,omitempty"`
-	Source   string       `json:"source,omitempty"`
-	Error    string       `json:"error,omitempty"`
-	Parallel int          `json:"parallel,omitempty"` // server-granted intra-run workers (omitted when serial)
-	// Workers is the engine-effective worker count the simulation
-	// actually ticked with: Parallel after the core engine clamps it
-	// to what the topology can use (runner.Run.Workers). It lives
-	// here, not in Result — the canonical Result JSON must stay
-	// byte-identical across worker counts. Omitted for memo/disk
-	// hits, which ran elsewhere.
-	Workers  int             `json:"workers,omitempty"`
+	ID       string          `json:"id"`
+	Status   Status          `json:"status"`
+	Priority string          `json:"priority"`
+	Client   string          `json:"client,omitempty"`
+	Spec     simspec.Spec    `json:"spec"`
+	Created  string          `json:"created"`
+	Started  string          `json:"started,omitempty"`
+	Finished string          `json:"finished,omitempty"`
+	Source   string          `json:"source,omitempty"`
+	Error    string          `json:"error,omitempty"`
 	Progress *ProgressView   `json:"progress,omitempty"`
 	Result   *simspec.Result `json:"result,omitempty"`
 	// Worker is the base URL of the worker daemon that served the job.
@@ -242,16 +226,12 @@ func (j *Job) viewLocked() JobView {
 	if !j.finished.IsZero() {
 		v.Finished = j.finished.UTC().Format(time.RFC3339Nano)
 	}
-	if j.parallel > 1 {
-		v.Parallel = j.parallel
-	}
 	if j.status == StatusRunning && j.progress != nil {
 		done, total := j.progress()
 		v.Progress = &ProgressView{CyclesDone: done, CyclesTotal: total}
 	}
 	if j.status == StatusDone {
 		v.Source = j.out.Source
-		v.Workers = j.out.Workers
 		v.Result = j.out.Result
 	}
 	return v

@@ -56,16 +56,6 @@ type Options struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
 	// CPU/heap/goroutine profiling of the daemon.
 	EnablePprof bool
-	// MaxRunParallel caps the intra-run tile parallelism a job's spec
-	// may request ("parallel" field). <= 0 disables intra-run
-	// parallelism entirely: every job runs serial, exactly as before
-	// the tile tick existed. The cap is admission-aware — a requested
-	// N is additionally clamped to the cap divided by the number of
-	// running jobs at dispatch, so a busy daemon never oversubscribes
-	// cores it is already using to run jobs side by side. Clamping is
-	// behavior-neutral: results are bit-identical at any worker count,
-	// so this knob trades wall time only.
-	MaxRunParallel int
 }
 
 // local is the Executor that runs jobs on this process's
@@ -150,7 +140,7 @@ func (x *local) Ready() (bool, string) { return true, "" }
 
 // Admit applies the two admission caps and queues the job for the
 // worker pool. srv.mu is held.
-func (x *local) Admit(j *Job, req SubmitRequest, cfg config.Config, _ string) *Rejection {
+func (x *local) Admit(j *Job, _ SubmitRequest, cfg config.Config, _ string) *Rejection {
 	if x.opts.ClientInFlight > 0 && x.inflight[j.client] >= x.opts.ClientInFlight {
 		return &Rejection{
 			Reason: "client_cap", Status: http.StatusTooManyRequests, RetryAfter: x.retryAfterLocked(),
@@ -164,9 +154,6 @@ func (x *local) Admit(j *Job, req SubmitRequest, cfg config.Config, _ string) *R
 		}
 	}
 	j.cfg = cfg
-	// Resolve zeroed the canonical spec's Parallel (execution hints are
-	// not identity), so the request's hint is carried separately.
-	j.reqParallel = req.Spec.Parallel
 	j.spanQueue = j.Span().Start("queue.wait")
 	x.queue[j.prio] = append(x.queue[j.prio], j)
 	x.queuedCount++
@@ -254,7 +241,6 @@ func (x *local) next() *Job {
 				j.spanQueue.End()
 				j.spanQueue = nil
 				x.queueWait[j.prio].Add(j.started.Sub(j.created).Seconds())
-				j.parallel = x.effectiveParallelLocked(j.reqParallel)
 				s.notifyLocked(j)
 				return j
 			}
@@ -266,30 +252,6 @@ func (x *local) next() *Job {
 	}
 }
 
-// effectiveParallelLocked clamps a job's requested intra-run
-// parallelism against the server cap and the current load. The
-// admission-aware term divides the cap by the number of running jobs
-// (including the one being dispatched), so concurrent jobs share the
-// tile-worker budget instead of each grabbing the full cap. Because
-// results are bit-identical at any worker count, the clamp can never
-// change what a job returns — only how fast.
-func (x *local) effectiveParallelLocked(requested int) int {
-	if requested <= 1 || x.opts.MaxRunParallel <= 1 {
-		return 1
-	}
-	eff := requested
-	if eff > x.opts.MaxRunParallel {
-		eff = x.opts.MaxRunParallel
-	}
-	if share := x.opts.MaxRunParallel / x.srv.running; eff > share {
-		eff = share
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
-}
-
 // runJob executes one dispatched job on the engine and retires it.
 func (x *local) runJob(j *Job) {
 	s := x.srv
@@ -299,9 +261,7 @@ func (x *local) runJob(j *Job) {
 	runCtx := telemetry.ContextWithSpan(j.ctx, submitSpan)
 	var run runner.Run
 	for {
-		// j.parallel was fixed at dispatch by the same goroutine (next
-		// runs in this worker), so the unlocked read is ordered.
-		fut := x.opts.Engine.SubmitCtxParallel(runCtx, rspec, j.parallel)
+		fut := x.opts.Engine.SubmitCtx(runCtx, rspec)
 		j.SetProgress(fut.Progress)
 		run = fut.Wait()
 		if run.Err == nil || j.ctx.Err() != nil || !errors.Is(run.Err, context.Canceled) {
@@ -318,7 +278,7 @@ func (x *local) runJob(j *Job) {
 	switch {
 	case run.Err == nil:
 		res := simspec.NewResult(j.spec, run.Results, run.Digest)
-		out = Outcome{Status: StatusDone, Source: run.Source.String(), Workers: run.Workers, Result: &res}
+		out = Outcome{Status: StatusDone, Source: run.Source.String(), Result: &res}
 	case j.ctx.Err() != nil && errors.Is(run.Err, context.Canceled):
 		out = Outcome{Status: StatusCancelled, Error: "cancelled"}
 	default:

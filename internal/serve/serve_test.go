@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -181,70 +180,8 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	if !bytes.Equal(got2, directJSON) {
 		t.Fatalf("disk-cache result differs from direct run:\n daemon: %s\n direct: %s", got2, directJSON)
 	}
-	if c := eng2.Counters(); c.Executed != 0 || c.DiskHits != 1 {
+	if c := eng2.Snapshot(); c.Executed != 0 || c.DiskHits != 1 {
 		t.Fatalf("second engine counters = %+v, want pure disk hit", c)
-	}
-}
-
-// TestEffectiveParallelClamp pins the admission-aware clamp: requests
-// are capped by MaxRunParallel, then by the per-running-job share of
-// the cap, and never drop below serial.
-func TestEffectiveParallelClamp(t *testing.T) {
-	s := &local{opts: Options{MaxRunParallel: 8}, srv: &Server{}}
-	cases := []struct{ req, running, want int }{
-		{0, 1, 1},  // no hint: serial
-		{1, 1, 1},  // explicit serial
-		{16, 1, 8}, // capped by MaxRunParallel
-		{3, 1, 3},  // under-cap request honored
-		{8, 2, 4},  // two running jobs share the cap
-		{8, 10, 1}, // heavy load floors at serial
-	}
-	for _, c := range cases {
-		s.srv.running = c.running
-		if got := s.effectiveParallelLocked(c.req); got != c.want {
-			t.Errorf("effectiveParallel(req=%d, running=%d) = %d, want %d",
-				c.req, c.running, got, c.want)
-		}
-	}
-	s.opts.MaxRunParallel = 0
-	s.srv.running = 1
-	if got := s.effectiveParallelLocked(8); got != 1 {
-		t.Errorf("cap disabled: effectiveParallel = %d, want 1", got)
-	}
-}
-
-// TestSubmitParallelSpec submits a spec with a parallel hint and checks
-// the full contract: the hint is clamped to the server cap, stripped
-// from the canonical spec, and the tiled result is byte-comparable with
-// a direct serial run.
-func TestSubmitParallelSpec(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxRunParallel: 4})
-	spec := shortSpec(77)
-	spec.Parallel = 8
-	v, resp := submit(t, ts, SubmitRequest{Spec: spec}, "?wait")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit: status %d", resp.StatusCode)
-	}
-	if v.Status != StatusDone {
-		t.Fatalf("job status %s, want done (error %q)", v.Status, v.Error)
-	}
-	if v.Parallel != 4 {
-		t.Fatalf("effective parallel %d, want 4 (request 8 capped)", v.Parallel)
-	}
-	if v.Workers != 4 {
-		t.Fatalf("engine-effective workers %d, want 4 (default mesh can use the full grant)", v.Workers)
-	}
-	if v.Spec.Parallel != 0 {
-		t.Fatalf("canonical spec leaked the parallel hint: %d", v.Spec.Parallel)
-	}
-	cfg, _, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := core.RunAudit(cfg, spec.GPU, spec.CPU)
-	if v.Result == nil || v.Result.Digest != fmt.Sprintf("%016x", a.Digest) {
-		t.Fatalf("served tiled result diverged from direct serial run: %+v vs %016x",
-			v.Result, a.Digest)
 	}
 }
 
@@ -302,55 +239,6 @@ func TestCancelRunningFreesWorker(t *testing.T) {
 	// Cancelling a terminal job conflicts.
 	if resp := cancelJob(t, ts, long.ID); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("re-cancel: status %d, want 409", resp.StatusCode)
-	}
-}
-
-// A parallel job's per-run worker pool (System.SetParallel owns N-1
-// goroutines) must be released on every daemon lifecycle path:
-// completion, mid-run cancellation, and server shutdown. The check is
-// the process goroutine count returning to its pre-server baseline.
-func TestParallelJobsReleaseWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	s := New(Options{Engine: runner.New(runner.Options{Workers: 2}), MaxRunParallel: 4})
-	ts := httptest.NewServer(s.Handler())
-
-	par := func(spec simspec.Spec) simspec.Spec { spec.Parallel = 4; return spec }
-
-	// Completed parallel job.
-	v, _ := submit(t, ts, SubmitRequest{Spec: par(shortSpec(41))}, "?wait")
-	if v.Status != StatusDone {
-		t.Fatalf("job ended %s (%s)", v.Status, v.Error)
-	}
-	if v.Workers != 4 {
-		t.Fatalf("engine-effective workers %d, want 4", v.Workers)
-	}
-
-	// Cancelled mid-run.
-	long, _ := submit(t, ts, SubmitRequest{Spec: par(longSpec(42))}, "")
-	pollUntil(t, ts, long.ID, func(v JobView) bool { return v.Status == StatusRunning })
-	if resp := cancelJob(t, ts, long.ID); resp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel: status %d", resp.StatusCode)
-	}
-	pollUntil(t, ts, long.ID, func(v JobView) bool { return v.Status.Terminal() })
-
-	// Shutdown with a parallel job still running.
-	run2, _ := submit(t, ts, SubmitRequest{Spec: par(longSpec(43))}, "")
-	pollUntil(t, ts, run2.ID, func(v JobView) bool { return v.Status == StatusRunning })
-	ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = s.Shutdown(ctx)
-
-	http.DefaultClient.CloseIdleConnections()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutines leaked: %d alive, want <= %d\n%s",
-				runtime.NumGoroutine(), base, buf)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

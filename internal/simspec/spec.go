@@ -40,13 +40,8 @@ type Spec struct {
 	Cycles       int64  `json:"cycles,omitempty"`  // measured cycles
 	Seed         int64  `json:"seed,omitempty"`    // random seed (0 means the default, 1)
 
-	// Parallel requests intra-run parallelism: the network tick is
-	// tile-partitioned across up to this many workers. It is an
-	// execution hint, not a configuration knob — results are
-	// bit-identical at any value — so Resolve strips it from the
-	// canonical spec: two requests differing only in Parallel are the
-	// same simulation, and the daemon may clamp it (admission control)
-	// without changing what the job returns.
+	// Parallel is accepted and ignored: clients built before intra-run
+	// parallelism left the product still send it, and Resolve zeroes it.
 	Parallel int `json:"parallel,omitempty"`
 }
 
@@ -114,9 +109,6 @@ func (s Spec) Resolve() (config.Config, Spec, error) {
 		norm.Seed = def.Seed
 	}
 	cfg.Seed = norm.Seed
-	// Execution hints are not identity: the canonical spec describes
-	// *what* is simulated, and served results must stay byte-comparable
-	// with direct runs regardless of how either was executed.
 	norm.Parallel = 0
 
 	if err := cfg.Validate(); err != nil {
