@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fix lint-baseline bench profile record serve all
+.PHONY: build test race lint bench profile record serve all
 
 all: build test lint
 
@@ -14,23 +14,11 @@ race:
 	$(GO) test -race ./internal/...
 
 # lint runs the simulator-specific analyzers (atomicmix, ctxflow,
-# detflow, lockorder, mapiter, rngsource, statsdiscipline, tickpurity)
-# against the checked-in ratchet baseline, then go vet. Only findings
-# not frozen in lint.baseline fail the build.
+# lockorder, mapiter, rngsource, stagecommit, statsdiscipline,
+# tickpurity), then go vet. Any finding fails, a //simlint:ignore that
+# covers nothing included.
 lint:
-	$(GO) run ./cmd/simlint -baseline lint.baseline ./...
-
-# lint-fix applies the suggested fixes (atomicmix Load/Store/Add
-# rewrites, ctxflow context substitutions) in place; rerun if it
-# reports skipped conflicts.
-lint-fix:
-	$(GO) run ./cmd/simlint -novet -fix ./...
-
-# lint-baseline regenerates lint.baseline from the current findings.
-# The ratchet refuses to grow the count: fix or //simlint:ignore new
-# findings instead of freezing them.
-lint-baseline:
-	$(GO) run ./cmd/simlint -novet -baseline lint.baseline -update-baseline ./...
+	$(GO) run ./cmd/simlint ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

@@ -6,24 +6,12 @@
 //
 //	go run ./cmd/simlint ./...
 //	go run ./cmd/simlint -novet ./internal/core
-//	go run ./cmd/simlint -fix ./...
-//	go run ./cmd/simlint -baseline lint.baseline ./...
 //
 // A finding can be suppressed with a //simlint:ignore comment on the
-// flagged line or the line above it; see the README's "Correctness
-// tooling" section. The exit status is non-zero when any analyzer or
-// vet pass reports a finding.
-//
-// -fix applies the suggested fixes some analyzers attach (atomicmix,
-// ctxflow) and rewrites the files in place. Fixes whose edits overlap
-// an already-applied fix are skipped and reported; rerun -fix after
-// the first round settles. -fix exits zero unless rewriting failed, so
-// it composes with a follow-up lint run.
-//
-// -baseline FILE turns simlint into a ratchet: findings recorded in
-// FILE are tolerated, anything new fails. -update-baseline regenerates
-// FILE from the current findings and refuses to grow it — the count
-// only goes down.
+// flagged line or the line above it; an ignore that covers nothing is
+// itself a finding. See the README's "Correctness tooling" section.
+// The exit status is 1 when any analyzer or vet pass reports a
+// finding, 2 when the packages cannot be loaded.
 package main
 
 import (
@@ -31,15 +19,10 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"delrep/internal/lint/analysis"
 	"delrep/internal/lint/atomicmix"
-	"delrep/internal/lint/baseline"
 	"delrep/internal/lint/ctxflow"
-	"delrep/internal/lint/detflow"
 	"delrep/internal/lint/lockorder"
 	"delrep/internal/lint/mapiter"
 	"delrep/internal/lint/rngsource"
@@ -52,7 +35,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	ctxflow.Analyzer,
-	detflow.Analyzer,
 	lockorder.Analyzer,
 	mapiter.Analyzer,
 	rngsource.Analyzer,
@@ -61,23 +43,11 @@ var analyzers = []*analysis.Analyzer{
 	tickpurity.Analyzer,
 }
 
-// options carries the parsed command line into run.
-type options struct {
-	patterns     []string
-	vet          bool
-	fix          bool
-	baselinePath string
-	updateBase   bool
-}
-
 func main() {
 	novet := flag.Bool("novet", false, "skip running `go vet` after the simlint analyzers")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	fix := flag.Bool("fix", false, "apply suggested fixes, rewriting files in place")
-	basePath := flag.String("baseline", "", "baseline `file`: tolerate the findings recorded there, fail only on new ones")
-	updateBase := flag.Bool("update-baseline", false, "rewrite the -baseline file from current findings (refuses to grow it)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-novet] [-fix] [-baseline file [-update-baseline]] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-novet] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the simulator-specific analyzers, then go vet. Analyzers:\n\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-16s %s\n", a.Name, a.Doc)
@@ -92,74 +62,49 @@ func main() {
 		}
 		return
 	}
-	if *updateBase && *basePath == "" {
-		fmt.Fprintln(os.Stderr, "simlint: -update-baseline requires -baseline")
-		os.Exit(2)
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(run(options{
-		patterns:     patterns,
-		vet:          !*novet,
-		fix:          *fix,
-		baselinePath: *basePath,
-		updateBase:   *updateBase,
-	}))
+	os.Exit(run(patterns, !*novet))
 }
 
-// diagnostic pairs one finding with the package it came from.
-type diagnostic struct {
-	pkg *analysis.Package
-	d   analysis.Diagnostic
-}
-
-func run(opts options) int {
+// run lints the packages matching the patterns from the module around
+// the working directory, prints one line per finding, and returns the
+// exit status.
+func run(patterns []string, vet bool) int {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		return 2
 	}
-	pkgs, err := loader.Load(opts.patterns...)
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		return 2
 	}
-	var diags []diagnostic
+	findings := 0
 	for _, pkg := range pkgs {
 		if len(pkg.Syntax) == 0 {
 			continue
 		}
-		ds, err := analysis.RunAnalyzers(pkg, analyzers)
+		diags, err := analysis.RunAnalyzers(pkg, analyzers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simlint:", err)
 			return 2
 		}
-		for _, d := range ds {
-			diags = append(diags, diagnostic{pkg: pkg, d: d})
+		for _, d := range diags {
+			fmt.Printf("%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
 		}
+		findings += len(diags)
 	}
-
-	if opts.fix {
-		return applyFixes(loader, diags)
+	status := 0
+	if findings > 0 {
+		fmt.Printf("simlint: %d finding(s)\n", findings)
+		status = 1
 	}
-
-	var status int
-	if opts.baselinePath != "" {
-		status = ratchet(loader, diags, opts.baselinePath, opts.updateBase)
-	} else {
-		for _, dg := range diags {
-			fmt.Printf("%s: %s (%s)\n", dg.pkg.Fset.Position(dg.d.Pos), dg.d.Message, dg.d.Analyzer)
-		}
-		if len(diags) > 0 {
-			fmt.Printf("simlint: %d finding(s)\n", len(diags))
-			status = 1
-		}
-	}
-
-	if opts.vet {
-		cmd := exec.Command("go", append([]string{"vet"}, opts.patterns...)...)
+	if vet {
+		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
 		cmd.Dir = loader.ModDir
 		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 		if err := cmd.Run(); err != nil {
@@ -168,109 +113,4 @@ func run(opts options) int {
 		}
 	}
 	return status
-}
-
-// applyFixes rewrites files in place from the diagnostics' suggested
-// fixes and reports what happened.
-func applyFixes(loader *analysis.Loader, diags []diagnostic) int {
-	var all []analysis.Diagnostic
-	fixable := 0
-	for _, dg := range diags {
-		all = append(all, dg.d)
-		if len(dg.d.SuggestedFixes) > 0 {
-			fixable++
-		}
-	}
-	fixed, conflicts, err := analysis.ApplyFixes(loader.Fset, all, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 2
-	}
-	files := make([]string, 0, len(fixed))
-	for f := range fixed {
-		files = append(files, f)
-	}
-	// Deterministic rewrite order for reproducible output.
-	sort.Strings(files)
-	for _, f := range files {
-		if err := os.WriteFile(f, fixed[f], 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-		fmt.Printf("simlint: rewrote %s\n", relTo(loader.ModDir, f))
-	}
-	for _, c := range conflicts {
-		fmt.Printf("simlint: skipped conflicting fix at %s: %s (rerun -fix)\n", c.Pos, c.Message)
-	}
-	fmt.Printf("simlint: %d finding(s), %d with fixes, %d file(s) rewritten, %d conflict(s)\n",
-		len(all), fixable, len(fixed), len(conflicts))
-	return 0
-}
-
-// ratchet compares findings against the baseline file (or regenerates
-// it with -update-baseline).
-func ratchet(loader *analysis.Loader, diags []diagnostic, path string, update bool) int {
-	findings := make([]baseline.Finding, 0, len(diags))
-	for _, dg := range diags {
-		pos := dg.pkg.Fset.Position(dg.d.Pos)
-		findings = append(findings, baseline.Finding{
-			Key: baseline.Key{
-				Analyzer: dg.d.Analyzer,
-				File:     relTo(loader.ModDir, pos.Filename),
-				// Positions embedded in messages (lockorder, atomicmix)
-				// are made module-relative so the baseline is portable
-				// across checkouts.
-				Message: strings.ReplaceAll(dg.d.Message, loader.ModDir+string(filepath.Separator), ""),
-			},
-			Pos: pos.String(),
-		})
-	}
-
-	if update {
-		next := baseline.New(findings)
-		if _, err := os.Stat(path); err == nil {
-			old, err := baseline.Load(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "simlint:", err)
-				return 2
-			}
-			if err := baseline.CheckRatchet(old, next); err != nil {
-				fmt.Fprintln(os.Stderr, "simlint:", err)
-				return 1
-			}
-		}
-		if err := os.WriteFile(path, next.Format(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-		fmt.Printf("simlint: baseline %s updated: %d finding(s) frozen\n", path, next.Total())
-		return 0
-	}
-
-	base, err := baseline.Load(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 2
-	}
-	regressions, stale := base.Filter(findings)
-	for _, f := range regressions {
-		fmt.Printf("%s: %s (%s)\n", f.Pos, f.Message, f.Analyzer)
-	}
-	for _, k := range stale {
-		fmt.Printf("simlint: stale baseline entry (fixed since freezing?): %s %s %q — run -update-baseline to ratchet down\n",
-			k.Analyzer, k.File, k.Message)
-	}
-	if len(regressions) > 0 {
-		fmt.Printf("simlint: %d new finding(s) beyond baseline %s (%d frozen)\n",
-			len(regressions), path, base.Total())
-		return 1
-	}
-	return 0
-}
-
-func relTo(base, path string) string {
-	if rel, err := filepath.Rel(base, path); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(path)
 }

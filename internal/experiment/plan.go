@@ -157,7 +157,6 @@ func (p *Plan) Eval(f Figure) Report {
 // obtained. What varies with -j or the cache state (simulated vs cached
 // vs shared, wall time) goes to Log.
 func (p *Plan) Render(w io.Writer, f Figure) {
-	//simlint:ignore rngsource per-figure wall time for the Log line, outside any simulation and never in a Report
 	start := time.Now()
 	c0, obs0, sims0 := p.eng.Snapshot(), p.observed, p.obsSims
 	fmt.Fprintf(w, "### %s — %s\n\n", f.Name, f.About)

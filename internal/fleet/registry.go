@@ -138,7 +138,6 @@ func (r *Registry) probeAll() {
 	var wg sync.WaitGroup
 	for _, w := range r.snapshotWorkers() {
 		w.mu.Lock()
-		//simlint:ignore rngsource registry probe clock, outside any simulation
 		skip := time.Now().Before(w.nextProbe)
 		w.mu.Unlock()
 		if skip {
@@ -252,7 +251,6 @@ func (r *Registry) recordFailure(w *worker, msg string) {
 	if backoff > maxProbeBackoff {
 		backoff = maxProbeBackoff
 	}
-	//simlint:ignore rngsource registry probe clock, outside any simulation
 	w.nextProbe = time.Now().Add(backoff)
 	w.lastErr = msg
 	w.mu.Unlock()

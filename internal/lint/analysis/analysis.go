@@ -32,30 +32,11 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// TextEdit is one replacement of the source range [Pos, End) by
-// NewText. Pos == End inserts without deleting.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// SuggestedFix is one self-contained change that resolves a
-// diagnostic. All edits of one fix are applied together or not at all.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
 // Diagnostic is one finding at a source position.
 type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string
-	// SuggestedFixes, when non-empty, carry machine-applicable repairs
-	// (applied by `simlint -fix` and verified by analysistest's .fixed
-	// goldens).
-	SuggestedFixes []SuggestedFix
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -67,93 +48,96 @@ type Pass struct {
 	PkgPath   string
 	TypesInfo *types.Info
 
-	diags    []Diagnostic
-	suppress suppressIndex
+	diags   []Diagnostic
+	ignores ignores
 }
 
 // Reportf records a finding unless a //simlint:ignore comment covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Report records a fully-formed diagnostic (position, message, and any
-// suggested fixes) unless a //simlint:ignore comment covers it. The
-// Analyzer field is filled in by the pass.
-func (p *Pass) Report(d Diagnostic) {
-	position := p.Fset.Position(d.Pos)
-	if p.suppress.covers(position, p.Analyzer.Name) {
+	if p.ignores.covers(p.Fset.Position(pos), p.Analyzer.Name) {
 		return
 	}
-	d.Analyzer = p.Analyzer.Name
-	p.diags = append(p.diags, d)
+	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// suppressIndex maps file -> line -> analyzer names suppressed there.
-// An empty name set suppresses every analyzer.
-type suppressIndex map[string]map[int][]string
+// ignore is one //simlint:ignore comment.
+type ignore struct {
+	pos  token.Position
+	at   token.Pos
+	name string // the analyzer it excuses; "" excuses all of them
+	used bool   // it has covered at least one finding
+}
+
+// ignores is every //simlint:ignore comment of one package.
+type ignores []*ignore
 
 const ignoreDirective = "simlint:ignore"
 
-func buildSuppressIndex(fset *token.FileSet, files []*ast.File) suppressIndex {
-	idx := suppressIndex{}
+func collectIgnores(fset *token.FileSet, files []*ast.File) ignores {
+	var out ignores
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 				if !strings.HasPrefix(text, ignoreDirective) {
 					continue
 				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, ignoreDirective))
-				// The first token that looks like an analyzer name scopes
-				// the suppression; everything after it is the reason.
-				var names []string
-				if fields := strings.Fields(rest); len(fields) > 0 {
-					names = []string{fields[0]}
+				// The first token after the directive names the analyzer;
+				// everything after it is the reason.
+				ig := &ignore{pos: fset.Position(c.Pos()), at: c.Pos()}
+				if fields := strings.Fields(strings.TrimPrefix(text, ignoreDirective)); len(fields) > 0 {
+					ig.name = fields[0]
 				}
-				pos := fset.Position(c.Pos())
-				if idx[pos.Filename] == nil {
-					idx[pos.Filename] = map[int][]string{}
-				}
-				if names == nil {
-					idx[pos.Filename][pos.Line] = []string{}
-				} else {
-					idx[pos.Filename][pos.Line] = append(idx[pos.Filename][pos.Line], names...)
-				}
+				out = append(out, ig)
 			}
 		}
 	}
-	return idx
+	return out
 }
 
-// covers reports whether a finding by the named analyzer at position is
-// suppressed by a directive on the same line or the line above.
-func (idx suppressIndex) covers(pos token.Position, analyzer string) bool {
-	lines := idx[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		names, ok := lines[line]
-		if !ok {
-			continue
-		}
-		if len(names) == 0 {
-			return true
-		}
-		for _, n := range names {
-			if n == analyzer {
-				return true
-			}
+// covers reports whether a finding by the named analyzer at pos is
+// suppressed by a directive on the same line or the line above, and
+// marks each such directive as used.
+func (igs ignores) covers(pos token.Position, analyzer string) bool {
+	covered := false
+	for _, ig := range igs {
+		if ig.pos.Filename == pos.Filename && (ig.pos.Line == pos.Line || ig.pos.Line == pos.Line-1) &&
+			(ig.name == "" || ig.name == analyzer) {
+			ig.used = true
+			covered = true
 		}
 	}
-	return false
+	return covered
+}
+
+// stale returns one finding per directive that names an analyzer
+// outside the suite or that covered nothing, so a suppression cannot
+// outlive the code or the analyzer it excused. These findings cannot
+// themselves be ignored.
+func (igs ignores) stale(analyzers []*Analyzer) []Diagnostic {
+	known := map[string]bool{"": true}
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, ig := range igs {
+		switch {
+		case !known[ig.name]:
+			out = append(out, Diagnostic{Pos: ig.at, Analyzer: "simlint",
+				Message: fmt.Sprintf("//simlint:ignore names unknown analyzer %q", ig.name)})
+		case !ig.used:
+			out = append(out, Diagnostic{Pos: ig.at, Analyzer: "simlint",
+				Message: "unused //simlint:ignore: it covers no finding on its line or the next"})
+		}
+	}
+	return out
 }
 
 // RunAnalyzers applies each analyzer to the package and returns the
-// combined findings sorted by position.
+// combined findings, stale //simlint:ignore comments included, sorted
+// by position.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	suppress := buildSuppressIndex(pkg.Fset, pkg.Syntax)
+	igs := collectIgnores(pkg.Fset, pkg.Syntax)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -163,13 +147,14 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Pkg:       pkg.Types,
 			PkgPath:   pkg.Path,
 			TypesInfo: pkg.Info,
-			suppress:  suppress,
+			ignores:   igs,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 		out = append(out, pass.diags...)
 	}
+	out = append(out, igs.stale(analyzers)...)
 	sort.Slice(out, func(i, j int) bool {
 		pi, pj := pkg.Fset.Position(out[i].Pos), pkg.Fset.Position(out[j].Pos)
 		if pi.Filename != pj.Filename {

@@ -10,8 +10,6 @@
 package analysistest
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -62,89 +60,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 					t.Errorf("%s:%d: no diagnostic matching %q", key.file, key.line, e.re)
 				}
 			}
-		}
-	}
-}
-
-// RunWithFixes runs like Run, then applies every suggested fix and
-// compares the rewritten files against their `.fixed` goldens (a file
-// named <fixture>.go.fixed next to the fixture source). Finally the
-// fixed package is re-type-checked, proving that `simlint -fix` output
-// compiles. Running the test with UPDATE_GOLDEN=1 rewrites the goldens
-// from the current fix output.
-func RunWithFixes(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
-	t.Helper()
-	Run(t, testdata, a, paths...)
-
-	update := os.Getenv("UPDATE_GOLDEN") != ""
-	for _, path := range paths {
-		loader, err := analysis.NewLoader(testdata)
-		if err != nil {
-			t.Fatalf("locating module root: %v", err)
-		}
-		loader.TestdataSrc = filepath.Join(testdata, "src")
-		dir := filepath.Join(testdata, "src", filepath.FromSlash(path))
-		pkg, err := loader.LoadDir(dir, path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, path, err)
-		}
-		fixed, conflicts, err := analysis.ApplyFixes(pkg.Fset, diags, nil)
-		if err != nil {
-			t.Fatalf("applying fixes for %s: %v", path, err)
-		}
-		for _, c := range conflicts {
-			t.Errorf("%s: conflicting fix skipped: %s", c.Pos, c.Message)
-		}
-
-		// Collect the package's files from the syntax tree so goldens
-		// stay in sync with what the analyzer actually saw.
-		var filenames []string
-		for _, f := range pkg.Syntax {
-			filenames = append(filenames, pkg.Fset.Position(f.Pos()).Filename)
-		}
-
-		sources := map[string][]byte{}
-		for _, fn := range filenames {
-			golden := fn + ".fixed"
-			got, changed := fixed[fn]
-			if !changed {
-				if _, err := os.Stat(golden); err == nil {
-					t.Errorf("%s exists but no fix touched %s", golden, fn)
-				}
-				continue
-			}
-			sources[fn] = got
-			if update {
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatalf("updating %s: %v", golden, err)
-				}
-				continue
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Errorf("fixes changed %s but golden is unreadable (%v); rerun with UPDATE_GOLDEN=1 to create it.\n--- fixed output ---\n%s", fn, err, got)
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("fixed %s differs from %s; rerun with UPDATE_GOLDEN=1 after reviewing.\n--- got ---\n%s", fn, golden, got)
-			}
-		}
-		if len(sources) == 0 {
-			continue
-		}
-
-		// The fixed package must still compile.
-		checker, err := analysis.NewLoader(testdata)
-		if err != nil {
-			t.Fatalf("locating module root: %v", err)
-		}
-		checker.TestdataSrc = filepath.Join(testdata, "src")
-		if _, err := checker.CheckFiles(path, filenames, sources); err != nil {
-			t.Errorf("fixed package %s does not compile: %v", path, err)
 		}
 	}
 }

@@ -87,29 +87,12 @@ type listedPackage struct {
 }
 
 // listCache memoizes decoded `go list -deps -json` output per
-// (module dir, patterns) for the life of the process. Package metadata
-// is immutable for a run, and the subprocess dominates loader start-up
-// cost (~0.4s for ./... on this module), so the multichecker, the
-// baseline pass, the -fix pass, and every analysistest loader in one
-// test binary share a single invocation per pattern set. Measured on
-// the lint test suites this shaves ~8%: the three dataflow-analyzer
-// suites drop from 27.6s to 25.4s, the simlint integration tests from
-// 12.0s to 11.0s.
-// Entries are []*listedPackage values treated as read-only by all
-// consumers. The cache assumes the tree is a snapshot for the life of
-// the process; tests that add or remove files between loads must call
-// FlushListCache.
+// (module dir, patterns) for the life of the process: the subprocess
+// dominates loader start-up (~0.4s for ./... on this module), and every
+// analysistest loader in one test binary asks for the same standard-
+// library packages. Entries are read-only; the tree is assumed to be a
+// snapshot for the life of the process.
 var listCache sync.Map
-
-// FlushListCache drops the memoized `go list` metadata. Only needed
-// when the package file set changes mid-process (the ratchet tests
-// write new files between runs).
-func FlushListCache() {
-	listCache.Range(func(k, _ any) bool {
-		listCache.Delete(k)
-		return true
-	})
-}
 
 // goList runs `go list -deps -json` for the patterns and returns the
 // packages in dependency order (dependencies before dependents).
@@ -192,32 +175,36 @@ func (l *Loader) checkListed(meta *listedPackage) (*Package, error) {
 	return pkg, nil
 }
 
-// check parses the named files and type-checks them as import path.
-// Type errors in standard-library packages are tolerated (go/types
-// cannot fully check a handful of runtime internals from source); for
-// any other package they are fatal.
+// check parses the named files, type-checks them as import path and
+// memoizes the result for later imports. Type errors in
+// standard-library packages are tolerated (go/types cannot fully check
+// a handful of runtime internals from source); for any other package
+// they are fatal.
 func (l *Loader) check(path, dir string, filenames []string, standard bool) (*Package, error) {
-	return l.checkSources(path, dir, filenames, nil, standard)
+	pkg, err := l.checkSources(path, dir, filenames, nil, standard)
+	if err == nil {
+		l.typeCache[path] = pkg.Types
+	}
+	return pkg, err
 }
 
-// CheckFiles type-checks in-memory sources (filename → content) as the
-// package at the given import path, resolving imports the same way
-// LoadDir does. The autofix tests use it to prove that rewritten
-// sources still compile without touching the fixture tree on disk.
+// CheckFiles type-checks the named files as the package at the given
+// import path, resolving imports the same way LoadDir does; a file
+// named in sources is read from there instead of from disk. The result
+// is not memoized, so the planted-mutation test can lint an edited
+// copy of a real package without touching the tree or what later
+// imports of that path resolve to.
 func (l *Loader) CheckFiles(path string, filenames []string, sources map[string][]byte) (*Package, error) {
 	return l.checkSources(path, "", filenames, sources, false)
 }
 
-// checkSources is the core of check/CheckFiles; when sources is
-// non-nil it supplies file contents, otherwise they come from disk.
+// checkSources is the core of check/CheckFiles.
 func (l *Loader) checkSources(path, dir string, filenames []string, sources map[string][]byte, standard bool) (*Package, error) {
 	var syntax []*ast.File
 	for _, fn := range filenames {
 		var src any
-		if sources != nil {
-			if content, ok := sources[fn]; ok {
-				src = content
-			}
+		if content, ok := sources[fn]; ok {
+			src = content
 		}
 		f, err := parser.ParseFile(l.Fset, fn, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -244,7 +231,6 @@ func (l *Loader) checkSources(path, dir string, filenames []string, sources map[
 	if len(typeErrs) > 0 && !standard {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, typeErrs[0])
 	}
-	l.typeCache[path] = tpkg
 	return &Package{
 		Path:   path,
 		Dir:    dir,

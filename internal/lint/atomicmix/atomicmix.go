@@ -1,364 +1,36 @@
-// Package atomicmix finds variables that are accessed both through
-// sync/atomic and with plain reads/writes in the same package. A plain
-// access to a word that other goroutines touch atomically is a data
-// race: the compiler and the hardware are both free to tear, cache, or
-// reorder it, and the race detector will flag it only on the schedules
-// that happen to collide.
-//
-// Any variable whose address is passed to a sync/atomic package-level
-// function (atomic.AddInt64(&x.f, 1), atomic.LoadUint32(&v), ...) is
-// atomic-discipline; every plain read, write, increment, or address
-// escape of the same variable elsewhere in the package is flagged. The
-// analyzer attaches suggested fixes — plain reads become
-// atomic.LoadXxx, writes become StoreXxx, increments become AddXxx —
-// and inserts the sync/atomic import when the file lacks it, so
-// `simlint -fix` can repair the mix mechanically. (Migrating the field
-// to a typed atomic.Int64 is the better manual refactor; the fix keeps
-// the program correct until then.)
+// Package atomicmix makes mixed atomic/plain access unrepresentable:
+// every use of a function-style sync/atomic operation
+// (atomic.AddInt64(&x, 1), atomic.LoadUint32(&v), ...) is a finding.
+// A word reached through those functions can also be read or written
+// plainly — a data race the race detector sees only on the schedules
+// that collide — whereas the typed atomics (atomic.Int64,
+// atomic.Pointer[T], ...) have no plain access to mix with, so they
+// need no analysis.
 package atomicmix
 
 import (
-	"fmt"
-	"go/ast"
-	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 
 	"delrep/internal/lint/analysis"
 )
 
-// Analyzer flags mixed atomic/plain access to the same variable.
+// Analyzer flags function-style sync/atomic operations.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicmix",
-	Doc: "flag variables accessed both via sync/atomic and plainly; " +
-		"suggests Load/Store/Add rewrites for the plain accesses",
+	Doc: "flag function-style sync/atomic operations (atomic.AddInt64(&x, 1)); " +
+		"a typed atomic.Int64 cannot be accessed plainly by mistake",
 	Run: run,
 }
 
-// atomicUse records the first atomic access to a variable.
-type atomicUse struct {
-	pos    token.Pos
-	suffix string // Int64, Uint32, ... from the variable's type
-}
-
 func run(pass *analysis.Pass) error {
-	uses := map[types.Object]atomicUse{}
-	exempt := map[ast.Expr]bool{} // &x.f args of atomic calls
-
-	// Pass 1: collect atomic-discipline variables.
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			if !isAtomicPkgCall(pass, call) {
-				return true
-			}
-			un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				return true
-			}
-			obj := addressedObject(pass, un.X)
-			if obj == nil {
-				return true
-			}
-			exempt[un.X] = true
-			if _, seen := uses[obj]; !seen {
-				uses[obj] = atomicUse{pos: call.Pos(), suffix: atomicSuffix(obj.Type())}
-			}
-			return true
-		})
-	}
-	if len(uses) == 0 {
-		return nil
-	}
-
-	// Pass 2: flag plain accesses to those variables.
-	for _, file := range pass.Files {
-		c := &checker{pass: pass, file: file, uses: uses, exempt: exempt, handled: map[ast.Expr]bool{}}
-		ast.Inspect(file, c.visit)
+	for id, obj := range pass.TypesInfo.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+			continue // not sync/atomic, or a method of a typed atomic
+		}
+		pass.Reportf(id.Pos(),
+			"function-style atomic.%s: the same word can also be accessed plainly; declare it as a typed atomic (atomic.Int64, atomic.Pointer[T], ...)",
+			fn.Name())
 	}
 	return nil
-}
-
-type checker struct {
-	pass    *analysis.Pass
-	file    *ast.File
-	uses    map[types.Object]atomicUse
-	exempt  map[ast.Expr]bool
-	handled map[ast.Expr]bool
-}
-
-func (c *checker) visit(n ast.Node) bool {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		c.assign(n)
-	case *ast.IncDecStmt:
-		c.incDec(n)
-	case *ast.UnaryExpr:
-		if n.Op == token.AND {
-			if obj := c.trackedExpr(n.X); obj != nil && !c.exempt[n.X] {
-				c.handled[n.X] = true
-				c.report(n.X, obj, nil) // address escapes; no mechanical fix
-			}
-		}
-	case *ast.Ident, *ast.SelectorExpr:
-		e := n.(ast.Expr)
-		if c.handled[e] || c.exempt[e] {
-			return false
-		}
-		if obj := c.trackedExpr(e); obj != nil {
-			c.handled[e] = true
-			use := c.uses[obj]
-			c.report(e, obj, c.loadFix(e, use))
-			return false
-		}
-	}
-	return true
-}
-
-// assign rewrites `x.f = v`, `x.f += n`, `x.f -= n` into Store/Add.
-func (c *checker) assign(as *ast.AssignStmt) {
-	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return // multi-assign: reads/writes reported individually
-	}
-	lhs, rhs := as.Lhs[0], as.Rhs[0]
-	obj := c.trackedExpr(lhs)
-	if obj == nil {
-		return
-	}
-	c.handled[lhs] = true
-	use := c.uses[obj]
-	addr := "&" + types.ExprString(lhs)
-
-	var fix *analysis.SuggestedFix
-	if use.suffix != "" {
-		switch as.Tok {
-		case token.ASSIGN:
-			// `x.f = x.f + n` and `x.f = n + x.f` are increments in
-			// disguise; a Store would lose concurrent additions.
-			if delta, ok := c.incrementOf(rhs, obj); ok {
-				fix = c.stmtFix(as, use,
-					fmt.Sprintf("atomic.Add%s(%s, %s)", use.suffix, addr, delta),
-					"replace read-modify-write with atomic.Add"+use.suffix)
-			} else {
-				fix = c.stmtFix(as, use,
-					fmt.Sprintf("atomic.Store%s(%s, %s)", use.suffix, addr, types.ExprString(rhs)),
-					"replace plain write with atomic.Store"+use.suffix)
-			}
-		case token.ADD_ASSIGN:
-			fix = c.stmtFix(as, use,
-				fmt.Sprintf("atomic.Add%s(%s, %s)", use.suffix, addr, types.ExprString(rhs)),
-				"replace += with atomic.Add"+use.suffix)
-		case token.SUB_ASSIGN:
-			fix = c.stmtFix(as, use,
-				fmt.Sprintf("atomic.Add%s(%s, -(%s))", use.suffix, addr, types.ExprString(rhs)),
-				"replace -= with atomic.Add"+use.suffix)
-		}
-	}
-	c.report(lhs, obj, fix)
-}
-
-func (c *checker) incDec(st *ast.IncDecStmt) {
-	obj := c.trackedExpr(st.X)
-	if obj == nil {
-		return
-	}
-	c.handled[st.X] = true
-	use := c.uses[obj]
-	var fix *analysis.SuggestedFix
-	if use.suffix != "" {
-		delta := "1"
-		if st.Tok == token.DEC {
-			delta = "-1"
-		}
-		fix = c.stmtFix(st, use,
-			fmt.Sprintf("atomic.Add%s(&%s, %s)", use.suffix, types.ExprString(st.X), delta),
-			"replace "+st.Tok.String()+" with atomic.Add"+use.suffix)
-	}
-	c.report(st.X, obj, fix)
-}
-
-// incrementOf matches rhs == `<obj> + n` / `n + <obj>` / `<obj> - n`
-// and returns the delta expression text.
-func (c *checker) incrementOf(rhs ast.Expr, obj types.Object) (string, bool) {
-	be, ok := ast.Unparen(rhs).(*ast.BinaryExpr)
-	if !ok {
-		return "", false
-	}
-	switch be.Op {
-	case token.ADD:
-		if c.trackedExpr(be.X) == obj {
-			c.handled[ast.Unparen(be.X)] = true
-			return types.ExprString(be.Y), true
-		}
-		if c.trackedExpr(be.Y) == obj {
-			c.handled[ast.Unparen(be.Y)] = true
-			return types.ExprString(be.X), true
-		}
-	case token.SUB:
-		if c.trackedExpr(be.X) == obj {
-			c.handled[ast.Unparen(be.X)] = true
-			return "-(" + types.ExprString(be.Y) + ")", true
-		}
-	}
-	return "", false
-}
-
-// loadFix wraps a plain read in atomic.LoadXxx.
-func (c *checker) loadFix(e ast.Expr, use atomicUse) *analysis.SuggestedFix {
-	if use.suffix == "" {
-		return nil
-	}
-	fix := &analysis.SuggestedFix{
-		Message: "replace plain read with atomic.Load" + use.suffix,
-		TextEdits: []analysis.TextEdit{{
-			Pos:     e.Pos(),
-			End:     e.End(),
-			NewText: []byte(fmt.Sprintf("atomic.Load%s(&%s)", use.suffix, types.ExprString(e))),
-		}},
-	}
-	c.addImportEdit(fix)
-	return fix
-}
-
-// stmtFix replaces a whole statement.
-func (c *checker) stmtFix(st ast.Stmt, use atomicUse, newText, msg string) *analysis.SuggestedFix {
-	fix := &analysis.SuggestedFix{
-		Message: msg,
-		TextEdits: []analysis.TextEdit{{
-			Pos:     st.Pos(),
-			End:     st.End(),
-			NewText: []byte(newText),
-		}},
-	}
-	c.addImportEdit(fix)
-	return fix
-}
-
-// addImportEdit appends the sync/atomic import insertion when the
-// enclosing file lacks it. Identical insertions from several fixes in
-// one file collapse at apply time.
-func (c *checker) addImportEdit(fix *analysis.SuggestedFix) {
-	for _, imp := range c.file.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "sync/atomic" {
-			return
-		}
-	}
-	for _, decl := range c.file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			fix.TextEdits = append(fix.TextEdits, analysis.TextEdit{
-				Pos:     gd.Lparen + 1,
-				End:     gd.Lparen + 1,
-				NewText: []byte("\n\t\"sync/atomic\""),
-			})
-		} else {
-			fix.TextEdits = append(fix.TextEdits, analysis.TextEdit{
-				Pos:     gd.End(),
-				End:     gd.End(),
-				NewText: []byte("\nimport \"sync/atomic\""),
-			})
-		}
-		return
-	}
-	end := c.file.Name.End()
-	fix.TextEdits = append(fix.TextEdits, analysis.TextEdit{
-		Pos:     end,
-		End:     end,
-		NewText: []byte("\n\nimport \"sync/atomic\""),
-	})
-}
-
-func (c *checker) report(e ast.Expr, obj types.Object, fix *analysis.SuggestedFix) {
-	use := c.uses[obj]
-	d := analysis.Diagnostic{
-		Pos: e.Pos(),
-		Message: fmt.Sprintf(
-			"%s accessed without atomics here but atomically at %s: mixing atomic and plain access is a data race",
-			types.ExprString(e), c.pass.Fset.Position(use.pos)),
-	}
-	if fix != nil {
-		d.SuggestedFixes = []analysis.SuggestedFix{*fix}
-	}
-	c.pass.Report(d)
-}
-
-// trackedExpr resolves e to a variable under atomic discipline, or nil.
-func (c *checker) trackedExpr(e ast.Expr) types.Object {
-	obj := addressedObject(c.pass, e)
-	if obj == nil {
-		return nil
-	}
-	if _, ok := c.uses[obj]; !ok {
-		return nil
-	}
-	return obj
-}
-
-// addressedObject resolves x.f / v to the variable object being
-// addressed or accessed.
-func addressedObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pass.TypesInfo.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			return sel.Obj()
-		}
-		return nil
-	case *ast.Ident:
-		if v, ok := pass.TypesInfo.Uses[e].(*types.Var); ok && !v.IsField() {
-			return v
-		}
-	}
-	return nil
-}
-
-// isAtomicPkgCall reports whether call invokes a sync/atomic
-// package-level pointer-taking function.
-func isAtomicPkgCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false // typed atomics (atomic.Int64 methods) are fine
-	}
-	name := fn.Name()
-	for _, prefix := range []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// atomicSuffix maps a variable's type to the sync/atomic function
-// suffix, or "" when no package-level accessor exists for it.
-func atomicSuffix(t types.Type) string {
-	b, ok := types.Unalias(t).Underlying().(*types.Basic)
-	if !ok {
-		return ""
-	}
-	switch b.Kind() {
-	case types.Int32:
-		return "Int32"
-	case types.Int64:
-		return "Int64"
-	case types.Uint32:
-		return "Uint32"
-	case types.Uint64:
-		return "Uint64"
-	case types.Uintptr:
-		return "Uintptr"
-	}
-	return ""
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestAtomicmix(t *testing.T) {
-	analysistest.RunWithFixes(t, "testdata", atomicmix.Analyzer, "am")
+	analysistest.Run(t, "testdata", atomicmix.Analyzer, "am")
 }

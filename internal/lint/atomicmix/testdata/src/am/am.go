@@ -1,62 +1,48 @@
-// Package am exercises the atomicmix analyzer: fields accessed both
-// through sync/atomic and plainly.
+// Package am exercises the atomicmix analyzer: function-style
+// sync/atomic operations are findings, typed atomics are not.
 package am
 
 import "sync/atomic"
 
-// Counter mixes disciplines across methods.
+// Counter is updated through function-style atomics, so nothing stops
+// read from touching n plainly.
 type Counter struct {
 	n     int64
-	hits  int64
 	flags uint32
-	plain int64
 }
 
-// bump is the atomic side of the mix.
 func (c *Counter) bump() {
-	atomic.AddInt64(&c.n, 1)
-	atomic.AddInt64(&c.hits, 1)
-	atomic.StoreUint32(&c.flags, 1)
+	atomic.AddInt64(&c.n, 1)        // want `function-style atomic\.AddInt64`
+	atomic.StoreUint32(&c.flags, 1) // want `function-style atomic\.StoreUint32`
 }
 
-// read: a plain read of an atomically-updated field.
 func (c *Counter) read() int64 {
-	return c.n // want `c\.n accessed without atomics`
+	return c.n + atomic.LoadInt64(&c.n) // want `function-style atomic\.LoadInt64`
 }
 
-// write: a plain store.
-func (c *Counter) write(v int64) {
-	c.n = v // want `c\.n accessed without atomics`
-}
+// A function value is as much a use as a call.
+var swap = atomic.CompareAndSwapInt64 // want `function-style atomic\.CompareAndSwapInt64`
 
-// incr: increments in three spellings, all racy.
-func (c *Counter) incr() {
-	c.hits++            // want `c\.hits accessed without atomics`
-	c.hits += 2         // want `c\.hits accessed without atomics`
-	c.hits = c.hits + 3 // want `c\.hits accessed without atomics`
+// Typed holds the fixed form: there is no plain access to mix with.
+type Typed struct {
+	v atomic.Int64
+	p atomic.Pointer[Counter]
 }
-
-// escape: the address leaks; flagged, but no mechanical rewrite.
-func (c *Counter) escape() *uint32 {
-	return &c.flags // want `c\.flags accessed without atomics`
-}
-
-// plainOnly: a field never touched atomically is not part of a mix.
-func (c *Counter) plainOnly() int64 {
-	c.plain++
-	return c.plain
-}
-
-// Typed uses typed atomics, the fixed form — not a mix.
-type Typed struct{ v atomic.Int64 }
 
 func (t *Typed) ok() int64 {
 	t.v.Add(1)
+	t.p.Store(&Counter{})
 	return t.v.Load()
 }
 
-// suppressed: acknowledged pre-concurrency initialization.
+// suppressed: an acknowledged exception.
 func (c *Counter) suppressed() {
-	//simlint:ignore atomicmix fixture exception: constructor runs before any goroutine starts
-	c.n = 0
+	//simlint:ignore atomicmix fixture exception: word shared with a C signal handler
+	atomic.StoreInt64(&c.n, 0)
 }
+
+//simlint:ignore atomicmix nothing below is function-style any more // want `unused //simlint:ignore`
+func (t *Typed) stale() { t.v.Store(0) }
+
+//simlint:ignore atomicmixx a misspelt analyzer excuses nothing // want `unknown analyzer "atomicmixx"`
+func (t *Typed) typo() { t.v.Store(1) }

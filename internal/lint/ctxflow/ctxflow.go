@@ -18,8 +18,7 @@
 // local, or an *http.Request (whose r.Context() carries the client
 // disconnect). The function's own root context creation — a Background
 // with no earlier context in scope, as in main() — is the legitimate
-// use and is not flagged. R2 carries a suggested fix substituting the
-// in-scope context.
+// use and is not flagged.
 package ctxflow
 
 import (
@@ -64,16 +63,11 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// ctxVar is one in-scope context source.
-type ctxVar struct {
-	expr  string // what to write in the fix: "ctx" or "r.Context()"
-	depth int
-}
-
 type walker struct {
-	pass    *analysis.Pass
-	inScope []ctxVar
-	depth   int
+	pass *analysis.Pass
+	// inScope holds the context sources visible at this point, as the
+	// messages name them: "ctx" or "r.Context()".
+	inScope []string
 }
 
 // seed registers the function's parameters.
@@ -88,9 +82,9 @@ func (w *walker) seed(ft *ast.FuncType) {
 				continue
 			}
 			if isContext(t) {
-				w.inScope = append(w.inScope, ctxVar{expr: name.Name})
+				w.inScope = append(w.inScope, name.Name)
 			} else if isHTTPRequest(t) {
-				w.inScope = append(w.inScope, ctxVar{expr: name.Name + ".Context()"})
+				w.inScope = append(w.inScope, name.Name+".Context()")
 			}
 		}
 	}
@@ -101,17 +95,15 @@ func (w *walker) current() string {
 	if len(w.inScope) == 0 {
 		return ""
 	}
-	return w.inScope[len(w.inScope)-1].expr
+	return w.inScope[len(w.inScope)-1]
 }
 
 func (w *walker) block(b *ast.BlockStmt) {
-	w.depth++
 	mark := len(w.inScope)
 	for _, s := range b.List {
 		w.stmt(s)
 	}
 	w.inScope = w.inScope[:mark]
-	w.depth--
 }
 
 func (w *walker) stmt(s ast.Stmt) {
@@ -129,7 +121,7 @@ func (w *walker) stmt(s ast.Stmt) {
 		for _, e := range s.Lhs {
 			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
 				if isContext(w.pass.TypesInfo.TypeOf(id)) {
-					w.inScope = append(w.inScope, ctxVar{expr: id.Name, depth: w.depth})
+					w.inScope = append(w.inScope, id.Name)
 				}
 			}
 		}
@@ -145,7 +137,7 @@ func (w *walker) stmt(s ast.Stmt) {
 				}
 				for _, name := range vs.Names {
 					if name.Name != "_" && isContext(w.pass.TypesInfo.TypeOf(name)) {
-						w.inScope = append(w.inScope, ctxVar{expr: name.Name, depth: w.depth})
+						w.inScope = append(w.inScope, name.Name)
 					}
 				}
 			}
@@ -270,19 +262,9 @@ func (w *walker) call(call *ast.CallExpr) {
 	if fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
 		(fn.Name() == "Background" || fn.Name() == "TODO") {
 		if cur := w.current(); cur != "" {
-			w.pass.Report(analysis.Diagnostic{
-				Pos: call.Pos(),
-				Message: "context." + fn.Name() + "() discards the in-scope context " + cur +
-					": work started here outlives cancellation and drain deadlines",
-				SuggestedFixes: []analysis.SuggestedFix{{
-					Message: "use " + cur,
-					TextEdits: []analysis.TextEdit{{
-						Pos:     call.Pos(),
-						End:     call.End(),
-						NewText: []byte(cur),
-					}},
-				}},
-			})
+			w.pass.Reportf(call.Pos(),
+				"context.%s() discards the in-scope context %s: work started here outlives cancellation and drain deadlines",
+				fn.Name(), cur)
 		}
 		return
 	}

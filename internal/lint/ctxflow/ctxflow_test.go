@@ -8,5 +8,5 @@ import (
 )
 
 func TestCtxflow(t *testing.T) {
-	analysistest.RunWithFixes(t, "testdata", ctxflow.Analyzer, "cf")
+	analysistest.Run(t, "testdata", ctxflow.Analyzer, "cf")
 }

@@ -1,25 +1,27 @@
 // Package rngsource flags randomness that escapes the experiment seed:
 // calls to math/rand's global, process-wide functions, wall-clock
-// (time.Now-derived) RNG seeds, and any time.Now use inside the
-// simulator's internal packages. Every random decision in the
-// simulator must come from a *rand.Rand constructed from the
-// configured seed (as internal/workload and internal/core already do),
-// or two runs with the same config stop being comparable.
+// (time.Now-derived) RNG seeds, and any time.Now use inside a package
+// that has a per-cycle entry point (hotpath.Reachable is non-empty:
+// the simulator proper, not the daemons that timestamp jobs around
+// it). Every random decision in the simulator must come from a
+// *rand.Rand constructed from the configured seed (as internal/workload
+// and internal/core already do), or two runs with the same config stop
+// being comparable.
 package rngsource
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"delrep/internal/lint/analysis"
+	"delrep/internal/lint/hotpath"
 )
 
 // Analyzer flags unseeded or wall-clock-derived randomness.
 var Analyzer = &analysis.Analyzer{
 	Name: "rngsource",
 	Doc: "flag global math/rand functions, time.Now-derived RNG seeds, " +
-		"and time.Now inside internal/ simulator packages; all " +
+		"and time.Now in packages with a per-cycle entry point; all " +
 		"randomness must flow from an injected *rand.Rand seeded by config",
 	Run: run,
 }
@@ -48,8 +50,7 @@ func isRandPkg(path string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	internal := strings.Contains(pass.PkgPath+"/", "/internal/") ||
-		strings.HasPrefix(pass.PkgPath, "internal/")
+	simulator := len(hotpath.Reachable(pass)) > 0
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -71,7 +72,7 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(call.Pos(),
 					"call to global %s.%s uses the shared process-wide generator; inject a *rand.Rand seeded from the experiment config",
 					pkg.Path(), fn.Name())
-			case pkg.Path() == "time" && fn.Name() == "Now" && internal:
+			case pkg.Path() == "time" && fn.Name() == "Now" && simulator:
 				pass.Reportf(call.Pos(),
 					"time.Now in simulator package %s: simulated behaviour must depend only on the cycle counter and the configured seed",
 					pass.PkgPath)

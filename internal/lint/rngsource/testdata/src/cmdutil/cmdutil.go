@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// Elapsed uses wall-clock time outside internal/: allowed (drivers may
-// time themselves).
+// Elapsed uses wall-clock time in a package with no per-cycle entry
+// point: allowed (drivers and daemons may time themselves).
 func Elapsed(start time.Time) time.Duration {
 	return time.Since(start)
 }
 
-// Stamp reads the clock outside internal/: allowed.
+// Stamp reads the clock outside the simulator: allowed.
 func Stamp() int64 {
 	return time.Now().Unix()
 }

@@ -5,6 +5,12 @@ import (
 	"time"
 )
 
+// node gives the package a per-cycle entry point, which is what makes
+// it a simulator package for the bare time.Now rule.
+type node struct{ cycle int64 }
+
+func (n *node) Tick() { n.cycle++ }
+
 // jitter draws from the global, process-wide generator: unseeded.
 func jitter() int {
 	return rand.Intn(4) // want `global math/rand.Intn`
@@ -16,7 +22,7 @@ func shuffle(xs []int) {
 }
 
 // clockSeed derives the seed from the wall clock; two runs can never
-// be compared. Both the time.Now-in-internal rule and the wall-clock
+// be compared. Both the time.Now-in-simulator rule and the wall-clock
 // seed rule fire.
 func clockSeed() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano())) // want `seeded from the wall clock` `time.Now in simulator package`

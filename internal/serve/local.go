@@ -104,7 +104,6 @@ func New(opts Options) *Server {
 		// 60 one-second buckets; sweeps that run longer land in +Inf.
 		latency: stats.NewHistogram(60, 1),
 	}
-	//simlint:ignore rngsource daemon start timestamp, outside any simulation
 	x.started = time.Now()
 	for p := 0; p < int(numPriorities); p++ {
 		x.queueWait[p] = stats.NewHistogram(60, 1)

@@ -338,7 +338,6 @@ func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config, key s
 		return &Rejection{Reason: "draining", Status: http.StatusServiceUnavailable, Message: "server is draining"}
 	}
 	j.id = fmt.Sprintf("%s%06d", s.idPrefix, s.seq+1)
-	//simlint:ignore rngsource job timestamp, outside any simulation
 	j.created = time.Now()
 	j.log = s.logger.With("job", j.id, "client", j.client, "spec_key", j.specKey)
 	if root := j.Span(); root != nil {
@@ -406,7 +405,6 @@ func (s *Server) startLocked(j *Job) {
 		return
 	}
 	j.status = StatusRunning
-	//simlint:ignore rngsource job timestamp, outside any simulation
 	j.started = time.Now()
 	s.running++
 }
@@ -420,7 +418,6 @@ func (s *Server) settleLocked(j *Job, out Outcome) {
 		s.running--
 	}
 	j.status = out.Status
-	//simlint:ignore rngsource job timestamp, outside any simulation
 	j.finished = time.Now()
 	if out.Status == StatusDone && j.started.IsZero() {
 		// Answered without running (the coordinator's cache tier): a

@@ -44,7 +44,6 @@ func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 // deliberately outside the simulation clock; spans never feed
 // simulated behaviour or digest inputs.
 func wallNow() time.Time {
-	//simlint:ignore rngsource span timestamps are wall-clock by design and never reach the simulation or its digests
 	return time.Now()
 }
 
