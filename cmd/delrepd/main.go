@@ -14,12 +14,12 @@
 //
 // Observability: logs are structured (logfmt on stderr; -log-json for
 // JSON lines), every job carries a wall-clock span trace exported at
-// /v1/jobs/{id}/trace (disable with -telemetry=false), the last
-// -flight completed jobs sit behind /debug/jobs and /debug/status, and
-// -pprof mounts net/http/pprof under /debug/pprof/. -cpuprofile and
-// -memprofile write whole-process profiles; the heap snapshot is also
-// written on SIGTERM, after the drain, so profiles survive a normal
-// service stop.
+// /v1/jobs/{id}/trace (disable with -telemetry=false), /debug/jobs
+// lists the newest 128 terminal jobs of the job table with their
+// traces, /debug/status the newest 20, and -pprof mounts
+// net/http/pprof under /debug/pprof/. -cpuprofile and -memprofile
+// write whole-process profiles; the heap snapshot is also written on
+// SIGTERM, after the drain, so profiles survive a normal service stop.
 //
 // See internal/serve for the full API. On SIGINT/SIGTERM the daemon
 // stops admitting jobs, cancels its queue, and drains running jobs for
@@ -47,8 +47,7 @@ func main() {
 		perCli   = flag.Int("client-inflight", 0, "max queued+running jobs per client (0 = unlimited)")
 		drain    = flag.Duration("drain", 2*time.Minute, "how long shutdown waits for running jobs before cancelling them")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
-		telem    = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace) and the flight recorder (/debug/jobs)")
-		flight   = flag.Int("flight", 128, "completed-job summaries kept in the flight recorder ring")
+		telem    = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace, /debug/jobs)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -94,7 +93,6 @@ func main() {
 		CacheMaxBytes:  maxBytes,
 		Logger:         logger,
 		Telemetry:      *telem,
-		FlightSize:     *flight,
 		EnablePprof:    *pprofOn,
 	})
 

@@ -53,6 +53,9 @@ func TestPlantedMutations(t *testing.T) {
 		{"context.Background in a serve handler", "internal/serve", "serve.go",
 			[]string{"j.log.InfoContext(r.Context(), ", "j.log.InfoContext(context.Background(), "},
 			[]string{"ctxflow"}},
+		{"context.Background as a method receiver in a serve handler", "internal/serve", "serve.go",
+			[]string{"case <-r.Context().Done():", "case <-context.Background().Done():"},
+			[]string{"ctxflow"}},
 		{"function-style atomic", "internal/runner", "runner.go",
 			[]string{"e.failed.Add(1)", "e.failed.Add(atomic.AddInt64(new(int64), 1))"},
 			[]string{"atomicmix"}},

@@ -187,9 +187,6 @@ type NoC struct {
 	SharedPhys   bool     // one physical network with virtual networks
 	ReqVCs       int      // with SharedPhys: VCs for the request class
 	RepVCs       int      // with SharedPhys: VCs for the reply class
-	AdaptiveVCs  int      // extra adaptive VCs for adaptive routing
-	CPUPriority  bool     // prioritize CPU packets in allocators
-	RemotePrio   bool     // prioritize delegated/remote requests (deadlock rule)
 }
 
 // GPU holds GPU core parameters.
@@ -200,7 +197,6 @@ type GPU struct {
 	L1Assoc      int
 	L1LineBytes  int // 128 B
 	L1MSHRs      int
-	L1HitLatency int
 	FRQEntries   int // forwarded request queue entries (8)
 	MaxOutWrites int // outstanding write-through budget per SM
 	Org          L1Org
@@ -294,9 +290,6 @@ func Default() Config {
 			RouterDelay:  4,
 			LinkDelay:    1,
 			InjectionBuf: 8,
-			AdaptiveVCs:  1,
-			CPUPriority:  true,
-			RemotePrio:   true,
 		},
 		GPU: GPU{
 			WarpsPerSM:   48,
@@ -305,7 +298,6 @@ func Default() Config {
 			L1Assoc:      4,
 			L1LineBytes:  128,
 			L1MSHRs:      32,
-			L1HitLatency: 4,
 			FRQEntries:   8,
 			MaxOutWrites: 16,
 			Org:          L1Private,

@@ -305,12 +305,8 @@ func (m *MemNode) delegate() {
 	}
 	reqNI := m.sys.reqNI(m.Node)
 	budget := m.sys.Cfg.DelRep.MaxDelegationsPerCycle
-	start := 0
-	if repNI.HeadInProgress(noc.ClassReply) {
-		start = 1
-	}
 	q := repNI.PeekQueue(noc.ClassReply)
-	for i := start; i < len(q) && budget > 0; i++ {
+	for i := 0; i < len(q) && budget > 0; i++ {
 		msg, ok := q[i].Payload.(*Msg)
 		if !ok || !m.delegatable(msg) {
 			continue

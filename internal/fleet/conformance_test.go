@@ -377,18 +377,10 @@ var conformanceCases = []struct {
 	}},
 	{"trace tree has http.receive, admission and the executor's spans", true, func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(607)})
-		// The ?wait reply is sent when the job is terminal; its trace is
-		// closed and filed right after, so wait for that.
-		var raw []byte
-		var tree telemetry.SpanView
-		waitFor(t, "a closed \"job\" root span", func() bool {
-			_, raw, _ = call(t, http.MethodGet, base+"/v1/jobs/"+v.ID+"/trace?format=tree", nil)
-			tree = telemetry.SpanView{}
-			if err := json.Unmarshal(raw, &tree); err != nil {
-				t.Fatalf("tree %s: %v", raw, err)
-			}
-			return tree.Name == "job" && !tree.Open
-		})
+		tree, raw := traceTree(t, base, v.ID)
+		if tree.Name != "job" || tree.Open {
+			t.Errorf("root span %q open=%v, want a closed \"job\"", tree.Name, tree.Open)
+		}
 		for _, name := range append([]string{"http.receive", "admission"}, tg.spans...) {
 			if _, ok := tree.Find(name); !ok {
 				t.Errorf("trace has no %q span:\n%s", name, raw)
@@ -403,13 +395,56 @@ var conformanceCases = []struct {
 		}
 		_, raw, _ = call(t, http.MethodGet, base+"/debug/jobs", nil)
 		var flight struct {
-			Total int64                 `json:"total"`
-			Jobs  []telemetry.JobRecord `json:"jobs"`
+			Total int64             `json:"total"`
+			Jobs  []serve.JobRecord `json:"jobs"`
 		}
 		if err := json.Unmarshal(raw, &flight); err != nil || flight.Total != 1 || len(flight.Jobs) != 1 || flight.Jobs[0].ID != v.ID {
 			t.Errorf("/debug/jobs = %s (%v), want the one finished job", raw, err)
 		}
 	}},
+}
+
+// traceTree reads a job's span tree.
+func traceTree(t *testing.T, base, id string) (telemetry.SpanView, []byte) {
+	t.Helper()
+	_, raw, _ := call(t, http.MethodGet, base+"/v1/jobs/"+id+"/trace?format=tree", nil)
+	var tree telemetry.SpanView
+	if err := json.Unmarshal(raw, &tree); err != nil {
+		t.Fatalf("tree %s: %v", raw, err)
+	}
+	return tree, raw
+}
+
+// A job finishes in one locked step, so the ?wait reply cannot outrun
+// any part of it: right after each reply, the job's root span is
+// closed with its outcome and /debug/jobs lists the job first. Repeats
+// of one spec are the fast path (a memo hit on the daemon, a cache-tier
+// revalidation on the coordinator), where a late close would show.
+func TestWaitedJobIsClosedAndListed(t *testing.T) {
+	const k = 8
+	for _, tg := range targets {
+		t.Run(tg.name, func(t *testing.T) {
+			in := tg.start(t, true)
+			defer in.stop()
+			for i := 1; i <= k; i++ {
+				v, resp := post(t, in.base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(614)})
+				if resp.StatusCode != http.StatusOK || v.Status != serve.StatusDone {
+					t.Fatalf("job %d: status %d, job %s (%s)", i, resp.StatusCode, v.Status, v.Error)
+				}
+				if tree, raw := traceTree(t, in.base, v.ID); tree.Open || tree.Attrs["outcome"] != "done" {
+					t.Errorf("job %d (%s): root span open=%v outcome=%v, want closed with done:\n%s", i, v.ID, tree.Open, tree.Attrs["outcome"], raw)
+				}
+				_, raw, _ := call(t, http.MethodGet, in.base+"/debug/jobs", nil)
+				var listed struct {
+					Total int               `json:"total"`
+					Jobs  []serve.JobRecord `json:"jobs"`
+				}
+				if err := json.Unmarshal(raw, &listed); err != nil || listed.Total != i || len(listed.Jobs) != i || listed.Jobs[0].ID != v.ID {
+					t.Errorf("job %d (%s): /debug/jobs = %s (%v), want %d jobs, this one first", i, v.ID, raw, err, i)
+				}
+			}
+		})
+	}
 }
 
 func TestWireConformance(t *testing.T) {
@@ -509,11 +544,7 @@ func TestWireConformance(t *testing.T) {
 		if v.Status != serve.StatusDone || v.Worker == home {
 			t.Fatalf("job ended %s on %s, want done on the worker that is not its full home %s", v.Status, v.Worker, home)
 		}
-		_, raw, _ := call(t, http.MethodGet, ts.URL+"/v1/jobs/"+v.ID+"/trace?format=tree", nil)
-		var tree telemetry.SpanView
-		if err := json.Unmarshal(raw, &tree); err != nil {
-			t.Fatalf("tree %s: %v", raw, err)
-		}
+		tree, raw := traceTree(t, ts.URL, v.ID)
 		var got []string
 		for _, c := range tree.Children {
 			if c.Name == "fleet.attempt" {

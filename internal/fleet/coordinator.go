@@ -50,9 +50,6 @@ import (
 type Options struct {
 	// Workers are the delrepd base URLs the fleet shards over. Required.
 	Workers []string
-	// Replicas is the virtual-node count per worker on the hash ring;
-	// <= 0 selects the default.
-	Replicas int
 	// ProbeInterval is the registry's health-probe cadence; <= 0
 	// selects the default.
 	ProbeInterval time.Duration
@@ -104,7 +101,7 @@ func (e errPermanent) Error() string { return e.err.Error() }
 // New builds a coordinator over the configured workers and starts its
 // health registry.
 func New(opts Options) (*Server, error) {
-	ring := NewRing(opts.Workers, opts.Replicas)
+	ring := NewRing(opts.Workers)
 	if len(ring.Members()) == 0 {
 		return nil, errors.New("fleet: no workers configured")
 	}
@@ -127,7 +124,7 @@ func New(opts Options) (*Server, error) {
 		resident: newMemo[*simspec.Result](residentBound),
 	}
 	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, opts.Logger)
-	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, opts.Telemetry, 0, 0)
+	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, opts.Telemetry, 0)
 	return s, nil
 }
 

@@ -78,7 +78,7 @@ func newHeldFleet(t *testing.T, slots ...int) *heldFleet {
 		}
 		daemon := serve.New(serve.Options{Engine: runner.New(runner.Options{Workers: 1, Cache: cache})})
 		w := &heldWorker{f: f, slots: n, cache: cache, tier: daemon.Handler(), keys: map[string]string{}}
-		srv := serve.NewServer(w, "j", "delrepd", nil, false, 0, 0)
+		srv := serve.NewServer(w, "j", "delrepd", nil, false, 0)
 		w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost {
 				f.arrived.Add(1)

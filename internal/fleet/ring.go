@@ -32,11 +32,11 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per worker on the ring:
-// enough that removing one worker of a handful spreads its keyspace
-// roughly evenly over the survivors, cheap enough that rebuilding the
-// ring on membership change is negligible next to one simulation.
-const defaultReplicas = 128
+// replicas is the virtual-node count per worker on the ring: enough
+// that removing one worker of a handful spreads its keyspace roughly
+// evenly over the survivors, cheap enough that rebuilding the ring on
+// membership change is negligible next to one simulation.
+const replicas = 128
 
 // Ring is a consistent-hash ring mapping content keys to worker names.
 // It is immutable after construction — membership changes build a new
@@ -46,19 +46,14 @@ const defaultReplicas = 128
 // so a worker that comes back resumes owning exactly its old shard and
 // its warm cache stays addressed.
 type Ring struct {
-	replicas int
-	hashes   []uint64 // sorted virtual-node positions
-	owner    map[uint64]string
-	members  []string // distinct workers, sorted (for Members and tests)
+	hashes  []uint64 // sorted virtual-node positions
+	owner   map[uint64]string
+	members []string // distinct workers, sorted (for Members and tests)
 }
 
-// NewRing builds a ring over the named workers. replicas <= 0 selects
-// the default virtual-node count.
-func NewRing(workers []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	r := &Ring{replicas: replicas, owner: map[uint64]string{}}
+// NewRing builds a ring over the named workers.
+func NewRing(workers []string) *Ring {
+	r := &Ring{owner: map[uint64]string{}}
 	seen := map[string]bool{}
 	for _, w := range workers {
 		if w == "" || seen[w] {

@@ -8,7 +8,7 @@ import (
 
 func TestRingSequenceCoversAllWorkersOnce(t *testing.T) {
 	workers := []string{"http://a:8080", "http://b:8080", "http://c:8080"}
-	r := NewRing(workers, 0)
+	r := NewRing(workers)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		seq := r.Sequence(key)
@@ -27,10 +27,10 @@ func TestRingSequenceCoversAllWorkersOnce(t *testing.T) {
 
 func TestRingDeterministicAcrossConstructions(t *testing.T) {
 	workers := []string{"http://a:8080", "http://b:8080", "http://c:8080"}
-	r1 := NewRing(workers, 0)
+	r1 := NewRing(workers)
 	// Input order must not matter: every coordinator instance (and a
 	// restarted one) must route identically.
-	r2 := NewRing([]string{workers[2], workers[0], workers[1]}, 0)
+	r2 := NewRing([]string{workers[2], workers[0], workers[1]})
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if a, b := r1.Sequence(key), r2.Sequence(key); !reflect.DeepEqual(a, b) {
@@ -41,7 +41,7 @@ func TestRingDeterministicAcrossConstructions(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	workers := []string{"http://a:8080", "http://b:8080", "http://c:8080", "http://d:8080"}
-	r := NewRing(workers, 0)
+	r := NewRing(workers)
 	counts := map[string]int{}
 	const n = 4000
 	for i := 0; i < n; i++ {
@@ -63,7 +63,7 @@ func TestRingDistribution(t *testing.T) {
 // removed worker falls to its ring successor.
 func TestRingRemovalStability(t *testing.T) {
 	workers := []string{"http://a:8080", "http://b:8080", "http://c:8080"}
-	r := NewRing(workers, 0)
+	r := NewRing(workers)
 	down := workers[1]
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -86,11 +86,11 @@ func TestRingRemovalStability(t *testing.T) {
 }
 
 func TestRingDedupAndEmpty(t *testing.T) {
-	r := NewRing([]string{"http://a", "", "http://a", "http://b"}, 8)
+	r := NewRing([]string{"http://a", "", "http://a", "http://b"})
 	if got := r.Members(); !reflect.DeepEqual(got, []string{"http://a", "http://b"}) {
 		t.Fatalf("Members() = %v", got)
 	}
-	if seq := NewRing(nil, 0).Sequence("k"); seq != nil {
+	if seq := NewRing(nil).Sequence("k"); seq != nil {
 		t.Fatalf("empty ring Sequence = %v, want nil", seq)
 	}
 }

@@ -247,14 +247,14 @@ func (w *walker) expr(e ast.Expr) {
 }
 
 func (w *walker) call(call *ast.CallExpr) {
+	// The callee holds calls of its own: a method's receiver, as in
+	// context.Background().Done(), or a called literal's body.
+	w.expr(call.Fun)
 	for _, a := range call.Args {
 		w.expr(a)
 	}
 	fn := calleeFunc(w.pass, call)
 	if fn == nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			w.expr(sel.X)
-		}
 		return
 	}
 

@@ -34,6 +34,8 @@ func laterLocal(d time.Duration) {
 // handler: r.Context() carries the client disconnect.
 func handler(w http.ResponseWriter, r *http.Request) {
 	_ = work(context.Background()) // want `context.Background\(\) discards the in-scope context r.Context\(\)`
+	// As the receiver of a method call.
+	_ = context.Background().Err() // want `context.Background\(\) discards the in-scope context r.Context\(\)`
 }
 
 // stdlibPair: the request should observe cancellation.

@@ -116,12 +116,6 @@ func (ni *NI) Inject(p *Packet) bool {
 // delegatable replies; any entry may be removed with RemoveQueued.
 func (ni *NI) PeekQueue(c Class) []*Packet { return ni.injQ[c] }
 
-// HeadInProgress reports whether the head queue entry has begun
-// injection. Streaming packets leave the queue, so this is always
-// false; it is retained for API compatibility with callers that guard
-// against removing an in-flight head.
-func (ni *NI) HeadInProgress(Class) bool { return false }
-
 // RemoveQueued removes the packet at index i of the class queue and
 // returns it. Only queued (never streaming) packets are reachable.
 func (ni *NI) RemoveQueued(c Class, i int) *Packet {

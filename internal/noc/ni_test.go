@@ -64,22 +64,6 @@ func TestRemoveQueuedForDelegation(t *testing.T) {
 	}
 }
 
-func TestRemoveInProgressHeadPanics(t *testing.T) {
-	net := memNet(t)
-	ni := net.NI(2)
-	ni.Inject(&Packet{ID: 1, Src: 2, Dst: 5, Class: ClassReply, SizeFlits: 9})
-	net.Tick() // begins injecting the head
-	if !ni.HeadInProgress(ClassReply) {
-		t.Skip("head did not start this cycle")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("removing in-progress head did not panic")
-		}
-	}()
-	ni.RemoveQueued(ClassReply, 0)
-}
-
 func TestReadyAtDelaysInjection(t *testing.T) {
 	net := memNet(t)
 	ni := net.NI(2)

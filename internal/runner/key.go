@@ -25,7 +25,7 @@ func Key(cfg config.Config, gpu, cpu string) string {
 
 // KeyHash returns a short stable identifier for a run key: the first
 // 12 hex digits of its SHA-256. Structured log lines and
-// flight-recorder entries carry it so a job can be correlated with its
+// /debug/jobs entries carry it so a job can be correlated with its
 // cache identity without dumping the full rendered configuration. The
 // fleet coordinator also uses it as the consistent-hash routing key,
 // so a spec always routes to the worker holding its cache shard.

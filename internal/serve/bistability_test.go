@@ -28,7 +28,7 @@ import (
 
 // The estimator must track the live backlog proportionally and clamp.
 func TestRetryAfterTracksBacklog(t *testing.T) {
-	srv := New(Options{Engine: runner.New(runner.Options{Workers: 2}), Workers: 2})
+	srv := New(Options{Engine: runner.New(runner.Options{Workers: 2})})
 	defer srv.Shutdown(t.Context())
 	s := srv.exec.(*local)
 
@@ -84,7 +84,6 @@ func TestNoBistableCollapseNearKnee(t *testing.T) {
 	)
 	_, ts := newTestServer(t, Options{
 		Engine:     runner.New(runner.Options{Workers: workers}),
-		Workers:    workers,
 		QueueDepth: queueDepth,
 	})
 

@@ -1,12 +1,89 @@
 package serve
 
 import (
+	"fmt"
 	"html/template"
 	"net/http"
+	"sort"
 	"time"
 
 	"delrep/internal/telemetry"
 )
+
+// debugJobs is how many terminal jobs /debug/jobs lists.
+const debugJobs = 128
+
+// JobRecord is one terminal job as /debug/jobs lists it: identity,
+// outcome, cache provenance, the coarse latency split and the span
+// tree.
+type JobRecord struct {
+	ID       string             `json:"id"`
+	Client   string             `json:"client,omitempty"`
+	Priority string             `json:"priority"`
+	Spec     string             `json:"spec"`               // human label, e.g. "HS+vips delegated"
+	SpecKey  string             `json:"spec_key,omitempty"` // short content hash, correlates with cache entries
+	Outcome  string             `json:"outcome"`            // done | failed | cancelled
+	Source   string             `json:"source,omitempty"`   // executed | memo | disk
+	Error    string             `json:"error,omitempty"`
+	Created  time.Time          `json:"created"`
+	QueueUS  int64              `json:"queue_us"` // admission → dispatch
+	ExecUS   int64              `json:"exec_us"`  // dispatch → terminal
+	TotalUS  int64              `json:"total_us"` // submit → terminal
+	Trace    telemetry.SpanView `json:"trace"`
+}
+
+// recent renders up to n terminal jobs of the job table, the most
+// recently finished first, and counts the terminal jobs in all.
+func (s *Server) recent(n int) (recs []JobRecord, total int) {
+	var jobs []*Job
+	s.mu.Lock()
+	for _, j := range s.order {
+		if j.status.Terminal() {
+			jobs = append(jobs, j)
+		}
+	}
+	s.mu.Unlock()
+	// A terminal job's fields never change again: read them unlocked.
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].finished.After(jobs[b].finished) })
+	recs = make([]JobRecord, min(n, len(jobs)))
+	for i := range recs {
+		j, r := jobs[i], &recs[i]
+		*r = JobRecord{
+			ID:       j.id,
+			Client:   j.client,
+			Priority: j.prio.String(),
+			Spec:     fmt.Sprintf("%s+%s %s", j.spec.GPU, j.spec.CPU, j.spec.Scheme),
+			SpecKey:  j.specKey,
+			Outcome:  string(j.status),
+			Source:   j.out.Source,
+			Error:    j.out.Error,
+			Created:  j.created,
+			TotalUS:  j.finished.Sub(j.created).Microseconds(),
+			Trace:    j.trace.Snapshot(),
+		}
+		r.QueueUS = r.TotalUS // never ran
+		if !j.started.IsZero() {
+			r.QueueUS = j.started.Sub(j.created).Microseconds()
+			r.ExecUS = j.finished.Sub(j.started).Microseconds()
+		}
+	}
+	return recs, len(jobs)
+}
+
+// handleDebugJobs lists the newest terminal jobs with their span trees.
+// 404 when telemetry is off.
+func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
+	if !s.telemetry {
+		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
+		return
+	}
+	recs, total := s.recent(debugJobs)
+	writeJSON(w, http.StatusOK, struct {
+		Total    int         `json:"total"`
+		Capacity int         `json:"capacity"`
+		Jobs     []JobRecord `json:"jobs"`
+	}{total, debugJobs, recs})
+}
 
 // statusPage is the data fed to the /debug/status template.
 type statusPage struct {
@@ -22,7 +99,7 @@ type statusPage struct {
 	CacheHits    int64
 	CacheMisses  int64
 	CacheCorrupt int64
-	Recent       []telemetry.JobRecord
+	Recent       []JobRecord
 }
 
 var statusTmpl = template.Must(template.New("status").Funcs(template.FuncMap{
@@ -68,21 +145,21 @@ th { background: #f0f0f0; }
 {{end}}
 </table>
 {{else}}
-<p>no recent jobs (the flight recorder fills once telemetry-enabled jobs complete)</p>
+<p>no finished jobs yet</p>
 {{end}}
 </body></html>
 `))
 
 // handleDebugStatus renders a human-oriented HTML snapshot of the
-// daemon: gauges, terminal counters, cache accounting, and the flight
-// recorder's recent jobs with links to their traces.
+// daemon: gauges, terminal counters, cache accounting, and the 20
+// newest terminal jobs with links to their traces.
 func (x *local) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
 	s := x.srv
 	cacheStats := x.opts.Engine.DiskCache().Stats()
 	s.mu.Lock()
 	page := statusPage{
 		Uptime:       time.Since(x.started).Round(time.Second).String(),
-		Workers:      x.opts.Workers,
+		Workers:      x.opts.Engine.Workers(),
 		Queued:       x.queuedCount,
 		Running:      s.running,
 		Draining:     s.draining,
@@ -95,10 +172,7 @@ func (x *local) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
 		CacheCorrupt: cacheStats.Corrupt,
 	}
 	s.mu.Unlock()
-	page.Recent = s.flight.Snapshot()
-	if len(page.Recent) > 20 {
-		page.Recent = page.Recent[:20]
-	}
+	page.Recent, _ = s.recent(20)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := statusTmpl.Execute(w, page); err != nil {
 		s.logger.WarnContext(r.Context(), "status page render failed", "error", err)

@@ -163,9 +163,9 @@ func (j *Job) SetProgress(src func() (done, total int64)) {
 	j.srv.mu.Unlock()
 }
 
-// Finish retires the job with its outcome: terminal status, subscriber
-// and ?wait wake-up, counters, trace retirement and the flight-recorder
-// entry. Only the first call transitions; later ones are no-ops.
+// Finish retires the job with its outcome: terminal status, counters,
+// subscriber and ?wait wake-up and the closed trace, in one locked
+// step. Only the first call transitions; later ones are no-ops.
 func (j *Job) Finish(out Outcome) {
 	s := j.srv
 	s.mu.Lock()
@@ -175,6 +175,7 @@ func (j *Job) Finish(out Outcome) {
 	}
 	s.settleLocked(j, out)
 	s.publishLocked(j)
+	s.closeTraceLocked(j)
 	s.mu.Unlock()
 	s.retire(j)
 }

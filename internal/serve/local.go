@@ -22,11 +22,9 @@ import (
 
 // Options configures the daemon: a Server over the local executor.
 type Options struct {
-	// Engine runs the simulations. Required.
+	// Engine runs the simulations, at most its worker count at a time.
+	// Required.
 	Engine *runner.Engine
-	// Workers bounds concurrently running jobs; <= 0 uses the engine's
-	// worker count.
-	Workers int
 	// QueueDepth bounds jobs waiting for a worker; a full queue rejects
 	// submissions with 429. <= 0 selects 64.
 	QueueDepth int
@@ -46,13 +44,10 @@ type Options struct {
 	// greps out of a mixed stream.
 	Logger *slog.Logger
 	// Telemetry records a wall-clock span tree per job (exported by
-	// GET /v1/jobs/{id}/trace) and feeds the flight recorder behind
-	// /debug/jobs. Off by default: a nil trace costs one pointer check
-	// per instrumentation site and nothing else.
+	// GET /v1/jobs/{id}/trace and listed on /debug/jobs). Off by
+	// default: a nil trace costs one pointer check per instrumentation
+	// site and nothing else.
 	Telemetry bool
-	// FlightSize bounds the flight recorder's ring of completed-job
-	// summaries (<= 0 selects 128). Only meaningful with Telemetry.
-	FlightSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
 	// CPU/heap/goroutine profiling of the daemon.
 	EnablePprof bool
@@ -70,7 +65,7 @@ type Options struct {
 // they live under srv.mu.
 type local struct {
 	srv     *Server
-	opts    Options // Workers and QueueDepth with their defaults applied
+	opts    Options // QueueDepth with its default applied
 	started time.Time
 	wg      sync.WaitGroup
 	pruneMu sync.Mutex
@@ -92,9 +87,6 @@ func New(opts Options) *Server {
 	if opts.Engine == nil {
 		panic("serve: Options.Engine is required")
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = opts.Engine.Workers()
-	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
@@ -110,11 +102,11 @@ func New(opts Options) *Server {
 		x.execTime[p] = stats.NewHistogram(60, 1)
 		x.totalTime[p] = stats.NewHistogram(60, 1)
 	}
-	s := NewServer(x, "j", "delrepd", opts.Logger, opts.Telemetry, opts.FlightSize, opts.ProgressInterval)
+	s := NewServer(x, "j", "delrepd", opts.Logger, opts.Telemetry, opts.ProgressInterval)
 	s.rejects["queue_full"], s.rejects["client_cap"] = 0, 0 // exported at 0 from the first scrape
 	x.srv = s
 	x.cond = sync.NewCond(&s.mu)
-	for i := 0; i < x.opts.Workers; i++ {
+	for i := 0; i < opts.Engine.Workers(); i++ {
 		x.wg.Add(1)
 		go x.worker()
 	}
@@ -168,7 +160,7 @@ func (x *local) retryAfterLocked() int {
 	if x.latency.Count() == 0 || mean <= 0 {
 		return 1
 	}
-	est := int(math.Ceil(mean * float64(x.queuedCount+1) / float64(x.opts.Workers)))
+	est := int(math.Ceil(mean * float64(x.queuedCount+1) / float64(x.opts.Engine.Workers())))
 	if est < 1 {
 		est = 1
 	}
@@ -199,6 +191,7 @@ func (x *local) finishQueuedLocked(j *Job, msg string) {
 	x.srv.settleLocked(j, Outcome{Status: StatusCancelled, Error: msg})
 	x.totalTime[j.prio].Add(j.finished.Sub(j.created).Seconds())
 	x.srv.publishLocked(j)
+	x.srv.closeTraceLocked(j)
 	x.srv.retire(j)
 }
 
@@ -300,6 +293,7 @@ func (x *local) runJob(j *Job) {
 	reply := root.Start("reply")
 	s.publishLocked(j)
 	reply.End()
+	s.closeTraceLocked(j)
 	s.mu.Unlock()
 
 	s.retire(j)
@@ -351,9 +345,10 @@ func (x *local) Metrics(b *strings.Builder) {
 	x.srv.mu.Lock()
 	defer x.srv.mu.Unlock()
 	fmt.Fprintf(b, "# TYPE delrepd_jobs_queued gauge\ndelrepd_jobs_queued %d\n", x.queuedCount)
-	fmt.Fprintf(b, "# TYPE delrepd_workers gauge\ndelrepd_workers %d\n", x.opts.Workers)
+	workers := x.opts.Engine.Workers()
+	fmt.Fprintf(b, "# TYPE delrepd_workers gauge\ndelrepd_workers %d\n", workers)
 	fmt.Fprintf(b, "# TYPE delrepd_worker_utilization gauge\ndelrepd_worker_utilization %g\n",
-		float64(x.srv.running)/float64(x.opts.Workers))
+		float64(x.srv.running)/float64(workers))
 
 	fmt.Fprintf(b, "# TYPE delrepd_engine_runs_total counter\n")
 	fmt.Fprintf(b, "delrepd_engine_runs_total{source=\"executed\"} %d\n", c.Executed)

@@ -41,8 +41,10 @@
 //	                            <p>_rejects_total{reason}, p = delrepd |
 //	                            delrepfleet; the rest is the executor's
 //	                            (testdata/metrics.*.golden lists both)
-//	GET    /debug/jobs          flight recorder: the last N completed
-//	                            jobs with their span trees (JSON)
+//	GET    /debug/jobs          the newest 128 terminal jobs of the job
+//	                            table, most recently finished first,
+//	                            with their span trees; 404 with
+//	                            telemetry off
 //	GET    /v1/cache/{key}   D  cached result by content address
 //	                            (runner.CacheAddr), ETag "<key>"; 404 on
 //	                            miss; If-None-Match "<key>" answers 304,
@@ -144,7 +146,7 @@ type Server struct {
 	metricPrefix  string // "delrepd" | "delrepfleet"
 	progressEvery time.Duration
 	logger        *slog.Logger
-	flight        *telemetry.FlightRecorder // nil when telemetry is off
+	telemetry     bool // every job carries a trace
 	mux           *http.ServeMux
 
 	mu           sync.Mutex
@@ -160,10 +162,9 @@ type Server struct {
 
 // NewServer builds the job API over exec. idPrefix and metricPrefix
 // are what the two binaries' wire surfaces differ by. A nil logger
-// discards, flightSize <= 0 selects 128, progressEvery <= 0 selects
-// 500ms.
+// discards, progressEvery <= 0 selects 500ms.
 func NewServer(exec Executor, idPrefix, metricPrefix string,
-	logger *slog.Logger, telemetryOn bool, flightSize int, progressEvery time.Duration) *Server {
+	logger *slog.Logger, telemetryOn bool, progressEvery time.Duration) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -176,13 +177,11 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 		metricPrefix:  metricPrefix,
 		progressEvery: progressEvery,
 		logger:        logger,
+		telemetry:     telemetryOn,
 		mux:           http.NewServeMux(),
 		jobs:          map[string]*Job{},
 		statusCounts:  map[Status]int64{},
 		rejects:       map[string]int64{"draining": 0},
-	}
-	if telemetryOn {
-		s.flight = telemetry.NewFlightRecorder(flightSize)
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -249,7 +248,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The trace opens before decoding so http.receive covers the full
 	// request-side cost; it is discarded again on any rejection path.
 	var tr *telemetry.Trace
-	if s.flight != nil {
+	if s.telemetry {
 		tr = telemetry.New("job")
 	}
 	recv := tr.Root().Start("http.receive")
@@ -409,10 +408,13 @@ func (s *Server) startLocked(j *Job) {
 	s.running++
 }
 
-// settleLocked is the first half of finishing a job: it records the
+// settleLocked is the first step of finishing a job: it records the
 // outcome and counts it. The job is terminal afterwards but nobody has
-// been told; publishLocked is the second half. (Two halves because the
-// local executor times the encode and reply spans between them.)
+// been told; publishLocked tells, then closeTraceLocked ends the trace.
+// A caller takes all three in one hold of s.mu (the local executor
+// times its encode and reply spans in between), and every reader takes
+// s.mu first, so whoever sees the terminal status also reads a closed
+// trace and finds the job on /debug/jobs.
 func (s *Server) settleLocked(j *Job, out Outcome) {
 	if j.status == StatusRunning {
 		s.running--
@@ -439,39 +441,21 @@ func (s *Server) publishLocked(j *Job) {
 	close(j.doneCh)
 }
 
-// retire releases a finished job's context, logs the outcome, closes
-// its trace and files its flight-recorder entry. The job fields read
-// here are immutable once the job is terminal, so s.mu is not needed;
-// a caller may hold it (lock order is s.mu → trace.mu, never reversed).
+// closeTraceLocked ends the job's trace, its root span carrying the
+// outcome: the last step of finishing (lock order is s.mu → trace.mu,
+// never reversed).
+func (s *Server) closeTraceLocked(j *Job) {
+	j.Span().Set("outcome", string(j.status))
+	j.trace.End()
+}
+
+// retire releases a finished job's context and logs the outcome. The
+// job fields read here are immutable once the job is terminal, so s.mu
+// is not needed; a caller may hold it.
 func (s *Server) retire(j *Job) {
 	j.cancel()
 	j.log.Info("job finished", "status", j.status, "source", j.out.Source, "error", j.out.Error,
 		"worker", j.worker, "seconds", j.finished.Sub(j.created).Seconds())
-	if j.trace == nil {
-		return
-	}
-	j.trace.Root().Set("outcome", string(j.status))
-	j.trace.End()
-	rec := telemetry.JobRecord{
-		ID:       j.id,
-		Client:   j.client,
-		Priority: j.prio.String(),
-		Spec:     fmt.Sprintf("%s+%s %s", j.spec.GPU, j.spec.CPU, j.spec.Scheme),
-		SpecKey:  j.specKey,
-		Outcome:  string(j.status),
-		Source:   j.out.Source,
-		Error:    j.out.Error,
-		Created:  j.created,
-		TotalUS:  j.finished.Sub(j.created).Microseconds(),
-		Trace:    j.trace.Snapshot(),
-	}
-	if !j.started.IsZero() {
-		rec.QueueUS = j.started.Sub(j.created).Microseconds()
-		rec.ExecUS = j.finished.Sub(j.started).Microseconds()
-	} else {
-		rec.QueueUS = rec.TotalUS // never ran
-	}
-	s.flight.Record(rec)
 }
 
 // handleTrace exports a job's telemetry span tree. The default format
@@ -495,21 +479,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if err := j.trace.WriteChrome(w); err != nil {
 		s.logger.WarnContext(r.Context(), "trace export failed", "job", j.id, "error", err)
 	}
-}
-
-// handleDebugJobs dumps the flight recorder: summaries (with span
-// trees) of the last N completed jobs, newest first. 404 when
-// telemetry is off.
-func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Total    int64                 `json:"total"`
-		Capacity int                   `json:"capacity"`
-		Jobs     []telemetry.JobRecord `json:"jobs"`
-	}{s.flight.Total(), s.flight.Cap(), s.flight.Snapshot()})
 }
 
 // handleHealthz is liveness: the process is up and serving HTTP.

@@ -214,7 +214,7 @@ func TestSubmitValidation(t *testing.T) {
 
 // Cancelling a running job frees its worker slot for the next job.
 func TestCancelRunningFreesWorker(t *testing.T) {
-	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1}), Workers: 1})
+	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
 
 	long, resp := submit(t, ts, SubmitRequest{Spec: longSpec(21)}, "")
 	if resp.StatusCode != http.StatusAccepted {
@@ -244,7 +244,7 @@ func TestCancelRunningFreesWorker(t *testing.T) {
 
 // Cancelling a queued job retires it without it ever running.
 func TestCancelQueued(t *testing.T) {
-	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1}), Workers: 1})
+	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
 	long, _ := submit(t, ts, SubmitRequest{Spec: longSpec(31)}, "")
 	pollUntil(t, ts, long.ID, func(v JobView) bool { return v.Status == StatusRunning })
 	queued, _ := submit(t, ts, SubmitRequest{Spec: longSpec(32)}, "")
@@ -261,7 +261,7 @@ func TestCancelQueued(t *testing.T) {
 // backlog readmits.
 func TestQueueOverflow429(t *testing.T) {
 	_, ts := newTestServer(t, Options{
-		Engine: runner.New(runner.Options{Workers: 1}), Workers: 1, QueueDepth: 1,
+		Engine: runner.New(runner.Options{Workers: 1}), QueueDepth: 1,
 	})
 	running, _ := submit(t, ts, SubmitRequest{Spec: longSpec(41)}, "")
 	pollUntil(t, ts, running.ID, func(v JobView) bool { return v.Status == StatusRunning })
@@ -290,7 +290,7 @@ func TestQueueOverflow429(t *testing.T) {
 // another client.
 func TestClientCap429(t *testing.T) {
 	_, ts := newTestServer(t, Options{
-		Engine: runner.New(runner.Options{Workers: 1}), Workers: 1, ClientInFlight: 1,
+		Engine: runner.New(runner.Options{Workers: 1}), ClientInFlight: 1,
 	})
 	a1, _ := submit(t, ts, SubmitRequest{Spec: longSpec(51), Client: "alice"}, "")
 	_, resp := submit(t, ts, SubmitRequest{Spec: longSpec(52), Client: "alice"}, "")
@@ -314,7 +314,7 @@ func TestClientCap429(t *testing.T) {
 
 // Queued high-priority jobs dispatch before queued normal ones.
 func TestPriorityDispatch(t *testing.T) {
-	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1}), Workers: 1})
+	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
 	gate, _ := submit(t, ts, SubmitRequest{Spec: longSpec(61)}, "")
 	pollUntil(t, ts, gate.ID, func(v JobView) bool { return v.Status == StatusRunning })
 	low, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(62), Priority: "low"}, "")
@@ -338,7 +338,7 @@ func TestPriorityDispatch(t *testing.T) {
 // A ?wait=1 client that disconnects abandons — and thereby cancels —
 // its job.
 func TestWaitDisconnectCancels(t *testing.T) {
-	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1}), Workers: 1})
+	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
 	body, _ := json.Marshal(SubmitRequest{Spec: longSpec(71)})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs?wait=1", bytes.NewReader(body))
@@ -389,7 +389,7 @@ func TestWaitDisconnectCancels(t *testing.T) {
 
 // Shutdown drains running jobs to completion and retires queued ones.
 func TestShutdownDrains(t *testing.T) {
-	s := New(Options{Engine: runner.New(runner.Options{Workers: 1}), Workers: 1})
+	s := New(Options{Engine: runner.New(runner.Options{Workers: 1})})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -426,7 +426,7 @@ func TestShutdownDrains(t *testing.T) {
 // A shutdown deadline cancels still-running jobs at their next
 // checkpoint rather than hanging forever.
 func TestShutdownDeadlineCancelsRunning(t *testing.T) {
-	s := New(Options{Engine: runner.New(runner.Options{Workers: 1}), Workers: 1})
+	s := New(Options{Engine: runner.New(runner.Options{Workers: 1})})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	long, _ := submit(t, ts, SubmitRequest{Spec: longSpec(91)}, "")

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -52,14 +53,14 @@ func TestTelemetryInertness(t *testing.T) {
 }
 
 // End-to-end telemetry walk for one job: submit, read the span tree,
-// export the Chrome timeline, and find the same job in the flight
-// recorder and on the status page.
+// export the Chrome timeline, and find the same job on /debug/jobs and
+// on the status page.
 func TestTelemetryEndToEnd(t *testing.T) {
 	cache, err := runner.OpenDiskCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestServer(t, Options{
+	_, ts := newTestServer(t, Options{
 		Engine:    runner.New(runner.Options{Workers: 2, Cache: cache}),
 		Telemetry: true,
 	})
@@ -126,32 +127,20 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("chrome export misses spans, got %v", names)
 	}
 
-	// The flight recorder holds the completed job, span tree included.
-	dresp, err := http.Get(ts.URL + "/debug/jobs")
-	if err != nil {
-		t.Fatal(err)
+	// /debug/jobs lists the finished job, span tree included.
+	listed := getDebugJobs(t, ts)
+	if listed.Total != 1 || listed.Capacity != 128 || len(listed.Jobs) != 1 {
+		t.Fatalf("/debug/jobs = %+v, want the one finished job", listed)
 	}
-	defer dresp.Body.Close()
-	var flight struct {
-		Total    int64                 `json:"total"`
-		Capacity int                   `json:"capacity"`
-		Jobs     []telemetry.JobRecord `json:"jobs"`
-	}
-	if err := json.NewDecoder(dresp.Body).Decode(&flight); err != nil {
-		t.Fatal(err)
-	}
-	if flight.Total < 1 || len(flight.Jobs) == 0 {
-		t.Fatalf("flight recorder empty: %+v", flight)
-	}
-	rec := flight.Jobs[0]
+	rec := listed.Jobs[0]
 	if rec.ID != v.ID || rec.Client != "tracer" || rec.Outcome != "done" {
-		t.Fatalf("flight record = %+v, want job %s by tracer", rec, v.ID)
+		t.Fatalf("/debug/jobs record = %+v, want job %s by tracer", rec, v.ID)
 	}
 	if rec.SpecKey == "" || rec.TotalUS <= 0 {
-		t.Fatalf("flight record lacks spec key or timing: %+v", rec)
+		t.Fatalf("/debug/jobs record lacks spec key or timing: %+v", rec)
 	}
 	if _, ok := rec.Trace.Find("queue.wait"); !ok {
-		t.Fatalf("flight record trace misses queue.wait: %+v", rec.Trace)
+		t.Fatalf("/debug/jobs record trace misses queue.wait: %+v", rec.Trace)
 	}
 
 	// The HTML status page lists the job.
@@ -165,31 +154,22 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("/debug/status (status %d) does not list %s:\n%s", sresp.StatusCode, v.ID, page)
 	}
 
-	// A job cancelled while queued also lands in the recorder.
+	// A job cancelled while queued is listed too, newest first.
 	gate, _ := submit(t, ts, SubmitRequest{Spec: longSpec(212)}, "")
 	pollUntil(t, ts, gate.ID, func(v JobView) bool { return v.Status == StatusRunning })
 	gate2, _ := submit(t, ts, SubmitRequest{Spec: longSpec(213)}, "")
 	pollUntil(t, ts, gate2.ID, func(v JobView) bool { return v.Status == StatusRunning })
 	queued, _ := submit(t, ts, SubmitRequest{Spec: longSpec(214)}, "")
 	cancelJob(t, ts, queued.ID)
-	found := false
-	for _, rec := range s.flight.Snapshot() {
-		if rec.ID == queued.ID {
-			found = true
-			if rec.Outcome != "cancelled" {
-				t.Fatalf("queued-cancel record outcome = %q", rec.Outcome)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("queued-cancelled job %s missing from flight recorder", queued.ID)
+	if listed := getDebugJobs(t, ts); len(listed.Jobs) != 2 || listed.Jobs[0].ID != queued.ID || listed.Jobs[0].Outcome != "cancelled" {
+		t.Fatalf("/debug/jobs = %+v, want the queued-cancelled job %s first", listed, queued.ID)
 	}
 	cancelJob(t, ts, gate.ID)
 	cancelJob(t, ts, gate2.ID)
 }
 
-// With telemetry off, the trace and flight endpoints answer 404 and
-// jobs run untraced.
+// With telemetry off, the trace and /debug/jobs endpoints answer 404
+// and jobs run untraced.
 func TestTelemetryDisabledEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	v, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(221)}, "?wait=1")
@@ -206,15 +186,34 @@ func TestTelemetryDisabledEndpoints(t *testing.T) {
 			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
-	// The status page still works, just without recent jobs.
+	// The status page still lists the job: it reads the job table.
 	resp, err := http.Get(ts.URL + "/debug/status")
 	if err != nil {
 		t.Fatal(err)
 	}
+	page := readAll(t, resp)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("GET /debug/status: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(page, v.ID) {
+		t.Errorf("/debug/status (status %d) does not list %s:\n%s", resp.StatusCode, v.ID, page)
 	}
+}
+
+// getDebugJobs decodes GET /debug/jobs.
+func getDebugJobs(t *testing.T, ts *httptest.Server) (listed struct {
+	Total    int64       `json:"total"`
+	Capacity int         `json:"capacity"`
+	Jobs     []JobRecord `json:"jobs"`
+}) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/debug/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&listed); err != nil {
+		t.Fatal(err)
+	}
+	return listed
 }
 
 // The new metric families appear once jobs have flowed through.
@@ -270,7 +269,7 @@ func sseEvents(t *testing.T, resp *http.Response) (names []string, last JobView)
 // its SSE subscribers, and the stream then ends.
 func TestEventsCancelTerminalDelivery(t *testing.T) {
 	_, ts := newTestServer(t, Options{
-		Engine: runner.New(runner.Options{Workers: 1}), Workers: 1,
+		Engine:           runner.New(runner.Options{Workers: 1}),
 		ProgressInterval: 20 * time.Millisecond,
 	})
 	v, _ := submit(t, ts, SubmitRequest{Spec: longSpec(241)}, "")
@@ -318,7 +317,7 @@ func TestEventsCancelTerminalDelivery(t *testing.T) {
 // (the gauge drains to zero) without disturbing the job.
 func TestEventsClientDisconnect(t *testing.T) {
 	s, ts := newTestServer(t, Options{
-		Engine: runner.New(runner.Options{Workers: 1}), Workers: 1,
+		Engine:           runner.New(runner.Options{Workers: 1}),
 		ProgressInterval: 10 * time.Millisecond,
 	})
 	v, _ := submit(t, ts, SubmitRequest{Spec: longSpec(251)}, "")

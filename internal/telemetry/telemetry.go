@@ -27,7 +27,7 @@ import (
 
 // MaxSpans bounds one trace's span count so a pathological job (a
 // 500M-cycle run reporting a window per checkpoint) cannot balloon the
-// flight recorder; once reached, Start returns nil and the trace
+// job table; once reached, Start returns nil and the trace
 // counts the drop.
 const MaxSpans = 512
 
@@ -212,8 +212,7 @@ func (s *Span) viewLocked(origin, now time.Time) SpanView {
 }
 
 // Find returns the first span view with the given name in a pre-order
-// walk of the tree, or ok=false. A convenience for tests and the
-// flight recorder's summaries.
+// walk of the tree, or ok=false. A convenience for tests.
 func (v SpanView) Find(name string) (SpanView, bool) {
 	if v.Name == name {
 		return v, true

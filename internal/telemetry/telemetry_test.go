@@ -195,42 +195,10 @@ func TestContextSpan(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderRing(t *testing.T) {
-	var disabled *FlightRecorder
-	disabled.Record(JobRecord{ID: "x"})
-	if got := disabled.Snapshot(); got != nil {
-		t.Fatalf("disabled snapshot = %v", got)
-	}
-	if disabled.Total() != 0 || disabled.Cap() != 0 {
-		t.Fatal("disabled recorder not inert")
-	}
-
-	f := NewFlightRecorder(3)
-	for i := 1; i <= 5; i++ {
-		f.Record(JobRecord{ID: fmt.Sprintf("j%d", i)})
-	}
-	got := f.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("retained %d, want 3", len(got))
-	}
-	for i, want := range []string{"j5", "j4", "j3"} {
-		if got[i].ID != want {
-			t.Fatalf("snapshot[%d] = %s, want %s (newest first)", i, got[i].ID, want)
-		}
-	}
-	if f.Total() != 5 {
-		t.Fatalf("total = %d, want 5", f.Total())
-	}
-	if f.Cap() != 3 {
-		t.Fatalf("cap = %d, want 3", f.Cap())
-	}
-}
-
-// Concurrent span recording, snapshotting, and flight recording are
-// race-free (run with -race).
+// Concurrent span recording and snapshotting are race-free (run with
+// -race).
 func TestConcurrentTrace(t *testing.T) {
 	tr := New("job")
-	f := NewFlightRecorder(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -240,13 +208,12 @@ func TestConcurrentTrace(t *testing.T) {
 				sp := tr.Root().Start(fmt.Sprintf("g%d.%d", g, i))
 				sp.Set("i", i)
 				sp.End()
-				f.Record(JobRecord{ID: fmt.Sprintf("g%d", g), Trace: tr.Snapshot()})
+				_ = tr.Snapshot()
 			}
 		}(g)
 	}
 	for i := 0; i < 20; i++ {
 		_ = tr.Snapshot()
-		_ = f.Snapshot()
 	}
 	wg.Wait()
 	if tr.Snapshot().Name != "job" {
