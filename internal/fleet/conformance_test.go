@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"runtime"
 	"slices"
@@ -400,6 +401,85 @@ var conformanceCases = []struct {
 		}
 		if err := json.Unmarshal(raw, &flight); err != nil || flight.Total != 1 || len(flight.Jobs) != 1 || flight.Jobs[0].ID != v.ID {
 			t.Errorf("/debug/jobs = %s (%v), want the one finished job", raw, err)
+		}
+	}},
+	{"the oldest job keeps its root attrs, equal in the tree, the Chrome trace and /debug/jobs, after 1 000 newer jobs", true, func(t *testing.T, tg target, base string) {
+		// The oldest job runs until the newer ones are done, so its end
+		// is the newest and /debug/jobs lists it first.
+		spec := foreverSpec(615)
+		oldest, _ := post(t, base, "", serve.SubmitRequest{Spec: spec, Priority: "low", Client: "oldest"})
+		const newer = 1000
+		var first serve.JobView
+		for i := 0; i < newer; i++ {
+			v, resp := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(616), Client: "newer"})
+			if resp.StatusCode != http.StatusOK || v.Status != serve.StatusDone {
+				t.Fatalf("newer job %d: status %d, job %s (%s)", i, resp.StatusCode, v.Status, v.Error)
+			}
+			if i == 0 {
+				first = v
+			}
+		}
+		call(t, http.MethodDelete, base+"/v1/jobs/"+oldest.ID, nil)
+		waitFor(t, "the oldest job cancelled", func() bool { return getJob(t, base, oldest.ID).Status == serve.StatusCancelled })
+		if got := getJob(t, base, first.ID); !bytes.Equal(resultBytes(t, got), resultBytes(t, first)) {
+			t.Errorf("the first newer job's result moved after %d more jobs", newer-1)
+		}
+
+		cfg, norm, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]any{
+			"job": oldest.ID, "client": "oldest", "priority": "low", "outcome": "cancelled",
+			"spec_key": runner.KeyHash(cfg, norm.GPU, norm.CPU),
+		}
+		rootAttrs := func(attrs map[string]any) map[string]any {
+			got := map[string]any{}
+			for k := range want {
+				got[k] = attrs[k]
+			}
+			return got
+		}
+		tree, raw := traceTree(t, base, oldest.ID)
+		if got := rootAttrs(tree.Attrs); !reflect.DeepEqual(got, want) {
+			t.Errorf("tree root attrs = %v, want %v:\n%s", got, want, raw)
+		}
+		_, raw, _ = call(t, http.MethodGet, base+"/v1/jobs/"+oldest.ID+"/trace", nil)
+		var chrome struct {
+			TraceEvents []struct {
+				Name  string         `json:"name"`
+				Phase string         `json:"ph"`
+				Args  map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &chrome); err != nil {
+			t.Fatal(err)
+		}
+		var root map[string]any // the first span event is the root
+		for _, ev := range chrome.TraceEvents {
+			if ev.Phase == "X" {
+				if ev.Name != "job" {
+					t.Fatalf("first Chrome span event is %q, want the root \"job\":\n%s", ev.Name, raw)
+				}
+				root = ev.Args
+				break
+			}
+		}
+		if got := rootAttrs(root); !reflect.DeepEqual(got, want) {
+			t.Errorf("Chrome root args = %v, want %v", got, want)
+		}
+		var listed struct {
+			Total int               `json:"total"`
+			Jobs  []serve.JobRecord `json:"jobs"`
+		}
+		getJSON(t, base+"/debug/jobs", &listed)
+		if listed.Total != newer+1 || len(listed.Jobs) == 0 || listed.Jobs[0].ID != oldest.ID {
+			t.Fatalf("/debug/jobs: total %d, %d listed, want %d with %s first", listed.Total, len(listed.Jobs), newer+1, oldest.ID)
+		}
+		rec := listed.Jobs[0]
+		fields := map[string]any{"job": rec.ID, "client": rec.Client, "priority": rec.Priority, "outcome": rec.Outcome, "spec_key": rec.SpecKey}
+		if got := rootAttrs(rec.Trace.Attrs); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(fields, want) {
+			t.Errorf("/debug/jobs record %v with root attrs %v, want both %v", fields, got, want)
 		}
 	}},
 }

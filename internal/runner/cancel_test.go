@@ -3,10 +3,12 @@ package runner
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"delrep/internal/config"
+	"delrep/internal/telemetry"
 )
 
 // longCfg is a run far too long to finish during a test: cancellation
@@ -109,6 +111,56 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 	if c := eng.Snapshot(); c.Failed != 1 || c.Executed != 0 {
 		t.Fatalf("counters = %+v, want Failed 1, Executed 0", c)
+	}
+}
+
+// A memo hit on a future that has already finished has nothing to wait
+// for and nothing left to cancel: it starts no goroutine, and its
+// dedup.join span is closed when SubmitCtx returns. The hits pass the
+// key pre-rendered, as the daemon does.
+func TestDoneFutureMemoHitStartsNothing(t *testing.T) {
+	const hits = 1000
+	cfg := config.Default()
+	cfg.WarmupCycles, cfg.MeasureCycles = 300, 800
+	spec := Spec{Cfg: cfg, GPU: "HS", CPU: "vips"}
+	idle := runtime.NumGoroutine()
+	eng := New(Options{Workers: 1})
+	first := eng.Submit(spec)
+	if run := first.Wait(); run.Err != nil {
+		t.Fatal(run.Err)
+	}
+	// The executing goroutine closes the future, then exits.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > idle; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want the idle %d back", runtime.NumGoroutine(), idle)
+		}
+	}
+	idle = runtime.NumGoroutine() // an earlier test's stragglers may have left meanwhile
+
+	spec.Key = Key(spec.Cfg, spec.GPU, spec.CPU)
+	traces := make([]*telemetry.Trace, hits)
+	cancels := make([]context.CancelFunc, hits)
+	for i := range traces {
+		traces[i] = telemetry.New("job")
+		ctx, cancel := context.WithCancel(telemetry.ContextWithSpan(context.Background(), traces[i].Root()))
+		cancels[i] = cancel
+		if f := eng.SubmitCtx(ctx, spec); f != first {
+			t.Fatal("a repeat of a finished spec did not join its future")
+		}
+	}
+	if g := runtime.NumGoroutine(); g > idle {
+		t.Errorf("goroutines after %d memo hits on a finished future = %d, want %d", hits, g, idle)
+	}
+	for i, tr := range traces {
+		if join, ok := tr.Snapshot().Find("dedup.join"); !ok || join.Open {
+			t.Fatalf("hit %d: dedup.join = %+v (found %v), want closed", i, join, ok)
+		}
+	}
+	for _, cancel := range cancels {
+		cancel()
+	}
+	if c := eng.Snapshot(); c.Executed != 1 || c.MemoHits != hits {
+		t.Fatalf("counters = %+v, want Executed 1, MemoHits %d", c, hits)
 	}
 }
 

@@ -56,6 +56,9 @@ type Spec struct {
 	Cfg config.Config
 	GPU string
 	CPU string
+	// Key, when set, is Key(Cfg, GPU, CPU) as the caller already
+	// rendered it; SubmitCtx renders it when empty.
+	Key string
 }
 
 // Source records where a run's result came from.
@@ -256,6 +259,7 @@ type Future struct {
 	waiters int  // cancellable submissions still interested
 	pinned  bool // a non-cancellable submission wants the result
 	cancel  context.CancelFunc
+	shared  any // see Share
 }
 
 // Spec returns the submitted spec.
@@ -276,6 +280,27 @@ func (f *Future) Results() core.Results { return f.Wait().Results }
 // immediately. Safe to call concurrently with the run.
 func (f *Future) Progress() (done, total int64) {
 	return f.progDone.Load(), f.progTotal.Load()
+}
+
+// Share returns what every submission of f should hold for its result:
+// the value kept on f when keep accepts it, else a new one from build,
+// which f keeps if it holds none yet. The daemon keeps one decoded
+// result per future this way, shared by all the jobs that joined it for
+// as long as the memo holds the future.
+func Share[T any](f *Future, keep func(T) bool, build func() T) T {
+	f.mu.Lock()
+	held, ok := f.shared.(T)
+	f.mu.Unlock()
+	if ok && keep(held) {
+		return held
+	}
+	v := build()
+	f.mu.Lock()
+	if f.shared == nil {
+		f.shared = v
+	}
+	f.mu.Unlock()
+	return v
 }
 
 // addWaiter registers one submission's interest in the future. A
@@ -325,14 +350,25 @@ func (e *Engine) Submit(spec Spec) *Future {
 // the same spec re-executes.
 func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) *Future {
 	span := telemetry.SpanFromContext(ctx)
-	k := Key(spec.Cfg, spec.GPU, spec.CPU)
+	k := spec.Key
+	if k == "" {
+		k = Key(spec.Cfg, spec.GPU, spec.CPU)
+	}
 	e.mu.Lock()
 	if f, ok := e.memo[k]; ok {
 		e.mu.Unlock()
 		e.memoHits.Add(1)
-		if join := span.Start("dedup.join"); join != nil {
-			// The join covers waiting on the shared future; it closes
-			// when that future completes, whoever ran it.
+		// The join covers waiting on the shared future; it closes when
+		// that future completes, whoever ran it.
+		join := span.Start("dedup.join")
+		select {
+		case <-f.done:
+			// Already finished: nothing to wait for, nothing to cancel.
+			join.End()
+			return f
+		default:
+		}
+		if join != nil {
 			go func() { <-f.done; join.End() }()
 		}
 		f.addWaiter(ctx)

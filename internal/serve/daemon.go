@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 )
@@ -30,7 +31,8 @@ func Fatal(logger *slog.Logger, msg string, args ...any) {
 // addr until SIGINT/SIGTERM, then stop admitting, give live jobs up to
 // drain (Server.Shutdown), and close the listener. after, when non-nil,
 // runs once the drain is over and before the final log line (delrepd
-// writes its heap profile there). A listen failure is fatal.
+// writes its heap profile there), with srv and its job table still
+// reachable. A listen failure is fatal.
 func ListenAndDrain(logger *slog.Logger, addr string, drain time.Duration, srv *Server, after func()) {
 	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
@@ -56,5 +58,6 @@ func ListenAndDrain(logger *slog.Logger, addr string, drain time.Duration, srv *
 	if after != nil {
 		after()
 	}
+	runtime.KeepAlive(srv) // the heap after() sees includes the drained job table
 	logger.InfoContext(ctx, "stopped")
 }

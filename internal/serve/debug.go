@@ -59,7 +59,7 @@ func (s *Server) recent(n int) (recs []JobRecord, total int) {
 			Error:    j.out.Error,
 			Created:  j.created,
 			TotalUS:  j.finished.Sub(j.created).Microseconds(),
-			Trace:    j.trace.Snapshot(),
+			Trace:    j.traceViewLocked(),
 		}
 		r.QueueUS = r.TotalUS // never ran
 		if !j.started.IsZero() {

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"time"
 
-	"delrep/internal/config"
 	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
@@ -70,6 +69,12 @@ func (p Priority) String() string {
 // Identity fields are immutable after creation; mutable state is
 // guarded by the owning Server's mutex. An Executor drives it through
 // Running, SetProgress and Finish.
+//
+// The table never evicts, so a terminal job keeps only what its views
+// read: identity, times, outcome (whose Result the daemon shares with
+// every job of the same runner future) and the span tree. Its logger,
+// its run's Config and its root span's identity attrs are rendered
+// from these fields when wanted.
 type Job struct {
 	srv     *Server
 	id      string
@@ -81,9 +86,6 @@ type Job struct {
 	cancel  context.CancelFunc
 	// doneCh closes when the job reaches a terminal status.
 	doneCh chan struct{}
-	// log carries the job's identity attrs (job/client/spec-key) on
-	// every record. Immutable after creation.
-	log *slog.Logger
 	// trace is the job's telemetry span tree; nil when telemetry is
 	// off. The Trace itself is safe for concurrent use.
 	trace *telemetry.Trace
@@ -98,9 +100,7 @@ type Job struct {
 	out      Outcome                    // zero until terminal
 	subs     map[chan sseEvent]struct{} // live SSE subscribers, allocated on first use
 
-	// The local executor's share of the record (immutable after Admit,
-	// except spanQueue which Server.mu guards).
-	cfg       config.Config
+	// The local executor's share of the record, guarded by Server.mu.
 	spanQueue *telemetry.Span // open queue.wait span, ended at dispatch
 }
 
@@ -124,8 +124,11 @@ func (j *Job) Context() context.Context { return j.ctx }
 // Spec returns the canonical spec the job's result belongs to.
 func (j *Job) Spec() simspec.Spec { return j.spec }
 
-// Log returns the job's logger (job, client and spec_key attrs set).
-func (j *Job) Log() *slog.Logger { return j.log }
+// Log returns a logger with the job's job, client and spec_key attrs
+// set. The job keeps no logger: each call builds one.
+func (j *Job) Log() *slog.Logger {
+	return j.srv.logger.With("job", j.id, "client", j.client, "spec_key", j.specKey)
+}
 
 // Span returns the root of the job's trace, nil when telemetry is off
 // (a nil *telemetry.Span is a valid no-op parent).
@@ -178,6 +181,23 @@ func (j *Job) Finish(out Outcome) {
 	s.closeTraceLocked(j)
 	s.mu.Unlock()
 	s.retire(j)
+}
+
+// traceViewLocked snapshots the job's span tree. The root's identity
+// attrs — job, client, spec_key, priority, and outcome once terminal —
+// are rendered from the record here instead of being kept in every
+// trace. The caller holds the server's mutex or knows the job is
+// terminal. A job without a trace renders the zero view.
+func (j *Job) traceViewLocked() telemetry.SpanView {
+	if j.trace == nil {
+		return telemetry.SpanView{}
+	}
+	v := j.trace.Snapshot()
+	v.Attrs = map[string]any{"job": j.id, "client": j.client, "spec_key": j.specKey, "priority": j.prio.String()}
+	if j.status.Terminal() {
+		v.Attrs["outcome"] = string(j.status)
+	}
+	return v
 }
 
 // ProgressView is the running-job progress fragment of a job view.

@@ -72,7 +72,7 @@ type local struct {
 
 	// Guarded by srv.mu.
 	cond        *sync.Cond
-	queue       [numPriorities][]*Job
+	queue       [numPriorities][]queued
 	queuedCount int
 	inflight    map[string]int // client -> queued+running jobs
 
@@ -80,6 +80,14 @@ type local struct {
 	queueWait [numPriorities]*stats.Histogram // admission → dispatch, per priority
 	execTime  [numPriorities]*stats.Histogram // dispatch → terminal, per priority
 	totalTime [numPriorities]*stats.Histogram // submit → terminal, per priority
+}
+
+// queued is one admitted job waiting for a worker, with the run it
+// asks for. The run's Config and key live here, not on the Job, and
+// leave the daemon's memory at dispatch.
+type queued struct {
+	j   *Job
+	run runner.Spec
 }
 
 // New builds the daemon's Server and starts its worker pool.
@@ -131,7 +139,7 @@ func (x *local) Ready() (bool, string) { return true, "" }
 
 // Admit applies the two admission caps and queues the job for the
 // worker pool. srv.mu is held.
-func (x *local) Admit(j *Job, _ SubmitRequest, cfg config.Config, _ string) *Rejection {
+func (x *local) Admit(j *Job, _ SubmitRequest, cfg config.Config, key string) *Rejection {
 	if x.opts.ClientInFlight > 0 && x.inflight[j.client] >= x.opts.ClientInFlight {
 		return &Rejection{
 			Reason: "client_cap", Status: http.StatusTooManyRequests, RetryAfter: x.retryAfterLocked(),
@@ -144,9 +152,8 @@ func (x *local) Admit(j *Job, _ SubmitRequest, cfg config.Config, _ string) *Rej
 			Message: fmt.Sprintf("job queue is full (%d queued)", x.opts.QueueDepth),
 		}
 	}
-	j.cfg = cfg
 	j.spanQueue = j.Span().Start("queue.wait")
-	x.queue[j.prio] = append(x.queue[j.prio], j)
+	x.queue[j.prio] = append(x.queue[j.prio], queued{j, runner.Spec{Cfg: cfg, GPU: j.spec.GPU, CPU: j.spec.CPU, Key: key}})
 	x.queuedCount++
 	x.inflight[j.client]++
 	x.cond.Signal()
@@ -205,26 +212,28 @@ func (x *local) dropInflightLocked(client string) {
 func (x *local) worker() {
 	defer x.wg.Done()
 	for {
-		j := x.next()
-		if j == nil {
+		q := x.next()
+		if q.j == nil {
 			return
 		}
-		x.runJob(j)
+		x.runJob(q.j, q.run)
 	}
 }
 
 // next blocks until a job is dispatchable and marks it running.
-// Highest priority wins; FIFO within a priority. Returns nil when the
-// server is draining and the queue is empty.
-func (x *local) next() *Job {
+// Highest priority wins; FIFO within a priority. Returns the zero entry
+// when the server is draining and the queue is empty.
+func (x *local) next() queued {
 	s := x.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		for p := numPriorities - 1; p >= 0; p-- {
 			for len(x.queue[p]) > 0 {
-				j := x.queue[p][0]
+				q := x.queue[p][0]
+				x.queue[p][0] = queued{} // the backing array must not keep the Config
 				x.queue[p] = x.queue[p][1:]
+				j := q.j
 				if j.status != StatusQueued {
 					continue // cancelled while queued; already retired
 				}
@@ -234,26 +243,28 @@ func (x *local) next() *Job {
 				j.spanQueue = nil
 				x.queueWait[j.prio].Add(j.started.Sub(j.created).Seconds())
 				s.notifyLocked(j)
-				return j
+				return q
 			}
 		}
 		if s.draining {
-			return nil
+			return queued{}
 		}
 		x.cond.Wait()
 	}
 }
 
 // runJob executes one dispatched job on the engine and retires it.
-func (x *local) runJob(j *Job) {
+func (x *local) runJob(j *Job, rspec runner.Spec) {
 	s := x.srv
-	rspec := runner.Spec{Cfg: j.cfg, GPU: j.spec.GPU, CPU: j.spec.CPU}
 	root := j.Span()
 	submitSpan := root.Start("runner.submit")
 	runCtx := telemetry.ContextWithSpan(j.ctx, submitSpan)
-	var run runner.Run
+	var (
+		fut *runner.Future
+		run runner.Run
+	)
 	for {
-		fut := x.opts.Engine.SubmitCtx(runCtx, rspec)
+		fut = x.opts.Engine.SubmitCtx(runCtx, rspec)
 		j.SetProgress(fut.Progress)
 		run = fut.Wait()
 		if run.Err == nil || j.ctx.Err() != nil || !errors.Is(run.Err, context.Canceled) {
@@ -269,8 +280,7 @@ func (x *local) runJob(j *Job) {
 	var out Outcome
 	switch {
 	case run.Err == nil:
-		res := simspec.NewResult(j.spec, run.Results, run.Digest)
-		out = Outcome{Status: StatusDone, Source: run.Source.String(), Result: &res}
+		out = Outcome{Status: StatusDone, Source: run.Source.String(), Result: sharedResult(fut, j.spec, run)}
 	case j.ctx.Err() != nil && errors.Is(run.Err, context.Canceled):
 		out = Outcome{Status: StatusCancelled, Error: "cancelled"}
 	default:
@@ -300,6 +310,16 @@ func (x *local) runJob(j *Job) {
 	if out.Status == StatusDone && run.Source == runner.SourceExecuted {
 		x.maybePrune()
 	}
+}
+
+// sharedResult is the result a done job of spec holds: the one decoded
+// result every job of fut shares, unless spec differs from the spec
+// that result echoes — then the job gets its own.
+func sharedResult(fut *runner.Future, spec simspec.Spec, run runner.Run) *simspec.Result {
+	return runner.Share(fut, func(r *simspec.Result) bool { return r.Spec == spec }, func() *simspec.Result {
+		r := simspec.NewResult(spec, run.Results, run.Digest)
+		return &r
+	})
 }
 
 // maybePrune bounds the disk cache after an executed (cache-growing)

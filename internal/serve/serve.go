@@ -107,8 +107,9 @@ type Executor interface {
 	// will Finish it — or says why not. req is the body as submitted
 	// (client filled in from X-Delrep-Client when absent), cfg its
 	// resolved configuration, key the run key rendered from it
-	// (runner.Key — rendered once per request, so an executor that
-	// needs it never renders the Config again).
+	// (runner.Key, rendered once per request: the local executor hands
+	// it to the engine in runner.Spec.Key, the coordinator routes by
+	// it). Neither is kept on the job.
 	Admit(j *Job, req SubmitRequest, cfg config.Config, key string) *Rejection
 	// Cancel follows the cancellation of j's context. A job that is
 	// still waiting for the executor to pick it up must finish now;
@@ -273,9 +274,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Client = r.Header.Get("X-Delrep-Client")
 	}
 	// The run key is rendered once per request; everything that
-	// identifies the run downstream is a hash of these bytes. It goes
-	// to the executor as an argument, not onto the Job: the job table
-	// would retain its ≈900 bytes per job.
+	// identifies the run downstream, the engine's memo included, is
+	// these bytes or a hash of them. It goes to the executor as an
+	// argument, not onto the Job: the job table would retain its ≈900
+	// bytes per job.
 	key := runner.Key(cfg, norm.GPU, norm.CPU)
 	specKey := runner.HashKey(key)
 	recv.End()
@@ -310,7 +312,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	adm.End()
 	view := j.viewLocked()
 	s.mu.Unlock()
-	j.log.InfoContext(r.Context(), "job accepted",
+	j.Log().InfoContext(r.Context(), "job accepted",
 		"gpu", norm.GPU, "cpu", norm.CPU, "scheme", norm.Scheme, "priority", prio.String())
 
 	if r.URL.Query().Has("wait") {
@@ -338,13 +340,6 @@ func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config, key s
 	}
 	j.id = fmt.Sprintf("%s%06d", s.idPrefix, s.seq+1)
 	j.created = time.Now()
-	j.log = s.logger.With("job", j.id, "client", j.client, "spec_key", j.specKey)
-	if root := j.Span(); root != nil {
-		root.Set("job", j.id)
-		root.Set("client", j.client)
-		root.Set("spec_key", j.specKey)
-		root.Set("priority", j.prio.String())
-	}
 	if rej := s.exec.Admit(j, req, cfg, key); rej != nil {
 		return rej
 	}
@@ -441,11 +436,10 @@ func (s *Server) publishLocked(j *Job) {
 	close(j.doneCh)
 }
 
-// closeTraceLocked ends the job's trace, its root span carrying the
-// outcome: the last step of finishing (lock order is s.mu → trace.mu,
-// never reversed).
+// closeTraceLocked ends the job's trace: the last step of finishing
+// (lock order is s.mu → trace.mu, never reversed). Its root span's
+// outcome attr is the job's terminal status, rendered at export.
 func (s *Server) closeTraceLocked(j *Job) {
-	j.Span().Set("outcome", string(j.status))
 	j.trace.End()
 }
 
@@ -454,7 +448,7 @@ func (s *Server) closeTraceLocked(j *Job) {
 // is not needed; a caller may hold it.
 func (s *Server) retire(j *Job) {
 	j.cancel()
-	j.log.Info("job finished", "status", j.status, "source", j.out.Source, "error", j.out.Error,
+	j.Log().Info("job finished", "status", j.status, "source", j.out.Source, "error", j.out.Error,
 		"worker", j.worker, "seconds", j.finished.Sub(j.created).Seconds())
 }
 
@@ -471,12 +465,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
 		return
 	}
+	s.mu.Lock()
+	view := j.traceViewLocked()
+	s.mu.Unlock()
 	if r.URL.Query().Get("format") == "tree" {
-		writeJSON(w, http.StatusOK, j.trace.Snapshot())
+		writeJSON(w, http.StatusOK, view)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := j.trace.WriteChrome(w); err != nil {
+	if err := telemetry.WriteChromeView(w, view); err != nil {
 		s.logger.WarnContext(r.Context(), "trace export failed", "job", j.id, "error", err)
 	}
 }

@@ -53,6 +53,7 @@ func wallNow() time.Time {
 type Trace struct {
 	mu      sync.Mutex
 	now     func() time.Time
+	origin  time.Time // the root span's start; spans keep offsets from it
 	root    *Span
 	spans   int
 	dropped int64
@@ -61,10 +62,15 @@ type Trace struct {
 // New starts a trace whose root span has the given name and attrs.
 func New(name string, attrs ...Attr) *Trace {
 	t := &Trace{now: wallNow}
-	t.root = &Span{trace: t, name: name, start: t.now(), attrs: attrs}
+	t.origin = t.now()
+	t.root = &Span{trace: t, name: name, attrs: attrs}
 	t.spans = 1
 	return t
 }
+
+// sinceLocked is the trace clock's offset from the origin; the trace
+// mutex must be held.
+func (t *Trace) sinceLocked() time.Duration { return t.now().Sub(t.origin) }
 
 // SetClock overrides the trace's clock; for tests only. It must be
 // called before any further spans start.
@@ -100,13 +106,15 @@ func (t *Trace) Dropped() int64 {
 }
 
 // Span is one timed phase of a trace. A nil *Span is valid and inert.
+// Times are offsets from the trace's origin, which every view is
+// relative to anyway.
 type Span struct {
-	trace    *Trace
-	name     string
-	start    time.Time
-	end      time.Time // zero while open
-	attrs    []Attr
-	children []*Span
+	trace      *Trace
+	name       string
+	start, end time.Duration
+	ended      bool
+	attrs      []Attr
+	children   []*Span
 }
 
 // Start opens a child span. On a nil span (telemetry disabled, or the
@@ -122,7 +130,7 @@ func (s *Span) Start(name string, attrs ...Attr) *Span {
 		t.dropped++
 		return nil
 	}
-	child := &Span{trace: t, name: name, start: t.now(), attrs: attrs}
+	child := &Span{trace: t, name: name, start: t.sinceLocked(), attrs: attrs}
 	s.children = append(s.children, child)
 	t.spans++
 	return child
@@ -153,8 +161,8 @@ func (s *Span) End() {
 	t := s.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s.end.IsZero() {
-		s.end = t.now()
+	if !s.ended {
+		s.end, s.ended = t.sinceLocked(), true
 	}
 }
 
@@ -179,22 +187,21 @@ func (t *Trace) Snapshot() SpanView {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
-	return t.root.viewLocked(t.root.start, now)
+	return t.root.viewLocked(t.sinceLocked())
 }
 
-// viewLocked renders one span relative to the trace origin; the trace
+// viewLocked renders one span, an open one as ending now; the trace
 // mutex must be held.
-func (s *Span) viewLocked(origin, now time.Time) SpanView {
-	end, open := s.end, false
-	if end.IsZero() {
-		end, open = now, true
+func (s *Span) viewLocked(now time.Duration) SpanView {
+	end := s.end
+	if !s.ended {
+		end = now
 	}
 	v := SpanView{
 		Name:    s.name,
-		StartUS: s.start.Sub(origin).Microseconds(),
-		DurUS:   end.Sub(s.start).Microseconds(),
-		Open:    open,
+		StartUS: s.start.Microseconds(),
+		DurUS:   (end - s.start).Microseconds(),
+		Open:    !s.ended,
 	}
 	if v.DurUS < 0 {
 		v.DurUS = 0
@@ -206,7 +213,7 @@ func (s *Span) viewLocked(origin, now time.Time) SpanView {
 		}
 	}
 	for _, c := range s.children {
-		v.Children = append(v.Children, c.viewLocked(origin, now))
+		v.Children = append(v.Children, c.viewLocked(now))
 	}
 	return v
 }
