@@ -1,6 +1,9 @@
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Layout describes the placement of CPU cores, GPU cores, and memory
 // nodes on the chip grid, plus the CDR dimension orders the paper pairs
@@ -210,20 +213,28 @@ func ScaledBaseline(w, h int) Layout {
 }
 
 // String renders the layout grid using C/G/M cells.
+// Every run key renders it (runner.Key), so it writes into one builder.
 func (l Layout) String() string {
-	s := l.Name + " (" + l.ReqOrder.String() + "-" + l.RepOrder.String() + ")\n"
+	var b strings.Builder
+	b.Grow(len(l.Name) + len(" (XY-YX)\n") + (l.Width+1)*l.Height)
+	b.WriteString(l.Name)
+	b.WriteString(" (")
+	b.WriteString(l.ReqOrder.String())
+	b.WriteByte('-')
+	b.WriteString(l.RepOrder.String())
+	b.WriteString(")\n")
 	for y := 0; y < l.Height; y++ {
 		for x := 0; x < l.Width; x++ {
 			switch l.Kinds[l.ID(x, y)] {
 			case KindCPU:
-				s += "C"
+				b.WriteByte('C')
 			case KindGPU:
-				s += "G"
+				b.WriteByte('G')
 			case KindMem:
-				s += "M"
+				b.WriteByte('M')
 			}
 		}
-		s += "\n"
+		b.WriteByte('\n')
 	}
-	return s
+	return b.String()
 }

@@ -278,6 +278,16 @@ var conformanceCases = []struct {
 			t.Error("GET of the job lost its result")
 		}
 	}},
+	{"a hot job's ?wait, GET and DELETE-409 bodies are the encoder's rendering of their view", false, func(t *testing.T, tg target, base string) {
+		spec := shortSpec(617)
+		post(t, base, "?wait=1", serve.SubmitRequest{Spec: spec})
+		resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs?wait=1", submitBody(t, serve.SubmitRequest{Spec: spec, Client: "x<&>"}))
+		id := requireEncoded(t, "?wait", resp, raw, http.StatusOK).ID
+		resp, raw, _ = call(t, http.MethodGet, base+"/v1/jobs/"+id, nil)
+		requireEncoded(t, "GET", resp, raw, http.StatusOK)
+		resp, raw, _ = call(t, http.MethodDelete, base+"/v1/jobs/"+id, nil)
+		requireEncoded(t, "DELETE", resp, raw, http.StatusConflict)
+	}},
 	{"events: status first, transitions before the terminal status, then the stream ends", false, func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "", serve.SubmitRequest{Spec: foreverSpec(604)})
 		resp, err := http.Get(base + "/v1/jobs/" + v.ID + "/events")
@@ -482,6 +492,27 @@ var conformanceCases = []struct {
 			t.Errorf("/debug/jobs record %v with root attrs %v, want both %v", fields, got, want)
 		}
 	}},
+}
+
+// requireEncoded checks that raw, a done job view answered with status,
+// is byte for byte what json.Encoder with the API's indent renders from
+// the view it decodes to, and returns that view.
+func requireEncoded(t *testing.T, what string, resp *http.Response, raw []byte, status int) serve.JobView {
+	t.Helper()
+	var v serve.JobView
+	if err := json.Unmarshal(raw, &v); err != nil || resp.StatusCode != status || v.Status != serve.StatusDone || v.Result == nil {
+		t.Fatalf("%s: status %d, body %s (%v); want %d with a done view", what, resp.StatusCode, raw, err, status)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want.Bytes()) {
+		t.Errorf("%s body differs from the encoder's rendering of its view:\n got: %s\nwant: %s", what, raw, want.Bytes())
+	}
+	return v
 }
 
 // traceTree reads a job's span tree.

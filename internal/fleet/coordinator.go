@@ -10,9 +10,9 @@
 //     placement memo), else of the home, answers a repeated spec
 //     without spending a queue slot — the workers' warm caches form
 //     one distributed cache tier. A result the coordinator has already
-//     decoded (a bounded resident table) is revalidated, not fetched:
-//     the probe carries the address as If-None-Match and a 304 moves
-//     no body;
+//     decoded and rendered (a bounded resident table) is revalidated,
+//     not fetched: the probe carries the address as If-None-Match and a
+//     304 moves no body, and its reply reuses the rendered bytes;
 //   - place: on a miss the job takes a slot on the first ready worker
 //     in the key's ring sequence that has one free, else on the least
 //     loaded, so a busy home delegates to an idle neighbour and the
@@ -77,10 +77,10 @@ type Server struct {
 	*serve.Server
 	ring     *Ring
 	reg      *Registry
-	memo     *memo[string]          // addr → worker holding it off its ring home
-	resident *memo[*simspec.Result] // addr → the result, as already decoded here
-	client   *http.Client           // bounded-timeout calls (submit, probe, poll, cancel)
-	stream   *http.Client           // unbounded, for SSE watch streams
+	memo     *memo[string]              // addr → worker holding it off its ring home
+	resident *memo[*serve.SharedResult] // addr → the result, as already decoded and rendered here
+	client   *http.Client               // bounded-timeout calls (submit, probe, poll, cancel)
+	stream   *http.Client               // unbounded, for SSE watch streams
 	retries  int
 	wg       sync.WaitGroup // live dispatchers
 
@@ -121,7 +121,7 @@ func New(opts Options) (*Server, error) {
 		stream:   &http.Client{Transport: client.Transport},
 		retries:  opts.Retries,
 		memo:     newMemo[string](memoBound),
-		resident: newMemo[*simspec.Result](residentBound),
+		resident: newMemo[*serve.SharedResult](residentBound),
 	}
 	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, opts.Logger)
 	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, opts.Telemetry, 0)
@@ -316,10 +316,14 @@ func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker str
 	}
 	switch term.Status {
 	case serve.StatusDone:
-		return serve.Outcome{
-			Status: serve.StatusDone, Source: term.Source, Worker: worker,
-			Result: term.Result,
-		}, nil
+		if term.Result == nil {
+			return serve.Outcome{}, errPermanent{fmt.Errorf("worker %s: job done without a result", worker)}
+		}
+		res, err := serve.NewSharedResult(term.Result)
+		if err != nil {
+			return serve.Outcome{}, errPermanent{fmt.Errorf("worker %s: %v", worker, err)}
+		}
+		return serve.Outcome{Status: serve.StatusDone, Source: term.Source, Worker: worker, Result: res}, nil
 	case serve.StatusFailed:
 		// A completed-but-failed simulation is deterministic: it would
 		// fail identically anywhere, so failover cannot help.
@@ -378,9 +382,9 @@ func (s *Server) probeCache(j *serve.Job, addr, worker string) (out serve.Outcom
 // getCache is one GET /v1/cache/{addr} round trip. A non-nil held makes
 // it a revalidation: the address goes along as If-None-Match, and a 304
 // — the worker is alive and still has the entry — answers held itself,
-// so every repeat of a key shares one decoded Result. res is nil unless
+// so every repeat of a key shares one rendered result. res is nil unless
 // the worker answered 200, or 304 to the validator.
-func (s *Server) getCache(ctx context.Context, spec simspec.Spec, addr, worker string, held *simspec.Result) (res *simspec.Result, status int, err error) {
+func (s *Server) getCache(ctx context.Context, spec simspec.Spec, addr, worker string, held *serve.SharedResult) (res *serve.SharedResult, status int, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+addr, nil)
 	if err != nil {
 		return nil, 0, err
@@ -402,7 +406,9 @@ func (s *Server) getCache(ctx context.Context, spec simspec.Spec, addr, worker s
 		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
 			return nil, resp.StatusCode, fmt.Errorf("decoding cache entry: %v", err)
 		}
-		res = &simspec.Result{Spec: spec, Results: entry.Results, Digest: entry.Digest}
+		if res, err = serve.NewSharedResult(&simspec.Result{Spec: spec, Results: entry.Results, Digest: entry.Digest}); err != nil {
+			return nil, resp.StatusCode, fmt.Errorf("rendering cache entry: %v", err)
+		}
 	case http.StatusNotModified:
 		res = held
 	}

@@ -8,8 +8,9 @@ import "sync"
 const memoBound = 1 << 16
 
 // residentBound caps the resident-result table. One entry is a decoded
-// simspec.Result, ≈1.1 KB with its key, so the full table is ≈5 MB; a
-// forgotten entry costs one body-carrying probe.
+// simspec.Result and its ≈3.9 KB of rendered reply bytes, ≈5 KB with
+// its key, so the full table is ≈20 MB; a forgotten entry costs one
+// body-carrying probe.
 const residentBound = 1 << 12
 
 // memo is what the coordinator remembers per content address, bounded:

@@ -210,8 +210,11 @@ func (w *heldWorker) finish(j *serve.Job, addr string) {
 	key := w.keys[addr]
 	w.f.mu.Unlock()
 	w.store(key)
-	j.Finish(serve.Outcome{Status: serve.StatusDone, Source: "executed",
-		Result: &simspec.Result{Spec: j.Spec(), Digest: addr[:16]}})
+	res, err := serve.NewSharedResult(&simspec.Result{Spec: j.Spec(), Digest: addr[:16]})
+	if err != nil {
+		panic(err)
+	}
+	j.Finish(serve.Outcome{Status: serve.StatusDone, Source: "executed", Result: res})
 }
 
 // store puts the stand-in result for key — no results, and the first 16
@@ -479,7 +482,9 @@ func TestMemoBounded(t *testing.T) {
 		testMemoBounded(t, func(i int) string { return fmt.Sprint("w", i) })
 	})
 	t.Run("resident", func(t *testing.T) {
-		testMemoBounded(t, func(i int) *simspec.Result { return &simspec.Result{Digest: fmt.Sprint(i)} })
+		testMemoBounded(t, func(i int) *serve.SharedResult {
+			return &serve.SharedResult{Result: &simspec.Result{Digest: fmt.Sprint(i)}}
+		})
 	})
 }
 

@@ -58,7 +58,7 @@ func TestRevalidationGuard(t *testing.T) {
 	}
 
 	first := make([][]byte, keys)
-	shared := make([]*simspec.Result, keys)
+	shared := make([]*serve.SharedResult, keys)
 	for r := 0; r < repeats; r++ {
 		for i := range specs {
 			v := ask(base, i, homes[i], r > 0)

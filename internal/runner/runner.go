@@ -284,23 +284,26 @@ func (f *Future) Progress() (done, total int64) {
 
 // Share returns what every submission of f should hold for its result:
 // the value kept on f when keep accepts it, else a new one from build,
-// which f keeps if it holds none yet. The daemon keeps one decoded
-// result per future this way, shared by all the jobs that joined it for
-// as long as the memo holds the future.
-func Share[T any](f *Future, keep func(T) bool, build func() T) T {
+// which f keeps if it holds none yet and build did not fail. The daemon
+// keeps one rendered result per future this way, shared by all the jobs
+// that joined it for as long as the memo holds the future.
+func Share[T any](f *Future, keep func(T) bool, build func() (T, error)) (T, error) {
 	f.mu.Lock()
 	held, ok := f.shared.(T)
 	f.mu.Unlock()
 	if ok && keep(held) {
-		return held
+		return held, nil
 	}
-	v := build()
+	v, err := build()
+	if err != nil {
+		return v, err
+	}
 	f.mu.Lock()
 	if f.shared == nil {
 		f.shared = v
 	}
 	f.mu.Unlock()
-	return v
+	return v, nil
 }
 
 // addWaiter registers one submission's interest in the future. A

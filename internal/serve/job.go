@@ -109,9 +109,10 @@ type Outcome struct {
 	Status Status // done, failed or cancelled
 	Error  string // failed and cancelled only
 	// Source and Result describe a done job: where the result came
-	// from (executed | memo | disk) and the canonical result itself.
+	// from (executed | memo | disk) and the canonical result itself,
+	// rendered once for every job that shares it.
 	Source string
-	Result *simspec.Result
+	Result *SharedResult
 	// Worker, when set, replaces the job's current worker URL.
 	Worker string
 }
@@ -227,6 +228,10 @@ type JobView struct {
 	// Only the fleet coordinator sets it; a single delrepd leaves it
 	// empty (it is its own worker).
 	Worker string `json:"worker,omitempty"`
+
+	// shared is Result as rendered once for every job holding it; a
+	// reply splices its bytes in (writeView). Set by viewLocked only.
+	shared *SharedResult
 }
 
 // viewLocked renders the job; the server's mutex must be held.
@@ -253,7 +258,9 @@ func (j *Job) viewLocked() JobView {
 	}
 	if j.status == StatusDone {
 		v.Source = j.out.Source
-		v.Result = j.out.Result
+		if r := j.out.Result; r != nil {
+			v.Result, v.shared = r.Result, r
+		}
 	}
 	return v
 }

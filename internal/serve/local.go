@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -277,29 +276,32 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	submitSpan.Set("source", run.Source.String())
 	submitSpan.End()
 
+	// encode times rendering the result's reply bytes, outside s.mu: the
+	// job that builds the future's shared result pays for it, every
+	// other job of the future reuses the bytes.
+	enc := root.Start("encode")
 	var out Outcome
 	switch {
 	case run.Err == nil:
-		out = Outcome{Status: StatusDone, Source: run.Source.String(), Result: sharedResult(fut, j.spec, run)}
+		res, err := sharedResult(fut, j.spec, run)
+		if err != nil {
+			out = Outcome{Status: StatusFailed, Error: err.Error()}
+			break
+		}
+		enc.Set("bytes", len(res.json))
+		out = Outcome{Status: StatusDone, Source: run.Source.String(), Result: res}
 	case j.ctx.Err() != nil && errors.Is(run.Err, context.Canceled):
 		out = Outcome{Status: StatusCancelled, Error: "cancelled"}
 	default:
 		out = Outcome{Status: StatusFailed, Error: run.Err.Error()}
 	}
+	enc.End()
 	s.mu.Lock()
 	s.settleLocked(j, out)
 	x.dropInflightLocked(j.client)
 	x.latency.Add(j.finished.Sub(j.started).Seconds())
 	x.execTime[j.prio].Add(j.finished.Sub(j.started).Seconds())
 	x.totalTime[j.prio].Add(j.finished.Sub(j.created).Seconds())
-	// encode measures rendering the terminal job view — the bytes every
-	// poller and ?wait response will receive from here on.
-	if enc := root.Start("encode"); enc != nil {
-		if b, err := json.Marshal(j.viewLocked()); err == nil {
-			enc.Set("bytes", len(b))
-		}
-		enc.End()
-	}
 	reply := root.Start("reply")
 	s.publishLocked(j)
 	reply.End()
@@ -312,13 +314,14 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	}
 }
 
-// sharedResult is the result a done job of spec holds: the one decoded
+// sharedResult is the result a done job of spec holds: the one rendered
 // result every job of fut shares, unless spec differs from the spec
-// that result echoes — then the job gets its own.
-func sharedResult(fut *runner.Future, spec simspec.Spec, run runner.Run) *simspec.Result {
-	return runner.Share(fut, func(r *simspec.Result) bool { return r.Spec == spec }, func() *simspec.Result {
+// that result echoes — then the job gets its own. A result that cannot
+// be rendered is the job's error, and fut keeps nothing.
+func sharedResult(fut *runner.Future, spec simspec.Spec, run runner.Run) (*SharedResult, error) {
+	return runner.Share(fut, func(r *SharedResult) bool { return r.Result.Spec == spec }, func() (*SharedResult, error) {
 		r := simspec.NewResult(spec, run.Results, run.Digest)
-		return &r
+		return NewSharedResult(&r)
 	})
 }
 

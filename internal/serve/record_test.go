@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,20 +21,7 @@ func TestJobRecordBudget(t *testing.T) {
 		t.Skip("the race detector's shadow state inflates every allocation")
 	}
 	const jobs, budget = 5000, 2500
-	s, _ := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 2}), Telemetry: true})
-	body, err := json.Marshal(SubmitRequest{Spec: shortSpec(261), Client: "budget"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	submitHot := func() {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("submit: status %d: %s", rec.Code, rec.Body)
-		}
-	}
-	submitHot() // the one cold run; every later submit is a memo hit
+	s, submitHot := hotSubmitter(t, true, 261)
 
 	before := liveHeap()
 	for i := 0; i < jobs; i++ {
@@ -118,20 +104,28 @@ func TestSharedResultKeepsItsSpec(t *testing.T) {
 	if run.Err != nil {
 		t.Fatal(run.Err)
 	}
-	held := sharedResult(fut, norm, run)
-	if again := sharedResult(fut, norm, run); again != held {
+	share := func(spec simspec.Spec) *SharedResult {
+		t.Helper()
+		r, err := sharedResult(fut, spec, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	held := share(norm)
+	if again := share(norm); again != held {
 		t.Fatalf("a second job of the spec got %p, want the shared %p", again, held)
 	}
 	other := norm
 	other.Scheme = "rp"
-	own := sharedResult(fut, other, run)
-	if own == held || own.Spec != other || held.Spec != norm {
-		t.Fatalf("a job of spec %+v got a result echoing %+v (shared: %v)", other, own.Spec, own == held)
+	own := share(other)
+	if own == held || own.Result.Spec != other || held.Result.Spec != norm {
+		t.Fatalf("a job of spec %+v got a result echoing %+v (shared: %v)", other, own.Result.Spec, own == held)
 	}
-	if want := simspec.NewResult(other, run.Results, run.Digest); *own != want {
-		t.Fatalf("own result = %+v, want %+v", *own, want)
+	if want := simspec.NewResult(other, run.Results, run.Digest); *own.Result != want {
+		t.Fatalf("own result = %+v, want %+v", *own.Result, want)
 	}
-	if again := sharedResult(fut, norm, run); again != held {
+	if again := share(norm); again != held {
 		t.Fatal("a differing spec displaced the shared result")
 	}
 }

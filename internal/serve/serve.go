@@ -318,7 +318,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Has("wait") {
 		select {
 		case <-j.doneCh:
-			writeJSON(w, http.StatusOK, s.view(j))
+			writeView(w, http.StatusOK, s.view(j))
 		case <-r.Context().Done():
 			// The waiting client went away: its job goes with it, so a
 			// dropped connection cannot pin a worker slot.
@@ -327,7 +327,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, view)
+	writeView(w, http.StatusAccepted, view)
 }
 
 // admitLocked is the admission critical section: the draining gate,
@@ -365,7 +365,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, s.view(j))
+		writeView(w, http.StatusOK, s.view(j))
 	}
 }
 
@@ -375,7 +375,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if view := s.view(j); view.Status.Terminal() {
-		writeJSON(w, http.StatusConflict, view)
+		writeView(w, http.StatusConflict, view)
 		return
 	}
 	j.Cancel()
@@ -389,7 +389,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case <-j.doneCh:
 	case <-grace.C:
 	}
-	writeJSON(w, http.StatusOK, s.view(j))
+	writeView(w, http.StatusOK, s.view(j))
 }
 
 // startLocked is the queued → running transition; callers hold s.mu
@@ -407,7 +407,7 @@ func (s *Server) startLocked(j *Job) {
 // outcome and counts it. The job is terminal afterwards but nobody has
 // been told; publishLocked tells, then closeTraceLocked ends the trace.
 // A caller takes all three in one hold of s.mu (the local executor
-// times its encode and reply spans in between), and every reader takes
+// times its reply span in between), and every reader takes
 // s.mu first, so whoever sees the terminal status also reads a closed
 // trace and finds the job on /debug/jobs.
 func (s *Server) settleLocked(j *Job, out Outcome) {

@@ -29,7 +29,7 @@ func longSpec(seed int64) simspec.Spec {
 	return simspec.Spec{GPU: "HS", CPU: "vips", Warmup: 200, Cycles: 500_000_000, Seed: seed}
 }
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	if opts.Engine == nil {
 		opts.Engine = runner.New(runner.Options{Workers: 2})

@@ -60,10 +60,10 @@ func (s Spec) Resolve() (config.Config, Spec, error) {
 	if norm.CPU == "" {
 		return zero, s, fmt.Errorf("spec: missing cpu benchmark")
 	}
-	if !slices.Contains(workload.GPUNames(), norm.GPU) {
+	if !slices.Contains(gpuNames, norm.GPU) {
 		return zero, s, fmt.Errorf("spec: unknown gpu benchmark %q (see delrepsim -list)", norm.GPU)
 	}
-	if !slices.Contains(workload.CPUNames(), norm.CPU) {
+	if !slices.Contains(cpuNames, norm.CPU) {
 		return zero, s, fmt.Errorf("spec: unknown cpu benchmark %q (see delrepsim -list)", norm.CPU)
 	}
 
@@ -192,6 +192,10 @@ type token[T comparable] struct {
 }
 
 var (
+	// The benchmark names Resolve accepts, listed once: the workload
+	// tables build their profiles afresh on every call.
+	gpuNames, cpuNames = workload.GPUNames(), workload.CPUNames()
+
 	schemeTokens = []token[config.Scheme]{
 		{"baseline", config.SchemeBaseline},
 		{"delegated", config.SchemeDelegatedReplies},
