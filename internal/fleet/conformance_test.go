@@ -263,6 +263,32 @@ var conformanceCases = []struct {
 			}
 		}
 	}},
+	{"only a job's canonical id names it: every other spelling answers 404 on get, cancel, events and trace", true, func(t *testing.T, tg target, base string) {
+		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(618)})
+		p, other := v.ID[:1], "f" // this binary's id prefix, and the other's
+		if p == "f" {
+			other = "j"
+		}
+		if v.ID != p+"000001" {
+			t.Fatalf("first job id %q, want %s000001", v.ID, p)
+		}
+		if resp, raw, _ := call(t, http.MethodGet, base+"/v1/jobs/"+v.ID+"/trace", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace of %s: status %d, body %s; want 200", v.ID, resp.StatusCode, raw)
+		}
+		for _, id := range []string{
+			p + "1", p + "0000001", p + "000000", p + "000002", other + "000001", p + "000001x",
+		} {
+			for _, rq := range [][2]string{
+				{http.MethodGet, "/v1/jobs/" + id}, {http.MethodDelete, "/v1/jobs/" + id},
+				{http.MethodGet, "/v1/jobs/" + id + "/events"}, {http.MethodGet, "/v1/jobs/" + id + "/trace"},
+			} {
+				resp, raw, msg := call(t, rq[0], base+rq[1], nil)
+				if resp.StatusCode != http.StatusNotFound || msg == "" {
+					t.Errorf("%s %s: status %d, body %s; want 404 with {\"error\": …}", rq[0], rq[1], resp.StatusCode, raw)
+				}
+			}
+		}
+	}},
 	{"cancelling a terminal job answers 409; list omits results", false, func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(603)})
 		resp, raw, _ := call(t, http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)

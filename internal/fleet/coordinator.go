@@ -44,6 +44,7 @@ import (
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
+	"delrep/internal/telemetry"
 )
 
 // Options configures a coordinator Server.
@@ -187,10 +188,8 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, key string) {
 		if worker == home {
 			placed = "home"
 		}
-		span := j.Span().Start("fleet.attempt")
-		span.Set("worker", worker)
-		span.Set("phase", phase)
-		span.Set("placed", placed)
+		span := j.Span().Start("fleet.attempt",
+			telemetry.A("worker", worker), telemetry.A("phase", phase), telemetry.A("placed", placed))
 		out, ended, err := attempt()
 		span.End()
 		var perm errPermanent

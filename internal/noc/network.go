@@ -219,8 +219,6 @@ func (n *Network) ResetStats() {
 	}
 	for _, ni := range n.NIs {
 		ni.EjFlitsByClass = [2]int64{}
-		ni.StallCycles = 0
-		ni.InjStallEv = 0
 	}
 }
 

@@ -46,8 +46,6 @@ type NI struct {
 	Handler func(*Packet) bool
 
 	// Statistics.
-	StallCycles    int64
-	InjStallEv     int64
 	EjFlitsByClass [2]int64
 }
 
@@ -231,8 +229,6 @@ func (ni *NI) tickInject() {
 		for _, st := range ni.streams {
 			ni.blocked[st.pkt.Class] = true
 		}
-		ni.StallCycles++
-		ni.InjStallEv++
 	}
 }
 

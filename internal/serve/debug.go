@@ -35,39 +35,40 @@ type JobRecord struct {
 // recent renders up to n terminal jobs of the job table, the most
 // recently finished first, and counts the terminal jobs in all.
 func (s *Server) recent(n int) (recs []JobRecord, total int) {
-	var jobs []*Job
+	var seqs []int
 	s.mu.Lock()
-	for _, j := range s.order {
-		if j.status.Terminal() {
-			jobs = append(jobs, j)
+	rows := s.order
+	for i, row := range rows {
+		if row.status.Terminal() {
+			seqs = append(seqs, i+1)
 		}
 	}
 	s.mu.Unlock()
-	// A terminal job's fields never change again: read them unlocked.
-	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].finished.After(jobs[b].finished) })
-	recs = make([]JobRecord, min(n, len(jobs)))
+	// A terminal job's row never changes again: read it unlocked.
+	sort.SliceStable(seqs, func(a, b int) bool { return rows[seqs[a]-1].finished.After(rows[seqs[b]-1].finished) })
+	recs = make([]JobRecord, min(n, len(seqs)))
 	for i := range recs {
-		j, r := jobs[i], &recs[i]
+		id, row, r := s.jobID(seqs[i]), rows[seqs[i]-1], &recs[i]
 		*r = JobRecord{
-			ID:       j.id,
-			Client:   j.client,
-			Priority: j.prio.String(),
-			Spec:     fmt.Sprintf("%s+%s %s", j.spec.GPU, j.spec.CPU, j.spec.Scheme),
-			SpecKey:  j.specKey,
-			Outcome:  string(j.status),
-			Source:   j.out.Source,
-			Error:    j.out.Error,
-			Created:  j.created,
-			TotalUS:  j.finished.Sub(j.created).Microseconds(),
-			Trace:    j.traceViewLocked(),
+			ID:       id,
+			Client:   row.client,
+			Priority: row.prio.String(),
+			Spec:     fmt.Sprintf("%s+%s %s", row.spec.GPU, row.spec.CPU, row.spec.Scheme),
+			SpecKey:  row.specKey,
+			Outcome:  string(row.status),
+			Source:   row.source,
+			Error:    row.err,
+			Created:  row.created,
+			TotalUS:  row.finished.Sub(row.created).Microseconds(),
+			Trace:    row.traceViewLocked(id),
 		}
 		r.QueueUS = r.TotalUS // never ran
-		if !j.started.IsZero() {
-			r.QueueUS = j.started.Sub(j.created).Microseconds()
-			r.ExecUS = j.finished.Sub(j.started).Microseconds()
+		if !row.started.IsZero() {
+			r.QueueUS = row.started.Sub(row.created).Microseconds()
+			r.ExecUS = row.finished.Sub(row.started).Microseconds()
 		}
 	}
-	return recs, len(jobs)
+	return recs, len(seqs)
 }
 
 // handleDebugJobs lists the newest terminal jobs with their span trees.

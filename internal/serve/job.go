@@ -64,44 +64,56 @@ func (p Priority) String() string {
 	return "normal"
 }
 
-// Job is one submitted simulation: the single record of it, shared by
-// the Server that owns the table and the Executor that runs it.
-// Identity fields are immutable after creation; mutable state is
-// guarded by the owning Server's mutex. An Executor drives it through
-// Running, SetProgress and Finish.
+// Job is one admitted job as the goroutines that drive it hold it: the
+// Executor running it, the ?wait handler, an SSE stream. It is the
+// job's live part — context, done channel, progress source, subscribers
+// — and points at the job's row, which is what the table keeps. An
+// Executor drives it through Running, SetProgress and Finish.
 //
-// The table never evicts, so a terminal job keeps only what its views
-// read: identity, times, outcome (whose Result the daemon shares with
-// every job of the same runner future) and the span tree. Its logger,
-// its run's Config and its root span's identity attrs are rendered
-// from these fields when wanted.
+// Finishing detaches the two: the row stops pointing at the Job, so the
+// table keeps only the row, while a goroutine that still holds the Job
+// finds nothing in it rewritten. The Job's own fields are immutable
+// after admission, bar those marked as guarded by Server.mu.
 type Job struct {
-	srv     *Server
-	id      string
-	client  string
-	prio    Priority
-	spec    simspec.Spec // canonical form, echoed back to clients
-	specKey string       // short content hash of the resolved spec
-	ctx     context.Context
-	cancel  context.CancelFunc
+	srv    *Server
+	row    *jobRow
+	id     string
+	spec   simspec.Spec // canonical form, echoed back to clients
+	ctx    context.Context
+	cancel context.CancelFunc
 	// doneCh closes when the job reaches a terminal status.
 	doneCh chan struct{}
-	// trace is the job's telemetry span tree; nil when telemetry is
-	// off. The Trace itself is safe for concurrent use.
-	trace *telemetry.Trace
 
 	// Guarded by Server.mu.
-	status   Status
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	worker   string                     // coordinator only: current/final worker base URL
-	progress func() (done, total int64) // nil until the executor has something to report
-	out      Outcome                    // zero until terminal
-	subs     map[chan sseEvent]struct{} // live SSE subscribers, allocated on first use
+	progress  func() (done, total int64) // nil until the executor has something to report
+	subs      map[chan sseEvent]struct{} // live SSE subscribers, allocated on first use
+	spanQueue *telemetry.Span            // the local executor's open queue.wait span, ended at dispatch
+}
 
-	// The local executor's share of the record, guarded by Server.mu.
-	spanQueue *telemetry.Span // open queue.wait span, ended at dispatch
+// jobRow is a job as the table keeps it, for as long as the process
+// lives: exactly what GET /v1/jobs/{id}, /v1/jobs, both trace formats,
+// /debug/jobs and /debug/status read. Its id is its place in the table.
+// Its logger and its root span's identity attrs are rendered from it
+// when wanted. A done job's result is shared with every job of the same
+// runner future (the coordinator: of the same address), and so is its
+// spec: the row points at the one that result echoes whenever the two
+// are equal.
+type jobRow struct {
+	// Immutable after admission.
+	client  string
+	prio    Priority
+	specKey string           // short content hash of the resolved spec
+	trace   *telemetry.Trace // nil when telemetry is off; safe for concurrent use
+	created time.Time
+
+	// Guarded by Server.mu; fixed once the job is terminal.
+	live              *Job          // the job's live part; nil once terminal
+	spec              *simspec.Spec // the live part's until terminal
+	status            Status
+	started, finished time.Time
+	source, err       string        // as the outcome reported them
+	worker            string        // coordinator only: current/final worker base URL
+	result            *SharedResult // done jobs only
 }
 
 // Outcome is how a job ended, as its Executor reports it to Finish.
@@ -128,12 +140,12 @@ func (j *Job) Spec() simspec.Spec { return j.spec }
 // Log returns a logger with the job's job, client and spec_key attrs
 // set. The job keeps no logger: each call builds one.
 func (j *Job) Log() *slog.Logger {
-	return j.srv.logger.With("job", j.id, "client", j.client, "spec_key", j.specKey)
+	return j.srv.logger.With("job", j.id, "client", j.row.client, "spec_key", j.row.specKey)
 }
 
 // Span returns the root of the job's trace, nil when telemetry is off
 // (a nil *telemetry.Span is a valid no-op parent).
-func (j *Job) Span() *telemetry.Span { return j.trace.Root() }
+func (j *Job) Span() *telemetry.Span { return j.row.trace.Root() }
 
 // Cancel stops the job in any non-terminal state: its context is
 // cancelled and the executor is told, so a job still waiting to run
@@ -151,11 +163,11 @@ func (j *Job) Running(worker string) {
 	s := j.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.status.Terminal() {
+	if j.row.status.Terminal() {
 		return
 	}
 	s.startLocked(j)
-	j.worker = worker
+	j.row.worker = worker
 	s.notifyLocked(j)
 }
 
@@ -173,7 +185,7 @@ func (j *Job) SetProgress(src func() (done, total int64)) {
 func (j *Job) Finish(out Outcome) {
 	s := j.srv
 	s.mu.Lock()
-	if j.status.Terminal() {
+	if j.row.status.Terminal() {
 		s.mu.Unlock()
 		return
 	}
@@ -184,19 +196,22 @@ func (j *Job) Finish(out Outcome) {
 	s.retire(j)
 }
 
+// viewLocked renders the job; the server's mutex must be held.
+func (j *Job) viewLocked() JobView { return j.row.viewLocked(j.id) }
+
 // traceViewLocked snapshots the job's span tree. The root's identity
 // attrs — job, client, spec_key, priority, and outcome once terminal —
-// are rendered from the record here instead of being kept in every
-// trace. The caller holds the server's mutex or knows the job is
-// terminal. A job without a trace renders the zero view.
-func (j *Job) traceViewLocked() telemetry.SpanView {
-	if j.trace == nil {
+// are rendered from the row here instead of being kept in every trace.
+// The caller holds the server's mutex or knows the job is terminal. A
+// job without a trace renders the zero view.
+func (r *jobRow) traceViewLocked(id string) telemetry.SpanView {
+	if r.trace == nil {
 		return telemetry.SpanView{}
 	}
-	v := j.trace.Snapshot()
-	v.Attrs = map[string]any{"job": j.id, "client": j.client, "spec_key": j.specKey, "priority": j.prio.String()}
-	if j.status.Terminal() {
-		v.Attrs["outcome"] = string(j.status)
+	v := r.trace.Snapshot()
+	v.Attrs = map[string]any{"job": id, "client": r.client, "spec_key": r.specKey, "priority": r.prio.String()}
+	if r.status.Terminal() {
+		v.Attrs["outcome"] = string(r.status)
 	}
 	return v
 }
@@ -234,32 +249,33 @@ type JobView struct {
 	shared *SharedResult
 }
 
-// viewLocked renders the job; the server's mutex must be held.
-func (j *Job) viewLocked() JobView {
+// viewLocked renders the job with this row; the server's mutex must be
+// held.
+func (r *jobRow) viewLocked(id string) JobView {
 	v := JobView{
-		ID:       j.id,
-		Status:   j.status,
-		Priority: j.prio.String(),
-		Client:   j.client,
-		Spec:     j.spec,
-		Created:  j.created.UTC().Format(time.RFC3339Nano),
-		Error:    j.out.Error,
-		Worker:   j.worker,
+		ID:       id,
+		Status:   r.status,
+		Priority: r.prio.String(),
+		Client:   r.client,
+		Spec:     *r.spec,
+		Created:  r.created.UTC().Format(time.RFC3339Nano),
+		Error:    r.err,
+		Worker:   r.worker,
 	}
-	if !j.started.IsZero() {
-		v.Started = j.started.UTC().Format(time.RFC3339Nano)
+	if !r.started.IsZero() {
+		v.Started = r.started.UTC().Format(time.RFC3339Nano)
 	}
-	if !j.finished.IsZero() {
-		v.Finished = j.finished.UTC().Format(time.RFC3339Nano)
+	if !r.finished.IsZero() {
+		v.Finished = r.finished.UTC().Format(time.RFC3339Nano)
 	}
-	if j.status == StatusRunning && j.progress != nil {
-		done, total := j.progress()
+	if r.status == StatusRunning && r.live.progress != nil {
+		done, total := r.live.progress()
 		v.Progress = &ProgressView{CyclesDone: done, CyclesTotal: total}
 	}
-	if j.status == StatusDone {
-		v.Source = j.out.Source
-		if r := j.out.Result; r != nil {
-			v.Result, v.shared = r.Result, r
+	if r.status == StatusDone {
+		v.Source = r.source
+		if r.result != nil {
+			v.Result, v.shared = r.result.Result, r.result
 		}
 	}
 	return v

@@ -139,10 +139,11 @@ func (x *local) Ready() (bool, string) { return true, "" }
 // Admit applies the two admission caps and queues the job for the
 // worker pool. srv.mu is held.
 func (x *local) Admit(j *Job, _ SubmitRequest, cfg config.Config, key string) *Rejection {
-	if x.opts.ClientInFlight > 0 && x.inflight[j.client] >= x.opts.ClientInFlight {
+	client := j.row.client
+	if x.opts.ClientInFlight > 0 && x.inflight[client] >= x.opts.ClientInFlight {
 		return &Rejection{
 			Reason: "client_cap", Status: http.StatusTooManyRequests, RetryAfter: x.retryAfterLocked(),
-			Message: fmt.Sprintf("client %q already has %d jobs in flight (cap %d)", j.client, x.opts.ClientInFlight, x.opts.ClientInFlight),
+			Message: fmt.Sprintf("client %q already has %d jobs in flight (cap %d)", client, x.opts.ClientInFlight, x.opts.ClientInFlight),
 		}
 	}
 	if x.queuedCount >= x.opts.QueueDepth {
@@ -152,9 +153,9 @@ func (x *local) Admit(j *Job, _ SubmitRequest, cfg config.Config, key string) *R
 		}
 	}
 	j.spanQueue = j.Span().Start("queue.wait")
-	x.queue[j.prio] = append(x.queue[j.prio], queued{j, runner.Spec{Cfg: cfg, GPU: j.spec.GPU, CPU: j.spec.CPU, Key: key}})
+	x.queue[j.row.prio] = append(x.queue[j.row.prio], queued{j, runner.Spec{Cfg: cfg, GPU: j.spec.GPU, CPU: j.spec.CPU, Key: key}})
 	x.queuedCount++
-	x.inflight[j.client]++
+	x.inflight[client]++
 	x.cond.Signal()
 	return nil
 }
@@ -182,7 +183,7 @@ func (x *local) retryAfterLocked() int {
 func (x *local) Cancel(j *Job) {
 	x.srv.mu.Lock()
 	defer x.srv.mu.Unlock()
-	if j.status == StatusQueued {
+	if j.row.status == StatusQueued {
 		x.finishQueuedLocked(j, "cancelled before start")
 	}
 }
@@ -193,9 +194,9 @@ func (x *local) finishQueuedLocked(j *Job, msg string) {
 	j.spanQueue.End()
 	j.spanQueue = nil
 	x.queuedCount--
-	x.dropInflightLocked(j.client)
+	x.dropInflightLocked(j.row.client)
 	x.srv.settleLocked(j, Outcome{Status: StatusCancelled, Error: msg})
-	x.totalTime[j.prio].Add(j.finished.Sub(j.created).Seconds())
+	x.totalTime[j.row.prio].Add(j.row.finished.Sub(j.row.created).Seconds())
 	x.srv.publishLocked(j)
 	x.srv.closeTraceLocked(j)
 	x.srv.retire(j)
@@ -233,14 +234,14 @@ func (x *local) next() queued {
 				x.queue[p][0] = queued{} // the backing array must not keep the Config
 				x.queue[p] = x.queue[p][1:]
 				j := q.j
-				if j.status != StatusQueued {
+				if j.row.status != StatusQueued {
 					continue // cancelled while queued; already retired
 				}
 				x.queuedCount--
 				s.startLocked(j)
 				j.spanQueue.End()
 				j.spanQueue = nil
-				x.queueWait[j.prio].Add(j.started.Sub(j.created).Seconds())
+				x.queueWait[j.row.prio].Add(j.row.started.Sub(j.row.created).Seconds())
 				s.notifyLocked(j)
 				return q
 			}
@@ -298,10 +299,11 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	enc.End()
 	s.mu.Lock()
 	s.settleLocked(j, out)
-	x.dropInflightLocked(j.client)
-	x.latency.Add(j.finished.Sub(j.started).Seconds())
-	x.execTime[j.prio].Add(j.finished.Sub(j.started).Seconds())
-	x.totalTime[j.prio].Add(j.finished.Sub(j.created).Seconds())
+	row := j.row
+	x.dropInflightLocked(row.client)
+	x.latency.Add(row.finished.Sub(row.started).Seconds())
+	x.execTime[row.prio].Add(row.finished.Sub(row.started).Seconds())
+	x.totalTime[row.prio].Add(row.finished.Sub(row.created).Seconds())
 	reply := root.Start("reply")
 	s.publishLocked(j)
 	reply.End()
@@ -350,7 +352,7 @@ func (x *local) maybePrune() {
 func (x *local) Drain(live []*Job) {
 	x.srv.mu.Lock()
 	for _, j := range live {
-		if j.status == StatusQueued {
+		if j.row.status == StatusQueued {
 			x.finishQueuedLocked(j, "server shutting down")
 		}
 	}

@@ -13,7 +13,6 @@ import (
 
 	"delrep/internal/core"
 	"delrep/internal/runner"
-	"delrep/internal/simspec"
 )
 
 // encoded is a view as writeJSON's encoder renders it, result included:
@@ -55,30 +54,26 @@ func TestViewWriterMatchesEncoder(t *testing.T) {
 
 	created := time.Date(2026, 10, 15, 12, 0, 0, 123456789, time.UTC)
 	started, finished := created.Add(time.Millisecond), created.Add(time.Second)
-	done := func(source string, res *SharedResult) Outcome {
-		return Outcome{Status: StatusDone, Source: source, Result: res}
-	}
 	cases := []struct {
 		name string
-		j    Job
+		row  jobRow
 	}{
-		{"done cold", Job{status: StatusDone, started: started, finished: finished, out: done("executed", held)}},
-		{"done hot", Job{status: StatusDone, started: finished, finished: finished, out: done("memo", held)}},
-		{"done, result not shared", Job{status: StatusDone, started: started, finished: finished, spec: other, out: done("memo", own)}},
-		{"failed", Job{status: StatusFailed, started: started, finished: finished,
-			out: Outcome{Status: StatusFailed, Error: "json: unsupported value: NaN <&>"}}},
-		{"cancelled", Job{status: StatusCancelled, finished: finished, out: Outcome{Status: StatusCancelled, Error: "cancelled before start"}}},
-		{"queued", Job{status: StatusQueued}},
-		{"running", Job{status: StatusRunning, started: started, progress: func() (int64, int64) { return 700, 2200 }}},
+		{"done cold", jobRow{status: StatusDone, started: started, finished: finished, source: "executed", result: held}},
+		{"done hot", jobRow{status: StatusDone, started: finished, finished: finished, source: "memo", result: held}},
+		{"done, result not shared", jobRow{status: StatusDone, started: started, finished: finished, spec: &other, source: "memo", result: own}},
+		{"failed", jobRow{status: StatusFailed, started: started, finished: finished, err: "json: unsupported value: NaN <&>"}},
+		{"cancelled", jobRow{status: StatusCancelled, finished: finished, err: "cancelled before start"}},
+		{"queued", jobRow{status: StatusQueued}},
+		{"running", jobRow{status: StatusRunning, started: started, live: &Job{progress: func() (int64, int64) { return 700, 2200 }}}},
 	}
 	for _, c := range cases {
 		for _, worker := range []string{"", "http://127.0.0.1:8081/x<&>"} {
-			j := c.j
-			j.id, j.client, j.prio, j.created, j.worker = "j000042", "x<&>", PrioHigh, created, worker
-			if j.spec == (simspec.Spec{}) {
-				j.spec = norm
+			row := c.row
+			row.client, row.prio, row.created, row.worker = "x<&>", PrioHigh, created, worker
+			if row.spec == nil {
+				row.spec = &norm
 			}
-			v := j.viewLocked()
+			v := row.viewLocked("j000042")
 			rec := httptest.NewRecorder()
 			writeView(rec, http.StatusOK, v)
 			if got, want := rec.Body.Bytes(), encoded(t, v); !bytes.Equal(got, want) {

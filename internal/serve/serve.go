@@ -150,10 +150,10 @@ type Server struct {
 	telemetry     bool // every job carries a trace
 	mux           *http.ServeMux
 
-	mu           sync.Mutex
-	jobs         map[string]*Job
-	order        []*Job // submission order, for listing
-	seq          int
+	mu sync.Mutex
+	// order is the job table, in submission order: job ids are
+	// idPrefix + %06d(seq), and job seq is order[seq-1].
+	order        []*jobRow
 	draining     bool
 	running      int              // jobs in StatusRunning
 	sseSubs      int              // live SSE subscriber channels
@@ -180,7 +180,6 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 		logger:        logger,
 		telemetry:     telemetryOn,
 		mux:           http.NewServeMux(),
-		jobs:          map[string]*Job{},
 		statusCounts:  map[Status]int64{},
 		rejects:       map[string]int64{"draining": 0},
 	}
@@ -227,22 +226,37 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// lookup resolves the {id} path segment, answering 404 itself when no
-// such job exists.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+// jobID renders the id of job seq.
+func (s *Server) jobID(seq int) string { return fmt.Sprintf("%s%06d", s.idPrefix, seq) }
+
+// rowLocked finds the row of the job with this id, or nil. An id is
+// parsed, and only its canonical rendering names a job. s.mu must be
+// held.
+func (s *Server) rowLocked(id string) *jobRow {
+	seq, err := strconv.Atoi(strings.TrimPrefix(id, s.idPrefix))
+	if err != nil || seq < 1 || seq > len(s.order) || s.jobID(seq) != id {
+		return nil
 	}
-	return j
+	return s.order[seq-1]
 }
 
-func (s *Server) view(j *Job) JobView {
+// lookup resolves the {id} path segment to the job's row and id,
+// answering 404 itself when no such job exists.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobRow, string) {
+	id := r.PathValue("id")
+	s.mu.Lock()
+	row := s.rowLocked(id)
+	s.mu.Unlock()
+	if row == nil {
+		writeError(w, http.StatusNotFound, "no such job %q", id)
+	}
+	return row, id
+}
+
+func (s *Server) view(row *jobRow, id string) JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return j.viewLocked()
+	return row.viewLocked(id)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -285,18 +299,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	adm := tr.Root().Start("admission")
 	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{
-		srv:     s,
-		client:  req.Client,
-		prio:    prio,
-		spec:    norm,
-		specKey: specKey,
-		ctx:     ctx,
-		cancel:  cancel,
-		doneCh:  make(chan struct{}),
-		status:  StatusQueued,
-		trace:   tr,
-	}
+	row := &jobRow{client: req.Client, prio: prio, specKey: specKey, trace: tr, status: StatusQueued}
+	j := &Job{srv: s, row: row, spec: norm, ctx: ctx, cancel: cancel, doneCh: make(chan struct{})}
+	row.live, row.spec = j, &j.spec
 	s.mu.Lock()
 	if rej := s.admitLocked(j, req, cfg, key); rej != nil {
 		s.rejects[rej.Reason]++
@@ -318,7 +323,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Has("wait") {
 		select {
 		case <-j.doneCh:
-			writeView(w, http.StatusOK, s.view(j))
+			writeView(w, http.StatusOK, s.view(row, j.id))
 		case <-r.Context().Done():
 			// The waiting client went away: its job goes with it, so a
 			// dropped connection cannot pin a worker slot.
@@ -338,22 +343,20 @@ func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config, key s
 	if s.draining {
 		return &Rejection{Reason: "draining", Status: http.StatusServiceUnavailable, Message: "server is draining"}
 	}
-	j.id = fmt.Sprintf("%s%06d", s.idPrefix, s.seq+1)
-	j.created = time.Now()
+	j.id = s.jobID(len(s.order) + 1)
+	j.row.created = time.Now()
 	if rej := s.exec.Admit(j, req, cfg, key); rej != nil {
 		return rej
 	}
-	s.seq++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	s.order = append(s.order, j.row)
 	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	views := make([]JobView, 0, len(s.order))
-	for _, j := range s.order {
-		v := j.viewLocked()
+	for i, row := range s.order {
+		v := row.viewLocked(s.jobID(i + 1))
 		v.Result = nil // keep listings light; fetch the job for results
 		views = append(views, v)
 	}
@@ -364,18 +367,21 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookup(w, r); j != nil {
-		writeView(w, http.StatusOK, s.view(j))
+	if row, id := s.lookup(w, r); row != nil {
+		writeView(w, http.StatusOK, s.view(row, id))
 	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
+	row, id := s.lookup(w, r)
+	if row == nil {
 		return
 	}
-	if view := s.view(j); view.Status.Terminal() {
-		writeView(w, http.StatusConflict, view)
+	s.mu.Lock()
+	j := row.live
+	s.mu.Unlock()
+	if j == nil {
+		writeView(w, http.StatusConflict, s.view(row, id))
 		return
 	}
 	j.Cancel()
@@ -389,42 +395,54 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case <-j.doneCh:
 	case <-grace.C:
 	}
-	writeView(w, http.StatusOK, s.view(j))
+	writeView(w, http.StatusOK, s.view(row, id))
 }
 
 // startLocked is the queued → running transition; callers hold s.mu
 // and publish it with notifyLocked once the job's view is complete.
 func (s *Server) startLocked(j *Job) {
-	if j.status == StatusRunning {
+	if j.row.status == StatusRunning {
 		return
 	}
-	j.status = StatusRunning
-	j.started = time.Now()
+	j.row.status = StatusRunning
+	j.row.started = time.Now()
 	s.running++
 }
 
 // settleLocked is the first step of finishing a job: it records the
-// outcome and counts it. The job is terminal afterwards but nobody has
+// outcome in the job's row, detaches the row from the live part and
+// counts the outcome. The job is terminal afterwards but nobody has
 // been told; publishLocked tells, then closeTraceLocked ends the trace.
 // A caller takes all three in one hold of s.mu (the local executor
 // times its reply span in between), and every reader takes
 // s.mu first, so whoever sees the terminal status also reads a closed
 // trace and finds the job on /debug/jobs.
 func (s *Server) settleLocked(j *Job, out Outcome) {
-	if j.status == StatusRunning {
+	row := j.row
+	if row.status == StatusRunning {
 		s.running--
 	}
-	j.status = out.Status
-	j.finished = time.Now()
-	if out.Status == StatusDone && j.started.IsZero() {
+	row.status = out.Status
+	row.finished = time.Now()
+	if out.Status == StatusDone && row.started.IsZero() {
 		// Answered without running (the coordinator's cache tier): a
 		// done job started, at the latest, when it finished.
-		j.started = j.finished
+		row.started = row.finished
 	}
 	if out.Worker != "" {
-		j.worker = out.Worker
+		row.worker = out.Worker
 	}
-	j.out = out
+	row.source, row.err, row.result = out.Source, out.Error, out.Result
+	// The row stops pointing at the live part. Its spec becomes the one
+	// its result echoes when that is equal (on the daemon it always is),
+	// else a copy of its own.
+	if out.Result != nil && out.Result.Result.Spec == j.spec {
+		row.spec = &out.Result.Result.Spec
+	} else {
+		spec := j.spec
+		row.spec = &spec
+	}
+	row.live = nil
 	j.progress = nil
 	s.statusCounts[out.Status]++
 }
@@ -440,33 +458,34 @@ func (s *Server) publishLocked(j *Job) {
 // (lock order is s.mu → trace.mu, never reversed). Its root span's
 // outcome attr is the job's terminal status, rendered at export.
 func (s *Server) closeTraceLocked(j *Job) {
-	j.trace.End()
+	j.row.trace.End()
 }
 
 // retire releases a finished job's context and logs the outcome. The
-// job fields read here are immutable once the job is terminal, so s.mu
-// is not needed; a caller may hold it.
+// row fields read here are fixed once the job is terminal, so s.mu is
+// not needed; a caller may hold it.
 func (s *Server) retire(j *Job) {
+	row := j.row
 	j.cancel()
-	j.Log().Info("job finished", "status", j.status, "source", j.out.Source, "error", j.out.Error,
-		"worker", j.worker, "seconds", j.finished.Sub(j.created).Seconds())
+	j.Log().Info("job finished", "status", row.status, "source", row.source, "error", row.err,
+		"worker", row.worker, "seconds", row.finished.Sub(row.created).Seconds())
 }
 
 // handleTrace exports a job's telemetry span tree. The default format
 // is Chrome trace-event JSON (load in chrome://tracing or Perfetto);
-// ?format=tree answers the nested SpanView rendering instead. An
-// unfinished job's open spans are snapshotted as running to "now".
+// ?format=tree answers the nested SpanView rendering instead. Open
+// spans are snapshotted as running to "now".
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
+	row, id := s.lookup(w, r)
+	if row == nil {
 		return
 	}
-	if j.trace == nil {
+	if row.trace == nil {
 		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
 		return
 	}
 	s.mu.Lock()
-	view := j.traceViewLocked()
+	view := row.traceViewLocked(id)
 	s.mu.Unlock()
 	if r.URL.Query().Get("format") == "tree" {
 		writeJSON(w, http.StatusOK, view)
@@ -474,7 +493,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := telemetry.WriteChromeView(w, view); err != nil {
-		s.logger.WarnContext(r.Context(), "trace export failed", "job", j.id, "error", err)
+		s.logger.WarnContext(r.Context(), "trace export failed", "job", id, "error", err)
 	}
 }
 
@@ -539,9 +558,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	var live []*Job
-	for _, j := range s.order {
-		if !j.status.Terminal() {
-			live = append(live, j)
+	for _, row := range s.order {
+		if row.live != nil {
+			live = append(live, row.live)
 		}
 	}
 	s.mu.Unlock()

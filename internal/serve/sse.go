@@ -31,20 +31,26 @@ func (s *Server) notifyLocked(j *Job) {
 	}
 }
 
-// subscribe registers an event channel on the job; the returned func
-// removes it.
-func (s *Server) subscribe(j *Job) (chan sseEvent, func()) {
+// subscribe registers an event channel on the live part of the row's
+// job and returns that part; the returned func removes the channel. A
+// terminal job has no live part and nothing to subscribe to: j and ch
+// are nil and unsub does nothing.
+func (s *Server) subscribe(row *jobRow) (j *Job, ch chan sseEvent, unsub func()) {
+	s.mu.Lock()
+	if j = row.live; j == nil {
+		s.mu.Unlock()
+		return nil, nil, func() {}
+	}
 	// Room for every transition a job can make plus failover repeats;
 	// an overflowing subscriber is caught up by the terminal event.
-	ch := make(chan sseEvent, 8)
-	s.mu.Lock()
+	ch = make(chan sseEvent, 8)
 	if j.subs == nil {
 		j.subs = map[chan sseEvent]struct{}{}
 	}
 	j.subs[ch] = struct{}{}
 	s.sseSubs++
 	s.mu.Unlock()
-	return ch, func() {
+	return j, ch, func() {
 		s.mu.Lock()
 		delete(j.subs, ch)
 		s.sseSubs--
@@ -78,8 +84,8 @@ func writeSSE(w http.ResponseWriter, f http.Flusher, ev sseEvent) error {
 // view (including the result for completed jobs), after which the
 // stream ends.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
+	row, id := s.lookup(w, r)
+	if row == nil {
 		return
 	}
 	f, ok := w.(http.Flusher)
@@ -91,18 +97,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 
-	ch, unsub := s.subscribe(j)
-	defer unsub()
-
-	ticker := time.NewTicker(s.progressEvery)
-	defer ticker.Stop()
-
 	emit := func(ev sseEvent) (done bool) {
 		return writeSSE(w, f, ev) != nil || ev.terminal()
 	}
-	if emit(sseEvent{name: "status", data: s.view(j)}) {
-		return
+	j, ch, unsub := s.subscribe(row)
+	defer unsub()
+	if emit(sseEvent{name: "status", data: s.view(row, id)}) {
+		return // a job without a live part (j == nil) is terminal: it ends here
 	}
+
+	ticker := time.NewTicker(s.progressEvery)
+	defer ticker.Stop()
 	for {
 		select {
 		case ev := <-ch:
@@ -112,7 +117,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-ticker.C:
 			s.mu.Lock()
 			var pv *ProgressView
-			if j.status == StatusRunning && j.progress != nil {
+			if row.status == StatusRunning && j.progress != nil {
 				done, total := j.progress()
 				pv = &ProgressView{CyclesDone: done, CyclesTotal: total}
 			}
@@ -134,7 +139,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 				break
 			}
-			emit(sseEvent{name: "status", data: s.view(j)})
+			emit(sseEvent{name: "status", data: s.view(row, id)})
 			return
 		case <-r.Context().Done():
 			return

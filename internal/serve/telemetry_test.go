@@ -368,3 +368,58 @@ func TestEventsClientDisconnect(t *testing.T) {
 	}
 	cancelJob(t, ts, v.ID)
 }
+
+// traceTree reads a job's span tree.
+func traceTree(t *testing.T, ts *httptest.Server, id string) telemetry.SpanView {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace?format=tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tree telemetry.SpanView
+	if err := json.NewDecoder(resp.Body).Decode(&tree); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// A job's trace is read live, never frozen when the job finishes: job A
+// starts a future, job B joins it while it runs, A is cancelled and B
+// carries the future to completion. The simulation ran under A's
+// runner.submit (the future records into the span of the job that
+// started it), so A's trace, read once both jobs are terminal, holds its
+// engine.run, closed, with its windows. The DELETE cancels A's context
+// only: A's worker still waits on the future B keeps alive.
+func TestTerminalTraceStillRecords(t *testing.T) {
+	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 2}), Telemetry: true})
+	spec := shortSpec(271)
+	spec.Cycles = 40_000
+	has := func(id, span string) func(JobView) bool {
+		return func(JobView) bool {
+			_, ok := traceTree(t, ts, id).Find(span)
+			return ok
+		}
+	}
+	a, _ := submit(t, ts, SubmitRequest{Spec: spec, Client: "a"}, "")
+	pollUntil(t, ts, a.ID, has(a.ID, "engine.run"))
+	b, _ := submit(t, ts, SubmitRequest{Spec: spec, Client: "b"}, "")
+	pollUntil(t, ts, b.ID, has(b.ID, "dedup.join"))
+	if join, _ := traceTree(t, ts, b.ID).Find("dedup.join"); !join.Open {
+		t.Fatal("job B joined a future that had already completed")
+	}
+	cancelJob(t, ts, a.ID)
+
+	terminal := func(v JobView) bool { return v.Status.Terminal() }
+	if v := pollUntil(t, ts, b.ID, terminal); v.Status != StatusDone {
+		t.Fatalf("job B ended %s (%s), want done", v.Status, v.Error)
+	}
+	pollUntil(t, ts, a.ID, terminal)
+	tree := traceTree(t, ts, a.ID)
+	sub, _ := tree.Find("runner.submit")
+	eng, ok := sub.Find("engine.run")
+	if !ok || eng.Open || len(eng.Children) == 0 || tree.Open {
+		t.Fatalf("job A's trace: engine.run found %v, open %v, %d windows; root open %v; want a closed engine.run with windows under a closed root:\n%+v",
+			ok, eng.Open, len(eng.Children), tree.Open, tree)
+	}
+}

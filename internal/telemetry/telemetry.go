@@ -21,6 +21,7 @@ package telemetry
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -50,27 +51,63 @@ func wallNow() time.Time {
 // Trace is one job's span tree. The zero of *Trace (nil) is a valid,
 // disabled trace: every method no-ops and Start returns a nil Span.
 // All methods are safe for concurrent use.
+//
+// A job table keeps a trace per job and never evicts, so the tree is
+// stored compactly: spans live in trace-owned chunks (the first inline,
+// enough for a hot daemon job), children are linked by index instead of
+// kept in per-span slices, and every attr sits on one trace-level list.
+// A trace may keep recording after its root ended.
 type Trace struct {
 	mu      sync.Mutex
 	now     func() time.Time
 	origin  time.Time // the root span's start; spans keep offsets from it
-	root    *Span
-	spans   int
-	dropped int64
+	n       int32     // spans recorded, the root included
+	dropped int32
+	spans   spanChunk    // the first spans, the root at 0
+	more    []*spanChunk // the rest
+	attrs   []attr
+}
+
+// spanChunk is as many spans as one allocation of a trace holds.
+type spanChunk [8]Span
+
+// attr is one attribute of one span of a trace.
+type attr struct {
+	span *Span
+	Attr
 }
 
 // New starts a trace whose root span has the given name and attrs.
 func New(name string, attrs ...Attr) *Trace {
 	t := &Trace{now: wallNow}
 	t.origin = t.now()
-	t.root = &Span{trace: t, name: name, attrs: attrs}
-	t.spans = 1
+	t.spans[0] = Span{trace: t, name: name}
+	t.n = 1
+	t.addAttrsLocked(&t.spans[0], attrs)
 	return t
 }
 
 // sinceLocked is the trace clock's offset from the origin; the trace
 // mutex must be held.
 func (t *Trace) sinceLocked() time.Duration { return t.now().Sub(t.origin) }
+
+// spanLocked is span i of the trace, which must exist; the trace mutex
+// must be held.
+func (t *Trace) spanLocked(i int16) *Span {
+	n := int16(len(t.spans))
+	if i < n {
+		return &t.spans[i]
+	}
+	return &t.more[i/n-1][i%n]
+}
+
+// addAttrsLocked appends attrs to s; the trace mutex must be held.
+func (t *Trace) addAttrsLocked(s *Span, attrs []Attr) {
+	t.attrs = slices.Grow(t.attrs, len(attrs))
+	for _, a := range attrs {
+		t.attrs = append(t.attrs, attr{s, a})
+	}
+}
 
 // SetClock overrides the trace's clock; for tests only. It must be
 // called before any further spans start.
@@ -88,11 +125,12 @@ func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
 	}
-	return t.root
+	return &t.spans[0]
 }
 
-// End ends the root span (child spans still open keep their own
-// endpoints; an unfinished child exports with its parent's end).
+// End ends the root span. Children still open stay open: a view renders
+// each of them open, running until the snapshot, and a child may end
+// after its root did.
 func (t *Trace) End() { t.Root().End() }
 
 // Dropped reports how many Start calls the span cap swallowed.
@@ -102,19 +140,21 @@ func (t *Trace) Dropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return int64(t.dropped)
 }
 
 // Span is one timed phase of a trace. A nil *Span is valid and inert.
 // Times are offsets from the trace's origin, which every view is
-// relative to anyway.
+// relative to anyway. A span lives in its trace's chunks and links to
+// its children and siblings by index there. Index 0 is the root, which
+// is nobody's child or sibling, so 0 also means "none" in a link.
 type Span struct {
-	trace      *Trace
-	name       string
-	start, end time.Duration
-	ended      bool
-	attrs      []Attr
-	children   []*Span
+	trace       *Trace
+	name        string
+	start, end  time.Duration
+	first, last int16 // children, oldest and newest
+	next        int16 // the next younger sibling
+	ended       bool
 }
 
 // Start opens a child span. On a nil span (telemetry disabled, or the
@@ -126,13 +166,24 @@ func (s *Span) Start(name string, attrs ...Attr) *Span {
 	t := s.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.spans >= MaxSpans {
+	if t.n >= MaxSpans {
 		t.dropped++
 		return nil
 	}
-	child := &Span{trace: t, name: name, start: t.sinceLocked(), attrs: attrs}
-	s.children = append(s.children, child)
-	t.spans++
+	i := int16(t.n)
+	if n := int16(len(t.spans)); i >= n && i%n == 0 {
+		t.more = append(t.more, new(spanChunk))
+	}
+	child := t.spanLocked(i)
+	*child = Span{trace: t, name: name, start: t.sinceLocked()}
+	if s.first == 0 {
+		s.first = i
+	} else {
+		t.spanLocked(s.last).next = i
+	}
+	s.last = i
+	t.n++
+	t.addAttrsLocked(child, attrs)
 	return child
 }
 
@@ -144,13 +195,13 @@ func (s *Span) Set(key string, value any) {
 	t := s.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value = value
+	for i := range t.attrs {
+		if a := &t.attrs[i]; a.span == s && a.Key == key {
+			a.Value = value
 			return
 		}
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	t.attrs = append(t.attrs, attr{s, Attr{Key: key, Value: value}})
 }
 
 // End closes the span. Ending a span twice keeps the first endpoint.
@@ -187,12 +238,12 @@ func (t *Trace) Snapshot() SpanView {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.root.viewLocked(t.sinceLocked())
+	return t.viewLocked(&t.spans[0], t.sinceLocked())
 }
 
 // viewLocked renders one span, an open one as ending now; the trace
 // mutex must be held.
-func (s *Span) viewLocked(now time.Duration) SpanView {
+func (t *Trace) viewLocked(s *Span, now time.Duration) SpanView {
 	end := s.end
 	if !s.ended {
 		end = now
@@ -206,14 +257,16 @@ func (s *Span) viewLocked(now time.Duration) SpanView {
 	if v.DurUS < 0 {
 		v.DurUS = 0
 	}
-	if len(s.attrs) > 0 {
-		v.Attrs = make(map[string]any, len(s.attrs))
-		for _, a := range s.attrs {
+	for _, a := range t.attrs {
+		if a.span == s {
+			if v.Attrs == nil {
+				v.Attrs = map[string]any{}
+			}
 			v.Attrs[a.Key] = a.Value
 		}
 	}
-	for _, c := range s.children {
-		v.Children = append(v.Children, c.viewLocked(now))
+	for c := s.first; c != 0; c = t.spanLocked(c).next {
+		v.Children = append(v.Children, t.viewLocked(t.spanLocked(c), now))
 	}
 	return v
 }

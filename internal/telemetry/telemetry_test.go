@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/trace.golden from the live span layer")
 
 // fakeClock returns a deterministic clock advancing one millisecond
 // per reading.
@@ -218,5 +223,98 @@ func TestConcurrentTrace(t *testing.T) {
 	wg.Wait()
 	if tr.Snapshot().Name != "job" {
 		t.Fatal("trace lost its root")
+	}
+}
+
+// The views of a trace, pinned on a fake clock in both formats:
+// nesting and child order, Set overwriting an attr given at Start and
+// one set before, a Set after End, a child that ends after the root
+// did, a child still open under an ended root (rendered open, running
+// until the snapshot) and the span cap's drop count.
+func TestTraceGolden(t *testing.T) {
+	tr := New("job", A("id", "j000001"))
+	// The clock starts after the trace's origin, so every offset is
+	// positive; readings are 1 ms apart.
+	base, n := time.Now(), 0
+	tr.SetClock(func() time.Time {
+		n++
+		return base.Add(time.Duration(n) * time.Millisecond)
+	})
+	// The trailing numbers are the clock readings each call takes.
+	root := tr.Root()
+	root.Start("http.receive").End()                        // 1, 2
+	run := root.Start("runner.submit", A("source", "none")) // 3
+	look := run.Start("cache.lookup")                       // 4
+	look.Set("hit", false)
+	look.End()                                                       // 5
+	eng := run.Start("engine.run", A("gpu", "HS"), A("cpu", "vips")) // 6
+	win := eng.Start("window 0")                                     // 7
+	win.Set("cycles_done", 1000)
+	win.End() // 8
+	eng.Set("cycles", 2200)
+	eng.End() // 9
+	run.Set("source", "executed")
+	run.Set("source", "memo")
+	run.End()                        // 10
+	join := root.Start("dedup.join") // 11
+	root.Start("reply")              // 12, never ended
+	tr.End()                         // 13
+	join.End()                       // 14, after the root
+	eng.Set("error", "late")
+	v := tr.Snapshot() // 15
+
+	// Offsets from the real origin are the fake clock's plus a constant:
+	// take it out, so the root starts at the clock's zero.
+	delta := v.Children[0].StartUS - 1000
+	var shift func(c *SpanView)
+	shift = func(c *SpanView) {
+		c.StartUS -= delta
+		for i := range c.Children {
+			shift(&c.Children[i])
+		}
+	}
+	for i := range v.Children {
+		shift(&v.Children[i])
+	}
+	v.DurUS -= delta
+
+	var b bytes.Buffer
+	tree, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Write(tree)
+	b.WriteString("\n")
+	if err := WriteChromeView(&b, v); err != nil {
+		t.Fatal(err)
+	}
+
+	capped := New("capped")
+	capped.SetClock(fakeClock())
+	for i := 0; i < MaxSpans+3; i++ {
+		sp := capped.Root().Start(fmt.Sprintf("s%d", i))
+		sp.Set("i", i)
+		sp.End()
+	}
+	cv := capped.Snapshot()
+	last := cv.Children[len(cv.Children)-1]
+	fmt.Fprintf(&b, "capped: %d children, first %s, last %s (i=%v), %d dropped\n",
+		len(cv.Children), cv.Children[0].Name, last.Name, last.Attrs["i"], capped.Dropped())
+
+	golden := filepath.Join("testdata", "trace.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("trace views differ from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
