@@ -2,14 +2,19 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"runtime"
+	"strconv"
+	"time"
 
-	"delrep/internal/fleet"
+	"delrep/internal/jobapi"
 	"delrep/internal/prof"
 	"delrep/internal/runner"
+	"delrep/internal/simspec"
 )
 
 // EngineFlags is the engine side of a command line, declared once for
@@ -69,12 +74,76 @@ func (f *EngineFlags) Engine(prog string) (*runner.Engine, error) {
 	}
 	opts := runner.Options{Workers: f.Jobs, Cache: cache, Progress: os.Stderr}
 	if f.Remote != "" {
-		client := fleet.NewClient(f.Remote, prog, nil)
-		if err := client.Ping(context.Background()); err != nil {
+		api := jobapi.NewClient(f.Remote, nil)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := api.Ready(ctx); err != nil {
 			return nil, err
 		}
-		opts.Remote = client
+		opts.Remote = &remote{api: api, client: prog, maxBusy: 60}
 		fmt.Fprintf(os.Stderr, "%s: delegating cache misses to %s\n", prog, f.Remote)
 	}
 	return runner.New(opts), nil
+}
+
+// remote is the runner.Resolver behind -remote: a cache-missing run
+// goes to the endpoint with ?wait=1, so the engine keeps its dedup,
+// batch order, counters and local cache; a spec the wire form cannot
+// carry is runner.ErrNotRemotable, run locally. A 429 is retried after
+// its Retry-After, up to maxBusy times in a row, so a sweep faster than
+// admission allows is paced, and a saturated endpoint still fails.
+type remote struct {
+	api     *jobapi.Client
+	client  string // this program's name, sent with every submission
+	maxBusy int
+}
+
+func (r *remote) Resolve(ctx context.Context, spec runner.Spec) (runner.Remote, error) {
+	wire, err := simspec.FromConfig(spec.Cfg, spec.GPU, spec.CPU)
+	if err != nil {
+		return runner.Remote{}, fmt.Errorf("%w: %v", runner.ErrNotRemotable, err)
+	}
+	req := jobapi.SubmitRequest{Spec: wire, Client: r.client}
+	for busy := 0; ; busy++ {
+		view, err := r.api.Submit(ctx, req, true)
+		var se *jobapi.StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || busy >= r.maxBusy {
+			if err != nil {
+				return runner.Remote{}, err
+			}
+			return remoteFromView(view)
+		}
+		select {
+		case <-time.After(time.Duration(max(se.RetryAfter, 1)) * time.Second):
+		case <-ctx.Done():
+			return runner.Remote{}, ctx.Err()
+		}
+	}
+}
+
+// remoteFromView turns a terminal job view into the run it carries,
+// counted under the source the remote end reports, as a local run
+// against the same cache state would be.
+func remoteFromView(view jobapi.JobView) (runner.Remote, error) {
+	switch view.Status {
+	case jobapi.StatusDone:
+	case jobapi.StatusFailed:
+		return runner.Remote{}, fmt.Errorf("remote job %s failed: %s", view.ID, view.Error)
+	case jobapi.StatusCancelled:
+		return runner.Remote{}, context.Canceled
+	default:
+		return runner.Remote{}, fmt.Errorf("remote job %s ended in unexpected state %q", view.ID, view.Status)
+	}
+	if view.Result == nil {
+		return runner.Remote{}, fmt.Errorf("remote job %s: done without a result", view.ID)
+	}
+	digest, err := strconv.ParseUint(view.Result.Digest, 16, 64)
+	if err != nil {
+		return runner.Remote{}, fmt.Errorf("remote job %s: bad digest %q: %v", view.ID, view.Result.Digest, err)
+	}
+	src, err := runner.ParseSource(view.Source)
+	if err != nil {
+		return runner.Remote{}, fmt.Errorf("remote job %s: %v", view.ID, err)
+	}
+	return runner.Remote{Results: view.Result.Results, Digest: digest, Source: src, Worker: view.Worker}, nil
 }

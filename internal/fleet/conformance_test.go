@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/telemetry"
@@ -113,7 +114,7 @@ func call(t *testing.T, method, url string, body []byte) (resp *http.Response, r
 	return resp, raw, errMsg
 }
 
-func submitBody(t *testing.T, req serve.SubmitRequest) []byte {
+func submitBody(t *testing.T, req jobapi.SubmitRequest) []byte {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -123,10 +124,10 @@ func submitBody(t *testing.T, req serve.SubmitRequest) []byte {
 }
 
 // post submits req (query is "" or "?wait=1") and decodes the job view.
-func post(t *testing.T, base, query string, req serve.SubmitRequest) (serve.JobView, *http.Response) {
+func post(t *testing.T, base, query string, req jobapi.SubmitRequest) (jobapi.JobView, *http.Response) {
 	t.Helper()
 	resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs"+query, submitBody(t, req))
-	var v serve.JobView
+	var v jobapi.JobView
 	if err := json.Unmarshal(raw, &v); err != nil {
 		t.Fatalf("decoding submit response %q: %v", raw, err)
 	}
@@ -147,12 +148,12 @@ func gauge(t *testing.T, base, name string) string {
 
 // statusEvents reads an SSE stream to its end and returns the event
 // names in order plus every "status" payload.
-func statusEvents(t *testing.T, body io.Reader) (names []string, views []serve.JobView) {
+func statusEvents(t *testing.T, body io.Reader) (names []string, views []jobapi.JobView) {
 	t.Helper()
-	err := readSSE(body, func(event string, data []byte) bool {
+	err := jobapi.ReadEvents(body, func(event string, data []byte) bool {
 		names = append(names, event)
 		if event == "status" {
-			var v serve.JobView
+			var v jobapi.JobView
 			if err := json.Unmarshal(data, &v); err != nil {
 				t.Errorf("status event %q: %v", data, err)
 			}
@@ -174,7 +175,7 @@ var conformanceCases = []struct {
 	run       func(t *testing.T, tg target, base string)
 }{
 	{"submit answers 202 with Location and a live view", false, func(t *testing.T, tg target, base string) {
-		v, resp := post(t, base, "", serve.SubmitRequest{Spec: foreverSpec(601), Priority: "high", Client: "conf"})
+		v, resp := post(t, base, "", jobapi.SubmitRequest{Spec: foreverSpec(601), Priority: "high", Client: "conf"})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("status %d, want 202", resp.StatusCode)
 		}
@@ -184,7 +185,7 @@ var conformanceCases = []struct {
 		if got := resp.Header.Get("Location"); got != "/v1/jobs/"+v.ID {
 			t.Errorf("Location = %q, want /v1/jobs/%s", got, v.ID)
 		}
-		if v.Status != serve.StatusQueued && v.Status != serve.StatusRunning {
+		if v.Status != jobapi.StatusQueued && v.Status != jobapi.StatusRunning {
 			t.Errorf("status = %s, want queued or running", v.Status)
 		}
 		if v.Priority != "high" || v.Client != "conf" || v.Created == "" || v.Result != nil {
@@ -192,14 +193,14 @@ var conformanceCases = []struct {
 		}
 		// DELETE converges within its grace: the answer is the terminal view.
 		resp, raw, _ := call(t, http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
-		var cv serve.JobView
-		if err := json.Unmarshal(raw, &cv); err != nil || resp.StatusCode != http.StatusOK || cv.Status != serve.StatusCancelled {
+		var cv jobapi.JobView
+		if err := json.Unmarshal(raw, &cv); err != nil || resp.StatusCode != http.StatusOK || cv.Status != jobapi.StatusCancelled {
 			t.Errorf("cancel: status %d, view %s (%v), want 200 cancelled", resp.StatusCode, raw, err)
 		}
 	}},
 	{"wait answers 200 with the direct run's result bytes", false, func(t *testing.T, tg target, base string) {
 		spec := shortSpec(602)
-		v, resp := post(t, base, "?wait=1", serve.SubmitRequest{Spec: spec})
+		v, resp := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: spec})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d, want 200", resp.StatusCode)
 		}
@@ -214,7 +215,7 @@ var conformanceCases = []struct {
 		plain := shortSpec(613)
 		hinted := plain
 		hinted.Parallel = 8
-		resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs?wait=1", submitBody(t, serve.SubmitRequest{Spec: hinted}))
+		resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs?wait=1", submitBody(t, jobapi.SubmitRequest{Spec: hinted}))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d, body %s; want 200", resp.StatusCode, raw)
 		}
@@ -225,7 +226,7 @@ var conformanceCases = []struct {
 		if err := json.Unmarshal(raw, &keys); err != nil || keys.Parallel != nil || keys.Workers != nil || keys.Spec.Parallel != nil {
 			t.Errorf("job view carries a parallel or workers key (%v):\n%s", err, raw)
 		}
-		var first serve.JobView
+		var first jobapi.JobView
 		if err := json.Unmarshal(raw, &first); err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +235,7 @@ var conformanceCases = []struct {
 			t.Errorf("hinted job: source %s, result differs from the unhinted direct run:\n served: %s\n direct: %s", first.Source, got, want)
 		}
 		// The unhinted spec is the same content address: it does not run again.
-		again, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: plain})
+		again, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: plain})
 		if got, ran := resultBytes(t, again), gauge(t, base, tg.ranMetric); !bytes.Equal(got, want) || ran != "1" {
 			t.Errorf("unhinted repeat: %s = %s, want 1; result:\n served: %s\n direct: %s", tg.ranMetric, ran, got, want)
 		}
@@ -264,7 +265,7 @@ var conformanceCases = []struct {
 		}
 	}},
 	{"only a job's canonical id names it: every other spelling answers 404 on get, cancel, events and trace", true, func(t *testing.T, tg target, base string) {
-		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(618)})
+		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(618)})
 		p, other := v.ID[:1], "f" // this binary's id prefix, and the other's
 		if p == "f" {
 			other = "j"
@@ -290,14 +291,14 @@ var conformanceCases = []struct {
 		}
 	}},
 	{"cancelling a terminal job answers 409; list omits results", false, func(t *testing.T, tg target, base string) {
-		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(603)})
+		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(603)})
 		resp, raw, _ := call(t, http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
-		var cv serve.JobView
-		if err := json.Unmarshal(raw, &cv); err != nil || resp.StatusCode != http.StatusConflict || cv.Status != serve.StatusDone {
+		var cv jobapi.JobView
+		if err := json.Unmarshal(raw, &cv); err != nil || resp.StatusCode != http.StatusConflict || cv.Status != jobapi.StatusDone {
 			t.Errorf("cancel of a done job: status %d, body %s; want 409 with the done view", resp.StatusCode, raw)
 		}
 		jobs := listJobs(t, base)
-		if len(jobs) != 1 || jobs[0].ID != v.ID || jobs[0].Status != serve.StatusDone || jobs[0].Result != nil {
+		if len(jobs) != 1 || jobs[0].ID != v.ID || jobs[0].Status != jobapi.StatusDone || jobs[0].Result != nil {
 			t.Errorf("list = %+v, want the one done job without its result", jobs)
 		}
 		if got := getJob(t, base, v.ID); got.Result == nil {
@@ -306,8 +307,8 @@ var conformanceCases = []struct {
 	}},
 	{"a hot job's ?wait, GET and DELETE-409 bodies are the encoder's rendering of their view", false, func(t *testing.T, tg target, base string) {
 		spec := shortSpec(617)
-		post(t, base, "?wait=1", serve.SubmitRequest{Spec: spec})
-		resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs?wait=1", submitBody(t, serve.SubmitRequest{Spec: spec, Client: "x<&>"}))
+		post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: spec})
+		resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs?wait=1", submitBody(t, jobapi.SubmitRequest{Spec: spec, Client: "x<&>"}))
 		id := requireEncoded(t, "?wait", resp, raw, http.StatusOK).ID
 		resp, raw, _ = call(t, http.MethodGet, base+"/v1/jobs/"+id, nil)
 		requireEncoded(t, "GET", resp, raw, http.StatusOK)
@@ -315,7 +316,7 @@ var conformanceCases = []struct {
 		requireEncoded(t, "DELETE", resp, raw, http.StatusConflict)
 	}},
 	{"events: status first, transitions before the terminal status, then the stream ends", false, func(t *testing.T, tg target, base string) {
-		v, _ := post(t, base, "", serve.SubmitRequest{Spec: foreverSpec(604)})
+		v, _ := post(t, base, "", jobapi.SubmitRequest{Spec: foreverSpec(604)})
 		resp, err := http.Get(base + "/v1/jobs/" + v.ID + "/events")
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +327,7 @@ var conformanceCases = []struct {
 		}
 		type stream struct {
 			names []string
-			views []serve.JobView
+			views []jobapi.JobView
 		}
 		ended := make(chan stream, 1)
 		go func() {
@@ -350,7 +351,7 @@ var conformanceCases = []struct {
 		drop()
 		waitFor(t, "dropped subscriber unregistered", func() bool { return gauge(t, base, subs) == "1" })
 
-		waitFor(t, "job running", func() bool { return getJob(t, base, v.ID).Status == serve.StatusRunning })
+		waitFor(t, "job running", func() bool { return getJob(t, base, v.ID).Status == jobapi.StatusRunning })
 		call(t, http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
 		var got stream
 		select {
@@ -373,7 +374,7 @@ var conformanceCases = []struct {
 				t.Errorf("status events %d/%d is %s", i+1, len(got.views), sv.Status)
 			}
 		}
-		if final := got.views[len(got.views)-1]; final.Status != serve.StatusCancelled {
+		if final := got.views[len(got.views)-1]; final.Status != jobapi.StatusCancelled {
 			t.Errorf("final status = %s, want cancelled", final.Status)
 		}
 		waitFor(t, "subscriber gauge back at 0", func() bool { return gauge(t, base, subs) == "0" })
@@ -381,7 +382,7 @@ var conformanceCases = []struct {
 	{"a dropped ?wait connection cancels its job", false, func(t *testing.T, tg target, base string) {
 		ctx, drop := context.WithCancel(context.Background())
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs?wait=1",
-			bytes.NewReader(submitBody(t, serve.SubmitRequest{Spec: foreverSpec(605)})))
+			bytes.NewReader(submitBody(t, jobapi.SubmitRequest{Spec: foreverSpec(605)})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,16 +397,16 @@ var conformanceCases = []struct {
 		waitFor(t, "job running", func() bool {
 			for _, j := range listJobs(t, base) {
 				id = j.ID
-				return j.Status == serve.StatusRunning
+				return j.Status == jobapi.StatusRunning
 			}
 			return false
 		})
 		drop()
 		<-gone
-		waitFor(t, "job cancelled", func() bool { return getJob(t, base, id).Status == serve.StatusCancelled })
+		waitFor(t, "job cancelled", func() bool { return getJob(t, base, id).Status == jobapi.StatusCancelled })
 	}},
 	{"trace answers 404 with telemetry off", false, func(t *testing.T, tg target, base string) {
-		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(606)})
+		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(606)})
 		for _, path := range []string{"/v1/jobs/" + v.ID + "/trace", "/debug/jobs"} {
 			if resp, raw, msg := call(t, http.MethodGet, base+path, nil); resp.StatusCode != http.StatusNotFound || msg == "" {
 				t.Errorf("%s: status %d, body %s; want 404 with {\"error\": …}", path, resp.StatusCode, raw)
@@ -413,7 +414,7 @@ var conformanceCases = []struct {
 		}
 	}},
 	{"trace tree has http.receive, admission and the executor's spans", true, func(t *testing.T, tg target, base string) {
-		v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(607)})
+		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(607)})
 		tree, raw := traceTree(t, base, v.ID)
 		if tree.Name != "job" || tree.Open {
 			t.Errorf("root span %q open=%v, want a closed \"job\"", tree.Name, tree.Open)
@@ -443,12 +444,12 @@ var conformanceCases = []struct {
 		// The oldest job runs until the newer ones are done, so its end
 		// is the newest and /debug/jobs lists it first.
 		spec := foreverSpec(615)
-		oldest, _ := post(t, base, "", serve.SubmitRequest{Spec: spec, Priority: "low", Client: "oldest"})
+		oldest, _ := post(t, base, "", jobapi.SubmitRequest{Spec: spec, Priority: "low", Client: "oldest"})
 		const newer = 1000
-		var first serve.JobView
+		var first jobapi.JobView
 		for i := 0; i < newer; i++ {
-			v, resp := post(t, base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(616), Client: "newer"})
-			if resp.StatusCode != http.StatusOK || v.Status != serve.StatusDone {
+			v, resp := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(616), Client: "newer"})
+			if resp.StatusCode != http.StatusOK || v.Status != jobapi.StatusDone {
 				t.Fatalf("newer job %d: status %d, job %s (%s)", i, resp.StatusCode, v.Status, v.Error)
 			}
 			if i == 0 {
@@ -456,7 +457,7 @@ var conformanceCases = []struct {
 			}
 		}
 		call(t, http.MethodDelete, base+"/v1/jobs/"+oldest.ID, nil)
-		waitFor(t, "the oldest job cancelled", func() bool { return getJob(t, base, oldest.ID).Status == serve.StatusCancelled })
+		waitFor(t, "the oldest job cancelled", func() bool { return getJob(t, base, oldest.ID).Status == jobapi.StatusCancelled })
 		if got := getJob(t, base, first.ID); !bytes.Equal(resultBytes(t, got), resultBytes(t, first)) {
 			t.Errorf("the first newer job's result moved after %d more jobs", newer-1)
 		}
@@ -523,10 +524,10 @@ var conformanceCases = []struct {
 // requireEncoded checks that raw, a done job view answered with status,
 // is byte for byte what json.Encoder with the API's indent renders from
 // the view it decodes to, and returns that view.
-func requireEncoded(t *testing.T, what string, resp *http.Response, raw []byte, status int) serve.JobView {
+func requireEncoded(t *testing.T, what string, resp *http.Response, raw []byte, status int) jobapi.JobView {
 	t.Helper()
-	var v serve.JobView
-	if err := json.Unmarshal(raw, &v); err != nil || resp.StatusCode != status || v.Status != serve.StatusDone || v.Result == nil {
+	var v jobapi.JobView
+	if err := json.Unmarshal(raw, &v); err != nil || resp.StatusCode != status || v.Status != jobapi.StatusDone || v.Result == nil {
 		t.Fatalf("%s: status %d, body %s (%v); want %d with a done view", what, resp.StatusCode, raw, err, status)
 	}
 	var want bytes.Buffer
@@ -564,8 +565,8 @@ func TestWaitedJobIsClosedAndListed(t *testing.T) {
 			in := tg.start(t, true)
 			defer in.stop()
 			for i := 1; i <= k; i++ {
-				v, resp := post(t, in.base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(614)})
-				if resp.StatusCode != http.StatusOK || v.Status != serve.StatusDone {
+				v, resp := post(t, in.base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(614)})
+				if resp.StatusCode != http.StatusOK || v.Status != jobapi.StatusDone {
 					t.Fatalf("job %d: status %d, job %s (%s)", i, resp.StatusCode, v.Status, v.Error)
 				}
 				if tree, raw := traceTree(t, in.base, v.ID); tree.Open || tree.Attrs["outcome"] != "done" {
@@ -598,12 +599,12 @@ func TestWireConformance(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			in := tg.start(t, false)
 			defer in.stop()
-			post(t, in.base, "?wait=1", serve.SubmitRequest{Spec: shortSpec(608)})
+			post(t, in.base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(608)})
 
 			// The listener outlives the Server's Shutdown, as in the
 			// daemons' main: the handler must answer while it drains.
 			shutdown(t, in.api)
-			resp, raw, msg := call(t, http.MethodPost, in.base+"/v1/jobs", submitBody(t, serve.SubmitRequest{Spec: shortSpec(609)}))
+			resp, raw, msg := call(t, http.MethodPost, in.base+"/v1/jobs", submitBody(t, jobapi.SubmitRequest{Spec: shortSpec(609)}))
 			if resp.StatusCode != http.StatusServiceUnavailable || msg == "" {
 				t.Errorf("submit while draining: status %d, body %s; want 503 with {\"error\": …}", resp.StatusCode, raw)
 			}
@@ -629,7 +630,7 @@ func TestWireConformance(t *testing.T) {
 		w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
 		_, ts := newCoordinatorOpts(t, Options{}, w1, w2)
 		spec := shortSpec(612)
-		ran, _ := post(t, ts.URL, "?wait=1", serve.SubmitRequest{Spec: spec})
+		ran, _ := post(t, ts.URL, "?wait=1", jobapi.SubmitRequest{Spec: spec})
 		want := directResult(t, spec)
 		if ran.Source != "executed" || !bytes.Equal(resultBytes(t, ran), want) {
 			t.Fatalf("first run: source %s, result equal to the direct run's: %v", ran.Source, bytes.Equal(resultBytes(t, ran), want))
@@ -637,7 +638,7 @@ func TestWireConformance(t *testing.T) {
 		// A second coordinator has to fetch what the first revalidates.
 		_, ts2 := newCoordinatorOpts(t, Options{}, w1, w2)
 		for _, base := range []string{ts.URL, ts.URL, ts2.URL, ts2.URL} {
-			v, _ := post(t, base, "?wait=1", serve.SubmitRequest{Spec: spec})
+			v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: spec})
 			if v.Source != "disk" || v.Worker != ran.Worker || !bytes.Equal(resultBytes(t, v), want) {
 				t.Errorf("repeat: source %s from %q, result equal: %v; want disk from %s, equal",
 					v.Source, v.Worker, bytes.Equal(resultBytes(t, v), want), ran.Worker)
@@ -655,7 +656,7 @@ func TestWireConformance(t *testing.T) {
 		home := homeOf(t, coord, spilled)
 		for seed, n := int64(611), 0; n < 2; seed++ {
 			if spec := foreverSpec(seed); homeOf(t, coord, spec) == home {
-				v, _ := post(t, ts.URL, "", serve.SubmitRequest{Spec: spec})
+				v, _ := post(t, ts.URL, "", jobapi.SubmitRequest{Spec: spec})
 				defer call(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
 				n++
 			}
@@ -677,8 +678,8 @@ func TestWireConformance(t *testing.T) {
 			t.Errorf("delrepfleet_worker_outstanding of the full home = %s, want 2", got)
 		}
 
-		v, _ := post(t, ts.URL, "?wait=1", serve.SubmitRequest{Spec: spilled})
-		if v.Status != serve.StatusDone || v.Worker == home {
+		v, _ := post(t, ts.URL, "?wait=1", jobapi.SubmitRequest{Spec: spilled})
+		if v.Status != jobapi.StatusDone || v.Worker == home {
 			t.Fatalf("job ended %s on %s, want done on the worker that is not its full home %s", v.Status, v.Worker, home)
 		}
 		tree, raw := traceTree(t, ts.URL, v.ID)

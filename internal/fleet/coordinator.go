@@ -22,25 +22,24 @@
 //     worker placement picks, for up to Retries+1 rounds — safe
 //     because simulations are deterministic and content-addressed.
 //
-// Client is the other direction: a runner.Resolver that submits to any
-// /v1/jobs endpoint, used by delrepsim -remote and expdriver -remote.
+// Every call to a worker goes through internal/jobapi's Client; this
+// package decides what each answer means for the job.
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"delrep/internal/config"
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
@@ -80,8 +79,6 @@ type Server struct {
 	reg      *Registry
 	memo     *memo[string]              // addr → worker holding it off its ring home
 	resident *memo[*serve.SharedResult] // addr → the result, as already decoded and rendered here
-	client   *http.Client               // bounded-timeout calls (submit, probe, poll, cancel)
-	stream   *http.Client               // unbounded, for SSE watch streams
 	retries  int
 	wg       sync.WaitGroup // live dispatchers
 
@@ -102,7 +99,12 @@ func (e errPermanent) Error() string { return e.err.Error() }
 // New builds a coordinator over the configured workers and starts its
 // health registry.
 func New(opts Options) (*Server, error) {
-	ring := NewRing(opts.Workers)
+	// One spelling per worker: the ring's names are the registry's keys.
+	var workers []string
+	for _, u := range opts.Workers {
+		workers = append(workers, strings.TrimRight(u, "/"))
+	}
+	ring := NewRing(workers)
 	if len(ring.Members()) == 0 {
 		return nil, errors.New("fleet: no workers configured")
 	}
@@ -114,12 +116,7 @@ func New(opts Options) (*Server, error) {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	s := &Server{
-		ring: ring,
-		// SSE watch streams live as long as the job runs; strip any
-		// overall timeout but keep the transport (and its dial/TLS
-		// limits) so tests can inject one.
-		client:   client,
-		stream:   &http.Client{Transport: client.Transport},
+		ring:     ring,
 		retries:  opts.Retries,
 		memo:     newMemo[string](memoBound),
 		resident: newMemo[*serve.SharedResult](residentBound),
@@ -145,7 +142,7 @@ func (s *Server) Ready() (bool, string) {
 
 // Admit never refuses: the workers' own admission control is the
 // fleet's, met per attempt. It starts the job's dispatcher.
-func (s *Server) Admit(j *serve.Job, req serve.SubmitRequest, _ config.Config, key string) *serve.Rejection {
+func (s *Server) Admit(j *serve.Job, req jobapi.SubmitRequest, _ config.Config, key string) *serve.Rejection {
 	s.wg.Add(1)
 	go s.dispatch(j, req, key)
 	return nil
@@ -169,7 +166,7 @@ func (s *Server) Drain(live []*serve.Job) {
 // dispatch drives one job to a terminal state: locate the result in
 // the cache tier, else place the job on a worker with room, watch it,
 // and fail over on worker loss.
-func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, key string) {
+func (s *Server) dispatch(j *serve.Job, req jobapi.SubmitRequest, key string) {
 	defer s.wg.Done()
 	// The routing key is the full run key, its content address what the
 	// cache tier is probed by — the same both every worker would compute.
@@ -195,7 +192,7 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, key string) {
 		var perm errPermanent
 		switch {
 		case ended:
-			if out.Status == serve.StatusDone {
+			if out.Status == jobapi.StatusDone {
 				// The memo holds only what the ring would not find.
 				if worker == home {
 					s.memo.drop(addr)
@@ -209,7 +206,7 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, key string) {
 			j.Finish(out)
 			return true
 		case errors.As(err, &perm):
-			j.Finish(serve.Outcome{Status: serve.StatusFailed, Error: perm.Error(), Worker: worker})
+			j.Finish(serve.Outcome{Status: jobapi.StatusFailed, Error: perm.Error(), Worker: worker})
 			return true
 		case err == nil || ctx.Err() != nil:
 			return false // a locate miss, or a cancelled job: no worker is at fault
@@ -269,10 +266,10 @@ func (s *Server) dispatch(j *serve.Job, req serve.SubmitRequest, key string) {
 		}
 	}
 	if ctx.Err() != nil {
-		j.Finish(serve.Outcome{Status: serve.StatusCancelled, Error: "cancelled"})
+		j.Finish(serve.Outcome{Status: jobapi.StatusCancelled, Error: "cancelled"})
 		return
 	}
-	j.Finish(serve.Outcome{Status: serve.StatusFailed,
+	j.Finish(serve.Outcome{Status: jobapi.StatusFailed,
 		Error: fmt.Sprintf("no worker could run the job after %d rounds: %v", s.retries+1, lastErr)})
 }
 
@@ -289,7 +286,7 @@ func (s *Server) blame(ctx context.Context, worker string, err error) {
 // (including cancellation); a non-nil one means the next placement
 // should be tried, unless it is errPermanent. probe is false for the
 // worker whose shard locate already found empty.
-func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker string, probe bool) (serve.Outcome, error) {
+func (s *Server) attempt(j *serve.Job, req jobapi.SubmitRequest, addr, worker string, probe bool) (serve.Outcome, error) {
 	ctx := j.Context()
 	if probe {
 		// This shard may hold the result although the ring and the memo
@@ -314,7 +311,7 @@ func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker str
 		return serve.Outcome{}, err
 	}
 	switch term.Status {
-	case serve.StatusDone:
+	case jobapi.StatusDone:
 		if term.Result == nil {
 			return serve.Outcome{}, errPermanent{fmt.Errorf("worker %s: job done without a result", worker)}
 		}
@@ -322,14 +319,14 @@ func (s *Server) attempt(j *serve.Job, req serve.SubmitRequest, addr, worker str
 		if err != nil {
 			return serve.Outcome{}, errPermanent{fmt.Errorf("worker %s: %v", worker, err)}
 		}
-		return serve.Outcome{Status: serve.StatusDone, Source: term.Source, Worker: worker, Result: res}, nil
-	case serve.StatusFailed:
+		return serve.Outcome{Status: jobapi.StatusDone, Source: term.Source, Worker: worker, Result: res}, nil
+	case jobapi.StatusFailed:
 		// A completed-but-failed simulation is deterministic: it would
 		// fail identically anywhere, so failover cannot help.
 		return serve.Outcome{}, errPermanent{fmt.Errorf("worker %s: %s", worker, term.Error)}
-	case serve.StatusCancelled:
+	case jobapi.StatusCancelled:
 		if ctx.Err() != nil {
-			return serve.Outcome{Status: serve.StatusCancelled, Error: "cancelled", Worker: worker}, nil
+			return serve.Outcome{Status: jobapi.StatusCancelled, Error: "cancelled", Worker: worker}, nil
 		}
 		// The worker cancelled the job out from under us (it is
 		// draining): fail over to a survivor.
@@ -353,23 +350,21 @@ func (s *Server) probeCache(j *serve.Job, addr, worker string) (out serve.Outcom
 	// Read before the request: a 304 is answered with the result its
 	// validator was sent for, whatever the table evicts meanwhile.
 	held, _ := s.resident.get(addr)
-	res, status, err := s.getCache(ctx, j.Spec(), addr, worker, held)
-	if err == nil && res == nil && status == http.StatusNotModified {
+	res, err := s.getCache(ctx, j.Spec(), addr, worker, held)
+	if jobapi.Code(err) == http.StatusNotModified {
 		// A 304 nobody asked for (no validator was sent): neither a hit
 		// without a result nor a miss to re-simulate. Ask once more.
-		res, status, err = s.getCache(ctx, j.Spec(), addr, worker, nil)
+		res, err = s.getCache(ctx, j.Spec(), addr, worker, nil)
 	}
-	switch {
-	case err != nil:
-		return out, false, err
-	case res != nil:
+	switch code := jobapi.Code(err); {
+	case err == nil:
 		s.nProbeHit.Add(1)
 		j.Log().InfoContext(ctx, "job served from cache tier", "worker", worker)
 		return serve.Outcome{
-			Status: serve.StatusDone, Source: runner.SourceDisk.String(), Worker: worker, Result: res,
+			Status: jobapi.StatusDone, Source: runner.SourceDisk.String(), Worker: worker, Result: res,
 		}, true, nil
-	case status >= 500 || status == http.StatusNotModified:
-		return out, false, fmt.Errorf("cache probe: worker answered %d", status)
+	case code == 0 || code >= 500 || code == http.StatusNotModified:
+		return out, false, err
 	default:
 		// 404, or an unexpected 4xx (an old worker without the endpoint
 		// answers 404 via the mux anyway): a miss, not a failure.
@@ -378,140 +373,75 @@ func (s *Server) probeCache(j *serve.Job, addr, worker string) (out serve.Outcom
 	}
 }
 
-// getCache is one GET /v1/cache/{addr} round trip. A non-nil held makes
-// it a revalidation: the address goes along as If-None-Match, and a 304
-// — the worker is alive and still has the entry — answers held itself,
-// so every repeat of a key shares one rendered result. res is nil unless
-// the worker answered 200, or 304 to the validator.
-func (s *Server) getCache(ctx context.Context, spec simspec.Spec, addr, worker string, held *serve.SharedResult) (res *serve.SharedResult, status int, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/cache/"+addr, nil)
+// getCache is one GET /v1/cache/{addr}. A non-nil held makes it a
+// revalidation: the address goes along as If-None-Match, and a 304 —
+// the worker is alive and still has the entry — answers held itself,
+// so every repeat of a key shares one rendered result.
+func (s *Server) getCache(ctx context.Context, spec simspec.Spec, addr, worker string, held *serve.SharedResult) (*serve.SharedResult, error) {
+	entry, err := s.reg.api(worker).Cache(ctx, addr, held != nil)
+	switch {
+	case err != nil:
+		return nil, err
+	case entry == nil:
+		return held, nil
+	}
+	res, err := serve.NewSharedResult(&simspec.Result{Spec: spec, Results: entry.Results, Digest: entry.Digest})
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("rendering cache entry: %v", err)
 	}
-	if held != nil {
-		req.Header.Set("If-None-Match", `"`+addr+`"`)
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var entry serve.CacheEntry
-		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
-			return nil, resp.StatusCode, fmt.Errorf("decoding cache entry: %v", err)
-		}
-		if res, err = serve.NewSharedResult(&simspec.Result{Spec: spec, Results: entry.Results, Digest: entry.Digest}); err != nil {
-			return nil, resp.StatusCode, fmt.Errorf("rendering cache entry: %v", err)
-		}
-	case http.StatusNotModified:
-		res = held
-	}
-	return res, resp.StatusCode, nil
+	return res, nil
 }
 
-// submit POSTs the job's original request to a worker and returns the
+// submit posts the job's original request to a worker and returns the
 // id the worker accepted it under.
-func (s *Server) submit(ctx context.Context, body serve.SubmitRequest, worker string) (string, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return "", errPermanent{err}
-	}
+func (s *Server) submit(ctx context.Context, req jobapi.SubmitRequest, worker string) (string, error) {
 	// The round trip ignores the job's cancellation: a POST abandoned
 	// half way may still have been admitted, and a job whose id never
 	// came back cannot be cancelled on the worker. watch propagates the
 	// cancellation as soon as the id is known.
 	tctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(b))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.Do(req)
-	if err != nil {
-		s.blame(ctx, worker, err)
-		return "", err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch {
-	case resp.StatusCode == http.StatusAccepted:
-		var view serve.JobView
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			return "", fmt.Errorf("decoding submit response: %v", err)
-		}
-		return view.ID, nil
-	case resp.StatusCode == http.StatusTooManyRequests:
+	view, err := s.reg.api(worker).Submit(tctx, req, false)
+	switch jobapi.Code(err) {
+	case http.StatusTooManyRequests:
 		// Admission control pushed back: the worker is saturated, not
 		// dead. Try the next candidate without marking it down.
 		return "", fmt.Errorf("worker %s is saturated (429)", worker)
-	case resp.StatusCode == http.StatusBadRequest:
-		return "", errPermanent{fmt.Errorf("worker %s rejected the spec: %s", worker, readErrorBody(resp.Body))}
-	default:
-		err := fmt.Errorf("worker %s: submit answered %d", worker, resp.StatusCode)
-		s.reg.MarkFailed(worker, err.Error())
-		return "", err
+	case http.StatusBadRequest:
+		return "", errPermanent{err} // the spec, not the worker
 	}
-}
-
-func readErrorBody(r io.Reader) string {
-	var body struct {
-		Error string `json:"error"`
+	if err != nil {
+		s.blame(ctx, worker, err)
 	}
-	if json.NewDecoder(io.LimitReader(r, 1<<16)).Decode(&body) == nil && body.Error != "" {
-		return body.Error
-	}
-	return "(no detail)"
+	return view.ID, err
 }
 
 // watch follows the worker's SSE stream for the remote job, feeding
-// the job's progress source, until a terminal view arrives. A dropped stream falls back to one status poll so a worker
-// that died between events is distinguished from one that merely
-// closed the stream after the terminal event. If the coordinator job
-// is cancelled mid-watch, the cancellation is propagated to the worker
-// via DELETE before returning.
-func (s *Server) watch(j *serve.Job, worker, remoteID string) (serve.JobView, error) {
+// the job's progress source, until a terminal view arrives. A stream
+// that breaks (or never opens) falls back to one status poll, so a
+// worker that died between events is distinguished from one that
+// merely closed the stream after the terminal event. If the
+// coordinator job is cancelled mid-watch, the cancellation is
+// propagated to the worker via DELETE before returning.
+func (s *Server) watch(j *serve.Job, worker, remoteID string) (jobapi.JobView, error) {
 	ctx := j.Context()
+	api := s.reg.api(worker)
 	// The hub paces progress to the coordinator's own subscribers from
 	// the last value the worker reported.
-	report := func(pv *serve.ProgressView) {
+	report := func(pv *jobapi.ProgressView) {
 		j.SetProgress(func() (int64, int64) { return pv.CyclesDone, pv.CyclesTotal })
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+remoteID+"/events", nil)
-	if err != nil {
-		return serve.JobView{}, err
-	}
-	resp, err := s.stream.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.propagateCancel(j, worker, remoteID)
-			return serve.JobView{Status: serve.StatusCancelled}, nil
-		}
-		return serve.JobView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return serve.JobView{}, fmt.Errorf("worker %s: events answered %d", worker, resp.StatusCode)
-	}
-
-	var terminal *serve.JobView
-	err = readSSE(resp.Body, func(event string, data []byte) bool {
+	var terminal *jobapi.JobView
+	err := api.Events(ctx, remoteID, func(event string, data []byte) bool {
 		switch event {
 		case "progress":
-			var pv serve.ProgressView
+			var pv jobapi.ProgressView
 			if json.Unmarshal(data, &pv) != nil {
 				return true
 			}
 			report(&pv)
 		case "status":
-			var view serve.JobView
+			var view jobapi.JobView
 			if json.Unmarshal(data, &view) != nil {
 				return true
 			}
@@ -525,95 +455,34 @@ func (s *Server) watch(j *serve.Job, worker, remoteID string) (serve.JobView, er
 		}
 		return true
 	})
-	if ctx.Err() != nil && (terminal == nil || !terminal.Status.Terminal()) {
-		s.propagateCancel(j, worker, remoteID)
-		return serve.JobView{Status: serve.StatusCancelled}, nil
-	}
 	if terminal != nil {
 		return *terminal, nil
+	}
+	// Neither the poll nor the DELETE may die with the job's context.
+	bctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+	defer cancel()
+	if ctx.Err() != nil {
+		// Best effort: the job is already cancelled from the client's
+		// point of view, and an unreachable worker will cancel it anyway
+		// when it notices (or has died with it).
+		if err := api.Cancel(bctx, remoteID); err != nil {
+			j.Log().WarnContext(bctx, "cancel propagation failed", "worker", worker, "error", err)
+		} else {
+			j.Log().InfoContext(bctx, "cancel propagated", "worker", worker, "remote_job", remoteID)
+		}
+		return jobapi.JobView{Status: jobapi.StatusCancelled}, nil
 	}
 	if err == nil {
 		err = errors.New("event stream ended without a terminal status")
 	}
-	// The stream broke. One poll decides: a reachable worker tells us
-	// the job's true state; an unreachable one means failover.
-	view, perr := s.pollJob(worker, remoteID)
+	// One poll decides: a reachable worker tells us the job's true
+	// state; an unreachable one means failover.
+	view, perr := api.Job(bctx, remoteID)
 	if perr != nil {
-		return serve.JobView{}, fmt.Errorf("worker %s: %v (then poll failed: %v)", worker, err, perr)
+		return jobapi.JobView{}, fmt.Errorf("worker %s: %v (then poll failed: %v)", worker, err, perr)
 	}
 	if !view.Status.Terminal() {
-		return serve.JobView{}, fmt.Errorf("worker %s: %v (job still %s)", worker, err, view.Status)
+		return jobapi.JobView{}, fmt.Errorf("worker %s: %v (job still %s)", worker, err, view.Status)
 	}
 	return view, nil
-}
-
-// pollJob fetches the remote job's current view once.
-func (s *Server) pollJob(worker, remoteID string) (serve.JobView, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+remoteID, nil)
-	if err != nil {
-		return serve.JobView{}, err
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return serve.JobView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return serve.JobView{}, fmt.Errorf("status poll answered %d", resp.StatusCode)
-	}
-	var view serve.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return serve.JobView{}, err
-	}
-	return view, nil
-}
-
-// propagateCancel forwards a coordinator-side cancellation to the
-// worker holding the job. Best effort: the job is already cancelled
-// from the client's point of view, and an unreachable worker will
-// cancel it anyway when it notices (or has died with it).
-func (s *Server) propagateCancel(j *serve.Job, worker, remoteID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, worker+"/v1/jobs/"+remoteID, nil)
-	if err != nil {
-		return
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		j.Log().WarnContext(ctx, "cancel propagation failed", "worker", worker, "error", err)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	j.Log().InfoContext(ctx, "cancel propagated", "worker", worker, "remote_job", remoteID)
-}
-
-// readSSE parses a text/event-stream, invoking fn per event; fn
-// returning false stops the read. Returns the stream error (nil on
-// clean EOF).
-func readSSE(r io.Reader, fn func(event string, data []byte) bool) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var event string
-	var data []byte
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if event != "" || len(data) > 0 {
-				if !fn(event, data) {
-					return nil
-				}
-			}
-			event, data = "", nil
-		case len(line) > 7 && line[:7] == "event: ":
-			event = line[7:]
-		case len(line) > 6 && line[:6] == "data: ":
-			data = append(data, line[6:]...)
-		}
-	}
-	return sc.Err()
 }

@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
-	"delrep/internal/serve"
 	"delrep/internal/simspec"
 )
 
@@ -159,7 +159,7 @@ func (e *faultEnv) host(w *testWorker) string {
 	return u.Host
 }
 
-func (e *faultEnv) submit(t *testing.T) serve.JobView {
+func (e *faultEnv) submit(t *testing.T) jobapi.JobView {
 	t.Helper()
 	e.submitted++
 	return submitWait(t, e.base, e.spec)
@@ -195,19 +195,19 @@ const failedEvent = "event: status\ndata: {\"id\":\"j000001\",\"status\":\"faile
 // no reservation is left behind, retries stay bounded and nothing leaks.
 var faultCases = []struct {
 	name    string
-	forever bool                                          // the job runs until cancelled
-	arrange func(t *testing.T, e *faultEnv)               // scripts the faults
-	drive   func(t *testing.T, e *faultEnv) serve.JobView // nil: submit and wait
-	status  serve.Status
+	forever bool                                           // the job runs until cancelled
+	arrange func(t *testing.T, e *faultEnv)                // scripts the faults
+	drive   func(t *testing.T, e *faultEnv) jobapi.JobView // nil: submit and wait
+	status  jobapi.Status
 	retries int64
-	check   func(t *testing.T, e *faultEnv, v serve.JobView)
+	check   func(t *testing.T, e *faultEnv, v jobapi.JobView)
 }{
 	{name: "locate error: the home's probe answers 500, the job runs on the other worker",
 		arrange: func(t *testing.T, e *faultEnv) {
 			e.ft.add(fault{method: "GET", host: e.host(e.home), path: "/v1/cache/*", times: 1, status: 500})
 		},
-		status: serve.StatusDone, retries: 1,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone, retries: 1,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Worker != e.other.ts.URL {
 				t.Errorf("ran on %s, want the worker whose probe did not fail", v.Worker)
 			}
@@ -217,8 +217,8 @@ var faultCases = []struct {
 			submitWait(t, e.home.ts.URL, e.spec)
 			e.ft.add(fault{method: "GET", path: "/v1/cache/*", times: 1, delay: 30 * time.Millisecond})
 		},
-		status: serve.StatusDone,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 0 || e.ft.count("GET", "/v1/cache/*") != 1 {
 				t.Errorf("source %s from %s after %d dispatches and %d probes, want disk from the home after 0 and 1",
 					v.Source, v.Worker, e.coord.nDispatch.Load(), e.ft.count("GET", "/v1/cache/*"))
@@ -230,8 +230,8 @@ var faultCases = []struct {
 			e.submit(t) // the coordinator learns the result from the worker's terminal view
 			e.ft.add(fault{method: "GET", path: "/v1/cache/*", times: 1, delay: 30 * time.Millisecond})
 		},
-		status: serve.StatusDone,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 1 || !slices.Equal(e.ft.validators(), []bool{false, true}) {
 				t.Errorf("source %s from %s after %d dispatches, validators %v; want disk from the home after the first job's 1, its miss unconditional and the repeat conditional",
 					v.Source, v.Worker, e.coord.nDispatch.Load(), e.ft.validators())
@@ -243,8 +243,8 @@ var faultCases = []struct {
 			submitWait(t, e.home.ts.URL, e.spec)
 			e.corrupt(t, e.home)
 		},
-		status: serve.StatusDone,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			// The worker's decode error is its 404; the job then takes a slot.
 			if v.Source == "disk" || e.coord.nDispatch.Load() != 1 || e.coord.nProbeHit.Load() != 0 || e.coord.nProbeMiss.Load() != 1 {
 				t.Errorf("source %s after %d dispatches, %d probe hits, %d misses; want a run after one miss",
@@ -264,8 +264,8 @@ var faultCases = []struct {
 			e.submit(t)
 			e.corrupt(t, e.home)
 		},
-		status: serve.StatusDone,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 1 || e.coord.nProbeHit.Load() != 1 {
 				t.Errorf("source %s from %s after %d dispatches and %d probe hits, want disk from the home after the first job's 1 and 1",
 					v.Source, v.Worker, e.coord.nDispatch.Load(), e.coord.nProbeHit.Load())
@@ -276,8 +276,8 @@ var faultCases = []struct {
 			submitWait(t, e.home.ts.URL, e.spec)
 			e.ft.add(fault{method: "GET", path: "/v1/cache/*", times: 1, status: 304})
 		},
-		status: serve.StatusDone,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Source != "disk" || v.Worker != e.home.ts.URL || e.coord.nDispatch.Load() != 0 ||
 				e.coord.nProbeHit.Load() != 1 || e.coord.nProbeMiss.Load() != 0 || !slices.Equal(e.ft.validators(), []bool{false, false}) {
 				t.Errorf("source %s from %s after %d dispatches, %d hits, %d misses, validators %v; want disk from the home by two unconditional probes, one hit, no miss",
@@ -289,8 +289,8 @@ var faultCases = []struct {
 		arrange: func(t *testing.T, e *faultEnv) {
 			e.ft.add(fault{method: "GET", host: e.host(e.home), path: "/v1/cache/*", times: -1, status: 304})
 		},
-		status: serve.StatusDone, retries: 1,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone, retries: 1,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Source != "executed" || v.Worker != e.other.ts.URL || e.coord.nProbeHit.Load() != 0 {
 				t.Errorf("source %s on %s after %d probe hits, want executed on the other worker after 0", v.Source, v.Worker, e.coord.nProbeHit.Load())
 			}
@@ -299,8 +299,8 @@ var faultCases = []struct {
 		arrange: func(t *testing.T, e *faultEnv) {
 			e.ft.add(fault{method: "POST", path: "/v1/jobs", times: 1, status: 429})
 		},
-		status: serve.StatusDone, retries: 1,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone, retries: 1,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Worker != e.other.ts.URL || e.coord.Registry().Info(e.home.ts.URL).Failures != 0 {
 				t.Errorf("ran on %s, home %+v; want the other worker and a home never marked failed", v.Worker, e.coord.Registry().Info(e.home.ts.URL))
 			}
@@ -309,8 +309,8 @@ var faultCases = []struct {
 		arrange: func(t *testing.T, e *faultEnv) {
 			e.ft.add(fault{method: "POST", path: "/v1/jobs", times: 1, status: 503})
 		},
-		status: serve.StatusDone, retries: 1,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone, retries: 1,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if v.Worker != e.other.ts.URL {
 				t.Errorf("ran on %s, want the other worker", v.Worker)
 			}
@@ -319,25 +319,25 @@ var faultCases = []struct {
 		arrange: func(t *testing.T, e *faultEnv) {
 			e.ft.add(fault{method: "GET", path: "/v1/jobs/*/events", times: 1, cut: 10})
 		},
-		status: serve.StatusDone, retries: 1,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone, retries: 1,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if n := e.ft.count("GET", "/v1/jobs/*"); n != 1 {
 				t.Errorf("%d status polls after the stream broke, want 1", n)
 			}
 		}},
 	{name: "client cancel: the worker's job is cancelled and the worker not blamed", forever: true,
-		drive: func(t *testing.T, e *faultEnv) serve.JobView {
+		drive: func(t *testing.T, e *faultEnv) jobapi.JobView {
 			e.submitted++
-			v, _ := post(t, e.base, "", serve.SubmitRequest{Spec: e.spec})
-			waitFor(t, "job running", func() bool { return getJob(t, e.base, v.ID).Status == serve.StatusRunning })
+			v, _ := post(t, e.base, "", jobapi.SubmitRequest{Spec: e.spec})
+			waitFor(t, "job running", func() bool { return getJob(t, e.base, v.ID).Status == jobapi.StatusRunning })
 			call(t, http.MethodDelete, e.base+"/v1/jobs/"+v.ID, nil)
 			return getJob(t, e.base, v.ID)
 		},
-		status: serve.StatusCancelled,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusCancelled,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			waitFor(t, "worker job cancelled", func() bool {
 				jobs := listJobs(t, v.Worker)
-				return len(jobs) == 1 && jobs[0].Status == serve.StatusCancelled
+				return len(jobs) == 1 && jobs[0].Status == jobapi.StatusCancelled
 			})
 			if wi := e.coord.Registry().Info(v.Worker); wi.Failures != 0 {
 				t.Errorf("the client's cancel was held against the worker: %+v", wi)
@@ -347,8 +347,8 @@ var faultCases = []struct {
 		arrange: func(t *testing.T, e *faultEnv) {
 			e.ft.add(fault{method: "GET", path: "/v1/jobs/*/events", times: 1, status: 200, body: failedEvent})
 		},
-		status: serve.StatusFailed,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusFailed,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if !strings.Contains(v.Error, "boom") || e.coord.nDispatch.Load() != 1 {
 				t.Errorf("error %q after %d dispatches, want the worker's error after 1", v.Error, e.coord.nDispatch.Load())
 			}
@@ -367,8 +367,8 @@ var faultCases = []struct {
 			e.ft.add(fault{host: e.host(e.other), path: "/v1/cache/*", times: -1, drop: true})
 			e.ft.add(fault{host: e.host(e.other), path: "/v1/jobs", times: -1, drop: true})
 		},
-		status: serve.StatusDone, retries: 1,
-		check: func(t *testing.T, e *faultEnv, v serve.JobView) {
+		status: jobapi.StatusDone, retries: 1,
+		check: func(t *testing.T, e *faultEnv, v jobapi.JobView) {
 			if _, ok := e.coord.memo.get(e.addr); ok || v.Worker != e.home.ts.URL || v.Source != "executed" {
 				t.Errorf("%s on %s, memo entry kept: %v; want executed at home and forgotten", v.Source, v.Worker, ok)
 			}
@@ -397,7 +397,7 @@ func TestDispatchExitPaths(t *testing.T) {
 			if c.arrange != nil {
 				c.arrange(t, e)
 			}
-			var v serve.JobView
+			var v jobapi.JobView
 			if c.drive != nil {
 				v = c.drive(t, e)
 			} else {
@@ -407,7 +407,7 @@ func TestDispatchExitPaths(t *testing.T) {
 			if v.Status != c.status {
 				t.Fatalf("job ended %s (%s), want %s", v.Status, v.Error, c.status)
 			}
-			if c.status == serve.StatusDone {
+			if c.status == jobapi.StatusDone {
 				if got, want := resultBytes(t, v), directResult(t, e.spec); !bytes.Equal(got, want) {
 					t.Errorf("result differs from the direct run:\n fleet:  %s\n direct: %s", got, want)
 				}
@@ -417,7 +417,7 @@ func TestDispatchExitPaths(t *testing.T) {
 				t.Errorf("job is %s on a second look, was %s", again.Status, v.Status)
 			}
 			terminal := 0
-			for _, st := range []serve.Status{serve.StatusDone, serve.StatusFailed, serve.StatusCancelled} {
+			for _, st := range []jobapi.Status{jobapi.StatusDone, jobapi.StatusFailed, jobapi.StatusCancelled} {
 				n, _ := strconv.Atoi(gauge(t, e.base, `delrepfleet_jobs_total{status="`+string(st)+`"}`))
 				terminal += n
 			}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"delrep/internal/core"
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
@@ -121,7 +122,7 @@ func newCoordinatorOpts(t *testing.T, opts Options, workers ...*testWorker) (*Se
 	return s, ts
 }
 
-func submitWait(t *testing.T, base string, spec simspec.Spec) serve.JobView {
+func submitWait(t *testing.T, base string, spec simspec.Spec) jobapi.JobView {
 	t.Helper()
 	view, err := trySubmitWait(base, spec)
 	if err != nil {
@@ -130,23 +131,23 @@ func submitWait(t *testing.T, base string, spec simspec.Spec) serve.JobView {
 	return view
 }
 
-func trySubmitWait(base string, spec simspec.Spec) (serve.JobView, error) {
-	b, err := json.Marshal(serve.SubmitRequest{Spec: spec, Client: "fleet-test"})
+func trySubmitWait(base string, spec simspec.Spec) (jobapi.JobView, error) {
+	b, err := json.Marshal(jobapi.SubmitRequest{Spec: spec, Client: "fleet-test"})
 	if err != nil {
-		return serve.JobView{}, err
+		return jobapi.JobView{}, err
 	}
 	resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", bytes.NewReader(b))
 	if err != nil {
-		return serve.JobView{}, err
+		return jobapi.JobView{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return serve.JobView{}, fmt.Errorf("submit: status %d: %s", resp.StatusCode, body)
+		return jobapi.JobView{}, fmt.Errorf("submit: status %d: %s", resp.StatusCode, body)
 	}
-	var view serve.JobView
+	var view jobapi.JobView
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return serve.JobView{}, err
+		return jobapi.JobView{}, err
 	}
 	return view, nil
 }
@@ -161,19 +162,19 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
-func getJob(t *testing.T, base, id string) serve.JobView {
+func getJob(t *testing.T, base, id string) jobapi.JobView {
 	t.Helper()
-	var v serve.JobView
+	var v jobapi.JobView
 	if code := getJSON(t, base+"/v1/jobs/"+id, &v); code != http.StatusOK {
 		t.Fatalf("GET job %s: status %d", id, code)
 	}
 	return v
 }
 
-func listJobs(t *testing.T, base string) []serve.JobView {
+func listJobs(t *testing.T, base string) []jobapi.JobView {
 	t.Helper()
 	var list struct {
-		Jobs []serve.JobView `json:"jobs"`
+		Jobs []jobapi.JobView `json:"jobs"`
 	}
 	if code := getJSON(t, base+"/v1/jobs", &list); code != http.StatusOK {
 		t.Fatalf("GET jobs: status %d", code)
@@ -181,9 +182,9 @@ func listJobs(t *testing.T, base string) []serve.JobView {
 	return list.Jobs
 }
 
-func resultBytes(t *testing.T, view serve.JobView) []byte {
+func resultBytes(t *testing.T, view jobapi.JobView) []byte {
 	t.Helper()
-	if view.Status != serve.StatusDone {
+	if view.Status != jobapi.StatusDone {
 		t.Fatalf("job %s ended %s (%s)", view.ID, view.Status, view.Error)
 	}
 	if view.Result == nil {
@@ -241,7 +242,7 @@ func TestFleetFailoverMidRun(t *testing.T) {
 
 	spec := slowSpec(502)
 	type res struct {
-		view serve.JobView
+		view jobapi.JobView
 		err  error
 	}
 	ch := make(chan res, 1)
@@ -254,7 +255,7 @@ func TestFleetFailoverMidRun(t *testing.T) {
 	var victim, survivor *testWorker
 	waitFor(t, "job dispatched", func() bool {
 		for _, j := range listJobs(t, ts.URL) {
-			if j.Status == serve.StatusRunning && j.Worker != "" {
+			if j.Status == jobapi.StatusRunning && j.Worker != "" {
 				if j.Worker == w1.ts.URL {
 					victim, survivor = w1, w2
 				} else {
@@ -302,7 +303,7 @@ func TestFleetFailoverMidSweep(t *testing.T) {
 	}
 	type res struct {
 		i    int
-		view serve.JobView
+		view jobapi.JobView
 		err  error
 	}
 	ch := make(chan res, len(specs))
@@ -367,101 +368,13 @@ func TestFleetCacheTierProbe(t *testing.T) {
 	}
 }
 
-// The fleet client plugs into the engine as a Resolver: remote results
-// flow through dedup/batch ordering, count under the source the fleet
-// reports, and land in the local disk cache.
-func TestClientResolverThroughEngine(t *testing.T) {
-	w1 := newWorker(t, t.TempDir())
-	w2 := newWorker(t, t.TempDir())
-	_, ts := newCoordinator(t, w1, w2)
-
-	spec := shortSpec(530)
-	cfg, norm, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	localDir := t.TempDir()
-	localCache, err := runner.OpenDiskCache(localDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := runner.New(runner.Options{
-		Workers: 2,
-		Cache:   localCache,
-		Remote:  NewClient(ts.URL, "fleet-test", nil),
-	})
-	run := eng.Submit(runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}).Wait()
-	if run.Err != nil {
-		t.Fatal(run.Err)
-	}
-	if run.Worker == "" {
-		t.Fatal("run.Worker empty: the run did not go through the fleet")
-	}
-	a := core.RunAudit(cfg, norm.GPU, norm.CPU)
-	if run.Results != a.Results || run.Digest != a.Digest {
-		t.Fatal("fleet-resolved run differs from a direct run")
-	}
-	if run.Source != runner.SourceExecuted {
-		t.Fatalf("source = %v, want executed (the fleet executed it)", run.Source)
-	}
-	if c := eng.Snapshot(); c.Executed != 1 {
-		t.Fatalf("counters = %+v, want the remote execution counted as executed", c)
-	}
-
-	// The remote result was written into the local cache: a fresh
-	// engine over the same dir needs no fleet at all.
-	cache2, err := runner.OpenDiskCache(localDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := runner.New(runner.Options{Workers: 1, Cache: cache2})
-	run2 := eng2.Submit(runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}).Wait()
-	if run2.Err != nil || run2.Source != runner.SourceDisk {
-		t.Fatalf("warm local rerun source = %v (err %v), want disk", run2.Source, run2.Err)
-	}
-	if run2.Results != run.Results || run2.Digest != run.Digest {
-		t.Fatal("locally cached remote result differs")
-	}
-}
-
-// Specs the wire form cannot express run locally (ErrNotRemotable
-// fallback), so hybrid sweeps still work against a fleet.
-func TestClientResolverLocalFallback(t *testing.T) {
-	w := newWorker(t, t.TempDir())
-	_, ts := newCoordinator(t, w)
-
-	spec := shortSpec(540)
-	cfg, norm, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoC.VCsPerClass = 3 // a knob the wire spec does not carry
-
-	eng := runner.New(runner.Options{Workers: 1, Remote: NewClient(ts.URL, "fleet-test", nil)})
-	run := eng.Submit(runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}).Wait()
-	if run.Err != nil {
-		t.Fatal(run.Err)
-	}
-	if run.Worker != "" {
-		t.Fatalf("non-remotable spec ran on worker %q, want local execution", run.Worker)
-	}
-	a := core.RunAudit(cfg, norm.GPU, norm.CPU)
-	if run.Results != a.Results || run.Digest != a.Digest {
-		t.Fatal("local-fallback run differs from a direct run")
-	}
-	// The worker saw no job.
-	if n := len(listJobs(t, w.ts.URL)); n != 0 {
-		t.Fatalf("worker saw %d jobs, want 0", n)
-	}
-}
-
 // Cancelling a coordinator job propagates to the worker: the remote
 // job stops running instead of burning a slot to completion.
 func TestFleetCancelPropagation(t *testing.T) {
 	w := newWorker(t, t.TempDir())
 	_, ts := newCoordinator(t, w)
 
-	b, err := json.Marshal(serve.SubmitRequest{Spec: foreverSpec(550), Client: "fleet-test"})
+	b, err := json.Marshal(jobapi.SubmitRequest{Spec: foreverSpec(550), Client: "fleet-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +382,7 @@ func TestFleetCancelPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var view serve.JobView
+	var view jobapi.JobView
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +394,7 @@ func TestFleetCancelPropagation(t *testing.T) {
 	// The worker is fresh, so the one job it lists is the remote half.
 	var remoteID string
 	waitFor(t, "job running on worker", func() bool {
-		if getJob(t, ts.URL, view.ID).Status != serve.StatusRunning {
+		if getJob(t, ts.URL, view.ID).Status != jobapi.StatusRunning {
 			return false
 		}
 		for _, wj := range listJobs(t, w.ts.URL) {
@@ -503,10 +416,10 @@ func TestFleetCancelPropagation(t *testing.T) {
 
 	// Both ends reach cancelled: the coordinator job and the worker job.
 	waitFor(t, "coordinator job cancelled", func() bool {
-		return getJob(t, ts.URL, view.ID).Status == serve.StatusCancelled
+		return getJob(t, ts.URL, view.ID).Status == jobapi.StatusCancelled
 	})
 	waitFor(t, "worker job cancelled", func() bool {
-		return getJob(t, w.ts.URL, remoteID).Status == serve.StatusCancelled
+		return getJob(t, w.ts.URL, remoteID).Status == jobapi.StatusCancelled
 	})
 }
 
@@ -526,7 +439,7 @@ func TestFleetFailedProbeIsNotAMiss(t *testing.T) {
 	_, ts := newCoordinatorOpts(t, Options{Retries: 1}, &testWorker{ts: sick})
 
 	view := submitWait(t, ts.URL, shortSpec(570))
-	if view.Status != serve.StatusFailed {
+	if view.Status != jobapi.StatusFailed {
 		t.Fatalf("job ended %s, want failed (its only worker cannot answer probes)", view.Status)
 	}
 	for series, want := range map[string]func(n int) bool{
@@ -557,10 +470,29 @@ func TestFleetUnplaceableJobFailsPromptly(t *testing.T) {
 	start := time.Now()
 	view := submitWait(t, ts.URL, shortSpec(571))
 	took := time.Since(start)
-	if view.Status != serve.StatusFailed || !strings.Contains(view.Error, "after 2 rounds") {
+	if view.Status != jobapi.StatusFailed || !strings.Contains(view.Error, "after 2 rounds") {
 		t.Fatalf("job ended %s (%q), want failed after 2 rounds", view.Status, view.Error)
 	}
 	if limit := retries*time.Second + 500*time.Millisecond; took > limit {
 		t.Errorf("failure took %v, want under %v (one probe cycle between rounds, none after the last)", took, limit)
+	}
+}
+
+// A worker named with a trailing slash is one worker to the ring and
+// the registry alike, so its jobs are placed, not failed after every
+// round for want of a ready ring member.
+func TestWorkerURLTrailingSlash(t *testing.T) {
+	w := newWorker(t, t.TempDir())
+	coord, err := New(Options{Workers: []string{w.ts.URL + "/"}, Retries: 1, ProbeInterval: 25 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	defer shutdown(t, coord)
+	waitFor(t, "worker ready", func() bool { return coord.Registry().ReadyCount() == 1 })
+
+	if view := submitWait(t, ts.URL, shortSpec(580)); view.Status != jobapi.StatusDone || view.Worker != w.ts.URL {
+		t.Fatalf("job ended %s on %q (%s), want done on %s", view.Status, view.Worker, view.Error, w.ts.URL)
 	}
 }

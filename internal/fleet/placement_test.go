@@ -14,6 +14,7 @@ import (
 
 	"delrep/internal/config"
 	"delrep/internal/core"
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
@@ -160,7 +161,7 @@ func (f *heldFleet) probes() map[string]probeCount {
 	return out
 }
 
-func (w *heldWorker) Admit(j *serve.Job, _ serve.SubmitRequest, _ config.Config, key string) *serve.Rejection {
+func (w *heldWorker) Admit(j *serve.Job, _ jobapi.SubmitRequest, _ config.Config, key string) *serve.Rejection {
 	addr := runner.CacheAddr(key)
 	f := w.f
 	f.mu.Lock()
@@ -214,7 +215,7 @@ func (w *heldWorker) finish(j *serve.Job, addr string) {
 	if err != nil {
 		panic(err)
 	}
-	j.Finish(serve.Outcome{Status: serve.StatusDone, Source: "executed", Result: res})
+	j.Finish(serve.Outcome{Status: jobapi.StatusDone, Source: "executed", Result: res})
 }
 
 // store puts the stand-in result for key — no results, and the first 16
@@ -231,7 +232,7 @@ func (w *heldWorker) store(key string) {
 
 func (w *heldWorker) Cancel(j *serve.Job) {
 	if w.take(func(h heldJob) bool { return h.j == j }) != nil {
-		j.Finish(serve.Outcome{Status: serve.StatusCancelled, Error: "cancelled"})
+		j.Finish(serve.Outcome{Status: jobapi.StatusCancelled, Error: "cancelled"})
 	}
 }
 
@@ -287,8 +288,8 @@ func homeOf(t *testing.T, coord *Server, spec simspec.Spec) string {
 }
 
 // submitAsync posts spec with ?wait=1 and delivers the terminal view.
-func submitAsync(t *testing.T, base string, spec simspec.Spec) <-chan serve.JobView {
-	reply := make(chan serve.JobView, 1)
+func submitAsync(t *testing.T, base string, spec simspec.Spec) <-chan jobapi.JobView {
+	reply := make(chan jobapi.JobView, 1)
 	go func() {
 		v, err := trySubmitWait(base, spec)
 		if err != nil {
@@ -320,7 +321,7 @@ func TestPlacementGuard(t *testing.T) {
 	type flight struct {
 		i     int
 		on    *heldWorker
-		reply <-chan serve.JobView
+		reply <-chan jobapi.JobView
 	}
 	var inflight []flight
 	next := 0
@@ -343,7 +344,7 @@ func TestPlacementGuard(t *testing.T) {
 		inflight = append(inflight[:k], inflight[k+1:]...)
 		fl.on.release(t, addrs[fl.i])
 		v := <-fl.reply
-		if v.Status != serve.StatusDone || v.Worker != fl.on.url {
+		if v.Status != jobapi.StatusDone || v.Worker != fl.on.url {
 			t.Fatalf("key %d: %s on %q, want done on %s", fl.i, v.Status, v.Worker, fl.on.url)
 		}
 		placed[fl.i] = v.Worker

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"delrep/internal/serve"
+	"delrep/internal/jobapi"
 )
 
 // The coordinator's job table never evicts either, so it too grows by a
@@ -31,16 +31,16 @@ func TestCoordinatorJobRecordBudget(t *testing.T) {
 	}
 	t.Cleanup(func() { shutdown(t, coord) })
 	waitFor(t, "both workers ready", func() bool { return coord.reg.ReadyCount() == 2 })
-	body, err := json.Marshal(serve.SubmitRequest{Spec: shortSpec(631), Client: "hot"})
+	body, err := json.Marshal(jobapi.SubmitRequest{Spec: shortSpec(631), Client: "hot"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := coord.Handler()
-	submit := func() serve.JobView {
+	submit := func() jobapi.JobView {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
-		var v serve.JobView
-		if err := json.Unmarshal(rec.Body.Bytes(), &v); rec.Code != http.StatusOK || err != nil || v.Status != serve.StatusDone {
+		var v jobapi.JobView
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); rec.Code != http.StatusOK || err != nil || v.Status != jobapi.StatusDone {
 			t.Fatalf("submit: status %d (%v): %s", rec.Code, err, rec.Body)
 		}
 		return v

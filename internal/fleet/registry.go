@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -11,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"delrep/internal/jobapi"
 )
 
 // probeDefaults tune the registry's health loop.
@@ -46,6 +47,7 @@ type WorkerInfo struct {
 // worker is the registry's mutable record for one daemon.
 type worker struct {
 	url string
+	api *jobapi.Client
 
 	mu          sync.Mutex
 	ready       bool
@@ -98,13 +100,7 @@ func NewRegistry(urls []string, interval time.Duration, client *http.Client, log
 		done:     make(chan struct{}),
 	}
 	for _, u := range urls {
-		u = strings.TrimRight(u, "/")
-		if u == "" {
-			continue
-		}
-		if _, dup := r.workers[u]; !dup {
-			r.workers[u] = &worker{url: u}
-		}
+		r.workers[u] = &worker{url: u, api: jobapi.NewClient(u, client)}
 	}
 	// Workers start not-ready and the first probe sweep runs
 	// immediately, so a coordinator is routable as soon as its workers
@@ -167,8 +163,7 @@ func (r *Registry) snapshotWorkers() []*worker {
 func (r *Registry) probe(w *worker) {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	err := r.checkReady(ctx, w.url)
-	if err != nil {
+	if err := w.api.Ready(ctx); err != nil {
 		r.recordFailure(w, err.Error())
 		return
 	}
@@ -188,25 +183,6 @@ func (r *Registry) probe(w *worker) {
 	if !wasReady {
 		r.logger.InfoContext(ctx, "worker ready", "worker", w.url, "slots", slots)
 	}
-}
-
-func (r *Registry) checkReady(ctx context.Context, url string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("readyz: status %d", resp.StatusCode)
-	}
-	return nil
 }
 
 // scrapeMetrics best-effort parses the worker's Prometheus text for
@@ -275,6 +251,9 @@ func (r *Registry) lookup(url string) *worker {
 	defer r.mu.Unlock()
 	return r.workers[url]
 }
+
+// api is the job API client of a worker the registry was built with.
+func (r *Registry) api(url string) *jobapi.Client { return r.lookup(url).api }
 
 // Ready reports whether the worker is currently believed healthy.
 func (r *Registry) Ready(url string) bool {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/serve"
 	"delrep/internal/simspec"
@@ -34,7 +35,7 @@ func TestRevalidationGuard(t *testing.T) {
 
 	// ask submits key i and checks the answer came from worker's shard by
 	// exactly one probe, of that worker, with or without a body.
-	ask := func(base string, i int, worker string, bodiless bool) serve.JobView {
+	ask := func(base string, i int, worker string, bodiless bool) jobapi.JobView {
 		t.Helper()
 		before := f.probes()
 		v := submitWait(t, base, specs[i])
@@ -116,7 +117,7 @@ func TestRevalidationGuard(t *testing.T) {
 	case v := <-reply:
 		t.Fatalf("key 0 after its holder died: %s (%s) from %q without running: nobody holds it", v.Status, v.Source, v.Worker)
 	}
-	if v := <-reply; v.Status != serve.StatusDone || v.Worker != survivor.url || v.Source != "executed" || !bytes.Equal(resultBytes(t, v), first[0]) {
+	if v := <-reply; v.Status != jobapi.StatusDone || v.Worker != survivor.url || v.Source != "executed" || !bytes.Equal(resultBytes(t, v), first[0]) {
 		t.Errorf("key 0 after its holder died: %s, %s on %q; want done, executed on the survivor %s, same bytes", v.Status, v.Source, v.Worker, survivor.url)
 	}
 	// The survivor's terminal view was the body: the next repeat is a

@@ -1,7 +1,6 @@
 // Package fleet scales simulation sweeps past one machine: a
 // coordinator daemon (cmd/delrepfleet) that shards jobs across many
-// delrepd worker daemons, plus the client used by delrepsim -remote
-// and expdriver -remote.
+// delrepd worker daemons.
 //
 // The design leans entirely on properties the single-node stack
 // already guarantees:

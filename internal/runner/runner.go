@@ -86,9 +86,20 @@ func (s Source) String() string {
 	return "???"
 }
 
+// ParseSource is String's inverse, so a remote end's account of a run
+// comes back as the Source a local run would have recorded.
+func ParseSource(name string) (Source, error) {
+	for s := Source(0); s.String() != "???"; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown result source %q", name)
+}
+
 // Resolver resolves a spec to a finished result somewhere other than
-// this process — a fleet coordinator or a remote delrepd daemon
-// (implemented by fleet.Client). Plugging one into Options.Remote
+// this process — a fleet coordinator or a remote delrepd daemon (the
+// CLIs' -remote, internal/experiment). Plugging one into Options.Remote
 // turns the engine into a fleet client: dedup, batching, ordering,
 // progress, and the local disk cache all keep working, but execution
 // happens across the wire.

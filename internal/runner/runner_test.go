@@ -203,3 +203,23 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 		t.Error("key ignores the CPU benchmark")
 	}
 }
+
+// ParseSource inverts String for every Source String names, and
+// refuses any other name, String's own "???" included.
+func TestParseSourceRoundTrip(t *testing.T) {
+	n := 0
+	for s := Source(0); s.String() != "???"; s++ {
+		if got, err := ParseSource(s.String()); err != nil || got != s {
+			t.Errorf("ParseSource(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+		n++
+	}
+	if n != 3 {
+		t.Errorf("String names %d sources, want executed, memo and disk", n)
+	}
+	for _, name := range []string{"cached", "", "???", "Executed"} {
+		if got, err := ParseSource(name); err == nil {
+			t.Errorf("ParseSource(%q) = %v, want an error", name, got)
+		}
+	}
+}

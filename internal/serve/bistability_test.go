@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
 )
@@ -119,7 +120,7 @@ func TestNoBistableCollapseNearKnee(t *testing.T) {
 				// real work, so the loop genuinely loads the workers.
 				spec := simspec.Spec{GPU: "HS", CPU: "vips", Warmup: 200, Cycles: 2000,
 					Seed: seed.Add(1)}
-				body, err := json.Marshal(SubmitRequest{Spec: spec, Client: name})
+				body, err := json.Marshal(jobapi.SubmitRequest{Spec: spec, Client: name})
 				if err != nil {
 					recordedBody(err)
 					return
@@ -132,7 +133,7 @@ func TestNoBistableCollapseNearKnee(t *testing.T) {
 				}
 				switch resp.StatusCode {
 				case http.StatusOK:
-					var v JobView
+					var v jobapi.JobView
 					err := json.NewDecoder(resp.Body).Decode(&v)
 					resp.Body.Close()
 					if err != nil {

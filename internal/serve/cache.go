@@ -4,22 +4,11 @@ import (
 	"fmt"
 	"net/http"
 
-	"delrep/internal/core"
+	"delrep/internal/jobapi"
 )
 
-// CacheEntry is the wire form of one cached result served by
-// GET /v1/cache/{key}: the stored core.Results plus the
-// determinism-audit digest in the same 16-hex-digit rendering as
-// simspec.Result. The spec is deliberately absent — the caller
-// addressed the entry by content, so it already holds the canonical
-// spec the results belong to.
-type CacheEntry struct {
-	Results core.Results `json:"results"`
-	Digest  string       `json:"digest"`
-}
-
 // handleCacheGet serves one cached result by content address
-// (runner.CacheAddr of the full run key): 200 with a CacheEntry on a
+// (runner.CacheAddr of the full run key): 200 with a jobapi.CacheEntry on a
 // hit, 404 on a miss or when the daemon runs uncached. The fleet
 // coordinator probes this before enqueueing a job, so a spec whose
 // result already sits in this worker's cache shard is answered without
@@ -54,7 +43,7 @@ func (x *local) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag)
-	writeJSON(w, http.StatusOK, CacheEntry{
+	writeJSON(w, http.StatusOK, jobapi.CacheEntry{
 		Results: res,
 		Digest:  fmt.Sprintf("%016x", digest),
 	})

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 )
 
@@ -66,8 +67,8 @@ func TestCacheEndpoint(t *testing.T) {
 		}
 	}
 
-	view, _ := submit(t, ts, SubmitRequest{Spec: spec}, "?wait=1")
-	if view.Status != StatusDone || view.Result == nil {
+	view, _ := submit(t, ts, jobapi.SubmitRequest{Spec: spec}, "?wait=1")
+	if view.Status != jobapi.StatusDone || view.Result == nil {
 		t.Fatalf("job ended %s", view.Status)
 	}
 
@@ -78,7 +79,7 @@ func TestCacheEndpoint(t *testing.T) {
 	if got := resp.Header.Get("ETag"); got != etag {
 		t.Errorf("200 carries ETag %q, want %q", got, etag)
 	}
-	var entry CacheEntry
+	var entry jobapi.CacheEntry
 	if err := json.Unmarshal(plain, &entry); err != nil {
 		t.Fatal(err)
 	}

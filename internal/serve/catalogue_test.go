@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"delrep/internal/jobapi"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden metric catalogues from the live /metrics")
@@ -41,7 +43,7 @@ func metricCatalogue(body string) string {
 // or relabelled without the golden's diff showing it.
 func TestMetricCatalogue(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	if v, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(112)}, "?wait=1"); v.Status != StatusDone {
+	if v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(112)}, "?wait=1"); v.Status != jobapi.StatusDone {
 		t.Fatalf("job ended %s", v.Status)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")

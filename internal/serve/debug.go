@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/telemetry"
 )
 
@@ -165,9 +166,9 @@ func (x *local) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
 		Running:      s.running,
 		Draining:     s.draining,
 		SSESubs:      s.sseSubs,
-		Done:         s.statusCounts[StatusDone],
-		Failed:       s.statusCounts[StatusFailed],
-		Cancelled:    s.statusCounts[StatusCancelled],
+		Done:         s.statusCounts[jobapi.StatusDone],
+		Failed:       s.statusCounts[jobapi.StatusFailed],
+		Cancelled:    s.statusCounts[jobapi.StatusCancelled],
 		CacheHits:    cacheStats.Hits,
 		CacheMisses:  cacheStats.Misses,
 		CacheCorrupt: cacheStats.Corrupt,

@@ -6,28 +6,10 @@ import (
 	"log/slog"
 	"time"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
-
-// Status is a job's lifecycle state. Transitions are monotonic:
-// queued → running → {done, failed, cancelled}, with queued → terminal
-// allowed for jobs that end before anything ran them (cancelled while
-// waiting, drained at shutdown, answered from the fleet's cache tier).
-type Status string
-
-const (
-	StatusQueued    Status = "queued"
-	StatusRunning   Status = "running"
-	StatusDone      Status = "done"
-	StatusFailed    Status = "failed"
-	StatusCancelled Status = "cancelled"
-)
-
-// Terminal reports whether the status is final.
-func (s Status) Terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCancelled
-}
 
 // Priority orders jobs in the queue: all queued high-priority jobs
 // dispatch before any normal one, and so on. Within a priority level
@@ -109,7 +91,7 @@ type jobRow struct {
 	// Guarded by Server.mu; fixed once the job is terminal.
 	live              *Job          // the job's live part; nil once terminal
 	spec              *simspec.Spec // the live part's until terminal
-	status            Status
+	status            jobapi.Status
 	started, finished time.Time
 	source, err       string        // as the outcome reported them
 	worker            string        // coordinator only: current/final worker base URL
@@ -118,8 +100,8 @@ type jobRow struct {
 
 // Outcome is how a job ended, as its Executor reports it to Finish.
 type Outcome struct {
-	Status Status // done, failed or cancelled
-	Error  string // failed and cancelled only
+	Status jobapi.Status // done, failed or cancelled
+	Error  string        // failed and cancelled only
 	// Source and Result describe a done job: where the result came
 	// from (executed | memo | disk) and the canonical result itself,
 	// rendered once for every job that shares it.
@@ -197,7 +179,7 @@ func (j *Job) Finish(out Outcome) {
 }
 
 // viewLocked renders the job; the server's mutex must be held.
-func (j *Job) viewLocked() JobView { return j.row.viewLocked(j.id) }
+func (j *Job) viewLocked() (jobapi.JobView, *SharedResult) { return j.row.viewLocked(j.id) }
 
 // traceViewLocked snapshots the job's span tree. The root's identity
 // attrs — job, client, spec_key, priority, and outcome once terminal —
@@ -216,43 +198,11 @@ func (r *jobRow) traceViewLocked(id string) telemetry.SpanView {
 	return v
 }
 
-// ProgressView is the running-job progress fragment of a job view.
-// Exported because it is wire format: the fleet coordinator decodes it
-// from the worker's event stream.
-type ProgressView struct {
-	CyclesDone  int64 `json:"cycles_done"`
-	CyclesTotal int64 `json:"cycles_total"`
-}
-
-// JobView is the JSON rendering of a job returned by the API, the one
-// wire form of the /v1/jobs surface whichever executor is behind it.
-type JobView struct {
-	ID       string          `json:"id"`
-	Status   Status          `json:"status"`
-	Priority string          `json:"priority"`
-	Client   string          `json:"client,omitempty"`
-	Spec     simspec.Spec    `json:"spec"`
-	Created  string          `json:"created"`
-	Started  string          `json:"started,omitempty"`
-	Finished string          `json:"finished,omitempty"`
-	Source   string          `json:"source,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Progress *ProgressView   `json:"progress,omitempty"`
-	Result   *simspec.Result `json:"result,omitempty"`
-	// Worker is the base URL of the worker daemon that served the job.
-	// Only the fleet coordinator sets it; a single delrepd leaves it
-	// empty (it is its own worker).
-	Worker string `json:"worker,omitempty"`
-
-	// shared is Result as rendered once for every job holding it; a
-	// reply splices its bytes in (writeView). Set by viewLocked only.
-	shared *SharedResult
-}
-
-// viewLocked renders the job with this row; the server's mutex must be
-// held.
-func (r *jobRow) viewLocked(id string) JobView {
-	v := JobView{
+// viewLocked renders the job with this row, and returns with it the
+// shared result its Result is, for writeView to splice in (nil when it
+// has none); the server's mutex must be held.
+func (r *jobRow) viewLocked(id string) (jobapi.JobView, *SharedResult) {
+	v := jobapi.JobView{
 		ID:       id,
 		Status:   r.status,
 		Priority: r.prio.String(),
@@ -268,15 +218,16 @@ func (r *jobRow) viewLocked(id string) JobView {
 	if !r.finished.IsZero() {
 		v.Finished = r.finished.UTC().Format(time.RFC3339Nano)
 	}
-	if r.status == StatusRunning && r.live.progress != nil {
+	if r.status == jobapi.StatusRunning && r.live.progress != nil {
 		done, total := r.live.progress()
-		v.Progress = &ProgressView{CyclesDone: done, CyclesTotal: total}
+		v.Progress = &jobapi.ProgressView{CyclesDone: done, CyclesTotal: total}
 	}
-	if r.status == StatusDone {
+	var res *SharedResult
+	if r.status == jobapi.StatusDone {
 		v.Source = r.source
-		if r.result != nil {
-			v.Result, v.shared = r.result.Result, r.result
+		if res = r.result; res != nil {
+			v.Result = res.Result
 		}
 	}
-	return v
+	return v, res
 }

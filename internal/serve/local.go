@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"delrep/internal/config"
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
 	"delrep/internal/stats"
@@ -138,7 +139,7 @@ func (x *local) Ready() (bool, string) { return true, "" }
 
 // Admit applies the two admission caps and queues the job for the
 // worker pool. srv.mu is held.
-func (x *local) Admit(j *Job, _ SubmitRequest, cfg config.Config, key string) *Rejection {
+func (x *local) Admit(j *Job, _ jobapi.SubmitRequest, cfg config.Config, key string) *Rejection {
 	client := j.row.client
 	if x.opts.ClientInFlight > 0 && x.inflight[client] >= x.opts.ClientInFlight {
 		return &Rejection{
@@ -183,7 +184,7 @@ func (x *local) retryAfterLocked() int {
 func (x *local) Cancel(j *Job) {
 	x.srv.mu.Lock()
 	defer x.srv.mu.Unlock()
-	if j.row.status == StatusQueued {
+	if j.row.status == jobapi.StatusQueued {
 		x.finishQueuedLocked(j, "cancelled before start")
 	}
 }
@@ -195,7 +196,7 @@ func (x *local) finishQueuedLocked(j *Job, msg string) {
 	j.spanQueue = nil
 	x.queuedCount--
 	x.dropInflightLocked(j.row.client)
-	x.srv.settleLocked(j, Outcome{Status: StatusCancelled, Error: msg})
+	x.srv.settleLocked(j, Outcome{Status: jobapi.StatusCancelled, Error: msg})
 	x.totalTime[j.row.prio].Add(j.row.finished.Sub(j.row.created).Seconds())
 	x.srv.publishLocked(j)
 	x.srv.closeTraceLocked(j)
@@ -234,7 +235,7 @@ func (x *local) next() queued {
 				x.queue[p][0] = queued{} // the backing array must not keep the Config
 				x.queue[p] = x.queue[p][1:]
 				j := q.j
-				if j.row.status != StatusQueued {
+				if j.row.status != jobapi.StatusQueued {
 					continue // cancelled while queued; already retired
 				}
 				x.queuedCount--
@@ -286,15 +287,15 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	case run.Err == nil:
 		res, err := sharedResult(fut, j.spec, run)
 		if err != nil {
-			out = Outcome{Status: StatusFailed, Error: err.Error()}
+			out = Outcome{Status: jobapi.StatusFailed, Error: err.Error()}
 			break
 		}
 		enc.Set("bytes", len(res.json))
-		out = Outcome{Status: StatusDone, Source: run.Source.String(), Result: res}
+		out = Outcome{Status: jobapi.StatusDone, Source: run.Source.String(), Result: res}
 	case j.ctx.Err() != nil && errors.Is(run.Err, context.Canceled):
-		out = Outcome{Status: StatusCancelled, Error: "cancelled"}
+		out = Outcome{Status: jobapi.StatusCancelled, Error: "cancelled"}
 	default:
-		out = Outcome{Status: StatusFailed, Error: run.Err.Error()}
+		out = Outcome{Status: jobapi.StatusFailed, Error: run.Err.Error()}
 	}
 	enc.End()
 	s.mu.Lock()
@@ -311,7 +312,7 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	s.mu.Unlock()
 
 	s.retire(j)
-	if out.Status == StatusDone && run.Source == runner.SourceExecuted {
+	if out.Status == jobapi.StatusDone && run.Source == runner.SourceExecuted {
 		x.maybePrune()
 	}
 }
@@ -352,7 +353,7 @@ func (x *local) maybePrune() {
 func (x *local) Drain(live []*Job) {
 	x.srv.mu.Lock()
 	for _, j := range live {
-		if j.row.status == StatusQueued {
+		if j.row.status == jobapi.StatusQueued {
 			x.finishQueuedLocked(j, "server shutting down")
 		}
 	}

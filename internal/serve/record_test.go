@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
 )
@@ -52,21 +53,21 @@ func liveHeap() uint64 {
 func TestHotJobsShareOneResult(t *testing.T) {
 	const hot = 16
 	s, ts := newTestServer(t, Options{})
-	body, err := json.Marshal(SubmitRequest{Spec: shortSpec(262)})
+	body, err := json.Marshal(jobapi.SubmitRequest{Spec: shortSpec(262)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func() (JobView, error) {
+	post := func() (jobapi.JobView, error) {
 		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
 		if err != nil {
-			return JobView{}, err
+			return jobapi.JobView{}, err
 		}
 		defer resp.Body.Close()
-		var v JobView
+		var v jobapi.JobView
 		return v, json.NewDecoder(resp.Body).Decode(&v)
 	}
 	first, err := post()
-	if err != nil || first.Status != StatusDone {
+	if err != nil || first.Status != jobapi.StatusDone {
 		t.Fatalf("first job: %+v (%v)", first, err)
 	}
 	ids := make([]string, hot)
@@ -76,7 +77,7 @@ func TestHotJobsShareOneResult(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v, err := post()
-			if err != nil || v.Status != StatusDone {
+			if err != nil || v.Status != jobapi.StatusDone {
 				t.Errorf("hot job %d: %+v (%v)", i, v, err)
 			}
 			ids[i] = v.ID

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/simspec"
 )
 
@@ -30,10 +31,11 @@ func NewSharedResult(r *simspec.Result) (*SharedResult, error) {
 
 // writeView answers one job view, byte for byte as writeJSON would:
 // the per-job fields go through writeJSON's encoder, then the result's
-// shared bytes and the worker follow, in JobView's field order.
-func writeView(w http.ResponseWriter, status int, v JobView) {
-	res, worker := v.shared, v.Worker
-	v.shared, v.Worker = nil, ""
+// shared bytes and the worker follow, in JobView's field order. A
+// non-nil res is v.Result as viewLocked found it rendered.
+func writeView(w http.ResponseWriter, status int, v jobapi.JobView, res *SharedResult) {
+	worker := v.Worker
+	v.Worker = ""
 	if res != nil {
 		v.Result = nil
 	}

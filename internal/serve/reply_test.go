@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"delrep/internal/core"
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 )
 
 // encoded is a view as writeJSON's encoder renders it, result included:
 // what every job view reply was before the result was rendered once.
-func encoded(t *testing.T, v JobView) []byte {
+func encoded(t *testing.T, v jobapi.JobView) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -58,13 +59,13 @@ func TestViewWriterMatchesEncoder(t *testing.T) {
 		name string
 		row  jobRow
 	}{
-		{"done cold", jobRow{status: StatusDone, started: started, finished: finished, source: "executed", result: held}},
-		{"done hot", jobRow{status: StatusDone, started: finished, finished: finished, source: "memo", result: held}},
-		{"done, result not shared", jobRow{status: StatusDone, started: started, finished: finished, spec: &other, source: "memo", result: own}},
-		{"failed", jobRow{status: StatusFailed, started: started, finished: finished, err: "json: unsupported value: NaN <&>"}},
-		{"cancelled", jobRow{status: StatusCancelled, finished: finished, err: "cancelled before start"}},
-		{"queued", jobRow{status: StatusQueued}},
-		{"running", jobRow{status: StatusRunning, started: started, live: &Job{progress: func() (int64, int64) { return 700, 2200 }}}},
+		{"done cold", jobRow{status: jobapi.StatusDone, started: started, finished: finished, source: "executed", result: held}},
+		{"done hot", jobRow{status: jobapi.StatusDone, started: finished, finished: finished, source: "memo", result: held}},
+		{"done, result not shared", jobRow{status: jobapi.StatusDone, started: started, finished: finished, spec: &other, source: "memo", result: own}},
+		{"failed", jobRow{status: jobapi.StatusFailed, started: started, finished: finished, err: "json: unsupported value: NaN <&>"}},
+		{"cancelled", jobRow{status: jobapi.StatusCancelled, finished: finished, err: "cancelled before start"}},
+		{"queued", jobRow{status: jobapi.StatusQueued}},
+		{"running", jobRow{status: jobapi.StatusRunning, started: started, live: &Job{progress: func() (int64, int64) { return 700, 2200 }}}},
 	}
 	for _, c := range cases {
 		for _, worker := range []string{"", "http://127.0.0.1:8081/x<&>"} {
@@ -73,9 +74,9 @@ func TestViewWriterMatchesEncoder(t *testing.T) {
 			if row.spec == nil {
 				row.spec = &norm
 			}
-			v := row.viewLocked("j000042")
+			v, res := row.viewLocked("j000042")
 			rec := httptest.NewRecorder()
-			writeView(rec, http.StatusOK, v)
+			writeView(rec, http.StatusOK, v, res)
 			if got, want := rec.Body.Bytes(), encoded(t, v); !bytes.Equal(got, want) {
 				t.Errorf("%s, worker %q: the view writer differs from the encoder:\n got: %s\nwant: %s", c.name, worker, got, want)
 			}
@@ -96,11 +97,11 @@ func TestUnrenderableResultFailsTheJob(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Remote: nanResolver{}})})
 	const want = "json: unsupported value: NaN"
 	for i := 0; i < 2; i++ {
-		v, resp := submit(t, ts, SubmitRequest{Spec: shortSpec(292)}, "?wait=1")
-		if resp.StatusCode != http.StatusOK || v.Status != StatusFailed || v.Error != want || v.Result != nil {
+		v, resp := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(292)}, "?wait=1")
+		if resp.StatusCode != http.StatusOK || v.Status != jobapi.StatusFailed || v.Error != want || v.Result != nil {
 			t.Fatalf("submit %d: status %d, job %s (%q), result %v; want 200, failed with %q", i, resp.StatusCode, v.Status, v.Error, v.Result, want)
 		}
-		if got := getJob(t, ts, v.ID); got.Status != StatusFailed || got.Error != want {
+		if got := getJob(t, ts, v.ID); got.Status != jobapi.StatusFailed || got.Error != want {
 			t.Errorf("GET of job %s: %s (%q), want failed with %q", v.ID, got.Status, got.Error, want)
 		}
 	}
@@ -112,7 +113,7 @@ func TestUnrenderableResultFailsTheJob(t *testing.T) {
 func hotSubmitter(tb testing.TB, telemetryOn bool, seed int64) (*Server, func()) {
 	tb.Helper()
 	s, _ := newTestServer(tb, Options{Engine: runner.New(runner.Options{Workers: 2}), Telemetry: telemetryOn})
-	body, err := json.Marshal(SubmitRequest{Spec: shortSpec(seed), Client: "hot"})
+	body, err := json.Marshal(jobapi.SubmitRequest{Spec: shortSpec(seed), Client: "hot"})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,14 +1,16 @@
 // Package serve is the one implementation of the simulation job API:
 // simulation-as-a-service on top of the deterministic parallel engine
 // in internal/runner. A Server owns everything that does not depend on
-// where a job runs — wire types, request validation, the job table and
-// its queued → running → {done, failed, cancelled} state machine,
-// ?wait, the SSE hub, traces, drain, health and the shared metrics —
-// and drives jobs through an Executor. There are two: the local
-// executor behind New (cmd/delrepd: a priority queue and worker pool
-// over a runner.Engine, local.go) and the fleet executor in
-// internal/fleet (cmd/delrepfleet: routing over a ring of delrepd
-// workers). Every client works against either binary unchanged.
+// where a job runs — request validation, the job table and its
+// queued → running → {done, failed, cancelled} state machine, ?wait,
+// the SSE hub, traces, drain, health and the shared metrics — and
+// drives jobs through an Executor. There are two: the local executor
+// behind New (cmd/delrepd: a priority queue and worker pool over a
+// runner.Engine, local.go) and the fleet executor in internal/fleet
+// (cmd/delrepfleet: routing over a ring of delrepd workers). Every
+// client works against either binary unchanged. What goes over the
+// wire (the JSON types, the error envelope, the event framing) is
+// internal/jobapi's, and so is the one client that calls these routes.
 //
 // The API (all JSON unless noted; D = daemon only, C = coordinator
 // only):
@@ -84,8 +86,8 @@ import (
 	"time"
 
 	"delrep/internal/config"
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
-	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
 
@@ -110,7 +112,7 @@ type Executor interface {
 	// (runner.Key, rendered once per request: the local executor hands
 	// it to the engine in runner.Spec.Key, the coordinator routes by
 	// it). Neither is kept on the job.
-	Admit(j *Job, req SubmitRequest, cfg config.Config, key string) *Rejection
+	Admit(j *Job, req jobapi.SubmitRequest, cfg config.Config, key string) *Rejection
 	// Cancel follows the cancellation of j's context. A job that is
 	// still waiting for the executor to pick it up must finish now;
 	// one being run is finished by whoever is watching its context.
@@ -155,10 +157,10 @@ type Server struct {
 	// idPrefix + %06d(seq), and job seq is order[seq-1].
 	order        []*jobRow
 	draining     bool
-	running      int              // jobs in StatusRunning
-	sseSubs      int              // live SSE subscriber channels
-	statusCounts map[Status]int64 // terminal outcomes
-	rejects      map[string]int64 // admission rejections by reason
+	running      int                     // jobs in StatusRunning
+	sseSubs      int                     // live SSE subscriber channels
+	statusCounts map[jobapi.Status]int64 // terminal outcomes
+	rejects      map[string]int64        // admission rejections by reason
 }
 
 // NewServer builds the job API over exec. idPrefix and metricPrefix
@@ -180,7 +182,7 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 		logger:        logger,
 		telemetry:     telemetryOn,
 		mux:           http.NewServeMux(),
-		statusCounts:  map[Status]int64{},
+		statusCounts:  map[jobapi.Status]int64{},
 		rejects:       map[string]int64{"draining": 0},
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -200,19 +202,15 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 // Handler returns the HTTP handler serving the API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SubmitRequest is the POST /v1/jobs body. The coordinator forwards it
-// (spec as submitted, priority, client) verbatim to the worker it
-// routes the job to.
-type SubmitRequest struct {
-	Spec     simspec.Spec `json:"spec"`
-	Priority string       `json:"priority,omitempty"`
-	Client   string       `json:"client,omitempty"`
-}
+// The wire names the benchmark module still imports from this package.
+// Nothing in the tree uses them: delete this block when the benchmark
+// module imports internal/jobapi itself.
+type (
+	JobView       = jobapi.JobView
+	SubmitRequest = jobapi.SubmitRequest
+)
 
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
+const StatusDone = jobapi.StatusDone
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -223,7 +221,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, status, jobapi.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // jobID renders the id of job seq.
@@ -253,10 +251,20 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobRow, string
 	return row, id
 }
 
-func (s *Server) view(row *jobRow, id string) JobView {
+// view renders the job's current view.
+func (s *Server) view(row *jobRow, id string) jobapi.JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return row.viewLocked(id)
+	v, _ := row.viewLocked(id)
+	return v
+}
+
+// reply answers the job's current view.
+func (s *Server) reply(w http.ResponseWriter, status int, row *jobRow, id string) {
+	s.mu.Lock()
+	v, res := row.viewLocked(id)
+	s.mu.Unlock()
+	writeView(w, status, v, res)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -267,7 +275,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tr = telemetry.New("job")
 	}
 	recv := tr.Root().Start("http.receive")
-	var req SubmitRequest
+	var req jobapi.SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -299,7 +307,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	adm := tr.Root().Start("admission")
 	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
 	ctx, cancel := context.WithCancel(context.Background())
-	row := &jobRow{client: req.Client, prio: prio, specKey: specKey, trace: tr, status: StatusQueued}
+	row := &jobRow{client: req.Client, prio: prio, specKey: specKey, trace: tr, status: jobapi.StatusQueued}
 	j := &Job{srv: s, row: row, spec: norm, ctx: ctx, cancel: cancel, doneCh: make(chan struct{})}
 	row.live, row.spec = j, &j.spec
 	s.mu.Lock()
@@ -315,7 +323,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	adm.End()
-	view := j.viewLocked()
+	view, res := j.viewLocked()
 	s.mu.Unlock()
 	j.Log().InfoContext(r.Context(), "job accepted",
 		"gpu", norm.GPU, "cpu", norm.CPU, "scheme", norm.Scheme, "priority", prio.String())
@@ -323,7 +331,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Has("wait") {
 		select {
 		case <-j.doneCh:
-			writeView(w, http.StatusOK, s.view(row, j.id))
+			s.reply(w, http.StatusOK, row, j.id)
 		case <-r.Context().Done():
 			// The waiting client went away: its job goes with it, so a
 			// dropped connection cannot pin a worker slot.
@@ -332,14 +340,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeView(w, http.StatusAccepted, view)
+	writeView(w, http.StatusAccepted, view, res)
 }
 
 // admitLocked is the admission critical section: the draining gate,
 // id allocation, the executor's verdict and the table insert happen
 // under one hold of s.mu, so a job is either refused or both in the
 // table and owned by the executor.
-func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config, key string) *Rejection {
+func (s *Server) admitLocked(j *Job, req jobapi.SubmitRequest, cfg config.Config, key string) *Rejection {
 	if s.draining {
 		return &Rejection{Reason: "draining", Status: http.StatusServiceUnavailable, Message: "server is draining"}
 	}
@@ -354,21 +362,21 @@ func (s *Server) admitLocked(j *Job, req SubmitRequest, cfg config.Config, key s
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	views := make([]JobView, 0, len(s.order))
+	views := make([]jobapi.JobView, 0, len(s.order))
 	for i, row := range s.order {
-		v := row.viewLocked(s.jobID(i + 1))
+		v, _ := row.viewLocked(s.jobID(i + 1))
 		v.Result = nil // keep listings light; fetch the job for results
 		views = append(views, v)
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, struct {
-		Jobs []JobView `json:"jobs"`
+		Jobs []jobapi.JobView `json:"jobs"`
 	}{views})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if row, id := s.lookup(w, r); row != nil {
-		writeView(w, http.StatusOK, s.view(row, id))
+		s.reply(w, http.StatusOK, row, id)
 	}
 }
 
@@ -381,7 +389,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := row.live
 	s.mu.Unlock()
 	if j == nil {
-		writeView(w, http.StatusConflict, s.view(row, id))
+		s.reply(w, http.StatusConflict, row, id)
 		return
 	}
 	j.Cancel()
@@ -395,16 +403,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case <-j.doneCh:
 	case <-grace.C:
 	}
-	writeView(w, http.StatusOK, s.view(row, id))
+	s.reply(w, http.StatusOK, row, id)
 }
 
 // startLocked is the queued → running transition; callers hold s.mu
 // and publish it with notifyLocked once the job's view is complete.
 func (s *Server) startLocked(j *Job) {
-	if j.row.status == StatusRunning {
+	if j.row.status == jobapi.StatusRunning {
 		return
 	}
-	j.row.status = StatusRunning
+	j.row.status = jobapi.StatusRunning
 	j.row.started = time.Now()
 	s.running++
 }
@@ -419,12 +427,12 @@ func (s *Server) startLocked(j *Job) {
 // trace and finds the job on /debug/jobs.
 func (s *Server) settleLocked(j *Job, out Outcome) {
 	row := j.row
-	if row.status == StatusRunning {
+	if row.status == jobapi.StatusRunning {
 		s.running--
 	}
 	row.status = out.Status
 	row.finished = time.Now()
-	if out.Status == StatusDone && row.started.IsZero() {
+	if out.Status == jobapi.StatusDone && row.started.IsZero() {
 		// Answered without running (the coordinator's cache tier): a
 		// done job started, at the latest, when it finished.
 		row.started = row.finished
@@ -533,7 +541,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE %s_jobs_running gauge\n%s_jobs_running %d\n", p, p, s.running)
 	fmt.Fprintf(&b, "# TYPE %s_sse_subscribers gauge\n%s_sse_subscribers %d\n", p, p, s.sseSubs)
 	fmt.Fprintf(&b, "# TYPE %s_jobs_total counter\n", p)
-	for _, st := range []Status{StatusDone, StatusFailed, StatusCancelled} {
+	for _, st := range []jobapi.Status{jobapi.StatusDone, jobapi.StatusFailed, jobapi.StatusCancelled} {
 		fmt.Fprintf(&b, "%s_jobs_total{status=%q} %d\n", p, st, s.statusCounts[st])
 	}
 	fmt.Fprintf(&b, "# TYPE %s_rejects_total counter\n", p)

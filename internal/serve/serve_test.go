@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"delrep/internal/core"
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
 )
@@ -45,7 +46,7 @@ func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, req SubmitRequest, query string) (JobView, *http.Response) {
+func submit(t *testing.T, ts *httptest.Server, req jobapi.SubmitRequest, query string) (jobapi.JobView, *http.Response) {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -56,7 +57,7 @@ func submit(t *testing.T, ts *httptest.Server, req SubmitRequest, query string) 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v JobView
+	var v jobapi.JobView
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			t.Fatalf("decoding submit response: %v", err)
@@ -65,7 +66,7 @@ func submit(t *testing.T, ts *httptest.Server, req SubmitRequest, query string) 
 	return v, resp
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
+func getJob(t *testing.T, ts *httptest.Server, id string) jobapi.JobView {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
@@ -75,7 +76,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET job %s: status %d", id, resp.StatusCode)
 	}
-	var v JobView
+	var v jobapi.JobView
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
 }
 
 // pollUntil polls the job until pred holds or the deadline passes.
-func pollUntil(t *testing.T, ts *httptest.Server, id string, pred func(JobView) bool) JobView {
+func pollUntil(t *testing.T, ts *httptest.Server, id string, pred func(jobapi.JobView) bool) jobapi.JobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -94,7 +95,7 @@ func pollUntil(t *testing.T, ts *httptest.Server, id string, pred func(JobView) 
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s: condition not reached before deadline (last: %+v)", id, getJob(t, ts, id))
-	return JobView{}
+	return jobapi.JobView{}
 }
 
 func cancelJob(t *testing.T, ts *httptest.Server, id string) *http.Response {
@@ -136,15 +137,15 @@ func TestEndToEndByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, resp := submit(t, ts, SubmitRequest{Spec: spec}, "")
+	v, resp := submit(t, ts, jobapi.SubmitRequest{Spec: spec}, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	if v.Status != StatusQueued && v.Status != StatusRunning {
+	if v.Status != jobapi.StatusQueued && v.Status != jobapi.StatusRunning {
 		t.Fatalf("fresh job status = %s", v.Status)
 	}
-	done := pollUntil(t, ts, v.ID, func(v JobView) bool { return v.Status.Terminal() })
-	if done.Status != StatusDone {
+	done := pollUntil(t, ts, v.ID, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	if done.Status != jobapi.StatusDone {
 		t.Fatalf("job ended %s (%s)", done.Status, done.Error)
 	}
 	if done.Result == nil {
@@ -166,8 +167,8 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	}
 	eng2 := runner.New(runner.Options{Workers: 1, Cache: cache2})
 	_, ts2 := newTestServer(t, Options{Engine: eng2})
-	v2, _ := submit(t, ts2, SubmitRequest{Spec: spec}, "?wait=1")
-	if v2.Status != StatusDone {
+	v2, _ := submit(t, ts2, jobapi.SubmitRequest{Spec: spec}, "?wait=1")
+	if v2.Status != jobapi.StatusDone {
 		t.Fatalf("cached job ended %s (%s)", v2.Status, v2.Error)
 	}
 	if v2.Source != "disk" {
@@ -216,24 +217,24 @@ func TestSubmitValidation(t *testing.T) {
 func TestCancelRunningFreesWorker(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
 
-	long, resp := submit(t, ts, SubmitRequest{Spec: longSpec(21)}, "")
+	long, resp := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(21)}, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	pollUntil(t, ts, long.ID, func(v JobView) bool { return v.Status == StatusRunning })
+	pollUntil(t, ts, long.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
 
-	short, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(22)}, "")
+	short, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(22)}, "")
 
 	if resp := cancelJob(t, ts, long.ID); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: status %d", resp.StatusCode)
 	}
-	v := pollUntil(t, ts, long.ID, func(v JobView) bool { return v.Status.Terminal() })
-	if v.Status != StatusCancelled {
+	v := pollUntil(t, ts, long.ID, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	if v.Status != jobapi.StatusCancelled {
 		t.Fatalf("cancelled job ended %s", v.Status)
 	}
 	// The freed slot must run the short job to completion.
-	v = pollUntil(t, ts, short.ID, func(v JobView) bool { return v.Status.Terminal() })
-	if v.Status != StatusDone {
+	v = pollUntil(t, ts, short.ID, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	if v.Status != jobapi.StatusDone {
 		t.Fatalf("follow-up job ended %s (%s)", v.Status, v.Error)
 	}
 	// Cancelling a terminal job conflicts.
@@ -245,14 +246,14 @@ func TestCancelRunningFreesWorker(t *testing.T) {
 // Cancelling a queued job retires it without it ever running.
 func TestCancelQueued(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
-	long, _ := submit(t, ts, SubmitRequest{Spec: longSpec(31)}, "")
-	pollUntil(t, ts, long.ID, func(v JobView) bool { return v.Status == StatusRunning })
-	queued, _ := submit(t, ts, SubmitRequest{Spec: longSpec(32)}, "")
+	long, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(31)}, "")
+	pollUntil(t, ts, long.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
+	queued, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(32)}, "")
 	if resp := cancelJob(t, ts, queued.ID); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel queued: status %d", resp.StatusCode)
 	}
 	v := getJob(t, ts, queued.ID)
-	if v.Status != StatusCancelled || v.Started != "" {
+	if v.Status != jobapi.StatusCancelled || v.Started != "" {
 		t.Fatalf("queued cancel: %+v", v)
 	}
 }
@@ -263,13 +264,13 @@ func TestQueueOverflow429(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Engine: runner.New(runner.Options{Workers: 1}), QueueDepth: 1,
 	})
-	running, _ := submit(t, ts, SubmitRequest{Spec: longSpec(41)}, "")
-	pollUntil(t, ts, running.ID, func(v JobView) bool { return v.Status == StatusRunning })
-	queued, resp := submit(t, ts, SubmitRequest{Spec: longSpec(42)}, "")
+	running, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(41)}, "")
+	pollUntil(t, ts, running.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
+	queued, resp := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(42)}, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second submit: status %d", resp.StatusCode)
 	}
-	_, resp = submit(t, ts, SubmitRequest{Spec: longSpec(43)}, "")
+	_, resp = submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(43)}, "")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: status %d, want 429", resp.StatusCode)
 	}
@@ -278,7 +279,7 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 	// Free the queue slot: admission recovers.
 	cancelJob(t, ts, queued.ID)
-	third, resp := submit(t, ts, SubmitRequest{Spec: longSpec(44)}, "")
+	third, resp := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(44)}, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-drain submit: status %d", resp.StatusCode)
 	}
@@ -292,19 +293,19 @@ func TestClientCap429(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Engine: runner.New(runner.Options{Workers: 1}), ClientInFlight: 1,
 	})
-	a1, _ := submit(t, ts, SubmitRequest{Spec: longSpec(51), Client: "alice"}, "")
-	_, resp := submit(t, ts, SubmitRequest{Spec: longSpec(52), Client: "alice"}, "")
+	a1, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(51), Client: "alice"}, "")
+	_, resp := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(52), Client: "alice"}, "")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("capped submit: status %d, want 429", resp.StatusCode)
 	}
-	b1, resp := submit(t, ts, SubmitRequest{Spec: longSpec(53), Client: "bob"}, "")
+	b1, resp := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(53), Client: "bob"}, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("other client: status %d", resp.StatusCode)
 	}
 	// Alice's job finishing readmits her.
 	cancelJob(t, ts, a1.ID)
-	pollUntil(t, ts, a1.ID, func(v JobView) bool { return v.Status.Terminal() })
-	a2, resp := submit(t, ts, SubmitRequest{Spec: longSpec(54), Client: "alice"}, "")
+	pollUntil(t, ts, a1.ID, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	a2, resp := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(54), Client: "alice"}, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("readmitted submit: status %d", resp.StatusCode)
 	}
@@ -315,14 +316,14 @@ func TestClientCap429(t *testing.T) {
 // Queued high-priority jobs dispatch before queued normal ones.
 func TestPriorityDispatch(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
-	gate, _ := submit(t, ts, SubmitRequest{Spec: longSpec(61)}, "")
-	pollUntil(t, ts, gate.ID, func(v JobView) bool { return v.Status == StatusRunning })
-	low, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(62), Priority: "low"}, "")
-	high, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(63), Priority: "high"}, "")
+	gate, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(61)}, "")
+	pollUntil(t, ts, gate.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
+	low, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(62), Priority: "low"}, "")
+	high, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(63), Priority: "high"}, "")
 	cancelJob(t, ts, gate.ID)
-	lv := pollUntil(t, ts, low.ID, func(v JobView) bool { return v.Status.Terminal() })
-	hv := pollUntil(t, ts, high.ID, func(v JobView) bool { return v.Status.Terminal() })
-	if lv.Status != StatusDone || hv.Status != StatusDone {
+	lv := pollUntil(t, ts, low.ID, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	hv := pollUntil(t, ts, high.ID, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	if lv.Status != jobapi.StatusDone || hv.Status != jobapi.StatusDone {
 		t.Fatalf("jobs ended %s / %s", lv.Status, hv.Status)
 	}
 	ls, err1 := time.Parse(time.RFC3339Nano, lv.Started)
@@ -339,7 +340,7 @@ func TestPriorityDispatch(t *testing.T) {
 // its job.
 func TestWaitDisconnectCancels(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1})})
-	body, _ := json.Marshal(SubmitRequest{Spec: longSpec(71)})
+	body, _ := json.Marshal(jobapi.SubmitRequest{Spec: longSpec(71)})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs?wait=1", bytes.NewReader(body))
 	if err != nil {
@@ -365,13 +366,13 @@ func TestWaitDisconnectCancels(t *testing.T) {
 			t.Fatal(err)
 		}
 		var list struct {
-			Jobs []JobView `json:"jobs"`
+			Jobs []jobapi.JobView `json:"jobs"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if len(list.Jobs) > 0 && list.Jobs[0].Status == StatusRunning {
+		if len(list.Jobs) > 0 && list.Jobs[0].Status == jobapi.StatusRunning {
 			id = list.Jobs[0].ID
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -381,8 +382,8 @@ func TestWaitDisconnectCancels(t *testing.T) {
 	}
 	cancel()
 	<-errCh
-	v := pollUntil(t, ts, id, func(v JobView) bool { return v.Status.Terminal() })
-	if v.Status != StatusCancelled {
+	v := pollUntil(t, ts, id, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	if v.Status != jobapi.StatusCancelled {
 		t.Fatalf("abandoned job ended %s", v.Status)
 	}
 }
@@ -393,23 +394,23 @@ func TestShutdownDrains(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	running, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(81)}, "")
-	pollUntil(t, ts, running.ID, func(v JobView) bool { return v.Status != StatusQueued })
-	queued, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(82)}, "")
+	running, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(81)}, "")
+	pollUntil(t, ts, running.ID, func(v jobapi.JobView) bool { return v.Status != jobapi.StatusQueued })
+	queued, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(82)}, "")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if v := getJob(t, ts, running.ID); v.Status != StatusDone {
+	if v := getJob(t, ts, running.ID); v.Status != jobapi.StatusDone {
 		t.Fatalf("running job ended %s, want done", v.Status)
 	}
-	if v := getJob(t, ts, queued.ID); v.Status != StatusCancelled {
+	if v := getJob(t, ts, queued.ID); v.Status != jobapi.StatusCancelled {
 		t.Fatalf("queued job ended %s, want cancelled", v.Status)
 	}
 	// Draining refuses new work and reports unready.
-	_, resp := submit(t, ts, SubmitRequest{Spec: shortSpec(83)}, "")
+	_, resp := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(83)}, "")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown submit: status %d, want 503", resp.StatusCode)
 	}
@@ -429,8 +430,8 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	s := New(Options{Engine: runner.New(runner.Options{Workers: 1})})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	long, _ := submit(t, ts, SubmitRequest{Spec: longSpec(91)}, "")
-	pollUntil(t, ts, long.ID, func(v JobView) bool { return v.Status == StatusRunning })
+	long, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(91)}, "")
+	pollUntil(t, ts, long.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -438,7 +439,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	if err == nil {
 		t.Fatal("Shutdown returned nil despite a running long job")
 	}
-	if v := getJob(t, ts, long.ID); v.Status != StatusCancelled {
+	if v := getJob(t, ts, long.ID); v.Status != jobapi.StatusCancelled {
 		t.Fatalf("long job ended %s, want cancelled", v.Status)
 	}
 }
@@ -447,7 +448,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 // carrying the result.
 func TestEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, Options{ProgressInterval: 20 * time.Millisecond})
-	v, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(101)}, "")
+	v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(101)}, "")
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -471,11 +472,11 @@ func TestEventsStream(t *testing.T) {
 	if len(events) == 0 || events[len(events)-1] != "status" {
 		t.Fatalf("events = %v, want trailing status", events)
 	}
-	var final JobView
+	var final jobapi.JobView
 	if err := json.Unmarshal([]byte(lastData), &final); err != nil {
 		t.Fatalf("final event data: %v\n%s", err, lastData)
 	}
-	if final.Status != StatusDone || final.Result == nil {
+	if final.Status != jobapi.StatusDone || final.Result == nil {
 		t.Fatalf("final event = %+v", final)
 	}
 }
@@ -484,8 +485,8 @@ func TestEventsStream(t *testing.T) {
 // and the latency histogram.
 func TestMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	v, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(111)}, "?wait=1")
-	if v.Status != StatusDone {
+	v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(111)}, "?wait=1")
+	if v.Status != jobapi.StatusDone {
 		t.Fatalf("job ended %s", v.Status)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -527,11 +528,11 @@ func readAll(t *testing.T, resp *http.Response) string {
 // returns the canonical form, and the result identity is preserved.
 func TestCanonicalSpecEcho(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	v, _ := submit(t, ts, SubmitRequest{
+	v, _ := submit(t, ts, jobapi.SubmitRequest{
 		Spec: simspec.Spec{GPU: "HS", CPU: "vips", Scheme: "DelegatedReplies",
 			Warmup: 200, Cycles: 2000, Seed: 121},
 	}, "?wait=1")
-	if v.Status != StatusDone {
+	if v.Status != jobapi.StatusDone {
 		t.Fatalf("job ended %s (%s)", v.Status, v.Error)
 	}
 	if v.Spec.Scheme != "delegated" {

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
+
+	"delrep/internal/jobapi"
 )
 
 // sseEvent is one server-sent event: a named payload pushed to a
@@ -22,7 +22,8 @@ func (s *Server) notifyLocked(j *Job) {
 	if len(j.subs) == 0 {
 		return
 	}
-	ev := sseEvent{name: "status", data: j.viewLocked()}
+	v, _ := j.viewLocked()
+	ev := sseEvent{name: "status", data: v}
 	for ch := range j.subs {
 		select {
 		case ch <- ev:
@@ -61,20 +62,8 @@ func (s *Server) subscribe(row *jobRow) (j *Job, ch chan sseEvent, unsub func())
 // terminal reports whether the event is a terminal status event, the
 // one that ends a stream.
 func (ev sseEvent) terminal() bool {
-	view, ok := ev.data.(JobView)
+	view, ok := ev.data.(jobapi.JobView)
 	return ok && view.Status.Terminal()
-}
-
-func writeSSE(w http.ResponseWriter, f http.Flusher, ev sseEvent) error {
-	b, err := json.Marshal(ev.data)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, b); err != nil {
-		return err
-	}
-	f.Flush()
-	return nil
 }
 
 // handleEvents streams a job's lifecycle as server-sent events: a
@@ -98,7 +87,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	emit := func(ev sseEvent) (done bool) {
-		return writeSSE(w, f, ev) != nil || ev.terminal()
+		err := jobapi.WriteEvent(w, ev.name, ev.data)
+		f.Flush()
+		return err != nil || ev.terminal()
 	}
 	j, ch, unsub := s.subscribe(row)
 	defer unsub()
@@ -116,10 +107,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		case <-ticker.C:
 			s.mu.Lock()
-			var pv *ProgressView
-			if row.status == StatusRunning && j.progress != nil {
+			var pv *jobapi.ProgressView
+			if row.status == jobapi.StatusRunning && j.progress != nil {
 				done, total := j.progress()
-				pv = &ProgressView{CyclesDone: done, CyclesTotal: total}
+				pv = &jobapi.ProgressView{CyclesDone: done, CyclesTotal: total}
 			}
 			s.mu.Unlock()
 			if pv != nil && emit(sseEvent{name: "progress", data: pv}) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/telemetry"
 )
@@ -28,9 +29,9 @@ func TestTelemetryInertness(t *testing.T) {
 		Telemetry: true,
 	})
 
-	vp, _ := submit(t, plain, SubmitRequest{Spec: spec}, "?wait=1")
-	vt, _ := submit(t, traced, SubmitRequest{Spec: spec}, "?wait=1")
-	if vp.Status != StatusDone || vt.Status != StatusDone {
+	vp, _ := submit(t, plain, jobapi.SubmitRequest{Spec: spec}, "?wait=1")
+	vt, _ := submit(t, traced, jobapi.SubmitRequest{Spec: spec}, "?wait=1")
+	if vp.Status != jobapi.StatusDone || vt.Status != jobapi.StatusDone {
 		t.Fatalf("jobs ended %s / %s", vp.Status, vt.Status)
 	}
 	if vp.Result == nil || vt.Result == nil {
@@ -65,8 +66,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		Telemetry: true,
 	})
 
-	v, vresp := submit(t, ts, SubmitRequest{Spec: shortSpec(211), Client: "tracer"}, "?wait=1")
-	if vresp.StatusCode != http.StatusOK || v.Status != StatusDone {
+	v, vresp := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(211), Client: "tracer"}, "?wait=1")
+	if vresp.StatusCode != http.StatusOK || v.Status != jobapi.StatusDone {
 		t.Fatalf("submit: status %d, job %s (%s)", vresp.StatusCode, v.Status, v.Error)
 	}
 
@@ -155,11 +156,11 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// A job cancelled while queued is listed too, newest first.
-	gate, _ := submit(t, ts, SubmitRequest{Spec: longSpec(212)}, "")
-	pollUntil(t, ts, gate.ID, func(v JobView) bool { return v.Status == StatusRunning })
-	gate2, _ := submit(t, ts, SubmitRequest{Spec: longSpec(213)}, "")
-	pollUntil(t, ts, gate2.ID, func(v JobView) bool { return v.Status == StatusRunning })
-	queued, _ := submit(t, ts, SubmitRequest{Spec: longSpec(214)}, "")
+	gate, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(212)}, "")
+	pollUntil(t, ts, gate.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
+	gate2, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(213)}, "")
+	pollUntil(t, ts, gate2.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
+	queued, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(214)}, "")
 	cancelJob(t, ts, queued.ID)
 	if listed := getDebugJobs(t, ts); len(listed.Jobs) != 2 || listed.Jobs[0].ID != queued.ID || listed.Jobs[0].Outcome != "cancelled" {
 		t.Fatalf("/debug/jobs = %+v, want the queued-cancelled job %s first", listed, queued.ID)
@@ -172,8 +173,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 // and jobs run untraced.
 func TestTelemetryDisabledEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	v, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(221)}, "?wait=1")
-	if v.Status != StatusDone {
+	v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(221)}, "?wait=1")
+	if v.Status != jobapi.StatusDone {
 		t.Fatalf("job ended %s", v.Status)
 	}
 	for _, path := range []string{"/v1/jobs/" + v.ID + "/trace", "/debug/jobs"} {
@@ -219,7 +220,7 @@ func getDebugJobs(t *testing.T, ts *httptest.Server) (listed struct {
 // The new metric families appear once jobs have flowed through.
 func TestMetricsTelemetrySeries(t *testing.T) {
 	_, ts := newTestServer(t, Options{Telemetry: true})
-	if v, _ := submit(t, ts, SubmitRequest{Spec: shortSpec(231), Priority: "high"}, "?wait=1"); v.Status != StatusDone {
+	if v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(231), Priority: "high"}, "?wait=1"); v.Status != jobapi.StatusDone {
 		t.Fatalf("job ended %s", v.Status)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -246,7 +247,7 @@ func TestMetricsTelemetrySeries(t *testing.T) {
 
 // sseEvents collects one SSE stream: event names in order plus the
 // decoded last status payload.
-func sseEvents(t *testing.T, resp *http.Response) (names []string, last JobView) {
+func sseEvents(t *testing.T, resp *http.Response) (names []string, last jobapi.JobView) {
 	t.Helper()
 	sc := bufio.NewScanner(resp.Body)
 	var lastData string
@@ -272,8 +273,8 @@ func TestEventsCancelTerminalDelivery(t *testing.T) {
 		Engine:           runner.New(runner.Options{Workers: 1}),
 		ProgressInterval: 20 * time.Millisecond,
 	})
-	v, _ := submit(t, ts, SubmitRequest{Spec: longSpec(241)}, "")
-	pollUntil(t, ts, v.ID, func(v JobView) bool { return v.Status == StatusRunning })
+	v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(241)}, "")
+	pollUntil(t, ts, v.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
 	if err != nil {
@@ -282,7 +283,7 @@ func TestEventsCancelTerminalDelivery(t *testing.T) {
 	defer resp.Body.Close()
 	done := make(chan struct{})
 	var names []string
-	var final JobView
+	var final jobapi.JobView
 	go func() {
 		defer close(done)
 		names, final = sseEvents(t, resp)
@@ -301,7 +302,7 @@ func TestEventsCancelTerminalDelivery(t *testing.T) {
 	if len(names) == 0 || names[len(names)-1] != "status" {
 		t.Fatalf("events = %v, want trailing status", names)
 	}
-	if final.Status != StatusCancelled {
+	if final.Status != jobapi.StatusCancelled {
 		t.Fatalf("final SSE status = %s, want cancelled", final.Status)
 	}
 	// status events never arrive after the terminal one ended the
@@ -320,8 +321,8 @@ func TestEventsClientDisconnect(t *testing.T) {
 		Engine:           runner.New(runner.Options{Workers: 1}),
 		ProgressInterval: 10 * time.Millisecond,
 	})
-	v, _ := submit(t, ts, SubmitRequest{Spec: longSpec(251)}, "")
-	pollUntil(t, ts, v.ID, func(v JobView) bool { return v.Status == StatusRunning })
+	v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(251)}, "")
+	pollUntil(t, ts, v.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+v.ID+"/events", nil)
@@ -363,7 +364,7 @@ func TestEventsClientDisconnect(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// The job is untouched by its watcher vanishing.
-	if got := getJob(t, ts, v.ID); got.Status != StatusRunning {
+	if got := getJob(t, ts, v.ID); got.Status != jobapi.StatusRunning {
 		t.Fatalf("job status after subscriber disconnect = %s, want running", got.Status)
 	}
 	cancelJob(t, ts, v.ID)
@@ -395,23 +396,23 @@ func TestTerminalTraceStillRecords(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 2}), Telemetry: true})
 	spec := shortSpec(271)
 	spec.Cycles = 40_000
-	has := func(id, span string) func(JobView) bool {
-		return func(JobView) bool {
+	has := func(id, span string) func(jobapi.JobView) bool {
+		return func(jobapi.JobView) bool {
 			_, ok := traceTree(t, ts, id).Find(span)
 			return ok
 		}
 	}
-	a, _ := submit(t, ts, SubmitRequest{Spec: spec, Client: "a"}, "")
+	a, _ := submit(t, ts, jobapi.SubmitRequest{Spec: spec, Client: "a"}, "")
 	pollUntil(t, ts, a.ID, has(a.ID, "engine.run"))
-	b, _ := submit(t, ts, SubmitRequest{Spec: spec, Client: "b"}, "")
+	b, _ := submit(t, ts, jobapi.SubmitRequest{Spec: spec, Client: "b"}, "")
 	pollUntil(t, ts, b.ID, has(b.ID, "dedup.join"))
 	if join, _ := traceTree(t, ts, b.ID).Find("dedup.join"); !join.Open {
 		t.Fatal("job B joined a future that had already completed")
 	}
 	cancelJob(t, ts, a.ID)
 
-	terminal := func(v JobView) bool { return v.Status.Terminal() }
-	if v := pollUntil(t, ts, b.ID, terminal); v.Status != StatusDone {
+	terminal := func(v jobapi.JobView) bool { return v.Status.Terminal() }
+	if v := pollUntil(t, ts, b.ID, terminal); v.Status != jobapi.StatusDone {
 		t.Fatalf("job B ended %s (%s), want done", v.Status, v.Error)
 	}
 	pollUntil(t, ts, a.ID, terminal)
