@@ -24,10 +24,11 @@ lint:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# profile runs a representative clogging workload under the CPU and
+# profile runs the clogged spec sim-serial leads with (HS+vips baseline
+# mesh: memory nodes blocked on full reply buffers) under the CPU and
 # heap profilers; inspect with `go tool pprof cpu.prof` (or heap.prof).
 profile:
-	$(GO) run ./cmd/delrepsim -gpu NN -cpu vips -scheme delegated \
+	$(GO) run ./cmd/delrepsim -gpu HS -cpu vips -scheme baseline -topo mesh \
 		-warm 5000 -cycles 20000 -cpuprofile cpu.prof -memprofile heap.prof
 	@echo "wrote cpu.prof and heap.prof; inspect with: go tool pprof cpu.prof"
 

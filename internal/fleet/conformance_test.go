@@ -198,6 +198,27 @@ var conformanceCases = []struct {
 			t.Errorf("cancel: status %d, view %s (%v), want 200 cancelled", resp.StatusCode, raw, err)
 		}
 	}},
+	{"DELETE of a job joined to another's run ends cancelled; the other still gets the result", false, func(t *testing.T, tg target, base string) {
+		spec := slowSpec(614)
+		first, _ := post(t, base, "", jobapi.SubmitRequest{Spec: spec})
+		joined, _ := post(t, base, "", jobapi.SubmitRequest{Spec: spec})
+		waitFor(t, "both jobs running", func() bool {
+			return getJob(t, base, first.ID).Status == jobapi.StatusRunning && getJob(t, base, joined.ID).Status == jobapi.StatusRunning
+		})
+		resp, raw, _ := call(t, http.MethodDelete, base+"/v1/jobs/"+joined.ID, nil)
+		var cv jobapi.JobView
+		if err := json.Unmarshal(raw, &cv); err != nil || resp.StatusCode != http.StatusOK || cv.Status != jobapi.StatusCancelled {
+			t.Errorf("cancel the joined job: status %d, view %s (%v), want 200 cancelled", resp.StatusCode, raw, err)
+		}
+		resp, err := http.Get(base + "/v1/jobs/" + first.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, views := statusEvents(t, resp.Body); len(views) == 0 || views[len(views)-1].Status != jobapi.StatusDone || views[len(views)-1].Result == nil {
+			t.Errorf("the job the cancelled one joined did not end done with a result: %+v", views)
+		}
+	}},
 	{"wait answers 200 with the direct run's result bytes", false, func(t *testing.T, tg target, base string) {
 		spec := shortSpec(602)
 		v, resp := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: spec})

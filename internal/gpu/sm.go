@@ -138,14 +138,16 @@ func (s *SM) Tick() {
 			default:
 				issued++
 				tried = 0
-				if w.state == warpBarrier {
-					s.cur = (s.cur + 1) % n
+				if w.state != warpBarrier {
+					continue
 				}
-				continue
+				tried-- // moving past a warp that just issued is no try
 			}
 		}
 		// Barriered or refused: try another warp.
-		s.cur = (s.cur + 1) % n
+		if s.cur++; s.cur == n {
+			s.cur = 0
+		}
 		tried++
 	}
 	if issued > 0 {

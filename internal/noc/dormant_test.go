@@ -12,12 +12,15 @@ import (
 // The wake-source inventory (DESIGN.md §9): a dormant router is skipped
 // until pushFlit (link flit arrival, local NI injection) or addCredit
 // (link credit arrival, NI ejection credit return) touches it. Each
-// test below clogs a column of the mesh so that two routers hold stuck
-// flits and go dormant, fires exactly one wake source at a dormant
-// router, and requires the observable outcome — the cycle a port first
-// moves, every packet's ejection cycle — to equal a reference run in
-// which no router is ever allowed to stay dormant, at one tile and
-// with the two routers on different tiles of four.
+// router test below clogs a column of the mesh so that two routers hold
+// stuck flits and go dormant, fires exactly one wake source at a
+// dormant router, and requires the observable outcome — the cycle a
+// port first moves, every packet's ejection cycle — to equal a
+// reference run in which no router or NI is ever allowed to sleep, at
+// one tile and with the two routers on different tiles of four. A
+// refused NI sleeps until Inject, RemoveQueued, a pop from the router
+// input port it feeds, or its earliest queue head's ReadyAt; the NI
+// tests fire one each and compare injection and ejection cycles.
 
 const (
 	wakeUp = 8  // source of the stuck flow (row 1, tile 0 of 4)
@@ -29,7 +32,7 @@ const (
 type wakeRig struct {
 	t       *testing.T
 	net     *Network
-	awake   bool // reference mode: wake every router before each cycle
+	awake   bool // reference mode: wake every router and NI before each cycle
 	blocked bool
 	stuck   []*Packet
 	nextID  uint64
@@ -55,6 +58,7 @@ func (g *wakeRig) step() {
 		for _, r := range g.net.Routers {
 			r.wake()
 		}
+		clear(g.net.injDue)
 	}
 	g.net.Tick()
 }
@@ -102,6 +106,37 @@ func (g *wakeRig) mustBeAwake(r int) {
 		g.t.Fatalf("cycle %d: router %d was not woken", g.net.now, r)
 	}
 }
+
+// niMustSleep checks that the NI of node is asleep with injection work.
+func (g *wakeRig) niMustSleep(node int) {
+	if !g.awake && (g.net.injDue[node] <= g.net.now || !g.net.NI(node).injActive()) {
+		g.t.Fatalf("cycle %d: NI %d should be asleep with work queued", g.net.now, node)
+	}
+}
+
+// inject queues p at its source NI and fails the test if it is refused.
+func (g *wakeRig) inject(p *Packet) *Packet {
+	if !g.net.NI(p.Src).Inject(p) {
+		g.t.Fatalf("packet %d refused", p.ID)
+	}
+	return p
+}
+
+// deliver runs until p has been ejected and returns its injection and
+// ejection cycles.
+func (g *wakeRig) deliver(p *Packet) []int64 {
+	for p.Ejected == 0 {
+		if g.net.now > 5000 {
+			g.t.Fatalf("packet %d not delivered", p.ID)
+		}
+		g.step()
+	}
+	return []int64{p.Injected, p.Ejected}
+}
+
+// niSrc is the node whose NI the NI tests put to sleep: row 5, tile 2
+// of 4, away from the clogged column.
+const niSrc = 40
 
 // drain unblocks the destination and runs until every given packet has
 // been ejected, returning their ejection cycles.
@@ -236,32 +271,139 @@ func TestDormantWakeLocalInjection(t *testing.T) {
 	})
 }
 
+// A pop from the router input port an NI feeds wakes it: the stuck
+// source's NI sleeps on a full local port, and once the destination
+// unblocks it pushes again exactly when the never-sleeping NI does.
+func TestDormantNIWakePop(t *testing.T) {
+	runWakeScenario(t, func(g *wakeRig) []int64 {
+		g.clog()
+		g.niMustSleep(wakeUp)
+		out := g.drain(g.stuck)
+		for _, p := range g.stuck {
+			out = append(out, p.Injected)
+		}
+		return out
+	})
+}
+
+// Inject wakes an NI sleeping on a far ReadyAt: a ready packet of the
+// other class is pushed in the next cycle.
+func TestDormantNIWakeInject(t *testing.T) {
+	runWakeScenario(t, func(g *wakeRig) []int64 {
+		late := g.packet(niSrc, 47, 2)
+		late.Class, late.ReadyAt = ClassReply, g.net.now+300
+		g.inject(late)
+		for i := 0; i < 10; i++ {
+			g.step()
+		}
+		g.niMustSleep(niSrc)
+		ready := g.inject(g.packet(niSrc, 0, 3))
+		g.step()
+		if ready.Injected != g.net.now {
+			g.t.Fatalf("packet injected at %d, want %d", ready.Injected, g.net.now)
+		}
+		return append(g.deliver(ready), g.deliver(late)...)
+	})
+}
+
+// RemoveQueued wakes an NI whose queue head waits for a far ReadyAt:
+// the ready packet behind it becomes the head and is pushed in the
+// next cycle.
+func TestDormantNIWakeRemoveQueued(t *testing.T) {
+	runWakeScenario(t, func(g *wakeRig) []int64 {
+		late := g.packet(niSrc, 47, 2)
+		late.ReadyAt = g.net.now + 300
+		g.inject(late)
+		next := g.inject(g.packet(niSrc, 47, 2))
+		for i := 0; i < 10; i++ {
+			g.step()
+		}
+		g.niMustSleep(niSrc)
+		if g.net.NI(niSrc).RemoveQueued(ClassRequest, 0) != late {
+			g.t.Fatal("RemoveQueued returned another packet")
+		}
+		g.step()
+		if next.Injected != g.net.now {
+			g.t.Fatalf("packet injected at %d, want %d", next.Injected, g.net.now)
+		}
+		return g.deliver(next)
+	})
+}
+
+// The earliest queue head's ReadyAt wakes a refused NI: it sleeps from
+// the tick that finds the head not ready until the head's ReadyAt.
+func TestDormantNIWakeReadyAt(t *testing.T) {
+	runWakeScenario(t, func(g *wakeRig) []int64 {
+		p := g.packet(niSrc, 47, 2)
+		p.ReadyAt = g.net.now + 50
+		g.inject(p)
+		g.step() // refused: the head is not ready
+		for g.net.now < p.ReadyAt {
+			g.niMustSleep(niSrc)
+			g.step()
+		}
+		if p.Injected != p.ReadyAt {
+			g.t.Fatalf("packet injected at %d, want its ReadyAt %d", p.Injected, p.ReadyAt)
+		}
+		return g.deliver(p)
+	})
+}
+
+// TestDormantNIDebugCheckPanics plants a missing wake: a ready packet
+// queued behind Inject's back at a sleeping NI. With DebugChecks the
+// sleeping NI is ticked anyway, and starting the stream is a panic
+// naming the NI and the cycle.
+func TestDormantNIDebugCheckPanics(t *testing.T) {
+	g := newWakeRig(t, 1, false)
+	late := g.packet(niSrc, 47, 2)
+	late.ReadyAt = g.net.now + 300
+	g.inject(late)
+	g.step()
+	g.niMustSleep(niSrc)
+	g.net.DebugChecks = true
+	g.step() // the sleeping NI ticks, makes no progress: fine
+	ni := g.net.NI(niSrc)
+	ni.injQ[ClassReply] = append(ni.injQ[ClassReply], g.packet(niSrc, 47, 2))
+	defer func() {
+		msg, _ := recover().(string)
+		if want := fmt.Sprintf("noc: sleeping NI %d made progress at cycle %d", niSrc, g.net.now); msg != want {
+			t.Fatalf("recovered %q, want %q", msg, want)
+		}
+	}()
+	g.step()
+}
+
 // TestDormantDebugCheckPanics shows the self-checks: with DebugChecks
 // every router's state words are recounted each cycle and a sleeping
 // router is ticked anyway, so state changed behind the mutation points'
 // back — a credit handed to a sleeping router without addCredit, an
-// occupancy bit dropped without a pop — is a panic naming the router
-// and the cycle (which of the two checks fires first depends on whether
-// the corrupted VC was free; silence is the only wrong answer).
+// occupancy bit dropped without a pop, an empty router woken — is a
+// panic naming the router and the cycle (which of the checks fires
+// first depends on whether the corrupted VC was free; silence is the
+// only wrong answer).
 func TestDormantDebugCheckPanics(t *testing.T) {
-	corruptions := map[string]func(r *Router){
-		"credit": func(r *Router) { r.vc[PortS*r.numVCs].credits++ },
-		"occ": func(r *Router) {
+	corruptions := map[string]struct {
+		router  int
+		corrupt func(r *Router)
+	}{
+		"credit": {wakeUp, func(r *Router) { r.vc[PortS*r.numVCs].credits++ }},
+		"occ": {wakeUp, func(r *Router) {
 			for w := range r.occ {
 				r.occ[w] &= r.occ[w] - 1
 			}
-		},
+		}},
+		"awake-empty": {63, (*Router).wake},
 	}
-	for name, corrupt := range corruptions {
+	for name, c := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			g := newWakeRig(t, 1, false)
 			g.clog()
 			g.net.DebugChecks = true
 			g.step() // sleeping routers tick, make no progress: fine
-			corrupt(g.net.Routers[wakeUp])
+			c.corrupt(g.net.Routers[c.router])
 			defer func() {
 				msg, _ := recover().(string)
-				who := fmt.Sprintf("router %d ", wakeUp)
+				who := fmt.Sprintf("router %d ", c.router)
 				when := fmt.Sprintf("cycle %d", g.net.now)
 				if !strings.HasPrefix(msg, "noc: ") || !strings.Contains(msg, who) || !strings.Contains(msg, when) {
 					t.Fatalf("recovered %q, want a noc panic naming %q and %q", msg, who, when)

@@ -13,8 +13,10 @@ import (
 // router state words are recounted from the rings, owner and credits
 // every tick (DebugChecks), the credit invariant is re-derived every
 // cycle, sinks refuse at random to back traffic up into the routers,
-// and after the sources stop every injected flit must be ejected and
-// the network Quiet. The seeds below and under testdata/fuzz run as
+// packets carry random ReadyAt delays and are withdrawn from the queues
+// at random (the NI's timed and queue-removal wakes, checked by ticking
+// sleeping NIs anyway), and after the sources stop every flit still
+// injected must be ejected and the network Quiet. The seeds below and under testdata/fuzz run as
 // plain tests; `go test -fuzz FuzzRouterState` explores from them.
 func FuzzRouterState(f *testing.F) {
 	// topology, VCs (per class, or request VCs when shared), shared
@@ -97,9 +99,17 @@ func FuzzRouterState(f *testing.F) {
 				}
 				p := &Packet{ID: uint64(injected + 1), Src: n, Dst: rng.Intn(nodes), Class: cls,
 					Prio: Priority(rng.Intn(3)), SizeFlits: 1 + rng.Intn(maxFlits)}
+				if rng.Intn(4) == 0 {
+					p.ReadyAt = net.Now() + 1 + int64(rng.Intn(30))
+				}
 				if net.NI(n).Inject(p) {
 					injected++
 					flits += int64(p.SizeFlits)
+				}
+				if q := net.NI(n).PeekQueue(cls); len(q) > 0 && rng.Intn(8) == 0 {
+					gone := net.NI(n).RemoveQueued(cls, rng.Intn(len(q)))
+					injected--
+					flits -= int64(gone.SizeFlits)
 				}
 			}
 			step()

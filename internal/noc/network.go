@@ -2,6 +2,8 @@ package noc
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"delrep/internal/config"
 	"delrep/internal/fifo"
@@ -19,13 +21,13 @@ import (
 // tile from NewNetwork on; SetParallel re-partitions). It is
 // activity-gated: routers outside their tile's awake set (no buffered
 // flits, or a last tick that changed nothing, see Router.awakeWord) and
-// NIs with no injection/ejection work are skipped. The gating is exact —
-// every piece of per-cycle state a skipped component would have touched
-// is either provably unchanged when idle or stuck, or derived from the
-// cycle count (router saPortPtr, NI class round-robin) — so results are
-// bit-identical to ungated execution. Under HARE routing every router
-// still ticks its EWMA congestion estimate (it decays per cycle), and
-// only the allocators are skipped.
+// NIs with no due injection or ejection work are skipped. The gating is
+// exact — every piece of per-cycle state a skipped component would have
+// touched is either provably unchanged when idle or stuck, or derived
+// from the cycle count (router saPortPtr, NI class round-robin) — so
+// results are bit-identical to ungated execution. Under HARE routing
+// every router still ticks its EWMA congestion estimate (it decays per
+// cycle), and only the allocators are skipped.
 type Network struct {
 	Label    string
 	topo     Topology
@@ -37,10 +39,14 @@ type Network struct {
 
 	Routers []*Router
 	NIs     []*NI
-	// injBusy/ejBusy[node]: the NI may have injection/ejection work (NI.injActive).
-	injBusy, ejBusy []bool
+	// injDue[node]: next cycle the NI's injection ticks (NI.nextReadyAt,
+	// NI.wakeInject); ejBusy[node]: it may have ejection work (ejActive).
+	injDue []int64
+	ejBusy []bool
 
 	now int64
+	// saStart: (now-1) mod k per router port count k (BeginTick advances it).
+	saStart []modCounter
 
 	// enqNow is the cycle stamped onto packets at Inject. Standalone it
 	// always equals now; the system cycle computes both networks before
@@ -75,9 +81,9 @@ type Network struct {
 
 	// DebugChecks enables the slow cross-checks: Quiet and
 	// CheckCreditInvariant re-derive the activity counters by full
-	// scan and panic/error on divergence, and dormant routers are
-	// ticked anyway and panic if they make progress. Tests switch this
-	// on.
+	// scan and panic/error on divergence, and dormant routers and NIs
+	// are ticked anyway and panic if they make progress. Tests switch
+	// this on.
 	DebugChecks bool
 
 	// TraceSink, when non-nil, receives every ejected packet that
@@ -93,6 +99,11 @@ type Network struct {
 	PktLat   [3]stats.Sampler // per priority
 	measured int64            // cycles since last ResetStats
 }
+
+// never is the injDue of an NI no timer wakes; a modCounter wraps at k.
+const never = math.MaxInt64
+
+type modCounter struct{ v, k int32 }
 
 // Params bundles the NI buffer capacities used at construction.
 type Params struct {
@@ -122,8 +133,15 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 		hare:     cfg.Routing == config.RoutingHARE,
 	}
 	n.Routers = make([]*Router, topo.NumRouters())
+	n.saStart = make([]modCounter, 0, len(n.Routers)) // never grows: routers point into it
 	for r := range n.Routers {
-		n.Routers[r] = newRouter(n, r, topo.NumPorts(r), numVCs, n.bufDepth)
+		k := topo.NumPorts(r)
+		n.Routers[r] = newRouter(n, r, k, numVCs, n.bufDepth)
+		c := slices.IndexFunc(n.saStart, func(c modCounter) bool { return int(c.k) == k })
+		if c < 0 { // a new port count: start at (0-1) mod k
+			c, n.saStart = len(n.saStart), append(n.saStart, modCounter{v: int32(k - 1), k: int32(k)})
+		}
+		n.Routers[r].saStart = &n.saStart[c].v
 	}
 	// Wire inter-router links and credits.
 	for r := range n.Routers {
@@ -140,7 +158,7 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 	}
 	// Attach NIs.
 	n.NIs = make([]*NI, nodes)
-	n.injBusy, n.ejBusy = make([]bool, nodes), make([]bool, nodes)
+	n.injDue, n.ejBusy = make([]int64, nodes), make([]bool, nodes)
 	for node := 0; node < nodes; node++ {
 		r, port := topo.NodePort(node)
 		injCap := [2]int{p.InjCapCore, p.InjCapCore}
@@ -345,8 +363,8 @@ func (n *Network) CheckCreditInvariant() error {
 		return fmt.Errorf("network buffered-flit counter drifted: counter=%d scan=%d", n.ctr.bufFlits, buffered)
 	}
 	for node, ni := range n.NIs {
-		if ni.injActive() && !n.injBusy[node] || ni.ejActive() && !n.ejBusy[node] {
-			return fmt.Errorf("NI %d has work its busy flag does not show", node)
+		if ni.ejActive() && !n.ejBusy[node] {
+			return fmt.Errorf("NI %d has ejection work its busy flag does not show", node)
 		}
 	}
 	for _, r := range n.Routers {

@@ -105,7 +105,7 @@ func (ni *NI) Inject(p *Packet) bool {
 		ni.holdLen[p.Class]++
 	}
 	ni.injQ[p.Class] = append(ni.injQ[p.Class], p)
-	ni.net.injBusy[ni.Node] = true
+	ni.wakeInject()
 	return true
 }
 
@@ -119,7 +119,32 @@ func (ni *NI) PeekQueue(c Class) []*Packet { return ni.injQ[c] }
 func (ni *NI) RemoveQueued(c Class, i int) *Packet {
 	p := ni.injQ[c][i]
 	ni.injQ[c] = fifo.RemoveAt(ni.injQ[c], i)
+	ni.wakeInject()
 	return p
+}
+
+// wakeInject makes the injection tick due again (Network.injDue). A
+// refused tick reads the queue heads (changed by Inject, RemoveQueued),
+// their ReadyAt (timed by nextReadyAt), its own streams, and the room
+// in the router input port it feeds (freed by a pop in Router.traverse).
+func (ni *NI) wakeInject() {
+	if due := &ni.net.injDue[ni.Node]; *due > ni.net.now { // tiles share the line: write it only on change
+		*due = ni.net.now
+	}
+}
+
+// nextReadyAt returns when a refused injection tick must run again
+// unless woken first: the earliest ReadyAt of a head not yet ready, or
+// never. Until then it would repeat identically, blocked flags
+// included: the class round-robin only orders starts that all fail.
+func (ni *NI) nextReadyAt() int64 {
+	at := int64(never)
+	for _, q := range ni.injQ {
+		if len(q) > 0 && q[0].ReadyAt > ni.net.now {
+			at = min(at, q[0].ReadyAt)
+		}
+	}
+	return at
 }
 
 // injActive reports whether injection-side work exists. Idle NIs skip
@@ -127,9 +152,10 @@ func (ni *NI) RemoveQueued(c Class, i int) *Packet {
 // blocked flags and the class round-robin — is provably unaffected
 // (blocked is always false once the streams drain, and the class
 // round-robin is derived from the cycle count, see startStreams). The
-// tick loops ask only the NIs flagged in Network.injBusy/ejBusy — set
-// by Inject and accept, the only sources of new work, and dropped by
-// the first visit that finds none (CheckCreditInvariant cross-checks).
+// tick loops ask only the NIs flagged in Network.injDue/ejBusy — set
+// by Inject and accept, the only sources of new work (injDue also by
+// the wake sources of a refused tick), and dropped by the first visit
+// that finds none (CheckCreditInvariant cross-checks ejBusy).
 func (ni *NI) injActive() bool {
 	return len(ni.injQ[0]) > 0 || len(ni.injQ[1]) > 0 || len(ni.streams) > 0
 }
@@ -166,9 +192,9 @@ func (ni *NI) vcFree(vc int) bool {
 // count rather than stored — skipped idle cycles cannot drift it.
 func (ni *NI) startStreams() {
 	rtr := ni.net.Routers[ni.router]
-	cls := int((ni.net.now - 1) % 2)
-	for tries := 0; tries < 2; tries++ {
-		c := (cls + tries) % 2
+	cls := int((ni.net.now - 1) & 1)
+	for tries := 0; tries < 2 && len(ni.streams) < ni.net.numVCs; tries++ { // a stream holds a VC: all held, none starts
+		c := cls ^ tries
 		for {
 			pkt := ni.headReady(c)
 			if pkt == nil {
@@ -193,18 +219,22 @@ func (ni *NI) startStreams() {
 }
 
 // tickInject pushes at most one flit (the link width) from the active
-// streams, starting new streams as VCs free up.
-func (ni *NI) tickInject() {
+// streams, starting new streams as VCs free up, and reports whether it
+// pushed (a stream it starts always does: its VC had room).
+func (ni *NI) tickInject() bool {
 	ni.blocked = [2]bool{}
 	ni.startStreams()
 	if len(ni.streams) == 0 {
-		return
+		return false
 	}
 	rtr := ni.net.Routers[ni.router]
 	pushed := false
 	n := len(ni.streams)
-	for i := 0; i < n; i++ {
-		idx := (ni.rrStream + i) % n
+	idx := ni.rrStream // the stream after the last one pushed, mod n
+	for i := 0; i < n; i, idx = i+1, idx+1 {
+		for idx >= n {
+			idx -= n
+		}
 		st := &ni.streams[idx]
 		if rtr.vcLen(ni.base+st.vc) >= ni.net.bufDepth {
 			continue
@@ -230,6 +260,7 @@ func (ni *NI) tickInject() {
 			ni.blocked[st.pkt.Class] = true
 		}
 	}
+	return pushed
 }
 
 // accept receives a flit from the router's ejection port.

@@ -50,14 +50,15 @@ type refRouter struct {
 
 // mirror builds the reference twin of a freshly wired router.
 func mirror(r *Router) *refRouter {
-	n := r.nports * r.numVCs
+	nports := len(r.ports)
+	n := nports * r.numVCs
 	ref := &refRouter{
-		net: r.net, id: r.ID, nports: r.nports, numVCs: r.numVCs,
+		net: r.net, id: r.ID, nports: nports, numVCs: r.numVCs,
 		inFlat:  make([]vcBuf, n),
 		credits: make([]int, n), owner: make([]int32, n),
-		connected: make([]bool, r.nports),
-		saInPtr:   make([]int, r.nports), vaOutPtr: make([]int, r.nports),
-		inputUsed: make([]bool, r.nports), outputUsed: make([]bool, r.nports),
+		connected: make([]bool, nports),
+		saInPtr:   make([]int, nports), vaOutPtr: make([]int, nports),
+		inputUsed: make([]bool, nports), outputUsed: make([]bool, nports),
 		headPrio: make([]int8, n),
 	}
 	words := (n + 63) / 64
@@ -331,15 +332,17 @@ func TestAllocatorsMatchReference(t *testing.T) {
 				feeds := make([]feed, len(real.vc))
 				var nextID uint64
 				ticks := 4000
-				if real.nports > 16 {
+				if len(real.ports) > 16 {
 					ticks = 600
 				}
 				// Phases of scarce and plentiful credit, so that zero-credit
 				// and long-owned outputs both occur.
 				for tick := 0; tick < ticks; tick++ {
-					net.now++
+					net.BeginTick(false)
 					if rng.Intn(4) == 0 { // a router that slept: the SA port order moved on
-						net.now += int64(rng.Intn(5))
+						for k := rng.Intn(5); k > 0; k-- {
+							net.BeginTick(false)
+						}
 					}
 					pCredit := []float64{0.05, 0.3, 0.9}[tick/200%3]
 					for i := range real.vc {
@@ -375,7 +378,9 @@ func TestAllocatorsMatchReference(t *testing.T) {
 					}
 					ref.allocateVCs()
 					ref.switchAllocAndTraverse(net.now)
-					real.wake()
+					if real.buffered > 0 { // awake implies buffered > 0
+						real.wake()
+					}
 					real.tick()
 					if err := ref.diff(real); err != nil {
 						t.Fatalf("tick %d (cycle %d): %v", tick, net.now, err)

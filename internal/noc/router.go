@@ -12,7 +12,7 @@ import (
 type port struct {
 	to, toBase     int32 // output link: downstream router (-1 none) and the flat index of VC 0 of its input port
 	from, fromBase int32 // input link: upstream router (-1 NI-fed or unconnected) and VC 0 of its output port
-	eject          *NI   // local ejection target (nil otherwise)
+	eject          *NI   // local NI: ejection target and injection source (nil otherwise)
 	sent           int64 // flits transferred (utilization statistic)
 }
 
@@ -35,9 +35,8 @@ type vcState struct {
 // iSLIP-style allocator with rotating pointers).
 //
 // The switch-allocation input-port pointer is not stored: it advances
-// exactly once per network cycle since construction, so it is
-// recomputed from the cycle count. That keeps it bit-identical even
-// when sleeping routers skip their tick entirely (see tile.Step).
+// once per network cycle, so the network counts it, (now-1) mod nports,
+// and routers that sleep through ticks cannot drift it (see tile.Step).
 //
 // All per-VC state is flat — flit slots, vcState records, and words
 // with one bit per flat index (Go cannot mix pointer and scalar arrays
@@ -51,7 +50,6 @@ type Router struct {
 	tl     *tile        // owning tile: schedules this router's deliveries
 	ctr    *netCounters // statistics sink: the owning tile's delta
 	ID     int
-	nports int
 	numVCs int // == net.numVCs
 	depth  int // == net.bufDepth, the ring capacity of every input VC
 	ports  []port
@@ -72,6 +70,7 @@ type Router struct {
 	pri                     [3][]uint64
 
 	saInPtr  []int32 // per input port: rotating VC pointer
+	saStart  *int32  // switch-allocation start port: the network's (now-1) mod nports
 	vaOutPtr []int32 // per output port: rotating grant pointer (VC allocation)
 
 	// Per-tick scratch, from the word slab. req[p]: union of the
@@ -90,14 +89,17 @@ type Router struct {
 	// grants, and the one cycle-derived input, the switch-allocation
 	// port order, only orders candidates that all fail — so it clears
 	// the bit and the router sleeps until pushFlit or addCredit sets it.
-	// With Network.DebugChecks a sleeping router is ticked anyway and
-	// must make no progress.
+	// So does a tick that leaves it empty; addCredit wakes a router only
+	// if it holds flits and gains an avail or ready bit (awake implies
+	// buffered > 0). With Network.DebugChecks a sleeping router is
+	// ticked anyway and must make no progress.
 	awakeWord *uint64
 	awakeBit  uint64
 
 	// buffered counts flits across all input VC rings; it drives the
 	// O(1) BufferedFlits/Quiet paths.
 	buffered int
+	vaDirty  bool // a VC-allocation input changed since allocateVCs last ran
 
 	// Adaptive routing state (see routing.go).
 	foot map[int]int
@@ -109,7 +111,7 @@ func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
 	w := (n + 63) / 64
 	pw := (nports + 63) / 64
 	r := &Router{
-		net: net, ID: id, nports: nports, numVCs: numVCs, depth: bufDepth,
+		net: net, ID: id, numVCs: numVCs, depth: bufDepth,
 		ports:   make([]port, nports),
 		vc:      make([]vcState, n),
 		flits:   make([]Flit, n*bufDepth),
@@ -146,6 +148,16 @@ func field(ws []uint64, lo, n int) uint64 {
 	return f & (1<<uint(n) - 1)
 }
 
+// nextSet returns the first set bit at or after from in a word set, or -1.
+func nextSet(ws []uint64, from int) int {
+	for w, m := from>>6, ^(bit(from) - 1); w < len(ws); w, m = w+1, ^uint64(0) {
+		if m &= ws[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
 // vcLen returns the number of flits buffered in input VC i.
 func (r *Router) vcLen(i int) int { return int(r.vc[i].qlen) }
 
@@ -176,6 +188,7 @@ func (r *Router) pushFlit(i int, f Flit) {
 		f.Pkt.Trace.arrive(r.ID, r.net.now)
 	}
 	r.flits[i*r.depth+pos] = f
+	r.vaDirty = r.vaDirty || v.qlen == 0 // a new head
 	v.qlen++
 	r.occ[i>>6] |= bit(i)
 	r.buffered++
@@ -185,17 +198,22 @@ func (r *Router) pushFlit(i int, f Flit) {
 
 // addCredit returns n credits to output VC o. Every credit return —
 // link credit events and NI ejection — goes through here so avail and
-// ready track the credits and a sleeping router cannot miss the event
-// that unblocks it.
+// ready track the credits, and a sleeping router holding flits wakes
+// when a credit sets one of their bits: nothing else it reads changes.
 func (r *Router) addCredit(o, n int) {
 	v := &r.vc[o]
 	v.credits += int32(n)
-	if v.owner == ownerFree {
-		r.avail[o>>6] |= bit(o)
-	} else {
-		r.ready[v.owner>>6] |= bit(int(v.owner))
+	ws, i := r.avail, o // the bit the credit can set: avail of a free VC, ready of its owner
+	if v.owner != ownerFree {
+		ws, i = r.ready, int(v.owner)
 	}
-	r.wake()
+	if ws[i>>6]&bit(i) == 0 {
+		ws[i>>6] |= bit(i)
+		r.vaDirty = r.vaDirty || v.owner == ownerFree
+		if r.buffered > 0 {
+			r.wake()
+		}
+	}
 }
 
 // initCredits gives a newly wired output port n credits per (free) VC.
@@ -225,7 +243,7 @@ func (r *Router) tick() {
 	if progress && asleep {
 		panic(fmt.Sprintf("noc: dormant router %d made progress at cycle %d", r.ID, r.net.now))
 	}
-	if !progress {
+	if !progress || r.buffered == 0 {
 		*r.awakeWord &^= r.awakeBit
 	}
 }
@@ -239,6 +257,10 @@ func (r *Router) tick() {
 // turning in from other dimensions at merge routers. It reports whether
 // any route was computed or VC granted.
 func (r *Router) allocateVCs() bool {
+	if !r.vaDirty { // no new head, no newly available VC: a rerun grants nothing
+		return false
+	}
+	r.vaDirty = false
 	// Classify the waiting heads (occ &^ held): route the new ones in
 	// ascending index order, then fold every waiting head's candidate
 	// mask into its priority's request mask. Routing one VC touches only
@@ -365,55 +387,55 @@ func (r *Router) switchAllocAndTraverse() bool {
 	// rest of the allocation, so the sets read at the start of each
 	// priority pass stay valid through it; output contention is checked
 	// live in the loop.
-	some := false
-	for w := range r.occ {
-		some = some || r.occ[w]&r.ready[w] != 0
-	}
-	if !some {
-		return false
-	}
 	clear(r.used)
 	// The historical saPortPtr advanced by one every cycle regardless
-	// of traffic; derive it from the cycle count so skipped ticks
-	// cannot desynchronise it.
-	nvc := r.numVCs
-	start := int((r.net.now - 1) % int64(r.nports))
+	// of traffic; the network counts it so skipped ticks cannot
+	// desynchronise it.
+	nvc, nv := r.numVCs, len(r.vc)
+	start := int(*r.saStart) * nvc
+	progress := false
 	for prio := int(PrioCPU); prio >= int(PrioGPU); prio-- {
-		some = false
+		some := false
 		for w := range r.send {
 			r.send[w] = r.occ[w] & r.ready[w] & r.pri[prio][w]
 			some = some || r.send[w] != 0
 		}
-		for k, p := 0, start; some && k < r.nports; k, p = k+1, p+1 {
-			if p == r.nports {
-				p = 0
-			}
-			// This port's sendable VCs, rotated so bit j is VC saInPtr+j.
-			f, s := field(r.send, p*nvc, nvc), int(r.saInPtr[p])
-			if f == 0 || r.inUsed[p>>6]&bit(p) != 0 {
-				continue
-			}
-			for f = (f>>uint(s) | f<<uint(nvc-s)) & (1<<uint(nvc) - 1); f != 0; f &= f - 1 {
-				v := s + bits.TrailingZeros64(f)
-				if v >= nvc {
-					v -= nvc
-				}
-				op := int(r.vc[r.vc[p*nvc+v].outVC].port)
-				if r.outUsed[op>>6]&bit(op) != 0 {
+		progress = progress || some // the first sendable head visited finds every port free
+		// Visit the ports holding a sendable head cyclically from the
+		// start port — bits [start, nv), then [0, start) — jumping past
+		// each port once visited: the all-ports order minus idle ports.
+		for lo, hi := start, nv; some; lo, hi = 0, start {
+			for i := nextSet(r.send, lo); i >= 0 && i < hi; i = nextSet(r.send, lo) {
+				p := int(r.vc[i].port)
+				lo = (p + 1) * nvc
+				if r.inUsed[p>>6]&bit(p) != 0 {
 					continue
 				}
-				r.traverse(p*nvc + v)
-				r.inUsed[p>>6] |= bit(p)
-				r.outUsed[op>>6] |= bit(op)
-				if v++; v == nvc {
-					v = 0
+				// This port's sendable VCs, rotated so bit j is VC saInPtr+j.
+				f, s := field(r.send, p*nvc, nvc), int(r.saInPtr[p])
+				for f = (f>>uint(s) | f<<uint(nvc-s)) & (1<<uint(nvc) - 1); f != 0; f &= f - 1 {
+					v := s + bits.TrailingZeros64(f)
+					if v >= nvc {
+						v -= nvc
+					}
+					op := int(r.vc[r.vc[p*nvc+v].outVC].port)
+					if r.outUsed[op>>6]&bit(op) != 0 {
+						continue
+					}
+					r.traverse(p*nvc + v)
+					r.inUsed[p>>6] |= bit(p)
+					r.outUsed[op>>6] |= bit(op)
+					if v++; v == nvc {
+						v = 0
+					}
+					r.saInPtr[p] = int32(v)
+					break
 				}
-				r.saInPtr[p] = int32(v)
-				break
 			}
+			some = hi > start && start > 0 // [0, start) is next, unless empty
 		}
 	}
-	return true // the first sendable head visited found every port free
+	return progress
 }
 
 // traverse moves the front flit of input VC i through the crossbar
@@ -464,12 +486,16 @@ func (r *Router) traverse(i int) {
 		op.eject.accept(f, outVC)
 	}
 
-	// Return a credit to whoever feeds this input port.
+	// Return a credit to whoever feeds this input port: the upstream
+	// router, or the local NI, which the freed slot wakes.
 	if in := &r.ports[v.port]; in.from >= 0 {
 		r.tl.schedule(r.net.cfg.LinkDelay, event{router: in.from, vc: in.fromBase + int32(i) - v.port*int32(r.numVCs)})
+	} else if in.eject != nil {
+		in.eject.wakeInject()
 	}
 
 	if tail {
+		r.vaDirty = true
 		ov.owner = ownerFree
 		if ov.credits > 0 {
 			r.avail[o>>6] |= bit(o)
@@ -530,5 +556,8 @@ func (r *Router) recount() {
 	}
 	if scan := r.bufferedScan(); scan != r.buffered {
 		panic(fmt.Sprintf("noc: router %d buffered-flit counter drifted at cycle %d: counter=%d scan=%d", r.ID, r.net.now, r.buffered, scan))
+	}
+	if *r.awakeWord&r.awakeBit != 0 && r.buffered == 0 {
+		panic(fmt.Sprintf("noc: router %d is awake with no flits buffered at cycle %d", r.ID, r.net.now))
 	}
 }

@@ -38,7 +38,7 @@ func TestClaimedBitmapCoversCandidates(t *testing.T) {
 	r0.pushFlit(in, Flit{Pkt: pkt})
 	r0.route(in)
 	cands := net.topo.Route(net, 0, pkt, nil)
-	for port := 0; port < r0.nports; port++ {
+	for port := 0; port < len(r0.ports); port++ {
 		for vc := 0; vc < numVCs; vc++ {
 			want := false
 			for _, c := range cands {

@@ -172,12 +172,16 @@ func (t *tile) Step() {
 	}
 	t.credits[t.slot] = t.credits[t.slot][:0]
 	for _, node := range t.nodes {
-		if n.injBusy[node] {
-			if ni := n.NIs[node]; ni.injActive() {
-				ni.tickInject()
-			} else {
-				n.injBusy[node] = false
-			}
+		due := n.injDue[node] <= n.now
+		if !due && !n.DebugChecks { // with DebugChecks, tick the sleepers too
+			continue
+		}
+		if ni := n.NIs[node]; !ni.injActive() {
+			n.injDue[node] = never
+		} else if pushed := ni.tickInject(); pushed && !due {
+			panic(fmt.Sprintf("noc: sleeping NI %d made progress at cycle %d", node, n.now))
+		} else if !pushed && due {
+			n.injDue[node] = ni.nextReadyAt() // asleep until then or a wakeInject
 		}
 	}
 	// Under HARE every router, asleep or not, decays its congestion
@@ -266,6 +270,12 @@ func (n *Network) Parallel() int { return len(n.tiles) }
 func (n *Network) BeginTick(holdEnq bool) {
 	n.now++
 	n.measured++
+	for i := range n.saStart {
+		c := &n.saStart[i]
+		if c.v++; c.v == c.k {
+			c.v = 0
+		}
+	}
 	if !holdEnq {
 		n.enqNow = n.now
 		return

@@ -282,6 +282,10 @@ func (f *Future) Wait() Run {
 	return f.run
 }
 
+// Done returns a channel closed when the simulation completes, for a
+// waiter that must also stop when its own context ends.
+func (f *Future) Done() <-chan struct{} { return f.done }
+
 // Results blocks until the simulation completes and returns its Results.
 func (f *Future) Results() core.Results { return f.Wait().Results }
 

@@ -267,7 +267,12 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	for {
 		fut = x.opts.Engine.SubmitCtx(runCtx, rspec)
 		j.SetProgress(fut.Progress)
-		run = fut.Wait()
+		select {
+		case <-fut.Done():
+			run = fut.Wait()
+		case <-j.ctx.Done(): // cancelled: detach; another job may still want the run
+			run = runner.Run{Err: context.Canceled}
+		}
 		if run.Err == nil || j.ctx.Err() != nil || !errors.Is(run.Err, context.Canceled) {
 			break
 		}

@@ -394,7 +394,11 @@ func TestShutdownDrains(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	running, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(81)}, "")
+	// Long enough to still be running when the second job queues and
+	// Shutdown begins (a short spec can finish first, and the worker then
+	// dispatches the second job), short enough to drain.
+	draining := simspec.Spec{GPU: "HS", CPU: "vips", Warmup: 200, Cycles: 20_000, Seed: 81}
+	running, _ := submit(t, ts, jobapi.SubmitRequest{Spec: draining}, "")
 	pollUntil(t, ts, running.ID, func(v jobapi.JobView) bool { return v.Status != jobapi.StatusQueued })
 	queued, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(82)}, "")
 
