@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: build test race lint bench profile record serve all
+.PHONY: build test race lint bench-check bench profile record serve all
 
-all: build test lint
+all: build test lint bench-check
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ race:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/simlint ./...
+
+# bench-check vets and builds the benchmark module (its own go.mod,
+# so `go build ./...` never reaches it): a renamed or removed exported
+# name it compiles against fails here, not only in CI.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

@@ -11,9 +11,9 @@
 //
 //	digestdump [-seeds 1,7,99] [-warm 200] [-cycles 450] [-parallel N]
 //
-// -parallel spreads every run's cycle over N workers; the output must
-// be byte-identical at every N (diff two dumps to certify the tick
-// engine after touching internal/noc or internal/core).
+// -parallel spreads every run's network tiles over N workers; the
+// output must be byte-identical at every N (diff two dumps to certify
+// the tick engine after touching internal/noc or internal/core).
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 		seeds    = flag.String("seeds", "1,7,99", "comma-separated seeds")
 		warm     = flag.Int64("warm", 200, "warmup cycles")
 		cycles   = flag.Int64("cycles", 450, "measured cycles")
-		parallel = flag.Int("parallel", 0, "workers per run (output is byte-identical at every value)")
+		parallel = flag.Int("parallel", 0, "workers for each run's network tiles (output is byte-identical at every value)")
 	)
 	flag.Parse()
 	if err := dump(os.Stdout, *seeds, *warm, *cycles, *parallel); err != nil {

@@ -381,7 +381,7 @@ func TestMemNodeBlocksWhenBufferFull(t *testing.T) {
 	// Fill the reply injection buffer.
 	ni := sys.repNI(m.Node)
 	for ni.CanInject(noc.ClassReply) {
-		ni.Inject(sys.newPacketOn(&sys.shards[0].al, m.Node, sys.GPUs[0].Node, noc.ClassReply, noc.PrioGPU, 9,
+		ni.Inject(sys.newPacket(m.Node, sys.GPUs[0].Node, noc.ClassReply, noc.PrioGPU, 9,
 			&Msg{Type: MsgReply, Line: 1, Requester: sys.GPUs[0].Node}))
 	}
 	line := cache.Addr(1 << 30)
@@ -403,13 +403,13 @@ func TestFRQBoundedAndRefuses(t *testing.T) {
 	sys := NewSystem(shortCfg(config.SchemeDelegatedReplies), "HS", "vips")
 	g := sys.GPUs[0]
 	for i := 0; i < sys.Cfg.GPU.FRQEntries; i++ {
-		p := sys.newPacketOn(&sys.shards[0].al, sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
+		p := sys.newPacket(sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
 			&Msg{Type: MsgDelegated, Line: cache.Addr(i), Requester: sys.GPUs[1].Node})
 		if !g.HandlePacket(p) {
 			t.Fatalf("FRQ refused entry %d below capacity", i)
 		}
 	}
-	p := sys.newPacketOn(&sys.shards[0].al, sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
+	p := sys.newPacket(sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
 		&Msg{Type: MsgDelegated, Line: 99, Requester: sys.GPUs[1].Node})
 	if g.HandlePacket(p) {
 		t.Fatal("FRQ accepted past capacity")
@@ -421,7 +421,7 @@ func TestFRQRemoteMissSendsDNF(t *testing.T) {
 	g := sys.GPUs[0]
 	requester := sys.GPUs[5].Node
 	line := cache.Addr(12345)
-	p := sys.newPacketOn(&sys.shards[0].al, sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
+	p := sys.newPacket(sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
 		&Msg{Type: MsgDelegated, Line: line, Requester: requester})
 	g.HandlePacket(p)
 	g.BeginCycle()
@@ -444,7 +444,7 @@ func TestFRQRemoteHitRepliesDirectly(t *testing.T) {
 	line := cache.Addr(777)
 	g.l1.Insert(line, 0, false)
 	requester := sys.GPUs[7].Node
-	p := sys.newPacketOn(&sys.shards[0].al, sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
+	p := sys.newPacket(sys.Mems[0].Node, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
 		&Msg{Type: MsgDelegated, Line: line, Requester: requester})
 	g.HandlePacket(p)
 	g.BeginCycle()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"delrep/internal/config"
+	"delrep/internal/noc"
 	"delrep/internal/obs"
 )
 
@@ -63,9 +64,7 @@ func auditMatrix() []auditCase {
 }
 
 // auditSharedL1 is the cluster-organisation half: shared slices and the
-// DynEB mode controller are extra state that must replay identically,
-// and they constrain the node partition (DCL1 shards on cluster
-// boundaries, DynEB is one shard while the networks still tile).
+// DynEB mode controller are extra state that must replay identically.
 func auditSharedL1() []auditCase {
 	var cases []auditCase
 	for _, org := range []config.L1Org{config.L1DCL1, config.L1DynEB} {
@@ -86,8 +85,8 @@ func auditSharedL1() []auditCase {
 const allWorkers = 1 << 30
 
 // partitionSizes are the worker counts the audit table runs at beyond
-// 1. Crossbar rows are one tile and k shards, DynEB rows k tiles and
-// one shard, the rest k of each — all sizes of the one engine.
+// 1. Each run is min(k, routers) tiles — a crossbar row is always one —
+// and the one node phase: all sizes of the one engine.
 var partitionSizes = []int{2, 3, 4, 8, allWorkers}
 
 // runPartition runs one audit case at k workers with both networks'
@@ -160,14 +159,15 @@ func auditGolden(t *testing.T, cases []auditCase) {
 func auditPartitions(t *testing.T, cases []auditCase) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			routers := len(NewSystem(c.cfg, c.gpu, c.cpu).ReqNet.Routers)
 			base := runPartition(t, c, 1)
 			if base.Workers != 1 {
 				t.Fatalf("k=1 ran at %d workers", base.Workers)
 			}
 			for _, k := range partitionSizes {
 				a := runPartition(t, c, k)
-				if a.Workers < 2 || a.Workers > k {
-					t.Fatalf("k=%d ran at %d workers", k, a.Workers)
+				if want := min(k, routers); a.Workers != want {
+					t.Fatalf("k=%d ran at %d workers, want %d", k, a.Workers, want)
 				}
 				if a.Cycles != base.Cycles || a.Digest != base.Digest {
 					t.Fatalf("k=%d diverged from k=1: (%d, %#x) vs (%d, %#x)",
@@ -194,8 +194,9 @@ func TestDeterminismAuditParallelSharedL1(t *testing.T) { auditPartitions(t, aud
 
 // TestPhaseProfileDigestIdentical: the profiler steps the same phase
 // methods as Tick, so a profiled run must land on the golden digest at
-// every partition size — and every one of the six phases must have
-// been stepped and timed, the commits included.
+// every partition size — and every one of the five phases must have
+// been stepped and timed, the commit included. NodeCommit has no phase
+// behind it and stays zero.
 func TestPhaseProfileDigestIdentical(t *testing.T) {
 	c := auditMatrix()[4] // DelegatedReplies/Mesh
 	want := goldenDigests(t)[c.golden]
@@ -214,11 +215,63 @@ func TestPhaseProfileDigestIdentical(t *testing.T) {
 		}
 		for name, d := range map[string]time.Duration{
 			"Begin": prof.Begin, "NetCompute": prof.NetCompute, "NetCommit": prof.NetCommit,
-			"NodeCompute": prof.NodeCompute, "NodeCommit": prof.NodeCommit, "Serial": prof.Serial,
+			"NodeCompute": prof.NodeCompute, "Serial": prof.Serial,
 		} {
 			if d <= 0 {
 				t.Errorf("profiled k=%d: phase %s recorded no time", k, name)
 			}
+		}
+		if prof.NodeCommit != 0 {
+			t.Errorf("profiled k=%d: NodeCommit = %v, want 0", k, prof.NodeCommit)
+		}
+	}
+}
+
+// ejectedIDs runs the DelegatedReplies/Mesh audit case for a few
+// hundred cycles at k workers and returns the IDs of the packets the
+// node handlers consumed, in ejection order (node order within a
+// cycle). Handlers run on the coordinator, so appending needs no lock.
+func ejectedIDs(k int) []uint64 {
+	c := auditMatrix()[4]
+	sys := NewSystem(c.cfg, c.gpu, c.cpu)
+	sys.SetParallel(k)
+	defer sys.Close()
+	var ids []uint64
+	nets := []*noc.Network{sys.ReqNet}
+	if sys.RepNet != sys.ReqNet {
+		nets = append(nets, sys.RepNet)
+	}
+	for _, n := range nets {
+		for _, ni := range n.NIs {
+			h := ni.Handler
+			ni.Handler = func(p *noc.Packet) bool {
+				id := p.ID // a consuming handler scrubs the packet
+				ok := h(p)
+				if ok {
+					ids = append(ids, id)
+				}
+				return ok
+			}
+		}
+	}
+	sys.Run(600)
+	return ids
+}
+
+// TestPacketIDsIndependentOfPartition: packet IDs are the creation
+// sequence 1, 2, 3, ... at every partition size, so the packets ejected
+// in node order carry the same IDs at k=1 and at k=4.
+func TestPacketIDsIndependentOfPartition(t *testing.T) {
+	want, got := ejectedIDs(1), ejectedIDs(4)
+	if len(want) == 0 {
+		t.Fatal("no packets ejected")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("k=4 ejected %d packets, k=1 %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ejection %d: k=4 packet ID %d, k=1 %d", i, got[i], want[i])
 		}
 	}
 }
@@ -242,7 +295,7 @@ func waitPoolWorkers(t *testing.T, want int) {
 }
 
 // TestAttachObserverAfterSetParallel: an observed system is the
-// one-tile, one-shard partition whatever was configured before — the
+// one-tile partition whatever was configured before — the
 // earlier pool's workers are released, the run owns no goroutine, and
 // it still lands on the golden digest.
 func TestAttachObserverAfterSetParallel(t *testing.T) {

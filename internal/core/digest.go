@@ -20,15 +20,7 @@ func (s *System) StatsDigest() uint64 {
 	var d stats.Digest
 	d.Int64(s.cycle)
 	d.Int64(s.warmed)
-	// Total packets created across the shard allocators. The split of
-	// the count (and the IDs handed out) is an execution detail; the
-	// total is a pure function of the simulated protocol and so matches
-	// bit-for-bit at every shard count.
-	var created uint64
-	for _, sh := range s.shards {
-		created += sh.al.created
-	}
-	d.Uint64(created)
+	d.Uint64(s.al.created)
 	d.Int64(s.loc.samples)
 	d.Int64(s.loc.hits)
 	d.Int64(s.loc.sharedSamples)
@@ -105,7 +97,7 @@ type AuditRun struct {
 	Results Results
 	// Workers is the engine-effective worker count the run executed
 	// with: the requested parallelism after the engine clamps it to
-	// what the topology and node population can use (at least 1).
+	// the router count (at least 1).
 	// Execution metadata only — it never enters the canonical Result.
 	Workers int
 }

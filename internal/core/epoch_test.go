@@ -114,7 +114,7 @@ func fillMSHR(g *GPUCore) []cache.Addr {
 }
 
 func deliver(sys *System, g *GPUCore, m Msg) {
-	p := sys.newPacketOn(&sys.shards[0].al, sys.memNodes[0], g.Node, noc.ClassReply, noc.PrioGPU, 1, sys.shards[0].al.msgOf(m))
+	p := sys.newPacket(sys.memNodes[0], g.Node, noc.ClassReply, noc.PrioGPU, 1, sys.al.msgOf(m))
 	if !g.HandlePacket(p) {
 		panic("test packet refused")
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // ExampleSystem_SetParallel runs one configuration on the partition
-// NewSystem builds (one tile, one shard, inline) and then spread over
-// four workers, and compares the end-state digests. The partition is a
+// NewSystem builds (one tile, inline) and then with its networks
+// spread over four workers, and compares the end-state digests. The partition is a
 // pure execution choice (DESIGN.md §11): the two-phase tick commits
 // cross-tile events in a fixed order, so the digest — a hash of every
 // counter, queue, and latency sampler — is bit-identical at any worker

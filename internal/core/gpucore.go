@@ -63,9 +63,6 @@ type GPUCore struct {
 	Idx  int // index among GPU cores
 	SM   *gpu.SM
 
-	al  *alloc       // packet allocator: the owning shard's (see buildShards)
-	loc *locCounters // locality sample sink: the owning shard's delta
-
 	l1        *cache.Cache
 	mshr      *cache.MSHR
 	frq       []*noc.Packet
@@ -200,7 +197,7 @@ func (g *GPUCore) sendLLCRead(line cache.Addr, requester int, dnf bool, born int
 // send queues a packet on the class outbox (drained in Tick). The
 // message value is materialized through the System free list.
 func (g *GPUCore) send(m Msg, dst int, class noc.Class, prio noc.Priority, flits int) {
-	p := g.sys.newPacketOn(g.al, g.Node, dst, class, prio, flits, g.al.msgOf(m))
+	p := g.sys.newPacket(g.Node, dst, class, prio, flits, g.sys.al.msgOf(m))
 	if class == noc.ClassRequest {
 		g.outReq = append(g.outReq, p)
 	} else {
@@ -227,7 +224,7 @@ func (g *GPUCore) HandlePacket(p *noc.Packet) bool {
 					// both requesters. frqMerged keeps only the Msg;
 					// the carrier packet dies here.
 					g.frqMerged[m.Line] = append(g.frqMerged[m.Line], m)
-					g.al.freePacket(p)
+					g.sys.al.freePacket(p)
 					return true
 				}
 				break
@@ -240,24 +237,24 @@ func (g *GPUCore) HandlePacket(p *noc.Packet) bool {
 		return true
 	case MsgProbe:
 		if g.handleProbe(m) {
-			g.al.retire(p)
+			g.sys.al.retire(p)
 			return true
 		}
 		return false
 	case MsgProbeNack:
 		g.handleProbeNack(m)
-		g.al.retire(p)
+		g.sys.al.retire(p)
 		return true
 	case MsgReply:
 		if g.handleReply(m) {
-			g.al.retire(p)
+			g.sys.al.retire(p)
 			return true
 		}
 		return false
 	case MsgWriteAck:
 		g.outWrites--
 		g.SM.Unblock()
-		g.al.retire(p)
+		g.sys.al.retire(p)
 		return true
 	}
 	panic("core: unexpected message at GPU core: " + m.Type.String())
@@ -413,7 +410,7 @@ func (g *GPUCore) serveFRQ() {
 			}
 			g.budget--
 			g.frq, _ = fifo.PopFront(g.frq)
-			g.al.retire(p)
+			g.sys.al.retire(p)
 			continue
 		}
 		hit, _ := g.l1.Peek(m.Line)
@@ -441,7 +438,7 @@ func (g *GPUCore) serveFRQ() {
 		g.budget--
 		g.serveMerged(m)
 		g.frq, _ = fifo.PopFront(g.frq)
-		g.al.retire(p)
+		g.sys.al.retire(p)
 	}
 }
 
@@ -472,7 +469,7 @@ func (g *GPUCore) serveMerged(head *Msg) {
 				g.sendLLCRead(m.Line, m.Requester, true, m.Born, m.Acct)
 			}
 		}
-		g.al.freeMsg(m)
+		g.sys.al.freeMsg(m)
 	}
 }
 

@@ -35,7 +35,6 @@ type MemNode struct {
 	sys  *System
 	Node int
 	Idx  int
-	al   *alloc // packet allocator: the owning shard's (see buildShards)
 
 	llc   *cache.Cache
 	mshr  *cache.MSHR
@@ -68,8 +67,7 @@ func newMemNode(sys *System, node, idx int) *MemNode {
 	}
 }
 
-// beginQuota resets the per-cycle LLC port budget. It touches only the
-// node's own state, so it rides the shard begin phase.
+// beginQuota resets the per-cycle LLC port budget (System.begin).
 func (m *MemNode) beginQuota() {
 	m.llcQuota = 1
 	m.refused = false
@@ -104,13 +102,13 @@ func (m *MemNode) HandlePacket(p *noc.Packet) bool {
 	switch msg.Type {
 	case MsgGPURead, MsgCPURead:
 		if m.handleRead(msg) {
-			m.al.retire(p)
+			m.sys.al.retire(p)
 			return true
 		}
 		return false
 	case MsgGPUWrite:
 		if m.handleWrite(msg) {
-			m.al.retire(p)
+			m.sys.al.retire(p)
 			return true
 		}
 		return false
@@ -196,8 +194,8 @@ func (m *MemNode) handleWrite(msg *Msg) bool {
 	m.llcQuota--
 	m.Stats.Requests++
 	m.Stats.Writes++
-	ack := m.sys.newPacketOn(m.al, m.Node, msg.Requester, noc.ClassReply, noc.PrioGPU, 1,
-		m.al.msgOf(Msg{Type: MsgWriteAck, Line: msg.Line, Requester: msg.Requester, Acct: msg.Acct}))
+	ack := m.sys.newPacket(m.Node, msg.Requester, noc.ClassReply, noc.PrioGPU, 1,
+		m.sys.al.msgOf(Msg{Type: MsgWriteAck, Line: msg.Line, Requester: msg.Requester, Acct: msg.Acct}))
 	ack.ReadyAt = m.sys.cycle + int64(m.sys.Cfg.LLC.Latency)
 	repNI.Inject(ack)
 	return true
@@ -218,8 +216,8 @@ func (m *MemNode) injectReply(line cache.Addr, dst int, isCPU bool, kind ReplyKi
 		flits = m.sys.cpuReplyFlits
 		prio = noc.PrioCPU
 	}
-	msg := m.al.msgOf(Msg{Type: MsgReply, Line: line, Requester: dst, Kind: kind, Sharer: sharer, DNF: dnf, Born: born, Acct: acct})
-	p := m.sys.newPacketOn(m.al, m.Node, dst, noc.ClassReply, prio, flits, msg)
+	msg := m.sys.al.msgOf(Msg{Type: MsgReply, Line: line, Requester: dst, Kind: kind, Sharer: sharer, DNF: dnf, Born: born, Acct: acct})
+	p := m.sys.newPacket(m.Node, dst, noc.ClassReply, prio, flits, msg)
 	p.ReadyAt = m.sys.cycle + int64(m.sys.Cfg.LLC.Latency)
 	m.sys.repNI(m.Node).Inject(p)
 }
@@ -326,13 +324,13 @@ func (m *MemNode) delegate() {
 			acct.DelegWait += w
 		}
 		acct.Delegs++
-		d := m.sys.newPacketOn(m.al, m.Node, msg.Sharer, noc.ClassRequest, noc.PrioRemote, 1,
-			m.al.msgOf(Msg{Type: MsgDelegated, Line: msg.Line, Requester: msg.Requester, Sharer: msg.Sharer, Born: msg.Born, Acct: acct}))
+		d := m.sys.newPacket(m.Node, msg.Sharer, noc.ClassRequest, noc.PrioRemote, 1,
+			m.sys.al.msgOf(Msg{Type: MsgDelegated, Line: msg.Line, Requester: msg.Requester, Sharer: msg.Sharer, Born: msg.Born, Acct: acct}))
 		m.sys.noteDelegated(stuck, d)
 		reqNI.Inject(d)
 		// The stuck reply was consumed by the delegation (the observer
 		// copied its trace); it dies here.
-		m.al.retire(stuck)
+		m.sys.al.retire(stuck)
 		m.Stats.Delegations++
 		budget--
 	}

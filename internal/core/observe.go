@@ -16,11 +16,10 @@ import (
 // this).
 func (s *System) AttachObserver(o *obs.Observer) {
 	s.obs = o
-	// Trace hooks dereference packets inside the network compute
-	// sections, and packet IDs are only the creation sequence with one
-	// shard; an observed run is therefore the one-tile, one-shard
-	// partition. Digest-inert: the partition never changes results,
-	// only wall time.
+	// Trace hooks stamp packet hops inside the network compute
+	// sections; an observed run is therefore the one-tile partition.
+	// Digest-inert: the partition never changes results, only wall
+	// time.
 	if s.parallel > 1 {
 		s.SetParallel(1)
 	}

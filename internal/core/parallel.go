@@ -2,22 +2,20 @@ package core
 
 import "delrep/internal/par"
 
-// SetParallel sizes the partition the cycle runs over (System.Tick):
-// both networks are split into tiles (capped at the router count) and
-// the node phase into shards (capped by the legal shard count, see
-// shard.go) on one persistent pool of up to `workers` workers. The cap
-// is the larger of the two, so each structure takes what it can use:
-// a crossbar — one router — is one tile and many shards, shared-L1
-// DynEB is many tiles and one shard. Results and StatsDigest are
-// bit-identical at every worker count; see System.Tick,
-// internal/noc/tile.go, shard.go, and DESIGN.md §11 for the argument.
+// SetParallel sizes the network partition the cycle runs over
+// (System.Tick): both networks are split into min(workers, routers)
+// tiles whose compute sections run on one persistent pool of that many
+// workers, so a crossbar — one router — is always one tile. The node
+// phase runs on the caller whatever the size. Results, StatsDigest and
+// packet IDs are bit-identical at every worker count; see System.Tick,
+// internal/noc/tile.go and DESIGN.md §11 for the argument.
 //
-// NewSystem builds the one-tile, one-shard partition, which runs
-// inline on the caller; SetParallel may replace it after NewSystem and
-// before the first Tick. workers < 1 means 1. An attached observer
-// also means 1: its trace hooks read packets inside the compute
-// sections, and since the partition never changes results the clamp
-// is observable only in wall time.
+// NewSystem builds the one-tile partition, which runs inline on the
+// caller; SetParallel may replace it after NewSystem and before the
+// first Tick. workers < 1 means 1. An attached observer also means 1:
+// its trace hooks stamp packet hops inside the tile compute sections,
+// and since the partition never changes results the clamp is
+// observable only in wall time.
 //
 // Callers can read the engine-effective worker count back with
 // Parallel(); requests are clamped silently so that one binary can ask
@@ -33,8 +31,7 @@ func (s *System) SetParallel(workers int) {
 	if s.obs != nil {
 		workers = 1
 	}
-	maxShards := s.maxNodeShards()
-	eff := max(1, min(workers, max(len(s.ReqNet.Routers), maxShards)))
+	eff := max(1, min(workers, len(s.ReqNet.Routers)))
 	s.Close()
 	s.pool = par.NewPool(eff)
 	s.parallel = eff
@@ -42,7 +39,6 @@ func (s *System) SetParallel(workers int) {
 	if s.RepNet != s.ReqNet {
 		s.RepNet.SetParallel(s.pool, eff)
 	}
-	s.buildShards(min(eff, maxShards))
 }
 
 // Parallel returns the engine-effective worker count.

@@ -2,29 +2,17 @@ package core
 
 import "delrep/internal/noc"
 
-// alloc is a packet/message allocator: per-owner free lists plus a
-// strided packet-ID stream. The inner loop creates and consumes one
+// alloc is the packet/message allocator: free lists plus the
+// packet-ID counter. The inner loop creates and consumes one
 // Packet+Msg pair per protocol step; recycling them through a LIFO
-// keeps the steady-state tick path allocation-free.
-//
-// Each node shard owns one allocator with a disjoint strided stream
-// (shard k of K starts at k+1 and strides by K) so concurrent shards
-// never touch a shared counter; a one-shard system hands out IDs
-// 1,2,3,... in creation order. Packet IDs are observable only there:
-// they feed only the trace layer, and an attached observer means one
-// shard (see SetParallel). What the digest folds is the total packet
-// count across allocators, which depends only on the simulated
-// protocol, not on which allocator created which packet.
+// keeps the steady-state tick path allocation-free. A System owns one,
+// which hands out packet IDs 1, 2, 3, ... in creation order.
 //
 // Determinism: unlike sync.Pool, reuse order is a pure function of
 // the simulation itself (LIFO over the deterministic retire order),
 // and every field is scrubbed on free, so a recycled object is
 // indistinguishable from a fresh allocation. Nothing observable —
-// digests included — depends on whether pooling is enabled, or on
-// which allocator a free happens to return an object to: a packet may
-// legally be created by one shard's allocator and retired into
-// another's, because ownership transfers at ejection (commit) time
-// and the dispatch barriers order the transfer.
+// digests included — depends on whether pooling is enabled.
 //
 // Ownership rule: a packet is retired exactly once, at the point the
 // protocol consumes it — a handler that refuses delivery
@@ -37,23 +25,13 @@ type alloc struct {
 	pkts []*noc.Packet
 	msgs []*Msg
 
-	created  uint64 // packets ever created through this allocator
-	idNext   uint64 // next packet ID to hand out
-	idStride uint64 // ID stream stride (the shard count)
+	created uint64 // packets ever created; the last ID handed out
 }
 
-// initIDs aims the allocator's ID stream. Streams with distinct
-// (first mod stride) residues never collide and never produce 0.
-func (a *alloc) initIDs(first, stride uint64) {
-	a.idNext, a.idStride = first, stride
-}
-
-// nextID consumes one ID from the stream.
+// nextID hands out the next packet ID.
 func (a *alloc) nextID() uint64 {
-	id := a.idNext
-	a.idNext += a.idStride
 	a.created++
-	return id
+	return a.created
 }
 
 // allocPacket returns a scrubbed packet from the free list, or a new

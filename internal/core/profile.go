@@ -9,7 +9,7 @@ import (
 // PhaseProfile accumulates per-phase wall time across a run: the
 // Amdahl breakdown of the system tick. Attach one with
 // SetPhaseProfile before running; Run then steps the cycle through
-// profiledStep, which calls the same six phase methods as Tick with a
+// profiledStep, which calls the same five phase methods as Tick with a
 // timestamp between them.
 //
 // The instrumented step lives here, outside the Tick call graph,
@@ -21,20 +21,23 @@ import (
 type PhaseProfile struct {
 	Cycles int64
 
-	// Dispatched phases (what more workers divide).
-	NetCompute  time.Duration // network tile sections + shard begins
-	NodeCompute time.Duration // node shard ticks
+	// The dispatched phase (what more workers divide).
+	NetCompute time.Duration // network tile sections
 
 	// Coordinator-only phases (the Amdahl floor).
-	Begin      time.Duration // blocking samples
-	NetCommit  time.Duration // stats folds + packet ejection
-	NodeCommit time.Duration // shard delta folds
-	Serial     time.Duration // end-of-cycle residue (flush, observer)
+	Begin       time.Duration // blocking samples, budget resets
+	NetCommit   time.Duration // stats folds + packet ejection
+	NodeCompute time.Duration // the node phase
+	Serial      time.Duration // end-of-cycle residue (flush, observer)
+
+	// NodeCommit is always zero: the node phase has no commit. The
+	// field stays because the benchmark module still reads it.
+	NodeCommit time.Duration
 }
 
 // Total returns the wall time across all phases.
 func (p *PhaseProfile) Total() time.Duration {
-	return p.Begin + p.NetCompute + p.NetCommit + p.NodeCompute + p.NodeCommit + p.Serial
+	return p.Begin + p.NetCompute + p.NetCommit + p.NodeCompute + p.Serial
 }
 
 // SerialFraction returns the fraction of wall time spent in the
@@ -44,7 +47,7 @@ func (p *PhaseProfile) SerialFraction() float64 {
 	if t == 0 {
 		return 0
 	}
-	return float64(p.Begin+p.NetCommit+p.NodeCommit+p.Serial) / float64(t)
+	return float64(t-p.NetCompute) / float64(t)
 }
 
 // String renders the breakdown as a small table.
@@ -66,8 +69,7 @@ func (p *PhaseProfile) String() string {
 	row("begin", p.Begin, false)
 	row("net-compute", p.NetCompute, true)
 	row("net-commit", p.NetCommit, false)
-	row("node-compute", p.NodeCompute, true)
-	row("node-commit", p.NodeCommit, false)
+	row("node-compute", p.NodeCompute, false)
 	row("residue", p.Serial, false)
 	fmt.Fprintf(&b, "  serial fraction: %.1f%%\n", 100*p.SerialFraction())
 	return b.String()
@@ -86,8 +88,8 @@ func stamp() time.Time {
 }
 
 // profiledStep is Tick with a timestamp between phases. The dispatch
-// cost of a compute phase is attributed to that phase's bucket (it is
-// what a worker-count scan amortizes).
+// cost of the network compute is attributed to its bucket (it is what
+// a worker-count scan amortizes).
 func (s *System) profiledStep() {
 	t0 := stamp()
 	s.begin()
@@ -96,12 +98,10 @@ func (s *System) profiledStep() {
 	t2 := stamp()
 	s.netCommit()
 	t3 := stamp()
-	s.nodeCompute()
+	s.tickNodes()
 	t4 := stamp()
-	s.nodeCommit()
-	t5 := stamp()
 	s.endCycle()
-	t6 := stamp()
+	t5 := stamp()
 
 	p := s.prof
 	p.Cycles++
@@ -109,6 +109,5 @@ func (s *System) profiledStep() {
 	p.NetCompute += t2.Sub(t1)
 	p.NetCommit += t3.Sub(t2)
 	p.NodeCompute += t4.Sub(t3)
-	p.NodeCommit += t5.Sub(t4)
-	p.Serial += t6.Sub(t5)
+	p.Serial += t5.Sub(t4)
 }

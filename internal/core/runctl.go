@@ -28,9 +28,9 @@ type RunControl struct {
 	// cycles simulated so far and the total cycles of the run
 	// (warm-up + measurement). It must not mutate simulation state.
 	OnProgress func(done, total int64)
-	// Parallel is the worker count the system ticks across — network
-	// tiles and node shards on one pool (System.SetParallel; values
-	// below 1 mean 1, which runs inline). Results are bit-identical at
+	// Parallel is the worker count the network tiles tick across
+	// (System.SetParallel; values below 1 mean 1, which runs inline;
+	// the node phase always runs inline). Results are bit-identical at
 	// any value, so it is an execution hint, not part of the run's
 	// identity. Checkpoints sit between ticks either way, so
 	// cancellation and progress stay window-aligned.

@@ -44,16 +44,11 @@ type System struct {
 	warmed int64 // cycle at which stats were last reset
 	rng    *rand.Rand
 
-	// allocOf maps a node id to the allocator its tick-phase sends draw
-	// from: the owning shard's (see pool.go). Only CPU nodes route
-	// through this table (GPU cores and memory nodes carry their own
-	// pointer).
-	allocOf []*alloc
+	// al hands out every packet and message (see pool.go).
+	al alloc
 
 	// Inter-core locality sampling (Figure 2): on a sampled subset of
 	// L1 read misses, check whether any remote GPU L1 holds the line.
-	// Canonical counters; node ticks accumulate into per-shard deltas
-	// folded here at node commit (see locCounters).
 	loc locCounters
 
 	// End-to-end GPU load latency by reply kind (diagnostics).
@@ -67,20 +62,14 @@ type System struct {
 	// AttachObserver). Strictly measurement-only.
 	obs *obs.Observer
 
-	// pool runs the two compute dispatches of the cycle — network tile
-	// sections, then node shards — across `parallel` workers; a pool of
-	// one runs them inline (see SetParallel in parallel.go).
+	// pool runs the network tile sections across `parallel` workers; a
+	// pool of one runs them inline (see SetParallel in parallel.go).
 	pool     *par.Pool
 	parallel int
 
-	// shards partitions the node phase (Mems/Clusters/GPUs/CPUs); there
-	// is always at least one (see shard.go).
-	shards []*shard
-
-	// Prebound section bodies so the per-cycle dispatches do not
-	// allocate.
-	netSectionFn  func(int)
-	nodeSectionFn func(int)
+	// netSectionFn is netSection prebound, so the per-cycle dispatch
+	// does not allocate.
+	netSectionFn func(int)
 
 	// prof, when non-nil, accumulates per-phase wall time (see
 	// profile.go). Measurement-only: Run steps the same phase methods
@@ -90,10 +79,7 @@ type System struct {
 	nextFlush int64
 }
 
-// locCounters is the inter-core locality sample block. The canonical
-// copy lives in the System; node ticks write through a per-shard
-// delta that the node commit folds into the canonical copy every cycle
-// in fixed shard order.
+// locCounters is the inter-core locality sample block.
 type locCounters struct {
 	samples       int64
 	hits          int64
@@ -101,16 +87,6 @@ type locCounters struct {
 	sharedHits    int64
 	predSamples   int64
 	predHits      int64
-}
-
-// add folds a delta into the receiver.
-func (l *locCounters) add(d *locCounters) {
-	l.samples += d.samples
-	l.hits += d.hits
-	l.sharedSamples += d.sharedSamples
-	l.sharedHits += d.sharedHits
-	l.predSamples += d.predSamples
-	l.predHits += d.predHits
 }
 
 // breakAcc accumulates latency-attribution sums for one reply kind.
@@ -184,7 +160,7 @@ func NewSystem(cfg config.Config, gpuBench, cpuBench string) *System {
 	s.buildNodes()
 	s.prewarmLLC()
 	s.nextFlush = int64(cfg.GPU.KernelCycles)
-	s.netSectionFn, s.nodeSectionFn = s.netSection, s.nodeSection
+	s.netSectionFn = s.netSection
 	s.SetParallel(1)
 	return s
 }
@@ -280,7 +256,6 @@ func (s *System) buildNodes() {
 	s.gpuIdx = make([]int, n)
 	s.cpuIdx = make([]int, n)
 	s.memIdx = make([]int, n)
-	s.allocOf = make([]*alloc, n)
 	for i := range s.gpuIdx {
 		s.gpuIdx[i], s.cpuIdx[i], s.memIdx[i] = -1, -1, -1
 	}
@@ -399,13 +374,12 @@ func (s *System) memNodeFor(line cache.Addr) int {
 	return s.memNodes[(h>>32)%uint64(len(s.memNodes))]
 }
 
-// newPacketOn constructs a packet with a fresh id from the given
-// allocator (the creating node's shard's). The packet comes from the
-// free list (scrubbed on retire), so untouched fields are zero exactly
-// as in a fresh allocation.
-func (s *System) newPacketOn(a *alloc, src, dst int, class noc.Class, prio noc.Priority, flits int, m *Msg) *noc.Packet {
-	p := a.allocPacket()
-	p.ID, p.Src, p.Dst = a.nextID(), src, dst
+// newPacket constructs a packet with a fresh id. The packet comes
+// from the free list (scrubbed on retire), so untouched fields are
+// zero exactly as in a fresh allocation.
+func (s *System) newPacket(src, dst int, class noc.Class, prio noc.Priority, flits int, m *Msg) *noc.Packet {
+	p := s.al.allocPacket()
+	p.ID, p.Src, p.Dst = s.al.nextID(), src, dst
 	p.Class, p.Prio, p.SizeFlits, p.Payload = class, prio, flits, m
 	if s.obs != nil {
 		p.Trace = s.obs.TraceFor(p.ID)
@@ -418,16 +392,14 @@ func (s *System) isDelegated() bool { return s.Cfg.Scheme == config.SchemeDelega
 func (s *System) isRP() bool        { return s.Cfg.Scheme == config.SchemeRP }
 
 // SendCPURead implements cpu.Sender. It runs inside the node phase
-// (cpu.Core.Tick), so the packet draws from the node's shard-local
-// allocator.
+// (cpu.Core.Tick).
 func (s *System) SendCPURead(node int, line cache.Addr) bool {
 	ni := s.reqNI(node)
 	if !ni.CanInject(noc.ClassRequest) {
 		return false
 	}
-	al := s.allocOf[node]
-	p := s.newPacketOn(al, node, s.memNodeFor(line), noc.ClassRequest, noc.PrioCPU, 1,
-		al.msgOf(Msg{Type: MsgCPURead, Line: line, Requester: node}))
+	p := s.newPacket(node, s.memNodeFor(line), noc.ClassRequest, noc.PrioCPU, 1,
+		s.al.msgOf(Msg{Type: MsgCPURead, Line: line, Requester: node}))
 	return ni.Inject(p)
 }
 
@@ -438,21 +410,19 @@ func (s *System) cpuHandle(node int, p *noc.Packet) bool {
 		panic("core: unexpected message at CPU node: " + m.Type.String())
 	}
 	s.CPUs[s.cpuIdx[node]].ReplyArrived(m.Line)
-	s.allocOf[node].retire(p)
+	s.al.retire(p)
 	return true
 }
 
 // sampleLocality measures Figure 2's inter-core locality: on a sampled
 // L1 read miss, check whether any remote GPU L1 (or shared slice) holds
-// the line. Measurement only; no timing effect. Counters accumulate
-// through the core's locality block (its shard's delta); the remote
-// probes are read-only Peeks against tags that only change at commit
-// time, so they are safe to issue from inside a shard.
+// the line. Measurement only; no timing effect: the remote probes are
+// read-only Peeks.
 func (s *System) sampleLocality(g *GPUCore, line cache.Addr) {
 	if (g.Stats.L1ReadMisses+int64(g.Idx))%localitySamplePeriod != 0 {
 		return
 	}
-	l := g.loc
+	l := &s.loc
 	l.samples++
 	shared := uint64(line) >= 2<<30 && uint64(line) < 3<<30
 	if shared {
@@ -498,27 +468,26 @@ func (s *System) PredLocality() (int64, int64) { return s.loc.predSamples, s.loc
 func (s *System) Cycle() int64 { return s.cycle }
 
 // Tick advances the whole system one cycle. This is the only
-// orchestration of the cycle: six phases over a partition of the
-// networks into tiles (noc/tile.go) and of the nodes into shards
-// (shard.go), two of them dispatched across the pool.
+// orchestration of the cycle: five phases, the network compute over a
+// partition of the networks into tiles (noc/tile.go) dispatched across
+// the pool, the rest on the caller.
 //
-//	begin        memory blocking samples (read NI state pre-network)
-//	netCompute   both networks' tile sections + shard begins, one dispatch
+//	begin        memory blocking samples (read NI state pre-network),
+//	             per-cycle budget resets
+//	netCompute   both networks' tile sections, one dispatch
 //	netCommit    ReqNet commit -> ReleaseEnq -> RepNet commit
 //	             (stats folds, packet ejection in node order)
-//	nodeCompute  shard ticks (mems -> clusters -> gpus -> cpus), one dispatch
-//	nodeCommit   locality-delta folds in shard order
+//	tickNodes    mems -> clusters -> gpus -> cpus
 //	endCycle     kernel flush, observer
 //
-// Partition sizes are an execution choice SetParallel derives from the
-// topology and configuration; a one-tile, one-shard system runs both
-// dispatches inline. Results do not depend on them. Beyond the
-// per-network argument in noc/tile.go and the per-shard one in
-// shard.go, that rests on the order the two networks are ticked in:
-// the request network logically ticks first, and its ejection
-// handlers — the only code that touches both networks in one cycle —
-// inject into a reply network that has not ticked yet. Computing both
-// networks before either commits preserves that order because:
+// The tile count is an execution choice SetParallel derives from the
+// topology; a one-tile system runs the dispatch inline. Results do not
+// depend on it. Beyond the per-network argument in noc/tile.go, that
+// rests on the order the two networks are ticked in: the request
+// network logically ticks first, and its ejection handlers — the only
+// code that touches both networks in one cycle — inject into a reply
+// network that has not ticked yet. Computing both networks before
+// either commits preserves that order because:
 //
 //   - The compute phases share no state. The handlers' reply
 //     injections land as tail appends with ReadyAt >= cycle+LLC.Latency
@@ -536,23 +505,26 @@ func (s *System) Tick() {
 	s.begin()
 	s.netCompute()
 	s.netCommit()
-	s.nodeCompute()
-	s.nodeCommit()
+	s.tickNodes()
 	s.endCycle()
 }
 
-// begin advances the clock and samples memory blocking, which reads NI
-// occupancy as it stands before the network phase and so cannot ride
-// the compute dispatch.
+// begin advances the clock, samples memory blocking — which reads NI
+// occupancy as it stands before the network phase — and resets the
+// per-cycle budgets the ejection handlers of netCommit draw on.
 func (s *System) begin() {
 	s.cycle++
 	for _, m := range s.Mems {
 		m.sampleBlocked()
+		m.beginQuota()
+	}
+	for _, g := range s.GPUs {
+		g.BeginCycle()
 	}
 }
 
 // netCompute opens both networks' cycles and dispatches their tile
-// compute sections together with the shards' begin-of-cycle resets.
+// compute sections.
 func (s *System) netCompute() {
 	s.ReqNet.BeginTick(false)
 	if s.RepNet != s.ReqNet {
@@ -567,9 +539,6 @@ func (s *System) netSection(worker int) {
 	if s.RepNet != s.ReqNet {
 		s.RepNet.ComputeSection(worker)
 	}
-	for i := worker; i < len(s.shards); i += s.parallel {
-		s.shards[i].BeginCycle()
-	}
 }
 
 // netCommit commits the request network, then releases the reply
@@ -582,25 +551,20 @@ func (s *System) netCommit() {
 	}
 }
 
-// nodeCompute dispatches the shard ticks.
-func (s *System) nodeCompute() {
-	s.pool.Run(s.nodeSectionFn)
-}
-
-// nodeSection is worker w's share of the nodeCompute dispatch: shards
-// w, w+P, w+2P, ...
-func (s *System) nodeSection(worker int) {
-	for i := worker; i < len(s.shards); i += s.parallel {
-		s.shards[i].Tick()
+// tickNodes is the node phase, in the canonical order: memory nodes,
+// clusters, GPU cores, CPU cores.
+func (s *System) tickNodes() {
+	for _, m := range s.Mems {
+		m.Tick()
 	}
-}
-
-// nodeCommit folds the shard-private locality deltas into the
-// canonical counters in fixed shard order.
-func (s *System) nodeCommit() {
-	for _, sh := range s.shards {
-		s.loc.add(&sh.loc)
-		sh.loc = locCounters{}
+	for _, c := range s.Clusters {
+		c.Tick()
+	}
+	for _, g := range s.GPUs {
+		g.Tick()
+	}
+	for _, c := range s.CPUs {
+		c.Tick()
 	}
 }
 
@@ -664,7 +628,7 @@ func (s *System) ResetStats() {
 	for _, c := range s.Clusters {
 		c.ResetStats()
 	}
-	s.loc = locCounters{} // shard deltas are zero between cycles
+	s.loc = locCounters{}
 	for i := range s.loadLat {
 		s.loadLat[i].Reset()
 	}

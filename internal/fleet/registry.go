@@ -317,8 +317,8 @@ func (r *Registry) Info(url string) WorkerInfo {
 	}
 }
 
-// Infos snapshots every worker, sorted by URL order of the input is
-// not preserved; callers sort as needed.
+// Infos snapshots every worker. The order is unspecified (the input's
+// URL order is not preserved); callers sort as needed.
 func (r *Registry) Infos() []WorkerInfo {
 	out := make([]WorkerInfo, 0)
 	for _, w := range r.snapshotWorkers() {

@@ -170,8 +170,7 @@ func TestTiledLatencySamplersMatchSerial(t *testing.T) {
 }
 
 func TestSetParallelGuards(t *testing.T) {
-	// One router is one tile, whatever is asked for: a crossbar takes
-	// its parallelism from the node shards instead (internal/core).
+	// One router is one tile, whatever is asked for.
 	net, _ := buildNet(t, NewCrossbar(16), defaultNoC(), 16)
 	pool := par.NewPool(4)
 	defer pool.Close()

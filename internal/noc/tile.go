@@ -39,8 +39,7 @@ package noc
 //
 // The phases are exported separately (BeginTick / ComputeSection /
 // CommitTick) so the system cycle can fuse both networks' compute
-// phases — and the core node shards' begin phase — into a single
-// dispatch; Tick is the self-contained per-network composition. See
+// phases into a single dispatch; Tick is the self-contained per-network composition. See
 // internal/core/system.go for the fused cycle and the Enqueued stamp
 // (enqNow) argument that makes fusion exact.
 
@@ -224,7 +223,7 @@ func (n *Network) SetParallel(pool *par.Pool, workers int) {
 	n.pool = pool
 	n.tileOf = make([]int, len(n.Routers))
 	n.tiles = make([]*tile, nt)
-	bounds := par.Cuts(len(n.Routers), nt, nil)
+	bounds := par.Cuts(len(n.Routers), nt)
 	for i := range n.tiles {
 		t := &tile{
 			net:     n,

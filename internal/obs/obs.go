@@ -12,13 +12,18 @@ package obs
 
 import "delrep/internal/noc"
 
+// ringDepth is how many windows each probe retains, and maxClogEvents
+// how many clog events the detector retains.
+const (
+	ringDepth     = 4096
+	maxClogEvents = 4096
+)
+
 // Options configures an Observer. The zero value of each field selects
 // a sensible default, except TraceSample where 0 disables tracing.
 type Options struct {
 	// Window is the metric sampling period in cycles (default 1000).
 	Window int64
-	// RingDepth is how many windows each probe retains (default 4096).
-	RingDepth int
 	// TraceSample enables lifecycle tracing of every N-th packet
 	// (packet ID modulo N — deterministic, no RNG). 0 disables tracing.
 	TraceSample uint64
@@ -28,25 +33,17 @@ type Options struct {
 	// ClogUtil is the reply-port utilization threshold above which a
 	// window with growing queue occupancy is flagged (default 0.85).
 	ClogUtil float64
-	// MaxClogEvents bounds retained clog events (default 4096).
-	MaxClogEvents int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 1000
 	}
-	if o.RingDepth <= 0 {
-		o.RingDepth = 4096
-	}
 	if o.MaxTraces <= 0 {
 		o.MaxTraces = 4096
 	}
 	if o.ClogUtil <= 0 {
 		o.ClogUtil = 0.85
-	}
-	if o.MaxClogEvents <= 0 {
-		o.MaxClogEvents = 4096
 	}
 	return o
 }
@@ -96,8 +93,8 @@ func New(o Options) *Observer {
 	o = o.withDefaults()
 	return &Observer{
 		opts:       o,
-		Reg:        NewRegistry(o.Window, o.RingDepth),
-		Clog:       newDetector(o.Window, o.ClogUtil, o.MaxClogEvents),
+		Reg:        NewRegistry(o.Window, ringDepth),
+		Clog:       newDetector(o.Window, o.ClogUtil, maxClogEvents),
 		traces:     make([]TraceRecord, 0, o.MaxTraces),
 		nextSample: o.Window,
 	}

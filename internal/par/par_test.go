@@ -28,9 +28,9 @@ func TestPoolRunsEveryWorker(t *testing.T) {
 }
 
 func TestCutsEvenSplit(t *testing.T) {
-	// With every cut legal, Cuts reproduces the classic i*n/k split.
+	// Cuts is the classic i*n/k split, with no empty part.
 	for _, tc := range []struct{ n, k int }{{10, 4}, {7, 3}, {5, 5}, {9, 1}, {3, 8}} {
-		got := Cuts(tc.n, tc.k, nil)
+		got := Cuts(tc.n, tc.k)
 		if got[0] != 0 || got[len(got)-1] != tc.n {
 			t.Fatalf("Cuts(%d,%d) = %v: bad end boundaries", tc.n, tc.k, got)
 		}
@@ -42,25 +42,6 @@ func TestCutsEvenSplit(t *testing.T) {
 		if tc.k <= tc.n && len(got) != tc.k+1 {
 			t.Fatalf("Cuts(%d,%d) = %v: want %d parts", tc.n, tc.k, got, tc.k)
 		}
-	}
-}
-
-func TestCutsLegalBoundaries(t *testing.T) {
-	// 28 items, cuts legal only at multiples of 10 (a share-group rule).
-	legal := func(i int) bool { return i%10 == 0 }
-	got := Cuts(28, 4, legal)
-	for _, b := range got[1 : len(got)-1] {
-		if !legal(b) {
-			t.Fatalf("Cuts placed illegal boundary %d in %v", b, got)
-		}
-	}
-	if MaxParts(28, legal) != 3 { // cuts at 10 and 20
-		t.Fatalf("MaxParts(28, %%10) = %d, want 3", MaxParts(28, legal))
-	}
-	// Requesting more parts than legal cuts allow degrades gracefully.
-	got = Cuts(28, 8, legal)
-	if len(got)-1 > 3 {
-		t.Fatalf("Cuts(28,8) = %v: more parts than legal cuts admit", got)
 	}
 }
 

@@ -1,48 +1,15 @@
 package par
 
-// Cuts partitions n consecutive items into at most k contiguous,
-// non-empty parts, cutting only at indices the legal predicate
-// accepts. It returns the part boundaries: boundaries[i] is the first
-// item of part i, and the final entry is n, so part i spans
-// [boundaries[i], boundaries[i+1]). legal == nil means every index is
-// a legal cut, which reproduces the classic i*n/k even split.
-//
-// The split is deterministic: each desired boundary i*n/k is snapped
-// down to the nearest legal cut strictly after the previous boundary,
-// and boundaries that cannot be placed are dropped (yielding fewer,
-// larger parts). Callers that need the achievable part count first
-// should use MaxParts.
-func Cuts(n, k int, legal func(int) bool) []int {
-	if k < 1 {
-		k = 1
+// Cuts partitions n consecutive items into min(k, n) contiguous,
+// non-empty parts of near-equal size (at least one part). It returns
+// the part boundaries: boundaries[i] is the first item of part i, and
+// the final entry is n, so part i spans [boundaries[i],
+// boundaries[i+1]).
+func Cuts(n, k int) []int {
+	k = max(1, min(k, n))
+	bounds := make([]int, k+1)
+	for i := range bounds {
+		bounds[i] = i * n / k
 	}
-	bounds := make([]int, 1, k+1)
-	for i := 1; i < k; i++ {
-		c := i * n / k
-		for c > bounds[len(bounds)-1] && legal != nil && !legal(c) {
-			c--
-		}
-		if c <= bounds[len(bounds)-1] || c >= n {
-			continue
-		}
-		bounds = append(bounds, c)
-	}
-	return append(bounds, n)
-}
-
-// MaxParts returns the largest number of contiguous non-empty parts n
-// items admit under the legal cut predicate: the number of legal
-// interior cut points plus one. legal == nil means every index is
-// legal (n parts).
-func MaxParts(n int, legal func(int) bool) int {
-	if n <= 0 {
-		return 0
-	}
-	parts := 1
-	for i := 1; i < n; i++ {
-		if legal == nil || legal(i) {
-			parts++
-		}
-	}
-	return parts
+	return bounds
 }

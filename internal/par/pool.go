@@ -1,12 +1,10 @@
-// Package par provides the shared machinery for deterministic
-// intra-run parallelism: a persistent worker pool, a contiguous
-// partition helper with caller-defined legal cut points, and the
-// parity-double-buffered staging matrix used to hand events between
-// partitions.
+// Package par provides the machinery for deterministic intra-run
+// parallelism: a persistent worker pool, a contiguous even-split
+// partition helper, and the parity-double-buffered staging matrix used
+// to hand events between partitions.
 //
-// Both the NoC tile tick (internal/noc/tile.go) and the core node
-// shards (internal/core/shard.go) are built on this package, and both
-// follow the same two-phase discipline: a compute phase where every
+// The NoC tile tick (internal/noc/tile.go) is built on this package
+// and follows a two-phase discipline: a compute phase where every
 // partition touches only partition-owned state (staging anything
 // cross-partition), then a commit phase on the coordinator that
 // drains staged state in fixed partition order. DESIGN.md §11 carries
