@@ -393,3 +393,179 @@ func TestAllocatorsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// twin drives one router of a fresh network and its reference twin
+// through hand-placed traffic, one cycle at a time.
+type twin struct {
+	t    *testing.T
+	net  *Network
+	real *Router
+	ref  *refRouter
+	id   uint64
+}
+
+func newTwin(t *testing.T, tc allocatorCase) *twin {
+	net := NewNetwork("twin", tc.topo, defaultNoC(), tc.nodes, Params{InjCapCore: 8, InjCapMem: 8, EjCap: 6, AsmCap: 4})
+	net.DebugChecks = true // recount the state words every tick
+	real := net.Routers[tc.router]
+	return &twin{t: t, net: net, real: real, ref: mirror(real)}
+}
+
+// send queues a whole three-flit packet (head, body, tail) on input VC
+// i of both routers.
+func (g *twin) send(i, dst int, prio Priority) {
+	g.id++
+	p := &Packet{ID: g.id, Dst: dst, Class: ClassRequest, Prio: prio, SizeFlits: 3}
+	for seq := range p.SizeFlits {
+		f := Flit{Pkt: p, Seq: seq}
+		g.real.pushFlit(i, f)
+		g.ref.inFlat[i].q = append(g.ref.inFlat[i].q, f)
+	}
+}
+
+// credit sets every connected output VC to c >= 1 credits in both
+// routers, through addCredit where that sets an avail or ready bit.
+func (g *twin) credit(c int) {
+	for o := range g.real.vc {
+		if !g.ref.connected[g.real.vc[o].port] {
+			continue
+		}
+		if g.real.vc[o].credits == 0 {
+			g.real.addCredit(o, 1)
+		}
+		g.real.vc[o].credits, g.ref.credits[o] = int32(c), c
+	}
+}
+
+// saInPtr sets the switch-allocation VC pointer of port p in both routers.
+func (g *twin) saInPtr(p, s int) { g.real.saInPtr[p], g.ref.saInPtr[p] = int32(s), s }
+
+// sendable counts the heads that hold a credited output VC.
+func (g *twin) sendable() int {
+	n := 0
+	for w := range g.real.occ {
+		n += bits.OnesCount64(g.real.occ[w] & g.real.ready[w])
+	}
+	return n
+}
+
+// tick runs the next network cycle on both routers and requires equal
+// state after it.
+func (g *twin) tick() {
+	g.t.Helper()
+	g.net.BeginTick(false)
+	g.ref.allocateVCs()
+	g.ref.switchAllocAndTraverse(g.net.now)
+	g.real.wake()
+	g.real.tick()
+	if err := g.ref.diff(g.real); err != nil {
+		g.t.Fatalf("cycle %d (switch-allocation start port %d): %v", g.net.now, *g.real.saStart, err)
+	}
+}
+
+// TestLoneHeadGrantMatchesReference pins switch allocation's two
+// paths to the reference. Lone: for every input VC, every saInPtr value
+// of its port and every start port, the router holds one packet whose
+// front flit is the only sendable head; heads, bodies and tails at all
+// three priorities go out on a last credit and on a spare one. Two: the
+// smallest sets that must still arbitrate, two sendable heads on one
+// input port, on one output port, at different priorities and, where
+// the state spans several words, one in the first word and one in the
+// last, so a per-word count cannot pass for the total.
+func TestLoneHeadGrantMatchesReference(t *testing.T) {
+	for _, tc := range allocatorCases() {
+		if tc.name != "mesh5x2" && tc.name != "crossbar70" {
+			continue
+		}
+		t.Run(tc.name+"/lone", func(t *testing.T) {
+			g := newTwin(t, tc)
+			r, nports := g.real, len(g.real.ports)
+			type combo struct {
+				prio       Priority
+				seq        int
+				lastCredit bool
+			}
+			seen := map[combo]bool{}
+			pkts, ticks := 0, 0
+			for i := range r.vc {
+				p := int(r.vc[i].port)
+				for s := range r.numVCs {
+					// The first nports ticks start switch allocation at
+					// every port once; then the VC drains.
+					for n := 0; n < nports || r.buffered > 0; n++ {
+						if r.buffered == 0 {
+							g.send(i, (i+n)%tc.nodes, Priority(pkts%3))
+							pkts++
+						}
+						c := 1 + 2*(ticks%2)
+						ticks++
+						g.credit(c)
+						g.saInPtr(p, s)
+						f := *r.front(i)
+						g.tick()
+						if r.buffered != 2-f.Seq {
+							t.Fatalf("VC %d: flit %d of a lone packet did not traverse", i, f.Seq)
+						}
+						seen[combo{f.Pkt.Prio, f.Seq, c == 1}] = true
+					}
+				}
+			}
+			if len(seen) != 3*3*2 {
+				t.Fatalf("covered %d of the 18 priority × flit × credit combinations", len(seen))
+			}
+		})
+		t.Run(tc.name+"/two", func(t *testing.T) {
+			g := newTwin(t, tc)
+			r, nports, nvc := g.real, len(g.real.ports), g.real.numVCs
+			outPort := func(dst int) int {
+				return tc.topo.Route(g.net, tc.router, &Packet{Dst: dst, Class: ClassRequest}, nil)[0].Port
+			}
+			far := 1
+			for outPort(far) == outPort(0) {
+				far++
+			}
+			type head struct {
+				vc, dst int
+				prio    Priority
+			}
+			type row struct {
+				name  string
+				heads [2]head
+			}
+			rows := []row{
+				{"one input port", [2]head{{0, 0, PrioGPU}, {1, far, PrioGPU}}},
+				{"one output port", [2]head{{0, far, PrioCPU}, {nvc, far, PrioCPU}}},
+				{"different priorities", [2]head{{0, far, PrioGPU}, {nvc, far, PrioCPU}}},
+			}
+			if len(r.occ) > 1 { // the first VC and the last are in different words
+				rows = append(rows, row{"different words", [2]head{{0, 0, PrioGPU}, {len(r.vc) - 1, far, PrioGPU}}})
+			}
+			for _, row := range rows {
+				most := 0
+				for s := range nvc {
+					for start := range nports {
+						// Let cycles pass, as for a sleeping router, until the
+						// next tick starts switch allocation at this port.
+						for (int(*r.saStart)+1)%nports != start {
+							g.net.BeginTick(false)
+						}
+						for _, h := range row.heads {
+							g.send(h.vc, h.dst, h.prio)
+						}
+						for r.buffered > 0 {
+							g.credit(1 + 2*(r.buffered%2))
+							for p := range nports {
+								g.saInPtr(p, s)
+							}
+							most = max(most, g.sendable())
+							g.tick()
+						}
+					}
+				}
+				if most != 2 {
+					t.Fatalf("%s: at most %d sendable heads, want 2", row.name, most)
+				}
+			}
+		})
+	}
+}

@@ -378,10 +378,37 @@ func (r *Router) requester(prio, o, from int) int {
 // switchAllocAndTraverse picks at most one flit per input port and per
 // output port (separable allocation, priority classes first, rotating
 // pointers for fairness within a class) and forwards the winners. It
-// reports whether any flit traversed.
+// reports whether any flit traversed, which is whether any head was
+// sendable: the first one the passes visit finds every port free.
+//
+// A lone sendable head is granted without the passes, and exactly so:
+// they would visit it with every port free, grant it and advance its
+// port's saInPtr past it, and its traversal changes no other input
+// VC's occ, ready or pri bit, so no later pass would find a head.
 func (r *Router) switchAllocAndTraverse() bool {
 	// A head is sendable when it holds an output VC with a credit: occ &
-	// ready. Only the VC's own traversal spends that credit (wormhole
+	// ready.
+	nvc, nv := r.numVCs, len(r.vc)
+	lone, sendable := -1, 0
+	for w := 0; w < len(r.occ) && sendable < 2; w++ {
+		if m := r.occ[w] & r.ready[w]; m != 0 {
+			lone, sendable = w<<6+bits.TrailingZeros64(m), sendable+bits.OnesCount64(m)
+		}
+	}
+	switch sendable {
+	case 0:
+		return false
+	case 1:
+		r.traverse(lone)
+		p := int(r.vc[lone].port)
+		v := lone - p*nvc + 1
+		if v == nvc {
+			v = 0
+		}
+		r.saInPtr[p] = int32(v)
+		return true
+	}
+	// Only the VC's own traversal spends its credit (wormhole
 	// ownership), a grant only mutates the granted VC (popped and
 	// possibly released), and inUsed masks that VC's whole port for the
 	// rest of the allocation, so the sets read at the start of each
@@ -391,16 +418,13 @@ func (r *Router) switchAllocAndTraverse() bool {
 	// The historical saPortPtr advanced by one every cycle regardless
 	// of traffic; the network counts it so skipped ticks cannot
 	// desynchronise it.
-	nvc, nv := r.numVCs, len(r.vc)
 	start := int(*r.saStart) * nvc
-	progress := false
 	for prio := int(PrioCPU); prio >= int(PrioGPU); prio-- {
 		some := false
 		for w := range r.send {
 			r.send[w] = r.occ[w] & r.ready[w] & r.pri[prio][w]
 			some = some || r.send[w] != 0
 		}
-		progress = progress || some // the first sendable head visited finds every port free
 		// Visit the ports holding a sendable head cyclically from the
 		// start port — bits [start, nv), then [0, start) — jumping past
 		// each port once visited: the all-ports order minus idle ports.
@@ -435,7 +459,7 @@ func (r *Router) switchAllocAndTraverse() bool {
 			some = hi > start && start > 0 // [0, start) is next, unless empty
 		}
 	}
-	return progress
+	return true
 }
 
 // traverse moves the front flit of input VC i through the crossbar
