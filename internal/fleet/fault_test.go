@@ -173,7 +173,7 @@ func (e *faultEnv) corrupt(t *testing.T, w *testWorker) {
 	if _, err := os.Stat(entry); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(entry, []byte("not a gob stream"), 0o644); err != nil {
+	if err := os.WriteFile(entry, []byte("not a cache entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -79,12 +79,17 @@ func deps(t *testing.T, pkg string) map[string]bool {
 }
 
 // The dependency boundary: the local CLIs link neither server (a
-// -remote run needs only this package), and this package is a leaf
-// over the spec layer.
+// -remote run needs only this package), no command links encoding/gob
+// (the disk cache writes fixed binary records), and this package is a
+// leaf over the spec layer.
 func TestDependencyBoundary(t *testing.T) {
-	for _, cmd := range []string{"delrep/cmd/expdriver", "delrep/cmd/delrepsim"} {
-		linked := deps(t, cmd)
-		for _, p := range []string{"delrep/internal/serve", "delrep/internal/fleet", "net/http/pprof", "html/template"} {
+	for _, cmd := range []string{"expdriver", "delrepsim", "delrepd", "delrepfleet"} {
+		forbidden := []string{"encoding/gob"}
+		if cmd == "expdriver" || cmd == "delrepsim" {
+			forbidden = append(forbidden, "delrep/internal/serve", "delrep/internal/fleet", "net/http/pprof", "html/template")
+		}
+		linked := deps(t, "delrep/cmd/"+cmd)
+		for _, p := range forbidden {
 			if linked[p] {
 				t.Errorf("%s depends on %s", cmd, p)
 			}

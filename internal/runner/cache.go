@@ -1,11 +1,13 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,13 +30,14 @@ import (
 const Version = "delrep-run-v3"
 
 // DiskCache is an on-disk, content-addressed store of simulation
-// results (and small observed-run artifacts). Entries are gob files
-// named by the SHA-256 of Version plus the run Key; gob preserves
-// float64 bit patterns exactly, so a cache hit is byte-for-byte
-// indistinguishable from re-running the simulation. Writes go through
-// a temp file plus rename, so concurrent processes sharing a cache
-// directory never observe torn entries. Any unreadable, mismatched, or
-// corrupt entry is treated as a miss and overwritten by the next Put.
+// results (and small observed-run artifacts). Entries are fixed binary
+// records (see encodeEntry) named by the SHA-256 of Version plus the
+// run Key; every Results field is stored as its little-endian bits, so
+// a cache hit is byte-for-byte indistinguishable from re-running the
+// simulation. Writes go through a temp file plus rename, so concurrent
+// processes sharing a cache directory never observe torn entries. Any
+// unreadable, mismatched, or corrupt entry is treated as a miss and
+// overwritten by the next Put.
 type DiskCache struct {
 	dir string
 
@@ -122,22 +125,94 @@ func OpenCache(flagVal string) (c *DiskCache, uncached, err error) {
 // Dir returns the cache directory.
 func (c *DiskCache) Dir() string { return c.dir }
 
-// entry is the stored form of one simulation result. Version and Key
-// are stored verbatim and verified on read: a SHA-256 filename
-// collision or a stale-format file therefore degrades to a miss, never
-// to a wrong result.
-type entry struct {
-	Version string
-	Key     string
-	Digest  uint64
-	Results core.Results
+// An entry is one binary record, integers little-endian:
+//
+//	magic | layout fingerprint (uint64) | uvarint len, Version | uvarint len, key | payload
+//
+// A run entry's payload is the digest (uint64) followed by core.Results
+// through encoding/binary; a blob entry's payload is the artifact's
+// bytes. Version and the key are stored verbatim and verified on read:
+// a SHA-256 filename collision or a stale-format file (a gob entry of
+// an older build among them) therefore degrades to a miss, never to a
+// wrong result.
+const entryMagic = "DRc\x01"
+
+// entryPrefix is the header every entry of this build starts with: the
+// magic, the fingerprint of core.Results and Version.
+var entryPrefix = func() []byte {
+	sum := sha256.Sum256(layout(nil, reflect.TypeOf(core.Results{})))
+	b := append([]byte(entryMagic), sum[:8]...)
+	b = binary.AppendUvarint(b, uint64(len(Version)))
+	return append(b, Version...)
+}()
+
+// resultsSize is the encoded size of core.Results: -1, and every Put an
+// error, if a field without a fixed size is ever added to it.
+var resultsSize = binary.Size(core.Results{})
+
+// layout appends t's field names, kinds and array lengths, in order,
+// to b. Results are stored by position, so a field added, removed,
+// renamed, retyped or moved changes the fingerprint and turns every
+// older entry into a miss rather than into shifted or zeroed values.
+func layout(b []byte, t reflect.Type) []byte {
+	switch t.Kind() {
+	case reflect.Struct:
+		b = append(b, "struct{"...)
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			b = append(layout(append(append(b, f.Name...), ' '), f.Type), ';')
+		}
+		return append(b, '}')
+	case reflect.Array:
+		b = strconv.AppendInt(append(b, '['), int64(t.Len()), 10)
+		return layout(append(b, ']'), t.Elem())
+	}
+	return append(b, t.Kind().String()...)
 }
 
-// blobEntry is the stored form of one artifact (see GetBlob/PutBlob).
-type blobEntry struct {
-	Version string
-	Key     string
-	Data    []byte
+// appendHeader appends the header of key's entry to dst.
+func appendHeader(dst []byte, key string) []byte {
+	dst = append(dst, entryPrefix...)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	return append(dst, key...)
+}
+
+// encodeEntry renders the run entry Put stores.
+func encodeEntry(key string, digest uint64, res *core.Results) ([]byte, error) {
+	b := appendHeader(make([]byte, 0, len(entryPrefix)+binary.MaxVarintLen64+len(key)+8+resultsSize), key)
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint64(b, digest))
+	if err := binary.Write(buf, binary.LittleEndian, res); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeHeader splits an entry of this build into its stored key and
+// payload; ok=false if b has another magic, fingerprint or Version, or
+// ends inside the header.
+func decodeHeader(b []byte) (key, payload []byte, ok bool) {
+	if !bytes.HasPrefix(b, entryPrefix) {
+		return nil, nil, false
+	}
+	b = b[len(entryPrefix):]
+	n, w := binary.Uvarint(b)
+	// w <= 0 is a cut or overflowing length; a zero last byte an
+	// overlong one, which appendHeader would not have written.
+	if w <= 0 || (w > 1 && b[w-1] == 0) || n > uint64(len(b)-w) {
+		return nil, nil, false
+	}
+	return b[w : w+int(n)], b[w+int(n):], true
+}
+
+// decodeEntry is encodeEntry's inverse: it accepts exactly the records
+// encodeEntry writes under this build's header.
+func decodeEntry(b []byte) (key []byte, digest uint64, res core.Results, ok bool) {
+	key, payload, ok := decodeHeader(b)
+	if !ok || len(payload) != 8+resultsSize ||
+		binary.Read(bytes.NewReader(payload[8:]), binary.LittleEndian, &res) != nil {
+		return nil, 0, core.Results{}, false
+	}
+	return key, binary.LittleEndian.Uint64(payload), res, true
 }
 
 func (c *DiskCache) path(key, ext string) string {
@@ -147,7 +222,7 @@ func (c *DiskCache) path(key, ext string) string {
 // Get returns the cached results and end-state digest for a run key,
 // or ok=false on any miss, mismatch, or decoding failure.
 func (c *DiskCache) Get(key string) (res core.Results, digest uint64, ok bool) {
-	return c.read(c.path(key, ".run"), func(stored string) bool { return stored == key })
+	return c.read(c.path(key, ".run"), func(stored []byte) bool { return string(stored) == key })
 }
 
 // GetAddr returns the cached results and digest for a content address
@@ -161,21 +236,20 @@ func (c *DiskCache) GetAddr(addr string) (res core.Results, digest uint64, ok bo
 	if !ok {
 		return core.Results{}, 0, false
 	}
-	return c.read(path, func(stored string) bool { return CacheAddr(stored) == addr })
+	return c.read(path, func(stored []byte) bool { return CacheAddr(string(stored)) == addr })
 }
 
 // read decodes the result entry at path and counts the lookup: a
 // missing file is a miss; an entry that fails to decode, has another
 // Version, or whose stored key keyOK rejects is corrupt.
-func (c *DiskCache) read(path string, keyOK func(stored string) bool) (res core.Results, digest uint64, ok bool) {
-	f, err := os.Open(path)
+func (c *DiskCache) read(path string, keyOK func(stored []byte) bool) (res core.Results, digest uint64, ok bool) {
+	b, err := os.ReadFile(path)
 	if err != nil {
 		c.misses.Add(1)
 		return core.Results{}, 0, false
 	}
-	defer f.Close()
-	var e entry
-	if err := gob.NewDecoder(f).Decode(&e); err != nil || e.Version != Version || !keyOK(e.Key) {
+	key, digest, res, ok := decodeEntry(b)
+	if !ok || !keyOK(key) {
 		// The entry existed but failed to decode or verify: a
 		// truncated or stale-format file, counted separately from a
 		// plain miss so operators see corruption distinctly.
@@ -183,7 +257,7 @@ func (c *DiskCache) read(path string, keyOK func(stored string) bool) (res core.
 		return core.Results{}, 0, false
 	}
 	c.hits.Add(1)
-	return e.Results, e.Digest, true
+	return res, digest, true
 }
 
 // HasAddr reports whether an entry file exists for a content address,
@@ -214,32 +288,30 @@ func (c *DiskCache) addrPath(addr string) (path string, ok bool) {
 
 // Put stores one run's results under its key.
 func (c *DiskCache) Put(key string, digest uint64, res core.Results) error {
-	return c.write(c.path(key, ".run"), entry{
-		Version: Version, Key: key, Digest: digest, Results: res,
-	})
+	b, err := encodeEntry(key, digest, &res)
+	if err != nil {
+		return err
+	}
+	return c.write(c.path(key, ".run"), b)
 }
 
 // GetBlob returns a cached artifact (for example an observed run's
 // clog narrative) stored under an arbitrary key, or ok=false on miss.
 func (c *DiskCache) GetBlob(key string) (data []byte, ok bool) {
-	f, err := os.Open(c.path(key, ".blob"))
+	b, err := os.ReadFile(c.path(key, ".blob"))
 	if err != nil {
 		return nil, false
 	}
-	defer f.Close()
-	var e blobEntry
-	if err := gob.NewDecoder(f).Decode(&e); err != nil ||
-		e.Version != Version || e.Key != key {
+	stored, data, ok := decodeHeader(b)
+	if !ok || string(stored) != key {
 		return nil, false
 	}
-	return e.Data, true
+	return data, true
 }
 
 // PutBlob stores an artifact under a key.
 func (c *DiskCache) PutBlob(key string, data []byte) error {
-	return c.write(c.path(key, ".blob"), blobEntry{
-		Version: Version, Key: key, Data: data,
-	})
+	return c.write(c.path(key, ".blob"), append(appendHeader(nil, key), data...))
 }
 
 // Size returns the total bytes currently held by cache entries (.run
@@ -354,13 +426,13 @@ func ParseSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-func (c *DiskCache) write(path string, v any) error {
+func (c *DiskCache) write(path string, b []byte) error {
 	tmp, err := os.CreateTemp(c.dir, "tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	err = gob.NewEncoder(tmp).Encode(v)
+	_, err = tmp.Write(b)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -51,7 +51,7 @@ func TestDiskCacheCorruptionTolerance(t *testing.T) {
 		t.Fatalf("no cache files (%v)", err)
 	}
 	for _, f := range files {
-		if err := os.WriteFile(f, []byte("not a gob stream"), 0o644); err != nil {
+		if err := os.WriteFile(f, []byte("not a cache entry"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
