@@ -4,7 +4,10 @@
 // policies, and L1 organisations across experiments.
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // NodeKind classifies a NoC node.
 type NodeKind uint8
@@ -271,6 +274,101 @@ type Config struct {
 	Seed          int64
 	WarmupCycles  int64
 	MeasureCycles int64
+}
+
+// AppendKey appends c rendered exactly as fmt's %+v prints it — field
+// names in declaration order, enums and the layout by their String
+// methods — and returns the extended buffer. It is the configuration
+// part of every run key (runner.Key), written out by hand because
+// fmt's reflection was the largest cost of a warm sweep. A field added
+// to Config or to one of its sub-structs must be added here too:
+// TestAppendKeyMatchesSprintf fails until it is.
+func (c *Config) AppendKey(b []byte) []byte {
+	b = append(b, "{Layout:"...)
+	b = c.Layout.appendGrid(b)
+	b = appendField(b, " Scheme:", c.Scheme.String())
+
+	n := &c.NoC
+	b = appendField(b, " NoC:{Topology:", n.Topology.String())
+	b = appendField(b, " Routing:", n.Routing.String())
+	b = appendField(b, " ReqOrder:", n.ReqOrder.String())
+	b = appendField(b, " RepOrder:", n.RepOrder.String())
+	b = appendInt(b, " ChannelBytes:", n.ChannelBytes)
+	b = appendInt(b, " VCsPerClass:", n.VCsPerClass)
+	b = appendInt(b, " FlitsPerVC:", n.FlitsPerVC)
+	b = appendInt(b, " RouterDelay:", n.RouterDelay)
+	b = appendInt(b, " LinkDelay:", n.LinkDelay)
+	b = appendInt(b, " InjectionBuf:", n.InjectionBuf)
+	b = appendBool(b, " SharedPhys:", n.SharedPhys)
+	b = appendInt(b, " ReqVCs:", n.ReqVCs)
+	b = appendInt(b, " RepVCs:", n.RepVCs)
+
+	g := &c.GPU
+	b = appendInt(b, "} GPU:{WarpsPerSM:", g.WarpsPerSM)
+	b = appendInt(b, " IssueWidth:", g.IssueWidth)
+	b = appendInt(b, " L1Bytes:", g.L1Bytes)
+	b = appendInt(b, " L1Assoc:", g.L1Assoc)
+	b = appendInt(b, " L1LineBytes:", g.L1LineBytes)
+	b = appendInt(b, " L1MSHRs:", g.L1MSHRs)
+	b = appendInt(b, " FRQEntries:", g.FRQEntries)
+	b = appendInt(b, " MaxOutWrites:", g.MaxOutWrites)
+	b = appendField(b, " Org:", g.Org.String())
+	b = appendField(b, " CTASched:", g.CTASched.String())
+	b = appendInt(b, " DynEBEpoch:", g.DynEBEpoch)
+	b = appendInt(b, " KernelCycles:", g.KernelCycles)
+
+	b = appendInt(b, "} CPU:{L1LineBytes:", c.CPU.L1LineBytes)
+	b = appendInt(b, " MLP:", c.CPU.MLP)
+
+	l := &c.LLC
+	b = appendInt(b, "} LLC:{SliceBytes:", l.SliceBytes)
+	b = appendInt(b, " Assoc:", l.Assoc)
+	b = appendInt(b, " LineBytes:", l.LineBytes)
+	b = appendInt(b, " MSHRs:", l.MSHRs)
+	b = appendInt(b, " Latency:", l.Latency)
+
+	d := &c.DRAM
+	b = appendInt(b, "} DRAM:{Banks:", d.Banks)
+	b = appendInt(b, " TCL:", d.TCL)
+	b = appendInt(b, " TRP:", d.TRP)
+	b = appendInt(b, " TRC:", d.TRC)
+	b = appendInt(b, " TRAS:", d.TRAS)
+	b = appendInt(b, " TRCD:", d.TRCD)
+	b = appendInt(b, " TRRD:", d.TRRD)
+	b = appendInt(b, " TCCD:", d.TCCD)
+	b = appendInt(b, " TWR:", d.TWR)
+	b = appendInt(b, " BurstCyc:", d.BurstCyc)
+	b = appendInt(b, " QueueCap:", d.QueueCap)
+
+	b = appendInt(b, "} RP:{ProbeFanout:", c.RP.ProbeFanout)
+	// 'g' with the shortest precision is %v's float form, NaN, ±Inf
+	// and −0 included.
+	b = append(b, " PredThreshold:"...)
+	b = strconv.AppendFloat(b, c.RP.PredThreshold, 'g', -1, 64)
+	b = appendInt(b, " SampleEvery:", c.RP.SampleEvery)
+
+	b = appendInt(b, "} DelRep:{MaxDelegationsPerCycle:", c.DelRep.MaxDelegationsPerCycle)
+	b = appendBool(b, " AlwaysDelegate:", c.DelRep.AlwaysDelegate)
+	b = appendBool(b, " FRQMerge:", c.DelRep.FRQMerge)
+
+	b = appendInt(b, "} Seed:", c.Seed)
+	b = appendInt(b, " WarmupCycles:", c.WarmupCycles)
+	b = appendInt(b, " MeasureCycles:", c.MeasureCycles)
+	return append(b, '}')
+}
+
+// appendField, appendInt and appendBool append one "name:value" pair
+// of AppendKey; name carries the separator in front of it.
+func appendField(b []byte, name, v string) []byte {
+	return append(append(b, name...), v...)
+}
+
+func appendInt[T int | int64](b []byte, name string, v T) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
+func appendBool(b []byte, name string, v bool) []byte {
+	return strconv.AppendBool(append(b, name...), v)
 }
 
 // Default returns the Table I baseline configuration on the Figure 1a

@@ -1,9 +1,6 @@
 package config
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Layout describes the placement of CPU cores, GPU cores, and memory
 // nodes on the chip grid, plus the CDR dimension orders the paper pairs
@@ -212,29 +209,36 @@ func ScaledBaseline(w, h int) Layout {
 	return LayoutFromCounts(fmt.Sprintf("Baseline%dx%d", w, h), w, h, cpuCols*h, h)
 }
 
-// String renders the layout grid using C/G/M cells.
-// Every run key renders it (runner.Key), so it writes into one builder.
-func (l Layout) String() string {
-	var b strings.Builder
-	b.Grow(len(l.Name) + len(" (XY-YX)\n") + (l.Width+1)*l.Height)
-	b.WriteString(l.Name)
-	b.WriteString(" (")
-	b.WriteString(l.ReqOrder.String())
-	b.WriteByte('-')
-	b.WriteString(l.RepOrder.String())
-	b.WriteString(")\n")
+// String renders the layout grid using C/G/M cells under a
+// "Name (Req-Rep)" title line.
+func (l Layout) String() string { return string(l.appendGrid(nil)) }
+
+// appendGrid appends String's rendering to b. Every run key renders the
+// layout (Config.AppendKey), so it writes straight into the key's
+// buffer. A layout whose Kinds do not fill its grid (Validate rejects
+// it) renders the cells it has instead of panicking, so such a
+// configuration still gets a key and fails when it runs.
+func (l Layout) appendGrid(b []byte) []byte {
+	b = append(b, l.Name...)
+	b = append(b, " ("...)
+	b = append(b, l.ReqOrder.String()...)
+	b = append(b, '-')
+	b = append(b, l.RepOrder.String()...)
+	b = append(b, ")\n"...)
 	for y := 0; y < l.Height; y++ {
 		for x := 0; x < l.Width; x++ {
-			switch l.Kinds[l.ID(x, y)] {
-			case KindCPU:
-				b.WriteByte('C')
-			case KindGPU:
-				b.WriteByte('G')
-			case KindMem:
-				b.WriteByte('M')
+			if id := l.ID(x, y); id < len(l.Kinds) {
+				switch l.Kinds[id] {
+				case KindCPU:
+					b = append(b, 'C')
+				case KindGPU:
+					b = append(b, 'G')
+				case KindMem:
+					b = append(b, 'M')
+				}
 			}
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
 }

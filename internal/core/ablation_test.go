@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"delrep/internal/cache"
@@ -96,5 +97,53 @@ func TestFRQMergeEndToEnd(t *testing.T) {
 	r := runShort(t, cfg, "HS", "vips")
 	if r.GPUInsts == 0 || r.Delegations == 0 {
 		t.Fatal("no progress with FRQ merging enabled")
+	}
+}
+
+// TestFRQKnobsDigestNeutral pins what the FRQ's knobs do in this model:
+// nothing. HandlePacket queues a delegated request during netCommit and
+// serveFRQ drains it in the same cycle's node phase, so the queue never
+// holds a second entry for its size to bound or for merging to find.
+// Every size and merge setting must give the default's digest, on every
+// topology, and every run must delegate, so the equality is not that of
+// two FRQs that were never used. Under the race detector, which has no
+// goroutines to watch in a simulation, it runs on the mesh only.
+func TestFRQKnobsDigestNeutral(t *testing.T) {
+	def := config.Default()
+	topos := []config.Topology{
+		config.TopoMesh, config.TopoFlattenedButterfly, config.TopoDragonfly, config.TopoCrossbar,
+	}
+	if raceDetector {
+		topos = topos[:1]
+	}
+	for _, topo := range topos {
+		for _, w := range []struct{ gpu, cpu string }{{"HS", "vips"}, {"2DCON", "dedup"}} {
+			t.Run(fmt.Sprintf("%v/%s+%s", topo, w.gpu, w.cpu), func(t *testing.T) {
+				t.Parallel()
+				run := func(entries int, merge bool) uint64 {
+					cfg := def
+					cfg.Scheme = config.SchemeDelegatedReplies
+					cfg.NoC.Topology = topo
+					cfg.WarmupCycles, cfg.MeasureCycles = 2000, 6000
+					cfg.GPU.FRQEntries, cfg.DelRep.FRQMerge = entries, merge
+					a := RunAudit(cfg, w.gpu, w.cpu)
+					if a.Results.Delegations == 0 {
+						t.Fatalf("FRQEntries %d, FRQMerge %v: no delegations", entries, merge)
+					}
+					return a.Digest
+				}
+				want := run(def.GPU.FRQEntries, def.DelRep.FRQMerge)
+				for _, entries := range []int{1, 8, 32} {
+					for _, merge := range []bool{false, true} {
+						if entries == def.GPU.FRQEntries && merge == def.DelRep.FRQMerge {
+							continue
+						}
+						if got := run(entries, merge); got != want {
+							t.Errorf("FRQEntries %d, FRQMerge %v: digest %016x, default %016x", entries, merge, got, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }

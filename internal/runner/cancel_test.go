@@ -102,15 +102,22 @@ func TestPinnedWaiterSurvivesCancel(t *testing.T) {
 }
 
 // A panicking simulation (invalid configuration) surfaces as Run.Err
-// instead of crashing the process that shares the engine.
+// instead of crashing the process that shares the engine. A layout
+// whose Kinds do not fill its grid is keyed like any other and fails
+// when it runs.
 func TestPanicBecomesError(t *testing.T) {
 	eng := New(Options{Workers: 1})
 	run := eng.Run(Spec{Cfg: config.Default(), GPU: "no-such-benchmark", CPU: "vips"})
 	if run.Err == nil {
 		t.Fatal("run with unknown benchmark reported no error")
 	}
-	if c := eng.Snapshot(); c.Failed != 1 || c.Executed != 0 {
-		t.Fatalf("counters = %+v, want Failed 1, Executed 0", c)
+	short := config.Default()
+	short.Layout.Kinds = short.Layout.Kinds[:10]
+	if run := eng.Run(Spec{Cfg: short, GPU: "HS", CPU: "vips"}); run.Err == nil {
+		t.Fatal("run with a layout shorter than its grid reported no error")
+	}
+	if c := eng.Snapshot(); c.Failed != 2 || c.Executed != 0 {
+		t.Fatalf("counters = %+v, want Failed 2, Executed 0", c)
 	}
 }
 

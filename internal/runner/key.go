@@ -3,7 +3,6 @@ package runner
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 
 	"delrep/internal/config"
 )
@@ -14,13 +13,26 @@ import (
 // with equal keys are guaranteed to produce bit-identical results, so
 // the key is safe to use as a memoization and cache-lookup identity.
 //
-// The whole Config is folded in via its %+v rendering rather than a
-// hand-picked field list: an earlier hand-written key omitted
-// WarmupCycles/MeasureCycles, which would have aliased -quick and
-// full-window runs in a shared on-disk cache. Rendering the struct
-// keeps every present and future field run-identifying by default.
+// The key is "gpu|cpu|" followed by config.Config.AppendKey, which
+// writes the bytes fmt's %+v printed for the Config when the key was a
+// Sprintf, so every cache address stayed the same when the renderer
+// changed. It covers the whole Config rather than a hand-picked field
+// list: an earlier hand-written key omitted WarmupCycles and
+// MeasureCycles, which would have aliased -quick and full-window runs
+// in a shared on-disk cache. A field added to the Config takes part
+// because config's TestAppendKeyMatchesSprintf fails until AppendKey
+// renders it.
 func Key(cfg config.Config, gpu, cpu string) string {
-	return fmt.Sprintf("%s|%s|%+v", gpu, cpu, cfg)
+	// 1 KiB holds every key the evaluation renders (≈ 930 bytes on the
+	// 12×12 layout), so the buffer stays on the stack and the string is
+	// the only allocation.
+	b := make([]byte, 0, 1024)
+	b = append(b, gpu...)
+	b = append(b, '|')
+	b = append(b, cpu...)
+	b = append(b, '|')
+	b = cfg.AppendKey(b)
+	return string(b)
 }
 
 // KeyHash returns a short stable identifier for a run key: the first

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"delrep/internal/config"
 	"delrep/internal/simspec"
 )
 
@@ -44,5 +45,26 @@ func TestKeyGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("run key addresses differ from %s (rerun with -update only with a Version salt change):\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// keySink keeps the measured keys alive.
+var keySink string
+
+// Rendering a run key allocates only the returned string: the buffer
+// lives on Key's stack. The key is rendered once per submission, on
+// the submitting goroutine, so a warm sweep pays it for every run.
+func TestKeyAllocs(t *testing.T) {
+	cfg := config.Default()
+	if n := testing.AllocsPerRun(100, func() { keySink = Key(cfg, "HS", "vips") }); n > 1 {
+		t.Errorf("Key allocates %v times per call, want at most 1", n)
+	}
+}
+
+func BenchmarkKey(b *testing.B) {
+	cfg := config.Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = Key(cfg, "HS", "vips")
 	}
 }

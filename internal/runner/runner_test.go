@@ -155,8 +155,10 @@ func (b *syncBuffer) String() string {
 
 // TestKeyDistinguishesConfigs is the regression test for cache-key
 // aliasing: every run-identifying mutation — most importantly the
-// warm-up and measurement windows, which the previous hand-written key
-// omitted — must change the key.
+// warm-up and measurement windows, which an early hand-picked key
+// omitted — must change the key. That every field is rendered at all is
+// config's TestAppendKeyMatchesSprintf; this test checks that the
+// rendering reaches the key.
 func TestKeyDistinguishesConfigs(t *testing.T) {
 	base := config.Default()
 	mutations := []func(*config.Config){
