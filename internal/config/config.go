@@ -245,19 +245,14 @@ type RP struct {
 	SampleEvery   int     // always-probe sampling period for training
 }
 
-// DelRep holds Delegated Replies parameters. The extension/ablation
-// knobs explore the design space around the paper's choices.
+// DelRep holds Delegated Replies parameters. The ablation knob
+// explores the design space around the paper's choices.
 type DelRep struct {
 	MaxDelegationsPerCycle int // delegation bandwidth at a memory node
 	// AlwaysDelegate (ablation) delegates every delegatable reply
 	// instead of only when the reply network cannot accept traffic; the
 	// paper argues this needlessly exposes cores to delegation latency.
 	AlwaysDelegate bool
-	// FRQMerge (extension) merges delegated replies to the same line in
-	// the FRQ, serving all requesters with one L1 access — the
-	// idealized multicast the paper declines to build because only
-	// 4.8% of FRQ entries share a line.
-	FRQMerge bool
 }
 
 // Config is the complete simulated system configuration.
@@ -349,7 +344,6 @@ func (c *Config) AppendKey(b []byte) []byte {
 
 	b = appendInt(b, "} DelRep:{MaxDelegationsPerCycle:", c.DelRep.MaxDelegationsPerCycle)
 	b = appendBool(b, " AlwaysDelegate:", c.DelRep.AlwaysDelegate)
-	b = appendBool(b, " FRQMerge:", c.DelRep.FRQMerge)
 
 	b = appendInt(b, "} Seed:", c.Seed)
 	b = appendInt(b, " WarmupCycles:", c.WarmupCycles)

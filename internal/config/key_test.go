@@ -131,12 +131,12 @@ func keyDiff(got, want string) string {
 }
 
 // FuzzAppendKey checks AppendKey against %+v over the numeric fields,
-// the enums (in range or not) and two bools. Its seed corpus is
+// the enums (in range or not) and a bool. Its seed corpus is
 // testdata/fuzz/FuzzAppendKey: Default's values and the edge values of
 // each argument.
 func FuzzAppendKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, warm, measure int64, channelBytes, frqEntries, probeFanout int,
-		predThreshold float64, scheme, topo, ctaSched uint8, sharedPhys, frqMerge bool) {
+		predThreshold float64, scheme, topo, ctaSched uint8, sharedPhys bool) {
 		c := Default()
 		c.Seed, c.WarmupCycles, c.MeasureCycles = seed, warm, measure
 		c.NoC.ChannelBytes = channelBytes
@@ -147,7 +147,6 @@ func FuzzAppendKey(f *testing.F) {
 		c.NoC.Topology = Topology(topo)
 		c.GPU.CTASched = CTASched(ctaSched)
 		c.NoC.SharedPhys = sharedPhys
-		c.DelRep.FRQMerge = frqMerge
 		if got, want := string(c.AppendKey(nil)), fmt.Sprintf("%+v", c); got != want {
 			t.Error(keyDiff(got, want))
 		}

@@ -33,47 +33,10 @@ func TestDelegationBandwidthKnob(t *testing.T) {
 	}
 }
 
-func TestFRQMergeCoalesces(t *testing.T) {
-	cfg := shortCfg(config.SchemeDelegatedReplies)
-	cfg.DelRep.FRQMerge = true
-	sys := NewSystem(cfg, "HS", "vips")
-	g := sys.GPUs[0]
-	line := cache.Addr(555)
-	g.l1.Insert(line, 0, false)
-	reqA := sys.GPUs[5].Node
-	reqB := sys.GPUs[6].Node
-	mem := sys.Mems[0].Node
-	// Two delegated replies for the same line: the second must merge
-	// rather than occupy an FRQ entry.
-	pa := sys.newPacket(mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
-		&Msg{Type: MsgDelegated, Line: line, Requester: reqA})
-	pb := sys.newPacket(mem, g.Node, noc.ClassRequest, noc.PrioRemote, 1,
-		&Msg{Type: MsgDelegated, Line: line, Requester: reqB})
-	if !g.HandlePacket(pa) || !g.HandlePacket(pb) {
-		t.Fatal("delegated replies refused")
-	}
-	if len(g.frq) != 1 {
-		t.Fatalf("FRQ holds %d entries, want 1 (merged)", len(g.frq))
-	}
-	if g.Stats.FRQSameLine != 1 {
-		t.Fatal("same-line event not counted")
-	}
-	g.BeginCycle()
-	g.serveFRQ()
-	if g.Stats.FRQRemoteHits != 2 {
-		t.Fatalf("served %d remote hits, want 2 (merged requester included)",
-			g.Stats.FRQRemoteHits)
-	}
-	dsts := map[int]bool{}
-	for _, p := range g.outRep {
-		dsts[p.Dst] = true
-	}
-	if !dsts[reqA] || !dsts[reqB] {
-		t.Fatalf("replies missing a merged requester: %v", dsts)
-	}
-}
-
-func TestFRQMergeOffKeepsSeparateEntries(t *testing.T) {
+// TestFRQSameLineKeepsSeparateEntries: two delegated requests for one
+// line take two FRQ entries, and the second is counted as a same-line
+// event (the counter TestFRQKnobsDigestNeutral reads as zero).
+func TestFRQSameLineKeepsSeparateEntries(t *testing.T) {
 	cfg := shortCfg(config.SchemeDelegatedReplies)
 	sys := NewSystem(cfg, "HS", "vips")
 	g := sys.GPUs[0]
@@ -87,27 +50,23 @@ func TestFRQMergeOffKeepsSeparateEntries(t *testing.T) {
 		}
 	}
 	if len(g.frq) != 2 {
-		t.Fatalf("FRQ holds %d entries, want 2 (merging off)", len(g.frq))
+		t.Fatalf("FRQ holds %d entries, want 2", len(g.frq))
+	}
+	if g.Stats.FRQSameLine != 1 {
+		t.Fatalf("same-line events counted %d, want 1", g.Stats.FRQSameLine)
 	}
 }
 
-func TestFRQMergeEndToEnd(t *testing.T) {
-	cfg := shortCfg(config.SchemeDelegatedReplies)
-	cfg.DelRep.FRQMerge = true
-	r := runShort(t, cfg, "HS", "vips")
-	if r.GPUInsts == 0 || r.Delegations == 0 {
-		t.Fatal("no progress with FRQ merging enabled")
-	}
-}
-
-// TestFRQKnobsDigestNeutral pins what the FRQ's knobs do in this model:
-// nothing. HandlePacket queues a delegated request during netCommit and
-// serveFRQ drains it in the same cycle's node phase, so the queue never
-// holds a second entry for its size to bound or for merging to find.
-// Every size and merge setting must give the default's digest, on every
-// topology, and every run must delegate, so the equality is not that of
-// two FRQs that were never used. Under the race detector, which has no
-// goroutines to watch in a simulation, it runs on the mesh only.
+// TestFRQKnobsDigestNeutral pins what the FRQ's size does in this
+// model: nothing. HandlePacket queues a delegated request during
+// netCommit and serveFRQ drains it in the same cycle's node phase, so
+// the queue never holds a second entry for its size to bound. Every
+// size must give the default's digest, on every topology; every run
+// must delegate, so the equality is not that of two FRQs that were
+// never used; and no delegated request may find another for its line
+// still queued (the paper measures 4.8% of entries sharing a line).
+// Under the race detector, which has no goroutines to watch in a
+// simulation, it runs on the mesh only.
 func TestFRQKnobsDigestNeutral(t *testing.T) {
 	def := config.Default()
 	topos := []config.Topology{
@@ -120,27 +79,25 @@ func TestFRQKnobsDigestNeutral(t *testing.T) {
 		for _, w := range []struct{ gpu, cpu string }{{"HS", "vips"}, {"2DCON", "dedup"}} {
 			t.Run(fmt.Sprintf("%v/%s+%s", topo, w.gpu, w.cpu), func(t *testing.T) {
 				t.Parallel()
-				run := func(entries int, merge bool) uint64 {
+				run := func(entries int) uint64 {
 					cfg := def
 					cfg.Scheme = config.SchemeDelegatedReplies
 					cfg.NoC.Topology = topo
 					cfg.WarmupCycles, cfg.MeasureCycles = 2000, 6000
-					cfg.GPU.FRQEntries, cfg.DelRep.FRQMerge = entries, merge
+					cfg.GPU.FRQEntries = entries
 					a := RunAudit(cfg, w.gpu, w.cpu)
 					if a.Results.Delegations == 0 {
-						t.Fatalf("FRQEntries %d, FRQMerge %v: no delegations", entries, merge)
+						t.Fatalf("FRQEntries %d: no delegations", entries)
+					}
+					if f := a.Results.FRQSameLineFrac; f != 0 {
+						t.Errorf("FRQEntries %d: same-line fraction %v, want 0 (the FRQ held an entry across a cycle)", entries, f)
 					}
 					return a.Digest
 				}
-				want := run(def.GPU.FRQEntries, def.DelRep.FRQMerge)
-				for _, entries := range []int{1, 8, 32} {
-					for _, merge := range []bool{false, true} {
-						if entries == def.GPU.FRQEntries && merge == def.DelRep.FRQMerge {
-							continue
-						}
-						if got := run(entries, merge); got != want {
-							t.Errorf("FRQEntries %d, FRQMerge %v: digest %016x, default %016x", entries, merge, got, want)
-						}
+				want := run(def.GPU.FRQEntries)
+				for _, entries := range []int{1, 32} {
+					if got := run(entries); got != want {
+						t.Errorf("FRQEntries %d: digest %016x, default %016x", entries, got, want)
 					}
 				}
 			})

@@ -74,10 +74,6 @@ type GPUCore struct {
 
 	cluster *Cluster // non-nil when a shared L1 organisation is active
 
-	// frqMerged holds same-line delegated replies merged behind a
-	// queued FRQ entry (the FRQMerge extension).
-	frqMerged map[cache.Addr][]*Msg
-
 	// Realistic Probing state.
 	rng          *rand.Rand
 	rpEwma       float64
@@ -101,7 +97,6 @@ func newGPUCore(sys *System, node, idx int) *GPUCore {
 		mshr:      cache.NewMSHR(sys.Cfg.GPU.L1MSHRs),
 		rng:       rand.New(rand.NewSource(sys.Cfg.Seed ^ int64(node)*131 + 17)),
 		rpPending: make(map[cache.Addr]*probeState),
-		frqMerged: make(map[cache.Addr][]*Msg),
 	}
 	// Queue backing arrays are preallocated to their capacities; the
 	// steady-state tick path pops and appends without reallocating.
@@ -219,14 +214,6 @@ func (g *GPUCore) HandlePacket(p *noc.Packet) bool {
 		for _, q := range g.frq {
 			if q.Payload.(*Msg).Line == m.Line {
 				g.Stats.FRQSameLine++
-				if g.sys.Cfg.DelRep.FRQMerge {
-					// Idealized multicast: one L1 access will serve
-					// both requesters. frqMerged keeps only the Msg;
-					// the carrier packet dies here.
-					g.frqMerged[m.Line] = append(g.frqMerged[m.Line], m)
-					g.sys.al.freePacket(p)
-					return true
-				}
 				break
 			}
 		}
@@ -396,10 +383,11 @@ func (g *GPUCore) drainOutbox() {
 	}
 }
 
-// serveFRQ processes delegated replies against the local L1: a hit
-// sends the line to the requester, a hit on an outstanding miss merges
-// into the MSHR (delayed hit), and a miss re-sends the request to the
-// LLC with the DNF bit set, without allocating a local MSHR entry.
+// serveFRQ processes delegated replies against the local L1 (or the
+// cluster's shared slice, in Cluster.ServeRemote): a hit sends the line
+// to the requester, a hit on an outstanding miss merges into the MSHR
+// (delayed hit), and a miss re-sends the request to the LLC with the
+// DNF bit set, without allocating a local MSHR entry.
 func (g *GPUCore) serveFRQ() {
 	for g.budget > 0 && len(g.frq) > 0 {
 		p := g.frq[0]
@@ -408,68 +396,27 @@ func (g *GPUCore) serveFRQ() {
 			if !g.cluster.ServeRemote(g, m) {
 				return
 			}
-			g.budget--
-			g.frq, _ = fifo.PopFront(g.frq)
-			g.sys.al.retire(p)
-			continue
-		}
-		hit, _ := g.l1.Peek(m.Line)
-		switch {
-		case hit:
+		} else if hit, _ := g.l1.Peek(m.Line); hit {
 			if g.repFree() < 1 {
 				return
 			}
 			g.Stats.FRQRemoteHits++
 			g.send(Msg{Type: MsgReply, Line: m.Line, Requester: m.Requester, Kind: ReplyRemoteHit, Born: m.Born, Acct: m.Acct},
 				m.Requester, noc.ClassReply, noc.PrioGPU, g.sys.gpuReplyFlits)
-		default:
-			if _, out := g.mshr.Lookup(m.Line); out {
-				// Delayed hit: forward when the fill returns.
-				g.mshr.Merge(m.Line, mshrTarget{Warp: -1, Remote: m.Requester, Born: m.Born, Acct: m.Acct})
-			} else {
-				// Remote miss: the DNF re-send must not wait on outbox
-				// space — stalling the FRQ here wedges the delegated
-				// path (FRQ full -> ejection refused -> request network
-				// backed up -> memory nodes unable to delegate).
-				g.Stats.FRQRemoteMisses++
-				g.sendLLCRead(m.Line, m.Requester, true, m.Born, m.Acct)
-			}
+		} else if _, out := g.mshr.Lookup(m.Line); out {
+			// Delayed hit: forward when the fill returns.
+			g.mshr.Merge(m.Line, mshrTarget{Warp: -1, Remote: m.Requester, Born: m.Born, Acct: m.Acct})
+		} else {
+			// Remote miss: the DNF re-send must not wait on outbox
+			// space — stalling the FRQ here wedges the delegated path
+			// (FRQ full -> ejection refused -> request network backed
+			// up -> memory nodes unable to delegate).
+			g.Stats.FRQRemoteMisses++
+			g.sendLLCRead(m.Line, m.Requester, true, m.Born, m.Acct)
 		}
 		g.budget--
-		g.serveMerged(m)
 		g.frq, _ = fifo.PopFront(g.frq)
 		g.sys.al.retire(p)
-	}
-}
-
-// serveMerged serves the requesters merged behind a consumed FRQ entry
-// (FRQMerge extension): the L1 outcome for the line was just computed,
-// so each merged requester costs only an extra reply (or DNF re-send).
-func (g *GPUCore) serveMerged(head *Msg) {
-	extras := g.frqMerged[head.Line]
-	if len(extras) == 0 {
-		return
-	}
-	delete(g.frqMerged, head.Line)
-	hit, _ := g.l1.Peek(head.Line)
-	if g.cluster != nil && g.cluster.Shared() {
-		hit = g.cluster.Probe(head.Line)
-	}
-	for _, m := range extras {
-		switch {
-		case hit:
-			g.Stats.FRQRemoteHits++
-			g.send(Msg{Type: MsgReply, Line: m.Line, Requester: m.Requester, Kind: ReplyRemoteHit, Born: m.Born, Acct: m.Acct},
-				m.Requester, noc.ClassReply, noc.PrioGPU, g.sys.gpuReplyFlits)
-		default:
-			if _, out := g.mshr.Lookup(m.Line); out {
-				g.mshr.Merge(m.Line, mshrTarget{Warp: -1, Remote: m.Requester, Born: m.Born, Acct: m.Acct})
-			} else {
-				g.Stats.FRQRemoteMisses++
-				g.sendLLCRead(m.Line, m.Requester, true, m.Born, m.Acct)
-			}
-		}
-		g.sys.al.freeMsg(m)
 	}
 }
 

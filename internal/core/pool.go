@@ -17,10 +17,8 @@ import "delrep/internal/noc"
 // Ownership rule: a packet is retired exactly once, at the point the
 // protocol consumes it — a handler that refuses delivery
 // (back-pressure) must not retire, because the NI redelivers the same
-// packet next cycle. Two structures outlive their carrier asymmetrically:
-// the FRQ retains delegated packets until served (retired in
-// serveFRQ), and frqMerged retains only the Msg after its packet died
-// (freed in serveMerged).
+// packet next cycle. The FRQ retains delegated packets until served
+// (retired in serveFRQ).
 type alloc struct {
 	pkts []*noc.Packet
 	msgs []*Msg
@@ -46,20 +44,6 @@ func (a *alloc) allocPacket() *noc.Packet {
 	return &noc.Packet{}
 }
 
-// freePacket scrubs a packet and pushes it on the free list. The
-// scrub drops every reference (Payload, Trace) and zeroes all
-// bookkeeping so reuse cannot leak state between transactions.
-func (a *alloc) freePacket(p *noc.Packet) {
-	*p = noc.Packet{}
-	a.pkts = append(a.pkts, p)
-}
-
-// freeMsg scrubs a message and pushes it on the free list.
-func (a *alloc) freeMsg(m *Msg) {
-	*m = Msg{}
-	a.msgs = append(a.msgs, m)
-}
-
 // msgOf copies a message value into a pooled message. Protocol code
 // builds Msg literals on the stack; this is the only place they are
 // materialized on the heap.
@@ -77,9 +61,13 @@ func (a *alloc) msgOf(v Msg) *Msg {
 }
 
 // retire returns a consumed packet and its message to the free lists.
+// The scrub drops every reference (Payload, Trace) and zeroes all
+// bookkeeping so reuse cannot leak state between transactions.
 func (a *alloc) retire(p *noc.Packet) {
 	if m, ok := p.Payload.(*Msg); ok {
-		a.freeMsg(m)
+		*m = Msg{}
+		a.msgs = append(a.msgs, m)
 	}
-	a.freePacket(p)
+	*p = noc.Packet{}
+	a.pkts = append(a.pkts, p)
 }

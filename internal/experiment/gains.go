@@ -336,7 +336,6 @@ func nodeMix() gainTable {
 //   - delegation trigger: only-when-blocked (paper) vs always
 //   - delegation bandwidth per memory node per cycle
 //   - FRQ size, including the 8-entry paper value
-//   - FRQ same-line merging (the multicast extension the paper skips)
 func ablation() gainTable {
 	g := gainTable{
 		title:   "Delegated Replies ablations (HM GPU gain % over baseline)",
@@ -357,8 +356,5 @@ func ablation() gainTable {
 	for _, e := range []int{2, 8, 32} {
 		g.rows = append(g.rows, drVsBaseline(func(c *config.Config) { c.GPU.FRQEntries = e }, "FRQ entries", fmt.Sprint(e)))
 	}
-	g.rows = append(g.rows,
-		drVsBaseline(unchanged, "FRQ merging", "off (paper)"),
-		drVsBaseline(func(c *config.Config) { c.DelRep.FRQMerge = true }, "FRQ merging", "on (idealized multicast)"))
 	return g
 }

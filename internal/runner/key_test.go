@@ -44,7 +44,7 @@ func TestKeyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("run key addresses differ from %s (rerun with -update only with a Version salt change):\n got:\n%s\nwant:\n%s", golden, got, want)
+		t.Errorf("run key addresses differ from %s (rerun with -update only with a Version salt change or an added or removed Config field, DESIGN.md §11):\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
 

@@ -177,7 +177,6 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 		func(c *config.Config) { c.Layout = config.ScaledBaseline(10, 10) },
 		func(c *config.Config) { c.DelRep.MaxDelegationsPerCycle = 4 },
 		func(c *config.Config) { c.DelRep.AlwaysDelegate = true },
-		func(c *config.Config) { c.DelRep.FRQMerge = true },
 		func(c *config.Config) { c.Seed = 99 },
 		// The aliasing bug this test guards against: -quick and full
 		// runs differ only in their windows.
