@@ -21,11 +21,12 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/simlint ./...
 
-# bench-check vets and builds the benchmark module (its own go.mod,
-# so `go build ./...` never reaches it): a renamed or removed exported
-# name it compiles against fails here, not only in CI.
+# bench-check vets, builds and unit-tests the benchmark module (its own
+# go.mod, so `go build ./...` and `go test ./...` never reach it): a
+# renamed or removed exported name it compiles against fails here, not
+# only in CI. -short skips its end-to-end smoke runs.
 bench-check:
-	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null .
+	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null . && $(GO) test -short .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

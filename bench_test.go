@@ -64,7 +64,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkAddrGen measures the workload generator's cost.
 func BenchmarkAddrGen(b *testing.B) {
 	prof := workload.GPUProfileByName("HS")
-	g := workload.NewAddrGen(prof, 0, 40, config.CTARoundRobin, 1)
+	g := workload.NewAddrGen(prof, 0, config.CTARoundRobin, 1)
 	g.BindWavefront(workload.NewWavefront(prof.ShareGroup))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

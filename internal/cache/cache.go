@@ -96,26 +96,11 @@ func (c *Cache) find(line Addr) int {
 	return -1
 }
 
-// Lookup probes the cache for a line; on a hit it updates LRU state and
-// returns the line's aux value.
-func (c *Cache) Lookup(line Addr) (hit bool, aux uint32) {
-	c.Accesses++
-	c.clock++
-	if j := c.find(line); j >= 0 {
-		c.used[j] = c.clock
-		c.Hits++
-		return true, c.aux[j]
-	}
-	return false, 0
-}
-
 // Probe scans for a line without side effects and, on a hit, returns
-// the flat way index so the caller can commit the lookup later with
-// CommitHit (or account a known miss with RecordMiss) without
-// rescanning the set. Together the three methods let hit/miss decision
-// points that must defer their bookkeeping (e.g. until buffer space is
-// confirmed) pay for exactly one tag scan while evolving the access
-// counters, hit counters, and LRU clock identically to Lookup.
+// the flat way index. A lookup is Probe followed by CommitHit (or
+// RecordMiss when the line is absent): splitting the two lets a hit/miss
+// decision point choose when its access counts (e.g. only once buffer
+// space is confirmed) while paying for exactly one tag scan.
 func (c *Cache) Probe(line Addr) (hit bool, aux uint32, way int) {
 	if j := c.find(line); j >= 0 {
 		return true, c.aux[j], j
@@ -123,8 +108,8 @@ func (c *Cache) Probe(line Addr) (hit bool, aux uint32, way int) {
 	return false, 0, -1
 }
 
-// CommitHit applies the side effects Lookup would have had for a hit
-// previously located by Probe.
+// CommitHit counts an access and a hit for a line previously located
+// by Probe, and makes it the most recently used way of its set.
 func (c *Cache) CommitHit(way int) {
 	c.Accesses++
 	c.clock++
@@ -132,8 +117,7 @@ func (c *Cache) CommitHit(way int) {
 	c.Hits++
 }
 
-// RecordMiss applies the side effects Lookup has on a miss, for
-// callers that already know (via Probe) the line is absent.
+// RecordMiss counts an access to a line Probe found absent.
 func (c *Cache) RecordMiss() {
 	c.Accesses++
 	c.clock++

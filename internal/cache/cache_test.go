@@ -11,6 +11,30 @@ func small() *Cache {
 	return New(Config{SizeBytes: 1024, Assoc: 2, LineBytes: 128})
 }
 
+// lookup is one counted access the way the simulator makes it: Probe,
+// then CommitHit on a hit or RecordMiss on a miss.
+func lookup(c *Cache, line Addr) (hit bool, aux uint32) {
+	hit, aux, way := c.Probe(line)
+	if hit {
+		c.CommitHit(way)
+	} else {
+		c.RecordMiss()
+	}
+	return hit, aux
+}
+
+// sameSet returns n distinct lines that map to the set of line 0.
+func sameSet(c *Cache, n int) []Addr {
+	var same []Addr
+	base := c.setIndex(Addr(0))
+	for l := Addr(0); len(same) < n; l++ {
+		if c.setIndex(l) == base {
+			same = append(same, l)
+		}
+	}
+	return same
+}
+
 func TestConfigGeometry(t *testing.T) {
 	cfg := Config{SizeBytes: 48 * 1024, Assoc: 4, LineBytes: 128}
 	if cfg.Sets() != 96 {
@@ -32,11 +56,11 @@ func TestBadGeometryPanics(t *testing.T) {
 
 func TestHitMiss(t *testing.T) {
 	c := small()
-	if hit, _ := c.Lookup(1); hit {
+	if hit, _ := lookup(c, 1); hit {
 		t.Fatal("hit in empty cache")
 	}
 	c.Insert(1, 7, false)
-	hit, aux := c.Lookup(1)
+	hit, aux := lookup(c, 1)
 	if !hit || aux != 7 {
 		t.Fatalf("hit=%v aux=%d", hit, aux)
 	}
@@ -58,20 +82,38 @@ func TestPeekDoesNotCount(t *testing.T) {
 	}
 }
 
+// TestProbeHasNoSideEffects: Probe alone moves neither the counters
+// nor LRU order. Cluster.ServeRemote relies on it to locate a line,
+// commit the access and only then decide whether it can reply.
+func TestProbeHasNoSideEffects(t *testing.T) {
+	c := small()
+	same := sameSet(c, 3)
+	c.Insert(same[0], 0, false)
+	c.Insert(same[1], 0, false)
+	// same[0] is the LRU way; probing it (hit) and same[2] (miss) must
+	// leave it the LRU way with nothing counted.
+	if hit, _, way := c.Probe(same[0]); !hit || way < 0 {
+		t.Fatalf("probe of a resident line: hit=%v way=%d", hit, way)
+	}
+	if hit, _, way := c.Probe(same[2]); hit || way != -1 {
+		t.Fatalf("probe of an absent line: hit=%v way=%d", hit, way)
+	}
+	if c.Accesses != 0 || c.Hits != 0 {
+		t.Fatalf("Probe counted: accesses=%d hits=%d", c.Accesses, c.Hits)
+	}
+	if victim, _, _ := c.Insert(same[2], 0, false); victim != same[0] {
+		t.Fatalf("Probe moved LRU order: victim %d, want %d", victim, same[0])
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	// Find three lines in the same set, fill 2-way set, touch the first,
 	// insert the third: the second must be evicted.
 	c := small()
-	var same []Addr
-	base := c.setIndex(Addr(0))
-	for l := Addr(0); len(same) < 3; l++ {
-		if c.setIndex(l) == base {
-			same = append(same, l)
-		}
-	}
+	same := sameSet(c, 3)
 	c.Insert(same[0], 0, false)
 	c.Insert(same[1], 0, false)
-	c.Lookup(same[0]) // make same[1] the LRU
+	lookup(c, same[0]) // make same[1] the LRU
 	victim, _, evicted := c.Insert(same[2], 0, false)
 	if !evicted || victim != same[1] {
 		t.Fatalf("evicted=%v victim=%d, want %d", evicted, victim, same[1])
@@ -98,13 +140,7 @@ func TestInsertUpdatesInPlace(t *testing.T) {
 
 func TestDirtyEviction(t *testing.T) {
 	c := small()
-	var same []Addr
-	base := c.setIndex(Addr(0))
-	for l := Addr(0); len(same) < 3; l++ {
-		if c.setIndex(l) == base {
-			same = append(same, l)
-		}
-	}
+	same := sameSet(c, 3)
 	c.Insert(same[0], 0, true)
 	c.Insert(same[1], 0, false)
 	_, dirty, evicted := c.Insert(same[2], 0, false)
@@ -198,7 +234,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 		l := Addr(rng.Intn(64))
 		switch rng.Intn(3) {
 		case 0:
-			hit, _ := c.Lookup(l)
+			hit, _ := lookup(c, l)
 			if hit != model.present[l] {
 				t.Fatalf("op %d: lookup(%d) = %v, model %v", i, l, hit, model.present[l])
 			}

@@ -33,9 +33,6 @@ func NewMSHR(capacity int) *MSHR {
 	return &MSHR{cap: capacity, lines: make([]Addr, slots), entries: make([]MSHREntry, slots)}
 }
 
-// Cap returns the entry capacity.
-func (m *MSHR) Cap() int { return m.cap }
-
 // Len returns the number of outstanding misses.
 func (m *MSHR) Len() int { return m.n }
 

@@ -211,7 +211,6 @@ type GPU struct {
 // CPU holds CPU core parameters.
 type CPU struct {
 	L1LineBytes int // 64 B
-	MLP         int // max outstanding misses per core
 }
 
 // LLC holds shared last-level cache parameters.
@@ -313,7 +312,6 @@ func (c *Config) AppendKey(b []byte) []byte {
 	b = appendInt(b, " KernelCycles:", g.KernelCycles)
 
 	b = appendInt(b, "} CPU:{L1LineBytes:", c.CPU.L1LineBytes)
-	b = appendInt(b, " MLP:", c.CPU.MLP)
 
 	l := &c.LLC
 	b = appendInt(b, "} LLC:{SliceBytes:", l.SliceBytes)
@@ -398,7 +396,6 @@ func Default() Config {
 		},
 		CPU: CPU{
 			L1LineBytes: 64,
-			MLP:         4,
 		},
 		LLC: LLC{
 			SliceBytes: 1 << 20,

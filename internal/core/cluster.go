@@ -138,7 +138,10 @@ func (c *Cluster) Probe(line cache.Addr) bool {
 // entry was consumed.
 func (c *Cluster) ServeRemote(g *GPUCore, m *Msg) bool {
 	sl := c.sliceFor(m.Line)
-	if hit, _ := sl.cache.Lookup(m.Line); hit {
+	if hit, _, way := sl.cache.Probe(m.Line); hit {
+		// The hit counts even when the reply buffer refuses it and
+		// the FRQ retries the entry later.
+		sl.cache.CommitHit(way)
 		if g.repFree() < 1 {
 			return false
 		}
@@ -147,6 +150,7 @@ func (c *Cluster) ServeRemote(g *GPUCore, m *Msg) bool {
 			m.Requester, noc.ClassReply, noc.PrioGPU, g.sys.gpuReplyFlits)
 		return true
 	}
+	sl.cache.RecordMiss()
 	if _, out := sl.mshr.Lookup(m.Line); out {
 		sl.mshr.Merge(m.Line, mshrTarget{Warp: -1, Remote: m.Requester, Born: m.Born, Acct: m.Acct})
 		g.Stats.FRQDelayedHits++
@@ -197,12 +201,14 @@ func (c *Cluster) serveSlice(sl *slice) {
 		return
 	}
 	req := sl.q[0]
-	if hit, _ := sl.cache.Lookup(req.line); hit {
+	if hit, _, way := sl.cache.Probe(req.line); hit {
+		sl.cache.CommitHit(way)
 		c.Stats.SliceHits++
 		req.core.SM.LoadDone(req.warp)
 		sl.q, _ = fifo.PopFront(sl.q)
 		return
 	}
+	sl.cache.RecordMiss()
 	c.Stats.SliceMisses++
 	req.core.Stats.L1ReadMisses++
 	if _, out := sl.mshr.Lookup(req.line); out {

@@ -46,7 +46,7 @@ func scriptedCore(sys *System, script ...scriptedAccess) (*GPUCore, *scriptPort)
 	gcfg.WarpsPerSM = len(script)
 	prof := sys.GPUProf
 	prof.ComputeLen, prof.PhaseLoads, prof.WriteFrac = 1, 1, 0
-	gen := workload.NewAddrGen(prof, g.Idx, len(sys.GPUs), gcfg.CTASched, sys.Cfg.Seed)
+	gen := workload.NewAddrGen(prof, g.Idx, gcfg.CTASched, sys.Cfg.Seed)
 	g.SM = gpu.NewSM(g.Idx, gcfg, prof, gen, port)
 	return g, port
 }

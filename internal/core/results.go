@@ -261,18 +261,6 @@ func (s *System) memReplyLinkUtil() float64 {
 	return u.Mean()
 }
 
-// CPULatPerCore returns each CPU core's mean network latency.
-func (s *System) CPULatPerCore() []float64 {
-	out := make([]float64, len(s.CPUs))
-	for i, c := range s.CPUs {
-		out[i] = c.Lat.Mean()
-	}
-	return out
-}
-
-// Scheme returns the configured scheme (convenience for reports).
-func (s *System) Scheme() config.Scheme { return s.Cfg.Scheme }
-
 // MeshLinkUtil returns the per-router utilization of one mesh output
 // port (noc.PortE etc.) on the request or reply network, as a
 // height x width grid — the raw material for clogging heatmaps. It

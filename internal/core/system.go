@@ -85,8 +85,6 @@ type locCounters struct {
 	hits          int64
 	sharedSamples int64
 	sharedHits    int64
-	predSamples   int64
-	predHits      int64
 }
 
 // breakAcc accumulates latency-attribution sums for one reply kind.
@@ -180,7 +178,7 @@ func (s *System) prewarmLLC() {
 	}
 	for _, c := range s.CPUs {
 		for i := 0; i < cpu.RegionLines; i++ {
-			insert(cache.Addr(cpu.CPUBase+uint64(c.Node)*cpu.RegionLines+uint64(i)), 0)
+			insert(cache.Addr(workload.CPUBase+uint64(c.Node)*cpu.RegionLines+uint64(i)), 0)
 		}
 	}
 	for _, g := range s.GPUs {
@@ -265,8 +263,6 @@ func (s *System) buildNodes() {
 			idx := len(s.GPUs)
 			s.gpuIdx[node] = idx
 			g := newGPUCore(s, node, idx)
-			gen := workload.NewAddrGen(s.GPUProf, idx, 0, s.Cfg.GPU.CTASched, s.Cfg.Seed)
-			g.SM = gpu.NewSM(idx, s.Cfg.GPU, s.GPUProf, gen, g)
 			s.GPUs = append(s.GPUs, g)
 			s.wireHandlers(node, g.HandlePacket)
 		case config.KindCPU:
@@ -287,11 +283,11 @@ func (s *System) buildNodes() {
 			s.wireHandlers(node, m.HandlePacket)
 		}
 	}
-	// Regenerate address streams now that the GPU count is known, and
-	// bind each sharing group's common wavefront.
+	// Each SM's address stream binds its sharing group's common
+	// wavefront, whose member count needs the GPU count.
 	fronts := map[int]*workload.Wavefront{}
 	for _, g := range s.GPUs {
-		gen := workload.NewAddrGen(s.GPUProf, g.Idx, len(s.GPUs), s.Cfg.GPU.CTASched, s.Cfg.Seed)
+		gen := workload.NewAddrGen(s.GPUProf, g.Idx, s.Cfg.GPU.CTASched, s.Cfg.Seed)
 		grp := g.Idx / s.GPUProf.ShareGroup
 		wf, ok := fronts[grp]
 		if !ok {
@@ -424,15 +420,9 @@ func (s *System) sampleLocality(g *GPUCore, line cache.Addr) {
 	}
 	l := &s.loc
 	l.samples++
-	shared := uint64(line) >= 2<<30 && uint64(line) < 3<<30
+	shared := workload.IsShared(line)
 	if shared {
 		l.sharedSamples++
-		if k := g.Idx % s.GPUProf.ShareGroup; k > 0 {
-			l.predSamples++
-			if s.GPUs[g.Idx-1].probeLocal(line) {
-				l.predHits++
-			}
-		}
 	}
 	for _, h := range s.GPUs {
 		if h == g {
@@ -447,22 +437,6 @@ func (s *System) sampleLocality(g *GPUCore, line cache.Addr) {
 		}
 	}
 }
-
-// LocalityBreakdown reports (sharedSamples, sharedHits, totalSamples,
-// totalHits) for diagnostics.
-func (s *System) LocalityBreakdown() (int64, int64, int64, int64) {
-	return s.loc.sharedSamples, s.loc.sharedHits, s.loc.samples, s.loc.hits
-}
-
-// ProbeGPU reports whether GPU core idx currently caches the line
-// (diagnostics).
-func (s *System) ProbeGPU(idx int, line cache.Addr) bool {
-	return s.GPUs[idx].probeLocal(line)
-}
-
-// PredLocality reports how often the wavefront predecessor held a
-// sampled shared miss (diagnostics).
-func (s *System) PredLocality() (int64, int64) { return s.loc.predSamples, s.loc.predHits }
 
 // Cycle returns the current cycle.
 func (s *System) Cycle() int64 { return s.cycle }

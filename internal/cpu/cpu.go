@@ -16,9 +16,6 @@ import (
 	"delrep/internal/workload"
 )
 
-// CPUBase carves the CPU address region away from the GPU regions.
-const CPUBase = 3 << 30
-
 // RegionLines is the per-core footprint in 128 B lines, sized so CPU
 // traffic sees a realistic LLC hit rate rather than streaming past it.
 const RegionLines = 1 << 10
@@ -78,7 +75,7 @@ func (c *Core) nextLine() cache.Addr {
 		c.seq = uint64(c.rng.Intn(RegionLines))
 	}
 	c.seq %= RegionLines
-	return cache.Addr(CPUBase + uint64(c.Node)*RegionLines + c.seq)
+	return cache.Addr(workload.CPUBase + uint64(c.Node)*RegionLines + c.seq)
 }
 
 // Tick issues at most one request per cycle when the inter-arrival gap

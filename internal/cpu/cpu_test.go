@@ -140,7 +140,7 @@ func TestAddressesWithinRegion(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		c.Tick()
 		for _, l := range s.lines {
-			base := cache.Addr(CPUBase + uint64(node)*RegionLines)
+			base := cache.Addr(workload.CPUBase + uint64(node)*RegionLines)
 			if l < base || l >= base+RegionLines {
 				t.Fatalf("address %d outside region [%d,%d)", l, base, base+RegionLines)
 			}

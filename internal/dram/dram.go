@@ -72,9 +72,6 @@ func (c *Controller) Enqueue(r *Request) bool {
 	return true
 }
 
-// QueueLen returns the number of waiting (unissued) requests.
-func (c *Controller) QueueLen() int { return len(c.queue) }
-
 func (c *Controller) bankOf(line cache.Addr) int {
 	return int(uint64(line) % uint64(len(c.banks)))
 }

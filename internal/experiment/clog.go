@@ -13,8 +13,11 @@ import (
 
 // clogExp reruns the paper's Figure-1 motivation with the online clog
 // detector attached: the baseline memory nodes saturate their reply
-// ports while the reply queue keeps growing, and Delegated Replies makes
-// the episodes disappear.
+// ports while the reply queue keeps growing. Delegated Replies does not
+// make the episodes disappear: the committed -quick record flags 53
+// episodes over 222 windows for the baseline and 39 over 224 for DR,
+// while GPU IPC rises 4.17 -> 5.68 and memory blocking falls 85.3% ->
+// 76.4%.
 //
 // The observer hooks into the cycle loop, so these runs bypass the
 // engine's core.Results cache; instead the rendered narrative itself is

@@ -323,15 +323,13 @@ func breakdown(p *Plan) func() Report {
 // energy estimates NoC dynamic energy from measured flit-hop activity.
 func energy(p *Plan) func() Report {
 	cfg := config.Default()
-	areaMM2 := power.MeshNoCArea(cfg.Layout.Width, cfg.Layout.Height, cfg.NoC)
 	benches := p.GPUBenches()
 	futs := p.declare(benches, false, allSchemes...)
 	perInstr := func(bi, si int) float64 {
 		res := futs[bi][si][0].Results()
 		a := power.Activity{
 			FlitHops: res.FlitHops, BufferWrites: res.FlitHops,
-			Cycles: res.Cycles, ChannelBits: cfg.NoC.ChannelBytes * 8,
-			AreaMM2: areaMM2, ClockGHz: 1.4,
+			ChannelBits: cfg.NoC.ChannelBytes * 8,
 		}
 		if res.GPUInsts == 0 {
 			return 0

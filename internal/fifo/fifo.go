@@ -33,9 +33,6 @@ func (r *Ring[T]) Init(capacity int) {
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the current capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // PushBack appends v at the tail.
 func (r *Ring[T]) PushBack(v T) {
 	if r.n == len(r.buf) {

@@ -136,7 +136,7 @@ func newScriptedSM(seed int64, warps int) (*SM, *scriptedMem) {
 	cfg.WarpsPerSM = warps
 	prof := workload.GPUProfileByName("HS")
 	prof.ComputeLen = 3 // reach the memory phases quickly
-	gen := workload.NewAddrGen(prof, 0, 40, config.CTARoundRobin, seed)
+	gen := workload.NewAddrGen(prof, 0, config.CTARoundRobin, seed)
 	mem := &scriptedMem{rng: rand.New(rand.NewSource(seed)), tokens: 2, outstanding: make([]int, warps)}
 	sm := NewSM(0, cfg, prof, gen, mem)
 	mem.sm = sm

@@ -29,7 +29,7 @@ func newTestSM(mem MemPort, warps int) *SM {
 	cfg := config.Default().GPU
 	cfg.WarpsPerSM = warps
 	prof := workload.GPUProfileByName("HS")
-	gen := workload.NewAddrGen(prof, 0, 40, config.CTARoundRobin, 1)
+	gen := workload.NewAddrGen(prof, 0, config.CTARoundRobin, 1)
 	return NewSM(0, cfg, prof, gen, mem)
 }
 

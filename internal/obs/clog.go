@@ -69,9 +69,6 @@ func newDetector(window int64, threshold float64, maxEvents int) *Detector {
 	}
 }
 
-// Threshold returns the utilization threshold in effect.
-func (d *Detector) Threshold() float64 { return d.threshold }
-
 // AddSource registers an observation point. Call during wiring, before
 // the run starts.
 func (d *Detector) AddSource(s ClogSource) {

@@ -100,9 +100,6 @@ func New(o Options) *Observer {
 	}
 }
 
-// Options returns the effective (defaulted) options.
-func (o *Observer) Options() Options { return o.opts }
-
 // Tick advances the observer clock; at window boundaries it samples
 // every probe and runs the clog detector. Pure: no I/O, no maps.
 func (o *Observer) Tick(cycle int64) {

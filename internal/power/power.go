@@ -37,8 +37,6 @@ const (
 	BufferEnergyPJPerBit = 0.011
 	// XbarEnergyPJPerBit is crossbar traversal energy per bit.
 	XbarEnergyPJPerBit = 0.016
-	// StaticPowerMWPerMM2 is leakage per mm^2 of NoC area.
-	StaticPowerMWPerMM2 = 18.0
 )
 
 // RouterConfig describes one router for the area model.
@@ -99,19 +97,11 @@ func PointerArea(llcBytes, lineBytes, pointerBits int) float64 {
 	return mm2PerBit * lines * float64(pointerBits)
 }
 
-// DelegatedRepliesOverhead returns the paper's total mechanism cost.
-func DelegatedRepliesOverhead(cores, frqEntries, llcBytes, lineBytes, ptrBits int) float64 {
-	return FRQArea(cores, frqEntries) + PointerArea(llcBytes, lineBytes, ptrBits)
-}
-
 // Activity is the measured NoC activity used by the energy model.
 type Activity struct {
 	FlitHops     int64 // flit-link traversals
 	BufferWrites int64 // flit buffer insertions (~= flit hops)
-	Cycles       int64
 	ChannelBits  int
-	AreaMM2      float64
-	ClockGHz     float64
 }
 
 // DynamicEnergyPJ returns NoC dynamic energy for the activity.
@@ -121,18 +111,4 @@ func DynamicEnergyPJ(a Activity) float64 {
 	buf := BufferEnergyPJPerBit * bits * float64(a.BufferWrites)
 	xbar := XbarEnergyPJPerBit * bits * float64(a.FlitHops)
 	return link + buf + xbar
-}
-
-// StaticEnergyPJ returns NoC leakage energy over the activity window.
-func StaticEnergyPJ(a Activity) float64 {
-	if a.ClockGHz == 0 {
-		return 0
-	}
-	seconds := float64(a.Cycles) / (a.ClockGHz * 1e9)
-	return StaticPowerMWPerMM2 * a.AreaMM2 * seconds * 1e9 // mW*s -> pJ
-}
-
-// TotalEnergyPJ returns dynamic plus static NoC energy.
-func TotalEnergyPJ(a Activity) float64 {
-	return DynamicEnergyPJ(a) + StaticEnergyPJ(a)
 }

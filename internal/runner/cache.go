@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -403,7 +404,8 @@ func (c *DiskCache) Prune(maxBytes int64) (removed int, freed int64, err error) 
 
 // ParseSize parses a human-readable byte size: a plain integer, or an
 // integer with a K/M/G/T suffix in binary units (an optional trailing
-// "B" or "iB" is accepted), e.g. "1048576", "512M", "2GiB".
+// "B" or "iB" is accepted), e.g. "1048576", "512M", "2GiB". A size
+// that does not fit in an int64 is an error, not a wrapped value.
 func ParseSize(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToUpper(s))
 	t = strings.TrimSuffix(t, "IB")
@@ -420,7 +422,7 @@ func ParseSize(s string) (int64, error) {
 		mult, t = 1<<40, strings.TrimSuffix(t, "T")
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
 	return n * mult, nil

@@ -102,6 +102,12 @@ func TestParseSize(t *testing.T) {
 		{"-1", 0, false},
 		{"12Q", 0, false},
 		{"M", 0, false},
+		// A product past int64 must fail, not wrap to 0 (prune
+		// everything) or below 0 (clamped to 0, or pruning off).
+		{"16777216T", 0, false},
+		{"8388608T", 0, false},
+		{"9223372036854775807K", 0, false},
+		{"8388607T", 8388607 << 40, true},
 	}
 	for _, c := range cases {
 		got, err := ParseSize(c.in)

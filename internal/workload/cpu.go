@@ -54,13 +54,6 @@ func CPUProfileByName(name string) CPUProfile {
 	panic("workload: unknown CPU benchmark " + name)
 }
 
-// Pairing is one multi-programmed CPU-GPU workload from Table II: a GPU
-// benchmark co-run with one of its three CPU benchmarks.
-type Pairing struct {
-	GPU string
-	CPU string
-}
-
 // TableII returns the GPU benchmark -> CPU benchmark pairings of
 // Table II (three CPU co-runners per GPU benchmark, 33 workloads).
 func TableII() map[string][3]string {
@@ -77,17 +70,4 @@ func TableII() map[string][3]string {
 		"SRAD":  {"fluidanimate", "ferret", "x264"},
 		"BP":    {"blackscholes", "bodytrack", "ferret"},
 	}
-}
-
-// Pairings expands TableII into the 33 ordered workload pairings.
-func Pairings() []Pairing {
-	t := TableII()
-	var out []Pairing
-	for _, g := range GPUProfiles() {
-		cpus := t[g.Name]
-		for _, c := range cpus {
-			out = append(out, Pairing{GPU: g.Name, CPU: c})
-		}
-	}
-	return out
 }

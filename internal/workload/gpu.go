@@ -139,13 +139,20 @@ func GPUProfileByName(name string) GPUProfile {
 	panic("workload: unknown GPU benchmark " + name)
 }
 
-// Address space carving (line addresses): each SM's private region and
-// each sharing neighbourhood's region live in disjoint ranges.
+// Address space carving (line addresses): each SM's private region,
+// each sharing neighbourhood's region and the CPU cores' regions live
+// in disjoint ranges.
 const (
 	privBase   = 1 << 30
 	sharedBase = 2 << 30
+	// CPUBase is where the CPU regions start, above every GPU region.
+	CPUBase    = 3 << 30
 	regionSize = 1 << 22 // lines per region slot
 )
+
+// IsShared reports whether a line lies in a sharing neighbourhood's
+// region.
+func IsShared(line cache.Addr) bool { return line >= sharedBase && line < CPUBase }
 
 // PrivLine returns line i of SM sm's private region.
 func PrivLine(sm, i int) cache.Addr {
@@ -199,9 +206,9 @@ func hotSetLines(privLines int) int {
 	return h
 }
 
-// NewAddrGen builds the generator for SM sm of numSMs under the given
-// CTA scheduling policy.
-func NewAddrGen(prof GPUProfile, sm, numSMs int, sched config.CTASched, seed int64) *AddrGen {
+// NewAddrGen builds the generator for SM sm under the given CTA
+// scheduling policy.
+func NewAddrGen(prof GPUProfile, sm int, sched config.CTASched, seed int64) *AddrGen {
 	g := &AddrGen{
 		prof:     prof,
 		rng:      rand.New(rand.NewSource(seed ^ int64(sm)*0x9e37 + 1)),

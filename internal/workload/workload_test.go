@@ -77,14 +77,14 @@ func TestTableIIComplete(t *testing.T) {
 			}
 		}
 	}
-	if len(Pairings()) != 33 {
-		t.Fatalf("%d pairings, want 33", len(Pairings()))
+	if len(tbl) != len(GPUProfiles()) {
+		t.Fatalf("%d GPU benchmarks paired, want %d (33 workloads)", len(tbl), len(GPUProfiles()))
 	}
 }
 
 func TestAddressesStayInRegions(t *testing.T) {
 	prof := GPUProfileByName("HS")
-	g := NewAddrGen(prof, 3, 40, config.CTARoundRobin, 1)
+	g := NewAddrGen(prof, 3, config.CTARoundRobin, 1)
 	wf := NewWavefront(prof.ShareGroup)
 	g.BindWavefront(wf)
 	group := 3 / prof.ShareGroup
@@ -104,7 +104,7 @@ func TestAddressesStayInRegions(t *testing.T) {
 
 func TestWriteFraction(t *testing.T) {
 	prof := GPUProfileByName("BP") // write-heavy: 0.42
-	g := NewAddrGen(prof, 0, 40, config.CTARoundRobin, 1)
+	g := NewAddrGen(prof, 0, config.CTARoundRobin, 1)
 	g.BindWavefront(NewWavefront(prof.ShareGroup))
 	writes := 0
 	const n = 50000
@@ -121,8 +121,8 @@ func TestWriteFraction(t *testing.T) {
 
 func TestDeterministicStreams(t *testing.T) {
 	prof := GPUProfileByName("MM")
-	a := NewAddrGen(prof, 5, 40, config.CTARoundRobin, 9)
-	b := NewAddrGen(prof, 5, 40, config.CTARoundRobin, 9)
+	a := NewAddrGen(prof, 5, config.CTARoundRobin, 9)
+	b := NewAddrGen(prof, 5, config.CTARoundRobin, 9)
 	a.BindWavefront(NewWavefront(prof.ShareGroup))
 	b.BindWavefront(NewWavefront(prof.ShareGroup))
 	for i := 0; i < 10000; i++ {
@@ -136,8 +136,8 @@ func TestDeterministicStreams(t *testing.T) {
 
 func TestDistributedSchedulingBoostsReuse(t *testing.T) {
 	prof := GPUProfileByName("2DCON")
-	rr := NewAddrGen(prof, 0, 40, config.CTARoundRobin, 1)
-	dist := NewAddrGen(prof, 0, 40, config.CTADistributed, 1)
+	rr := NewAddrGen(prof, 0, config.CTARoundRobin, 1)
+	dist := NewAddrGen(prof, 0, config.CTADistributed, 1)
 	if dist.reuseP <= rr.reuseP {
 		t.Fatalf("distributed reuse %.2f not above round-robin %.2f", dist.reuseP, rr.reuseP)
 	}
@@ -202,7 +202,7 @@ func TestUnboundWavefrontFallsBackToCold(t *testing.T) {
 	// Without a bound wavefront, shared draws must still produce valid
 	// addresses (cold span).
 	prof := GPUProfileByName("NN")
-	g := NewAddrGen(prof, 0, 40, config.CTARoundRobin, 1)
+	g := NewAddrGen(prof, 0, config.CTARoundRobin, 1)
 	for i := 0; i < 10000; i++ {
 		line, _ := g.Next()
 		if line == 0 {
