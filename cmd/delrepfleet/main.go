@@ -1,7 +1,7 @@
 // Command delrepfleet coordinates a fleet of delrepd workers: it
 // serves the same /v1/jobs API as a single daemon and shards submitted
 // simulations across workers by content key, so every existing client
-// (curl, delrepsim -remote, expdriver -remote) scales past one machine
+// (curl, delrepsim -remote, expremote -remote) scales past one machine
 // by pointing at the coordinator instead.
 //
 // Usage:

@@ -20,8 +20,8 @@
 // With -sweep, the -gpu, -cpu and -scheme flags accept comma-separated
 // lists; every point of the cross product is resolved like a single
 // run and they execute as one more figure of internal/experiment, on
-// the engine experiment.EngineFlags describes (-j, -cache, -remote,
-// the profiles — shared with expdriver).
+// the engine experiment.EngineFlags describes (-j, -cache, the
+// profiles — shared with expdriver), plus -remote (internal/remote).
 //
 // -phase-profile prints the per-phase wall-time breakdown of the tick
 // to stderr after the run.
@@ -40,6 +40,7 @@ import (
 	"delrep/internal/core"
 	"delrep/internal/experiment"
 	"delrep/internal/obs"
+	"delrep/internal/remote"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
@@ -79,6 +80,7 @@ func main() {
 	flag.Int64Var(&spec.Seed, "seed", 1, "random seed")
 	var (
 		engine    = experiment.BindEngineFlags(flag.CommandLine)
+		rem       = remote.Bind(flag.CommandLine)
 		phaseProf = flag.Bool("phase-profile", false, "print the per-phase wall-time breakdown of the tick to stderr after the run")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		heatmap   = flag.Bool("heatmap", false, "print link-utilization heatmaps (mesh only)")
@@ -125,7 +127,7 @@ func main() {
 	}
 	if *sweep {
 		rejectFlags("-sweep", append(localOnly, modeFlag{"-json", *jsonOut}, modeFlag{"-spec", *specFile != ""}))
-		runSweep(spec, engine)
+		runSweep(spec, engine, rem)
 		return
 	}
 
@@ -134,9 +136,9 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	if engine.Remote != "" {
+	if rem.URL != "" {
 		rejectFlags("-remote", localOnly)
-		runRemote(engine, spec, *jsonOut)
+		runRemote(engine, rem, spec, *jsonOut)
 		return
 	}
 
@@ -212,7 +214,7 @@ func main() {
 // run, schemes outermost, then GPU, then CPU benchmarks. With -remote,
 // cache-missing points run on the fleet; the table is byte-identical
 // either way.
-func runSweep(base simspec.Spec, engine *experiment.EngineFlags) {
+func runSweep(base simspec.Spec, engine *experiment.EngineFlags, rem *remote.Flag) {
 	split := func(list string) []string {
 		return strings.FieldsFunc(list, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	}
@@ -233,7 +235,11 @@ func runSweep(base simspec.Spec, engine *experiment.EngineFlags) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	eng, err := engine.Engine("delrepsim")
+	res, err := rem.Resolver("delrepsim")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	eng, err := engine.Engine("delrepsim", res)
 	if err != nil {
 		fatalf("%v", err)
 	}

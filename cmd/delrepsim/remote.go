@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"delrep/internal/experiment"
+	"delrep/internal/remote"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
 )
@@ -18,7 +19,7 @@ import (
 //	delrepsim -gpu HS -cpu vips -json > local.json
 //	delrepsim -gpu HS -cpu vips -json -remote http://fleet:9090 > served.json
 //	cmp local.json served.json
-func runRemote(engine *experiment.EngineFlags, spec simspec.Spec, jsonOut bool) {
+func runRemote(engine *experiment.EngineFlags, rem *remote.Flag, spec simspec.Spec, jsonOut bool) {
 	// Resolve locally first: malformed specs fail fast with the usual
 	// message, and the human report needs the resolved configuration.
 	cfg, norm, err := spec.Resolve()
@@ -27,9 +28,13 @@ func runRemote(engine *experiment.EngineFlags, spec simspec.Spec, jsonOut bool) 
 	}
 	// The same resolver path a remote sweep takes, minus the local
 	// cache: the point is to be served, not to recall a result.
+	res, err := rem.Resolver("delrepsim")
+	if err != nil {
+		fatalf("%v", err)
+	}
 	uncached := *engine
 	uncached.Cache = "off"
-	eng, err := uncached.Engine("delrepsim")
+	eng, err := uncached.Engine("delrepsim", res)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -17,8 +17,8 @@ import (
 	"delrep/internal/serve"
 )
 
-// runMainEnv makes the test binary behave as expdriver itself.
-const runMainEnv = "EXPDRIVER_TEST_RUN_MAIN"
+// runMainEnv makes the test binary behave as expremote itself.
+const runMainEnv = "EXPREMOTE_TEST_RUN_MAIN"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(runMainEnv) == "1" {
@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 }
 
 // A -remote sweep whose daemon starts draining after the first run:
-// the other runs fail with the daemon's 503, expdriver exits 1, and
+// the other runs fail with the daemon's 503, the driver exits 1, and
 // the failed-run report names each failed spec and the answer.
 func TestRemoteSweepDrainingDaemon(t *testing.T) {
 	daemon := serve.New(serve.Options{Engine: runner.New(runner.Options{Workers: 1})})

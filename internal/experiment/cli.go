@@ -1,48 +1,40 @@
 package experiment
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
-	"strconv"
-	"time"
+	"sort"
+	"strings"
 
-	"delrep/internal/jobapi"
 	"delrep/internal/prof"
 	"delrep/internal/runner"
-	"delrep/internal/simspec"
 )
 
 // EngineFlags is the engine side of a command line, declared once for
 // expdriver and delrepsim. Independent simulations run concurrently on
 // -j workers and are memoized in the -cache directory ("auto": the
 // per-user default or $DELREP_CACHE_DIR; "off": none), so a rerun with
-// a warm cache performs zero simulations. -remote URL delegates
-// cache-missing simulations to a delrepd daemon or a delrepfleet
-// coordinator: points the wire spec can express run there, exotic
-// sensitivity points run locally. None of it is run identity: stdout
-// is byte-identical at any setting and any cache state; progress,
-// timing, cache accounting and the failed-run report (spec, worker,
-// error) go to stderr.
+// a warm cache performs zero simulations. None of it is run identity:
+// stdout is byte-identical at any setting and any cache state;
+// progress, timing, cache accounting and the failed-run report (spec,
+// worker, error) go to stderr. Delegating cache misses to a daemon or
+// fleet is not here: internal/remote binds -remote for the commands
+// that can, and hands Engine its resolver.
 type EngineFlags struct {
 	Jobs       int
 	Cache      string
-	Remote     string
 	cpuProfile string
 	memProfile string
 }
 
-// BindEngineFlags declares -j, -cache, -remote, -cpuprofile and
-// -memprofile on the flag set.
+// BindEngineFlags declares -j, -cache, -cpuprofile and -memprofile on
+// the flag set.
 func BindEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	f := &EngineFlags{}
 	fs.IntVar(&f.Jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
 	fs.StringVar(&f.Cache, "cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
-	fs.StringVar(&f.Remote, "remote", "", "run cache-missing simulations on a delrepd or delrepfleet endpoint at this base URL")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	return f
@@ -63,87 +55,132 @@ func (f *EngineFlags) OpenCache(prog string) (*runner.DiskCache, error) {
 	return cache, err
 }
 
-// Engine builds the engine the flags describe, progress on stderr. A
-// -remote endpoint is pinged first, so a dead one fails here instead of
-// hanging the first submission; prog names this client to its
-// admission control.
-func (f *EngineFlags) Engine(prog string) (*runner.Engine, error) {
+// Engine builds the engine the flags describe, progress on stderr;
+// cache misses go to remote when it is non-nil.
+func (f *EngineFlags) Engine(prog string, remote runner.Resolver) (*runner.Engine, error) {
 	cache, err := f.OpenCache(prog)
 	if err != nil {
 		return nil, err
 	}
-	opts := runner.Options{Workers: f.Jobs, Cache: cache, Progress: os.Stderr}
-	if f.Remote != "" {
-		api := jobapi.NewClient(f.Remote, nil)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := api.Ready(ctx); err != nil {
-			return nil, err
-		}
-		opts.Remote = &remote{api: api, client: prog, maxBusy: 60}
-		fmt.Fprintf(os.Stderr, "%s: delegating cache misses to %s\n", prog, f.Remote)
-	}
-	return runner.New(opts), nil
+	return runner.New(runner.Options{Workers: f.Jobs, Cache: cache, Progress: os.Stderr, Remote: remote}), nil
 }
 
-// remote is the runner.Resolver behind -remote: a cache-missing run
-// goes to the endpoint with ?wait=1, so the engine keeps its dedup,
-// batch order, counters and local cache; a spec the wire form cannot
-// carry is runner.ErrNotRemotable, run locally. A 429 is retried after
-// its Retry-After, up to maxBusy times in a row, so a sweep faster than
-// admission allows is paced, and a saturated endpoint still fails.
-type remote struct {
-	api     *jobapi.Client
-	client  string // this program's name, sent with every submission
-	maxBusy int
+// Main is the figure driver, the whole of expdriver's main: it parses
+// args on fs, selects the figures they name, renders them on stdout
+// and returns the exit status (2 for a usage error, 1 when a figure
+// was built on failed runs). remote, when non-nil, returns the
+// resolver cache misses are delegated to; expremote binds -remote on
+// fs and passes its Resolver, expdriver passes nil. Either way the
+// driver reports as "expdriver", on stderr and to the endpoint's
+// admission control.
+func Main(fs *flag.FlagSet, args []string, remote func(prog string) (runner.Resolver, error)) int {
+	const prog = "expdriver"
+	var (
+		quick  = fs.Bool("quick", false, "small windows and workload subset")
+		warm   = fs.Int64("warm", 0, "override warmup cycles")
+		cycles = fs.Int64("cycles", 0, "override measured cycles")
+		seed   = fs.Int64("seed", 1, "random seed")
+		engine = BindEngineFlags(fs)
+	)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), usageLine(fs))
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		return 2
+	}
+
+	stopProf, err := engine.StartProfile()
+	if err != nil {
+		return fail(err)
+	}
+	defer stopProf()
+
+	args = fs.Args()
+	if len(args) == 0 {
+		fmt.Fprintln(os.Stderr, usageLine(fs))
+		return 2
+	}
+	if len(args) == 1 && args[0] == "list" {
+		for _, f := range Figures() {
+			fmt.Printf("  %-8s %s\n", f.Name, f.About)
+		}
+		return 0
+	}
+	selected, err := Select(args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n%s\n", prog, err, usageLine(fs))
+		return 2
+	}
+
+	var res runner.Resolver
+	if remote != nil {
+		if res, err = remote(prog); err != nil {
+			return fail(err)
+		}
+	}
+	eng, err := engine.Engine(prog, res)
+	if err != nil {
+		return fail(err)
+	}
+	plan := NewPlan(*quick, *seed, eng)
+	plan.Log = os.Stderr
+	if *warm > 0 {
+		plan.Warm = *warm
+	}
+	if *cycles > 0 {
+		plan.Measure = *cycles
+	}
+	for _, f := range selected {
+		plan.Render(os.Stdout, f)
+	}
+	return plan.Finish(prog)
 }
 
-func (r *remote) Resolve(ctx context.Context, spec runner.Spec) (runner.Remote, error) {
-	wire, err := simspec.FromConfig(spec.Cfg, spec.GPU, spec.CPU)
-	if err != nil {
-		return runner.Remote{}, fmt.Errorf("%w: %v", runner.ErrNotRemotable, err)
+// Select returns the figures names asks for, in paper order and each
+// once; "all" anywhere among them selects every figure. Any other name
+// that is no figure's is an error naming each such name, so a typo
+// fails before a simulation runs.
+func Select(names []string) ([]Figure, error) {
+	want := map[string]bool{}
+	for _, n := range names {
+		want[n] = true
 	}
-	req := jobapi.SubmitRequest{Spec: wire, Client: r.client}
-	for busy := 0; ; busy++ {
-		view, err := r.api.Submit(ctx, req, true)
-		var se *jobapi.StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || busy >= r.maxBusy {
-			if err != nil {
-				return runner.Remote{}, err
-			}
-			return remoteFromView(view)
+	all := want["all"]
+	delete(want, "all")
+	var selected []Figure
+	for _, f := range Figures() {
+		if all || want[f.Name] {
+			selected = append(selected, f)
 		}
-		select {
-		case <-time.After(time.Duration(max(se.RetryAfter, 1)) * time.Second):
-		case <-ctx.Done():
-			return runner.Remote{}, ctx.Err()
-		}
+		delete(want, f.Name)
 	}
+	if len(want) > 0 {
+		var unknown []string
+		for n := range want {
+			unknown = append(unknown, n)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiments: %v", unknown)
+	}
+	return selected, nil
 }
 
-// remoteFromView turns a terminal job view into the run it carries,
-// counted under the source the remote end reports, as a local run
-// against the same cache state would be.
-func remoteFromView(view jobapi.JobView) (runner.Remote, error) {
-	switch view.Status {
-	case jobapi.StatusDone:
-	case jobapi.StatusFailed:
-		return runner.Remote{}, fmt.Errorf("remote job %s failed: %s", view.ID, view.Error)
-	case jobapi.StatusCancelled:
-		return runner.Remote{}, context.Canceled
-	default:
-		return runner.Remote{}, fmt.Errorf("remote job %s ended in unexpected state %q", view.ID, view.Status)
-	}
-	if view.Result == nil {
-		return runner.Remote{}, fmt.Errorf("remote job %s: done without a result", view.ID)
-	}
-	digest, err := strconv.ParseUint(view.Result.Digest, 16, 64)
-	if err != nil {
-		return runner.Remote{}, fmt.Errorf("remote job %s: bad digest %q: %v", view.ID, view.Result.Digest, err)
-	}
-	src, err := runner.ParseSource(view.Source)
-	if err != nil {
-		return runner.Remote{}, fmt.Errorf("remote job %s: %v", view.ID, err)
-	}
-	return runner.Remote{Results: view.Result.Results, Digest: digest, Source: src, Worker: view.Worker}, nil
+// usageLine is the one-line synopsis of the flags declared on fs.
+func usageLine(fs *flag.FlagSet) string {
+	var b strings.Builder
+	b.WriteString("usage: " + fs.Name())
+	fs.VisitAll(func(f *flag.Flag) {
+		if arg, _ := flag.UnquoteUsage(f); arg != "" {
+			fmt.Fprintf(&b, " [-%s %s]", f.Name, arg)
+		} else {
+			fmt.Fprintf(&b, " [-%s]", f.Name)
+		}
+	})
+	b.WriteString(" <experiment>|all|list ...")
+	return b.String()
 }

@@ -78,15 +78,22 @@ func deps(t *testing.T, pkg string) map[string]bool {
 	return set
 }
 
-// The dependency boundary: the local CLIs link neither server (a
-// -remote run needs only this package), no command links encoding/gob
-// (the disk cache writes fixed binary records), and this package is a
-// leaf over the spec layer.
+// The dependency boundary: the client CLIs link neither server (a
+// -remote run needs only this package, through internal/remote), expdriver
+// links no network code at all (importing net makes a cgo binary
+// linked against libc wherever a C compiler is found, and its start
+// is most of a warm sweep), no command links encoding/gob (the disk
+// cache writes fixed binary records), and this package is a leaf over
+// the spec layer.
 func TestDependencyBoundary(t *testing.T) {
-	for _, cmd := range []string{"expdriver", "delrepsim", "delrepd", "delrepfleet"} {
+	local := []string{"delrep/internal/serve", "delrep/internal/fleet", "net/http/pprof", "html/template"}
+	for _, cmd := range []string{"expdriver", "expremote", "delrepsim", "delrepd", "delrepfleet"} {
 		forbidden := []string{"encoding/gob"}
-		if cmd == "expdriver" || cmd == "delrepsim" {
-			forbidden = append(forbidden, "delrep/internal/serve", "delrep/internal/fleet", "net/http/pprof", "html/template")
+		switch cmd {
+		case "expdriver":
+			forbidden = append(append(forbidden, local...), "net", "runtime/cgo")
+		case "expremote", "delrepsim":
+			forbidden = append(forbidden, local...)
 		}
 		linked := deps(t, "delrep/cmd/"+cmd)
 		for _, p := range forbidden {

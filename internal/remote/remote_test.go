@@ -1,4 +1,4 @@
-package experiment
+package remote
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"delrep/internal/core"
+	"delrep/internal/experiment"
 	"delrep/internal/fleet"
 	"delrep/internal/jobapi"
 	"delrep/internal/runner"
@@ -77,7 +78,11 @@ func TestClientResolverThroughEngine(t *testing.T) {
 
 	spec, want := remoteSpec(t, 530)
 	localDir := t.TempDir()
-	eng, err := (&EngineFlags{Jobs: 2, Cache: localDir, Remote: ts.URL}).Engine("experiment-test")
+	res, err := (&Flag{URL: ts.URL}).Resolver("experiment-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := (&experiment.EngineFlags{Jobs: 2, Cache: localDir}).Engine("experiment-test", res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +125,7 @@ func TestClientResolverLocalFallback(t *testing.T) {
 	spec, _ := remoteSpec(t, 540)
 	spec.Cfg.NoC.VCsPerClass = 3 // a knob the wire spec does not carry
 
-	eng := runner.New(runner.Options{Workers: 1, Remote: &remote{api: jobapi.NewClient(base, nil), client: "experiment-test"}})
+	eng := runner.New(runner.Options{Workers: 1, Remote: &resolver{api: jobapi.NewClient(base, nil), client: "experiment-test"}})
 	run := eng.Submit(spec).Wait()
 	if run.Err != nil {
 		t.Fatal(run.Err)
@@ -192,7 +197,7 @@ func TestRemoteFaults(t *testing.T) {
 				daemon.ServeHTTP(w, r)
 			})
 			spec, want := remoteSpec(t, 550+int64(i))
-			r := &remote{api: jobapi.NewClient(base, nil), client: "experiment-test", maxBusy: 1}
+			r := &resolver{api: jobapi.NewClient(base, nil), client: "experiment-test", maxBusy: 1}
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			start := time.Now()
