@@ -13,8 +13,8 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# lint runs go vet, then the simulator-specific analyzers (atomicmix,
-# ctxflow, lockorder, mapiter, rngsource, stagecommit, statsdiscipline,
+# lint runs go vet, then the seven simulator-specific analyzers
+# (atomicmix, ctxflow, lockorder, mapiter, rngsource, statsdiscipline,
 # tickpurity). Any finding fails, a //simlint:ignore that covers nothing
 # included.
 lint:

@@ -26,7 +26,6 @@ import (
 	"delrep/internal/lint/lockorder"
 	"delrep/internal/lint/mapiter"
 	"delrep/internal/lint/rngsource"
-	"delrep/internal/lint/stagecommit"
 	"delrep/internal/lint/statsdiscipline"
 	"delrep/internal/lint/tickpurity"
 )
@@ -38,7 +37,6 @@ var analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	mapiter.Analyzer,
 	rngsource.Analyzer,
-	stagecommit.Analyzer,
 	statsdiscipline.Analyzer,
 	tickpurity.Analyzer,
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -15,6 +16,47 @@ import (
 func TestTreeLintsClean(t *testing.T) {
 	if status := run([]string{"./..."}); status != 0 {
 		t.Fatalf("simlint ./... exited %d; the findings are on stdout", status)
+	}
+}
+
+// TestDocsNameTheSuite requires the three lists of the suite — the
+// README's "Correctness tooling" table, DESIGN.md §10's table (up to
+// its table of retired analyzers) and internal/lint's package doc — to
+// name exactly the analyzers simlint runs, so a fold or a retirement
+// updates all three.
+func TestDocsNameTheSuite(t *testing.T) {
+	var want []string
+	for _, a := range analyzers {
+		want = append(want, a.Name)
+	}
+	slices.Sort(want)
+	row := regexp.MustCompile("(?m)^\\| `(\\w+)` \\|")
+	item := regexp.MustCompile(`(?m)^//   - (\w+):`)
+	for _, doc := range []struct {
+		file, from, to string
+		name           *regexp.Regexp
+	}{
+		{"../../README.md", "\n## Correctness tooling\n", "\n## ", row},
+		{"../../DESIGN.md", "\n## 10. ", "\nRetired in ", row},
+		{"../../internal/lint/doc.go", "// Package lint ", "\npackage lint", item},
+	} {
+		raw, err := os.ReadFile(doc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, text, ok := strings.Cut(string(raw), doc.from)
+		if !ok {
+			t.Fatalf("%s: no %q", doc.file, doc.from)
+		}
+		text, _, _ = strings.Cut(text, doc.to)
+		var got []string
+		for _, m := range doc.name.FindAllStringSubmatch(text, -1) {
+			got = append(got, m[1])
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s names analyzers %v, the suite is %v", doc.file, got, want)
+		}
 	}
 }
 
@@ -34,13 +76,15 @@ func TestPlantedMutations(t *testing.T) {
 				"func (r *Router) tick() {\n", "func (r *Router) tick() {\n\t_ = time.Now()\n"},
 			[]string{"rngsource", "tickpurity"}},
 		// tile.Step both roots the hot path and drains the staging
-		// buffers, so the router is inside both analyzers' reach.
+		// buffers, so the router is reached from both kinds of root.
 		{"map range in Router.tick", "internal/noc", "router.go",
 			[]string{"func (r *Router) tick() {\n", "func (r *Router) tick() {\n\tfor range map[int]bool{} {\n\t}\n"},
-			[]string{"mapiter", "stagecommit"}},
+			[]string{"mapiter"}},
+		// fifo has no per-cycle entry point: only the staging-buffer
+		// roots reach Reset.
 		{"map range in a fifo.Stash method", "internal/fifo", "fifo.go",
 			[]string{"func (s *Stash[T]) Reset() {\n", "func (s *Stash[T]) Reset() {\n\tfor range map[int]bool{} {\n\t}\n"},
-			[]string{"stagecommit"}},
+			[]string{"mapiter"}},
 		{"global rand.Intn in workload", "internal/workload", "gpu.go",
 			[]string{"g.rng.Intn(span)", "rand.Intn(span)"},
 			[]string{"rngsource"}},

@@ -248,10 +248,7 @@ func (s *System) memReplyLinkUtil() float64 {
 	var u stats.Sampler
 	for _, node := range s.memNodes {
 		rtr, _ := topo.NodePort(node)
-		for port := 0; port < topo.NumPorts(rtr); port++ {
-			if _, _, ok := topo.Wire(rtr, port); !ok {
-				continue
-			}
+		for _, port := range s.wiredPorts(rtr) {
 			util := s.RepNet.PortUtilization(rtr, port)
 			if util > 0 {
 				u.Add(util)

@@ -23,14 +23,15 @@ func Sweep(points []simspec.Spec) (Figure, error) {
 		specs[i] = runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}
 	}
 	build := func(p *Plan) func() Report {
-		batch := p.eng.NewBatch()
-		for _, s := range specs {
-			batch.Add(s)
+		futs := make([]*runner.Future, len(specs))
+		for i, s := range specs {
+			futs[i] = p.eng.Submit(s)
 		}
 		return func() Report {
-			t := stats.NewTable(fmt.Sprintf("Sweep: %d runs", batch.Len()),
+			t := stats.NewTable(fmt.Sprintf("Sweep: %d runs", len(futs)),
 				"GPU", "CPU", "Scheme", "GPU IPC", "CPU lat", "CPU tput", "Blocked %", "RepUtil %", "Deleg")
-			for _, run := range batch.Wait() {
+			for _, f := range futs {
+				run := f.Wait()
 				if run.Err != nil { // reported by Plan.Finish; zeros would read as a result
 					t.AddRow(run.Spec.GPU, run.Spec.CPU, run.Spec.Cfg.Scheme.String(), "FAILED")
 					continue

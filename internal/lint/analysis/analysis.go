@@ -60,6 +60,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
+// Callee returns the function a call statically names, or nil for a
+// call through a function value, a conversion or a builtin.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
 // ignore is one //simlint:ignore comment.
 type ignore struct {
 	pos  token.Position

@@ -253,7 +253,7 @@ func (w *walker) call(call *ast.CallExpr) {
 	for _, a := range call.Args {
 		w.expr(a)
 	}
-	fn := calleeFunc(w.pass, call)
+	fn := analysis.Callee(w.pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}
@@ -365,16 +365,4 @@ func isHTTPRequest(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
-}
-
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	}
-	return nil
 }

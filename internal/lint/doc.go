@@ -6,12 +6,11 @@
 //
 //   - tickpurity: nothing reachable from a per-cycle entry point may
 //     perform I/O, read the wall clock, sleep, or spawn a goroutine.
-//   - mapiter: no range over a map in that same per-cycle code.
+//   - mapiter: no range over a map in that same per-cycle code, nor
+//     in code that touches a cross-tile staging buffer (fifo.Stash).
 //   - rngsource: all randomness flows from the seeded per-system
 //     source, never the global math/rand state or a wall-clock seed,
 //     and simulator packages do not read time.Now.
-//   - stagecommit: no range over a map in code that touches a
-//     cross-tile staging buffer (fifo.Stash).
 //   - statsdiscipline: stats counters are written only by their owning
 //     package and have a reset path to the warm-up boundary.
 //   - lockorder: no blocking operation under a held mutex, and one
@@ -21,9 +20,10 @@
 //   - atomicmix: no function-style sync/atomic operations; typed
 //     atomics cannot be accessed plainly.
 //
-// hotpath is not an analyzer: it computes the intra-package call graph
-// rooted at the per-cycle entry points (Tick, Step, ...) that
-// tickpurity, mapiter and rngsource share. analysis is the stdlib-only
+// hotpath is not an analyzer: it computes the suite's one call graph,
+// intra-package and rooted at the per-cycle entry points (Tick, Step,
+// ...) plus any roots an analyzer adds (mapiter's staging-buffer
+// code), which tickpurity, mapiter and rngsource share. analysis is the stdlib-only
 // driver (loader, Pass, //simlint:ignore handling) and analysistest
 // its `// want` fixture harness. cmd/simlint runs the suite ("make
 // lint", CI, and tier-1 through TestTreeLintsClean).

@@ -1,9 +1,10 @@
 // Package hotpath computes which functions of a package belong to the
 // simulator's per-cycle hot path: everything reachable from a method
 // or function whose name marks a per-cycle entry point (Tick, Step,
-// Cycle, BeginCycle, HandlePacket). The mapiter and tickpurity
-// analyzers restrict their checks to this set so that setup, reporting,
-// and test helpers stay free to use maps and I/O.
+// Cycle, BeginCycle, HandlePacket), or from a function an analyzer
+// names as an extra root. It is the suite's one call graph: mapiter,
+// tickpurity and rngsource restrict their checks to this set so that
+// setup, reporting, and test helpers stay free to use maps and I/O.
 package hotpath
 
 import (
@@ -34,15 +35,19 @@ type Func struct {
 }
 
 // Reachable returns the package's hot-path functions keyed by their
-// types object.
+// types object. Besides the RootNames entry points, every function
+// whose declaration satisfies extraRoot (when non-nil) is a root.
+// A function's Root is a named entry point whenever one reaches it.
 //
 // The call graph is intra-package and intentionally conservative in
 // the flagging direction: calls through interface values add an edge
-// to every same-named method in the package, and any reference to a
+// to every same-named method in the package, any reference to a
 // package function (method values, handler registration, arguments)
-// counts as a call. Cross-package edges are invisible — each package
-// is kept honest by its own entry points.
-func Reachable(pass *analysis.Pass) map[*types.Func]Func {
+// counts as a call, and a method of an instantiated generic type is
+// its generic declaration. Cross-package edges are invisible — each
+// package is kept honest by its own entry points.
+func Reachable(pass *analysis.Pass, extraRoot func(*ast.FuncDecl) bool) map[*types.Func]Func {
+	var order []*types.Func // declaration order, so Root is deterministic
 	decls := map[*types.Func]*ast.FuncDecl{}
 	methodsByName := map[string][]*types.Func{}
 	for _, file := range pass.Files {
@@ -55,6 +60,7 @@ func Reachable(pass *analysis.Pass) map[*types.Func]Func {
 			if !ok {
 				continue
 			}
+			order = append(order, fn)
 			decls[fn] = fd
 			if fd.Recv != nil {
 				methodsByName[fn.Name()] = append(methodsByName[fn.Name()], fn)
@@ -69,6 +75,9 @@ func Reachable(pass *analysis.Pass) map[*types.Func]Func {
 		}
 		seen := map[*types.Func]bool{}
 		add := func(callee *types.Func) {
+			// A method of an instantiated generic type is a distinct
+			// object per instantiation; its body is the origin's.
+			callee = callee.Origin()
 			if _, local := decls[callee]; local && !seen[callee] {
 				seen[callee] = true
 				edges[fn] = append(edges[fn], callee)
@@ -98,25 +107,32 @@ func Reachable(pass *analysis.Pass) map[*types.Func]Func {
 		})
 	}
 
+	// Breadth-first from the named entry points, then from the extra
+	// roots nothing named reached, so a named Root wins wherever one
+	// exists.
 	reach := map[*types.Func]Func{}
-	var queue []*types.Func
-	for fn, fd := range decls {
-		if RootNames[fn.Name()] {
-			reach[fn] = Func{Decl: fd, Root: fn}
-			queue = append(queue, fn)
+	walk := func(isRoot func(*types.Func) bool) {
+		var queue []*types.Func
+		for _, fn := range order {
+			if _, ok := reach[fn]; !ok && isRoot(fn) {
+				reach[fn] = Func{Decl: decls[fn], Root: fn}
+				queue = append(queue, fn)
+			}
+		}
+		for len(queue) > 0 {
+			fn := queue[0]
+			queue = queue[1:]
+			for _, callee := range edges[fn] {
+				if _, ok := reach[callee]; !ok {
+					reach[callee] = Func{Decl: decls[callee], Root: reach[fn].Root}
+					queue = append(queue, callee)
+				}
+			}
 		}
 	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		root := reach[fn].Root
-		for _, callee := range edges[fn] {
-			if _, ok := reach[callee]; ok {
-				continue
-			}
-			reach[callee] = Func{Decl: decls[callee], Root: root}
-			queue = append(queue, callee)
-		}
+	walk(func(fn *types.Func) bool { return RootNames[fn.Name()] })
+	if extraRoot != nil {
+		walk(func(fn *types.Func) bool { return extraRoot(decls[fn]) })
 	}
 	return reach
 }

@@ -1,5 +1,5 @@
 // Package fifo is a fixture stub of the real delrep/internal/fifo:
-// just enough surface for the stagecommit analyzer to recognize Stash
+// just enough surface for the mapiter analyzer to recognize Stash
 // by package path and name.
 package fifo
 

@@ -1,4 +1,4 @@
-package stagecommit
+package staging
 
 import "delrep/internal/fifo"
 

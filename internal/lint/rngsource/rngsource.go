@@ -50,14 +50,14 @@ func isRandPkg(path string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	simulator := len(hotpath.Reachable(pass)) > 0
+	simulator := len(hotpath.Reachable(pass, nil)) > 0
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(pass, call)
+			fn := analysis.Callee(pass.TypesInfo, call)
 			if fn == nil {
 				return true
 			}
@@ -96,19 +96,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// calleeFunc resolves the called function, if statically known.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // findTimeNow returns the first time.Now call in the expression tree.
 func findTimeNow(pass *analysis.Pass, e ast.Expr) *ast.CallExpr {
 	var found *ast.CallExpr
@@ -120,7 +107,7 @@ func findTimeNow(pass *analysis.Pass, e ast.Expr) *ast.CallExpr {
 		if !ok {
 			return true
 		}
-		if fn := calleeFunc(pass, call); fn != nil && fn.Pkg() != nil &&
+		if fn := analysis.Callee(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil &&
 			fn.Pkg().Path() == "time" && fn.Name() == "Now" {
 			found = call
 			return false

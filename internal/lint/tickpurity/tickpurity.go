@@ -56,7 +56,7 @@ var bannedFuncs = map[string]map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for fn, hf := range hotpath.Reachable(pass) {
+	for fn, hf := range hotpath.Reachable(pass, nil) {
 		if hf.Decl.Body == nil {
 			continue
 		}
@@ -69,7 +69,7 @@ func run(pass *analysis.Pass) error {
 					"goroutine spawned in per-cycle hot path (%s is reachable from %s): the cycle loop is single-threaded and concurrent mutation breaks determinism",
 					where, root)
 			case *ast.CallExpr:
-				callee := calleeFunc(pass, n)
+				callee := analysis.Callee(pass.TypesInfo, n)
 				if callee == nil || callee.Pkg() == nil {
 					return true
 				}
@@ -87,18 +87,6 @@ func run(pass *analysis.Pass) error {
 			}
 			return true
 		})
-	}
-	return nil
-}
-
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
 	}
 	return nil
 }

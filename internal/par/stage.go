@@ -31,7 +31,7 @@ type Cell[T any] struct {
 // Matrix is a parity-double-buffered (src, dst) staging matrix for P
 // parts. The zero value is empty and unpartitioned; Init sizes it.
 // Access goes through At so callers keep the fixed src-order drain
-// loops in their own code, where the stagecommit analyzer can see the
+// loops in their own code, where mapiter's staging-buffer roots see the
 // staging buffers being touched.
 type Matrix[T any] struct {
 	parts int

@@ -105,7 +105,7 @@ func TestEngineWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldEng := New(Options{Workers: 4, Cache: cold})
-	first := coldEng.RunAll(specs)
+	first := runAll(coldEng, specs)
 	if c := coldEng.Snapshot(); c.Executed != int64(len(specs)) {
 		t.Fatalf("cold engine executed %d, want %d", c.Executed, len(specs))
 	}
@@ -115,7 +115,7 @@ func TestEngineWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(Options{Workers: 4, Cache: warm})
-	second := eng.RunAll(specs)
+	second := runAll(eng, specs)
 	c := eng.Snapshot()
 	if c.Executed != 0 {
 		t.Errorf("warm cache executed %d simulations, want 0", c.Executed)

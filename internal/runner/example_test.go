@@ -7,25 +7,28 @@ import (
 	"delrep/internal/runner"
 )
 
-// ExampleEngine declares a figure's full run set up front on a batch,
-// then consumes the results in declaration order — the pattern every
+// ExampleEngine submits a figure's full run set up front, then waits
+// on the futures in declaration order — the pattern every
 // cmd/expdriver figure uses. The worker count changes only wall-clock
 // time, never the delivered results or their order; duplicate
 // declarations (here, the shared baseline) are simulated once.
 func ExampleEngine() {
 	eng := runner.New(runner.Options{Workers: 4})
 
-	b := eng.NewBatch()
+	var futs []*runner.Future
 	for _, scheme := range []config.Scheme{
 		config.SchemeDelegatedReplies, config.SchemeBaseline, config.SchemeBaseline,
 	} {
 		cfg := config.Default()
 		cfg.Scheme = scheme
 		cfg.WarmupCycles, cfg.MeasureCycles = 300, 800 // example-sized windows
-		b.Add(runner.Spec{Cfg: cfg, GPU: "HS", CPU: "vips"})
+		futs = append(futs, eng.Submit(runner.Spec{Cfg: cfg, GPU: "HS", CPU: "vips"}))
 	}
 
-	runs := b.Wait() // declaration order, regardless of completion order
+	var runs []runner.Run
+	for _, f := range futs { // declaration order, regardless of completion order
+		runs = append(runs, f.Wait())
+	}
 	c := eng.Snapshot()
 	fmt.Printf("delivered %d runs (%d simulated, %d shared)\n",
 		len(runs), c.Executed, c.MemoHits)

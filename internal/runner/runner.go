@@ -13,10 +13,10 @@
 //   - Submissions are deduplicated by Key, so one configuration is
 //     simulated at most once per process no matter how many figures
 //     request it.
-//   - A Batch delivers results in declaration order regardless of
-//     completion order; callers that declare their full run set up
-//     front and then consume results in order produce byte-identical
-//     reports at any worker count.
+//   - Submit schedules a run and returns its Future at once; callers
+//     that submit their full run set up front and then Wait on the
+//     futures in declaration order produce byte-identical reports at
+//     any worker count, whatever the completion order.
 //   - Each run's end state is summarized by the determinism-audit
 //     digest (core.RunAudit); equality of digests between a serial and
 //     a parallel execution proves the pool changed nothing.
@@ -27,12 +27,12 @@
 // Typical use:
 //
 //	eng := runner.New(runner.Options{Workers: 8, Cache: cache})
-//	b := eng.NewBatch()
+//	var futs []*runner.Future
 //	for _, g := range benches {
-//		b.Add(runner.Spec{Cfg: cfg, GPU: g, CPU: "vips"})
+//		futs = append(futs, eng.Submit(runner.Spec{Cfg: cfg, GPU: g, CPU: "vips"}))
 //	}
-//	for _, run := range b.Wait() { // declaration order
-//		fmt.Println(run.Results.GPUIPC)
+//	for _, f := range futs { // declaration order
+//		fmt.Println(f.Wait().Results.GPUIPC)
 //	}
 package runner
 
@@ -99,10 +99,10 @@ func ParseSource(name string) (Source, error) {
 
 // Resolver resolves a spec to a finished result somewhere other than
 // this process — a fleet coordinator or a remote delrepd daemon (the
-// CLIs' -remote, internal/experiment). Plugging one into Options.Remote
-// turns the engine into a fleet client: dedup, batching, ordering,
-// progress, and the local disk cache all keep working, but execution
-// happens across the wire.
+// CLIs' -remote, internal/remote). Plugging one into Options.Remote
+// turns the engine into a fleet client: dedup, ordering, progress,
+// and the local disk cache all keep working, but execution happens
+// across the wire.
 type Resolver interface {
 	// Resolve returns the run's results and digest, how the remote end
 	// obtained them (executed / memo / disk), and which worker served
@@ -578,45 +578,4 @@ func runAudit(runCtx context.Context, f *Future, runSpan *telemetry.Span) (a cor
 		Ctx:        runCtx,
 		OnProgress: onProgress,
 	}, f.spec.Cfg, f.spec.GPU, f.spec.CPU)
-}
-
-// Batch collects declared runs and delivers their results in
-// declaration order regardless of completion order.
-type Batch struct {
-	e    *Engine
-	futs []*Future
-}
-
-// NewBatch starts an empty batch on the engine.
-func (e *Engine) NewBatch() *Batch { return &Batch{e: e} }
-
-// Add declares one run. The simulation is scheduled immediately; Add
-// never blocks on simulation work.
-func (b *Batch) Add(spec Spec) *Future {
-	f := b.e.Submit(spec)
-	b.futs = append(b.futs, f)
-	return f
-}
-
-// Len returns the number of declared runs.
-func (b *Batch) Len() int { return len(b.futs) }
-
-// Wait blocks until every declared run completes and returns the runs
-// in declaration order.
-func (b *Batch) Wait() []Run {
-	out := make([]Run, len(b.futs))
-	for i, f := range b.futs {
-		out[i] = f.Wait()
-	}
-	return out
-}
-
-// RunAll declares every spec on a fresh batch and waits: results are
-// in spec order.
-func (e *Engine) RunAll(specs []Spec) []Run {
-	b := e.NewBatch()
-	for _, s := range specs {
-		b.Add(s)
-	}
-	return b.Wait()
 }

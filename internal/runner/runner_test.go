@@ -38,8 +38,8 @@ func tinySpecs() []Spec {
 func TestParallelSerialEquivalence(t *testing.T) {
 	specs := tinySpecs()
 
-	serial := New(Options{Workers: 1}).RunAll(specs)
-	parallel := New(Options{Workers: 8}).RunAll(specs)
+	serial := runAll(New(Options{Workers: 1}), specs)
+	parallel := runAll(New(Options{Workers: 8}), specs)
 
 	for i, spec := range specs {
 		direct := core.RunAudit(spec.Cfg, spec.GPU, spec.CPU)
@@ -59,18 +59,28 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchDeclarationOrder checks that Wait returns runs in
-// declaration order with the declared specs attached.
+// runAll submits every spec, then waits on each future in spec order.
+func runAll(e *Engine, specs []Spec) []Run {
+	futs := make([]*Future, len(specs))
+	for i, s := range specs {
+		futs[i] = e.Submit(s)
+	}
+	runs := make([]Run, len(futs))
+	for i, f := range futs {
+		runs[i] = f.Wait()
+	}
+	return runs
+}
+
+// TestBatchDeclarationOrder checks that a batch of runs submitted up
+// front and waited on in declaration order comes back in that order
+// with the declared specs attached.
 func TestBatchDeclarationOrder(t *testing.T) {
 	specs := tinySpecs()
-	b := New(Options{Workers: 4}).NewBatch()
-	for _, s := range specs {
-		b.Add(s)
+	runs := runAll(New(Options{Workers: 4}), specs)
+	if len(runs) != len(specs) {
+		t.Fatalf("%d runs, want %d", len(runs), len(specs))
 	}
-	if b.Len() != len(specs) {
-		t.Fatalf("batch length %d, want %d", b.Len(), len(specs))
-	}
-	runs := b.Wait()
 	for i, r := range runs {
 		if r.Spec.GPU != specs[i].GPU || r.Spec.Cfg.Scheme != specs[i].Cfg.Scheme {
 			t.Errorf("run %d delivered out of declaration order: got %s/%s want %s/%s",
@@ -126,7 +136,7 @@ func TestMemoDedup(t *testing.T) {
 func TestProgressSerialized(t *testing.T) {
 	var buf syncBuffer
 	e := New(Options{Workers: 4, Progress: &buf})
-	e.RunAll(tinySpecs())
+	runAll(e, tinySpecs())
 	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		if !strings.HasPrefix(line, "  run ") || !strings.HasSuffix(line, "...") {
 			t.Errorf("malformed progress line: %q", line)

@@ -13,6 +13,7 @@
 package simspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -145,9 +146,9 @@ func FromConfig(cfg config.Config, gpu, cpu string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("spec: config does not round-trip: %v", err)
 	}
-	// %+v equality is exactly the runner cache-key equality: equal
-	// renderings are guaranteed to be the same simulation.
-	if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", cfg) {
+	// AppendKey equality is exactly the runner cache-key equality:
+	// equal renderings are guaranteed to be the same simulation.
+	if !bytes.Equal(back.AppendKey(nil), cfg.AppendKey(nil)) {
 		return Spec{}, fmt.Errorf("spec: config carries knobs the wire spec cannot express")
 	}
 	return s, nil
