@@ -43,6 +43,7 @@ import (
 	"delrep/internal/remote"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
+	"delrep/internal/stats"
 	"delrep/internal/telemetry"
 	"delrep/internal/workload"
 )
@@ -302,10 +303,10 @@ func printRun(cfg config.Config, res simspec.Result, asJSON bool) {
 	fmt.Printf("inter-core local.  %.1f%%\n", 100*r.InterCoreLocal)
 	bd := r.Breakdown
 	fmt.Printf("miss breakdown     LLC-direct %.1f%%  remote-hit %.1f%%  remote-miss %.1f%%\n",
-		100*frac(bd.LLCDirect, bd.Total()), 100*frac(bd.RemoteHit, bd.Total()), 100*frac(bd.RemoteMiss, bd.Total()))
+		100*stats.Ratio(bd.LLCDirect, bd.Total()), 100*stats.Ratio(bd.RemoteHit, bd.Total()), 100*stats.Ratio(bd.RemoteMiss, bd.Total()))
 	fmt.Printf("delegations        %d\n", r.Delegations)
 	if r.ProbesSent > 0 {
-		fmt.Printf("RP probes          %d sent, %.1f%% hit\n", r.ProbesSent, 100*frac(r.ProbeHits, r.ProbesSent))
+		fmt.Printf("RP probes          %d sent, %.1f%% hit\n", r.ProbesSent, 100*stats.Ratio(r.ProbeHits, r.ProbesSent))
 	}
 	fmt.Printf("CPU latency        %.1f cycles (max %.1f)\n", r.CPULatAvg, r.CPULatMax)
 	fmt.Printf("CPU throughput     %.4f req/cycle\n", r.CPUThroughput)
@@ -403,13 +404,6 @@ func printHeatmaps(sys *core.System) {
 			}
 		}
 	}
-}
-
-func frac(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }
 
 func fatalf(format string, args ...any) {

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -440,6 +441,11 @@ func (n NoC) FlitsForData(dataBytes int) int {
 	return 1 + (dataBytes+n.ChannelBytes-1)/n.ChannelBytes
 }
 
+// MaxFlitsPerVC bounds the VC buffer depth: 64× Table I's 4 flits.
+// Every router allocates ports×VCs×depth flit slots, so an unbounded
+// depth lets one spec exhaust the host's memory.
+const MaxFlitsPerVC = 256
+
 // Validate checks structural consistency and returns a descriptive error.
 func (c Config) Validate() error {
 	if err := c.Layout.Validate(); err != nil {
@@ -447,6 +453,9 @@ func (c Config) Validate() error {
 	}
 	if c.NoC.ChannelBytes <= 0 || c.NoC.VCsPerClass <= 0 || c.NoC.FlitsPerVC <= 0 {
 		return fmt.Errorf("config: invalid NoC parameters %+v", c.NoC)
+	}
+	if c.NoC.FlitsPerVC > MaxFlitsPerVC {
+		return fmt.Errorf("config: FlitsPerVC %d exceeds %d", c.NoC.FlitsPerVC, MaxFlitsPerVC)
 	}
 	if c.NoC.SharedPhys && c.NoC.ReqVCs+c.NoC.RepVCs == 0 {
 		return fmt.Errorf("config: shared physical network requires ReqVCs/RepVCs")
@@ -460,6 +469,9 @@ func (c Config) Validate() error {
 	}
 	if c.MeasureCycles <= 0 {
 		return fmt.Errorf("config: MeasureCycles must be positive")
+	}
+	if c.WarmupCycles < 0 || c.WarmupCycles > math.MaxInt64-c.MeasureCycles {
+		return fmt.Errorf("config: WarmupCycles %d negative or overflowing with MeasureCycles", c.WarmupCycles)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,25 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	c.NoC.SharedPhys = true
 	if err := c.Validate(); err == nil {
 		t.Fatal("shared phys without VC split accepted")
+	}
+	c = Default()
+	c.NoC.FlitsPerVC = 257
+	if err := c.Validate(); err == nil {
+		t.Fatal("VC depth above the cap accepted")
+	}
+	c.NoC.FlitsPerVC = 256
+	if err := c.Validate(); err != nil {
+		t.Fatalf("VC depth at the cap rejected: %v", err)
+	}
+	c = Default()
+	c.WarmupCycles = -5
+	if err := c.Validate(); err == nil {
+		t.Fatal("negative warm-up accepted")
+	}
+	c = Default()
+	c.WarmupCycles = math.MaxInt64 - c.MeasureCycles + 1
+	if err := c.Validate(); err == nil {
+		t.Fatal("overflowing warm-up + measure accepted")
 	}
 }
 

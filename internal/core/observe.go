@@ -10,10 +10,10 @@ import (
 // AttachObserver wires an observability layer into the system: metric
 // probes over the NoC, memory nodes, and GPU cores; lifecycle tracing
 // of sampled packets; and clog-detector sources at every memory node's
-// reply port. Call once, after NewSystem and before running. The
-// observer is strictly measurement-only — cycle counts and statistics
-// are bit-identical with and without it (the determinism audit checks
-// this).
+// reply port, read from those probes. Call once, after NewSystem and
+// before running. The observer is strictly measurement-only — cycle
+// counts and statistics are bit-identical with and without it (the
+// determinism audit checks this).
 func (s *System) AttachObserver(o *obs.Observer) {
 	s.obs = o
 	// Trace hooks stamp packet hops inside the network compute
@@ -32,7 +32,6 @@ func (s *System) AttachObserver(o *obs.Observer) {
 	s.registerMemProbes(o)
 	s.registerGPUProbes(o)
 	s.registerLatencyProbes(o)
-	s.registerClogSources(o)
 }
 
 // describePayload renders a packet payload for trace records.
@@ -75,8 +74,10 @@ func (s *System) registerNetProbes(o *obs.Observer) {
 }
 
 // registerMemProbes adds, per memory node: mean reply-link utilization,
-// reply injection-queue depth, blocked-cycle fraction, LLC MSHR
-// occupancy, reply-router queued flits, and delegation rate.
+// the flit rate of each wired reply link, reply injection-queue depth,
+// blocked-cycle fraction, LLC MSHR occupancy, reply-router queued
+// flits, and delegation rate. The node's link, queue and blocked probes
+// are its clog-detector source.
 func (s *System) registerMemProbes(o *obs.Observer) {
 	for _, m := range s.Mems {
 		m := m
@@ -93,9 +94,16 @@ func (s *System) registerMemProbes(o *obs.Observer) {
 				return float64(sent)
 			},
 			func() float64 { return float64(s.RepNet.MeasuredCycles() * int64(nports)) })
-		o.Reg.Gauge(name+"/replyq",
-			func() float64 { return float64(s.repNI(m.Node).InjLen(noc.ClassReply)) })
-		o.Reg.Rate(name+"/blocked",
+		links := make([]*obs.Probe, nports)
+		for i, p := range ports {
+			p := p
+			links[i] = o.Reg.Rate(fmt.Sprintf("%s/link%d", name, p),
+				func() float64 { return float64(s.RepNet.PortSent(rtr, p)) })
+		}
+		repNI := s.repNI(m.Node)
+		queue := o.Reg.Gauge(name+"/replyq",
+			func() float64 { return float64(repNI.InjLen(noc.ClassReply)) })
+		blocked := o.Reg.Rate(name+"/blocked",
 			func() float64 { return float64(m.Stats.BlockedCycles) })
 		o.Reg.Gauge(name+"/llc_mshr",
 			func() float64 { return float64(m.mshr.Len()) })
@@ -104,6 +112,11 @@ func (s *System) registerMemProbes(o *obs.Observer) {
 			func() float64 { return float64(router.BufferedFlits()) })
 		o.Reg.Rate(name+"/delegations",
 			func() float64 { return float64(m.Stats.Delegations) })
+		o.Clog.AddSource(obs.ClogSource{
+			Name: name, Links: links,
+			Queue: queue, QCap: repNI.InjCap(noc.ClassReply),
+			Blocked: blocked,
+		})
 	}
 }
 
@@ -136,31 +149,6 @@ func (s *System) registerLatencyProbes(o *obs.Observer) {
 		o.Reg.RatioDelta("load_lat/"+k.String(),
 			func() float64 { return s.loadLat[k].Sum() },
 			func() float64 { return float64(s.loadLat[k].Count()) })
-	}
-}
-
-// registerClogSources points the clog detector at every memory node's
-// reply port: its outgoing reply links, bounded injection queue, and
-// blocked counter.
-func (s *System) registerClogSources(o *obs.Observer) {
-	for _, m := range s.Mems {
-		m := m
-		rtr, _ := s.RepNet.Topology().NodePort(m.Node)
-		var portFns []func() float64
-		for _, p := range s.wiredPorts(rtr) {
-			p := p
-			portFns = append(portFns, func() float64 {
-				return float64(s.RepNet.PortSent(rtr, p))
-			})
-		}
-		repNI := s.repNI(m.Node)
-		o.Clog.AddSource(obs.ClogSource{
-			Name:    fmt.Sprintf("mem%d", m.Idx),
-			Ports:   portFns,
-			QLen:    func() int { return repNI.InjLen(noc.ClassReply) },
-			QCap:    repNI.InjCap(noc.ClassReply),
-			Blocked: func() float64 { return float64(m.Stats.BlockedCycles) },
-		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,54 @@ func TestObserverDeterministic(t *testing.T) {
 	}
 	if out[0] != out[1] {
 		t.Fatal("observability output differs between identical runs")
+	}
+}
+
+// TestLinkSeriesMatchReplyUtil checks the per-link reply series the
+// clog detector reads against the aggregate series registered beside
+// them: in every window that does not span the warm-up reset, the mean
+// of a memory node's mem<i>/link<p> rates is its mem<i>/reply_link_util
+// sample (flits sent over the node's link-cycles).
+func TestLinkSeriesMatchReplyUtil(t *testing.T) {
+	cfg := shortCfg(config.SchemeBaseline)
+	const window = 500
+	_, o := observedRun(cfg, obs.Options{Window: window})
+	ends := o.Reg.WindowEnds()
+	probes := o.Reg.Probes()
+	checked, busy := 0, 0
+	for _, util := range probes {
+		mem, ok := strings.CutSuffix(util.Name, "/reply_link_util")
+		if !ok {
+			continue
+		}
+		var links [][]float64
+		for _, p := range probes {
+			if strings.HasPrefix(p.Name, mem+"/link") {
+				links = append(links, p.Values())
+			}
+		}
+		if len(links) == 0 {
+			t.Fatalf("%s has no per-link series", mem)
+		}
+		for w, u := range util.Values() {
+			if end := ends[w]; end-window <= cfg.WarmupCycles && cfg.WarmupCycles < end {
+				continue
+			}
+			var sum float64
+			for _, l := range links {
+				sum += l[w]
+			}
+			if mean := sum / float64(len(links)); math.Abs(mean-u) > 1e-9*math.Abs(u) {
+				t.Errorf("%s window ending %d: mean link rate %v, reply_link_util %v", mem, ends[w], mean, u)
+			}
+			checked++
+			if u > 0 {
+				busy++
+			}
+		}
+	}
+	if checked == 0 || busy == 0 {
+		t.Fatalf("checked %d windows, %d with reply traffic; want some of both", checked, busy)
 	}
 }
 

@@ -5,23 +5,18 @@ import (
 	"io"
 )
 
-// ClogSource describes one observation point for the clog detector —
-// in practice a memory node's reply port: the links its replies leave
-// on, the bounded injection queue behind them, and the node's blocked
-// counter. All closures read cumulative or instantaneous simulator
-// state and must be pure.
+// ClogSource is one observation point for the clog detector — in
+// practice a memory node's reply port — given as registry probes, so
+// the detector reads the window the registry has just sampled: a Rate
+// per outgoing link (flits per cycle; the busiest is the port
+// utilization), a Gauge of the bounded injection queue (packets) with
+// its capacity, and a Rate of the cycles the source was blocked.
 type ClogSource struct {
-	Name string
-	// Ports returns cumulative flits sent per outgoing link; the
-	// detector differences them per window and takes the busiest link
-	// as the port utilization.
-	Ports []func() float64
-	// QLen / QCap observe the bounded injection queue (packets).
-	QLen func() int
-	QCap int
-	// Blocked returns the cumulative cycles the source could not push
-	// a flit (optional; nil means unknown).
-	Blocked func() float64
+	Name    string
+	Links   []*Probe
+	Queue   *Probe
+	QCap    int
+	Blocked *Probe
 }
 
 // ClogEvent is one flagged window: the source's busiest reply link ran
@@ -34,35 +29,25 @@ type ClogEvent struct {
 	QStart      int
 	QEnd        int
 	QCap        int
-	BlockedFrac float64 // fraction of the window spent blocked (-1 unknown)
-}
-
-// clogState is the per-source differencing state.
-type clogState struct {
-	src       ClogSource
-	lastSent  []float64
-	lastQ     int
-	lastBlock float64
+	BlockedFrac float64 // fraction of the window spent blocked
 }
 
 // Detector watches registered sources at every window boundary and
 // records clog events. Detection runs in the tick path (pure); the
 // narrative rendering is run-end only.
 type Detector struct {
-	window    int64
 	threshold float64
 	maxEvents int
 
-	sources []*clogState
+	sources []ClogSource
 	events  []ClogEvent
 	dropped int64
 	total   int64 // events observed including dropped
 	lastEnd int64
 }
 
-func newDetector(window int64, threshold float64, maxEvents int) *Detector {
+func newDetector(threshold float64, maxEvents int) *Detector {
 	return &Detector{
-		window:    window,
 		threshold: threshold,
 		maxEvents: maxEvents,
 		events:    make([]ClogEvent, 0, maxEvents),
@@ -71,58 +56,34 @@ func newDetector(window int64, threshold float64, maxEvents int) *Detector {
 
 // AddSource registers an observation point. Call during wiring, before
 // the run starts.
-func (d *Detector) AddSource(s ClogSource) {
-	d.sources = append(d.sources, &clogState{
-		src:      s,
-		lastSent: make([]float64, len(s.Ports)),
-	})
-}
+func (d *Detector) AddSource(s ClogSource) { d.sources = append(d.sources, s) }
 
-// sample evaluates every source for the window ending at cycle.
+// sample evaluates every source for the window ending at cycle. It runs
+// right after Registry.sample, so a probe's newest sample is this
+// window and the one before it the previous window.
 func (d *Detector) sample(cycle int64) {
 	start := d.lastEnd
 	d.lastEnd = cycle
-	for _, st := range d.sources {
+	for _, src := range d.sources {
 		var maxUtil float64
-		for i, port := range st.src.Ports {
-			cur := port()
-			delta := cur - st.lastSent[i]
-			if delta < 0 {
-				delta = cur // counter reset at the warm-up boundary
-			}
-			st.lastSent[i] = cur
-			if u := delta / float64(d.window); u > maxUtil {
+		for _, link := range src.Links {
+			if u := link.last(0); u > maxUtil {
 				maxUtil = u
 			}
 		}
-		q := 0
-		if st.src.QLen != nil {
-			q = st.src.QLen()
-		}
-		blockedFrac := -1.0
-		if st.src.Blocked != nil {
-			cur := st.src.Blocked()
-			delta := cur - st.lastBlock
-			if delta < 0 {
-				delta = cur
-			}
-			st.lastBlock = cur
-			blockedFrac = delta / float64(d.window)
-		}
-		qStart := st.lastQ
-		st.lastQ = q
+		q, qStart := int(src.Queue.last(0)), int(src.Queue.last(1))
 		// Clog signature: the busiest reply link is saturated while the
 		// bounded queue behind it grows or pins at capacity.
-		if maxUtil >= d.threshold && (q > qStart || (st.src.QCap > 0 && q >= st.src.QCap)) {
+		if maxUtil >= d.threshold && (q > qStart || (src.QCap > 0 && q >= src.QCap)) {
 			d.total++
 			if len(d.events) >= d.maxEvents {
 				d.dropped++
 				continue
 			}
 			d.events = append(d.events, ClogEvent{
-				Source: st.src.Name, Start: start, End: cycle,
-				Util: maxUtil, QStart: qStart, QEnd: q, QCap: st.src.QCap,
-				BlockedFrac: blockedFrac,
+				Source: src.Name, Start: start, End: cycle,
+				Util: maxUtil, QStart: qStart, QEnd: q, QCap: src.QCap,
+				BlockedFrac: src.Blocked.last(0),
 			})
 		}
 	}
@@ -151,8 +112,7 @@ func (d *Detector) Narrative(w io.Writer) error {
 		peakUtil   float64
 		peakQ      int
 		qCap       int
-		blocked    float64 // mean blocked fraction over windows with data
-		blockedN   int
+		blocked    float64 // blocked fraction summed over windows
 	}
 	var eps []*episode
 	open := map[string]*episode{}
@@ -171,22 +131,16 @@ func (d *Detector) Narrative(w io.Writer) error {
 		if ev.QEnd > e.peakQ {
 			e.peakQ = ev.QEnd
 		}
-		if ev.BlockedFrac >= 0 {
-			e.blocked += ev.BlockedFrac
-			e.blockedN++
-		}
+		e.blocked += ev.BlockedFrac
 	}
 	if _, err := fmt.Fprintf(w, "%d clog episode(s) across %d flagged window(s) (threshold %.0f%%):\n",
 		len(eps), d.total, d.threshold*100); err != nil {
 		return err
 	}
 	for _, e := range eps {
-		line := fmt.Sprintf("  %-10s cycles %7d..%-7d  %2d window(s)  peak util %5.1f%%  queue peak %d/%d",
-			e.source, e.start, e.end, e.windows, e.peakUtil*100, e.peakQ, e.qCap)
-		if e.blockedN > 0 {
-			line += fmt.Sprintf("  blocked %4.1f%% of cycles", e.blocked/float64(e.blockedN)*100)
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
+		if _, err := fmt.Fprintf(w,
+			"  %-10s cycles %7d..%-7d  %2d window(s)  peak util %5.1f%%  queue peak %d/%d  blocked %4.1f%% of cycles\n",
+			e.source, e.start, e.end, e.windows, e.peakUtil*100, e.peakQ, e.qCap, e.blocked/float64(e.windows)*100); err != nil {
 			return err
 		}
 	}

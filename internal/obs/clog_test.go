@@ -5,23 +5,35 @@ import (
 	"testing"
 )
 
-// clogHarness drives a Detector through scripted windows.
+// clogHarness drives a Detector through scripted windows. Its values
+// reach the detector through registry probes, sampled registry-first
+// as Observer.Tick does.
 type clogHarness struct {
 	sent    float64
 	qlen    int
 	blocked float64
+
+	reg *Registry
+	d   *Detector
 }
 
 func newClogDetector(h *clogHarness, thr float64) *Detector {
-	d := newDetector(100, thr, 16)
-	d.AddSource(ClogSource{
+	h.reg = NewRegistry(100, 16)
+	h.d = newDetector(thr, 16)
+	h.d.AddSource(ClogSource{
 		Name:    "mem0",
-		Ports:   []func() float64{func() float64 { return h.sent }},
-		QLen:    func() int { return h.qlen },
+		Links:   []*Probe{h.reg.Rate("mem0/link0", func() float64 { return h.sent })},
+		Queue:   h.reg.Gauge("mem0/replyq", func() float64 { return float64(h.qlen) }),
 		QCap:    8,
-		Blocked: func() float64 { return h.blocked },
+		Blocked: h.reg.Rate("mem0/blocked", func() float64 { return h.blocked }),
 	})
-	return d
+	return h.d
+}
+
+// sample closes the window ending at cycle.
+func (h *clogHarness) sample(cycle int64) {
+	h.reg.sample(cycle)
+	h.d.sample(cycle)
 }
 
 func TestClogDetection(t *testing.T) {
@@ -30,19 +42,19 @@ func TestClogDetection(t *testing.T) {
 
 	// Window 1: light traffic, empty queue — no event.
 	h.sent, h.qlen = 30, 0
-	d.sample(100)
+	h.sample(100)
 	// Window 2: saturated link but queue did not grow — no event.
 	h.sent = 130
-	d.sample(200)
+	h.sample(200)
 	// Window 3: saturated link and the queue grew — clog.
 	h.sent, h.qlen, h.blocked = 225, 4, 20
-	d.sample(300)
+	h.sample(300)
 	// Window 4: saturated and queue pinned at capacity — clog.
 	h.sent, h.qlen, h.blocked = 320, 8, 60
-	d.sample(400)
+	h.sample(400)
 	// Window 5: traffic fell below threshold — no event.
 	h.sent, h.qlen = 360, 8
-	d.sample(500)
+	h.sample(500)
 
 	evs := d.Events()
 	if len(evs) != 2 || d.EventCount() != 2 {
@@ -79,7 +91,7 @@ func TestClogQuietNarrative(t *testing.T) {
 	h := &clogHarness{}
 	d := newClogDetector(h, 0.85)
 	h.sent = 10
-	d.sample(100)
+	h.sample(100)
 	var b strings.Builder
 	if err := d.Narrative(&b); err != nil {
 		t.Fatal(err)
@@ -93,11 +105,11 @@ func TestClogCounterResetGuard(t *testing.T) {
 	h := &clogHarness{}
 	d := newClogDetector(h, 0.85)
 	h.sent, h.qlen = 100, 2
-	d.sample(100)
+	h.sample(100)
 	// ResetStats shrank the cumulative counter; the delta must
 	// re-baseline instead of going negative.
 	h.sent, h.qlen = 95, 5
-	d.sample(200)
+	h.sample(200)
 	evs := d.Events()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d, want 2 (both windows saturated with growth)", len(evs))

@@ -7,7 +7,8 @@
 // Everything reachable from Tick obeys the simulator's tick-purity
 // rule: no I/O, no wall-clock, no map iteration; samples and trace
 // records accumulate in preallocated memory and are flushed by the
-// caller after the run via WriteMetricsJSON / WriteTrace / Narrative.
+// caller after the run via Registry.WriteCSV / WriteJSON, WriteTrace
+// and Detector.Narrative.
 package obs
 
 import "delrep/internal/noc"
@@ -94,14 +95,15 @@ func New(o Options) *Observer {
 	return &Observer{
 		opts:       o,
 		Reg:        NewRegistry(o.Window, ringDepth),
-		Clog:       newDetector(o.Window, o.ClogUtil, maxClogEvents),
+		Clog:       newDetector(o.ClogUtil, maxClogEvents),
 		traces:     make([]TraceRecord, 0, o.MaxTraces),
 		nextSample: o.Window,
 	}
 }
 
 // Tick advances the observer clock; at window boundaries it samples
-// every probe and runs the clog detector. Pure: no I/O, no maps.
+// every probe and then runs the clog detector over the fresh samples.
+// Pure: no I/O, no maps.
 func (o *Observer) Tick(cycle int64) {
 	if cycle < o.nextSample {
 		return

@@ -74,6 +74,15 @@ func (p *Probe) Values() []float64 {
 	return out
 }
 
+// last returns the sample back windows before the newest (0 is the
+// newest), or 0 when the ring does not hold that many.
+func (p *Probe) last(back int) float64 {
+	if back >= p.n {
+		return 0
+	}
+	return p.samples[(p.head+p.n-1-back)%len(p.samples)]
+}
+
 // Dropped returns how many old samples were overwritten by the ring.
 func (p *Probe) Dropped() int64 { return p.dropped }
 
@@ -92,19 +101,11 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry sampling every window cycles and
-// retaining the most recent depth windows per probe.
+// retaining the most recent depth windows per probe; both must be
+// positive (Options.withDefaults supplies the observer's).
 func NewRegistry(window int64, depth int) *Registry {
-	if window <= 0 {
-		window = 1000
-	}
-	if depth <= 0 {
-		depth = 4096
-	}
 	return &Registry{window: window, depth: depth, ends: make([]int64, depth)}
 }
-
-// Window returns the sampling window in cycles.
-func (r *Registry) Window() int64 { return r.window }
 
 // Samples returns how many windows have been sampled so far.
 func (r *Registry) Samples() int64 { return r.sampled }
@@ -112,23 +113,24 @@ func (r *Registry) Samples() int64 { return r.sampled }
 // Probes returns the registered probes in registration order.
 func (r *Registry) Probes() []*Probe { return r.probes }
 
-func (r *Registry) register(p *Probe) {
+func (r *Registry) register(p *Probe) *Probe {
 	p.samples = make([]float64, r.depth)
 	r.probes = append(r.probes, p)
+	return p
 }
 
 // Gauge registers a probe sampling fn's instantaneous value (queue
 // occupancy, MSHR occupancy, ...).
-func (r *Registry) Gauge(name string, fn func() float64) {
-	r.register(&Probe{Name: name, kind: kindGauge, num: fn})
+func (r *Registry) Gauge(name string, fn func() float64) *Probe {
+	return r.register(&Probe{Name: name, kind: kindGauge, num: fn})
 }
 
 // Rate registers a probe over a cumulative counter; each sample is the
 // counter's per-cycle rate within the window (flit rates, blocked-cycle
 // fractions, ...). A counter that shrinks between windows (the warm-up
 // ResetStats boundary) re-baselines at its new value.
-func (r *Registry) Rate(name string, fn func() float64) {
-	r.register(&Probe{Name: name, kind: kindRate, num: fn})
+func (r *Registry) Rate(name string, fn func() float64) *Probe {
+	return r.register(&Probe{Name: name, kind: kindRate, num: fn})
 }
 
 // RatioDelta registers a probe over two cumulative counters; each

@@ -187,12 +187,14 @@ func TestEndToEndByteIdentical(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	for name, body := range map[string]string{
 		"bad json":      `{`,
 		"unknown field": `{"spec":{"gpu":"HS","cpu":"vips","cyclez":5}}`,
 		"bad spec":      `{"spec":{"gpu":"nope","cpu":"vips"}}`,
 		"bad priority":  `{"spec":{"gpu":"HS","cpu":"vips"},"priority":"urgent"}`,
+		"deep vc":       `{"spec":{"gpu":"HS","cpu":"vips","vcdepth":257}}`,
+		"negative warm": `{"spec":{"gpu":"HS","cpu":"vips","warm":-5}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -202,6 +204,12 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	s.mu.Lock()
+	admitted := len(s.order)
+	s.mu.Unlock()
+	if admitted != 0 {
+		t.Errorf("%d rejected submit(s) admitted", admitted)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {

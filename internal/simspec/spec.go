@@ -36,7 +36,7 @@ type Spec struct {
 	Routing      string `json:"routing,omitempty"` // cdr | dyxy | footprint | hare
 	L1Org        string `json:"l1org,omitempty"`   // private | dcl1 | dyneb
 	ChannelBytes int    `json:"channel,omitempty"` // NoC channel width in bytes
-	VCDepth      int    `json:"vcdepth,omitempty"` // VC buffer depth in flits (0 = default)
+	VCDepth      int    `json:"vcdepth,omitempty"` // VC buffer depth in flits (0 = default, ≤ config.MaxFlitsPerVC)
 	Warmup       int64  `json:"warm,omitempty"`    // warmup cycles
 	Cycles       int64  `json:"cycles,omitempty"`  // measured cycles
 	Seed         int64  `json:"seed,omitempty"`    // random seed (0 means the default, 1)

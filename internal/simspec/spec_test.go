@@ -2,6 +2,7 @@ package simspec
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,6 +96,9 @@ func TestResolveErrors(t *testing.T) {
 		{GPU: "HS", CPU: "vips", Routing: "oddeven"},
 		{GPU: "HS", CPU: "vips", L1Org: "shared"},
 		{GPU: "HS", CPU: "vips", Cycles: -5}, // Validate rejects
+		{GPU: "HS", CPU: "vips", VCDepth: 1_000_000},
+		{GPU: "HS", CPU: "vips", Warmup: -5},
+		{GPU: "HS", CPU: "vips", Warmup: math.MaxInt64, Cycles: 1},
 	}
 	for _, c := range cases {
 		if _, _, err := c.Resolve(); err == nil {
