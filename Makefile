@@ -33,10 +33,11 @@ bench:
 
 # profile runs the clogged spec sim-serial leads with (HS+vips baseline
 # mesh: memory nodes blocked on full reply buffers) under the CPU and
-# heap profilers; inspect with `go tool pprof cpu.prof` (or heap.prof).
+# heap profilers, uncached (a cache hit would profile nothing); inspect
+# with `go tool pprof cpu.prof` (or heap.prof).
 profile:
 	$(GO) run ./cmd/delrepsim -gpu HS -cpu vips -scheme baseline -topo mesh \
-		-warm 5000 -cycles 20000 -cpuprofile cpu.prof -memprofile heap.prof
+		-warm 5000 -cycles 20000 -cache off -cpuprofile cpu.prof -memprofile heap.prof
 	@echo "wrote cpu.prof and heap.prof; inspect with: go tool pprof cpu.prof"
 
 # serve starts the simulation daemon on :8080 against the per-user

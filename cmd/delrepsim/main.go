@@ -17,22 +17,27 @@
 // "result" field, so a served result can be verified by replaying its
 // spec here.
 //
-// With -sweep, the -gpu, -cpu and -scheme flags accept comma-separated
-// lists; every point of the cross product is resolved like a single
-// run and they execute as one more figure of internal/experiment, on
-// the engine experiment.EngineFlags describes (-j, -cache, the
-// profiles — shared with expdriver), plus -remote (internal/remote).
-//
-// -phase-profile prints the per-phase wall-time breakdown of the tick
-// to stderr after the run.
+// A run is submitted to the engine experiment.EngineFlags describes
+// (-j, -cache, the profiles — shared with expdriver), as a daemon job
+// is: a cached spec prints without simulating, -remote (internal/remote)
+// hands the engine its resolver and turns the local cache off, and
+// -telemetry-out writes the engine's spans. With -sweep, the -gpu, -cpu
+// and -scheme flags accept comma-separated lists, and every point of
+// the cross product runs like a single run, as one more figure of
+// internal/experiment. The instruments (-heatmap, -phase-profile,
+// -clog, -metrics-out, -trace-out) read the simulated system, so such
+// a run builds its own core.System, uncached and local.
 package main
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"unicode"
 
@@ -91,7 +96,7 @@ func main() {
 		metricsWindow = flag.Int64("metrics-window", 1000, "metric sampling window in cycles")
 		traceOut      = flag.String("trace-out", "", "write Chrome trace-event JSON of sampled packet lifecycles")
 		traceSample   = flag.Uint64("trace-sample", 64, "trace every Nth packet (with -trace-out)")
-		telemOut      = flag.String("telemetry-out", "", "write Chrome trace-event JSON of the run's wall-clock phases (resolve, build, simulate, flush)")
+		telemOut      = flag.String("telemetry-out", "", "write Chrome trace-event JSON of the spans the engine records for the run (cache.lookup, engine.run and its windows, fleet.resolve)")
 		clogFlag      = flag.Bool("clog", false, "print the clog-detector narrative after the run")
 		clogUtil      = flag.Float64("clog-util", 0.85, "clog-detector port-utilization threshold")
 
@@ -118,18 +123,26 @@ func main() {
 		return
 	}
 
-	// Everything observer- or instrumentation-shaped needs the one
-	// simulation in this process: a sweep has many, and a remote end
-	// runs headless.
-	localOnly := []modeFlag{
+	// The instruments read the simulated system, so they need the one
+	// simulation in this process: a sweep has many, a remote end runs
+	// headless, and the engine hands back results only.
+	instruments := []modeFlag{
 		{"-heatmap", *heatmap}, {"-phase-profile", *phaseProf}, {"-clog", *clogFlag},
 		{"-metrics-out", *metricsOut != ""}, {"-trace-out", *traceOut != ""},
-		{"-telemetry-out", *telemOut != ""},
 	}
 	if *sweep {
-		rejectFlags("-sweep", append(localOnly, modeFlag{"-json", *jsonOut}, modeFlag{"-spec", *specFile != ""}))
+		rejectFlags("-sweep", append(instruments, modeFlag{"-telemetry-out", *telemOut != ""},
+			modeFlag{"-json", *jsonOut}, modeFlag{"-spec", *specFile != ""}))
 		runSweep(spec, engine, rem)
 		return
+	}
+	switch {
+	case *metricsWindow < 1:
+		fatalf("-metrics-window must be at least 1 cycle, not %d", *metricsWindow)
+	case *traceOut != "" && *traceSample < 1:
+		fatalf("-trace-sample must be at least 1 with -trace-out")
+	case !(*clogUtil > 0 && *clogUtil <= 1):
+		fatalf("-clog-util must be in (0, 1], not %g", *clogUtil)
 	}
 
 	if *specFile != "" {
@@ -138,27 +151,20 @@ func main() {
 		}
 	}
 	if rem.URL != "" {
-		rejectFlags("-remote", localOnly)
-		runRemote(engine, rem, spec, *jsonOut)
-		return
+		rejectFlags("-remote", instruments)
 	}
-
-	// The phase trace is wall-clock instrumentation of the CLI itself —
-	// the same span layer the daemon uses per job — and never touches
-	// the simulation, so results and digests are identical with or
-	// without -telemetry-out.
-	var tr *telemetry.Trace
 	if *telemOut != "" {
-		tr = telemetry.New("delrepsim", telemetry.A("gpu", spec.GPU), telemetry.A("cpu", spec.CPU))
+		rejectFlags("-telemetry-out", instruments)
 	}
-	resolveSpan := tr.Root().Start("resolve")
 	cfg, norm, err := spec.Resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	resolveSpan.End()
+	if !slices.ContainsFunc(instruments, func(f modeFlag) bool { return f.set }) {
+		printRun(cfg, runEngine(engine, rem, cfg, norm, *telemOut), *jsonOut)
+		return
+	}
 
-	buildSpan := tr.Root().Start("build")
 	sys := core.NewSystem(cfg, norm.GPU, norm.CPU)
 	var profile *core.PhaseProfile
 	if *phaseProf {
@@ -178,18 +184,8 @@ func main() {
 		})
 		sys.AttachObserver(observer)
 	}
-	buildSpan.End()
-	runSpan := tr.Root().Start("simulate")
 	r := sys.RunWorkload()
-	runSpan.Set("cycles", r.Cycles)
-	runSpan.End()
-	flushSpan := tr.Root().Start("flush")
 	flushObserver(observer, *metricsOut, *traceOut)
-	flushSpan.End()
-	if tr != nil {
-		tr.End()
-		writeFile(*telemOut, tr.WriteChrome)
-	}
 	if profile != nil {
 		// Stderr, so -json on stdout stays the canonical Result bytes.
 		fmt.Fprint(os.Stderr, profile.String())
@@ -208,6 +204,42 @@ func main() {
 			fatalf("writing clog narrative: %v", err)
 		}
 	}
+}
+
+// runEngine runs one uninstrumented spec on the engine the flags
+// describe, as a daemon job does: a cached result is recalled, a miss
+// simulates (or, with -remote, is served, and the local cache is off:
+// the point is to be served, not to recall a result). With telemOut,
+// the spans the engine records for the run go there.
+func runEngine(engine *experiment.EngineFlags, rem *remote.Flag, cfg config.Config, norm simspec.Spec, telemOut string) simspec.Result {
+	res, err := rem.Resolver("delrepsim")
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if res != nil {
+		engine.Cache = "off"
+	}
+	eng, err := engine.Engine("delrepsim", res)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	var tr *telemetry.Trace
+	if telemOut != "" {
+		tr = telemetry.New("delrepsim", telemetry.A("gpu", norm.GPU), telemetry.A("cpu", norm.CPU))
+	}
+	ctx := telemetry.ContextWithSpan(context.Background(), tr.Root())
+	run := eng.SubmitCtx(ctx, runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}).Wait()
+	if tr != nil {
+		tr.End()
+		writeFile(telemOut, tr.WriteChrome)
+	}
+	if run.Err != nil {
+		fatalf("%v", run.Err)
+	}
+	if res != nil { // stderr, so stdout stays exactly the result
+		fmt.Fprintf(os.Stderr, "delrepsim: served by %s (source %s)\n", cmp.Or(run.Worker, "remote"), run.Source)
+	}
+	return simspec.NewResult(norm, run.Results, run.Digest)
 }
 
 // runSweep runs the cross product of the comma-separated -gpu, -cpu
@@ -280,9 +312,9 @@ func pruneCache(engine *experiment.EngineFlags, sizeSpec string) {
 }
 
 // printRun renders one finished run, as the canonical simspec.Result
-// JSON or as the human-readable report. Shared by the local and
-// -remote paths, so a remotely served result reads identically to a
-// local one.
+// JSON or as the human-readable report. Shared by the engine and the
+// instrumented paths, so a recalled or served result reads identically
+// to a simulated one.
 func printRun(cfg config.Config, res simspec.Result, asJSON bool) {
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)

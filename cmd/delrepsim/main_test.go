@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +30,17 @@ func TestMain(m *testing.M) {
 		main()
 		return
 	}
-	os.Exit(m.Run())
+	// A single run uses -cache auto unless told otherwise: keep the
+	// entries the tests write out of the user's cache.
+	dir, err := os.MkdirTemp("", "delrepsim-test-cache")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Setenv("DELREP_CACHE_DIR", dir)
+	status := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(status)
 }
 
 // baseArgs are the short-window defaults every test run starts from;
@@ -223,6 +234,104 @@ func TestSweepSingleRunFlags(t *testing.T) {
 		want := flags[0] + " reports on one local simulation and cannot combine with -sweep"
 		if status != 2 || !strings.Contains(stderr, want) || stdout != "" {
 			t.Errorf("-sweep %v: exit status %d, stdout %q, stderr:\n%s", flags, status, stdout, stderr)
+		}
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Errorf("a rejected flag still wrote %s", out)
+	}
+}
+
+// TestSingleRunIsCached pins that a single run is an engine run: a
+// cold run with -cache writes its one entry, warm reruns print the
+// same bytes without simulating (no progress line), and -telemetry-out
+// records the engine's spans. An instrumented run, which builds its
+// own system, prints those bytes too.
+func TestSingleRunIsCached(t *testing.T) {
+	dir, tmp := t.TempDir(), t.TempDir()
+	directJSON, _ := delrepsim(t, "-json", "-cache", "off", "-phase-profile")
+	direct, _ := delrepsim(t, "-cache", "off", "-phase-profile")
+	for _, c := range []struct {
+		name   string
+		json   bool
+		cold   bool
+		wantRs []string // spans the -telemetry-out trace must hold, and cache.lookup's hit
+	}{
+		{"cold", true, true, []string{"cache.lookup:false", "engine.run", "window 0"}},
+		{"warm", true, false, []string{"cache.lookup:true"}},
+		{"warm report", false, false, []string{"cache.lookup:true"}},
+	} {
+		telem := filepath.Join(tmp, c.name+".json")
+		args, want := []string{"-cache", dir, "-telemetry-out", telem}, direct
+		if c.json {
+			args, want = append(args, "-json"), directJSON
+		}
+		stdout, stderr := delrepsim(t, args...)
+		if stdout != want {
+			t.Errorf("%s: stdout differs from the instrumented run's:\n%s\nvs\n%s", c.name, stdout, want)
+		}
+		if simulated := strings.Contains(stderr, "  run NN"); simulated != c.cold {
+			t.Errorf("%s: simulated = %v, stderr:\n%s", c.name, simulated, stderr)
+		}
+		if ents, _ := filepath.Glob(filepath.Join(dir, "*.run")); len(ents) != 1 {
+			t.Errorf("%s: the cache holds %d entries, want 1", c.name, len(ents))
+		}
+		blob, err := os.ReadFile(telem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(blob, &trace); err != nil {
+			t.Fatalf("%s: %v", telem, err)
+		}
+		var got []string
+		for _, ev := range trace.TraceEvents {
+			if hit, ok := ev.Args["hit"]; ok {
+				ev.Name += fmt.Sprintf(":%v", hit)
+			}
+			got = append(got, ev.Name)
+		}
+		for _, span := range c.wantRs {
+			if !slices.Contains(got, span) {
+				t.Errorf("%s: telemetry spans %q lack %q", c.name, got, span)
+			}
+		}
+		if !c.cold && slices.Contains(got, "engine.run") {
+			t.Errorf("%s: a cache hit recorded engine.run: %q", c.name, got)
+		}
+	}
+}
+
+// TestInstrumentFlagsRejected: an instrument flag out of range exits 2
+// instead of falling back to a default or never firing, and
+// -telemetry-out, which records the engine's spans, cannot combine
+// with an instrument, which runs beside the engine. Neither writes a
+// file.
+func TestInstrumentFlagsRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out")
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-trace-out", out, "-trace-sample", "0"}, "-trace-sample must be at least 1 with -trace-out"},
+		{[]string{"-metrics-out", out, "-metrics-window", "-5"}, "-metrics-window must be at least 1 cycle, not -5"},
+		{[]string{"-metrics-out", out, "-metrics-window", "0"}, "-metrics-window must be at least 1 cycle, not 0"},
+		{[]string{"-clog", "-clog-util", "0"}, "-clog-util must be in (0, 1], not 0"},
+		{[]string{"-clog", "-clog-util", "7"}, "-clog-util must be in (0, 1], not 7"},
+		{[]string{"-clog", "-clog-util", "NaN"}, "-clog-util must be in (0, 1], not NaN"},
+		{[]string{"-telemetry-out", out, "-heatmap"}, "-heatmap reports on one local simulation and cannot combine with -telemetry-out"},
+		{[]string{"-telemetry-out", out, "-phase-profile"}, "-phase-profile reports on one local simulation and cannot combine with -telemetry-out"},
+		{[]string{"-telemetry-out", out, "-clog"}, "-clog reports on one local simulation and cannot combine with -telemetry-out"},
+		{[]string{"-telemetry-out", out, "-metrics-out", out}, "-metrics-out reports on one local simulation and cannot combine with -telemetry-out"},
+		{[]string{"-telemetry-out", out, "-trace-out", out}, "-trace-out reports on one local simulation and cannot combine with -telemetry-out"},
+	} {
+		stdout, stderr, status := run(t, append([]string{"-cache", "off"}, c.flags...)...)
+		if status != 2 || stderr != "delrepsim: "+c.want+"\n" || stdout != "" {
+			t.Errorf("%v: exit status %d, stdout %q, stderr %q, want %q", c.flags, status, stdout, stderr, c.want)
 		}
 	}
 	if _, err := os.Stat(out); err == nil {

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"delrep/internal/core"
 	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 )
@@ -141,6 +145,87 @@ func TestCacheEndpointUncached(t *testing.T) {
 	for _, validator := range []string{"", `"` + addr + `"`} {
 		if resp, _ := cacheGet(t, ts.URL, addr, validator); resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("uncached daemon, If-None-Match %q: status %d, want 404", validator, resp.StatusCode)
+		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the daemon's workers can log into
+// while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestCacheMaxBytesBoundsDisk pins -cache-max: with a bound that holds
+// two entries, every executed job leaves the disk cache within the
+// bound (the prune runs after the reply, so the test waits for it), the
+// prune is logged, and the newest entries are the ones kept.
+func TestCacheMaxBytesBoundsDisk(t *testing.T) {
+	key := func(seed int64) string {
+		cfg, norm, err := shortSpec(seed).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runner.Key(cfg, norm.GPU, norm.CPU)
+	}
+	// An entry's size depends only on its key's length, which the
+	// seeds below share.
+	sizer, err := runner.OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sizer.Put(key(61), 0, core.Results{}); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := sizer.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 2*entry + entry/2
+
+	cache, err := runner.OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log lockedBuffer
+	_, ts := newTestServer(t, Options{
+		Engine:        runner.New(runner.Options{Workers: 1, Cache: cache}),
+		CacheMaxBytes: bound,
+		Logger:        slog.New(slog.NewTextHandler(&log, nil)),
+	})
+	seeds := []int64{61, 62, 63, 64}
+	for _, seed := range seeds {
+		v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(seed)}, "?wait=1")
+		if v.Status != jobapi.StatusDone || v.Source != "executed" {
+			t.Fatalf("seed %d: job %s from %q (%s)", seed, v.Status, v.Source, v.Error)
+		}
+		size, err := cache.Size()
+		for deadline := time.Now().Add(5 * time.Second); err == nil && size > bound && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+			size, err = cache.Size()
+		}
+		if err != nil || size > bound {
+			t.Fatalf("seed %d: cache holds %d bytes (%v), bound %d", seed, size, err, bound)
+		}
+	}
+	if !strings.Contains(log.String(), `msg="cache pruned"`) {
+		t.Errorf("no prune was logged:\n%s", log.String())
+	}
+	for i, seed := range seeds {
+		if _, _, ok := cache.Get(key(seed)); ok != (i >= len(seeds)-2) {
+			t.Errorf("seed %d: cached = %v, want only the newest two kept", seed, ok)
 		}
 	}
 }

@@ -88,6 +88,7 @@ import (
 	"delrep/internal/config"
 	"delrep/internal/jobapi"
 	"delrep/internal/runner"
+	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
 
@@ -276,9 +277,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	recv := tr.Root().Start("http.receive")
 	var req jobapi.SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := simspec.Decode(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -195,6 +195,8 @@ func TestSubmitValidation(t *testing.T) {
 		"bad priority":  `{"spec":{"gpu":"HS","cpu":"vips"},"priority":"urgent"}`,
 		"deep vc":       `{"spec":{"gpu":"HS","cpu":"vips","vcdepth":257}}`,
 		"negative warm": `{"spec":{"gpu":"HS","cpu":"vips","warm":-5}}`,
+		"two requests":  `{"spec":{"gpu":"HS","cpu":"vips","warm":200,"cycles":2000}}{"spec":{"gpu":"HS","cpu":"vips","warm":200,"cycles":2000}}`,
+		"trailing junk": `{"spec":{"gpu":"HS","cpu":"vips","warm":200,"cycles":2000}} xyz`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -15,6 +15,7 @@ package simspec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -156,15 +157,29 @@ func FromConfig(cfg config.Config, gpu, cpu string) (Spec, error) {
 
 // Read decodes one spec from JSON, rejecting unknown fields (a typoed
 // knob silently falling back to its default would be a miserable way
-// to lose a sweep).
+// to lose a sweep) and anything after the spec (a second spec would be
+// lost the same way).
 func Read(r io.Reader) (Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := Decode(r, &s); err != nil {
 		return Spec{}, fmt.Errorf("spec: %v", err)
 	}
 	return s, nil
+}
+
+// Decode decodes exactly one JSON value from r into v: unknown fields
+// are an error, and so is anything but white space after the value.
+// The daemon decodes its submissions with it too.
+func Decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // Result is the canonical rendering of one completed simulation: the

@@ -108,10 +108,17 @@ func TestResolveErrors(t *testing.T) {
 }
 
 func TestReadRejectsUnknownFields(t *testing.T) {
-	if _, err := Read(strings.NewReader(`{"gpu":"HS","cpu":"vips","cyclez":5}`)); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, bad := range []string{
+		`{"gpu":"HS","cpu":"vips","cyclez":5}`,
+		`{"gpu":"HS","cpu":"vips"}{"gpu":"BP","cpu":"vips"}`,
+		`{"gpu":"HS","cpu":"vips"} xyz`,
+		`{"gpu":"HS","cpu":"vips"}]`,
+	} {
+		if s, err := Read(strings.NewReader(bad)); err == nil {
+			t.Errorf("Read(%s) = %+v, want an error", bad, s)
+		}
 	}
-	s, err := Read(strings.NewReader(`{"gpu":"HS","cpu":"vips","warm":500,"cycles":1500}`))
+	s, err := Read(strings.NewReader(`{"gpu":"HS","cpu":"vips","warm":500,"cycles":1500}` + " \n\t\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
