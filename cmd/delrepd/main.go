@@ -40,11 +40,11 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrently running simulations")
+		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrently running simulations (≥ 1)")
 		cacheDir = flag.String("cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
 		cacheMax = flag.String("cache-max", "", "prune the cache to this size after runs (e.g. 2G; empty disables pruning)")
-		queue    = flag.Int("queue", 64, "max queued jobs before submissions get 429")
-		perCli   = flag.Int("client-inflight", 0, "max queued+running jobs per client (0 = unlimited)")
+		queue    = flag.Int("queue", 64, "max queued jobs before submissions get 429 (≥ 1)")
+		perCli   = flag.Int("client-inflight", 0, "max queued+running jobs per client (≥ 0; 0 = unlimited)")
 		drain    = flag.Duration("drain", 2*time.Minute, "how long shutdown waits for running jobs before cancelling them")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
 		telem    = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace, /debug/jobs)")
@@ -55,6 +55,16 @@ func main() {
 	flag.Parse()
 	logger := serve.NewLogger(*logJSON)
 	fatal := func(msg string, args ...any) { serve.Fatal(logger, msg, args...) }
+	// serve.Options and runner.Options read zero as "use the default":
+	// a flag value the daemon would silently replace is refused instead.
+	switch {
+	case *jobs < 1:
+		fatal("-j must be at least 1", "j", *jobs)
+	case *queue < 1:
+		fatal("-queue must be at least 1", "queue", *queue)
+	case *perCli < 0:
+		fatal("-client-inflight must be at least 0", "client_inflight", *perCli)
+	}
 
 	// stopProf is safe to call from both the normal exit path and the
 	// signal path; only the first call writes the heap profile, so a

@@ -9,13 +9,13 @@
 //	delrepfleet -addr :9090 \
 //	    -worker http://sim1:8080 -worker http://sim2:8080
 //
-// Routing is locate, then place. Consistent hashing over the run's
+// Routing is locate, then place. Rendezvous hashing of the run's
 // content-addressed cache key names each result's home worker; the
 // coordinator probes the worker it remembers holding the result, else
 // the home (GET /v1/cache/{key}), before spending a queue slot, so
 // repeated sweeps of overlapping configuration points are answered
 // from the workers' warm disk caches. A miss is placed on the first
-// worker in the key's ring order with a free slot — a busy home
+// worker in the key's rendezvous order with a free slot — a busy home
 // delegates to an idle neighbour. Workers are health-checked via
 // /readyz; a dead or draining worker's jobs fail over to the next
 // worker, and because simulations are deterministic and
@@ -60,8 +60,8 @@ func main() {
 	var workers workerList
 	var (
 		addr    = flag.String("addr", ":9090", "listen address")
-		probe   = flag.Duration("probe", 2*time.Second, "worker health-probe interval")
-		retries = flag.Int("retries", 2, "extra failover rounds across the ready workers before a job fails")
+		probe   = flag.Duration("probe", 2*time.Second, "worker health-probe interval (> 0)")
+		retries = flag.Int("retries", 2, "extra failover rounds across the ready workers before a job fails (≥ 1)")
 		drain   = flag.Duration("drain", 30*time.Second, "how long shutdown waits while cancelling in-flight jobs")
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
 		telem   = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace)")
@@ -70,8 +70,15 @@ func main() {
 	flag.Parse()
 
 	logger := serve.NewLogger(*logJSON)
-	if len(workers) == 0 {
+	// fleet.Options reads zero as "use the default": a flag value the
+	// coordinator would silently replace is refused instead.
+	switch {
+	case len(workers) == 0:
 		serve.Fatal(logger, "no workers configured (use -worker URL, repeatable)")
+	case *retries < 1:
+		serve.Fatal(logger, "-retries must be at least 1", "retries", *retries)
+	case *probe <= 0:
+		serve.Fatal(logger, "-probe must be greater than 0", "probe", probe.String())
 	}
 
 	srv, err := fleet.New(fleet.Options{

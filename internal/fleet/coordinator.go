@@ -4,8 +4,8 @@
 // package comment is the one API table); this package holds only what
 // is different about running a job somewhere else:
 //
-//   - locate: consistent hashing of the run's content key over a Ring
-//     of delrepd workers names the key's home; one GET /v1/cache/{key}
+//   - locate: rendezvous order of the run's content address over a
+//     Ring of delrepd workers names the key's home; one GET /v1/cache/{key}
 //     probe of the worker remembered to hold the result (a bounded
 //     placement memo), else of the home, answers a repeated spec
 //     without spending a queue slot — the workers' warm caches form
@@ -168,11 +168,11 @@ func (s *Server) Drain(live []*serve.Job) {
 // and fail over on worker loss.
 func (s *Server) dispatch(j *serve.Job, req jobapi.SubmitRequest, key string) {
 	defer s.wg.Done()
-	// The routing key is the full run key, its content address what the
-	// cache tier is probed by — the same both every worker would compute.
+	// The run's content address, the same every worker would compute,
+	// is both what the cache tier is probed by and what routes the job.
 	addr := runner.CacheAddr(key)
 	ctx := j.Context()
-	seq := s.ring.Sequence(key) // never empty: New refuses an empty ring
+	seq := s.ring.Sequence(addr) // never empty: New refuses an empty ring
 	home := seq[0]
 	var lastErr error = errors.New("no ready workers")
 

@@ -4,25 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 )
 
-// sortedInfos is the registry's view of the fleet in URL order.
-func (s *Server) sortedInfos() []WorkerInfo {
-	infos := s.reg.Infos()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].URL < infos[j].URL })
-	return infos
-}
-
-// handleWorkers reports the registry's view of the fleet.
+// handleWorkers reports the registry's view of the fleet, in URL order.
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(struct {
 		Workers []WorkerInfo `json:"workers"`
-	}{s.sortedInfos()})
+	}{s.reg.Infos()})
 }
 
 // Metrics appends the coordinator's own families: fleet-wide gauges,
@@ -32,7 +24,7 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // whenever a busy home delegates; delrepfleet_worker_outstanding is
 // the slots placement has reserved on each worker.
 func (s *Server) Metrics(b *strings.Builder) {
-	infos := s.sortedInfos()
+	infos := s.reg.Infos()
 	ready := 0
 	for _, wi := range infos {
 		if wi.Ready {

@@ -284,7 +284,7 @@ func keyOf(t *testing.T, spec simspec.Spec) string {
 // homeOf returns the ring home of spec's key under coord.
 func homeOf(t *testing.T, coord *Server, spec simspec.Spec) string {
 	t.Helper()
-	return coord.ring.Sequence(keyOf(t, spec))[0]
+	return coord.ring.Sequence(runner.CacheAddr(keyOf(t, spec)))[0]
 }
 
 // submitAsync posts spec with ?wait=1 and delivers the terminal view.

@@ -44,12 +44,12 @@ type WorkerInfo struct {
 	Outstanding int `json:"outstanding"`
 }
 
-// worker is the registry's mutable record for one daemon.
+// worker is the registry's record for one daemon. url and api are
+// fixed at construction; every other field is guarded by Registry.mu.
 type worker struct {
 	url string
 	api *jobapi.Client
 
-	mu          sync.Mutex
 	ready       bool
 	failures    int       // consecutive probe failures
 	nextProbe   time.Time // backoff gate: skip probes before this
@@ -60,18 +60,28 @@ type worker struct {
 	outstanding int
 }
 
+func (w *worker) info() WorkerInfo {
+	return WorkerInfo{
+		URL: w.url, Ready: w.ready, Failures: w.failures, LastError: w.lastErr,
+		Slots: w.slots, Queued: w.queued, Running: w.running, Outstanding: w.outstanding,
+	}
+}
+
 // Registry tracks worker health and load. Workers are probed on a
 // fixed cadence via /readyz (with /metrics scraped on success for
 // queue-depth observability); a failed probe — or a dispatch failure
 // reported by the coordinator — marks the worker not ready and backs
 // off its re-probe exponentially, so a dead machine costs a bounded
-// trickle of connection attempts while it stays down.
+// trickle of connection attempts while it stays down. The worker table
+// is fixed at construction, so reading workers and byURL needs no
+// lock; mu guards every worker's mutable fields.
 type Registry struct {
 	interval time.Duration
 	logger   *slog.Logger
+	workers  []*worker // in construction order
+	byURL    map[string]*worker
 
-	mu      sync.Mutex
-	workers map[string]*worker
+	mu sync.Mutex
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -93,12 +103,14 @@ func NewRegistry(urls []string, interval time.Duration, client *http.Client, log
 	r := &Registry{
 		interval: interval,
 		logger:   logger,
-		workers:  map[string]*worker{},
+		byURL:    map[string]*worker{},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	for _, u := range urls {
-		r.workers[u] = &worker{url: u, api: jobapi.NewClient(u, client)}
+		w := &worker{url: u, api: jobapi.NewClient(u, client)}
+		r.workers = append(r.workers, w)
+		r.byURL[u] = w
 	}
 	// Workers start not-ready and the first probe sweep runs
 	// immediately, so a coordinator is routable as soon as its workers
@@ -130,30 +142,19 @@ func (r *Registry) loop() {
 
 func (r *Registry) probeAll() {
 	var wg sync.WaitGroup
-	for _, w := range r.snapshotWorkers() {
-		w.mu.Lock()
-		skip := time.Now().Before(w.nextProbe)
-		w.mu.Unlock()
-		if skip {
+	r.mu.Lock()
+	for _, w := range r.workers {
+		if time.Now().Before(w.nextProbe) {
 			continue
 		}
 		wg.Add(1)
-		go func(w *worker) {
+		go func() {
 			defer wg.Done()
 			r.probe(w)
-		}(w)
+		}()
 	}
+	r.mu.Unlock()
 	wg.Wait()
-}
-
-func (r *Registry) snapshotWorkers() []*worker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*worker, 0, len(r.workers))
-	for _, w := range r.workers {
-		out = append(out, w)
-	}
-	return out
 }
 
 // probe checks one worker's /readyz and, on success, scrapes its
@@ -167,7 +168,7 @@ func (r *Registry) probe(w *worker) {
 	}
 	slots, queued, running := scrapeMetrics(ctx, w.api)
 
-	w.mu.Lock()
+	r.mu.Lock()
 	wasReady := w.ready
 	w.ready = true
 	w.failures = 0
@@ -177,7 +178,7 @@ func (r *Registry) probe(w *worker) {
 		w.slots = slots
 	}
 	w.queued, w.running = queued, running
-	w.mu.Unlock()
+	r.mu.Unlock()
 	if !wasReady {
 		r.logger.InfoContext(ctx, "worker ready", "worker", w.url, "slots", slots)
 	}
@@ -192,33 +193,29 @@ func scrapeMetrics(ctx context.Context, api *jobapi.Client) (slots, queued, runn
 	if err != nil {
 		return 0, 0, 0
 	}
-	get := func(name string) int {
-		for _, line := range strings.Split(string(body), "\n") {
-			if rest, ok := strings.CutPrefix(line, name+" "); ok {
-				if n, err := strconv.Atoi(strings.TrimSpace(rest)); err == nil {
-					return n
-				}
+	gauges := map[string]*int{"delrepd_workers": &slots, "delrepd_jobs_queued": &queued, "delrepd_jobs_running": &running}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		if p := gauges[name]; p != nil {
+			if n, err := strconv.Atoi(strings.TrimSpace(value)); err == nil {
+				*p = n
 			}
 		}
-		return 0
 	}
-	return get("delrepd_workers"), get("delrepd_jobs_queued"), get("delrepd_jobs_running")
+	return slots, queued, running
 }
 
 // recordFailure marks a worker not ready and schedules its re-probe
 // with exponential backoff (interval · 2^failures, capped).
 func (r *Registry) recordFailure(w *worker, msg string) {
-	w.mu.Lock()
+	r.mu.Lock()
 	wasReady := w.ready
 	w.ready = false
 	w.failures++
-	backoff := r.interval << min(w.failures, 10)
-	if backoff > maxProbeBackoff {
-		backoff = maxProbeBackoff
-	}
+	backoff := min(r.interval<<min(w.failures, 10), maxProbeBackoff)
 	w.nextProbe = time.Now().Add(backoff)
 	w.lastErr = msg
-	w.mu.Unlock()
+	r.mu.Unlock()
 	if wasReady {
 		r.logger.Warn("worker down", "worker", w.url, "error", msg)
 	}
@@ -230,29 +227,20 @@ func (r *Registry) recordFailure(w *worker, msg string) {
 // cycle, so subsequent jobs fail over at once. The probe loop brings
 // it back when /readyz answers again.
 func (r *Registry) MarkFailed(url, msg string) {
-	if w := r.lookup(url); w != nil {
+	if w := r.byURL[url]; w != nil {
 		r.recordFailure(w, msg)
 	}
 }
 
-func (r *Registry) lookup(url string) *worker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.workers[url]
-}
-
 // api is the job API client of a worker the registry was built with.
-func (r *Registry) api(url string) *jobapi.Client { return r.lookup(url).api }
+func (r *Registry) api(url string) *jobapi.Client { return r.byURL[url].api }
 
 // Ready reports whether the worker is currently believed healthy.
 func (r *Registry) Ready(url string) bool {
-	w := r.lookup(url)
-	if w == nil {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ready
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	w := r.byURL[url]
+	return w != nil && w.ready
 }
 
 // Reserve places one job: it picks, among the ready workers of seq (a
@@ -265,73 +253,66 @@ func (r *Registry) Reserve(seq, tried []string) (url string, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var best *worker
-	var bestOut, bestSlots int
+	var bestSlots int
 	for _, u := range seq {
-		w := r.workers[u]
-		if w == nil || slices.Contains(tried, u) {
+		w := r.byURL[u]
+		if w == nil || !w.ready || slices.Contains(tried, u) {
 			continue
 		}
-		w.mu.Lock()
-		ready, out, slots := w.ready, w.outstanding, max(w.slots, 1) // no scrape yet: assume one slot
-		w.mu.Unlock()
-		if !ready {
-			continue
-		}
-		if out < slots {
+		slots := max(w.slots, 1) // no scrape yet: assume one slot
+		if w.outstanding < slots {
 			best = w
 			break
 		}
-		if best == nil || out*bestSlots < bestOut*slots {
-			best, bestOut, bestSlots = w, out, slots
+		if best == nil || w.outstanding*bestSlots < best.outstanding*slots {
+			best, bestSlots = w, slots
 		}
 	}
 	if best == nil {
 		return "", false
 	}
-	best.mu.Lock()
 	best.outstanding++
-	best.mu.Unlock()
 	return best.url, true
 }
 
 // Release returns the slot a Reserve took.
 func (r *Registry) Release(url string) {
-	if w := r.lookup(url); w != nil {
-		w.mu.Lock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if w := r.byURL[url]; w != nil {
 		w.outstanding--
-		w.mu.Unlock()
 	}
 }
 
 // Info snapshots one worker (zero value for unknown URLs).
 func (r *Registry) Info(url string) WorkerInfo {
-	w := r.lookup(url)
-	if w == nil {
-		return WorkerInfo{URL: url}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if w := r.byURL[url]; w != nil {
+		return w.info()
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return WorkerInfo{
-		URL: w.url, Ready: w.ready, Failures: w.failures, LastError: w.lastErr,
-		Slots: w.slots, Queued: w.queued, Running: w.running, Outstanding: w.outstanding,
-	}
+	return WorkerInfo{URL: url}
 }
 
-// Infos snapshots every worker. The order is unspecified (the input's
-// URL order is not preserved); callers sort as needed.
+// Infos snapshots every worker, in the order the registry was built
+// with (the coordinator's is URL order).
 func (r *Registry) Infos() []WorkerInfo {
-	out := make([]WorkerInfo, 0)
-	for _, w := range r.snapshotWorkers() {
-		out = append(out, r.Info(w.url))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]WorkerInfo, len(r.workers))
+	for i, w := range r.workers {
+		out[i] = w.info()
 	}
 	return out
 }
 
 // ReadyCount returns how many workers are currently ready.
 func (r *Registry) ReadyCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	n := 0
-	for _, w := range r.snapshotWorkers() {
-		if r.Ready(w.url) {
+	for _, w := range r.workers {
+		if w.ready {
 			n++
 		}
 	}

@@ -118,10 +118,10 @@ func TestRegistryMetricsFailureIsOneSlot(t *testing.T) {
 // setWorker puts a registry record into a known state without a
 // probe (use a registry whose probe interval is an hour).
 func setWorker(reg *Registry, url string, ready bool, slots int) {
-	w := reg.lookup(url)
-	w.mu.Lock()
+	w := reg.byURL[url]
+	reg.mu.Lock()
 	w.ready, w.slots = ready, slots
-	w.mu.Unlock()
+	reg.mu.Unlock()
 }
 
 // Reserve is the placement rule: first ready worker in ring order with

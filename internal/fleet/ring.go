@@ -10,10 +10,11 @@
 //     however often it runs. Replays are therefore idempotent, which
 //     makes retry-with-failover trivially safe — a job rerun on a
 //     survivor after a worker death returns byte-identical output.
-//   - Specs route to workers by consistent hashing of runner.KeyHash,
-//     so each worker's warm disk cache becomes one shard of a
-//     distributed cache tier; the coordinator probes the shard
-//     (GET /v1/cache/{key}) before spending a queue slot.
+//   - Specs route to workers in rendezvous order of their content
+//     address (runner.CacheAddr), so each worker's warm disk cache
+//     becomes one shard of a distributed cache tier; the coordinator
+//     probes the shard (GET /v1/cache/{key}) before spending a queue
+//     slot.
 //   - The coordinator speaks the same /v1/jobs wire API as delrepd
 //     (submit, wait, SSE progress, cancel), so every existing client
 //     works against a fleet unchanged.
@@ -25,87 +26,76 @@
 package fleet
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"sort"
+	"slices"
 )
 
-// replicas is the virtual-node count per worker on the ring: enough
-// that removing one worker of a handful spreads its keyspace roughly
-// evenly over the survivors, cheap enough that rebuilding the ring on
-// membership change is negligible next to one simulation.
-const replicas = 128
-
-// Ring is a consistent-hash ring mapping content keys to worker names.
-// It is immutable after construction — membership changes build a new
-// Ring — so readers need no locking. The coordinator rebuilds it only
-// on configured-membership change (which, today, is never at runtime);
-// unhealthy workers stay on the ring and are skipped at lookup time,
-// so a worker that comes back resumes owning exactly its old shard and
-// its warm cache stays addressed.
+// Ring orders the workers for each key by rendezvous
+// (highest-random-weight) hashing: each worker draws a weight from the
+// key and its own seed, and the heaviest is the key's home. A worker's
+// weights do not depend on the other members, so an unhealthy worker
+// is skipped at lookup time without moving any other key, and one that
+// comes back owns exactly its old shard and warm cache again. It is
+// immutable after construction, so readers need no locking.
 type Ring struct {
-	hashes  []uint64 // sorted virtual-node positions
-	owner   map[uint64]string
-	members []string // distinct workers, sorted (for Members and tests)
+	members []string // distinct workers, sorted
+	seeds   []uint64 // ringHash(members[i])
 }
 
 // NewRing builds a ring over the named workers.
 func NewRing(workers []string) *Ring {
-	r := &Ring{owner: map[uint64]string{}}
-	seen := map[string]bool{}
-	for _, w := range workers {
-		if w == "" || seen[w] {
-			continue
-		}
-		seen[w] = true
-		r.members = append(r.members, w)
-		for i := 0; i < replicas; i++ {
-			h := ringHash(fmt.Sprintf("%s#%d", w, i))
-			// A full-width hash collision between virtual nodes is
-			// vanishingly unlikely; first writer wins keeps the ring
-			// deterministic if it ever happens.
-			if _, taken := r.owner[h]; !taken {
-				r.owner[h] = w
-				r.hashes = append(r.hashes, h)
-			}
-		}
+	members := slices.DeleteFunc(slices.Clone(workers), func(w string) bool { return w == "" })
+	slices.Sort(members)
+	r := &Ring{members: slices.Compact(members)}
+	for _, w := range r.members {
+		r.seeds = append(r.seeds, ringHash(w))
 	}
-	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
-	sort.Strings(r.members)
 	return r
 }
 
 // Members returns the distinct workers on the ring, sorted.
 func (r *Ring) Members() []string { return r.members }
 
-// Sequence returns every worker in ring order starting at the key's
-// position, each exactly once: the first element is the key's home
-// worker (its cache shard), the rest are the failover order. The
-// sequence depends only on ring membership and the key, so every
-// coordinator instance — and a restarted one — routes identically.
+// Sequence returns every worker heaviest first for the key, each
+// exactly once: the first element is the key's home worker (its cache
+// shard), the rest are the failover order. The sequence depends only
+// on membership and the key, so every coordinator instance — and a
+// restarted one — routes identically.
 func (r *Ring) Sequence(key string) []string {
-	if len(r.hashes) == 0 {
+	if len(r.members) == 0 {
 		return nil
 	}
+	type draw struct {
+		weight uint64
+		worker string
+	}
 	h := ringHash(key)
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	out := make([]string, 0, len(r.members))
-	seen := map[string]bool{}
-	for n := 0; n < len(r.hashes) && len(out) < len(r.members); n++ {
-		w := r.owner[r.hashes[(i+n)%len(r.hashes)]]
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
+	draws := make([]draw, len(r.members))
+	for i, w := range r.members {
+		draws[i] = draw{mix(h ^ r.seeds[i]), w}
+	}
+	// Stable, so a (vanishingly unlikely) tie keeps the sorted order.
+	slices.SortStableFunc(draws, func(a, b draw) int { return cmp.Compare(b.weight, a.weight) })
+	out := make([]string, len(draws))
+	for i, d := range draws {
+		out[i] = d.worker
 	}
 	return out
 }
 
-// ringHash positions a string on the ring: the first 8 bytes of its
-// SHA-256, big-endian. SHA-256 (not FNV) so ring positions reuse the
-// same well-mixed hash family as the cache addresses being routed.
+// ringHash is the first 8 bytes of a string's SHA-256, big-endian.
 func ringHash(s string) uint64 {
 	sum := sha256.Sum256([]byte(s))
 	return binary.BigEndian.Uint64(sum[:8])
+}
+
+// mix is the SplitMix64 finalizer: a bijection whose every output bit
+// depends on every input bit, so a key's weights for two workers are
+// independent draws.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -47,9 +48,9 @@ func TestRingDistribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[r.Sequence(fmt.Sprintf("key-%d", i))[0]]++
 	}
-	// With 128 virtual nodes each shard should hold a reasonable slice;
-	// the bound is loose (half the fair share) so the test pins gross
-	// imbalance, not hash luck.
+	// Each worker's weights are independent draws, so each shard should
+	// hold a reasonable slice; the bound is loose (half the fair share)
+	// so the test pins gross imbalance, not hash luck.
 	for _, w := range workers {
 		if counts[w] < n/len(workers)/2 {
 			t.Errorf("worker %s owns only %d/%d keys", w, counts[w], n)
@@ -81,6 +82,25 @@ func TestRingRemovalStability(t *testing.T) {
 		}
 		if seq[0] == down && filtered[0] != seq[1] {
 			t.Fatalf("key %q did not fall to its ring successor: %v -> %v", key, seq, filtered)
+		}
+	}
+}
+
+// A coordinator restarted with one worker fewer builds a ring without
+// it: a key homed on a survivor keeps its home, and a key of the
+// removed worker goes to its second choice. The whole failover order
+// is the old one with the removed worker left out.
+func TestRingRestartWithoutWorker(t *testing.T) {
+	workers := []string{"http://a:8080", "http://b:8080", "http://c:8080", "http://d:8080"}
+	full := NewRing(workers)
+	for _, gone := range workers {
+		rest := NewRing(slices.DeleteFunc(slices.Clone(workers), func(w string) bool { return w == gone }))
+		for i := 0; i < 300; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			seq, got := full.Sequence(key), rest.Sequence(key)
+			if want := slices.DeleteFunc(slices.Clone(seq), func(w string) bool { return w == gone }); !slices.Equal(got, want) {
+				t.Fatalf("key %q without %s: sequence %v, want %v (full ring %v)", key, gone, got, want, seq)
+			}
 		}
 	}
 }

@@ -38,9 +38,7 @@ func Key(cfg config.Config, gpu, cpu string) string {
 // KeyHash returns a short stable identifier for a run key: the first
 // 12 hex digits of its SHA-256. Structured log lines and
 // /debug/jobs entries carry it so a job can be correlated with its
-// cache identity without dumping the full rendered configuration. The
-// fleet coordinator also uses it as the consistent-hash routing key,
-// so a spec always routes to the worker holding its cache shard.
+// cache identity without dumping the full rendered configuration.
 func KeyHash(cfg config.Config, gpu, cpu string) string {
 	return HashKey(Key(cfg, gpu, cpu))
 }
@@ -57,9 +55,10 @@ func HashKey(key string) string {
 // DiskCache filename stem, and the {key} path segment of the worker's
 // GET /v1/cache/{key} endpoint, so a coordinator that computed a run's
 // key can probe any worker's cache tier without shipping the full
-// rendered configuration. Two builds with different Version salts
-// produce disjoint addresses, so a mixed-version fleet degrades to
-// cache misses, never to stale results.
+// rendered configuration; the coordinator routes by it too. Two
+// builds with different Version salts produce disjoint addresses, so
+// a mixed-version fleet degrades to cache misses, never to stale
+// results.
 func CacheAddr(key string) string {
 	sum := sha256.Sum256([]byte(Version + "\x00" + key))
 	return hex.EncodeToString(sum[:])

@@ -200,15 +200,13 @@ type Engine struct {
 	diskHits atomic.Int64
 	failed   atomic.Int64
 
-	mu   sync.Mutex
-	memo map[string]*Future
-
-	// failMu guards failures: the terminal Run of every execution that
-	// ended in error, kept so drivers can print a per-run failure
-	// summary (which spec, which worker, what error) instead of only a
-	// count. Bounded by maxFailures to keep a pathological sweep from
-	// accumulating without limit.
-	failMu   sync.Mutex
+	// mu guards memo and failures. failures is the terminal Run of
+	// every execution that ended in error, kept so drivers can print a
+	// per-run failure summary (which spec, which worker, what error)
+	// instead of only a count. Bounded by maxFailures to keep a
+	// pathological sweep from accumulating without limit.
+	mu       sync.Mutex
+	memo     map[string]*Future
 	failures []Run
 }
 
@@ -413,13 +411,11 @@ func (e *Engine) execute(f *Future, runCtx context.Context) {
 			// table before anyone can observe completion.
 			e.mu.Lock()
 			delete(e.memo, f.key)
-			e.mu.Unlock()
-			e.failed.Add(1)
-			e.failMu.Lock()
 			if len(e.failures) < maxFailures {
 				e.failures = append(e.failures, f.run)
 			}
-			e.failMu.Unlock()
+			e.mu.Unlock()
+			e.failed.Add(1)
 		}
 		close(f.done)
 	}()
@@ -532,8 +528,8 @@ func (e *Engine) resolveRemote(f *Future, runCtx context.Context) (done bool) {
 // in error (cancelled, panicked, or failed remotely), in completion
 // order, capped at an internal bound. The slice is a copy.
 func (e *Engine) Failures() []Run {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	out := make([]Run, len(e.failures))
 	copy(out, e.failures)
 	return out
