@@ -3,17 +3,12 @@
 // internal/core/determinism_test.go replays). Its output is the
 // digest-identity evidence for refactors that must not change
 // simulated behaviour: testdata/*.golden hold the committed output of
-// two windows, `go test ./cmd/digestdump` regenerates and diffs them
-// at one and at four workers, and any drift means the change was not
-// behaviour-preserving.
+// two windows, `go test ./cmd/digestdump` regenerates and diffs them,
+// and any drift means the change was not behaviour-preserving.
 //
 // Usage:
 //
-//	digestdump [-seeds 1,7,99] [-warm 200] [-cycles 450] [-parallel N]
-//
-// -parallel spreads every run's network tiles over N workers; the
-// output must be byte-identical at every N (diff two dumps to certify
-// the tick engine after touching internal/noc or internal/core).
+//	digestdump [-seeds 1,7,99] [-warm 200] [-cycles 450]
 package main
 
 import (
@@ -30,20 +25,19 @@ import (
 
 func main() {
 	var (
-		seeds    = flag.String("seeds", "1,7,99", "comma-separated seeds")
-		warm     = flag.Int64("warm", 200, "warmup cycles")
-		cycles   = flag.Int64("cycles", 450, "measured cycles")
-		parallel = flag.Int("parallel", 0, "workers for each run's network tiles (output is byte-identical at every value)")
+		seeds  = flag.String("seeds", "1,7,99", "comma-separated seeds")
+		warm   = flag.Int64("warm", 200, "warmup cycles")
+		cycles = flag.Int64("cycles", 450, "measured cycles")
 	)
 	flag.Parse()
-	if err := dump(os.Stdout, *seeds, *warm, *cycles, *parallel); err != nil {
+	if err := dump(os.Stdout, *seeds, *warm, *cycles); err != nil {
 		fmt.Fprintln(os.Stderr, "digestdump:", err)
 		os.Exit(1)
 	}
 }
 
 // dump writes one digest line per audit-matrix point to w.
-func dump(w io.Writer, seeds string, warm, cycles int64, parallel int) error {
+func dump(w io.Writer, seeds string, warm, cycles int64) error {
 	schemes := []config.Scheme{
 		config.SchemeBaseline,
 		config.SchemeDelegatedReplies,
@@ -60,11 +54,8 @@ func dump(w io.Writer, seeds string, warm, cycles int64, parallel int) error {
 		cfg.WarmupCycles = warm
 		cfg.MeasureCycles = cycles
 		cfg.GPU.KernelCycles = 300
-		a, err := core.RunAuditCtrl(core.RunControl{Parallel: parallel}, cfg, gpu, cpu)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "seed=%-3d %-10v %-10v cycles=%-6d digest=%#016x\n",
+		a := core.RunAudit(cfg, gpu, cpu)
+		_, err := fmt.Fprintf(w, "seed=%-3d %-10v %-10v cycles=%-6d digest=%#016x\n",
 			seed, cfg.Scheme, label, a.Cycles, a.Digest)
 		return err
 	}

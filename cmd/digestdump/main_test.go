@@ -12,7 +12,7 @@ import (
 // matrix regenerated by this build must equal the committed output of
 // the build that last intentionally changed simulated behaviour — the
 // goldens were produced by the separate serial tick at the last commit
-// that had one — at one, four and eight workers. default.golden is
+// that had one. default.golden is
 // `digestdump` with no flags; long.golden is `-warm 1500 -cycles 3000
 // -seeds 1,7`, long enough to cross kernel-boundary flushes and DynEB
 // organisation switches under congestion. A legitimate behaviour change regenerates
@@ -36,20 +36,18 @@ func TestGoldenDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantLines := strings.Split(string(want), "\n")
-		for _, parallel := range []int{1, 4, 8} {
-			var got bytes.Buffer
-			if err := dump(&got, c.seeds, c.warm, c.cycles, parallel); err != nil {
-				t.Fatal(err)
-			}
-			gotLines := strings.Split(got.String(), "\n")
-			if len(gotLines) != len(wantLines) {
-				t.Fatalf("%s parallel=%d: %d lines, golden has %d", c.golden, parallel, len(gotLines), len(wantLines))
-			}
-			for i := range gotLines {
-				if gotLines[i] != wantLines[i] {
-					t.Errorf("%s parallel=%d: digest drifted from the committed golden\n got  %s\n want %s",
-						c.golden, parallel, gotLines[i], wantLines[i])
-				}
+		var got bytes.Buffer
+		if err := dump(&got, c.seeds, c.warm, c.cycles); err != nil {
+			t.Fatal(err)
+		}
+		gotLines := strings.Split(got.String(), "\n")
+		if len(gotLines) != len(wantLines) {
+			t.Fatalf("%s: %d lines, golden has %d", c.golden, len(gotLines), len(wantLines))
+		}
+		for i := range gotLines {
+			if gotLines[i] != wantLines[i] {
+				t.Errorf("%s: digest drifted from the committed golden\n got  %s\n want %s",
+					c.golden, gotLines[i], wantLines[i])
 			}
 		}
 	}

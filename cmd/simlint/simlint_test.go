@@ -75,15 +75,8 @@ func TestPlantedMutations(t *testing.T) {
 			[]string{"import (\n", "import (\n\t\"time\"\n",
 				"func (r *Router) tick() {\n", "func (r *Router) tick() {\n\t_ = time.Now()\n"},
 			[]string{"rngsource", "tickpurity"}},
-		// tile.Step both roots the hot path and drains the staging
-		// buffers, so the router is reached from both kinds of root.
 		{"map range in Router.tick", "internal/noc", "router.go",
 			[]string{"func (r *Router) tick() {\n", "func (r *Router) tick() {\n\tfor range map[int]bool{} {\n\t}\n"},
-			[]string{"mapiter"}},
-		// fifo has no per-cycle entry point: only the staging-buffer
-		// roots reach Reset.
-		{"map range in a fifo.Stash method", "internal/fifo", "fifo.go",
-			[]string{"func (s *Stash[T]) Reset() {\n", "func (s *Stash[T]) Reset() {\n\tfor range map[int]bool{} {\n\t}\n"},
 			[]string{"mapiter"}},
 		{"global rand.Intn in workload", "internal/workload", "gpu.go",
 			[]string{"g.rng.Intn(span)", "rand.Intn(span)"},

@@ -58,13 +58,14 @@ func TestFRQSameLineKeepsSeparateEntries(t *testing.T) {
 }
 
 // TestFRQKnobsDigestNeutral pins what the FRQ's size does in this
-// model: nothing. HandlePacket queues a delegated request during
-// netCommit and serveFRQ drains it in the same cycle's node phase, so
-// the queue never holds a second entry for its size to bound. Every
-// size must give the default's digest, on every topology; every run
-// must delegate, so the equality is not that of two FRQs that were
-// never used; and no delegated request may find another for its line
-// still queued (the paper measures 4.8% of entries sharing a line).
+// model: nothing. HandlePacket queues a delegated request during the
+// request network's commit and serveFRQ drains it in the same cycle's
+// node phase, so the queue never holds a second entry for its size to
+// bound. Every size must give the default's digest, on every
+// topology; every run must delegate, so the equality is not that of
+// two FRQs that were never used; and no delegated request may find
+// another for its line still queued (the paper measures 4.8% of
+// entries sharing a line).
 // Under the race detector, which has no goroutines to watch in a
 // simulation, it runs on the mesh only.
 func TestFRQKnobsDigestNeutral(t *testing.T) {

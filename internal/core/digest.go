@@ -95,11 +95,6 @@ type AuditRun struct {
 	Cycles  int64
 	Digest  uint64
 	Results Results
-	// Workers is the engine-effective worker count the run executed
-	// with: the requested parallelism after the engine clamps it to
-	// the router count (at least 1).
-	// Execution metadata only — it never enters the canonical Result.
-	Workers int
 }
 
 // RunAudit builds a system, runs the configured warm-up and

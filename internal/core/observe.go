@@ -16,13 +16,6 @@ import (
 // determinism audit checks this).
 func (s *System) AttachObserver(o *obs.Observer) {
 	s.obs = o
-	// Trace hooks stamp packet hops inside the network compute
-	// sections; an observed run is therefore the one-tile partition.
-	// Digest-inert: the partition never changes results, only wall
-	// time.
-	if s.parallel > 1 {
-		s.SetParallel(1)
-	}
 	o.Describe = describePayload
 	s.ReqNet.TraceSink = o.PacketCompleted
 	if s.RepNet != s.ReqNet {

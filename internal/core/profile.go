@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// PhaseProfile accumulates per-phase wall time across a run: the
-// Amdahl breakdown of the system tick. Attach one with
-// SetPhaseProfile before running; Run then steps the cycle through
-// profiledStep, which calls the same five phase methods as Tick with a
-// timestamp between them.
+// PhaseProfile accumulates per-phase wall time across a run: where
+// the system tick spends its time. Attach one with SetPhaseProfile
+// before running; Run then steps the cycle through profiledStep, which
+// calls the same phase methods as Tick with a timestamp between them.
 //
 // The instrumented step lives here, outside the Tick call graph,
 // deliberately: wall-clock reads are banned from per-cycle entry
@@ -21,12 +20,9 @@ import (
 type PhaseProfile struct {
 	Cycles int64
 
-	// The dispatched phase (what more workers divide).
-	NetCompute time.Duration // network tile sections
-
-	// Coordinator-only phases (the Amdahl floor).
 	Begin       time.Duration // blocking samples, budget resets
-	NetCommit   time.Duration // stats folds + packet ejection
+	NetCompute  time.Duration // both networks' compute steps
+	NetCommit   time.Duration // both networks' packet ejection
 	NodeCompute time.Duration // the node phase
 	Serial      time.Duration // end-of-cycle residue (flush, observer)
 
@@ -40,38 +36,23 @@ func (p *PhaseProfile) Total() time.Duration {
 	return p.Begin + p.NetCompute + p.NetCommit + p.NodeCompute + p.Serial
 }
 
-// SerialFraction returns the fraction of wall time spent in the
-// serial phases — the Amdahl limit on further worker scaling.
-func (p *PhaseProfile) SerialFraction() float64 {
-	t := p.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(t-p.NetCompute) / float64(t)
-}
-
 // String renders the breakdown as a small table.
 func (p *PhaseProfile) String() string {
 	t := p.Total()
 	var b strings.Builder
 	fmt.Fprintf(&b, "phase breakdown over %d cycles (total %v):\n", p.Cycles, t.Round(time.Millisecond))
-	row := func(name string, d time.Duration, parallel bool) {
+	row := func(name string, d time.Duration) {
 		pct := 0.0
 		if t > 0 {
 			pct = 100 * float64(d) / float64(t)
 		}
-		kind := "serial"
-		if parallel {
-			kind = "parallel"
-		}
-		fmt.Fprintf(&b, "  %-12s %8s  %5.1f%%  (%s)\n", name, d.Round(time.Microsecond), pct, kind)
+		fmt.Fprintf(&b, "  %-12s %8s  %5.1f%%\n", name, d.Round(time.Microsecond), pct)
 	}
-	row("begin", p.Begin, false)
-	row("net-compute", p.NetCompute, true)
-	row("net-commit", p.NetCommit, false)
-	row("node-compute", p.NodeCompute, false)
-	row("residue", p.Serial, false)
-	fmt.Fprintf(&b, "  serial fraction: %.1f%%\n", 100*p.SerialFraction())
+	row("begin", p.Begin)
+	row("net-compute", p.NetCompute)
+	row("net-commit", p.NetCommit)
+	row("node-compute", p.NodeCompute)
+	row("residue", p.Serial)
 	return b.String()
 }
 
@@ -87,27 +68,27 @@ func stamp() time.Time {
 	return time.Now()
 }
 
-// profiledStep is Tick with a timestamp between phases. The dispatch
-// cost of the network compute is attributed to its bucket (it is what
-// a worker-count scan amortizes).
+// profiledStep is Tick with a timestamp between phases; each
+// network's compute and commit steps are timed apart.
 func (s *System) profiledStep() {
-	t0 := stamp()
-	s.begin()
-	t1 := stamp()
-	s.netCompute()
-	t2 := stamp()
-	s.netCommit()
-	t3 := stamp()
-	s.tickNodes()
-	t4 := stamp()
-	s.endCycle()
-	t5 := stamp()
-
 	p := s.prof
+	last := stamp()
+	lap := func(d *time.Duration) {
+		now := stamp()
+		*d += now.Sub(last)
+		last = now
+	}
+	s.begin()
+	lap(&p.Begin)
+	for _, n := range s.nets {
+		n.Compute()
+		lap(&p.NetCompute)
+		n.Commit()
+		lap(&p.NetCommit)
+	}
+	s.tickNodes()
+	lap(&p.NodeCompute)
+	s.endCycle()
+	lap(&p.Serial)
 	p.Cycles++
-	p.Begin += t1.Sub(t0)
-	p.NetCompute += t2.Sub(t1)
-	p.NetCommit += t3.Sub(t2)
-	p.NodeCompute += t4.Sub(t3)
-	p.Serial += t5.Sub(t4)
 }

@@ -28,12 +28,12 @@ type RunControl struct {
 	// cycles simulated so far and the total cycles of the run
 	// (warm-up + measurement). It must not mutate simulation state.
 	OnProgress func(done, total int64)
-	// Parallel is the worker count the network tiles tick across
-	// (System.SetParallel; values below 1 mean 1, which runs inline;
-	// the node phase always runs inline). Results are bit-identical at
-	// any value, so it is an execution hint, not part of the run's
-	// identity. Checkpoints sit between ticks either way, so
-	// cancellation and progress stay window-aligned.
+	// Parallel once spread the network tiles over that many workers.
+	// It is ignored: a run ticks each network as one tile on the
+	// caller's goroutine.
+	//
+	// Deprecated: kept so that callers built against the tiled tick
+	// still compile.
 	Parallel int
 }
 
@@ -84,11 +84,9 @@ func (s *System) RunWorkloadCtx(rc RunControl) (Results, error) {
 // digest, results). A cancelled run returns the context's error.
 func RunAuditCtrl(rc RunControl, cfg config.Config, gpuBench, cpuBench string) (AuditRun, error) {
 	sys := NewSystem(cfg, gpuBench, cpuBench)
-	sys.SetParallel(rc.Parallel)
-	defer sys.Close()
 	res, err := sys.RunWorkloadCtx(rc)
 	if err != nil {
 		return AuditRun{}, err
 	}
-	return AuditRun{Cycles: sys.Cycle(), Digest: sys.StatsDigest(), Results: res, Workers: sys.Parallel()}, nil
+	return AuditRun{Cycles: sys.Cycle(), Digest: sys.StatsDigest(), Results: res}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"delrep/internal/gpu"
 	"delrep/internal/noc"
 	"delrep/internal/obs"
-	"delrep/internal/par"
 	"delrep/internal/stats"
 	"delrep/internal/workload"
 )
@@ -24,7 +23,8 @@ type System struct {
 	CPUProf workload.CPUProfile
 
 	ReqNet *noc.Network
-	RepNet *noc.Network // == ReqNet when the physical network is shared
+	RepNet *noc.Network   // == ReqNet when the physical network is shared
+	nets   []*noc.Network // ReqNet, then RepNet if it is another network: the tick order
 
 	GPUs     []*GPUCore
 	CPUs     []*cpu.Core
@@ -61,15 +61,6 @@ type System struct {
 	// obs, when non-nil, is the attached observability layer (see
 	// AttachObserver). Strictly measurement-only.
 	obs *obs.Observer
-
-	// pool runs the network tile sections across `parallel` workers; a
-	// pool of one runs them inline (see SetParallel in parallel.go).
-	pool     *par.Pool
-	parallel int
-
-	// netSectionFn is netSection prebound, so the per-cycle dispatch
-	// does not allocate.
-	netSectionFn func(int)
 
 	// prof, when non-nil, accumulates per-phase wall time (see
 	// profile.go). Measurement-only: Run steps the same phase methods
@@ -158,8 +149,6 @@ func NewSystem(cfg config.Config, gpuBench, cpuBench string) *System {
 	s.buildNodes()
 	s.prewarmLLC()
 	s.nextFlush = int64(cfg.GPU.KernelCycles)
-	s.netSectionFn = s.netSection
-	s.SetParallel(1)
 	return s
 }
 
@@ -242,10 +231,12 @@ func (s *System) buildNetworks() {
 	if s.Cfg.NoC.SharedPhys {
 		net := noc.NewNetwork("noc", s.topology(), s.Cfg.NoC, l.Nodes(), params)
 		s.ReqNet, s.RepNet = net, net
+		s.nets = []*noc.Network{net}
 		return
 	}
 	s.ReqNet = noc.NewNetwork("request", s.topology(), s.Cfg.NoC, l.Nodes(), params)
 	s.RepNet = noc.NewNetwork("reply", s.topology(), s.Cfg.NoC, l.Nodes(), params)
+	s.nets = []*noc.Network{s.ReqNet, s.RepNet}
 }
 
 func (s *System) buildNodes() {
@@ -308,9 +299,8 @@ func (s *System) buildNodes() {
 }
 
 func (s *System) wireHandlers(node int, h func(*noc.Packet) bool) {
-	s.ReqNet.NI(node).Handler = h
-	if s.RepNet != s.ReqNet {
-		s.RepNet.NI(node).Handler = h
+	for _, n := range s.nets {
+		n.NI(node).Handler = h
 	}
 }
 
@@ -442,50 +432,34 @@ func (s *System) sampleLocality(g *GPUCore, line cache.Addr) {
 func (s *System) Cycle() int64 { return s.cycle }
 
 // Tick advances the whole system one cycle. This is the only
-// orchestration of the cycle: five phases, the network compute over a
-// partition of the networks into tiles (noc/tile.go) dispatched across
-// the pool, the rest on the caller.
+// orchestration of the cycle, in four phases on the caller:
 //
 //	begin        memory blocking samples (read NI state pre-network),
 //	             per-cycle budget resets
-//	netCompute   both networks' tile sections, one dispatch
-//	netCommit    ReqNet commit -> ReleaseEnq -> RepNet commit
-//	             (stats folds, packet ejection in node order)
+//	networks     ReqNet compute -> ReqNet commit -> RepNet compute ->
+//	             RepNet commit (packet ejection in node order)
 //	tickNodes    mems -> clusters -> gpus -> cpus
 //	endCycle     kernel flush, observer
 //
-// The tile count is an execution choice SetParallel derives from the
-// topology; a one-tile system runs the dispatch inline. Results do not
-// depend on it. Beyond the per-network argument in noc/tile.go, that
-// rests on the order the two networks are ticked in: the request
-// network logically ticks first, and its ejection handlers — the only
+// The request network ticks first: its ejection handlers — the only
 // code that touches both networks in one cycle — inject into a reply
-// network that has not ticked yet. Computing both networks before
-// either commits preserves that order because:
-//
-//   - The compute phases share no state. The handlers' reply
-//     injections land as tail appends with ReadyAt >= cycle+LLC.Latency
-//     (>= 1), which the already-finished reply compute phase could
-//     never have observed: headReady rejects future ReadyAt, and tail
-//     appends cannot change any head streaming decision already taken.
-//   - The Enqueued stamp of those injections is the reply network's
-//     pre-tick clock, and the capacity they see is its pre-tick
-//     occupancy. So the reply network's injection stamp and an
-//     occupancy snapshot (noc's enqNow / NI.holdLen) are held at the
-//     previous cycle until the request network has committed, then
-//     released (ReleaseEnq) before the reply commit. With a shared
-//     physical network there is one clock and one tick, so no hold.
+// network that has not ticked yet, so those replies carry the reply
+// network's pre-tick clock as their Enqueued stamp and see its pre-tick
+// occupancy. Their ReadyAt is at least cycle+LLC.Latency (>= 1), so the
+// reply network's compute in the same cycle cannot send them. With a
+// shared physical network there is one network and one tick.
 func (s *System) Tick() {
 	s.begin()
-	s.netCompute()
-	s.netCommit()
+	for _, n := range s.nets {
+		n.Tick()
+	}
 	s.tickNodes()
 	s.endCycle()
 }
 
 // begin advances the clock, samples memory blocking — which reads NI
 // occupancy as it stands before the network phase — and resets the
-// per-cycle budgets the ejection handlers of netCommit draw on.
+// per-cycle budgets the ejection handlers draw on.
 func (s *System) begin() {
 	s.cycle++
 	for _, m := range s.Mems {
@@ -494,34 +468,6 @@ func (s *System) begin() {
 	}
 	for _, g := range s.GPUs {
 		g.BeginCycle()
-	}
-}
-
-// netCompute opens both networks' cycles and dispatches their tile
-// compute sections.
-func (s *System) netCompute() {
-	s.ReqNet.BeginTick(false)
-	if s.RepNet != s.ReqNet {
-		s.RepNet.BeginTick(true)
-	}
-	s.pool.Run(s.netSectionFn)
-}
-
-// netSection is worker w's share of the netCompute dispatch.
-func (s *System) netSection(worker int) {
-	s.ReqNet.ComputeSection(worker)
-	if s.RepNet != s.ReqNet {
-		s.RepNet.ComputeSection(worker)
-	}
-}
-
-// netCommit commits the request network, then releases the reply
-// network's held injection stamp and commits it.
-func (s *System) netCommit() {
-	s.ReqNet.CommitTick()
-	if s.RepNet != s.ReqNet {
-		s.RepNet.ReleaseEnq()
-		s.RepNet.CommitTick()
 	}
 }
 
@@ -586,9 +532,8 @@ func (s *System) Run(n int64) {
 // ResetStats zeroes all measurement state (call at the end of warmup).
 func (s *System) ResetStats() {
 	s.warmed = s.cycle
-	s.ReqNet.ResetStats()
-	if s.RepNet != s.ReqNet {
-		s.RepNet.ResetStats()
+	for _, n := range s.nets {
+		n.ResetStats()
 	}
 	for _, g := range s.GPUs {
 		g.ResetStats()

@@ -86,36 +86,6 @@ func (r *Ring[T]) grow() {
 	r.buf, r.head = nb, 0
 }
 
-// Stash is an append-only staging buffer: Push accumulates values,
-// Items exposes them in push order, Reset empties the stash while
-// retaining the backing array. It is the storage behind the NoC's
-// cross-tile staging buffers, where each cycle stages a handful of
-// events and drains them on the next; after warmup the backing array
-// has grown to the high-water mark and Push never allocates again.
-type Stash[T any] struct {
-	buf []T
-}
-
-// Push appends v.
-func (s *Stash[T]) Push(v T) { s.buf = append(s.buf, v) }
-
-// Len returns the number of stashed elements.
-func (s *Stash[T]) Len() int { return len(s.buf) }
-
-// Items returns the stashed elements in push order. The slice aliases
-// the stash's storage and is invalidated by the next Push or Reset.
-func (s *Stash[T]) Items() []T { return s.buf }
-
-// Reset empties the stash, zeroing vacated slots (so stashed pointers
-// are not pinned) while keeping the backing array for reuse.
-func (s *Stash[T]) Reset() {
-	var zero T
-	for i := range s.buf {
-		s.buf[i] = zero
-	}
-	s.buf = s.buf[:0]
-}
-
 // PopFront removes the first element of a slice-backed queue by
 // sliding the remainder down, so the backing array (and its capacity)
 // is retained. It returns the shortened slice and the removed element.

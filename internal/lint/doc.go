@@ -6,8 +6,7 @@
 //
 //   - tickpurity: nothing reachable from a per-cycle entry point may
 //     perform I/O, read the wall clock, sleep, or spawn a goroutine.
-//   - mapiter: no range over a map in that same per-cycle code, nor
-//     in code that touches a cross-tile staging buffer (fifo.Stash).
+//   - mapiter: no range over a map in that same per-cycle code.
 //   - rngsource: all randomness flows from the seeded per-system
 //     source, never the global math/rand state or a wall-clock seed,
 //     and simulator packages do not read time.Now.
@@ -22,8 +21,7 @@
 //
 // hotpath is not an analyzer: it computes the suite's one call graph,
 // intra-package and rooted at the per-cycle entry points (Tick, Step,
-// ...) plus any roots an analyzer adds (mapiter's staging-buffer
-// code), which tickpurity, mapiter and rngsource share. analysis is the stdlib-only
+// ...), which tickpurity, mapiter and rngsource share. analysis is the stdlib-only
 // driver (loader, Pass, //simlint:ignore handling) and analysistest
 // its `// want` fixture harness. cmd/simlint runs the suite ("make
 // lint", CI, and tier-1 through TestTreeLintsClean).

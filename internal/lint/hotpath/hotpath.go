@@ -1,8 +1,7 @@
 // Package hotpath computes which functions of a package belong to the
 // simulator's per-cycle hot path: everything reachable from a method
 // or function whose name marks a per-cycle entry point (Tick, Step,
-// Cycle, BeginCycle, HandlePacket), or from a function an analyzer
-// names as an extra root. It is the suite's one call graph: mapiter,
+// Cycle, BeginCycle, HandlePacket). It is the suite's one call graph: mapiter,
 // tickpurity and rngsource restrict their checks to this set so that
 // setup, reporting, and test helpers stay free to use maps and I/O.
 package hotpath
@@ -35,9 +34,7 @@ type Func struct {
 }
 
 // Reachable returns the package's hot-path functions keyed by their
-// types object. Besides the RootNames entry points, every function
-// whose declaration satisfies extraRoot (when non-nil) is a root.
-// A function's Root is a named entry point whenever one reaches it.
+// types object: everything the RootNames entry points reach.
 //
 // The call graph is intra-package and intentionally conservative in
 // the flagging direction: calls through interface values add an edge
@@ -46,7 +43,7 @@ type Func struct {
 // counts as a call, and a method of an instantiated generic type is
 // its generic declaration. Cross-package edges are invisible — each
 // package is kept honest by its own entry points.
-func Reachable(pass *analysis.Pass, extraRoot func(*ast.FuncDecl) bool) map[*types.Func]Func {
+func Reachable(pass *analysis.Pass) map[*types.Func]Func {
 	var order []*types.Func // declaration order, so Root is deterministic
 	decls := map[*types.Func]*ast.FuncDecl{}
 	methodsByName := map[string][]*types.Func{}
@@ -107,32 +104,25 @@ func Reachable(pass *analysis.Pass, extraRoot func(*ast.FuncDecl) bool) map[*typ
 		})
 	}
 
-	// Breadth-first from the named entry points, then from the extra
-	// roots nothing named reached, so a named Root wins wherever one
-	// exists.
+	// Breadth-first from the named entry points, in declaration order,
+	// so each function's Root is deterministic.
 	reach := map[*types.Func]Func{}
-	walk := func(isRoot func(*types.Func) bool) {
-		var queue []*types.Func
-		for _, fn := range order {
-			if _, ok := reach[fn]; !ok && isRoot(fn) {
-				reach[fn] = Func{Decl: decls[fn], Root: fn}
-				queue = append(queue, fn)
-			}
-		}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			for _, callee := range edges[fn] {
-				if _, ok := reach[callee]; !ok {
-					reach[callee] = Func{Decl: decls[callee], Root: reach[fn].Root}
-					queue = append(queue, callee)
-				}
-			}
+	var queue []*types.Func
+	for _, fn := range order {
+		if RootNames[fn.Name()] {
+			reach[fn] = Func{Decl: decls[fn], Root: fn}
+			queue = append(queue, fn)
 		}
 	}
-	walk(func(fn *types.Func) bool { return RootNames[fn.Name()] })
-	if extraRoot != nil {
-		walk(func(fn *types.Func) bool { return extraRoot(decls[fn]) })
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		for _, callee := range edges[fn] {
+			if _, ok := reach[callee]; !ok {
+				reach[callee] = Func{Decl: decls[callee], Root: reach[fn].Root}
+				queue = append(queue, callee)
+			}
+		}
 	}
 	return reach
 }

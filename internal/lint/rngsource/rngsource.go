@@ -50,7 +50,7 @@ func isRandPkg(path string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	simulator := len(hotpath.Reachable(pass, nil)) > 0
+	simulator := len(hotpath.Reachable(pass)) > 0
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -56,7 +56,7 @@ var bannedFuncs = map[string]map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for fn, hf := range hotpath.Reachable(pass, nil) {
+	for fn, hf := range hotpath.Reachable(pass) {
 		if hf.Decl.Body == nil {
 			continue
 		}

@@ -16,15 +16,16 @@ import (
 // stuck flits and go dormant, fires exactly one wake source at a
 // dormant router, and requires the observable outcome — the cycle a
 // port first moves, every packet's ejection cycle — to equal a
-// reference run in which no router or NI is ever allowed to sleep, at
-// one tile and with the two routers on different tiles of four. A
+// reference run in which no router or NI is ever allowed to sleep; the
+// N=4 rows pass four workers to the deprecated SetParallel first, which
+// must change nothing. A
 // refused NI sleeps until Inject, RemoveQueued, a pop from the router
 // input port it feeds, or its earliest queue head's ReadyAt; the NI
 // tests fire one each and compare injection and ejection cycles.
 
 const (
-	wakeUp = 8  // source of the stuck flow (row 1, tile 0 of 4)
-	wakeDn = 16 // its refusing destination, one hop south (row 2, tile 1 of 4)
+	wakeUp = 8  // source of the stuck flow (row 1)
+	wakeDn = 16 // its refusing destination, one hop south (row 2)
 )
 
 // wakeRig is an 8x8 mesh in which node wakeDn refuses every packet
@@ -50,7 +51,7 @@ func newWakeRig(t *testing.T, workers int, awake bool) *wakeRig {
 	return rig
 }
 
-// awake reports whether router r is in its tile's awake set.
+// awake reports whether router r is in the network's awake set.
 func awake(r *Router) bool { return *r.awakeWord&r.awakeBit != 0 }
 
 func (g *wakeRig) step() {
@@ -134,8 +135,8 @@ func (g *wakeRig) deliver(p *Packet) []int64 {
 	return []int64{p.Injected, p.Ejected}
 }
 
-// niSrc is the node whose NI the NI tests put to sleep: row 5, tile 2
-// of 4, away from the clogged column.
+// niSrc is the node whose NI the NI tests put to sleep: row 5, away
+// from the clogged column.
 const niSrc = 40
 
 // drain unblocks the destination and runs until every given packet has
@@ -163,8 +164,9 @@ func (g *wakeRig) drain(pkts []*Packet) []int64 {
 // wakeScenario runs one scripted scenario and returns what it observed.
 type wakeScenario func(g *wakeRig) []int64
 
-// runWakeScenario requires the dormancy runs (one tile, four tiles) to
-// observe exactly what the never-dormant reference observes.
+// runWakeScenario requires the dormancy runs (with and without the
+// deprecated SetParallel) to observe exactly what the never-dormant
+// reference observes.
 func runWakeScenario(t *testing.T, sc wakeScenario) {
 	want := sc(newWakeRig(t, 1, true))
 	for _, workers := range []int{1, 4} {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"delrep/internal/config"
-	"delrep/internal/par"
 )
 
 // FuzzRouterState runs generated network configurations — not just the
@@ -21,7 +20,7 @@ import (
 func FuzzRouterState(f *testing.F) {
 	// topology, VCs (per class, or request VCs when shared), shared
 	// physical network, reply VCs, FlitsPerVC, link delay, router delay,
-	// tiles, traffic seed.
+	// tiles (ignored), traffic seed.
 	f.Add(uint8(0), uint8(2), false, uint8(0), uint8(4), uint8(1), uint8(4), uint8(1), int64(1))
 	f.Add(uint8(0), uint8(1), false, uint8(0), uint8(1), uint8(1), uint8(0), uint8(3), int64(2))
 	f.Add(uint8(0), uint8(1), true, uint8(3), uint8(2), uint8(2), uint8(1), uint8(1), int64(3))
@@ -31,7 +30,8 @@ func FuzzRouterState(f *testing.F) {
 	f.Add(uint8(2), uint8(2), true, uint8(2), uint8(2), uint8(2), uint8(0), uint8(3), int64(7))
 	f.Add(uint8(3), uint8(1), false, uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), int64(8))
 	f.Add(uint8(3), uint8(4), true, uint8(4), uint8(6), uint8(3), uint8(2), uint8(3), int64(9))
-	f.Fuzz(func(t *testing.T, topoSel, vcs uint8, shared bool, repVCs, depth, link, router, tiles uint8, seed int64) {
+	// The blank uint8 is the old tile count, kept so the committed corpus decodes; a network is one tile.
+	f.Fuzz(func(t *testing.T, topoSel, vcs uint8, shared bool, repVCs, depth, link, router, _ uint8, seed int64) {
 		const nodes, ejCap, maxFlits = 16, 8, 5
 		var topo Topology
 		switch topoSel % 4 {
@@ -61,11 +61,6 @@ func FuzzRouterState(f *testing.F) {
 
 		net := NewNetwork("fuzz", topo, cfg, nodes, Params{InjCapCore: 4, InjCapMem: 4, EjCap: ejCap, AsmCap: 2})
 		net.DebugChecks = true
-		if k := 1 + int(tiles%2)*2; k > 1 {
-			pool := par.NewPool(k)
-			defer pool.Close()
-			net.SetParallel(pool, k)
-		}
 		rng := rand.New(rand.NewSource(seed))
 		refuse := true
 		delivered := 0

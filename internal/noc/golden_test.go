@@ -3,13 +3,13 @@ package noc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"delrep/internal/par"
 )
 
-// trafficPattern regenerates the same random packet set on every call,
-// so runs at different partition sizes inject bit-identical traffic.
+// trafficPattern regenerates the same random packet set on every call.
 func trafficPattern(nodes int) []*Packet {
 	rng := rand.New(rand.NewSource(11))
 	var pkts []*Packet
@@ -29,12 +29,24 @@ func trafficPattern(nodes int) []*Packet {
 	return pkts
 }
 
+// goldenOutcomes are the fingerprints the separate serial Network.Tick
+// produced at the last commit that had one (709db55): the cross-commit
+// anchor that the one engine simulates what that path did. A
+// deliberate model change regenerates them from the failure message.
+var goldenOutcomes = map[string]string{
+	"mesh8x8":   "now=172 flitHops=12932 ejectedSum=32482 latMean=[81.81863979848866 0 0]",
+	"mesh10x10": "now=178 flitHops=15955 ejectedSum=29689 latMean=[75.1620253164557 0 0]",
+	"fbfly":     "now=85 flitHops=5655 ejectedSum=14404 latMean=[36.28211586901763 0 0]",
+	"dragonfly": "now=172 flitHops=7175 ejectedSum=23577 latMean=[59.387909319899244 0 0]",
+	"crossbar":  "now=89 flitHops=2021 ejectedSum=10907 latMean=[27.4735516372796 0 0]",
+}
+
 // allRouters asks for one tile per router.
 const allRouters = 1 << 30
 
-// partitionSizes are the tile counts every topology runs at. 1 is the
-// partition NewNetwork builds, ticked inline; the rest go through
-// SetParallel on a pool of that many workers.
+// partitionSizes are the worker counts every topology runs at. 1 is a
+// plain run; the rest are handed to the deprecated SetParallel on a
+// pool of that many workers, which must change nothing.
 var partitionSizes = []int{1, 2, 3, 4, 8, allRouters}
 
 // outcome is everything observable about one trafficPattern run.
@@ -57,28 +69,18 @@ func (o outcome) fingerprint() string {
 	return fmt.Sprintf("now=%d flitHops=%d ejectedSum=%d latMean=%v", o.now, o.flitHops, ejSum, o.latMean)
 }
 
-// goldenOutcomes are the fingerprints the separate serial Network.Tick
-// produced at the last commit that had one (709db55): the cross-commit
-// anchor that the one engine simulates what that path did. A
-// deliberate model change regenerates them from the failure message.
-var goldenOutcomes = map[string]string{
-	"mesh8x8":   "now=172 flitHops=12932 ejectedSum=32482 latMean=[81.81863979848866 0 0]",
-	"mesh10x10": "now=178 flitHops=15955 ejectedSum=29689 latMean=[75.1620253164557 0 0]",
-	"fbfly":     "now=85 flitHops=5655 ejectedSum=14404 latMean=[36.28211586901763 0 0]",
-	"dragonfly": "now=172 flitHops=7175 ejectedSum=23577 latMean=[59.387909319899244 0 0]",
-	"crossbar":  "now=89 flitHops=2021 ejectedSum=10907 latMean=[27.4735516372796 0 0]",
-}
-
-// runPartition drives trafficPattern through topo split into k tiles
-// to full delivery. DebugChecks stays on so the maintained activity
-// counters are cross-checked against full scans (tile rings and
-// staging buffers included) and dormant routers are ticked anyway.
+// runPartition drives trafficPattern through topo to full delivery,
+// after handing SetParallel k workers when k > 1, and fails if that
+// started a goroutine. DebugChecks stays on so the maintained activity
+// counters are cross-checked against full scans and dormant routers
+// are ticked anyway.
 func runPartition(t *testing.T, name string, topo Topology, k int) outcome {
 	t.Helper()
 	nodes := 64
 	if name == "mesh10x10" {
 		nodes = 100
 	}
+	goroutines := runtime.NumGoroutine()
 	net, _ := buildNet(t, topo, defaultNoC(), nodes)
 	net.DebugChecks = true
 	if k > 1 {
@@ -86,12 +88,12 @@ func runPartition(t *testing.T, name string, topo Topology, k int) outcome {
 		defer pool.Close()
 		net.SetParallel(pool, pool.Size())
 	}
-	if want := min(k, len(net.Routers)); net.Parallel() != want {
-		t.Fatalf("%s k=%d: Parallel() = %d, want %d", name, k, net.Parallel(), want)
-	}
 	pkts := trafficPattern(nodes)
 	if got := runTraffic(t, net, pkts, 30000); got != len(pkts) {
 		t.Fatalf("%s k=%d: delivered %d/%d", name, k, got, len(pkts))
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Fatalf("%s k=%d: %d goroutines after the run, %d before", name, k, got, goroutines)
 	}
 	if err := net.CheckCreditInvariant(); err != nil {
 		t.Fatalf("%s k=%d: %v", name, k, err)
@@ -113,9 +115,9 @@ func runPartition(t *testing.T, name string, topo Topology, k int) outcome {
 	return o
 }
 
-// forEachPartition runs every topology at every partition size and
-// hands check the k=1 outcome next to each k>1 outcome, after
-// requiring the k=1 outcome to match its committed golden.
+// forEachPartition runs every topology at every worker count and hands
+// check the k=1 outcome next to each k>1 outcome, after requiring the
+// k=1 outcome to match its committed golden.
 func forEachPartition(t *testing.T, check func(t *testing.T, base, got outcome)) {
 	for name, topo := range allTopologies() {
 		base := runPartition(t, name, topo, 1)
@@ -130,12 +132,12 @@ func forEachPartition(t *testing.T, check func(t *testing.T, base, got outcome))
 	}
 }
 
-// TestTiledTickMatchesSerial is the integer half of the partition
-// table: every topology at every tile count must reproduce the
-// one-tile run's per-packet ejection cycles and hop counts and every
-// network-level counter, and the one-tile run must reproduce the
-// golden. (The name predates the removal of the separate serial tick;
-// "serial" is now the one-tile partition.)
+// TestTiledTickMatchesSerial is the integer half of the table: every
+// topology must reproduce its golden, and at every worker count handed
+// to the deprecated SetParallel it must reproduce the plain run's
+// per-packet ejection cycles and hop counts and every network-level
+// counter. (The name predates the one-tile engine; every run is now
+// the serial one.)
 func TestTiledTickMatchesSerial(t *testing.T) {
 	forEachPartition(t, func(t *testing.T, base, got outcome) {
 		for i := range got.ejected {
@@ -158,8 +160,7 @@ func TestTiledTickMatchesSerial(t *testing.T) {
 
 // TestTiledLatencySamplersMatchSerial is the float half: the
 // order-sensitive packet-latency samplers must be bit-identical at
-// every tile count because ejection runs in node order in the commit
-// phase.
+// every worker count.
 func TestTiledLatencySamplersMatchSerial(t *testing.T) {
 	forEachPartition(t, func(t *testing.T, base, got outcome) {
 		if got.latCount != base.latCount || got.latMean != base.latMean {
@@ -167,25 +168,4 @@ func TestTiledLatencySamplersMatchSerial(t *testing.T) {
 				got.latCount, base.latCount, got.latMean, base.latMean)
 		}
 	})
-}
-
-func TestSetParallelGuards(t *testing.T) {
-	// One router is one tile, whatever is asked for.
-	net, _ := buildNet(t, NewCrossbar(16), defaultNoC(), 16)
-	pool := par.NewPool(4)
-	defer pool.Close()
-	net.SetParallel(pool, 4)
-	if net.Parallel() != 1 {
-		t.Fatalf("crossbar Parallel() = %d, want 1", net.Parallel())
-	}
-
-	// Partitioning after traffic has flowed is a programming error.
-	net2, _ := buildNet(t, meshTopo(), defaultNoC(), 64)
-	net2.Tick()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetParallel after the first tick did not panic")
-		}
-	}()
-	net2.SetParallel(pool, 4)
 }

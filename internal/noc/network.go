@@ -16,18 +16,17 @@ import (
 // instances (request and reply); AVCP and the virtual-network study use
 // a single shared instance with per-class VC ranges.
 //
-// Tick runs the phased cycle of tile.go — begin, tile compute
-// sections, commit — over a tile partition that always exists (one
-// tile from NewNetwork on; SetParallel re-partitions). It is
-// activity-gated: routers outside their tile's awake set (no buffered
-// flits, or a last tick that changed nothing, see Router.awakeWord) and
-// NIs with no due injection or ejection work are skipped. The gating is
-// exact — every piece of per-cycle state a skipped component would have
-// touched is either provably unchanged when idle or stuck, or derived
-// from the cycle count (router saPortPtr, NI class round-robin) — so
-// results are bit-identical to ungated execution. Under HARE routing
-// every router still ticks its EWMA congestion estimate (it decays per
-// cycle), and only the allocators are skipped.
+// Tick runs the two-step cycle of tile.go — compute, then commit — over
+// the network's one tile. It is activity-gated: routers outside the
+// awake set (no buffered flits, or a last tick that changed nothing,
+// see Router.awakeWord) and NIs with no due injection or ejection work
+// are skipped. The gating is exact — every piece of per-cycle state a
+// skipped component would have touched is either provably unchanged
+// when idle or stuck, or derived from the cycle count (router
+// saPortPtr, NI class round-robin) — so results are bit-identical to
+// ungated execution. Under HARE routing every router still ticks its
+// EWMA congestion estimate (it decays per cycle), and only the
+// allocators are skipped.
 type Network struct {
 	Label    string
 	topo     Topology
@@ -45,39 +44,18 @@ type Network struct {
 	ejBusy []bool
 
 	now int64
-	// saStart: (now-1) mod k per router port count k (BeginTick advances it).
+	// saStart: (now-1) mod k per router port count k (begin advances it).
 	saStart []modCounter
 
-	// enqNow is the cycle stamped onto packets at Inject. Standalone it
-	// always equals now; the system cycle computes both networks before
-	// the request network commits, so the reply network holds enqNow
-	// one cycle back until then (see BeginTick) and Enqueued stamps —
-	// and everything derived from them: PktLat, delegation wait — read
-	// as if the request network had ticked first.
-	enqNow int64
-
-	// enqHeld is true while enqNow is held back: during that window the
-	// NIs also serve capacity queries (CanInject/InjLen) from the
-	// occupancy snapshot taken when the hold began, because this
-	// network's compute phase has already run but the handlers now
-	// executing logically precede it (see NI.occupancy).
-	enqHeld bool
-
-	// ctr is the canonical statistics block: activity counters
-	// (buffered flits across all router input rings, in-flight flit
-	// events in the delay rings — Quiet derives from these in O(#NIs)
-	// instead of rescanning every buffer) plus the measurement
-	// counters. Routers and NIs write their tile's delta, which the
-	// commit phase folds in here each cycle (see tile.go).
+	// ctr is the statistics block: activity counters (buffered flits
+	// across all router input rings, in-flight flit events in the delay
+	// rings — Quiet derives from these in O(#NIs) instead of rescanning
+	// every buffer) plus the measurement counters. Routers and NIs write
+	// it directly.
 	ctr netCounters
 
-	// The tile partition (see tile.go): at least one tile, whose delay
-	// rings are the network's only delay rings.
-	pool      *par.Pool // runs the compute sections; size 1 runs them inline
-	tiles     []*tile
-	tileOf    []int                   // router -> owning tile
-	stage     par.Matrix[stagedEvent] // cross-tile staging, double-buffered by cycle parity
-	sectionFn func(int)               // prebound ComputeSection, so a dispatch does not allocate
+	// tile holds the delay rings and the awake set (see tile.go).
+	tile tile
 
 	// DebugChecks enables the slow cross-checks: Quiet and
 	// CheckCreditInvariant re-derive the activity counters by full
@@ -93,9 +71,8 @@ type Network struct {
 	TraceSink func(*Packet)
 
 	// Statistics (reset at the end of warmup). The flit counters live
-	// in ctr; PktLat stays here because float samplers are
-	// order-sensitive and only ever updated from the commit phase
-	// (tickEject).
+	// in ctr; PktLat is order-sensitive and only ever updated from the
+	// commit step (tickEject).
 	PktLat   [3]stats.Sampler // per priority
 	measured int64            // cycles since last ResetStats
 }
@@ -186,7 +163,14 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 		n.Routers[r].ports[port].eject = ni
 		n.Routers[r].initCredits(port, p.EjCap)
 	}
-	n.SetParallel(nil, 1)
+	n.tile = tile{
+		flits:   make([][]event, n.hopDelay+2),
+		credits: make([][]creditEv, n.hopDelay+2),
+		awake:   make([]uint64, (len(n.Routers)+63)/64),
+	}
+	for i, r := range n.Routers {
+		r.awakeWord, r.awakeBit = &n.tile.awake[i>>6], bit(i)
+	}
 	return n
 }
 
@@ -207,22 +191,23 @@ func (n *Network) Now() int64 { return n.now }
 // Topology returns the network's topology.
 func (n *Network) Topology() Topology { return n.topo }
 
-// Tick advances the network one cycle on its own: begin, one dispatch
-// of the tile compute sections, commit. The system cycle runs the same
-// three steps itself so that it can fuse both networks' compute phases
-// into one dispatch (internal/core).
+// SetParallel once split the network into tiles ticked on a worker
+// pool. A network is always one tile now, ticked on the caller; both
+// arguments are ignored.
+//
+// Deprecated: kept so that callers built against the tiled tick still
+// compile. It does nothing.
+func (n *Network) SetParallel(*par.Pool, int) {}
+
+// Tick advances the network one cycle: Compute, then Commit.
 func (n *Network) Tick() {
-	n.BeginTick(false)
-	n.pool.Run(n.sectionFn)
-	n.CommitTick()
+	n.Compute()
+	n.Commit()
 }
 
 // ResetStats zeroes all measurement counters (end of warmup) without
 // disturbing in-flight traffic.
 func (n *Network) ResetStats() {
-	// Tile deltas are folded into ctr every cycle, so between cycles —
-	// the only place ResetStats is called — the canonical block is the
-	// whole truth and the deltas are structurally zero.
 	n.ctr.injFlits = [2]int64{}
 	n.ctr.ejFlits = [2]int64{}
 	for i := range n.PktLat {

@@ -23,7 +23,6 @@ import "delrep/internal/fifo"
 // bound their occupancy).
 type NI struct {
 	net    *Network
-	ctr    *netCounters // statistics sink: the owning tile's delta
 	Node   int
 	router int
 	base   int // flat index of VC 0 of the router port this NI feeds and drains
@@ -32,7 +31,6 @@ type NI struct {
 	injCap   [2]int
 	streams  []injStream
 	inflight [2]int // streaming packets per class (count toward capacity)
-	holdLen  [2]int // occupancy snapshot while the network clock is held
 	rrStream int
 	blocked  [2]bool
 
@@ -57,17 +55,8 @@ type injStream struct {
 }
 
 // occupancy returns the class's buffered-packet count (queued plus
-// streaming). While the owning network's injection stamp is held (the
-// system cycle, see Network.enqNow), it reports the snapshot taken
-// when the hold began, advanced by injections since: the network's
-// compute phase has already processed this cycle's injection side, but
-// the handlers now running logically precede it and must observe the
-// buffer as it stood before that — a stream completing mid-tick must
-// not free capacity to a handler ordered ahead of that tick.
+// streaming).
 func (ni *NI) occupancy(c Class) int {
-	if ni.net.enqHeld {
-		return ni.holdLen[c]
-	}
 	return len(ni.injQ[c]) + ni.inflight[c]
 }
 
@@ -91,19 +80,13 @@ func (ni *NI) Full(c Class) bool { return !ni.CanInject(c) }
 // could not push a single flit (the delegation trigger at memory nodes).
 func (ni *NI) Blocked(c Class) bool { return ni.blocked[c] }
 
-// Inject queues a packet on its class queue; it fails when full.
-// The Enqueued stamp comes from enqNow, not now: the two agree except
-// inside the system cycle's hold, where the reply network's clock is
-// already advanced but injections from request-ejection handlers must
-// still stamp the previous cycle (see Network.enqNow).
+// Inject queues a packet on its class queue, stamped with the
+// network's cycle; it fails when full.
 func (ni *NI) Inject(p *Packet) bool {
 	if !ni.CanInject(p.Class) {
 		return false
 	}
-	p.Enqueued = ni.net.enqNow
-	if ni.net.enqHeld {
-		ni.holdLen[p.Class]++
-	}
+	p.Enqueued = ni.net.now
 	ni.injQ[p.Class] = append(ni.injQ[p.Class], p)
 	ni.wakeInject()
 	return true
@@ -128,9 +111,8 @@ func (ni *NI) RemoveQueued(c Class, i int) *Packet {
 // their ReadyAt (timed by nextReadyAt), its own streams, and the room
 // in the router input port it feeds (freed by a pop in Router.traverse).
 func (ni *NI) wakeInject() {
-	if due := &ni.net.injDue[ni.Node]; *due > ni.net.now { // tiles share the line: write it only on change
-		*due = ni.net.now
-	}
+	due := &ni.net.injDue[ni.Node]
+	*due = min(*due, ni.net.now)
 }
 
 // nextReadyAt returns when a refused injection tick must run again
@@ -244,7 +226,7 @@ func (ni *NI) tickInject() bool {
 			st.pkt.Injected = ni.net.now
 		}
 		rtr.pushFlit(ni.base+st.vc, f)
-		ni.ctr.injFlits[st.pkt.Class]++
+		ni.net.ctr.injFlits[st.pkt.Class]++
 		st.seq++
 		if st.seq >= st.pkt.SizeFlits {
 			ni.inflight[st.pkt.Class]--
@@ -266,11 +248,9 @@ func (ni *NI) tickInject() bool {
 // accept receives a flit from the router's ejection port.
 func (ni *NI) accept(f Flit, vc int) {
 	ni.ejBuf[vc].PushBack(f)
-	if !ni.net.ejBusy[ni.Node] { // tiles share the line: write it only on change
-		ni.net.ejBusy[ni.Node] = true
-	}
+	ni.net.ejBusy[ni.Node] = true
 	ni.ejFlits++
-	ni.ctr.ejFlits[f.Pkt.Class]++
+	ni.net.ctr.ejFlits[f.Pkt.Class]++
 	ni.EjFlitsByClass[f.Pkt.Class]++
 }
 

@@ -7,10 +7,8 @@
 // the substrate on which network clogging arises and Delegated Replies
 // operates.
 //
-// A Network ticks one two-phase compute/commit cycle over a partition
-// into router tiles: one tile, run inline, unless SetParallel spreads
-// more across a worker Pool. Results are bit-identical at every
-// partition size (see tile.go for the determinism argument).
+// A Network ticks one two-step compute/commit cycle over its one tile
+// of delay rings and awake routers (see tile.go).
 package noc
 
 // Class separates request and reply traffic, either onto physically

@@ -338,10 +338,10 @@ func TestAllocatorsMatchReference(t *testing.T) {
 				// Phases of scarce and plentiful credit, so that zero-credit
 				// and long-owned outputs both occur.
 				for tick := 0; tick < ticks; tick++ {
-					net.BeginTick(false)
+					net.begin()
 					if rng.Intn(4) == 0 { // a router that slept: the SA port order moved on
 						for k := rng.Intn(5); k > 0; k-- {
-							net.BeginTick(false)
+							net.begin()
 						}
 					}
 					pCredit := []float64{0.05, 0.3, 0.9}[tick/200%3]
@@ -386,7 +386,7 @@ func TestAllocatorsMatchReference(t *testing.T) {
 						t.Fatalf("tick %d (cycle %d): %v", tick, net.now, err)
 					}
 				}
-				if real.ctr.flitHops == 0 {
+				if net.ctr.flitHops == 0 {
 					t.Fatal("no flit ever traversed: the scenario exercises nothing")
 				}
 			})
@@ -453,7 +453,7 @@ func (g *twin) sendable() int {
 // state after it.
 func (g *twin) tick() {
 	g.t.Helper()
-	g.net.BeginTick(false)
+	g.net.begin()
 	g.ref.allocateVCs()
 	g.ref.switchAllocAndTraverse(g.net.now)
 	g.real.wake()
@@ -547,7 +547,7 @@ func TestLoneHeadGrantMatchesReference(t *testing.T) {
 						// Let cycles pass, as for a sleeping router, until the
 						// next tick starts switch allocation at this port.
 						for (int(*r.saStart)+1)%nports != start {
-							g.net.BeginTick(false)
+							g.net.begin()
 						}
 						for _, h := range row.heads {
 							g.send(h.vc, h.dst, h.prio)

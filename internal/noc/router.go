@@ -36,7 +36,7 @@ type vcState struct {
 //
 // The switch-allocation input-port pointer is not stored: it advances
 // once per network cycle, so the network counts it, (now-1) mod nports,
-// and routers that sleep through ticks cannot drift it (see tile.Step).
+// and routers that sleep through ticks cannot drift it (see Network.Compute).
 //
 // All per-VC state is flat — flit slots, vcState records, and words
 // with one bit per flat index (Go cannot mix pointer and scalar arrays
@@ -47,8 +47,6 @@ type vcState struct {
 // tick under Network.DebugChecks (recount).
 type Router struct {
 	net    *Network
-	tl     *tile        // owning tile: schedules this router's deliveries
-	ctr    *netCounters // statistics sink: the owning tile's delta
 	ID     int
 	numVCs int // == net.numVCs
 	depth  int // == net.bufDepth, the ring capacity of every input VC
@@ -82,8 +80,8 @@ type Router struct {
 	used, inUsed, outUsed []uint64
 	candBuf               []Candidate
 
-	// awakeWord/awakeBit address this router's bit in its tile's awake
-	// set. A tick that changed nothing (no route computed, no VC
+	// awakeWord/awakeBit address this router's bit in the network's
+	// awake set. A tick that changed nothing (no route computed, no VC
 	// granted, no flit traversed) would repeat identically until a flit
 	// arrives or a credit returns — the rotating pointers move only on
 	// grants, and the one cycle-derived input, the switch-allocation
@@ -167,7 +165,7 @@ func (r *Router) front(i int) *Flit { return &r.flits[i*r.depth+int(r.vc[i].head
 // candidates returns the candidate output-VC mask of input VC i.
 func (r *Router) candidates(i int) []uint64 { return r.mask[i*len(r.occ) : (i+1)*len(r.occ)] }
 
-// wake puts the router into its tile's awake set.
+// wake puts the router into the network's awake set.
 func (r *Router) wake() { *r.awakeWord |= r.awakeBit }
 
 // pushFlit appends a flit to input VC i, maintaining occ, the router
@@ -192,7 +190,7 @@ func (r *Router) pushFlit(i int, f Flit) {
 	v.qlen++
 	r.occ[i>>6] |= bit(i)
 	r.buffered++
-	r.ctr.bufFlits++
+	r.net.ctr.bufFlits++
 	r.wake()
 }
 
@@ -226,7 +224,7 @@ func (r *Router) initCredits(port, n int) {
 
 // tick runs one router cycle: route computation and VC allocation for
 // waiting heads, then separable switch allocation and switch/link
-// traversal for the winners. tile.Step ticks the awake routers.
+// traversal for the winners. Network.Compute ticks the awake routers.
 func (r *Router) tick() {
 	asleep := false
 	if r.net.DebugChecks {
@@ -477,17 +475,15 @@ func (r *Router) traverse(i int) {
 		r.occ[i>>6] &^= bit(i)
 	}
 	r.buffered--
-	r.ctr.bufFlits--
+	r.net.ctr.bufFlits--
 	o := int(v.outVC)
 	ov := &r.vc[o]
 	op := &r.ports[ov.port]
 	op.sent++
-	r.ctr.flitHops++
+	r.net.ctr.flitHops++
 	// Wormhole routing sends every flit of a packet over the head's
 	// path, so the per-flit hop count is charged in one step when the
-	// head traverses. This keeps the packet untouched during body/tail
-	// traversals, which may run on another tile while the head is
-	// already being processed downstream; the final value is identical.
+	// head traverses; the final value is identical to charging per flit.
 	tail := f.Tail()
 	if f.Head() {
 		f.Pkt.Hops += f.Pkt.SizeFlits
@@ -504,7 +500,7 @@ func (r *Router) traverse(i int) {
 	outVC := o - int(ov.port)*r.numVCs
 	if op.to >= 0 {
 		ov.credits--
-		r.tl.schedule(r.net.hopDelay, event{pkt: f.Pkt, seq: int32(f.Seq), router: op.to, vc: op.toBase + int32(outVC)})
+		r.net.schedule(r.net.hopDelay, event{pkt: f.Pkt, seq: int32(f.Seq), router: op.to, vc: op.toBase + int32(outVC)})
 	} else if op.eject != nil {
 		ov.credits--
 		op.eject.accept(f, outVC)
@@ -513,7 +509,7 @@ func (r *Router) traverse(i int) {
 	// Return a credit to whoever feeds this input port: the upstream
 	// router, or the local NI, which the freed slot wakes.
 	if in := &r.ports[v.port]; in.from >= 0 {
-		r.tl.schedule(r.net.cfg.LinkDelay, event{router: in.from, vc: in.fromBase + int32(i) - v.port*int32(r.numVCs)})
+		r.net.schedule(r.net.cfg.LinkDelay, event{router: in.from, vc: in.fromBase + int32(i) - v.port*int32(r.numVCs)})
 	} else if in.eject != nil {
 		in.eject.wakeInject()
 	}
