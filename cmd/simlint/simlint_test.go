@@ -75,6 +75,9 @@ func TestPlantedMutations(t *testing.T) {
 			[]string{"import (\n", "import (\n\t\"time\"\n",
 				"func (r *Router) tick() {\n", "func (r *Router) tick() {\n\t_ = time.Now()\n"},
 			[]string{"rngsource", "tickpurity"}},
+		{"goroutine spawned in Router.tick", "internal/noc", "router.go",
+			[]string{"func (r *Router) tick() {\n", "func (r *Router) tick() {\n\tgo r.recount()\n"},
+			[]string{"tickpurity"}},
 		{"map range in Router.tick", "internal/noc", "router.go",
 			[]string{"func (r *Router) tick() {\n", "func (r *Router) tick() {\n\tfor range map[int]bool{} {\n\t}\n"},
 			[]string{"mapiter"}},

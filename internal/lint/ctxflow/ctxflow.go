@@ -15,14 +15,17 @@
 //
 // R2 — context.Background() or context.TODO() is called while a
 // usable context is already in scope: an earlier context parameter or
-// local, or an *http.Request (whose r.Context() carries the client
-// disconnect). The function's own root context creation — a Background
-// with no earlier context in scope, as in main() — is the legitimate
-// use and is not flagged.
+// local, or an *http.Request parameter (whose r.Context() carries the
+// client disconnect), of the function or of a function enclosing it.
+// Declared functions and function literals are checked alike, and Go's
+// own scoping says what is in scope. The function's own root context
+// creation — a Background with no earlier context in scope, as in
+// main() — is the legitimate use and is not flagged.
 package ctxflow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"delrep/internal/lint/analysis"
@@ -49,248 +52,96 @@ var stdlibPairs = map[string]string{
 }
 
 func run(pass *analysis.Pass) error {
+	// sig records each signature variable as a parameter (true) or a
+	// named result (false); ast.Inspect visits a signature before the
+	// body it scopes.
+	sig := map[types.Object]bool{}
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncType:
+				for _, fl := range []*ast.FieldList{n.Params, n.Results} {
+					if fl == nil {
+						continue
+					}
+					for _, field := range fl.List {
+						for _, name := range field.Names {
+							sig[pass.TypesInfo.Defs[name]] = fl == n.Params
+						}
+					}
+				}
+			case *ast.CallExpr:
+				check(pass, sig, n)
 			}
-			w := &walker{pass: pass}
-			w.seed(fd.Type)
-			w.block(fd.Body)
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-type walker struct {
-	pass *analysis.Pass
-	// inScope holds the context sources visible at this point, as the
-	// messages name them: "ctx" or "r.Context()".
-	inScope []string
-}
-
-// seed registers the function's parameters.
-func (w *walker) seed(ft *ast.FuncType) {
-	if ft.Params == nil {
+func check(pass *analysis.Pass, sig map[types.Object]bool, call *ast.CallExpr) {
+	fn := analysis.Callee(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil || takesContext(fn) {
 		return
 	}
-	for _, field := range ft.Params.List {
-		t := w.pass.TypesInfo.TypeOf(field.Type)
-		for _, name := range field.Names {
-			if name.Name == "_" {
-				continue
-			}
-			if isContext(t) {
-				w.inScope = append(w.inScope, name.Name)
-			} else if isHTTPRequest(t) {
-				w.inScope = append(w.inScope, name.Name+".Context()")
-			}
-		}
-	}
-}
-
-// current returns the most recently bound context, or "".
-func (w *walker) current() string {
-	if len(w.inScope) == 0 {
-		return ""
-	}
-	return w.inScope[len(w.inScope)-1]
-}
-
-func (w *walker) block(b *ast.BlockStmt) {
-	mark := len(w.inScope)
-	for _, s := range b.List {
-		w.stmt(s)
-	}
-	w.inScope = w.inScope[:mark]
-}
-
-func (w *walker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.ExprStmt:
-		w.expr(s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e)
-		}
-		// A context-typed binding comes into scope after its RHS is
-		// checked, so the root `ctx := context.WithTimeout(
-		// context.Background(), d)` stays legal.
-		for _, e := range s.Lhs {
-			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-				if isContext(w.pass.TypesInfo.TypeOf(id)) {
-					w.inScope = append(w.inScope, id.Name)
-				}
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, v := range vs.Values {
-					w.expr(v)
-				}
-				for _, name := range vs.Names {
-					if name.Name != "_" && isContext(w.pass.TypesInfo.TypeOf(name)) {
-						w.inScope = append(w.inScope, name.Name)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e)
-		}
-	case *ast.IfStmt:
-		w.stmt(s.Init)
-		w.expr(s.Cond)
-		w.block(s.Body)
-		if s.Else != nil {
-			w.stmt(s.Else)
-		}
-	case *ast.ForStmt:
-		w.stmt(s.Init)
-		if s.Cond != nil {
-			w.expr(s.Cond)
-		}
-		w.stmt(s.Post)
-		w.block(s.Body)
-	case *ast.RangeStmt:
-		w.expr(s.X)
-		w.block(s.Body)
-	case *ast.SwitchStmt:
-		w.stmt(s.Init)
-		if s.Tag != nil {
-			w.expr(s.Tag)
-		}
-		w.caseBodies(s.Body)
-	case *ast.TypeSwitchStmt:
-		w.stmt(s.Init)
-		w.caseBodies(s.Body)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmt(cc.Comm)
-				for _, st := range cc.Body {
-					w.stmt(st)
-				}
-			}
-		}
-	case *ast.BlockStmt:
-		w.block(s)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
-	case *ast.DeferStmt:
-		w.expr(s.Call)
-	case *ast.GoStmt:
-		w.expr(s.Call)
-	case *ast.SendStmt:
-		w.expr(s.Chan)
-		w.expr(s.Value)
-	case *ast.IncDecStmt:
-		w.expr(s.X)
-	}
-}
-
-func (w *walker) caseBodies(body *ast.BlockStmt) {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			for _, e := range cc.List {
-				w.expr(e)
-			}
-			for _, st := range cc.Body {
-				w.stmt(st)
-			}
-		}
-	}
-}
-
-func (w *walker) expr(e ast.Expr) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.CallExpr:
-		w.call(e)
-	case *ast.ParenExpr:
-		w.expr(e.X)
-	case *ast.UnaryExpr:
-		w.expr(e.X)
-	case *ast.BinaryExpr:
-		w.expr(e.X)
-		w.expr(e.Y)
-	case *ast.SelectorExpr:
-		w.expr(e.X)
-	case *ast.IndexExpr:
-		w.expr(e.X)
-		w.expr(e.Index)
-	case *ast.StarExpr:
-		w.expr(e.X)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			w.expr(el)
-		}
-	case *ast.KeyValueExpr:
-		w.expr(e.Value)
-	case *ast.TypeAssertExpr:
-		w.expr(e.X)
-	case *ast.FuncLit:
-		// A literal sees the enclosing contexts (it closes over them)
-		// but bindings inside it stay inside.
-		mark := len(w.inScope)
-		w.block(e.Body)
-		w.inScope = w.inScope[:mark]
-	}
-}
-
-func (w *walker) call(call *ast.CallExpr) {
-	// The callee holds calls of its own: a method's receiver, as in
-	// context.Background().Done(), or a called literal's body.
-	w.expr(call.Fun)
-	for _, a := range call.Args {
-		w.expr(a)
-	}
-	fn := analysis.Callee(w.pass.TypesInfo, call)
-	if fn == nil {
-		return
-	}
-
-	// R2: a fresh root context while a live one is in scope.
-	if fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
-		(fn.Name() == "Background" || fn.Name() == "TODO") {
-		if cur := w.current(); cur != "" {
-			w.pass.Reportf(call.Pos(),
-				"context.%s() discards the in-scope context %s: work started here outlives cancellation and drain deadlines",
-				fn.Name(), cur)
-		}
-		return
-	}
-
-	// R1 applies only when the caller actually has a context to pass.
-	if w.current() == "" {
-		return
-	}
-	if takesContext(fn) {
-		return
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil && fn.Pkg() != nil {
-		// Package-level functions only: http.Header.Get is not http.Get.
-		key := fn.Pkg().Path() + "." + fn.Name()
-		if repl, ok := stdlibPairs[key]; ok {
-			w.pass.Reportf(call.Pos(),
-				"%s ignores the in-scope context %s: use %s so the operation observes cancellation",
-				key, w.current(), repl)
+	key := fn.Pkg().Path() + "." + fn.Name()
+	root := key == "context.Background" || key == "context.TODO"
+	// Package-level functions only: http.Header.Get is not http.Get.
+	repl, pair := stdlibPairs[key]
+	pair = pair && fn.Type().(*types.Signature).Recv() == nil
+	sib := ""
+	if !root && !pair {
+		if sib = contextSibling(fn); sib == "" {
 			return
 		}
 	}
-	if sib := contextSibling(fn); sib != "" {
-		w.pass.Reportf(call.Pos(),
+	cur := inScope(pass, sig, call.Pos())
+	switch {
+	case cur == "":
+		// R1 and R2 apply only when the caller has a context to pass.
+	case root:
+		pass.Reportf(call.Pos(),
+			"context.%s() discards the in-scope context %s: work started here outlives cancellation and drain deadlines",
+			fn.Name(), cur)
+	case pair:
+		pass.Reportf(call.Pos(),
+			"%s ignores the in-scope context %s: use %s so the operation observes cancellation",
+			key, cur, repl)
+	default:
+		pass.Reportf(call.Pos(),
 			"%s has a context-aware variant %s: call it with %s instead of dropping cancellation",
-			fn.Name(), sib, w.current())
+			fn.Name(), sib, cur)
 	}
+}
+
+// inScope names the context source bound last before pos, as the
+// messages name it — a context variable "ctx" or an *http.Request
+// parameter "r.Context()" — or returns "". The type checker's scopes
+// decide what is visible: a binding counts only after its declaring
+// statement, one made in an if/for/switch header or a case body ends
+// with it, and a function literal sees what encloses it. Named
+// results start nil and package-level variables are no caller's
+// context, so neither counts.
+func inScope(pass *analysis.Pass, sig map[types.Object]bool, pos token.Pos) string {
+	pkg := pass.Pkg.Scope()
+	inner := pkg.Innermost(pos)
+	var last *types.Var
+	name := ""
+	for s := inner; s != nil && s != pkg; s = s.Parent() {
+		for _, n := range s.Names() {
+			obj, ok := s.Lookup(n).(*types.Var)
+			if _, vis := inner.LookupParent(n, pos); !ok || vis != obj || (last != nil && obj.Pos() < last.Pos()) {
+				continue
+			}
+			param, declared := sig[obj]
+			if isContext(obj.Type()) && (param || !declared) {
+				last, name = obj, n
+			} else if isHTTPRequest(obj.Type()) && param {
+				last, name = obj, n+".Context()"
+			}
+		}
+	}
+	return name
 }
 
 // contextSibling looks for FCtx/FContext next to fn — same package

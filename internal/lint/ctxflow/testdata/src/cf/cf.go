@@ -31,6 +31,57 @@ func laterLocal(d time.Duration) {
 	keep(context.Background()) // want `context.Background\(\) discards the in-scope context ctx`
 }
 
+// ifHeader, forHeader, caseBody: a context bound in an if or for
+// header or in one case body goes out of scope with it.
+func ifHeader(d time.Duration) {
+	if ctx, cancel := context.WithTimeout(context.Background(), d); cancel != nil {
+		keep(ctx)
+		cancel()
+	}
+	keep(context.Background())
+}
+
+func forHeader(d time.Duration) {
+	for ctx, cancel := context.WithTimeout(context.Background(), d); cancel != nil; cancel = nil {
+		keep(ctx)
+		cancel()
+	}
+	keep(context.Background())
+}
+
+func caseBody(d time.Duration, n int) {
+	switch n {
+	case 0:
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		keep(ctx)
+	}
+	keep(context.Background())
+}
+
+// namedResult: a named result starts nil; it is no context to keep.
+func namedResult() (ctx context.Context) {
+	ctx = context.Background()
+	return ctx
+}
+
+// closure: a literal sees the contexts of the function enclosing it.
+func closure(ctx context.Context) func() {
+	return func() {
+		keep(context.Background()) // want `context.Background\(\) discards the in-scope context ctx`
+	}
+}
+
+// literalParam, literalHandler: function literals are checked like
+// declarations, their parameters included.
+var literalParam = func(ctx context.Context) {
+	keep(context.Background()) // want `context.Background\(\) discards the in-scope context ctx`
+}
+
+var literalHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	keep(context.Background()) // want `context.Background\(\) discards the in-scope context r.Context\(\)`
+})
+
 // handler: r.Context() carries the client disconnect.
 func handler(w http.ResponseWriter, r *http.Request) {
 	_ = work(context.Background()) // want `context.Background\(\) discards the in-scope context r.Context\(\)`

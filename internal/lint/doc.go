@@ -15,7 +15,8 @@
 //   - lockorder: no blocking operation under a held mutex, and one
 //     acquisition order per pair of mutexes.
 //   - ctxflow: no context.Background() or context-less call variant
-//     where a context is already in scope.
+//     where a context is already in scope, as the type checker's scopes
+//     say, in declared functions and function literals alike.
 //   - atomicmix: no function-style sync/atomic operations; typed
 //     atomics cannot be accessed plainly.
 //

@@ -74,13 +74,16 @@ func run(pass *analysis.Pass) error {
 
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					w := &funcWalker{pass: pass, fn: d.Name.Name, edges: edges}
+					w.block(d.Body, nil)
+				}
+			case *ast.GenDecl:
+				w := &funcWalker{pass: pass, fn: "a func literal", edges: edges}
+				w.scanFuncLits(d)
 			}
-			name := fd.Name.Name
-			w := &funcWalker{pass: pass, fn: name, edges: edges}
-			w.block(fd.Body, nil)
 		}
 	}
 
@@ -428,7 +431,7 @@ func (w *funcWalker) flagBlocked(pos token.Pos, what string, held []heldLock) {
 
 // scanFuncLits analyzes function literals nested in e with a fresh
 // lock scope (used for go/defer call arguments, whose bodies run
-// outside the current critical section).
+// outside the current critical section, and package-level values).
 func (w *funcWalker) scanFuncLits(e ast.Node) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok {

@@ -150,3 +150,13 @@ func (s *Server) suppressed(v int) {
 	//simlint:ignore lockorder fixture exception: bounded buffer, send cannot block
 	s.ch <- v
 }
+
+// pkgHandler: a package-level function literal is checked like a
+// declared function.
+var pkgMu sync.Mutex
+
+var pkgHandler = func(ch chan int) {
+	pkgMu.Lock()
+	defer pkgMu.Unlock()
+	ch <- 1 // want `channel send while lk.pkgMu is held`
+}
