@@ -1,6 +1,8 @@
 package main
 
 import (
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,6 +19,154 @@ func TestTreeLintsClean(t *testing.T) {
 	if status := run([]string{"./..."}); status != 0 {
 		t.Fatalf("simlint ./... exited %d; the findings are on stdout", status)
 	}
+}
+
+// TestNoDeprecatedUse fences the compat API: the names kept only so
+// that the benchmark module still compiles. Non-test code under cmd/
+// and internal/ must not use a module symbol whose doc comment has a
+// "Deprecated:" paragraph, except inside a declaration that is itself
+// deprecated (a method of a deprecated type is one). Symbols are keyed
+// by package path and qualified name, since an imported package's
+// objects come from export data, not from the syntax that carries the
+// doc comment.
+func TestNoDeprecatedUse(t *testing.T) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deprecated := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Syntax {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if isDeprecated(n) {
+					for _, id := range declaredNames(n) {
+						deprecated[symbolKey(pkg.Info.Defs[id])] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, "delrep/cmd/") && !strings.HasPrefix(pkg.Path, "delrep/internal/") {
+			continue
+		}
+		for _, file := range pkg.Syntax {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if isDeprecated(n) {
+					return false
+				}
+				if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil {
+					if tn := receiver(pkg.Info.Defs[fd.Name].(*types.Func)); tn != nil && deprecated[symbolKey(tn)] {
+						return false
+					}
+				}
+				if id, ok := n.(*ast.Ident); ok {
+					if key := symbolKey(pkg.Info.Uses[id]); deprecated[key] {
+						t.Errorf("%s: uses %s, which is deprecated: only the benchmark module may use the compat API",
+							loader.Fset.Position(id.Pos()), key)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// isDeprecated reports whether n is a declaration whose doc comment
+// has a "Deprecated:" paragraph. A group's doc covers its specs.
+func isDeprecated(n ast.Node) bool {
+	var doc *ast.CommentGroup
+	switch n := n.(type) {
+	case *ast.FuncDecl:
+		doc = n.Doc
+	case *ast.GenDecl:
+		doc = n.Doc
+	case *ast.TypeSpec:
+		doc = n.Doc
+	case *ast.ValueSpec:
+		doc = n.Doc
+	case *ast.Field:
+		doc = n.Doc
+	}
+	return doc != nil && slices.ContainsFunc(strings.Split(doc.Text(), "\n\n"), func(p string) bool {
+		return strings.HasPrefix(p, "Deprecated: ")
+	})
+}
+
+// declaredNames returns the names declaration n declares itself, not
+// those of the parameters or locals inside it.
+func declaredNames(n ast.Node) []*ast.Ident {
+	switch n := n.(type) {
+	case *ast.FuncDecl:
+		return []*ast.Ident{n.Name}
+	case *ast.GenDecl:
+		var ids []*ast.Ident
+		for _, spec := range n.Specs {
+			ids = append(ids, declaredNames(spec)...)
+		}
+		return ids
+	case *ast.TypeSpec:
+		return []*ast.Ident{n.Name}
+	case *ast.ValueSpec:
+		return n.Names
+	case *ast.Field:
+		return n.Names
+	}
+	return nil
+}
+
+// symbolKey names a module symbol by package path and qualified name
+// ("delrep/internal/core.System.SetParallel",
+// "delrep/internal/core.PhaseProfile.NodeCommit"), or "" for anything
+// else.
+func symbolKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), "delrep/") {
+		return ""
+	}
+	name := obj.Name()
+	switch obj := obj.(type) {
+	case *types.Func:
+		if tn := receiver(obj); tn != nil {
+			name = tn.Name() + "." + name
+		}
+	case *types.Var:
+		if !obj.IsField() {
+			break
+		}
+		scope := obj.Pkg().Scope()
+		for _, tn := range scope.Names() {
+			if st, ok := scope.Lookup(tn).Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if st.Field(i) == obj {
+						name = tn + "." + name
+					}
+				}
+			}
+		}
+	}
+	return obj.Pkg().Path() + "." + name
+}
+
+// receiver returns the named type method fn is declared on, or nil
+// for a function.
+func receiver(fn *types.Func) *types.TypeName {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
 }
 
 // TestDocsNameTheSuite requires the three lists of the suite — the

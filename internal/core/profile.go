@@ -26,8 +26,10 @@ type PhaseProfile struct {
 	NodeCompute time.Duration // the node phase
 	Serial      time.Duration // end-of-cycle residue (flush, observer)
 
-	// NodeCommit is always zero: the node phase has no commit. The
-	// field stays because the benchmark module still reads it.
+	// NodeCommit is always zero: the node phase has no commit.
+	//
+	// Deprecated: the field stays because the benchmark module still
+	// reads it.
 	NodeCommit time.Duration
 }
 

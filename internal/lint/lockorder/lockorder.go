@@ -3,14 +3,14 @@
 //
 // Blocking under a lock: while a sync.Mutex or sync.RWMutex is held, a
 // function must not perform an operation of unbounded latency — a
-// channel send or receive (outside a select with a default case), a
-// sync.WaitGroup.Wait, a time.Sleep, or a write to an interface-typed
-// writer (io.Writer, http.ResponseWriter: the concrete value behind an
-// interface may be a network connection; writes to concrete in-memory
-// buffers are not flagged). A slow consumer would hold the lock
-// against every other goroutine, turning one stalled HTTP client into
-// a stalled daemon. Locking a mutex that is already held is flagged as
-// a self-deadlock.
+// channel send or receive (ranging over a channel included; outside a
+// select with a default case), a sync.WaitGroup.Wait, a time.Sleep, or
+// a write to an interface-typed writer (io.Writer, http.ResponseWriter:
+// the concrete value behind an interface may be a network connection;
+// writes to concrete in-memory buffers are not flagged). A slow
+// consumer would hold the lock against every other goroutine, turning
+// one stalled HTTP client into a stalled daemon. Locking a mutex that
+// is already held is flagged as a self-deadlock.
 //
 // Acquisition order: for every function the analyzer records which
 // mutex was acquired while which other mutex was held, keyed by the
@@ -28,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -74,16 +75,15 @@ func run(pass *analysis.Pass) error {
 
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Body != nil {
-					w := &funcWalker{pass: pass, fn: d.Name.Name, edges: edges}
-					w.block(d.Body, nil)
+			w := &funcWalker{pass: pass, fn: "a func literal", edges: edges}
+			var root ast.Node = decl
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				if d.Body == nil {
+					continue
 				}
-			case *ast.GenDecl:
-				w := &funcWalker{pass: pass, fn: "a func literal", edges: edges}
-				w.scanFuncLits(d)
+				w.fn, root = d.Name.Name, d.Body
 			}
+			ast.Inspect(root, w.visit)
 		}
 	}
 
@@ -119,208 +119,127 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// funcWalker tracks held locks through one function (or function
-// literal) body. Branch bodies get copies of the held set, so an
-// early-return unlock inside an if does not leak out.
+// funcWalker tracks held locks through one function body (or
+// package-level declaration) in a single ast.Inspect pass. Locks are
+// taken and released at their calls, in evaluation order; a branch
+// (the body or else of an if, the body or post of a for, a range body,
+// a case or comm clause) restores the held set on exit, so an
+// early-return unlock inside an if does not leak out; a function
+// literal runs later, with its own lock scope.
 type funcWalker struct {
 	pass  *analysis.Pass
 	fn    string
 	edges map[[2]string]orderEdge
+	held  []heldLock
+	stack []frame // the nodes being walked, innermost last
 }
 
-// block walks stmts in order with the given held set and returns the
-// set live at the end of the block.
-func (w *funcWalker) block(b *ast.BlockStmt, held []heldLock) []heldLock {
-	for _, s := range b.List {
-		held = w.stmt(s, held)
-	}
-	return held
+// frame is one node being walked: a branch or function literal
+// restores saved when it ends.
+type frame struct {
+	node    ast.Node
+	saved   []heldLock
+	restore bool
 }
 
-func (w *funcWalker) stmt(s ast.Stmt, held []heldLock) []heldLock {
-	switch s := s.(type) {
-	case nil:
-		return held
-	case *ast.ExprStmt:
-		return w.expr(s.X, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			held = w.expr(e, held)
+func (w *funcWalker) visit(n ast.Node) bool {
+	if n == nil {
+		f := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		if f.restore {
+			w.held = f.saved
 		}
-		for _, e := range s.Lhs {
-			held = w.expr(e, held)
-		}
-		return held
-	case *ast.DeferStmt:
-		if op, id := w.lockCall(s.Call); op == opUnlock || op == opRUnlock {
-			for i := range held {
-				if held[i].id == id {
-					held[i].deferred = true
-				}
-			}
-			return held
-		}
-		// Other deferred calls run at return; ignore their bodies for
-		// the held set but still scan literals for nested functions.
-		w.scanFuncLits(s.Call)
-		return held
-	case *ast.GoStmt:
-		w.scanFuncLits(s.Call)
-		return held
-	case *ast.SendStmt:
-		w.flagBlocked(s.Pos(), "channel send", held)
-		held = w.expr(s.Chan, held)
-		return w.expr(s.Value, held)
-	case *ast.IncDecStmt:
-		return w.expr(s.X, held)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			held = w.expr(e, held)
-		}
-		return held
-	case *ast.BlockStmt:
-		return w.block(s, held)
-	case *ast.IfStmt:
-		held = w.stmt(s.Init, held)
-		held = w.expr(s.Cond, held)
-		w.block(s.Body, copyHeld(held))
-		if s.Else != nil {
-			w.stmt(s.Else, copyHeld(held))
-		}
-		return held
-	case *ast.ForStmt:
-		held = w.stmt(s.Init, held)
-		if s.Cond != nil {
-			held = w.expr(s.Cond, held)
-		}
-		inner := copyHeld(held)
-		inner = w.stmt(s.Post, inner)
-		w.block(s.Body, inner)
-		return held
-	case *ast.RangeStmt:
-		held = w.expr(s.X, held)
-		w.block(s.Body, copyHeld(held))
-		return held
-	case *ast.SwitchStmt:
-		held = w.stmt(s.Init, held)
-		if s.Tag != nil {
-			held = w.expr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, st := range cc.Body {
-					w.stmt(st, copyHeld(held))
-				}
+		return true
+	}
+	f := frame{node: n}
+	if len(w.stack) > 0 {
+		switch p := w.stack[len(w.stack)-1].node.(type) {
+		case *ast.IfStmt:
+			f.restore = n == p.Body || n == p.Else
+		case *ast.ForStmt:
+			f.restore = n == p.Body || n == p.Post
+		case *ast.RangeStmt:
+			f.restore = n == p.Body
+		case *ast.CommClause:
+			if n == p.Comm {
+				return false // a select's communications are judged at the select
 			}
 		}
-		return held
-	case *ast.TypeSwitchStmt:
-		held = w.stmt(s.Init, held)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, st := range cc.Body {
-					w.stmt(st, copyHeld(held))
-				}
-			}
-		}
-		return held
-	case *ast.SelectStmt:
-		w.selectStmt(s, held)
-		return held
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						held = w.expr(v, held)
-					}
-				}
-			}
-		}
-		return held
 	}
-	return held
-}
-
-// selectStmt: a select with a default case never blocks on its
-// communications, so sends/receives in the comm positions are exempt;
-// case bodies run after selection and are scanned normally.
-func (w *funcWalker) selectStmt(s *ast.SelectStmt, held []heldLock) {
-	hasDefault := false
-	for _, c := range s.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			hasDefault = true
-		}
-	}
-	if !hasDefault {
-		w.flagBlocked(s.Pos(), "blocking select", held)
-	}
-	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		for _, st := range cc.Body {
-			w.stmt(st, copyHeld(held))
-		}
-	}
-}
-
-func (w *funcWalker) expr(e ast.Expr, held []heldLock) []heldLock {
-	switch e := e.(type) {
-	case nil:
-		return held
-	case *ast.CallExpr:
-		return w.call(e, held)
-	case *ast.ParenExpr:
-		return w.expr(e.X, held)
-	case *ast.UnaryExpr:
-		if e.Op == token.ARROW {
-			w.flagBlocked(e.Pos(), "channel receive", held)
-		}
-		return w.expr(e.X, held)
-	case *ast.BinaryExpr:
-		held = w.expr(e.X, held)
-		return w.expr(e.Y, held)
-	case *ast.SelectorExpr:
-		return w.expr(e.X, held)
-	case *ast.IndexExpr:
-		held = w.expr(e.X, held)
-		return w.expr(e.Index, held)
-	case *ast.StarExpr:
-		return w.expr(e.X, held)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			held = w.expr(el, held)
-		}
-		return held
-	case *ast.KeyValueExpr:
-		return w.expr(e.Value, held)
+	switch n := n.(type) {
+	case *ast.CaseClause, *ast.CommClause:
+		f.restore = true
 	case *ast.FuncLit:
-		// A literal's body runs when called, with its own lock scope.
-		w.block(e.Body, nil)
-		return held
+		w.stack = append(w.stack, frame{node: n, saved: w.held, restore: true})
+		w.held = nil
+		return true
+	case *ast.DeferStmt:
+		if op, id := w.lockCall(n.Call); op == opUnlock || op == opRUnlock {
+			for i := range w.held {
+				if w.held[i].id == id {
+					w.held[i].deferred = true
+				}
+			}
+			return false
+		}
+		w.operands(n.Call)
+		return false
+	case *ast.GoStmt:
+		w.operands(n.Call)
+		return false
+	case *ast.SelectStmt:
+		// With a default case the select never blocks on its
+		// communications.
+		if !slices.ContainsFunc(n.Body.List, func(c ast.Stmt) bool { return c.(*ast.CommClause).Comm == nil }) {
+			w.flagBlocked(n.Pos(), "blocking select")
+		}
+	case *ast.SendStmt:
+		w.flagBlocked(n.Pos(), "channel send")
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			w.flagBlocked(n.Pos(), "channel receive")
+		}
+	case *ast.RangeStmt:
+		if t := w.pass.TypesInfo.TypeOf(n.X); t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				w.flagBlocked(n.Pos(), "channel receive")
+			}
+		}
+	case *ast.CallExpr:
+		w.call(n)
 	}
-	return held
+	if f.restore {
+		f.saved = slices.Clone(w.held)
+	}
+	w.stack = append(w.stack, f)
+	return true
 }
 
-func (w *funcWalker) call(call *ast.CallExpr, held []heldLock) []heldLock {
-	// Walk arguments first (they evaluate before the call).
-	for _, a := range call.Args {
-		held = w.expr(a, held)
+// operands walks what a go or defer statement evaluates now: the
+// receiver or function value and the arguments, not the call itself.
+func (w *funcWalker) operands(call *ast.CallExpr) {
+	fun := ast.Unparen(call.Fun)
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.X
 	}
+	ast.Inspect(fun, w.visit)
+	for _, a := range call.Args {
+		ast.Inspect(a, w.visit)
+	}
+}
 
+// call applies a lock or unlock to the held set, or flags a blocking
+// call under it.
+func (w *funcWalker) call(call *ast.CallExpr) {
 	op, id := w.lockCall(call)
 	switch op {
 	case opLock, opRLock:
-		for _, h := range held {
+		for _, h := range w.held {
 			if h.id == id && !(h.reader && op == opRLock) {
 				w.pass.Reportf(call.Pos(),
 					"%s locked while already held (acquired at %s): self-deadlock",
 					id, w.pass.Fset.Position(h.pos))
-				return held
+				return
 			}
 			if h.id != id {
 				key := [2]string{h.id, id}
@@ -329,21 +248,17 @@ func (w *funcWalker) call(call *ast.CallExpr, held []heldLock) []heldLock {
 				}
 			}
 		}
-		return append(held, heldLock{id: id, pos: call.Pos(), reader: op == opRLock})
+		w.held = append(w.held, heldLock{id: id, pos: call.Pos(), reader: op == opRLock})
 	case opUnlock, opRUnlock:
-		for i := len(held) - 1; i >= 0; i-- {
-			if held[i].id == id && !held[i].deferred {
-				return append(held[:i:i], held[i+1:]...)
+		for i := len(w.held) - 1; i >= 0; i-- {
+			if w.held[i].id == id && !w.held[i].deferred {
+				w.held = append(w.held[:i:i], w.held[i+1:]...)
+				return
 			}
 		}
-		return held
+	default:
+		w.checkBlockingCall(call)
 	}
-
-	w.checkBlockingCall(call, held)
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		held = w.expr(sel.X, held)
-	}
-	return held
 }
 
 // lockCall classifies call as a mutex operation and returns the mutex
@@ -376,8 +291,8 @@ func (w *funcWalker) lockCall(call *ast.CallExpr) (lockOp, string) {
 }
 
 // checkBlockingCall flags calls of unbounded latency under a held lock.
-func (w *funcWalker) checkBlockingCall(call *ast.CallExpr, held []heldLock) {
-	if len(held) == 0 {
+func (w *funcWalker) checkBlockingCall(call *ast.CallExpr) {
+	if len(w.held) == 0 {
 		return
 	}
 	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -394,16 +309,16 @@ func (w *funcWalker) checkBlockingCall(call *ast.CallExpr, held []heldLock) {
 
 	switch {
 	case pkg == "sync" && name == "Wait" && recvTypeName(fn) == "WaitGroup":
-		w.flagBlocked(call.Pos(), "sync.WaitGroup.Wait", held)
+		w.flagBlocked(call.Pos(), "sync.WaitGroup.Wait")
 	case pkg == "time" && name == "Sleep":
-		w.flagBlocked(call.Pos(), "time.Sleep", held)
+		w.flagBlocked(call.Pos(), "time.Sleep")
 	case pkg == "io" && (name == "WriteString" || name == "Copy"):
 		if len(call.Args) > 0 && isInterface(w.pass.TypesInfo.TypeOf(call.Args[0])) {
-			w.flagBlocked(call.Pos(), "io."+name+" to an interface writer", held)
+			w.flagBlocked(call.Pos(), "io."+name+" to an interface writer")
 		}
 	case pkg == "fmt" && (name == "Fprintf" || name == "Fprint" || name == "Fprintln"):
 		if len(call.Args) > 0 && isInterface(w.pass.TypesInfo.TypeOf(call.Args[0])) {
-			w.flagBlocked(call.Pos(), "fmt."+name+" to an interface writer", held)
+			w.flagBlocked(call.Pos(), "fmt."+name+" to an interface writer")
 		}
 	default:
 		// Interface method writes: w.Write, w.WriteString, w.WriteHeader,
@@ -412,40 +327,21 @@ func (w *funcWalker) checkBlockingCall(call *ast.CallExpr, held []heldLock) {
 			switch name {
 			case "Write", "WriteString", "WriteHeader", "Flush", "ReadFrom":
 				if isInterface(w.pass.TypesInfo.TypeOf(sel.X)) {
-					w.flagBlocked(call.Pos(), "interface-writer "+name, held)
+					w.flagBlocked(call.Pos(), "interface-writer "+name)
 				}
 			}
 		}
 	}
 }
 
-func (w *funcWalker) flagBlocked(pos token.Pos, what string, held []heldLock) {
-	if len(held) == 0 {
+func (w *funcWalker) flagBlocked(pos token.Pos, what string) {
+	if len(w.held) == 0 {
 		return
 	}
-	h := held[len(held)-1]
+	h := w.held[len(w.held)-1]
 	w.pass.Reportf(pos,
 		"%s while %s is held (acquired at %s): a blocked %s holds the lock against every other goroutine",
 		what, h.id, w.pass.Fset.Position(h.pos), what)
-}
-
-// scanFuncLits analyzes function literals nested in e with a fresh
-// lock scope (used for go/defer call arguments, whose bodies run
-// outside the current critical section, and package-level values).
-func (w *funcWalker) scanFuncLits(e ast.Node) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			w.block(fl.Body, nil)
-			return false
-		}
-		return true
-	})
-}
-
-func copyHeld(held []heldLock) []heldLock {
-	out := make([]heldLock, len(held))
-	copy(out, held)
-	return out
 }
 
 func isInterface(t types.Type) bool {

@@ -160,3 +160,51 @@ var pkgHandler = func(ch chan int) {
 	defer pkgMu.Unlock()
 	ch <- 1 // want `channel send while lk.pkgMu is held`
 }
+
+// rangeChan: ranging over a channel receives from it on every
+// iteration.
+func (s *Server) rangeChan() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for v := range s.ch { // want `channel receive while \(Server\).mu is held`
+		_ = v
+	}
+}
+
+// assertRecv: a receive inside a type assertion still blocks.
+func (s *Server) assertRecv(c chan any) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return (<-c).(int) // want `channel receive while \(Server\).mu is held`
+}
+
+// sliceRecv: a receive in a slice bound still blocks.
+func (s *Server) sliceRecv(b []byte) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return b[<-s.ch:] // want `channel receive while \(Server\).mu is held`
+}
+
+// caseRecv: a switch case expression is evaluated under the lock.
+func (s *Server) caseRecv() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case <-s.ch == 1: // want `channel receive while \(Server\).mu is held`
+	}
+}
+
+// goArgRecv: a go statement evaluates its arguments before it
+// spawns, so the receive runs under the lock.
+func (s *Server) goArgRecv(f func(int)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	go f(<-s.ch) // want `channel receive while \(Server\).mu is held`
+}
+
+// goWait: the spawned goroutine waits, not the lock holder.
+func (s *Server) goWait(wg *sync.WaitGroup) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	go wg.Wait()
+}

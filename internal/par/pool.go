@@ -12,6 +12,9 @@ package par
 type Pool struct{ n int }
 
 // NewPool returns a pool of n workers; n < 1 is treated as 1.
+//
+// Deprecated: the simulator ticks one tile and needs no pool; NewPool
+// is kept so that callers built against the tiled tick still compile.
 func NewPool(n int) *Pool { return &Pool{n: max(1, n)} }
 
 // Size returns the number of worker IDs Run visits.

@@ -204,13 +204,19 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // The wire names the benchmark module still imports from this package.
-// Nothing in the tree uses them: delete this block when the benchmark
-// module imports internal/jobapi itself.
+//
+// Deprecated: use internal/jobapi's names. Nothing in the tree uses
+// these: delete this block when the benchmark module imports
+// internal/jobapi itself.
 type (
 	JobView       = jobapi.JobView
 	SubmitRequest = jobapi.SubmitRequest
 )
 
+// StatusDone is jobapi.StatusDone under its old name.
+//
+// Deprecated: use jobapi.StatusDone; the benchmark module still
+// imports this name.
 const StatusDone = jobapi.StatusDone
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
