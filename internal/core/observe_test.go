@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -71,6 +72,36 @@ func TestObserverDeterministic(t *testing.T) {
 	}
 	if out[0] != out[1] {
 		t.Fatal("observability output differs between identical runs")
+	}
+}
+
+// TestClogNarrativeCoversRun runs a clogged baseline with 3-cycle
+// windows at a 30% threshold, which flags more windows (over 15 000)
+// than the registry's ring holds (4096), in fewer windows (2666) than
+// it holds: the narrative reads every window, so it reaches the run's
+// last one and reports nothing dropped.
+func TestClogNarrativeCoversRun(t *testing.T) {
+	cfg := shortCfg(config.SchemeBaseline)
+	cfg.MeasureCycles = 6000
+	sys := NewSystem(cfg, "BP", "vips")
+	o := obs.New(obs.Options{Window: 3, ClogUtil: 0.3})
+	sys.AttachObserver(o)
+	sys.RunWorkload()
+
+	if n := len(o.Clog.Events()); n <= 4096 {
+		t.Errorf("%d flagged windows; the run must flag more than the ring's 4096", n)
+	}
+	ends := o.Reg.WindowEnds()
+	var b strings.Builder
+	if err := o.Clog.Narrative(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if last := fmt.Sprintf("..%-7d ", ends[len(ends)-1]); !strings.Contains(out, last) {
+		t.Errorf("no episode ends at the run's last window (%q); narrative tail:\n%s", last, out[max(0, len(out)-400):])
+	}
+	if strings.Contains(out, "dropped") || strings.Contains(out, "not examined") {
+		t.Errorf("narrative reports lost windows:\n%s", out[max(0, len(out)-400):])
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"delrep/internal/runner"
 )
 
-// clogExp reruns the paper's Figure-1 motivation with the online clog
+// clogExp reruns the paper's Figure-1 motivation with the clog
 // detector attached: the baseline memory nodes saturate their reply
 // ports while the reply queue keeps growing. Delegated Replies does not
 // make the episodes disappear: the committed -quick record flags 53

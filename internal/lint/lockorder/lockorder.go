@@ -162,7 +162,8 @@ func (w *funcWalker) visit(n ast.Node) bool {
 			f.restore = n == p.Body
 		case *ast.CommClause:
 			if n == p.Comm {
-				return false // a select's communications are judged at the select
+				w.commOperands(p.Comm)
+				return false
 			}
 		}
 	}
@@ -225,6 +226,26 @@ func (w *funcWalker) operands(call *ast.CallExpr) {
 	ast.Inspect(fun, w.visit)
 	for _, a := range call.Args {
 		ast.Inspect(a, w.visit)
+	}
+}
+
+// commOperands walks what a select evaluates on entry for one of its
+// communications: a send's channel and value, a receive's channel. The
+// communication itself is judged at the select.
+func (w *funcWalker) commOperands(comm ast.Stmt) {
+	var recv ast.Expr
+	switch c := comm.(type) {
+	case *ast.SendStmt:
+		ast.Inspect(c.Chan, w.visit)
+		ast.Inspect(c.Value, w.visit)
+		return
+	case *ast.ExprStmt:
+		recv = c.X
+	case *ast.AssignStmt:
+		recv = c.Rhs[0]
+	}
+	if u, ok := ast.Unparen(recv).(*ast.UnaryExpr); ok {
+		ast.Inspect(u.X, w.visit)
 	}
 }
 

@@ -208,3 +208,27 @@ func (s *Server) goWait(wg *sync.WaitGroup) {
 	defer s.mu.Unlock()
 	go wg.Wait()
 }
+
+// commOperandRecv: a select evaluates a send's value on entry, so the
+// receive producing it blocks under the lock despite the default case.
+func (s *Server) commOperandRecv(other chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case s.ch <- <-other: // want `channel receive while \(Server\).mu is held`
+	default:
+	}
+}
+
+// commRecv: the receive is the communication itself, which a default
+// case keeps from blocking.
+func (s *Server) commRecv() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case v := <-s.ch:
+		return v
+	default:
+		return 0
+	}
+}

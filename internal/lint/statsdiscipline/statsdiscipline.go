@@ -173,28 +173,15 @@ func isLocalCounterCandidate(pass *analysis.Pass, sel *ast.SelectorExpr, field *
 	}
 }
 
-// isParamOrReceiver reports whether v is a parameter or receiver of
-// some function in the package.
+// isParamOrReceiver reports whether v is a parameter or receiver of a
+// function declaration or literal in the package: its scope is a
+// function's, and it is declared before the parameter list ends — not
+// as a named result or a top-level local of the body, which share that
+// scope.
 func isParamOrReceiver(pass *analysis.Pass, v *types.Var) bool {
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sig := fn.Type().(*types.Signature)
-			if sig.Recv() == v {
-				return true
-			}
-			for i := 0; i < sig.Params().Len(); i++ {
-				if sig.Params().At(i) == v {
-					return true
-				}
-			}
+	for node, scope := range pass.TypesInfo.Scopes {
+		if ft, ok := node.(*ast.FuncType); ok && scope == v.Parent() {
+			return ft.Pos() <= v.Pos() && v.Pos() < ft.Params.End()
 		}
 	}
 	return false

@@ -34,6 +34,16 @@ func (p *Port) drop() {
 	p.S.Drops++ // want `counter LeakyStats.Drops is incremented but never reset`
 }
 
+// ClosureStats is incremented through a function literal's parameter
+// and has no reset path either.
+type ClosureStats struct {
+	Retries int64
+}
+
+var bump = func(s *ClosureStats) {
+	s.Retries++ // want `counter ClosureStats.Retries is incremented but never reset`
+}
+
 // GoodStats has a reset method: increments are fine.
 type GoodStats struct {
 	Hits int64

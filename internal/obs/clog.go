@@ -3,11 +3,12 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
 // ClogSource is one observation point for the clog detector — in
 // practice a memory node's reply port — given as registry probes, so
-// the detector reads the window the registry has just sampled: a Rate
+// the detector reads the windows the registry retained: a Rate
 // per outgoing link (flits per cycle; the busiest is the port
 // utilization), a Gauge of the bounded injection queue (packets) with
 // its capacity, and a Rate of the cycles the source was blocked.
@@ -32,79 +33,65 @@ type ClogEvent struct {
 	BlockedFrac float64 // fraction of the window spent blocked
 }
 
-// Detector watches registered sources at every window boundary and
-// records clog events. Detection runs in the tick path (pure); the
-// narrative rendering is run-end only.
+// Detector finds clog events in the registry's retained windows after
+// the run; nothing of it runs in the tick path.
 type Detector struct {
+	reg       *Registry
 	threshold float64
-	maxEvents int
-
-	sources []ClogSource
-	events  []ClogEvent
-	dropped int64
-	total   int64 // events observed including dropped
-	lastEnd int64
-}
-
-func newDetector(threshold float64, maxEvents int) *Detector {
-	return &Detector{
-		threshold: threshold,
-		maxEvents: maxEvents,
-		events:    make([]ClogEvent, 0, maxEvents),
-	}
+	sources   []ClogSource
 }
 
 // AddSource registers an observation point. Call during wiring, before
 // the run starts.
 func (d *Detector) AddSource(s ClogSource) { d.sources = append(d.sources, s) }
 
-// sample evaluates every source for the window ending at cycle. It runs
-// right after Registry.sample, so a probe's newest sample is this
-// window and the one before it the previous window.
-func (d *Detector) sample(cycle int64) {
-	start := d.lastEnd
-	d.lastEnd = cycle
-	for _, src := range d.sources {
-		var maxUtil float64
-		for _, link := range src.Links {
-			if u := link.last(0); u > maxUtil {
-				maxUtil = u
-			}
+// Events returns the flagged windows in detection order: window by
+// window and, within a window, source by source. A window starts where
+// the previous retained window ended (the oldest at end - window) and
+// its queue growth is measured from that window's queue sample (from
+// empty for the run's first window). Once the ring has wrapped, the
+// oldest retained window only supplies that baseline and is not
+// itself examined. Run-end only.
+func (d *Detector) Events() []ClogEvent {
+	r := d.reg
+	ends := r.WindowEnds()
+	var evs []ClogEvent
+	for w, end := range ends {
+		if w == 0 && r.Dropped() > 0 {
+			continue
 		}
-		q, qStart := int(src.Queue.last(0)), int(src.Queue.last(1))
-		// Clog signature: the busiest reply link is saturated while the
-		// bounded queue behind it grows or pins at capacity.
-		if maxUtil >= d.threshold && (q > qStart || (src.QCap > 0 && q >= src.QCap)) {
-			d.total++
-			if len(d.events) >= d.maxEvents {
-				d.dropped++
-				continue
+		slot, start := r.slot(w), end-r.window
+		if w > 0 {
+			start = ends[w-1]
+		}
+		for _, src := range d.sources {
+			var maxUtil float64
+			for _, l := range src.Links {
+				maxUtil = max(maxUtil, l.samples[slot])
 			}
-			d.events = append(d.events, ClogEvent{
-				Source: src.Name, Start: start, End: cycle,
-				Util: maxUtil, QStart: qStart, QEnd: q, QCap: src.QCap,
-				BlockedFrac: src.Blocked.last(0),
-			})
+			q, qStart := int(src.Queue.samples[slot]), 0
+			if w > 0 {
+				qStart = int(src.Queue.samples[r.slot(w-1)])
+			}
+			// Clog signature: the busiest reply link is saturated while
+			// the bounded queue behind it grows or pins at capacity.
+			if maxUtil >= d.threshold && (q > qStart || (src.QCap > 0 && q >= src.QCap)) {
+				evs = append(evs, ClogEvent{
+					Source: src.Name, Start: start, End: end,
+					Util: maxUtil, QStart: qStart, QEnd: q, QCap: src.QCap,
+					BlockedFrac: src.Blocked.samples[slot],
+				})
+			}
 		}
 	}
+	return evs
 }
-
-// Events returns the retained clog events in detection order.
-func (d *Detector) Events() []ClogEvent { return d.events }
-
-// EventCount returns the total flagged windows, including any dropped
-// beyond the retention bound.
-func (d *Detector) EventCount() int64 { return d.total }
 
 // Narrative writes a human-readable account of the detected clogging,
 // grouping consecutive flagged windows of one source into episodes —
 // a Figure-1-style story of when and where the reply path clogged.
 // Run-end only.
 func (d *Detector) Narrative(w io.Writer) error {
-	if len(d.events) == 0 {
-		_, err := fmt.Fprintf(w, "no clog episodes detected (threshold %.0f%% port utilization)\n", d.threshold*100)
-		return err
-	}
 	type episode struct {
 		source     string
 		start, end int64
@@ -114,9 +101,10 @@ func (d *Detector) Narrative(w io.Writer) error {
 		qCap       int
 		blocked    float64 // blocked fraction summed over windows
 	}
+	evs := d.Events()
 	var eps []*episode
 	open := map[string]*episode{}
-	for _, ev := range d.events {
+	for _, ev := range evs {
 		e := open[ev.Source]
 		if e == nil || ev.Start > e.end {
 			e = &episode{source: ev.Source, start: ev.Start, end: ev.End, qCap: ev.QCap}
@@ -125,29 +113,26 @@ func (d *Detector) Narrative(w io.Writer) error {
 		}
 		e.end = ev.End
 		e.windows++
-		if ev.Util > e.peakUtil {
-			e.peakUtil = ev.Util
-		}
-		if ev.QEnd > e.peakQ {
-			e.peakQ = ev.QEnd
-		}
+		e.peakUtil = max(e.peakUtil, ev.Util)
+		e.peakQ = max(e.peakQ, ev.QEnd)
 		e.blocked += ev.BlockedFrac
 	}
-	if _, err := fmt.Fprintf(w, "%d clog episode(s) across %d flagged window(s) (threshold %.0f%%):\n",
-		len(eps), d.total, d.threshold*100); err != nil {
-		return err
+	var b strings.Builder
+	if len(eps) == 0 {
+		fmt.Fprintf(&b, "no clog episodes detected (threshold %.0f%% port utilization)\n", d.threshold*100)
+	} else {
+		fmt.Fprintf(&b, "%d clog episode(s) across %d flagged window(s) (threshold %.0f%%):\n",
+			len(eps), len(evs), d.threshold*100)
 	}
 	for _, e := range eps {
-		if _, err := fmt.Fprintf(w,
+		fmt.Fprintf(&b,
 			"  %-10s cycles %7d..%-7d  %2d window(s)  peak util %5.1f%%  queue peak %d/%d  blocked %4.1f%% of cycles\n",
-			e.source, e.start, e.end, e.windows, e.peakUtil*100, e.peakQ, e.qCap, e.blocked/float64(e.windows)*100); err != nil {
-			return err
-		}
+			e.source, e.start, e.end, e.windows, e.peakUtil*100, e.peakQ, e.qCap, e.blocked/float64(e.windows)*100)
 	}
-	if d.dropped > 0 {
-		if _, err := fmt.Fprintf(w, "  (%d flagged window(s) beyond the retention bound were dropped)\n", d.dropped); err != nil {
-			return err
-		}
+	if dropped := d.reg.Dropped(); dropped > 0 {
+		fmt.Fprintf(&b, "  (the first %d window(s), through cycle %d, were not examined: the ring retains the last %d)\n",
+			dropped+1, d.reg.WindowEnds()[0], d.reg.depth)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // clogHarness drives a Detector through scripted windows. Its values
-// reach the detector through registry probes, sampled registry-first
-// as Observer.Tick does.
+// reach the detector through registry probes, sampled as Observer.Tick
+// does.
 type clogHarness struct {
 	sent    float64
 	qlen    int
@@ -17,9 +17,9 @@ type clogHarness struct {
 	d   *Detector
 }
 
-func newClogDetector(h *clogHarness, thr float64) *Detector {
-	h.reg = NewRegistry(100, 16)
-	h.d = newDetector(thr, 16)
+func newClogDetector(h *clogHarness, thr float64, depth int) *Detector {
+	h.reg = NewRegistry(100, depth)
+	h.d = &Detector{reg: h.reg, threshold: thr}
 	h.d.AddSource(ClogSource{
 		Name:    "mem0",
 		Links:   []*Probe{h.reg.Rate("mem0/link0", func() float64 { return h.sent })},
@@ -31,14 +31,11 @@ func newClogDetector(h *clogHarness, thr float64) *Detector {
 }
 
 // sample closes the window ending at cycle.
-func (h *clogHarness) sample(cycle int64) {
-	h.reg.sample(cycle)
-	h.d.sample(cycle)
-}
+func (h *clogHarness) sample(cycle int64) { h.reg.sample(cycle) }
 
 func TestClogDetection(t *testing.T) {
 	h := &clogHarness{}
-	d := newClogDetector(h, 0.85)
+	d := newClogDetector(h, 0.85, 16)
 
 	// Window 1: light traffic, empty queue — no event.
 	h.sent, h.qlen = 30, 0
@@ -57,8 +54,8 @@ func TestClogDetection(t *testing.T) {
 	h.sample(500)
 
 	evs := d.Events()
-	if len(evs) != 2 || d.EventCount() != 2 {
-		t.Fatalf("events = %d (total %d), want 2", len(evs), d.EventCount())
+	if len(evs) != 2 {
+		t.Fatalf("events = %d, want 2", len(evs))
 	}
 	e := evs[0]
 	if e.Source != "mem0" || e.Start != 200 || e.End != 300 {
@@ -89,7 +86,7 @@ func TestClogDetection(t *testing.T) {
 
 func TestClogQuietNarrative(t *testing.T) {
 	h := &clogHarness{}
-	d := newClogDetector(h, 0.85)
+	d := newClogDetector(h, 0.85, 16)
 	h.sent = 10
 	h.sample(100)
 	var b strings.Builder
@@ -103,7 +100,7 @@ func TestClogQuietNarrative(t *testing.T) {
 
 func TestClogCounterResetGuard(t *testing.T) {
 	h := &clogHarness{}
-	d := newClogDetector(h, 0.85)
+	d := newClogDetector(h, 0.85, 16)
 	h.sent, h.qlen = 100, 2
 	h.sample(100)
 	// ResetStats shrank the cumulative counter; the delta must
@@ -116,5 +113,31 @@ func TestClogCounterResetGuard(t *testing.T) {
 	}
 	if evs[1].Util != 0.95 {
 		t.Fatalf("post-reset util = %v, want 0.95 (re-baselined)", evs[1].Util)
+	}
+}
+
+// TestClogWrappedRing checks the detector once the registry's ring has
+// overwritten early windows: the oldest retained window only supplies
+// the queue baseline, every later one is examined, and the narrative
+// says which early windows were not.
+func TestClogWrappedRing(t *testing.T) {
+	h := &clogHarness{}
+	d := newClogDetector(h, 0.85, 3)
+	// Six saturated windows whose queue grows every time; the ring
+	// keeps the last three (ending 400, 500, 600).
+	for i := 1; i <= 6; i++ {
+		h.sent, h.qlen = float64(95*i), i
+		h.sample(int64(100 * i))
+	}
+	evs := d.Events()
+	if len(evs) != 2 || evs[0].Start != 400 || evs[0].End != 500 || evs[0].QStart != 4 || evs[1].End != 600 {
+		t.Fatalf("events = %+v, want windows 400..500 (queue from 4) and 500..600", evs)
+	}
+	var b strings.Builder
+	if err := d.Narrative(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "(the first 4 window(s), through cycle 400, were not examined: the ring retains the last 3)"; !strings.Contains(b.String(), want) {
+		t.Fatalf("narrative lacks %q:\n%s", want, b.String())
 	}
 }

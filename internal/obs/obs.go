@@ -1,8 +1,9 @@
 // Package obs is the simulator's observability layer: windowed metric
-// time series, deterministic packet-lifecycle tracing, and online clog
-// detection. It is strictly measurement-only — attaching an Observer
-// must never change simulated behaviour — and zero-overhead when
-// disabled (the hooks in noc/core are nil checks on untraced packets).
+// time series, deterministic packet-lifecycle tracing, and clog
+// detection, read from the retained windows at run end. It is strictly
+// measurement-only — attaching an Observer must never change simulated
+// behaviour — and zero-overhead when disabled (the hooks in noc/core
+// are nil checks on untraced packets).
 //
 // Everything reachable from Tick obeys the simulator's tick-purity
 // rule: no I/O, no wall-clock, no map iteration; samples and trace
@@ -13,12 +14,8 @@ package obs
 
 import "delrep/internal/noc"
 
-// ringDepth is how many windows each probe retains, and maxClogEvents
-// how many clog events the detector retains.
-const (
-	ringDepth     = 4096
-	maxClogEvents = 4096
-)
+// ringDepth is how many windows the registry retains.
+const ringDepth = 4096
 
 // Options configures an Observer. The zero value of each field selects
 // a sensible default, except TraceSample where 0 disables tracing.
@@ -76,8 +73,8 @@ type Observer struct {
 
 	// Reg holds the windowed metric probes.
 	Reg *Registry
-	// Clog is the online clog detector (always present; it only fires
-	// if sources are registered).
+	// Clog is the clog detector over Reg's windows (always present; it
+	// only fires if sources are registered).
 	Clog *Detector
 
 	// Describe renders a packet payload for trace records. Set by the
@@ -92,24 +89,23 @@ type Observer struct {
 // New builds an Observer from options (zero fields take defaults).
 func New(o Options) *Observer {
 	o = o.withDefaults()
+	reg := NewRegistry(o.Window, ringDepth)
 	return &Observer{
 		opts:       o,
-		Reg:        NewRegistry(o.Window, ringDepth),
-		Clog:       newDetector(o.ClogUtil, maxClogEvents),
+		Reg:        reg,
+		Clog:       &Detector{reg: reg, threshold: o.ClogUtil},
 		traces:     make([]TraceRecord, 0, o.MaxTraces),
 		nextSample: o.Window,
 	}
 }
 
 // Tick advances the observer clock; at window boundaries it samples
-// every probe and then runs the clog detector over the fresh samples.
-// Pure: no I/O, no maps.
+// every probe. Pure: no I/O, no maps.
 func (o *Observer) Tick(cycle int64) {
 	if cycle < o.nextSample {
 		return
 	}
 	o.Reg.sample(cycle)
-	o.Clog.sample(cycle)
 	o.nextSample += o.opts.Window
 }
 

@@ -47,62 +47,31 @@ type Probe struct {
 	lastNum float64
 	lastDen float64
 
-	samples []float64 // preallocated ring buffer
-	head    int       // index of the oldest sample
-	n       int       // samples currently held
-	dropped int64     // samples overwritten after the ring filled
-}
-
-// push appends a sample, overwriting the oldest once the ring is full.
-func (p *Probe) push(v float64) {
-	if p.n < len(p.samples) {
-		p.samples[(p.head+p.n)%len(p.samples)] = v
-		p.n++
-		return
-	}
-	p.samples[p.head] = v
-	p.head = (p.head + 1) % len(p.samples)
-	p.dropped++
+	reg     *Registry
+	samples []float64 // one slot per retained window, indexed as Registry.ends
 }
 
 // Values returns the retained samples in chronological order.
-func (p *Probe) Values() []float64 {
-	out := make([]float64, p.n)
-	for i := 0; i < p.n; i++ {
-		out[i] = p.samples[(p.head+i)%len(p.samples)]
-	}
-	return out
-}
+func (p *Probe) Values() []float64 { return retained(p.reg, p.samples) }
 
-// last returns the sample back windows before the newest (0 is the
-// newest), or 0 when the ring does not hold that many.
-func (p *Probe) last(back int) float64 {
-	if back >= p.n {
-		return 0
-	}
-	return p.samples[(p.head+p.n-1-back)%len(p.samples)]
-}
-
-// Dropped returns how many old samples were overwritten by the ring.
-func (p *Probe) Dropped() int64 { return p.dropped }
-
-// Registry samples named probes every window cycles into preallocated
-// ring buffers. All probes are sampled together, so every series is
-// aligned on the same window boundaries.
+// Registry samples named probes every window cycles into one
+// preallocated ring of windows: the registry holds the ring's only
+// head and length, and each probe's samples occupy the slots of the
+// window ends, so every series covers exactly the same windows.
 type Registry struct {
 	window int64
 	depth  int
 
 	probes []*Probe
 
-	ends    []int64 // window end cycles, same ring discipline as probes
-	head, n int
-	sampled int64 // windows sampled since construction
+	ends    []int64 // window end cycles, one slot per retained window
+	head, n int     // oldest slot and slots in use, shared by every probe
+	sampled int64   // windows sampled since construction
 }
 
 // NewRegistry builds a registry sampling every window cycles and
-// retaining the most recent depth windows per probe; both must be
-// positive (Options.withDefaults supplies the observer's).
+// retaining the most recent depth windows; both must be positive
+// (Options.withDefaults supplies the observer's).
 func NewRegistry(window int64, depth int) *Registry {
 	return &Registry{window: window, depth: depth, ends: make([]int64, depth)}
 }
@@ -110,11 +79,19 @@ func NewRegistry(window int64, depth int) *Registry {
 // Samples returns how many windows have been sampled so far.
 func (r *Registry) Samples() int64 { return r.sampled }
 
+// Dropped returns how many of the oldest windows the ring overwrote.
+func (r *Registry) Dropped() int64 { return r.sampled - int64(r.n) }
+
 // Probes returns the registered probes in registration order.
 func (r *Registry) Probes() []*Probe { return r.probes }
 
+// register adds p. Every probe must exist before the first window is
+// sampled, so that all series cover the same windows.
 func (r *Registry) register(p *Probe) *Probe {
-	p.samples = make([]float64, r.depth)
+	if r.sampled > 0 {
+		panic("obs: probe " + p.Name + " registered after sampling began")
+	}
+	p.reg, p.samples = r, make([]float64, r.depth)
 	r.probes = append(r.probes, p)
 	return p
 }
@@ -146,13 +123,13 @@ func (r *Registry) RatioDelta(name string, num, den func() float64) {
 // per-cycle path: it must stay free of I/O and allocation beyond the
 // preallocated rings (probe closures are invoked, nothing else).
 func (r *Registry) sample(cycle int64) {
+	slot := r.slot(r.n)
 	if r.n < r.depth {
-		r.ends[(r.head+r.n)%r.depth] = cycle
 		r.n++
 	} else {
-		r.ends[r.head] = cycle
-		r.head = (r.head + 1) % r.depth
+		r.head = (r.head + 1) % r.depth // the oldest window is overwritten
 	}
+	r.ends[slot] = cycle
 	r.sampled++
 	for _, p := range r.probes {
 		var v float64
@@ -178,19 +155,26 @@ func (r *Registry) sample(cycle int64) {
 				v = dn / dd
 			}
 		}
-		p.push(v)
+		p.samples[slot] = v
 	}
+}
+
+// slot returns the ring index of the i-th retained window, oldest
+// first.
+func (r *Registry) slot(i int) int { return (r.head + i) % r.depth }
+
+// retained returns ring's retained slots, oldest window first.
+func retained[T any](r *Registry, ring []T) []T {
+	out := make([]T, r.n)
+	for i := range out {
+		out[i] = ring[r.slot(i)]
+	}
+	return out
 }
 
 // WindowEnds returns the end cycles of the retained windows in
 // chronological order.
-func (r *Registry) WindowEnds() []int64 {
-	out := make([]int64, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.ends[(r.head+i)%r.depth]
-	}
-	return out
-}
+func (r *Registry) WindowEnds() []int64 { return retained(r, r.ends) }
 
 // metricsJSON is the exported JSON shape of a registry.
 type metricsJSON struct {
@@ -217,7 +201,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	for _, p := range r.probes {
 		doc.Series = append(doc.Series, seriesJSON{
-			Name: p.Name, Kind: p.kind.String(), Dropped: p.dropped, Values: p.Values(),
+			Name: p.Name, Kind: p.kind.String(), Dropped: r.Dropped(), Values: p.Values(),
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -235,18 +219,11 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 		b.WriteString(csvEscape(p.Name))
 	}
 	b.WriteByte('\n')
-	ends := r.WindowEnds()
-	cols := make([][]float64, len(r.probes))
-	for i, p := range r.probes {
-		cols[i] = p.Values()
-	}
-	for row, end := range ends {
+	for row, end := range r.WindowEnds() {
 		b.WriteString(strconv.FormatInt(end, 10))
-		for _, col := range cols {
+		for _, p := range r.probes {
 			b.WriteByte(',')
-			if row < len(col) {
-				b.WriteString(strconv.FormatFloat(col[row], 'g', -1, 64))
-			}
+			b.WriteString(strconv.FormatFloat(p.samples[r.slot(row)], 'g', -1, 64))
 		}
 		b.WriteByte('\n')
 	}

@@ -62,16 +62,30 @@ func TestRegistryRingOverflow(t *testing.T) {
 		v = float64(i)
 		r.sample(int64(i * 10))
 	}
-	p := r.Probes()[0]
-	if got := p.Values(); len(got) != 4 || got[0] != 3 || got[3] != 6 {
+	if got := r.Probes()[0].Values(); len(got) != 4 || got[0] != 3 || got[3] != 6 {
 		t.Fatalf("ring values = %v, want [3 4 5 6]", got)
 	}
-	if p.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", p.Dropped())
+	if r.Dropped() != 2 {
+		t.Fatalf("Dropped = %d, want 2", r.Dropped())
 	}
 	if ends := r.WindowEnds(); ends[0] != 30 || ends[3] != 60 {
 		t.Fatalf("window ends = %v", ends)
 	}
+}
+
+// TestRegistryLateProbePanics pins the one-ring invariant: every
+// series covers the same windows, so a probe cannot join once sampling
+// has begun.
+func TestRegistryLateProbePanics(t *testing.T) {
+	r := NewRegistry(10, 4)
+	r.Gauge("early", func() float64 { return 1 })
+	r.sample(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a probe after the first sample did not panic")
+		}
+	}()
+	r.Gauge("late", func() float64 { return 2 })
 }
 
 func TestRegistryZeroDenominator(t *testing.T) {
