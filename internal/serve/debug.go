@@ -34,8 +34,10 @@ type JobRecord struct {
 }
 
 // recent renders up to n terminal jobs of the job table, the most
-// recently finished first, and counts the terminal jobs in all.
-func (s *Server) recent(n int) (recs []JobRecord, total int) {
+// recently finished first, and counts the terminal jobs in all. Only
+// with traces does a record carry its span tree, which replays the
+// job's trace.
+func (s *Server) recent(n int, traces bool) (recs []JobRecord, total int) {
 	var seqs []int
 	s.mu.Lock()
 	rows := s.order
@@ -61,7 +63,9 @@ func (s *Server) recent(n int) (recs []JobRecord, total int) {
 			Error:    row.err,
 			Created:  row.created,
 			TotalUS:  row.finished.Sub(row.created).Microseconds(),
-			Trace:    row.traceViewLocked(id),
+		}
+		if traces {
+			r.Trace = row.traceViewLocked(id)
 		}
 		r.QueueUS = r.TotalUS // never ran
 		if !row.started.IsZero() {
@@ -79,7 +83,7 @@ func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
 		return
 	}
-	recs, total := s.recent(debugJobs)
+	recs, total := s.recent(debugJobs, true)
 	writeJSON(w, http.StatusOK, struct {
 		Total    int         `json:"total"`
 		Capacity int         `json:"capacity"`
@@ -174,7 +178,7 @@ func (x *local) handleDebugStatus(w http.ResponseWriter, r *http.Request) {
 		CacheCorrupt: cacheStats.Corrupt,
 	}
 	s.mu.Unlock()
-	page.Recent, _ = s.recent(20)
+	page.Recent, _ = s.recent(20, false) // the page links to the traces
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := statusTmpl.Execute(w, page); err != nil {
 		s.logger.WarnContext(r.Context(), "status page render failed", "error", err)

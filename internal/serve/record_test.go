@@ -22,7 +22,7 @@ func TestJobRecordBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow state inflates every allocation")
 	}
-	const jobs, budget = 5000, 1000
+	const jobs, budget = 5000, 600
 	for _, telemetryOn := range []bool{true, false} {
 		s, submitHot := hotSubmitter(t, telemetryOn, 261)
 		before := liveHeap()

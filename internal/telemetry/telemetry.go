@@ -21,6 +21,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/binary"
 	"slices"
 	"sync"
 	"time"
@@ -53,37 +54,57 @@ func wallNow() time.Time {
 // All methods are safe for concurrent use.
 //
 // A job table keeps a trace per job and never evicts, so the tree is
-// stored compactly: spans live in trace-owned chunks (the first inline,
-// enough for a hot daemon job), children are linked by index instead of
-// kept in per-span slices, and every attr sits on one trace-level list.
-// A trace may keep recording after its root ended.
+// one append-only byte log that every view replays: Start, End and Set
+// each append a record, and a trace may record after its root ended.
+// An overwritten attr keeps its old record: set an attr once or twice
+// per span, not once per loop iteration.
 type Trace struct {
 	mu      sync.Mutex
 	now     func() time.Time
-	origin  time.Time // the root span's start; spans keep offsets from it
-	n       int32     // spans recorded, the root included
+	origin  time.Time     // the root span's start
+	last    time.Duration // the newest record's time
+	n       int32         // spans recorded, the root included
 	dropped int32
-	spans   spanChunk    // the first spans, the root at 0
-	more    []*spanChunk // the rest
-	attrs   []attr
+	root    Span
+	log     []byte
+	values  []any // attr values of a kind the log does not encode
 }
 
-// spanChunk is as many spans as one allocation of a trace holds.
-type spanChunk [8]Span
+// A record is a tag byte and zigzag varints: a start holds the parent,
+// the time and the name, an end the span and the time, an attr the
+// span, the key and a value of the tag's kind. A time counts
+// nanoseconds since the previous record's time; a name or key is its
+// interned id, or 0, the length and the bytes.
+const (
+	recStart byte = iota
+	recEnd
+	recString // the attr tags, one per value kind
+	recInt
+	recInt64
+	recFalse
+	recTrue
+	recOther // the value is an index into Trace.values
+)
 
-// attr is one attribute of one span of a trace.
-type attr struct {
-	span *Span
-	Attr
-}
+// maxNames bounds the process-wide table that names and keys are
+// interned in; one that arrives after it filled is logged literally.
+const maxNames = 4096
+
+// names is the table; its lock is taken under a trace's, never held
+// while taking one.
+var names = struct {
+	mu   sync.Mutex
+	ids  map[string]int64 // a name's index in list, plus one
+	list []string         // only grows
+}{ids: map[string]int64{}}
 
 // New starts a trace whose root span has the given name and attrs.
 func New(name string, attrs ...Attr) *Trace {
-	t := &Trace{now: wallNow}
+	// A hot daemon job's log is ≈ 90 B: one allocation holds it.
+	t := &Trace{now: wallNow, n: 1, log: make([]byte, 0, 112)}
 	t.origin = t.now()
-	t.spans[0] = Span{trace: t, name: name}
-	t.n = 1
-	t.addAttrsLocked(&t.spans[0], attrs)
+	t.root = Span{trace: t}
+	t.startLocked(0, name, 0, attrs)
 	return t
 }
 
@@ -91,22 +112,69 @@ func New(name string, attrs ...Attr) *Trace {
 // mutex must be held.
 func (t *Trace) sinceLocked() time.Duration { return t.now().Sub(t.origin) }
 
-// spanLocked is span i of the trace, which must exist; the trace mutex
-// must be held.
-func (t *Trace) spanLocked(i int16) *Span {
-	n := int16(len(t.spans))
-	if i < n {
-		return &t.spans[i]
+// startLocked appends the newest span's start record and its attrs.
+func (t *Trace) startLocked(parent int32, name string, at time.Duration, attrs []Attr) {
+	t.stampLocked(recStart, parent, at)
+	t.putName(name)
+	for _, a := range attrs {
+		t.setLocked(t.n-1, a.Key, a.Value)
 	}
-	return &t.more[i/n-1][i%n]
 }
 
-// addAttrsLocked appends attrs to s; the trace mutex must be held.
-func (t *Trace) addAttrsLocked(s *Span, attrs []Attr) {
-	t.attrs = slices.Grow(t.attrs, len(attrs))
-	for _, a := range attrs {
-		t.attrs = append(t.attrs, attr{s, a})
+// setLocked appends an attr record.
+func (t *Trace) setLocked(i int32, key string, value any) {
+	tag := len(t.log)
+	t.log = append(t.log, recOther)
+	t.put(int64(i))
+	t.putName(key)
+	switch v := value.(type) {
+	case string:
+		t.log[tag] = recString
+		t.putString(v)
+	case int:
+		t.log[tag] = recInt
+		t.put(int64(v))
+	case int64:
+		t.log[tag] = recInt64
+		t.put(v)
+	case bool:
+		t.log[tag] = recFalse
+		if v {
+			t.log[tag] = recTrue
+		}
+	default:
+		t.put(int64(len(t.values)))
+		t.values = append(t.values, value)
 	}
+}
+
+func (t *Trace) put(v int64) { t.log = binary.AppendVarint(t.log, v) }
+
+func (t *Trace) putString(s string) {
+	t.put(int64(len(s)))
+	t.log = append(t.log, s...)
+}
+
+func (t *Trace) putName(s string) {
+	names.mu.Lock()
+	id := names.ids[s]
+	if id == 0 && len(names.list) < maxNames {
+		names.list = append(names.list, s)
+		id = int64(len(names.list))
+		names.ids[s] = id
+	}
+	names.mu.Unlock()
+	if t.put(id); id == 0 {
+		t.putString(s)
+	}
+}
+
+// stampLocked appends a start or end record's tag, span and time.
+func (t *Trace) stampLocked(tag byte, i int32, at time.Duration) {
+	t.log = append(t.log, tag)
+	t.put(int64(i))
+	t.put(int64(at - t.last))
+	t.last = at
 }
 
 // SetClock overrides the trace's clock; for tests only. It must be
@@ -125,7 +193,7 @@ func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
 	}
-	return &t.spans[0]
+	return &t.root
 }
 
 // End ends the root span. Children still open stay open: a view renders
@@ -144,17 +212,11 @@ func (t *Trace) Dropped() int64 {
 }
 
 // Span is one timed phase of a trace. A nil *Span is valid and inert.
-// Times are offsets from the trace's origin, which every view is
-// relative to anyway. A span lives in its trace's chunks and links to
-// its children and siblings by index there. Index 0 is the root, which
-// is nobody's child or sibling, so 0 also means "none" in a link.
+// It is a handle: the span itself is records in its trace's log.
 type Span struct {
-	trace       *Trace
-	name        string
-	start, end  time.Duration
-	first, last int16 // children, oldest and newest
-	next        int16 // the next younger sibling
-	ended       bool
+	trace *Trace
+	i     int32 // the span's number, 0 for the root
+	ended bool  // guarded by the trace mutex
 }
 
 // Start opens a child span. On a nil span (telemetry disabled, or the
@@ -170,20 +232,9 @@ func (s *Span) Start(name string, attrs ...Attr) *Span {
 		t.dropped++
 		return nil
 	}
-	i := int16(t.n)
-	if n := int16(len(t.spans)); i >= n && i%n == 0 {
-		t.more = append(t.more, new(spanChunk))
-	}
-	child := t.spanLocked(i)
-	*child = Span{trace: t, name: name, start: t.sinceLocked()}
-	if s.first == 0 {
-		s.first = i
-	} else {
-		t.spanLocked(s.last).next = i
-	}
-	s.last = i
+	child := &Span{trace: t, i: t.n}
 	t.n++
-	t.addAttrsLocked(child, attrs)
+	t.startLocked(s.i, name, t.sinceLocked(), attrs)
 	return child
 }
 
@@ -195,13 +246,7 @@ func (s *Span) Set(key string, value any) {
 	t := s.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.attrs {
-		if a := &t.attrs[i]; a.span == s && a.Key == key {
-			a.Value = value
-			return
-		}
-	}
-	t.attrs = append(t.attrs, attr{s, Attr{Key: key, Value: value}})
+	t.setLocked(s.i, key, value)
 }
 
 // End closes the span. Ending a span twice keeps the first endpoint.
@@ -213,7 +258,8 @@ func (s *Span) End() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !s.ended {
-		s.end, s.ended = t.sinceLocked(), true
+		s.ended = true
+		t.stampLocked(recEnd, s.i, t.sinceLocked())
 	}
 }
 
@@ -238,37 +284,99 @@ func (t *Trace) Snapshot() SpanView {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.viewLocked(&t.spans[0], t.sinceLocked())
+	return t.replayLocked(t.sinceLocked())
 }
 
-// viewLocked renders one span, an open one as ending now; the trace
-// mutex must be held.
-func (t *Trace) viewLocked(s *Span, now time.Duration) SpanView {
-	end := s.end
-	if !s.ended {
-		end = now
-	}
-	v := SpanView{
-		Name:    s.name,
-		StartUS: s.start.Microseconds(),
-		DurUS:   (end - s.start).Microseconds(),
-		Open:    !s.ended,
-	}
-	if v.DurUS < 0 {
-		v.DurUS = 0
-	}
-	for _, a := range t.attrs {
-		if a.span == s {
-			if v.Attrs == nil {
-				v.Attrs = map[string]any{}
+// replayed is one span as the replay of a log rebuilds it.
+type replayed struct {
+	SpanView
+	parent     int64
+	start, end time.Duration
+}
+
+// replayLocked builds the tree from the log, an open span as ending
+// now. A later attr wins.
+func (t *Trace) replayLocked(now time.Duration) SpanView {
+	names.mu.Lock()
+	list := names.list // it holds every id the log holds
+	names.mu.Unlock()
+	spans := make([]replayed, 0, t.n)
+	r := logReader(t.log)
+	var at time.Duration
+	for len(r) > 0 {
+		tag := r[0]
+		r = r[1:]
+		i := r.int()
+		switch tag {
+		case recStart:
+			at += time.Duration(r.int())
+			spans = append(spans, replayed{SpanView{Name: r.name(list), Open: true}, i, at, 0})
+		case recEnd: // one per span at most: its handle ends it once
+			at += time.Duration(r.int())
+			spans[i].end, spans[i].Open = at, false
+		default:
+			s, key := &spans[i], r.name(list)
+			if s.Attrs == nil {
+				s.Attrs = map[string]any{}
 			}
-			v.Attrs[a.Key] = a.Value
+			s.Attrs[key] = r.value(tag, t.values)
 		}
 	}
-	for c := s.first; c != 0; c = t.spanLocked(c).next {
-		v.Children = append(v.Children, t.viewLocked(t.spanLocked(c), now))
+	// A child starts after its parent: walking back, each subtree is
+	// complete, its children gathered newest first, before it is placed.
+	for i := len(spans) - 1; i >= 0; i-- {
+		s := &spans[i]
+		if s.Open {
+			s.end = now
+		}
+		s.StartUS = s.start.Microseconds()
+		s.DurUS = max(0, (s.end - s.start).Microseconds())
+		slices.Reverse(s.Children)
+		if i > 0 {
+			p := &spans[s.parent]
+			p.Children = append(p.Children, s.SpanView)
+		}
 	}
+	return spans[0].SpanView
+}
+
+// logReader decodes a trace's log.
+type logReader []byte
+
+func (r *logReader) int() int64 {
+	v, n := binary.Varint(*r)
+	*r = (*r)[n:]
 	return v
+}
+
+func (r *logReader) string() string {
+	n := r.int()
+	s := string((*r)[:n])
+	*r = (*r)[n:]
+	return s
+}
+
+// name decodes a name against the interned list.
+func (r *logReader) name(list []string) string {
+	if id := r.int(); id != 0 {
+		return list[id-1]
+	}
+	return r.string()
+}
+
+// value decodes an attr value of the tag's kind.
+func (r *logReader) value(tag byte, values []any) any {
+	switch tag {
+	case recString:
+		return r.string()
+	case recInt:
+		return int(r.int())
+	case recInt64:
+		return r.int()
+	case recFalse, recTrue:
+		return tag == recTrue
+	}
+	return values[r.int()]
 }
 
 // Find returns the first span view with the given name in a pre-order
