@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint bench-check bench profile record serve all
+.PHONY: build test race lint bench-check bench pairs profile record serve all
 
 all: build test lint bench-check
 
@@ -30,6 +30,31 @@ bench-check:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# pairs is the counting rule as one command: N pairs of one workload on
+# seeds SEED, SEED+1, …, BASE (a git revision) against the working
+# tree's tracked files, each exported into .bench_build/pairs and built
+# once by its own benchmark/run.sh, the side that runs first
+# alternating; cmd/benchpairs reduces the 2N results to PAIRS_OUT.
+#   make pairs BASE=HEAD~1 WORKLOAD=serve SEED=5601 N=10 PAIRS_OUT=BENCH_prN.pairs.json
+BASE ?= HEAD
+WORKLOAD ?= serve
+SEED ?= 1
+N ?= 10
+PAIRS_OUT ?= .bench_build/pairs/pairs.json
+pairs:
+	set -e; d=$(CURDIR)/.bench_build/pairs; rm -rf $$d; mkdir -p $$d/base $$d/change $$d/runs; \
+	git archive $(BASE) | tar -x -C $$d/base; \
+	rev=$$(git stash create); git archive $${rev:-HEAD} | tar -x -C $$d/change; \
+	for side in base change; do bash $$d/$$side/benchmark/run.sh -h 2>/dev/null; done; \
+	files=; for i in $$(seq 0 $$(($(N) - 1))); do \
+		order="base change"; [ $$((i % 2)) = 1 ] && order="change base"; \
+		for side in $$order; do \
+			bash $$d/$$side/benchmark/run.sh --workload $(WORKLOAD) -seed $$(($(SEED) + i)) -out $$d/runs/$$side-$$i.json; \
+		done; \
+		files="$$files $$d/runs/base-$$i.json $$d/runs/change-$$i.json"; \
+	done; \
+	$(GO) run ./cmd/benchpairs -bench BENCHMARK.json -out $(PAIRS_OUT) $$files
 
 # profile runs the clogged spec sim-serial leads with (HS+vips baseline
 # mesh: memory nodes blocked on full reply buffers) under the CPU and

@@ -241,7 +241,7 @@ func TestPlantedMutations(t *testing.T) {
 			[]string{"\te.memo[k] = f\n", "\te.memo[k] = f\n\te.sem <- struct{}{}\n"},
 			[]string{"lockorder"}},
 		{"context.Background in a serve handler", "internal/serve", "serve.go",
-			[]string{"j.Log().InfoContext(r.Context(), ", "j.Log().InfoContext(context.Background(), "},
+			[]string{"j.Log(r.Context(), ", "j.Log(context.Background(), "},
 			[]string{"ctxflow"}},
 		{"context.Background as a method receiver in a serve handler", "internal/serve", "serve.go",
 			[]string{"case <-r.Context().Done():", "case <-context.Background().Done():"},

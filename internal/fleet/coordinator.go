@@ -213,7 +213,7 @@ func (s *Server) dispatch(j *serve.Job, req jobapi.SubmitRequest, key string) {
 		}
 		lastErr = err
 		s.nRetry.Add(1)
-		j.Log().WarnContext(ctx, "dispatch attempt failed", "worker", worker, "phase", phase, "error", err)
+		j.Log(ctx, slog.LevelWarn, "dispatch attempt failed", "worker", worker, "phase", phase, "error", err)
 		return false
 	}
 
@@ -303,7 +303,7 @@ func (s *Server) attempt(j *serve.Job, req jobapi.SubmitRequest, addr, worker st
 	}
 	j.Running(worker)
 	s.nDispatch.Add(1)
-	j.Log().InfoContext(ctx, "job dispatched", "worker", worker, "remote_job", remoteID)
+	j.Log(ctx, slog.LevelInfo, "job dispatched", "worker", worker, "remote_job", remoteID)
 
 	term, err := s.watch(j, worker, remoteID)
 	if err != nil {
@@ -359,7 +359,7 @@ func (s *Server) probeCache(j *serve.Job, addr, worker string) (out serve.Outcom
 	switch code := jobapi.Code(err); {
 	case err == nil:
 		s.nProbeHit.Add(1)
-		j.Log().InfoContext(ctx, "job served from cache tier", "worker", worker)
+		j.Log(ctx, slog.LevelInfo, "job served from cache tier", "worker", worker)
 		return serve.Outcome{
 			Status: jobapi.StatusDone, Source: runner.SourceDisk.String(), Worker: worker, Result: res,
 		}, true, nil
@@ -466,9 +466,9 @@ func (s *Server) watch(j *serve.Job, worker, remoteID string) (jobapi.JobView, e
 		// point of view, and an unreachable worker will cancel it anyway
 		// when it notices (or has died with it).
 		if err := api.Cancel(bctx, remoteID); err != nil {
-			j.Log().WarnContext(bctx, "cancel propagation failed", "worker", worker, "error", err)
+			j.Log(bctx, slog.LevelWarn, "cancel propagation failed", "worker", worker, "error", err)
 		} else {
-			j.Log().InfoContext(bctx, "cancel propagated", "worker", worker, "remote_job", remoteID)
+			j.Log(bctx, slog.LevelInfo, "cancel propagated", "worker", worker, "remote_job", remoteID)
 		}
 		return jobapi.JobView{Status: jobapi.StatusCancelled}, nil
 	}

@@ -21,7 +21,7 @@ func TestCoordinatorJobRecordBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow state inflates every allocation")
 	}
-	const jobs, budget = 5000, 600
+	const jobs, budget = 5000, 340
 	w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
 	// One probe sweep, at start: a registry scrape still in flight at
 	// the final collection would hold its /metrics bodies live.

@@ -46,8 +46,15 @@ func KeyHash(cfg config.Config, gpu, cpu string) string {
 // HashKey is KeyHash of an already rendered key, for callers that need
 // the key itself too: rendering the Config is the expensive part.
 func HashKey(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:6])
+	sum := HashKeySum(key)
+	return hex.EncodeToString(sum[:])
+}
+
+// HashKeySum is HashKey's 6 bytes before they are rendered as hex.
+func HashKeySum(key string) (sum [6]byte) {
+	full := sha256.Sum256([]byte(key))
+	copy(sum[:], full[:])
+	return sum
 }
 
 // CacheAddr returns the full content address of a run key: the hex

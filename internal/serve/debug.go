@@ -42,35 +42,37 @@ func (s *Server) recent(n int, traces bool) (recs []JobRecord, total int) {
 	s.mu.Lock()
 	rows := s.order
 	for i, row := range rows {
-		if row.status.Terminal() {
+		if row.status().Terminal() {
 			seqs = append(seqs, i+1)
 		}
 	}
 	s.mu.Unlock()
 	// A terminal job's row never changes again: read it unlocked.
-	sort.SliceStable(seqs, func(a, b int) bool { return rows[seqs[a]-1].finished.After(rows[seqs[b]-1].finished) })
+	finished := func(seq int) time.Time { return rows[seq-1].created.Add(rows[seq-1].finished) }
+	sort.SliceStable(seqs, func(a, b int) bool { return finished(seqs[a]).After(finished(seqs[b])) })
 	recs = make([]JobRecord, min(n, len(seqs)))
 	for i := range recs {
 		id, row, r := s.jobID(seqs[i]), rows[seqs[i]-1], &recs[i]
+		t := row.strings(&s.names)
 		*r = JobRecord{
 			ID:       id,
-			Client:   row.client,
+			Client:   t.client,
 			Priority: row.prio.String(),
 			Spec:     fmt.Sprintf("%s+%s %s", row.spec.GPU, row.spec.CPU, row.spec.Scheme),
-			SpecKey:  row.specKey,
-			Outcome:  string(row.status),
-			Source:   row.source,
-			Error:    row.err,
+			SpecKey:  row.keyHex(),
+			Outcome:  string(row.status()),
+			Source:   t.source,
+			Error:    t.err,
 			Created:  row.created,
-			TotalUS:  row.finished.Sub(row.created).Microseconds(),
+			TotalUS:  row.finished.Microseconds(),
 		}
 		if traces {
-			r.Trace = row.traceViewLocked(id)
+			r.Trace = row.traceViewLocked(&s.names, id)
 		}
 		r.QueueUS = r.TotalUS // never ran
-		if !row.started.IsZero() {
-			r.QueueUS = row.started.Sub(row.created).Microseconds()
-			r.ExecUS = row.finished.Sub(row.started).Microseconds()
+		if row.started != 0 {
+			r.QueueUS = row.started.Microseconds()
+			r.ExecUS = (row.finished - row.started).Microseconds()
 		}
 	}
 	return recs, len(seqs)

@@ -2,11 +2,16 @@ package serve
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"delrep/internal/jobapi"
+	"delrep/internal/runner"
 	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
@@ -14,7 +19,7 @@ import (
 // Priority orders jobs in the queue: all queued high-priority jobs
 // dispatch before any normal one, and so on. Within a priority level
 // dispatch is strictly FIFO.
-type Priority int
+type Priority uint8
 
 const (
 	PrioLow Priority = iota
@@ -60,6 +65,7 @@ type Job struct {
 	srv    *Server
 	row    *jobRow
 	id     string
+	client string
 	spec   simspec.Spec // canonical form, echoed back to clients
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -75,28 +81,97 @@ type Job struct {
 // jobRow is a job as the table keeps it, for as long as the process
 // lives: exactly what GET /v1/jobs/{id}, /v1/jobs, both trace formats,
 // /debug/jobs and /debug/status read. Its id is its place in the table.
-// Its logger and its root span's identity attrs are rendered from it
-// when wanted. A done job's result is shared with every job of the same
-// runner future (the coordinator: of the same address), and so is its
-// spec: the row points at the one that result echoes whenever the two
-// are equal.
+// Its root span's identity attrs are rendered from it when wanted. A
+// done job's result is shared with every job of the same runner future
+// (the coordinator: of the same address), and so is its spec: the row
+// points at the one that result echoes whenever the two are equal. It
+// is 96 bytes: its strings are codes, bar those in text.
 type jobRow struct {
 	// Immutable after admission.
-	client  string
-	prio    Priority
-	specKey string           // short content hash of the resolved spec
-	trace   *telemetry.Trace // nil when telemetry is off; safe for concurrent use
 	created time.Time
+	trace   *telemetry.Trace // nil when telemetry is off; safe for concurrent use
+	specKey [6]byte          // short content hash of the resolved spec
+	prio    Priority
 
 	// Guarded by Server.mu; fixed once the job is terminal.
+	st                uint8         // the index of the job's status
+	source            uint8         // see keep
+	client, worker    uint16        // see keep
+	started, finished time.Duration // since created; 0 until set, then ≥ 1 ns
 	live              *Job          // the job's live part; nil once terminal
 	spec              *simspec.Spec // the live part's until terminal
-	status            jobapi.Status
-	started, finished time.Time
-	source, err       string        // as the outcome reported them
-	worker            string        // coordinator only: current/final worker base URL
 	result            *SharedResult // done jobs only
+	text              *rowText      // see keep
 }
+
+// rowText is a row's strings.
+type rowText struct{ client, worker, source, err string }
+
+// statuses are the job states, in the order a row numbers them.
+var statuses = [...]jobapi.Status{jobapi.StatusQueued, jobapi.StatusRunning, jobapi.StatusDone, jobapi.StatusFailed, jobapi.StatusCancelled}
+
+func (r *jobRow) status() jobapi.Status      { return statuses[r.st] }
+func (r *jobRow) setStatus(st jobapi.Status) { r.st = uint8(slices.Index(statuses[:], st)) }
+
+// maxRowNames bounds a server's name table.
+const maxRowNames = 4096
+
+// nameTable interns the client names and worker URLs of a server's
+// rows; a name that arrives after it filled stays literal, in its row's
+// text. A row's id is published under Server.mu after its entry was
+// written, so reading list takes no lock.
+type nameTable struct {
+	mu   sync.Mutex
+	ids  map[string]uint16
+	list [maxRowNames + 1]string // list[0] is "": no name
+}
+
+// intern is name's id, 0 for "" and for a name past the bound.
+func (t *nameTable) intern(name string) uint16 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id := t.ids[name]; id != 0 || name == "" || len(t.ids) == maxRowNames {
+		return id
+	}
+	id := uint16(len(t.ids) + 1)
+	t.list[id], t.ids[name] = name, id
+	return id
+}
+
+// strings renders what keep stored; Server.mu must be held, or the job
+// be terminal.
+func (r *jobRow) strings(names *nameTable) rowText {
+	if r.text != nil {
+		return *r.text
+	}
+	t := rowText{client: names.list[r.client], worker: names.list[r.worker]}
+	if r.source != 0 {
+		t.source = runner.Source(r.source - 1).String()
+	}
+	return t
+}
+
+// keep stores t in the row as codes: a client or worker as its name
+// table id, a source as runner.Source + 1. Only when that loses some of
+// t, past the table's bound or in an error, does the row keep t itself.
+func (r *jobRow) keep(names *nameTable, t rowText) {
+	r.client, r.worker, r.source, r.text = names.intern(t.client), names.intern(t.worker), 0, nil
+	if t.source != "" { // an unknown source's error allocates
+		if src, err := runner.ParseSource(t.source); err == nil {
+			r.source = uint8(src) + 1
+		}
+	}
+	if r.strings(names) != t {
+		kept := t // only a row that keeps t allocates it
+		r.text = &kept
+	}
+}
+
+// keyHex renders the spec_key.
+func (r *jobRow) keyHex() string { return hex.EncodeToString(r.specKey[:]) }
+
+// at renders a time of the row, given as its offset from created.
+func (r *jobRow) at(d time.Duration) string { return r.created.Add(d).UTC().Format(time.RFC3339Nano) }
 
 // Outcome is how a job ended, as its Executor reports it to Finish.
 type Outcome struct {
@@ -119,10 +194,18 @@ func (j *Job) Context() context.Context { return j.ctx }
 // Spec returns the canonical spec the job's result belongs to.
 func (j *Job) Spec() simspec.Spec { return j.spec }
 
-// Log returns a logger with the job's job, client and spec_key attrs
-// set. The job keeps no logger: each call builds one.
-func (j *Job) Log() *slog.Logger {
-	return j.srv.logger.With("job", j.id, "client", j.row.client, "spec_key", j.row.specKey)
+// Log writes one record with the job's job, client and spec_key attrs
+// ahead of args: the bytes a logger With them would write, without
+// building that logger or a copy of args.
+func (j *Job) Log(ctx context.Context, level slog.Level, msg string, args ...any) {
+	if l := j.srv.logger; l.Enabled(ctx, level) {
+		var pc [1]uintptr
+		runtime.Callers(2, pc[:]) // Log's caller, as the logger's own methods record it
+		r := slog.NewRecord(time.Now(), level, msg, pc[0])
+		r.Add("job", j.id, "client", j.client, "spec_key", j.row.keyHex())
+		r.Add(args...)
+		_ = l.Handler().Handle(ctx, r)
+	}
 }
 
 // Span returns the root of the job's trace, nil when telemetry is off
@@ -145,11 +228,13 @@ func (j *Job) Running(worker string) {
 	s := j.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.row.status.Terminal() {
+	if j.row.status().Terminal() {
 		return
 	}
 	s.startLocked(j)
-	j.row.worker = worker
+	t := j.row.strings(&s.names)
+	t.worker = worker
+	j.row.keep(&s.names, t)
 	s.notifyLocked(j)
 }
 
@@ -167,7 +252,7 @@ func (j *Job) SetProgress(src func() (done, total int64)) {
 func (j *Job) Finish(out Outcome) {
 	s := j.srv
 	s.mu.Lock()
-	if j.row.status.Terminal() {
+	if j.row.status().Terminal() {
 		s.mu.Unlock()
 		return
 	}
@@ -178,22 +263,19 @@ func (j *Job) Finish(out Outcome) {
 	s.retire(j)
 }
 
-// viewLocked renders the job; the server's mutex must be held.
-func (j *Job) viewLocked() (jobapi.JobView, *SharedResult) { return j.row.viewLocked(j.id) }
-
 // traceViewLocked snapshots the job's span tree. The root's identity
 // attrs — job, client, spec_key, priority, and outcome once terminal —
 // are rendered from the row here instead of being kept in every trace.
 // The caller holds the server's mutex or knows the job is terminal. A
 // job without a trace renders the zero view.
-func (r *jobRow) traceViewLocked(id string) telemetry.SpanView {
+func (r *jobRow) traceViewLocked(names *nameTable, id string) telemetry.SpanView {
 	if r.trace == nil {
 		return telemetry.SpanView{}
 	}
 	v := r.trace.Snapshot()
-	v.Attrs = map[string]any{"job": id, "client": r.client, "spec_key": r.specKey, "priority": r.prio.String()}
-	if r.status.Terminal() {
-		v.Attrs["outcome"] = string(r.status)
+	v.Attrs = map[string]any{"job": id, "client": r.strings(names).client, "spec_key": r.keyHex(), "priority": r.prio.String()}
+	if r.status().Terminal() {
+		v.Attrs["outcome"] = string(r.status())
 	}
 	return v
 }
@@ -201,30 +283,31 @@ func (r *jobRow) traceViewLocked(id string) telemetry.SpanView {
 // viewLocked renders the job with this row, and returns with it the
 // shared result its Result is, for writeView to splice in (nil when it
 // has none); the server's mutex must be held.
-func (r *jobRow) viewLocked(id string) (jobapi.JobView, *SharedResult) {
+func (r *jobRow) viewLocked(names *nameTable, id string) (jobapi.JobView, *SharedResult) {
+	t := r.strings(names)
 	v := jobapi.JobView{
 		ID:       id,
-		Status:   r.status,
+		Status:   r.status(),
 		Priority: r.prio.String(),
-		Client:   r.client,
+		Client:   t.client,
 		Spec:     *r.spec,
-		Created:  r.created.UTC().Format(time.RFC3339Nano),
-		Error:    r.err,
-		Worker:   r.worker,
+		Created:  r.at(0),
+		Error:    t.err,
+		Worker:   t.worker,
 	}
-	if !r.started.IsZero() {
-		v.Started = r.started.UTC().Format(time.RFC3339Nano)
+	if r.started != 0 {
+		v.Started = r.at(r.started)
 	}
-	if !r.finished.IsZero() {
-		v.Finished = r.finished.UTC().Format(time.RFC3339Nano)
+	if r.finished != 0 {
+		v.Finished = r.at(r.finished)
 	}
-	if r.status == jobapi.StatusRunning && r.live.progress != nil {
+	if r.status() == jobapi.StatusRunning && r.live.progress != nil {
 		done, total := r.live.progress()
 		v.Progress = &jobapi.ProgressView{CyclesDone: done, CyclesTotal: total}
 	}
 	var res *SharedResult
-	if r.status == jobapi.StatusDone {
-		v.Source = r.source
+	if r.status() == jobapi.StatusDone {
+		v.Source = t.source
 		if res = r.result; res != nil {
 			v.Result = res.Result
 		}

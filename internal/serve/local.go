@@ -140,7 +140,7 @@ func (x *local) Ready() (bool, string) { return true, "" }
 // Admit applies the two admission caps and queues the job for the
 // worker pool. srv.mu is held.
 func (x *local) Admit(j *Job, _ jobapi.SubmitRequest, cfg config.Config, key string) *Rejection {
-	client := j.row.client
+	client := j.client
 	if x.opts.ClientInFlight > 0 && x.inflight[client] >= x.opts.ClientInFlight {
 		return &Rejection{
 			Reason: "client_cap", Status: http.StatusTooManyRequests, RetryAfter: x.retryAfterLocked(),
@@ -184,7 +184,7 @@ func (x *local) retryAfterLocked() int {
 func (x *local) Cancel(j *Job) {
 	x.srv.mu.Lock()
 	defer x.srv.mu.Unlock()
-	if j.row.status == jobapi.StatusQueued {
+	if j.row.status() == jobapi.StatusQueued {
 		x.finishQueuedLocked(j, "cancelled before start")
 	}
 }
@@ -195,9 +195,9 @@ func (x *local) finishQueuedLocked(j *Job, msg string) {
 	j.spanQueue.End()
 	j.spanQueue = nil
 	x.queuedCount--
-	x.dropInflightLocked(j.row.client)
+	x.dropInflightLocked(j.client)
 	x.srv.settleLocked(j, Outcome{Status: jobapi.StatusCancelled, Error: msg})
-	x.totalTime[j.row.prio].Add(j.row.finished.Sub(j.row.created).Seconds())
+	x.totalTime[j.row.prio].Add(j.row.finished.Seconds())
 	x.srv.publishLocked(j)
 	x.srv.closeTraceLocked(j)
 	x.srv.retire(j)
@@ -229,20 +229,21 @@ func (x *local) next() queued {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for p := numPriorities - 1; p >= 0; p-- {
+		for i := range numPriorities {
+			p := numPriorities - 1 - i
 			for len(x.queue[p]) > 0 {
 				q := x.queue[p][0]
 				x.queue[p][0] = queued{} // the backing array must not keep the Config
 				x.queue[p] = x.queue[p][1:]
 				j := q.j
-				if j.row.status != jobapi.StatusQueued {
+				if j.row.status() != jobapi.StatusQueued {
 					continue // cancelled while queued; already retired
 				}
 				x.queuedCount--
 				s.startLocked(j)
 				j.spanQueue.End()
 				j.spanQueue = nil
-				x.queueWait[j.row.prio].Add(j.row.started.Sub(j.row.created).Seconds())
+				x.queueWait[j.row.prio].Add(j.row.started.Seconds())
 				s.notifyLocked(j)
 				return q
 			}
@@ -306,10 +307,10 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	s.mu.Lock()
 	s.settleLocked(j, out)
 	row := j.row
-	x.dropInflightLocked(row.client)
-	x.latency.Add(row.finished.Sub(row.started).Seconds())
-	x.execTime[row.prio].Add(row.finished.Sub(row.started).Seconds())
-	x.totalTime[row.prio].Add(row.finished.Sub(row.created).Seconds())
+	x.dropInflightLocked(j.client)
+	x.latency.Add((row.finished - row.started).Seconds())
+	x.execTime[row.prio].Add((row.finished - row.started).Seconds())
+	x.totalTime[row.prio].Add(row.finished.Seconds())
 	reply := root.Start("reply")
 	s.publishLocked(j)
 	reply.End()
@@ -358,7 +359,7 @@ func (x *local) maybePrune() {
 func (x *local) Drain(live []*Job) {
 	x.srv.mu.Lock()
 	for _, j := range live {
-		if j.row.status == jobapi.StatusQueued {
+		if j.row.status() == jobapi.StatusQueued {
 			x.finishQueuedLocked(j, "server shutting down")
 		}
 	}

@@ -54,27 +54,33 @@ func TestViewWriterMatchesEncoder(t *testing.T) {
 	}
 
 	created := time.Date(2026, 10, 15, 12, 0, 0, 123456789, time.UTC)
-	started, finished := created.Add(time.Millisecond), created.Add(time.Second)
+	started, finished := time.Millisecond, time.Second
 	cases := []struct {
-		name string
-		row  jobRow
+		name   string
+		status jobapi.Status
+		row    jobRow
+		source string
+		err    string
 	}{
-		{"done cold", jobRow{status: jobapi.StatusDone, started: started, finished: finished, source: "executed", result: held}},
-		{"done hot", jobRow{status: jobapi.StatusDone, started: finished, finished: finished, source: "memo", result: held}},
-		{"done, result not shared", jobRow{status: jobapi.StatusDone, started: started, finished: finished, spec: &other, source: "memo", result: own}},
-		{"failed", jobRow{status: jobapi.StatusFailed, started: started, finished: finished, err: "json: unsupported value: NaN <&>"}},
-		{"cancelled", jobRow{status: jobapi.StatusCancelled, finished: finished, err: "cancelled before start"}},
-		{"queued", jobRow{status: jobapi.StatusQueued}},
-		{"running", jobRow{status: jobapi.StatusRunning, started: started, live: &Job{progress: func() (int64, int64) { return 700, 2200 }}}},
+		{"done cold", jobapi.StatusDone, jobRow{started: started, finished: finished, result: held}, "executed", ""},
+		{"done hot", jobapi.StatusDone, jobRow{started: finished, finished: finished, result: held}, "memo", ""},
+		{"done, result not shared", jobapi.StatusDone, jobRow{started: started, finished: finished, spec: &other, result: own}, "memo", ""},
+		{"failed", jobapi.StatusFailed, jobRow{started: started, finished: finished}, "", "json: unsupported value: NaN <&>"},
+		{"cancelled", jobapi.StatusCancelled, jobRow{finished: finished}, "", "cancelled before start"},
+		{"queued", jobapi.StatusQueued, jobRow{}, "", ""},
+		{"running", jobapi.StatusRunning, jobRow{started: started, live: &Job{progress: func() (int64, int64) { return 700, 2200 }}}, "", ""},
 	}
+	names := nameTable{ids: map[string]uint16{}}
 	for _, c := range cases {
 		for _, worker := range []string{"", "http://127.0.0.1:8081/x<&>"} {
 			row := c.row
-			row.client, row.prio, row.created, row.worker = "x<&>", PrioHigh, created, worker
+			row.prio, row.created = PrioHigh, created
+			row.setStatus(c.status)
+			row.keep(&names, rowText{client: "x<&>", worker: worker, source: c.source, err: c.err})
 			if row.spec == nil {
 				row.spec = &norm
 			}
-			v, res := row.viewLocked("j000042")
+			v, res := row.viewLocked(&names, "j000042")
 			rec := httptest.NewRecorder()
 			writeView(rec, http.StatusOK, v, res)
 			if got, want := rec.Body.Bytes(), encoded(t, v); !bytes.Equal(got, want) {
@@ -136,7 +142,7 @@ func TestHotSubmitAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow state inflates every allocation")
 	}
-	const submits, budget = 3000, 30000
+	const submits, budget = 3000, 23500
 	for _, telemetryOn := range []bool{true, false} {
 		_, submit := hotSubmitter(t, telemetryOn, 293)
 		var before, after runtime.MemStats

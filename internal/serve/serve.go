@@ -153,6 +153,8 @@ type Server struct {
 	telemetry     bool // every job carries a trace
 	mux           *http.ServeMux
 
+	names nameTable // the rows' client names and worker URLs
+
 	mu sync.Mutex
 	// order is the job table, in submission order: job ids are
 	// idPrefix + %06d(seq), and job seq is order[seq-1].
@@ -183,6 +185,7 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 		logger:        logger,
 		telemetry:     telemetryOn,
 		mux:           http.NewServeMux(),
+		names:         nameTable{ids: map[string]uint16{}},
 		statusCounts:  map[jobapi.Status]int64{},
 		rejects:       map[string]int64{"draining": 0},
 	}
@@ -262,14 +265,14 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobRow, string
 func (s *Server) view(row *jobRow, id string) jobapi.JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, _ := row.viewLocked(id)
+	v, _ := row.viewLocked(&s.names, id)
 	return v
 }
 
 // reply answers the job's current view.
 func (s *Server) reply(w http.ResponseWriter, status int, row *jobRow, id string) {
 	s.mu.Lock()
-	v, res := row.viewLocked(id)
+	v, res := row.viewLocked(&s.names, id)
 	s.mu.Unlock()
 	writeView(w, status, v, res)
 }
@@ -306,21 +309,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// argument, not onto the Job: the job table would retain its ≈900
 	// bytes per job.
 	key := runner.Key(cfg, norm.GPU, norm.CPU)
-	specKey := runner.HashKey(key)
 	recv.End()
 
 	adm := tr.Root().Start("admission")
 	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
 	ctx, cancel := context.WithCancel(context.Background())
-	row := &jobRow{client: req.Client, prio: prio, specKey: specKey, trace: tr, status: jobapi.StatusQueued}
-	j := &Job{srv: s, row: row, spec: norm, ctx: ctx, cancel: cancel, doneCh: make(chan struct{})}
+	row := &jobRow{prio: prio, specKey: runner.HashKeySum(key), trace: tr}
+	row.keep(&s.names, rowText{client: req.Client})
+	j := &Job{srv: s, row: row, client: req.Client, spec: norm, ctx: ctx, cancel: cancel, doneCh: make(chan struct{})}
 	row.live, row.spec = j, &j.spec
+	wait := r.URL.Query().Has("wait")
+	var view jobapi.JobView
+	var res *SharedResult
 	s.mu.Lock()
 	if rej := s.admitLocked(j, req, cfg, key); rej != nil {
 		s.rejects[rej.Reason]++
 		s.mu.Unlock()
 		cancel()
-		s.logger.InfoContext(r.Context(), "submit rejected", "reason", rej.Reason, "client", req.Client, "spec_key", specKey)
+		s.logger.InfoContext(r.Context(), "submit rejected", "reason", rej.Reason, "client", req.Client, "spec_key", row.keyHex())
 		if rej.RetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(rej.RetryAfter))
 		}
@@ -328,12 +334,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	adm.End()
-	view, res := j.viewLocked()
+	if !wait { // the 202 answers the job as admitted
+		view, res = j.row.viewLocked(&s.names, j.id)
+	}
 	s.mu.Unlock()
-	j.Log().InfoContext(r.Context(), "job accepted",
+	j.Log(r.Context(), slog.LevelInfo, "job accepted",
 		"gpu", norm.GPU, "cpu", norm.CPU, "scheme", norm.Scheme, "priority", prio.String())
 
-	if r.URL.Query().Has("wait") {
+	if wait {
 		select {
 		case <-j.doneCh:
 			s.reply(w, http.StatusOK, row, j.id)
@@ -369,7 +377,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	views := make([]jobapi.JobView, 0, len(s.order))
 	for i, row := range s.order {
-		v, _ := row.viewLocked(s.jobID(i + 1))
+		v, _ := row.viewLocked(&s.names, s.jobID(i+1))
 		v.Result = nil // keep listings light; fetch the job for results
 		views = append(views, v)
 	}
@@ -414,11 +422,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // startLocked is the queued → running transition; callers hold s.mu
 // and publish it with notifyLocked once the job's view is complete.
 func (s *Server) startLocked(j *Job) {
-	if j.row.status == jobapi.StatusRunning {
+	if j.row.status() == jobapi.StatusRunning {
 		return
 	}
-	j.row.status = jobapi.StatusRunning
-	j.row.started = time.Now()
+	j.row.setStatus(jobapi.StatusRunning)
+	j.row.started = max(1, time.Since(j.row.created))
 	s.running++
 }
 
@@ -432,20 +440,23 @@ func (s *Server) startLocked(j *Job) {
 // trace and finds the job on /debug/jobs.
 func (s *Server) settleLocked(j *Job, out Outcome) {
 	row := j.row
-	if row.status == jobapi.StatusRunning {
+	if row.status() == jobapi.StatusRunning {
 		s.running--
 	}
-	row.status = out.Status
-	row.finished = time.Now()
-	if out.Status == jobapi.StatusDone && row.started.IsZero() {
+	row.setStatus(out.Status)
+	row.finished = max(1, time.Since(row.created))
+	if out.Status == jobapi.StatusDone && row.started == 0 {
 		// Answered without running (the coordinator's cache tier): a
 		// done job started, at the latest, when it finished.
 		row.started = row.finished
 	}
+	t := row.strings(&s.names)
+	t.source, t.err = out.Source, out.Error
 	if out.Worker != "" {
-		row.worker = out.Worker
+		t.worker = out.Worker
 	}
-	row.source, row.err, row.result = out.Source, out.Error, out.Result
+	row.keep(&s.names, t)
+	row.result = out.Result
 	// The row stops pointing at the live part. Its spec becomes the one
 	// its result echoes when that is equal (on the daemon it always is),
 	// else a copy of its own.
@@ -480,8 +491,9 @@ func (s *Server) closeTraceLocked(j *Job) {
 func (s *Server) retire(j *Job) {
 	row := j.row
 	j.cancel()
-	j.Log().Info("job finished", "status", row.status, "source", row.source, "error", row.err,
-		"worker", row.worker, "seconds", row.finished.Sub(row.created).Seconds())
+	t := row.strings(&s.names)
+	j.Log(context.Background(), slog.LevelInfo, "job finished", "status", row.status(), "source", t.source, "error", t.err,
+		"worker", t.worker, "seconds", row.finished.Seconds())
 }
 
 // handleTrace exports a job's telemetry span tree. The default format
@@ -498,7 +510,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	view := row.traceViewLocked(id)
+	view := row.traceViewLocked(&s.names, id)
 	s.mu.Unlock()
 	if r.URL.Query().Get("format") == "tree" {
 		writeJSON(w, http.StatusOK, view)

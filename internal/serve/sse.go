@@ -22,7 +22,7 @@ func (s *Server) notifyLocked(j *Job) {
 	if len(j.subs) == 0 {
 		return
 	}
-	v, _ := j.viewLocked()
+	v, _ := j.row.viewLocked(&s.names, j.id)
 	ev := sseEvent{name: "status", data: v}
 	for ch := range j.subs {
 		select {
@@ -108,7 +108,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-ticker.C:
 			s.mu.Lock()
 			var pv *jobapi.ProgressView
-			if row.status == jobapi.StatusRunning && j.progress != nil {
+			if row.status() == jobapi.StatusRunning && j.progress != nil {
 				done, total := j.progress()
 				pv = &jobapi.ProgressView{CyclesDone: done, CyclesTotal: total}
 			}

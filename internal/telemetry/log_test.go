@@ -179,11 +179,22 @@ func checkTraceLog(t *testing.T, data []byte) {
 		}
 	})
 	in := fuzzOps(data)
+	// The root's attrs may put values aside before the clock is set.
 	root := &modelSpan{name: in.name()}
-	tr := New(root.name)
-	cur := tr.origin
-	tr.SetClock(func() time.Time { return cur })
-	since := func() time.Duration { return cur.Sub(tr.origin) }
+	var rootAttrs []Attr
+	for range in.next() % 3 {
+		a := A(in.name(), in.value())
+		if root.attrs == nil {
+			root.attrs = map[string]any{}
+		}
+		root.attrs[a.Key] = a.Value
+		rootAttrs = append(rootAttrs, a)
+	}
+	tr := New(root.name, rootAttrs...)
+	cur := epoch.Add(tr.origin)
+	clock := func() time.Time { return cur }
+	tr.SetClock(clock)
+	since := func() time.Duration { return cur.Sub(epoch) - tr.origin }
 
 	// A handle pairs a span with its model; both are nil past the cap.
 	type handle struct {
@@ -223,12 +234,15 @@ func checkTraceLog(t *testing.T, data []byte) {
 	}
 	for op := 0; len(in) > 0 && op < maxOps; op++ {
 		switch b := in.next(); b % 5 {
-		case 0: // a clock step, forward or back
+		case 0: // a clock step, forward or back, or the clock set anew
 			d := time.Duration(in.next()) << (in.next() % 40)
 			if b&0x80 != 0 {
 				d = -d
 			}
 			cur = cur.Add(d)
+			if b&0x40 != 0 {
+				tr.SetClock(clock)
+			}
 		case 1:
 			h, name := pick(), in.name()
 			var attrs []Attr

@@ -42,12 +42,11 @@ type Attr struct {
 // A builds an Attr.
 func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
-// wallNow reads the wall clock for span timestamps. Telemetry time is
-// deliberately outside the simulation clock; spans never feed
-// simulated behaviour or digest inputs.
-func wallNow() time.Time {
-	return time.Now()
-}
+// epoch is what trace times count from: nanoseconds on the monotonic
+// clock since the process started. Telemetry time is deliberately
+// outside the simulation clock; spans never feed simulated behaviour or
+// digest inputs.
+var epoch = time.Now()
 
 // Trace is one job's span tree. The zero of *Trace (nil) is a valid,
 // disabled trace: every method no-ops and Start returns a nil Span.
@@ -59,15 +58,21 @@ func wallNow() time.Time {
 // An overwritten attr keeps its old record: set an attr once or twice
 // per span, not once per loop iteration.
 type Trace struct {
-	mu      sync.Mutex
-	now     func() time.Time
-	origin  time.Time     // the root span's start
-	last    time.Duration // the newest record's time
-	n       int32         // spans recorded, the root included
-	dropped int32
-	root    Span
-	log     []byte
-	values  []any // attr values of a kind the log does not encode
+	mu        sync.Mutex
+	n         int16 // spans recorded, the root included: at most MaxSpans
+	rootEnded bool
+	dropped   int32
+	origin    time.Duration // the root span's start, since epoch
+	last      time.Duration // the newest record's time, since origin
+	log       []byte
+	aside     *aside // nil until the trace needs one
+}
+
+// aside is what few traces need: SetClock's clock, and attr values of
+// a kind the log does not encode.
+type aside struct {
+	now    func() time.Time
+	values []any
 }
 
 // A record is a tag byte and zigzag varints: a start holds the parent,
@@ -83,7 +88,7 @@ const (
 	recInt64
 	recFalse
 	recTrue
-	recOther // the value is an index into Trace.values
+	recOther // the value is an index into the trace's aside values
 )
 
 // maxNames bounds the process-wide table that names and keys are
@@ -100,20 +105,31 @@ var names = struct {
 
 // New starts a trace whose root span has the given name and attrs.
 func New(name string, attrs ...Attr) *Trace {
-	// A hot daemon job's log is ≈ 90 B: one allocation holds it.
-	t := &Trace{now: wallNow, n: 1, log: make([]byte, 0, 112)}
-	t.origin = t.now()
-	t.root = Span{trace: t}
+	// A hot daemon job's log is ≈ 90 B: one size class holds it.
+	t := &Trace{n: 1, origin: time.Since(epoch), log: make([]byte, 0, 96)}
 	t.startLocked(0, name, 0, attrs)
 	return t
 }
 
 // sinceLocked is the trace clock's offset from the origin; the trace
 // mutex must be held.
-func (t *Trace) sinceLocked() time.Duration { return t.now().Sub(t.origin) }
+func (t *Trace) sinceLocked() time.Duration {
+	if t.aside != nil {
+		return t.aside.now().Sub(epoch) - t.origin
+	}
+	return time.Since(epoch) - t.origin
+}
+
+// asideLocked is the trace's aside, made on first use.
+func (t *Trace) asideLocked() *aside {
+	if t.aside == nil {
+		t.aside = &aside{now: time.Now}
+	}
+	return t.aside
+}
 
 // startLocked appends the newest span's start record and its attrs.
-func (t *Trace) startLocked(parent int32, name string, at time.Duration, attrs []Attr) {
+func (t *Trace) startLocked(parent int16, name string, at time.Duration, attrs []Attr) {
 	t.stampLocked(recStart, parent, at)
 	t.putName(name)
 	for _, a := range attrs {
@@ -122,7 +138,7 @@ func (t *Trace) startLocked(parent int32, name string, at time.Duration, attrs [
 }
 
 // setLocked appends an attr record.
-func (t *Trace) setLocked(i int32, key string, value any) {
+func (t *Trace) setLocked(i int16, key string, value any) {
 	tag := len(t.log)
 	t.log = append(t.log, recOther)
 	t.put(int64(i))
@@ -143,8 +159,9 @@ func (t *Trace) setLocked(i int32, key string, value any) {
 			t.log[tag] = recTrue
 		}
 	default:
-		t.put(int64(len(t.values)))
-		t.values = append(t.values, value)
+		a := t.asideLocked()
+		t.put(int64(len(a.values)))
+		a.values = append(a.values, value)
 	}
 }
 
@@ -170,7 +187,7 @@ func (t *Trace) putName(s string) {
 }
 
 // stampLocked appends a start or end record's tag, span and time.
-func (t *Trace) stampLocked(tag byte, i int32, at time.Duration) {
+func (t *Trace) stampLocked(tag byte, i int16, at time.Duration) {
 	t.log = append(t.log, tag)
 	t.put(int64(i))
 	t.put(int64(at - t.last))
@@ -184,16 +201,17 @@ func (t *Trace) SetClock(now func() time.Time) {
 		return
 	}
 	t.mu.Lock()
-	t.now = now
+	t.asideLocked().now = now
 	t.mu.Unlock()
 }
 
-// Root returns the root span (nil on a disabled trace).
+// Root returns a handle on the root span (nil on a disabled trace).
+// Every call makes a fresh handle; all of them end the one root once.
 func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
 	}
-	return &t.root
+	return &Span{trace: t}
 }
 
 // End ends the root span. Children still open stay open: a view renders
@@ -215,8 +233,8 @@ func (t *Trace) Dropped() int64 {
 // It is a handle: the span itself is records in its trace's log.
 type Span struct {
 	trace *Trace
-	i     int32 // the span's number, 0 for the root
-	ended bool  // guarded by the trace mutex
+	i     int16 // the span's number, 0 for the root
+	ended bool  // guarded by the trace mutex; the root's is the trace's
 }
 
 // Start opens a child span. On a nil span (telemetry disabled, or the
@@ -257,6 +275,9 @@ func (s *Span) End() {
 	t := s.trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if s.i == 0 { // every root handle shares the trace's flag
+		s.ended, t.rootEnded = t.rootEnded, true
+	}
 	if !s.ended {
 		s.ended = true
 		t.stampLocked(recEnd, s.i, t.sinceLocked())
@@ -319,7 +340,7 @@ func (t *Trace) replayLocked(now time.Duration) SpanView {
 			if s.Attrs == nil {
 				s.Attrs = map[string]any{}
 			}
-			s.Attrs[key] = r.value(tag, t.values)
+			s.Attrs[key] = r.value(tag, t.aside)
 		}
 	}
 	// A child starts after its parent: walking back, each subtree is
@@ -365,7 +386,7 @@ func (r *logReader) name(list []string) string {
 }
 
 // value decodes an attr value of the tag's kind.
-func (r *logReader) value(tag byte, values []any) any {
+func (r *logReader) value(tag byte, aside *aside) any {
 	switch tag {
 	case recString:
 		return r.string()
@@ -376,7 +397,7 @@ func (r *logReader) value(tag byte, values []any) any {
 	case recFalse, recTrue:
 		return tag == recTrue
 	}
-	return values[r.int()]
+	return aside.values[r.int()]
 }
 
 // Find returns the first span view with the given name in a pre-order
