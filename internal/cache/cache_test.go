@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -274,5 +277,47 @@ func TestSequentialLinesSpreadAcrossSets(t *testing.T) {
 	capLines := c.Config().Sets() * 4
 	if c.Occupancy() < capLines*9/10 {
 		t.Fatalf("sweep filled only %d/%d lines", c.Occupancy(), capLines)
+	}
+}
+
+// Line numbers are stored in 32 bits: Insert refuses a line above
+// MaxLine, naming it, and a probe of such a line misses instead of
+// matching a resident line (or an empty way) with the same low bits.
+func TestLineAboveMaxLine(t *testing.T) {
+	c := small()
+	c.Insert(5, 1, false)
+	for _, l := range []Addr{MaxLine + 1, 5 + 1<<32} {
+		if hit, _ := c.Peek(l); hit {
+			t.Errorf("Peek(%#x) hit", l)
+		}
+		if c.SetAux(l, 2) || c.Invalidate(l) {
+			t.Errorf("SetAux/Invalidate(%#x) found the line", l)
+		}
+	}
+	const line = 0x1_0000_0005
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, fmt.Sprintf("%#x", line)) {
+			t.Fatalf("Insert(%#x) panic %q does not name the line", line, msg)
+		}
+	}()
+	c.Insert(line, 0, false)
+}
+
+// The 32-bit LRU clock renumbers each set's stamps to their ranks
+// before it wraps, so a set's victim is the one an unbounded clock
+// picks.
+func TestClockWrapKeepsLRUOrder(t *testing.T) {
+	c := small()
+	c.clock = math.MaxUint32 - 2
+	same := sameSet(c, 3)
+	c.Insert(same[0], 0, false) // stamped MaxUint32-1
+	c.Insert(same[1], 0, false) // stamped MaxUint32
+	lookup(c, same[0])          // wraps: same[1] is now the LRU way
+	if c.clock > 8 {
+		t.Fatalf("clock %d did not wrap", c.clock)
+	}
+	if victim, _, _ := c.Insert(same[2], 0, false); victim != same[1] {
+		t.Fatalf("victim %d after the wrap, want %d", victim, same[1])
 	}
 }

@@ -8,12 +8,14 @@ package cache
 // array of line addresses (a handful of host cache lines, where a map
 // paid a hash and a bucket walk per probe of the simulator's second
 // hottest structure), a release swaps the last live entry into the
-// hole, and every entry keeps its Targets backing array across reuse,
-// so a steady-state miss allocates nothing here.
-type MSHR struct {
+// hole, and every entry keeps its Targets backing array across reuse.
+// Targets are stored by value in a T-typed slice — a caller's target
+// struct is never boxed into an interface — so once an entry's array
+// has grown to its deepest merge, a miss allocates nothing here.
+type MSHR[T any] struct {
 	cap     int
-	lines   []Addr      // lines[:n] are the outstanding lines
-	entries []MSHREntry // entries[i] belongs to lines[i]; entries[n:] are spare
+	lines   []Addr         // lines[:n] are the outstanding lines
+	entries []MSHREntry[T] // entries[i] belongs to lines[i]; entries[n:] are spare
 	n       int
 
 	Allocs int64
@@ -22,25 +24,25 @@ type MSHR struct {
 }
 
 // MSHREntry is one outstanding miss with its merged targets.
-type MSHREntry struct {
+type MSHREntry[T any] struct {
 	Line    Addr
-	Targets []any // requester-specific contexts delivered on fill
+	Targets []T // requester-specific contexts delivered on fill
 }
 
 // NewMSHR builds an MSHR file with the given entry capacity.
-func NewMSHR(capacity int) *MSHR {
+func NewMSHR[T any](capacity int) *MSHR[T] {
 	slots := max(capacity, 0)
-	return &MSHR{cap: capacity, lines: make([]Addr, slots), entries: make([]MSHREntry, slots)}
+	return &MSHR[T]{cap: capacity, lines: make([]Addr, slots), entries: make([]MSHREntry[T], slots)}
 }
 
 // Len returns the number of outstanding misses.
-func (m *MSHR) Len() int { return m.n }
+func (m *MSHR[T]) Len() int { return m.n }
 
 // FullNow reports whether no new primary miss can be allocated.
-func (m *MSHR) FullNow() bool { return m.n >= m.cap }
+func (m *MSHR[T]) FullNow() bool { return m.n >= m.cap }
 
 // find returns the slot of an outstanding line, or -1.
-func (m *MSHR) find(line Addr) int {
+func (m *MSHR[T]) find(line Addr) int {
 	for i, l := range m.lines[:m.n] {
 		if l == line {
 			return i
@@ -51,7 +53,7 @@ func (m *MSHR) find(line Addr) int {
 
 // Lookup returns the outstanding entry for a line, if any. The entry
 // is valid until the next Release.
-func (m *MSHR) Lookup(line Addr) (*MSHREntry, bool) {
+func (m *MSHR[T]) Lookup(line Addr) (*MSHREntry[T], bool) {
 	if i := m.find(line); i >= 0 {
 		return &m.entries[i], true
 	}
@@ -61,7 +63,7 @@ func (m *MSHR) Lookup(line Addr) (*MSHREntry, bool) {
 // Allocate registers a primary miss for line with an initial target.
 // It returns false (and counts a Full event) when the file is full.
 // Allocating a line that is already outstanding merges instead.
-func (m *MSHR) Allocate(line Addr, target any) bool {
+func (m *MSHR[T]) Allocate(line Addr, target T) bool {
 	if m.Merge(line, target) {
 		return true
 	}
@@ -79,7 +81,7 @@ func (m *MSHR) Allocate(line Addr, target any) bool {
 
 // Merge appends a secondary target to an existing miss; it reports
 // whether the line was outstanding.
-func (m *MSHR) Merge(line Addr, target any) bool {
+func (m *MSHR[T]) Merge(line Addr, target T) bool {
 	i := m.find(line)
 	if i < 0 {
 		return false
@@ -92,7 +94,7 @@ func (m *MSHR) Merge(line Addr, target any) bool {
 // Release removes the entry for a filled line and returns its targets.
 // The slice aliases the entry's recycled storage: it is valid until
 // the next Allocate.
-func (m *MSHR) Release(line Addr) []any {
+func (m *MSHR[T]) Release(line Addr) []T {
 	i := m.find(line)
 	if i < 0 {
 		return nil
@@ -104,9 +106,9 @@ func (m *MSHR) Release(line Addr) []any {
 }
 
 // Lines returns the outstanding line addresses in slot order.
-func (m *MSHR) Lines() []Addr {
+func (m *MSHR[T]) Lines() []Addr {
 	return append([]Addr(nil), m.lines[:m.n]...)
 }
 
 // ResetStats zeroes the allocation/merge counters (end of warmup).
-func (m *MSHR) ResetStats() { m.Allocs, m.Merges, m.Full = 0, 0, 0 }
+func (m *MSHR[T]) ResetStats() { m.Allocs, m.Merges, m.Full = 0, 0, 0 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMSHRAllocateMergeRelease(t *testing.T) {
-	m := NewMSHR(2)
+	m := NewMSHR[string](2)
 	if !m.Allocate(1, "a") {
 		t.Fatal("allocate failed on empty file")
 	}
@@ -35,7 +35,7 @@ func TestMSHRAllocateMergeRelease(t *testing.T) {
 }
 
 func TestMSHRAllocateMergesDuplicates(t *testing.T) {
-	m := NewMSHR(1)
+	m := NewMSHR[string](1)
 	m.Allocate(7, "a")
 	// A second Allocate of the same line must merge, even when full.
 	if !m.Allocate(7, "b") {
@@ -50,26 +50,26 @@ func TestMSHRAllocateMergesDuplicates(t *testing.T) {
 }
 
 func TestMSHRFull(t *testing.T) {
-	m := NewMSHR(2)
-	m.Allocate(1, nil)
-	m.Allocate(2, nil)
+	m := NewMSHR[int](2)
+	m.Allocate(1, 0)
+	m.Allocate(2, 0)
 	if !m.FullNow() {
 		t.Fatal("file should be full")
 	}
-	if m.Allocate(3, nil) {
+	if m.Allocate(3, 0) {
 		t.Fatal("allocate succeeded on full file")
 	}
 	if m.Full != 1 {
 		t.Fatalf("full events = %d", m.Full)
 	}
 	m.Release(1)
-	if !m.Allocate(3, nil) {
+	if !m.Allocate(3, 0) {
 		t.Fatal("allocate failed after release")
 	}
 }
 
 func TestMSHRLookupAndLines(t *testing.T) {
-	m := NewMSHR(4)
+	m := NewMSHR[string](4)
 	m.Allocate(9, "x")
 	e, ok := m.Lookup(9)
 	if !ok || e.Line != 9 {
@@ -87,13 +87,13 @@ func TestMSHRLookupAndLines(t *testing.T) {
 
 func TestMSHRBoundedQuick(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m := NewMSHR(4)
+		m := NewMSHR[uint8](4)
 		for _, op := range ops {
 			line := Addr(op % 16)
 			if op%3 == 0 {
 				m.Release(line)
 			} else {
-				m.Allocate(line, nil)
+				m.Allocate(line, op)
 			}
 			if m.Len() > 4 {
 				return false
@@ -107,10 +107,10 @@ func TestMSHRBoundedQuick(t *testing.T) {
 }
 
 func TestMSHRResetStats(t *testing.T) {
-	m := NewMSHR(1)
-	m.Allocate(1, nil)
-	m.Allocate(2, nil) // full event
-	m.Merge(1, nil)
+	m := NewMSHR[int](1)
+	m.Allocate(1, 0)
+	m.Allocate(2, 0) // full event
+	m.Merge(1, 0)
 	m.ResetStats()
 	if m.Allocs != 0 || m.Merges != 0 || m.Full != 0 {
 		t.Fatal("stats not reset")
@@ -120,11 +120,21 @@ func TestMSHRResetStats(t *testing.T) {
 	}
 }
 
+// target is shaped like the simulator's L1 MSHR target: a waiting warp
+// or remote requester, the request's birth cycle, its network account
+// and the owning core.
+type target struct {
+	Warp, Remote int
+	Born         int64
+	Acct         struct{ Queue, Xfer, Ser, DelegWait int64 }
+	owner        *testing.T
+}
+
 // The file is a fixed slab: a release swaps the last live entry into
 // the hole (every other line stays findable with its own targets), and
 // a steady state of allocate / merge / release allocates nothing.
 func TestMSHRSlabReleaseAndRecycle(t *testing.T) {
-	m := NewMSHR(4)
+	m := NewMSHR[int](4)
 	for l := Addr(1); l <= 4; l++ {
 		m.Allocate(l, int(l))
 		m.Merge(l, int(l)*10)
@@ -141,12 +151,15 @@ func TestMSHRSlabReleaseAndRecycle(t *testing.T) {
 	if _, ok := m.Lookup(2); ok || m.Len() != 3 || len(m.Lines()) != 3 {
 		t.Fatalf("released line still outstanding (len %d, lines %v)", m.Len(), m.Lines())
 	}
-	var target any = t // boxed once, outside the measured loop
+	// Each call passes a fresh struct value, as every simulator call
+	// site does: a file that stored targets as interfaces would box
+	// (allocate) it per call.
+	tm := NewMSHR[target](4)
 	if allocs := testing.AllocsPerRun(200, func() {
-		m.Allocate(9, target)
-		m.Merge(9, target)
-		m.Allocate(9, target)
-		if len(m.Release(9)) != 3 {
+		tm.Allocate(9, target{Warp: 3, Remote: -1, owner: t})
+		tm.Merge(9, target{Warp: -1, Remote: 5, Born: 7})
+		tm.Allocate(9, target{Warp: 4, Remote: -1, owner: t})
+		if got := tm.Release(9); len(got) != 3 || got[1].Remote != 5 {
 			t.Fatal("targets lost")
 		}
 	}); allocs != 0 {

@@ -30,7 +30,7 @@ type sliceReq struct {
 // slice is one bank of the shared L1.
 type slice struct {
 	cache *cache.Cache
-	mshr  *cache.MSHR
+	mshr  *cache.MSHR[mshrTarget]
 	q     []sliceReq
 	host  *GPUCore // core whose node sends/receives this slice's traffic
 }
@@ -82,7 +82,7 @@ func newCluster(sys *System, id int, cores []*GPUCore) *Cluster {
 				Assoc:     sys.Cfg.GPU.L1Assoc * 2,
 				LineBytes: sys.Cfg.GPU.L1LineBytes,
 			}),
-			mshr: cache.NewMSHR(sys.Cfg.GPU.L1MSHRs),
+			mshr: cache.NewMSHR[mshrTarget](sys.Cfg.GPU.L1MSHRs),
 			q:    make([]sliceReq, 0, sliceQCap),
 			host: cores[(i*len(cores))/ClusterSlices],
 		})
@@ -170,8 +170,7 @@ func (c *Cluster) HandleFill(host *GPUCore, m *Msg) (handled, done bool) {
 	}
 	host.countReply(m.Kind)
 	sl.cache.Insert(m.Line, 0, false)
-	for _, t := range sl.mshr.Release(m.Line) {
-		tgt := t.(mshrTarget)
+	for _, tgt := range sl.mshr.Release(m.Line) {
 		if tgt.Warp >= 0 {
 			tgt.owner.SM.LoadDone(tgt.Warp)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"delrep/internal/cache"
 	"delrep/internal/fifo"
 	"delrep/internal/gpu"
@@ -64,7 +62,7 @@ type GPUCore struct {
 	SM   *gpu.SM
 
 	l1        *cache.Cache
-	mshr      *cache.MSHR
+	mshr      *cache.MSHR[mshrTarget]
 	frq       []*noc.Packet
 	outWrites int
 	budget    int // L1 port budget, reset each cycle
@@ -75,7 +73,6 @@ type GPUCore struct {
 	cluster *Cluster // non-nil when a shared L1 organisation is active
 
 	// Realistic Probing state.
-	rng          *rand.Rand
 	rpEwma       float64
 	rpMissCount  int64
 	rpPending    map[cache.Addr]*probeState
@@ -94,8 +91,7 @@ func newGPUCore(sys *System, node, idx int) *GPUCore {
 			Assoc:     sys.Cfg.GPU.L1Assoc,
 			LineBytes: sys.Cfg.GPU.L1LineBytes,
 		}),
-		mshr:      cache.NewMSHR(sys.Cfg.GPU.L1MSHRs),
-		rng:       rand.New(rand.NewSource(sys.Cfg.Seed ^ int64(node)*131 + 17)),
+		mshr:      cache.NewMSHR[mshrTarget](sys.Cfg.GPU.L1MSHRs),
 		rpPending: make(map[cache.Addr]*probeState),
 	}
 	// Queue backing arrays are preallocated to their capacities; the
@@ -330,8 +326,7 @@ func (g *GPUCore) handleReply(m *Msg) bool {
 func (g *GPUCore) fillAndWake(line cache.Addr) {
 	g.l1.Insert(line, 0, false)
 	g.SM.Unblock() // the line now hits and an MSHR entry is free
-	for _, t := range g.mshr.Release(line) {
-		tgt := t.(mshrTarget)
+	for _, tgt := range g.mshr.Release(line) {
 		if tgt.Warp >= 0 {
 			g.SM.LoadDone(tgt.Warp)
 		}

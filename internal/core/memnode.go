@@ -37,7 +37,7 @@ type MemNode struct {
 	Idx  int
 
 	llc   *cache.Cache
-	mshr  *cache.MSHR
+	mshr  *cache.MSHR[replyTarget]
 	mc    *dram.Controller
 	wbQ   []cache.Addr    // dirty victims awaiting DRAM write
 	compQ []*dram.Request // DRAM completions awaiting reply injection
@@ -60,7 +60,7 @@ func newMemNode(sys *System, node, idx int) *MemNode {
 			Assoc:     sys.Cfg.LLC.Assoc,
 			LineBytes: sys.Cfg.LLC.LineBytes,
 		}),
-		mshr:  cache.NewMSHR(sys.Cfg.LLC.MSHRs),
+		mshr:  cache.NewMSHR[replyTarget](sys.Cfg.LLC.MSHRs),
 		mc:    dram.New(sys.Cfg.DRAM),
 		wbQ:   make([]cache.Addr, 0, wbQCap),
 		compQ: make([]*dram.Request, 0, wbQCap),
@@ -266,16 +266,15 @@ func (m *MemNode) drainCompletions() {
 			return
 		}
 		aux := uint32(0)
-		for _, t := range entry.Targets {
-			if tgt := t.(replyTarget); !tgt.CPU {
+		for _, tgt := range entry.Targets {
+			if !tgt.CPU {
 				aux = auxOf(tgt.Node)
 			}
 		}
 		if victim, dirty, evicted := m.llc.Insert(r.Line, aux, false); evicted && dirty {
 			m.wbQ = append(m.wbQ, victim)
 		}
-		for _, t := range m.mshr.Release(r.Line) {
-			tgt := t.(replyTarget)
+		for _, tgt := range m.mshr.Release(r.Line) {
 			m.injectReply(r.Line, tgt.Node, tgt.CPU, ReplyDRAM, -1, false, tgt.Born, tgt.Acct)
 		}
 		m.compQ, _ = fifo.PopFront(m.compQ)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"delrep/internal/cache"
@@ -42,7 +41,6 @@ type System struct {
 
 	cycle  int64
 	warmed int64 // cycle at which stats were last reset
-	rng    *rand.Rand
 
 	// al hands out every packet and message (see pool.go).
 	al alloc
@@ -143,7 +141,6 @@ func NewSystem(cfg config.Config, gpuBench, cpuBench string) *System {
 		gpuReplyFlits: cfg.NoC.FlitsForData(cfg.GPU.L1LineBytes),
 		cpuReplyFlits: cfg.NoC.FlitsForData(cfg.CPU.L1LineBytes),
 		writeFlits:    cfg.NoC.FlitsForData(cfg.GPU.L1LineBytes),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.buildNetworks()
 	s.buildNodes()
