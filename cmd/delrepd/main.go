@@ -14,12 +14,12 @@
 //
 // Observability: logs are structured (logfmt on stderr; -log-json for
 // JSON lines), every job carries a wall-clock span trace exported at
-// /v1/jobs/{id}/trace (disable with -telemetry=false), /debug/jobs
-// lists the newest 128 terminal jobs of the job table with their
-// traces, /debug/status the newest 20, and -pprof mounts
-// net/http/pprof under /debug/pprof/. -cpuprofile and -memprofile
-// write whole-process profiles; the heap snapshot is also written on
-// SIGTERM, after the drain, so profiles survive a normal service stop.
+// /v1/jobs/{id}/trace, /debug/jobs lists the newest 128 terminal jobs
+// of the job table with their traces, /debug/status the newest 20, and
+// -pprof mounts net/http/pprof under /debug/pprof/. -cpuprofile and
+// -memprofile write whole-process profiles; the heap snapshot is also
+// written on SIGTERM, after the drain, so profiles survive a normal
+// service stop.
 //
 // See internal/serve for the full API. On SIGINT/SIGTERM the daemon
 // stops admitting jobs, cancels its queue, and drains running jobs for
@@ -42,12 +42,11 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrently running simulations (≥ 1)")
 		cacheDir = flag.String("cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
-		cacheMax = flag.String("cache-max", "", "prune the cache to this size after runs (e.g. 2G; empty disables pruning)")
+		cacheMax = flag.String("cache-max", "", "prune the cache to this size after runs (≥ 1 byte, e.g. 2G; empty disables pruning)")
 		queue    = flag.Int("queue", 64, "max queued jobs before submissions get 429 (≥ 1)")
 		perCli   = flag.Int("client-inflight", 0, "max queued+running jobs per client (≥ 0; 0 = unlimited)")
 		drain    = flag.Duration("drain", 2*time.Minute, "how long shutdown waits for running jobs before cancelling them")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
-		telem    = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace, /debug/jobs)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -80,6 +79,8 @@ func main() {
 	if *cacheMax != "" {
 		if maxBytes, err = runner.ParseSize(*cacheMax); err != nil {
 			fatal("parsing -cache-max", "error", err)
+		} else if maxBytes < 1 {
+			fatal("-cache-max must be at least 1 byte", "cache_max", *cacheMax)
 		}
 	}
 	cache, uncached, err := runner.OpenCache(*cacheDir)
@@ -102,12 +103,10 @@ func main() {
 		ClientInFlight: *perCli,
 		CacheMaxBytes:  maxBytes,
 		Logger:         logger,
-		Telemetry:      *telem,
 		EnablePprof:    *pprofOn,
 	})
 
-	logger.Info("serving", "addr", *addr, "workers", eng.Workers(), "queue_depth", *queue,
-		"telemetry", *telem, "pprof", *pprofOn)
+	logger.Info("serving", "addr", *addr, "workers", eng.Workers(), "queue_depth", *queue, "pprof", *pprofOn)
 	// Stop profiling inside the signal-driven path too: SIGTERM is the
 	// normal way a service manager stops the daemon, and the -memprofile
 	// snapshot should reflect the drained (quiescent) heap.

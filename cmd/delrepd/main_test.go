@@ -35,6 +35,7 @@ func TestFlagRanges(t *testing.T) {
 		{[]string{"-j", "0"}, "-j must be at least 1"},
 		{[]string{"-queue", "0"}, "-queue must be at least 1"},
 		{[]string{"-client-inflight", "-1"}, "-client-inflight must be at least 0"},
+		{[]string{"-cache-max", "0"}, "-cache-max must be at least 1 byte"},
 		{[]string{"-j", "1", "-queue", "1", "-client-inflight", "0", "-addr", "127.0.0.1:99999"}, "listening failed"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -64,7 +64,6 @@ func main() {
 		retries = flag.Int("retries", 2, "extra failover rounds across the ready workers before a job fails (≥ 1)")
 		drain   = flag.Duration("drain", 30*time.Second, "how long shutdown waits while cancelling in-flight jobs")
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON lines instead of logfmt")
-		telem   = flag.Bool("telemetry", true, "record per-job span traces (GET /v1/jobs/{id}/trace)")
 	)
 	flag.Var(&workers, "worker", "worker base URL (repeatable)")
 	flag.Parse()
@@ -86,12 +85,11 @@ func main() {
 		ProbeInterval: *probe,
 		Retries:       *retries,
 		Logger:        logger,
-		Telemetry:     *telem,
 	})
 	if err != nil {
 		serve.Fatal(logger, "starting coordinator", "error", err)
 	}
 
-	logger.Info("coordinating", "addr", *addr, "workers", len(workers), "telemetry", *telem)
+	logger.Info("coordinating", "addr", *addr, "workers", len(workers))
 	serve.ListenAndDrain(logger, *addr, *drain, srv.Server, nil)
 }

@@ -32,7 +32,7 @@ type target struct {
 	metricPrefix string   // /metrics family prefix
 	ranMetric    string   // /metrics sample counting the simulations this target ran, or had a worker run
 	spans        []string // span names a done job's trace must contain, besides the shared ones
-	start        func(t *testing.T, telemetryOn bool) instance
+	start        func(t *testing.T) instance
 }
 
 // instance is one started target: its base URL, the Server behind it,
@@ -49,11 +49,8 @@ var targets = []target{
 		name: "delrepd", idPattern: `^j\d{6}$`, metricPrefix: "delrepd",
 		ranMetric: `delrepd_engine_runs_total{source="executed"}`,
 		spans:     []string{"queue.wait", "runner.submit", "encode", "reply"},
-		start: func(t *testing.T, telemetryOn bool) instance {
-			srv := serve.New(serve.Options{
-				Engine: runner.New(runner.Options{Workers: 2}), Telemetry: telemetryOn,
-				ProgressInterval: 20 * time.Millisecond,
-			})
+		start: func(t *testing.T) instance {
+			srv := serve.New(serve.Options{Engine: runner.New(runner.Options{Workers: 2}), ProgressInterval: 20 * time.Millisecond})
 			ts := httptest.NewServer(srv.Handler())
 			return instance{ts.URL, srv, func() {
 				shutdown(t, srv)
@@ -65,9 +62,9 @@ var targets = []target{
 		name: "delrepfleet", idPattern: `^f\d{6}$`, metricPrefix: "delrepfleet",
 		ranMetric: "delrepfleet_dispatch_total",
 		spans:     []string{"fleet.attempt"},
-		start: func(t *testing.T, telemetryOn bool) instance {
+		start: func(t *testing.T) instance {
 			w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
-			coord, ts := newCoordinatorOpts(t, Options{Telemetry: telemetryOn}, w1, w2)
+			coord, ts := newCoordinatorOpts(t, Options{}, w1, w2)
 			return instance{ts.URL, coord, func() {
 				shutdown(t, coord)
 				ts.Close()
@@ -170,11 +167,10 @@ func statusEvents(t *testing.T, body io.Reader) (names []string, views []jobapi.
 // The "same API" claim as a test: every case runs, unchanged, against
 // the daemon and against the coordinator.
 var conformanceCases = []struct {
-	name      string
-	telemetry bool
-	run       func(t *testing.T, tg target, base string)
+	name string
+	run  func(t *testing.T, tg target, base string)
 }{
-	{"submit answers 202 with Location and a live view", false, func(t *testing.T, tg target, base string) {
+	{"submit answers 202 with Location and a live view", func(t *testing.T, tg target, base string) {
 		v, resp := post(t, base, "", jobapi.SubmitRequest{Spec: foreverSpec(601), Priority: "high", Client: "conf"})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("status %d, want 202", resp.StatusCode)
@@ -198,7 +194,7 @@ var conformanceCases = []struct {
 			t.Errorf("cancel: status %d, view %s (%v), want 200 cancelled", resp.StatusCode, raw, err)
 		}
 	}},
-	{"DELETE of a job joined to another's run ends cancelled; the other still gets the result", false, func(t *testing.T, tg target, base string) {
+	{"DELETE of a job joined to another's run ends cancelled; the other still gets the result", func(t *testing.T, tg target, base string) {
 		spec := slowSpec(614)
 		first, _ := post(t, base, "", jobapi.SubmitRequest{Spec: spec})
 		joined, _ := post(t, base, "", jobapi.SubmitRequest{Spec: spec})
@@ -219,7 +215,7 @@ var conformanceCases = []struct {
 			t.Errorf("the job the cancelled one joined did not end done with a result: %+v", views)
 		}
 	}},
-	{"wait answers 200 with the direct run's result bytes", false, func(t *testing.T, tg target, base string) {
+	{"wait answers 200 with the direct run's result bytes", func(t *testing.T, tg target, base string) {
 		spec := shortSpec(602)
 		v, resp := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: spec})
 		if resp.StatusCode != http.StatusOK {
@@ -232,7 +228,7 @@ var conformanceCases = []struct {
 			t.Errorf("terminal view incomplete: %+v", v)
 		}
 	}},
-	{"a spec's \"parallel\" is accepted and ignored: same job, same address, same bytes", false, func(t *testing.T, tg target, base string) {
+	{"a spec's \"parallel\" is accepted and ignored: same job, same address, same bytes", func(t *testing.T, tg target, base string) {
 		plain := shortSpec(613)
 		hinted := plain
 		hinted.Parallel = 8
@@ -261,7 +257,7 @@ var conformanceCases = []struct {
 			t.Errorf("unhinted repeat: %s = %s, want 1; result:\n served: %s\n direct: %s", tg.ranMetric, ran, got, want)
 		}
 	}},
-	{"malformed submissions answer 400 in the error envelope", false, func(t *testing.T, tg target, base string) {
+	{"malformed submissions answer 400 in the error envelope", func(t *testing.T, tg target, base string) {
 		for what, body := range map[string]string{
 			"undecodable body":  `{"spec":`,
 			"unknown field":     `{"spec":{"gpu":"HS","cpu":"vips"},"bogus":1}`,
@@ -274,7 +270,7 @@ var conformanceCases = []struct {
 			}
 		}
 	}},
-	{"unknown ids answer 404 on get, cancel, events and trace", true, func(t *testing.T, tg target, base string) {
+	{"unknown ids answer 404 on get, cancel, events and trace", func(t *testing.T, tg target, base string) {
 		for _, rq := range [][2]string{
 			{http.MethodGet, "/v1/jobs/nope"}, {http.MethodDelete, "/v1/jobs/nope"},
 			{http.MethodGet, "/v1/jobs/nope/events"}, {http.MethodGet, "/v1/jobs/nope/trace"},
@@ -285,7 +281,7 @@ var conformanceCases = []struct {
 			}
 		}
 	}},
-	{"only a job's canonical id names it: every other spelling answers 404 on get, cancel, events and trace", true, func(t *testing.T, tg target, base string) {
+	{"only a job's canonical id names it: every other spelling answers 404 on get, cancel, events and trace", func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(618)})
 		p, other := v.ID[:1], "f" // this binary's id prefix, and the other's
 		if p == "f" {
@@ -311,7 +307,7 @@ var conformanceCases = []struct {
 			}
 		}
 	}},
-	{"cancelling a terminal job answers 409; list omits results", false, func(t *testing.T, tg target, base string) {
+	{"cancelling a terminal job answers 409; list omits results", func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(603)})
 		resp, raw, _ := call(t, http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
 		var cv jobapi.JobView
@@ -326,7 +322,7 @@ var conformanceCases = []struct {
 			t.Error("GET of the job lost its result")
 		}
 	}},
-	{"a hot job's ?wait, GET and DELETE-409 bodies are the encoder's rendering of their view", false, func(t *testing.T, tg target, base string) {
+	{"a hot job's ?wait, GET and DELETE-409 bodies are the encoder's rendering of their view", func(t *testing.T, tg target, base string) {
 		spec := shortSpec(617)
 		post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: spec})
 		resp, raw, _ := call(t, http.MethodPost, base+"/v1/jobs?wait=1", submitBody(t, jobapi.SubmitRequest{Spec: spec, Client: "x<&>"}))
@@ -336,7 +332,7 @@ var conformanceCases = []struct {
 		resp, raw, _ = call(t, http.MethodDelete, base+"/v1/jobs/"+id, nil)
 		requireEncoded(t, "DELETE", resp, raw, http.StatusConflict)
 	}},
-	{"events: status first, transitions before the terminal status, then the stream ends", false, func(t *testing.T, tg target, base string) {
+	{"events: status first, transitions before the terminal status, then the stream ends", func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "", jobapi.SubmitRequest{Spec: foreverSpec(604)})
 		resp, err := http.Get(base + "/v1/jobs/" + v.ID + "/events")
 		if err != nil {
@@ -400,7 +396,7 @@ var conformanceCases = []struct {
 		}
 		waitFor(t, "subscriber gauge back at 0", func() bool { return gauge(t, base, subs) == "0" })
 	}},
-	{"a dropped ?wait connection cancels its job", false, func(t *testing.T, tg target, base string) {
+	{"a dropped ?wait connection cancels its job", func(t *testing.T, tg target, base string) {
 		ctx, drop := context.WithCancel(context.Background())
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs?wait=1",
 			bytes.NewReader(submitBody(t, jobapi.SubmitRequest{Spec: foreverSpec(605)})))
@@ -426,15 +422,7 @@ var conformanceCases = []struct {
 		<-gone
 		waitFor(t, "job cancelled", func() bool { return getJob(t, base, id).Status == jobapi.StatusCancelled })
 	}},
-	{"trace answers 404 with telemetry off", false, func(t *testing.T, tg target, base string) {
-		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(606)})
-		for _, path := range []string{"/v1/jobs/" + v.ID + "/trace", "/debug/jobs"} {
-			if resp, raw, msg := call(t, http.MethodGet, base+path, nil); resp.StatusCode != http.StatusNotFound || msg == "" {
-				t.Errorf("%s: status %d, body %s; want 404 with {\"error\": …}", path, resp.StatusCode, raw)
-			}
-		}
-	}},
-	{"trace tree has http.receive, admission and the executor's spans", true, func(t *testing.T, tg target, base string) {
+	{"trace tree has http.receive, admission and the executor's spans", func(t *testing.T, tg target, base string) {
 		v, _ := post(t, base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(607)})
 		tree, raw := traceTree(t, base, v.ID)
 		if tree.Name != "job" || tree.Open {
@@ -461,7 +449,7 @@ var conformanceCases = []struct {
 			t.Errorf("/debug/jobs = %s (%v), want the one finished job", raw, err)
 		}
 	}},
-	{"the oldest job keeps its root attrs, equal in the tree, the Chrome trace and /debug/jobs, after 1 000 newer jobs", true, func(t *testing.T, tg target, base string) {
+	{"the oldest job keeps its root attrs, equal in the tree, the Chrome trace and /debug/jobs, after 1 000 newer jobs", func(t *testing.T, tg target, base string) {
 		// The oldest job runs until the newer ones are done, so its end
 		// is the newest and /debug/jobs lists it first.
 		spec := foreverSpec(615)
@@ -583,7 +571,7 @@ func TestWaitedJobIsClosedAndListed(t *testing.T) {
 	const k = 8
 	for _, tg := range targets {
 		t.Run(tg.name, func(t *testing.T) {
-			in := tg.start(t, true)
+			in := tg.start(t)
 			defer in.stop()
 			for i := 1; i <= k; i++ {
 				v, resp := post(t, in.base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(614)})
@@ -610,7 +598,7 @@ func TestWireConformance(t *testing.T) {
 	for _, tg := range targets {
 		for _, c := range conformanceCases {
 			t.Run(tg.name+"/"+c.name, func(t *testing.T) {
-				in := tg.start(t, c.telemetry)
+				in := tg.start(t)
 				defer in.stop()
 				c.run(t, tg, in.base)
 			})
@@ -618,7 +606,7 @@ func TestWireConformance(t *testing.T) {
 		t.Run(tg.name+"/after Shutdown: 503s, the reject is counted, no goroutine is left", func(t *testing.T) {
 			http.DefaultClient.CloseIdleConnections()
 			baseline := runtime.NumGoroutine()
-			in := tg.start(t, false)
+			in := tg.start(t)
 			defer in.stop()
 			post(t, in.base, "?wait=1", jobapi.SubmitRequest{Spec: shortSpec(608)})
 
@@ -670,7 +658,7 @@ func TestWireConformance(t *testing.T) {
 	// What the coordinator adds to a trace is where the job went.
 	t.Run("delrepfleet/a spilled job's trace names both workers it touched", func(t *testing.T) {
 		w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
-		coord, ts := newCoordinatorOpts(t, Options{Telemetry: true}, w1, w2)
+		coord, ts := newCoordinatorOpts(t, Options{}, w1, w2)
 		// Three keys with one home: two jobs that never end take its two
 		// slots, the third finds it full.
 		spilled := shortSpec(610)

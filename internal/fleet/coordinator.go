@@ -63,9 +63,8 @@ type Options struct {
 	HTTPClient *http.Client
 	// Logger receives structured logs; nil discards them.
 	Logger *slog.Logger
-	// Telemetry records a wall-clock span tree per job (receive →
-	// admission → dispatch attempts), exported by GET
-	// /v1/jobs/{id}/trace.
+	// Deprecated: ignored, since every job is traced; kept so that
+	// callers built against the switch still compile.
 	Telemetry bool
 }
 
@@ -122,7 +121,7 @@ func New(opts Options) (*Server, error) {
 		resident: newMemo[*serve.SharedResult](residentBound),
 	}
 	s.reg = NewRegistry(s.ring.Members(), opts.ProbeInterval, client, opts.Logger)
-	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, opts.Telemetry, 0)
+	s.Server = serve.NewServer(s, "f", "delrepfleet", opts.Logger, 0)
 	return s, nil
 }
 

@@ -13,10 +13,10 @@ import (
 )
 
 // The coordinator's job table never evicts either, so it too grows by a
-// bounded record per job. 5 000 hot ?wait=1 submits with telemetry on,
-// through the coordinator's handler in process, each answered by a
-// revalidation (one bodiless 304 from the holder): the live heap they
-// leave behind, per job, must stay within budget.
+// bounded record per job, its trace included. 5 000 hot ?wait=1
+// submits through the coordinator's handler in process, each answered
+// by a revalidation (one bodiless 304 from the holder): the live heap
+// they leave behind, per job, must stay within budget.
 func TestCoordinatorJobRecordBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow state inflates every allocation")
@@ -25,7 +25,7 @@ func TestCoordinatorJobRecordBudget(t *testing.T) {
 	w1, w2 := newWorker(t, t.TempDir()), newWorker(t, t.TempDir())
 	// One probe sweep, at start: a registry scrape still in flight at
 	// the final collection would hold its /metrics bodies live.
-	coord, err := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}, ProbeInterval: time.Hour, Telemetry: true})
+	coord, err := New(Options{Workers: []string{w1.ts.URL, w2.ts.URL}, ProbeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,7 @@ func (s *Server) recent(n int, traces bool) (recs []JobRecord, total int) {
 }
 
 // handleDebugJobs lists the newest terminal jobs with their span trees.
-// 404 when telemetry is off.
 func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
-	if !s.telemetry {
-		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
-		return
-	}
 	recs, total := s.recent(debugJobs, true)
 	writeJSON(w, http.StatusOK, struct {
 		Total    int         `json:"total"`

@@ -89,7 +89,7 @@ type Job struct {
 type jobRow struct {
 	// Immutable after admission.
 	created time.Time
-	trace   *telemetry.Trace // nil when telemetry is off; safe for concurrent use
+	trace   *telemetry.Trace // safe for concurrent use
 	specKey [6]byte          // short content hash of the resolved spec
 	prio    Priority
 
@@ -208,8 +208,7 @@ func (j *Job) Log(ctx context.Context, level slog.Level, msg string, args ...any
 	}
 }
 
-// Span returns the root of the job's trace, nil when telemetry is off
-// (a nil *telemetry.Span is a valid no-op parent).
+// Span returns the root of the job's trace.
 func (j *Job) Span() *telemetry.Span { return j.row.trace.Root() }
 
 // Cancel stops the job in any non-terminal state: its context is
@@ -266,12 +265,8 @@ func (j *Job) Finish(out Outcome) {
 // traceViewLocked snapshots the job's span tree. The root's identity
 // attrs — job, client, spec_key, priority, and outcome once terminal —
 // are rendered from the row here instead of being kept in every trace.
-// The caller holds the server's mutex or knows the job is terminal. A
-// job without a trace renders the zero view.
+// The caller holds the server's mutex or knows the job is terminal.
 func (r *jobRow) traceViewLocked(names *nameTable, id string) telemetry.SpanView {
-	if r.trace == nil {
-		return telemetry.SpanView{}
-	}
 	v := r.trace.Snapshot()
 	v.Attrs = map[string]any{"job": id, "client": r.strings(names).client, "spec_key": r.keyHex(), "priority": r.prio.String()}
 	if r.status().Terminal() {

@@ -43,10 +43,8 @@ type Options struct {
 	// record carries job/client/spec-key attrs, so one job's lifecycle
 	// greps out of a mixed stream.
 	Logger *slog.Logger
-	// Telemetry records a wall-clock span tree per job (exported by
-	// GET /v1/jobs/{id}/trace and listed on /debug/jobs). Off by
-	// default: a nil trace costs one pointer check per instrumentation
-	// site and nothing else.
+	// Deprecated: ignored, since every job is traced; kept so that
+	// callers built against the switch still compile.
 	Telemetry bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
 	// CPU/heap/goroutine profiling of the daemon.
@@ -110,7 +108,7 @@ func New(opts Options) *Server {
 		x.execTime[p] = stats.NewHistogram(60, 1)
 		x.totalTime[p] = stats.NewHistogram(60, 1)
 	}
-	s := NewServer(x, "j", "delrepd", opts.Logger, opts.Telemetry, opts.ProgressInterval)
+	s := NewServer(x, "j", "delrepd", opts.Logger, opts.ProgressInterval)
 	s.rejects["queue_full"], s.rejects["client_cap"] = 0, 0 // exported at 0 from the first scrape
 	x.srv = s
 	x.cond = sync.NewCond(&s.mu)

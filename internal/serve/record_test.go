@@ -14,31 +14,25 @@ import (
 )
 
 // A terminal job is a row of the job table — which never evicts — so
-// the table grows by a bounded record per job. 5 000 hot ?wait=1
-// submits through the handler in process: the live heap they leave
-// behind, per job, must stay within budget with telemetry on (the
-// daemon's default) and off.
+// the table grows by a bounded record per job, its trace included.
+// 5 000 hot ?wait=1 submits through the handler in process: the live
+// heap they leave behind, per job, must stay within budget.
 func TestJobRecordBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow state inflates every allocation")
 	}
-	const jobs = 5000
-	for _, c := range []struct {
-		telemetry bool
-		budget    int64
-	}{{true, 320}, {false, 160}} {
-		s, submitHot := hotSubmitter(t, c.telemetry, 261)
-		before := liveHeap()
-		for i := 0; i < jobs; i++ {
-			submitHot()
-		}
-		after := liveHeap()
-		runtime.KeepAlive(s)
-		perJob := (int64(after) - int64(before)) / jobs
-		t.Logf("telemetry %v: live heap per terminal job: %d B (budget %d B)", c.telemetry, perJob, c.budget)
-		if perJob > c.budget {
-			t.Errorf("with telemetry %v a terminal job holds %d B of live heap, budget %d B", c.telemetry, perJob, c.budget)
-		}
+	const jobs, budget = 5000, 320
+	s, submitHot := hotSubmitter(t, 261)
+	before := liveHeap()
+	for i := 0; i < jobs; i++ {
+		submitHot()
+	}
+	after := liveHeap()
+	runtime.KeepAlive(s)
+	perJob := (int64(after) - int64(before)) / jobs
+	t.Logf("live heap per terminal job: %d B (budget %d B)", perJob, budget)
+	if perJob > budget {
+		t.Errorf("a terminal job holds %d B of live heap, budget %d B", perJob, budget)
 	}
 }
 

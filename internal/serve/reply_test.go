@@ -116,9 +116,9 @@ func TestUnrenderableResultFailsTheJob(t *testing.T) {
 // hotSubmitter starts a daemon and returns one in-process POST ?wait=1
 // through its handler, always of the same spec. Its first call, made
 // here, is the one cold run; every later one is a memo hit.
-func hotSubmitter(tb testing.TB, telemetryOn bool, seed int64) (*Server, func()) {
+func hotSubmitter(tb testing.TB, seed int64) (*Server, func()) {
 	tb.Helper()
-	s, _ := newTestServer(tb, Options{Engine: runner.New(runner.Options{Workers: 2}), Telemetry: telemetryOn})
+	s, _ := newTestServer(tb, Options{Engine: runner.New(runner.Options{Workers: 2})})
 	body, err := json.Marshal(jobapi.SubmitRequest{Spec: shortSpec(seed), Client: "hot"})
 	if err != nil {
 		tb.Fatal(err)
@@ -135,34 +135,31 @@ func hotSubmitter(tb testing.TB, telemetryOn bool, seed int64) (*Server, func())
 	return s, submit
 }
 
-// A hot submit renders only its per-job fields: what it allocates, all
-// goroutines together, stays within budget with telemetry on (the
-// daemon's default). Off is reported alongside.
+// A hot submit renders only its per-job fields and its trace: what it
+// allocates, all goroutines together, stays within budget.
 func TestHotSubmitAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow state inflates every allocation")
 	}
 	const submits, budget = 3000, 23500
-	for _, telemetryOn := range []bool{true, false} {
-		_, submit := hotSubmitter(t, telemetryOn, 293)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < submits; i++ {
-			submit()
-		}
-		runtime.ReadMemStats(&after)
-		perSubmit := (after.TotalAlloc - before.TotalAlloc) / submits
-		t.Logf("telemetry %v: %d B, %d allocations per hot submit", telemetryOn, perSubmit, (after.Mallocs-before.Mallocs)/submits)
-		if telemetryOn && perSubmit > budget {
-			t.Errorf("a hot submit with telemetry on allocates %d B, budget %d B", perSubmit, budget)
-		}
+	_, submit := hotSubmitter(t, 293)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < submits; i++ {
+		submit()
+	}
+	runtime.ReadMemStats(&after)
+	perSubmit := (after.TotalAlloc - before.TotalAlloc) / submits
+	t.Logf("%d B, %d allocations per hot submit", perSubmit, (after.Mallocs-before.Mallocs)/submits)
+	if perSubmit > budget {
+		t.Errorf("a hot submit allocates %d B, budget %d B", perSubmit, budget)
 	}
 }
 
 // BenchmarkHotSubmit is one hot ?wait=1 submit through the daemon's
-// handler, telemetry on: the serve layer's time, B/op and allocs/op.
+// handler: the serve layer's time, B/op and allocs/op.
 func BenchmarkHotSubmit(b *testing.B) {
-	_, submit := hotSubmitter(b, true, 294)
+	_, submit := hotSubmitter(b, 294)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -90,7 +90,7 @@ func TestRowRendering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Cache: cache}), Telemetry: true})
+		return newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Cache: cache})})
 	}
 	s, ts := daemon()
 	spec := shortSpec(2701)
@@ -101,7 +101,7 @@ func TestRowRendering(t *testing.T) {
 	jobs = append(jobs, job{"done, disk", ts2, v.ID, spec, jobapi.StatusDone, "disk", "", "", "alice", "normal"})
 	// A memo hit in this engine shares its future's source: memo is what
 	// a remote end reports.
-	_, memo := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Remote: memoResolver{}}), Telemetry: true})
+	_, memo := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Remote: memoResolver{}})})
 	v, _ = submit(t, memo, jobapi.SubmitRequest{Spec: spec, Client: "alice"}, "?wait=1")
 	jobs = append(jobs, job{"done, memo", memo, v.ID, spec, jobapi.StatusDone, "memo", "", "", "alice", "normal"})
 
@@ -120,14 +120,14 @@ func TestRowRendering(t *testing.T) {
 	jobs = append(jobs, job{"client past the name table", ts, v.ID, spec, jobapi.StatusDone, "executed", "", "", "late <&>", "normal"})
 
 	// Failed with an error.
-	_, nan := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Remote: nanResolver{}}), Telemetry: true})
+	_, nan := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Remote: nanResolver{}})})
 	v, _ = submit(t, nan, jobapi.SubmitRequest{Spec: shortSpec(2704)}, "?wait=1")
 	jobs = append(jobs, job{"failed", nan, v.ID, shortSpec(2704), jobapi.StatusFailed, "", "json: unsupported value: NaN", "", "", "normal"})
 
 	// Coordinator jobs whose worker moved on failover, to a worker in
 	// the name table and to one past it.
 	coordinator := func(x failover) (*Server, *httptest.Server) {
-		c := NewServer(x, "f", "delrepfleet", nil, true, 0)
+		c := NewServer(x, "f", "delrepfleet", nil, 0)
 		ts := httptest.NewServer(c.Handler())
 		t.Cleanup(ts.Close)
 		return c, ts

@@ -30,7 +30,7 @@
 //	                            "status", which ends the stream
 //	GET    /v1/jobs/{id}/trace  the job's wall-clock span tree as Chrome
 //	                            trace-event JSON (?format=tree for the
-//	                            nested form); 404 with telemetry off
+//	                            nested form)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job; answers
 //	                            once it is terminal (or after a 2 s
 //	                            grace); 409 if it already was
@@ -45,8 +45,7 @@
 //	                            (testdata/metrics.*.golden lists both)
 //	GET    /debug/jobs          the newest 128 terminal jobs of the job
 //	                            table, most recently finished first,
-//	                            with their span trees; 404 with
-//	                            telemetry off
+//	                            with their span trees
 //	GET    /v1/cache/{key}   D  cached result by content address
 //	                            (runner.CacheAddr), ETag "<key>"; 404 on
 //	                            miss; If-None-Match "<key>" answers 304,
@@ -58,10 +57,10 @@
 //	GET    /debug/pprof/     D  net/http/pprof (Options.EnablePprof)
 //	GET    /v1/workers       C  the registry's view of the fleet
 //
-// Telemetry is strictly wall-clock instrumentation of the serving
-// layers: span timestamps never enter the simulation, so a traced
-// job's results and determinism digest are byte-identical to an
-// untraced (or direct delrepsim) run of the same spec.
+// Every job is traced. The spans are wall-clock instrumentation of the
+// serving layers and never enter the simulation, so a job's results
+// and determinism digest are byte-identical to a direct (delrepsim or
+// runner.Engine) run of the same spec.
 //
 // Cancellation is cooperative end to end: DELETE (or a dropped ?wait
 // connection) cancels the job's context; the local executor's engine
@@ -150,7 +149,6 @@ type Server struct {
 	metricPrefix  string // "delrepd" | "delrepfleet"
 	progressEvery time.Duration
 	logger        *slog.Logger
-	telemetry     bool // every job carries a trace
 	mux           *http.ServeMux
 
 	names nameTable // the rows' client names and worker URLs
@@ -170,7 +168,7 @@ type Server struct {
 // are what the two binaries' wire surfaces differ by. A nil logger
 // discards, progressEvery <= 0 selects 500ms.
 func NewServer(exec Executor, idPrefix, metricPrefix string,
-	logger *slog.Logger, telemetryOn bool, progressEvery time.Duration) *Server {
+	logger *slog.Logger, progressEvery time.Duration) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -183,7 +181,6 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 		metricPrefix:  metricPrefix,
 		progressEvery: progressEvery,
 		logger:        logger,
-		telemetry:     telemetryOn,
 		mux:           http.NewServeMux(),
 		names:         nameTable{ids: map[string]uint16{}},
 		statusCounts:  map[jobapi.Status]int64{},
@@ -280,10 +277,7 @@ func (s *Server) reply(w http.ResponseWriter, status int, row *jobRow, id string
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The trace opens before decoding so http.receive covers the full
 	// request-side cost; it is discarded again on any rejection path.
-	var tr *telemetry.Trace
-	if s.telemetry {
-		tr = telemetry.New("job")
-	}
+	tr := telemetry.New("job")
 	recv := tr.Root().Start("http.receive")
 	var req jobapi.SubmitRequest
 	if err := simspec.Decode(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
@@ -503,10 +497,6 @@ func (s *Server) retire(j *Job) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	row, id := s.lookup(w, r)
 	if row == nil {
-		return
-	}
-	if row.trace == nil {
-		writeError(w, http.StatusNotFound, "telemetry is disabled; restart with -telemetry")
 		return
 	}
 	s.mu.Lock()

@@ -13,43 +13,89 @@ import (
 
 	"delrep/internal/jobapi"
 	"delrep/internal/runner"
+	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
 
-// Telemetry is inert: the result a client reads from a traced job is
-// byte-identical to the result of the same spec served with telemetry
-// off. The span layer records wall-clock times, which must never leak
-// into the simulation or its digest.
+// Telemetry is inert: every served job is traced, and the result a
+// client reads is byte-identical to the result of the same spec run
+// directly on a runner.Engine whose context carries no span — when the
+// daemon executes the spec, when it serves it again from its memo, and
+// when a second daemon over the same disk cache serves it from disk.
+// The span layer records wall-clock times, which must never leak into
+// the simulation or its digest.
 func TestTelemetryInertness(t *testing.T) {
 	spec := shortSpec(201)
-
-	_, plain := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 2})})
-	_, traced := newTestServer(t, Options{
-		Engine:    runner.New(runner.Options{Workers: 2}),
-		Telemetry: true,
-	})
-
-	vp, _ := submit(t, plain, jobapi.SubmitRequest{Spec: spec}, "?wait=1")
-	vt, _ := submit(t, traced, jobapi.SubmitRequest{Spec: spec}, "?wait=1")
-	if vp.Status != jobapi.StatusDone || vt.Status != jobapi.StatusDone {
-		t.Fatalf("jobs ended %s / %s", vp.Status, vt.Status)
-	}
-	if vp.Result == nil || vt.Result == nil {
-		t.Fatal("missing results")
-	}
-	pj, err := json.Marshal(*vp.Result)
+	cfg, norm, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tj, err := json.Marshal(*vt.Result)
+	run := runner.New(runner.Options{Workers: 1}).SubmitCtx(context.Background(), runner.Spec{Cfg: cfg, GPU: norm.GPU, CPU: norm.CPU}).Wait()
+	if run.Err != nil || run.Source != runner.SourceExecuted {
+		t.Fatalf("direct run: source %s, error %v", run.Source, run.Err)
+	}
+	direct, err := json.Marshal(simspec.NewResult(norm, run.Results, run.Digest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pj, tj) {
-		t.Fatalf("telemetry changed the served result:\n  plain:  %s\n  traced: %s", pj, tj)
+	body, err := json.Marshal(jobapi.SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vp.Result.Digest != vt.Result.Digest {
-		t.Fatalf("digest differs: %s vs %s", vp.Result.Digest, vt.Result.Digest)
+
+	dir := t.TempDir()
+	daemon := func() *httptest.Server {
+		cache, err := runner.OpenDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Cache: cache})})
+		return ts
+	}
+	ts := daemon()
+	// A memo hit reports the source of the future it joined.
+	for _, c := range []struct {
+		name, source, span string
+		ts                 *httptest.Server
+	}{
+		{"executed", "executed", "engine.run", ts},
+		{"memo", "executed", "dedup.join", ts},
+		{"disk", "disk", "cache.lookup", daemon()},
+	} {
+		resp, err := http.Post(c.ts.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v struct {
+			ID     string          `json:"id"`
+			Source string          `json:"source"`
+			Result json.RawMessage `json:"result"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || v.Source != c.source {
+			t.Fatalf("%s job: status %d, source %q (want %q), error %v", c.name, resp.StatusCode, v.Source, c.source, err)
+		}
+		var served bytes.Buffer
+		if err := json.Compact(&served, v.Result); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served.Bytes(), direct) {
+			t.Fatalf("the %s job's result differs from the direct run:\n  served: %s\n  direct: %s", c.name, served.Bytes(), direct)
+		}
+		tresp, err := http.Get(c.ts.URL + "/v1/jobs/" + v.ID + "/trace?format=tree")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var root telemetry.SpanView
+		err = json.NewDecoder(tresp.Body).Decode(&root)
+		tresp.Body.Close()
+		if err != nil || tresp.StatusCode != http.StatusOK {
+			t.Fatalf("%s job's trace: status %d, error %v", c.name, tresp.StatusCode, err)
+		}
+		if _, ok := root.Find(c.span); !ok {
+			t.Fatalf("%s job's trace has no %s span:\n%+v", c.name, c.span, root)
+		}
 	}
 }
 
@@ -61,10 +107,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Options{
-		Engine:    runner.New(runner.Options{Workers: 2, Cache: cache}),
-		Telemetry: true,
-	})
+	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 2, Cache: cache})})
 
 	v, vresp := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(211), Client: "tracer"}, "?wait=1")
 	if vresp.StatusCode != http.StatusOK || v.Status != jobapi.StatusDone {
@@ -169,36 +212,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	cancelJob(t, ts, gate2.ID)
 }
 
-// With telemetry off, the trace and /debug/jobs endpoints answer 404
-// and jobs run untraced.
-func TestTelemetryDisabledEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(221)}, "?wait=1")
-	if v.Status != jobapi.StatusDone {
-		t.Fatalf("job ended %s", v.Status)
-	}
-	for _, path := range []string{"/v1/jobs/" + v.ID + "/trace", "/debug/jobs"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
-		}
-	}
-	// The status page still lists the job: it reads the job table.
-	resp, err := http.Get(ts.URL + "/debug/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := readAll(t, resp)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(page, v.ID) {
-		t.Errorf("/debug/status (status %d) does not list %s:\n%s", resp.StatusCode, v.ID, page)
-	}
-}
-
 // getDebugJobs decodes GET /debug/jobs.
 func getDebugJobs(t *testing.T, ts *httptest.Server) (listed struct {
 	Total    int64       `json:"total"`
@@ -219,7 +232,7 @@ func getDebugJobs(t *testing.T, ts *httptest.Server) (listed struct {
 
 // The new metric families appear once jobs have flowed through.
 func TestMetricsTelemetrySeries(t *testing.T) {
-	_, ts := newTestServer(t, Options{Telemetry: true})
+	_, ts := newTestServer(t, Options{})
 	if v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: shortSpec(231), Priority: "high"}, "?wait=1"); v.Status != jobapi.StatusDone {
 		t.Fatalf("job ended %s", v.Status)
 	}
@@ -393,7 +406,7 @@ func traceTree(t *testing.T, ts *httptest.Server, id string) telemetry.SpanView 
 // engine.run, closed, with its windows. The DELETE cancels A's context
 // only: A's worker still waits on the future B keeps alive.
 func TestTerminalTraceStillRecords(t *testing.T) {
-	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 2}), Telemetry: true})
+	_, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 2})})
 	spec := shortSpec(271)
 	spec.Cycles = 40_000
 	has := func(id, span string) func(jobapi.JobView) bool {
