@@ -306,8 +306,8 @@ func TestSingleRunIsCached(t *testing.T) {
 	}
 }
 
-// TestInstrumentFlagsRejected: an instrument flag out of range exits 2
-// instead of falling back to a default or never firing, and
+// TestInstrumentFlagsRejected: an instrument or engine flag out of
+// range exits 2 instead of falling back to a default or never firing, and
 // -telemetry-out, which records the engine's spans, cannot combine
 // with an instrument, which runs beside the engine. Neither writes a
 // file.
@@ -328,6 +328,7 @@ func TestInstrumentFlagsRejected(t *testing.T) {
 		{[]string{"-telemetry-out", out, "-clog"}, "-clog reports on one local simulation and cannot combine with -telemetry-out"},
 		{[]string{"-telemetry-out", out, "-metrics-out", out}, "-metrics-out reports on one local simulation and cannot combine with -telemetry-out"},
 		{[]string{"-telemetry-out", out, "-trace-out", out}, "-trace-out reports on one local simulation and cannot combine with -telemetry-out"},
+		{[]string{"-j", "0", "-warm", "100", "-cycles", "200", "-json"}, "-j must be at least 1"},
 	} {
 		stdout, stderr, status := run(t, append([]string{"-cache", "off"}, c.flags...)...)
 		if status != 2 || stderr != "delrepsim: "+c.want+"\n" || stdout != "" {

@@ -33,7 +33,7 @@ type EngineFlags struct {
 // the flag set.
 func BindEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	f := &EngineFlags{}
-	fs.IntVar(&f.Jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations")
+	fs.IntVar(&f.Jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations (≥ 1)")
 	fs.StringVar(&f.Cache, "cache", "auto", `on-disk result cache: directory path, "auto" (per-user dir), or "off"`)
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile to this file on exit")
@@ -58,6 +58,9 @@ func (f *EngineFlags) OpenCache(prog string) (*runner.DiskCache, error) {
 // Engine builds the engine the flags describe, progress on stderr;
 // cache misses go to remote when it is non-nil.
 func (f *EngineFlags) Engine(prog string, remote runner.Resolver) (*runner.Engine, error) {
+	if f.Jobs < 1 {
+		return nil, fmt.Errorf("-j must be at least 1")
+	}
 	cache, err := f.OpenCache(prog)
 	if err != nil {
 		return nil, err
@@ -77,8 +80,8 @@ func Main(fs *flag.FlagSet, args []string, remote func(prog string) (runner.Reso
 	const prog = "expdriver"
 	var (
 		quick  = fs.Bool("quick", false, "small windows and workload subset")
-		warm   = fs.Int64("warm", 0, "override warmup cycles")
-		cycles = fs.Int64("cycles", 0, "override measured cycles")
+		warm   = fs.Int64("warm", 0, "override warmup cycles (≥ 0; 0 keeps the plan's)")
+		cycles = fs.Int64("cycles", 0, "override measured cycles (≥ 0; 0 keeps the plan's)")
 		seed   = fs.Int64("seed", 1, "random seed")
 		engine = BindEngineFlags(fs)
 	)
@@ -92,6 +95,9 @@ func Main(fs *flag.FlagSet, args []string, remote func(prog string) (runner.Reso
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
 		return 2
+	}
+	if *warm < 0 || *cycles < 0 {
+		return fail(fmt.Errorf("-warm and -cycles must be at least 0"))
 	}
 
 	stopProf, err := engine.StartProfile()

@@ -3,6 +3,8 @@ package experiment
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -58,5 +60,51 @@ func TestUsageLine(t *testing.T) {
 		" [-quick] [-remote string] [-seed int] [-warm int] <experiment>|all|list ..."
 	if got := usageLine(fs); got != want {
 		t.Errorf("usage line\n%s\nwant\n%s", got, want)
+	}
+}
+
+// A flag out of range exits 2 before anything runs, instead of being
+// replaced by a default; -warm and -cycles 0 keep the plan's windows.
+func TestMainFlagRanges(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		status int
+		stderr string
+	}{
+		{[]string{"-j", "0", "fig2"}, 2, "expdriver: -j must be at least 1\n"},
+		{[]string{"-j", "-3", "fig2"}, 2, "expdriver: -j must be at least 1\n"},
+		{[]string{"-warm", "-1", "fig2"}, 2, "expdriver: -warm and -cycles must be at least 0\n"},
+		{[]string{"-cycles", "-1", "fig2"}, 2, "expdriver: -warm and -cycles must be at least 0\n"},
+		{[]string{"-warm", "0", "-cycles", "0", "list"}, 0, ""},
+	} {
+		stdout, stderr := redirect(t, "stdout"), redirect(t, "stderr")
+		fs := flag.NewFlagSet("expdriver", flag.ContinueOnError)
+		status := Main(fs, append([]string{"-cache", "off"}, c.args...), nil)
+		stdout()
+		if got := stderr(); status != c.status || got != c.stderr {
+			t.Errorf("%v: exit status %d, stderr %q; want %d, %q", c.args, status, got, c.status, c.stderr)
+		}
+	}
+}
+
+// redirect points os.Stdout or os.Stderr at a file until the returned
+// function, which restores it and returns what was written.
+func redirect(t *testing.T, name string) func() string {
+	t.Helper()
+	std := map[string]**os.File{"stdout": &os.Stdout, "stderr": &os.Stderr}[name]
+	f, err := os.Create(filepath.Join(t.TempDir(), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := *std
+	*std = f
+	return func() string {
+		*std = saved
+		f.Close()
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
 }

@@ -53,21 +53,20 @@ func (s *Server) recent(n int, traces bool) (recs []JobRecord, total int) {
 	recs = make([]JobRecord, min(n, len(seqs)))
 	for i := range recs {
 		id, row, r := s.jobID(seqs[i]), rows[seqs[i]-1], &recs[i]
-		t := row.strings(&s.names)
 		*r = JobRecord{
 			ID:       id,
-			Client:   t.client,
+			Client:   *row.client,
 			Priority: row.prio.String(),
 			Spec:     fmt.Sprintf("%s+%s %s", row.spec.GPU, row.spec.CPU, row.spec.Scheme),
 			SpecKey:  row.keyHex(),
 			Outcome:  string(row.status()),
-			Source:   t.source,
-			Error:    t.err,
+			Source:   row.out.source,
+			Error:    row.out.err,
 			Created:  row.created,
 			TotalUS:  row.finished.Microseconds(),
 		}
 		if traces {
-			r.Trace = row.traceViewLocked(&s.names, id)
+			r.Trace = row.traceViewLocked(id)
 		}
 		r.QueueUS = r.TotalUS // never ran
 		if row.started != 0 {

@@ -7,11 +7,9 @@ import (
 	"log/slog"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"delrep/internal/jobapi"
-	"delrep/internal/runner"
 	"delrep/internal/simspec"
 	"delrep/internal/telemetry"
 )
@@ -84,8 +82,8 @@ type Job struct {
 // Its root span's identity attrs are rendered from it when wanted. A
 // done job's result is shared with every job of the same runner future
 // (the coordinator: of the same address), and so is its spec: the row
-// points at the one that result echoes whenever the two are equal. It
-// is 96 bytes: its strings are codes, bar those in text.
+// points at the one that result echoes whenever the two are equal. Its
+// client and outcome are the server's interned copies. It is 96 bytes.
 type jobRow struct {
 	// Immutable after admission.
 	created time.Time
@@ -95,17 +93,17 @@ type jobRow struct {
 
 	// Guarded by Server.mu; fixed once the job is terminal.
 	st                uint8         // the index of the job's status
-	source            uint8         // see keep
-	client, worker    uint16        // see keep
 	started, finished time.Duration // since created; 0 until set, then ≥ 1 ns
 	live              *Job          // the job's live part; nil once terminal
 	spec              *simspec.Spec // the live part's until terminal
 	result            *SharedResult // done jobs only
-	text              *rowText      // see keep
+	client            *string
+	out               *rowOutcome
 }
 
-// rowText is a row's strings.
-type rowText struct{ client, worker, source, err string }
+// rowOutcome is where a job ran and how it ended, as its views show
+// them; each is empty until set.
+type rowOutcome struct{ worker, source, err string }
 
 // statuses are the job states, in the order a row numbers them.
 var statuses = [...]jobapi.Status{jobapi.StatusQueued, jobapi.StatusRunning, jobapi.StatusDone, jobapi.StatusFailed, jobapi.StatusCancelled}
@@ -113,58 +111,19 @@ var statuses = [...]jobapi.Status{jobapi.StatusQueued, jobapi.StatusRunning, job
 func (r *jobRow) status() jobapi.Status      { return statuses[r.st] }
 func (r *jobRow) setStatus(st jobapi.Status) { r.st = uint8(slices.Index(statuses[:], st)) }
 
-// maxRowNames bounds a server's name table.
-const maxRowNames = 4096
+// interner keeps one copy of each value the rows point at, so that
+// thousands of rows of one client or outcome share it.
+type interner[T comparable] map[T]*T
 
-// nameTable interns the client names and worker URLs of a server's
-// rows; a name that arrives after it filled stays literal, in its row's
-// text. A row's id is published under Server.mu after its entry was
-// written, so reading list takes no lock.
-type nameTable struct {
-	mu   sync.Mutex
-	ids  map[string]uint16
-	list [maxRowNames + 1]string // list[0] is "": no name
-}
-
-// intern is name's id, 0 for "" and for a name past the bound.
-func (t *nameTable) intern(name string) uint16 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id := t.ids[name]; id != 0 || name == "" || len(t.ids) == maxRowNames {
-		return id
+// intern is v's copy.
+func (in interner[T]) intern(v T) *T {
+	p := in[v]
+	if p == nil { // only a new value allocates
+		p = new(T)
+		*p = v
+		in[v] = p
 	}
-	id := uint16(len(t.ids) + 1)
-	t.list[id], t.ids[name] = name, id
-	return id
-}
-
-// strings renders what keep stored; Server.mu must be held, or the job
-// be terminal.
-func (r *jobRow) strings(names *nameTable) rowText {
-	if r.text != nil {
-		return *r.text
-	}
-	t := rowText{client: names.list[r.client], worker: names.list[r.worker]}
-	if r.source != 0 {
-		t.source = runner.Source(r.source - 1).String()
-	}
-	return t
-}
-
-// keep stores t in the row as codes: a client or worker as its name
-// table id, a source as runner.Source + 1. Only when that loses some of
-// t, past the table's bound or in an error, does the row keep t itself.
-func (r *jobRow) keep(names *nameTable, t rowText) {
-	r.client, r.worker, r.source, r.text = names.intern(t.client), names.intern(t.worker), 0, nil
-	if t.source != "" { // an unknown source's error allocates
-		if src, err := runner.ParseSource(t.source); err == nil {
-			r.source = uint8(src) + 1
-		}
-	}
-	if r.strings(names) != t {
-		kept := t // only a row that keeps t allocates it
-		r.text = &kept
-	}
+	return p
 }
 
 // keyHex renders the spec_key.
@@ -231,9 +190,7 @@ func (j *Job) Running(worker string) {
 		return
 	}
 	s.startLocked(j)
-	t := j.row.strings(&s.names)
-	t.worker = worker
-	j.row.keep(&s.names, t)
+	j.row.out = s.outcomes.intern(rowOutcome{worker: worker}) // a live job's outcome is its worker
 	s.notifyLocked(j)
 }
 
@@ -266,9 +223,9 @@ func (j *Job) Finish(out Outcome) {
 // attrs — job, client, spec_key, priority, and outcome once terminal —
 // are rendered from the row here instead of being kept in every trace.
 // The caller holds the server's mutex or knows the job is terminal.
-func (r *jobRow) traceViewLocked(names *nameTable, id string) telemetry.SpanView {
+func (r *jobRow) traceViewLocked(id string) telemetry.SpanView {
 	v := r.trace.Snapshot()
-	v.Attrs = map[string]any{"job": id, "client": r.strings(names).client, "spec_key": r.keyHex(), "priority": r.prio.String()}
+	v.Attrs = map[string]any{"job": id, "client": *r.client, "spec_key": r.keyHex(), "priority": r.prio.String()}
 	if r.status().Terminal() {
 		v.Attrs["outcome"] = string(r.status())
 	}
@@ -278,17 +235,16 @@ func (r *jobRow) traceViewLocked(names *nameTable, id string) telemetry.SpanView
 // viewLocked renders the job with this row, and returns with it the
 // shared result its Result is, for writeView to splice in (nil when it
 // has none); the server's mutex must be held.
-func (r *jobRow) viewLocked(names *nameTable, id string) (jobapi.JobView, *SharedResult) {
-	t := r.strings(names)
+func (r *jobRow) viewLocked(id string) (jobapi.JobView, *SharedResult) {
 	v := jobapi.JobView{
 		ID:       id,
 		Status:   r.status(),
 		Priority: r.prio.String(),
-		Client:   t.client,
+		Client:   *r.client,
 		Spec:     *r.spec,
 		Created:  r.at(0),
-		Error:    t.err,
-		Worker:   t.worker,
+		Error:    r.out.err,
+		Worker:   r.out.worker,
 	}
 	if r.started != 0 {
 		v.Started = r.at(r.started)
@@ -302,7 +258,7 @@ func (r *jobRow) viewLocked(names *nameTable, id string) (jobapi.JobView, *Share
 	}
 	var res *SharedResult
 	if r.status() == jobapi.StatusDone {
-		v.Source = t.source
+		v.Source = r.out.source
 		if res = r.result; res != nil {
 			v.Result = res.Result
 		}

@@ -70,17 +70,17 @@ func TestViewWriterMatchesEncoder(t *testing.T) {
 		{"queued", jobapi.StatusQueued, jobRow{}, "", ""},
 		{"running", jobapi.StatusRunning, jobRow{started: started, live: &Job{progress: func() (int64, int64) { return 700, 2200 }}}, "", ""},
 	}
-	names := nameTable{ids: map[string]uint16{}}
+	client := "x<&>"
 	for _, c := range cases {
 		for _, worker := range []string{"", "http://127.0.0.1:8081/x<&>"} {
 			row := c.row
 			row.prio, row.created = PrioHigh, created
 			row.setStatus(c.status)
-			row.keep(&names, rowText{client: "x<&>", worker: worker, source: c.source, err: c.err})
+			row.client, row.out = &client, &rowOutcome{worker: worker, source: c.source, err: c.err}
 			if row.spec == nil {
 				row.spec = &norm
 			}
-			v, res := row.viewLocked(&names, "j000042")
+			v, res := row.viewLocked("j000042")
 			rec := httptest.NewRecorder()
 			writeView(rec, http.StatusOK, v, res)
 			if got, want := rec.Body.Bytes(), encoded(t, v); !bytes.Equal(got, want) {

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -9,12 +12,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"delrep/internal/config"
 	"delrep/internal/core"
 	"delrep/internal/jobapi"
 	"delrep/internal/runner"
 	"delrep/internal/simspec"
+	"delrep/internal/telemetry"
 )
 
 // specKeyOf is the spec_key a job of spec shows.
@@ -25,14 +30,6 @@ func specKeyOf(t *testing.T, spec simspec.Spec) string {
 		t.Fatal(err)
 	}
 	return runner.HashKey(runner.Key(cfg, norm.GPU, norm.CPU))
-}
-
-// fillNames fills a server's name table, so that every later client
-// name and worker URL stays literal.
-func fillNames(s *Server) {
-	for i := range maxRowNames {
-		s.names.intern(fmt.Sprintf("filler %d", i))
-	}
 }
 
 // memoResolver answers every run as a remote end's memo hit.
@@ -65,10 +62,10 @@ func (failover) Ready() (bool, string)      { return true, "" }
 func (failover) Metrics(b *strings.Builder) {}
 func (failover) Routes(*http.ServeMux)      {}
 
-// A row codes its status, priority and source as bytes, its spec_key
-// as 6 bytes, its client and worker as name table ids (or literally,
-// past the table's bound) and its times as offsets: every terminal path
-// renders the fields and root trace attrs it rendered as strings.
+// A row codes its status and priority as bytes, its spec_key as 6
+// bytes, its client and outcome as pointers to the server's interned
+// copies and its times as offsets: every terminal path renders the
+// fields and root trace attrs it rendered as strings.
 func TestRowRendering(t *testing.T) {
 	type job struct {
 		name string
@@ -92,7 +89,7 @@ func TestRowRendering(t *testing.T) {
 		}
 		return newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Cache: cache})})
 	}
-	s, ts := daemon()
+	_, ts := daemon()
 	spec := shortSpec(2701)
 	v, _ := submit(t, ts, jobapi.SubmitRequest{Spec: spec, Client: "alice", Priority: "high"}, "?wait=1")
 	jobs = append(jobs, job{"done, executed", ts, v.ID, spec, jobapi.StatusDone, "executed", "", "", "alice", "high"})
@@ -115,31 +112,16 @@ func TestRowRendering(t *testing.T) {
 		job{"cancelled while queued", ts, queued.ID, longSpec(2703), jobapi.StatusCancelled, "", "cancelled before start", "", "bob", "normal"},
 		job{"cancelled while running", ts, running.ID, longSpec(2702), jobapi.StatusCancelled, "", "cancelled", "", "bob", "low"})
 
-	fillNames(s)
-	v, _ = submit(t, ts, jobapi.SubmitRequest{Spec: spec, Client: "late <&>"}, "?wait=1")
-	jobs = append(jobs, job{"client past the name table", ts, v.ID, spec, jobapi.StatusDone, "executed", "", "", "late <&>", "normal"})
-
 	// Failed with an error.
 	_, nan := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1, Remote: nanResolver{}})})
 	v, _ = submit(t, nan, jobapi.SubmitRequest{Spec: shortSpec(2704)}, "?wait=1")
 	jobs = append(jobs, job{"failed", nan, v.ID, shortSpec(2704), jobapi.StatusFailed, "", "json: unsupported value: NaN", "", "", "normal"})
 
-	// Coordinator jobs whose worker moved on failover, to a worker in
-	// the name table and to one past it.
-	coordinator := func(x failover) (*Server, *httptest.Server) {
-		c := NewServer(x, "f", "delrepfleet", nil, 0)
-		ts := httptest.NewServer(c.Handler())
-		t.Cleanup(ts.Close)
-		return c, ts
-	}
-	_, fleet := coordinator(failover{"http://w1:8081", "http://w2:8081"})
+	// A coordinator job whose worker moved on failover.
+	fleet := httptest.NewServer(NewServer(failover{"http://w1:8081", "http://w2:8081/<&>"}, "f", "delrepfleet", nil, 0).Handler())
+	t.Cleanup(fleet.Close)
 	v, _ = submit(t, fleet, jobapi.SubmitRequest{Spec: shortSpec(2705), Client: "carol"}, "?wait=1")
-	jobs = append(jobs, job{"coordinator failover", fleet, v.ID, shortSpec(2705), jobapi.StatusDone, "disk", "", "http://w2:8081", "carol", "normal"})
-	c, fleet2 := coordinator(failover{"http://w1:8081", "http://w3:8081/<&>"})
-	c.names.intern("http://w1:8081")
-	fillNames(c)
-	v, _ = submit(t, fleet2, jobapi.SubmitRequest{Spec: shortSpec(2705)}, "?wait=1")
-	jobs = append(jobs, job{"coordinator failover past the name table", fleet2, v.ID, shortSpec(2705), jobapi.StatusDone, "disk", "", "http://w3:8081/<&>", "", "normal"})
+	jobs = append(jobs, job{"coordinator failover", fleet, v.ID, shortSpec(2705), jobapi.StatusDone, "disk", "", "http://w2:8081/<&>", "carol", "normal"})
 
 	for _, j := range jobs {
 		t.Run(j.name, func(t *testing.T) {
@@ -224,4 +206,123 @@ func TestJobLogLines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A row is 96 bytes: one more field, or one that breaks the packing of
+// the status byte next to the priority, moves every retained job into
+// the next size class.
+func TestRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(jobRow{}); got != 96 {
+		t.Errorf("a job row is %d B, want 96", got)
+	}
+}
+
+// serveLocal answers one in-process request through h.
+func serveLocal(t *testing.T, h http.Handler, method, target string, body []byte, v any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+		t.Fatalf("%s %s: %v", method, target, err)
+	}
+}
+
+// A server interns every client name it admits, however many: a client
+// after 4 096 others shows on the job's view, in /v1/jobs, on
+// /debug/jobs and in its trace's root attrs like the first one did, and
+// the rows of one client share one copy of its name.
+func TestManyClients(t *testing.T) {
+	const clients = 4200
+	s, _ := hotSubmitter(t, 2721)
+	h := s.Handler()
+	name := func(i int) string { return fmt.Sprintf("client %d <&>", i) }
+	ids := map[string]string{} // job id → client
+	var first, again string
+	for i := range clients + 1 {
+		body, err := json.Marshal(jobapi.SubmitRequest{Spec: shortSpec(2721), Client: name(i % clients)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v jobapi.JobView
+		serveLocal(t, h, http.MethodPost, "/v1/jobs?wait=1", body, &v)
+		if v.Status != jobapi.StatusDone || v.Client != name(i%clients) {
+			t.Fatalf("submit %d answered %s for client %q, want done for %q", i, v.Status, v.Client, name(i%clients))
+		}
+		ids[v.ID] = v.Client
+		first, again = cmp.Or(first, v.ID), v.ID
+	}
+	for id, client := range ids {
+		var v jobapi.JobView
+		serveLocal(t, h, http.MethodGet, "/v1/jobs/"+id, nil, &v)
+		var tree telemetry.SpanView
+		serveLocal(t, h, http.MethodGet, "/v1/jobs/"+id+"/trace?format=tree", nil, &tree)
+		if v.Client != client || tree.Attrs["client"] != client {
+			t.Fatalf("job %s shows client %q, its trace %v; want %q", id, v.Client, tree.Attrs["client"], client)
+		}
+	}
+	var list struct{ Jobs []jobapi.JobView }
+	serveLocal(t, h, http.MethodGet, "/v1/jobs", nil, &list)
+	var debug struct{ Jobs []JobRecord }
+	serveLocal(t, h, http.MethodGet, "/debug/jobs", nil, &debug)
+	if len(list.Jobs) != clients+2 || len(debug.Jobs) != debugJobs {
+		t.Fatalf("/v1/jobs lists %d jobs, /debug/jobs %d; want %d and %d", len(list.Jobs), len(debug.Jobs), clients+2, debugJobs)
+	}
+	for _, v := range list.Jobs {
+		if want, ok := ids[v.ID]; ok && v.Client != want {
+			t.Errorf("/v1/jobs lists job %s with client %q, want %q", v.ID, v.Client, want)
+		}
+	}
+	for _, r := range debug.Jobs {
+		if r.Client != ids[r.ID] || r.Trace.Attrs["client"] != ids[r.ID] {
+			t.Errorf("/debug/jobs lists job %s with client %q, trace %v; want %q", r.ID, r.Client, r.Trace.Attrs["client"], ids[r.ID])
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.names) != clients+1 || s.rowLocked(first).client != s.rowLocked(again).client {
+		t.Errorf("%d names interned for %d clients; the two jobs of %q share their name: %v",
+			len(s.names), clients+1, ids[first], s.rowLocked(first).client == s.rowLocked(again).client)
+	}
+}
+
+// A refused submission interns nothing, so that refused traffic cannot
+// grow the server's tables: not when the queue is full, the client at
+// its cap or the server draining. A client at its cap is one already
+// admitted; the other refusals come under names never seen before.
+func TestRefusedSubmitInternsNothing(t *testing.T) {
+	s, ts := newTestServer(t, Options{Engine: runner.New(runner.Options{Workers: 1}), QueueDepth: 1, ClientInFlight: 1})
+	running, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(2731), Client: "alice"}, "")
+	pollUntil(t, ts, running.ID, func(v jobapi.JobView) bool { return v.Status == jobapi.StatusRunning })
+	queued, _ := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(2732), Client: "bob"}, "")
+	// tables is how many names and outcomes are interned, and how many
+	// submissions were refused for reason.
+	tables := func(reason string) [3]int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return [3]int{len(s.names), len(s.outcomes), int(s.rejects[reason])}
+	}
+	refuse := func(reason string, want int, client string) {
+		t.Helper()
+		before := tables(reason)
+		if _, resp := submit(t, ts, jobapi.SubmitRequest{Spec: longSpec(2733), Client: client}, ""); resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", reason, resp.StatusCode, want)
+		}
+		if after := tables(reason); after != [3]int{before[0], before[1], before[2] + 1} {
+			t.Errorf("%s: names, outcomes and refusals %v before, %v after", reason, before, after)
+		}
+	}
+	refuse("queue_full", http.StatusTooManyRequests, "carol")
+	refuse("client_cap", http.StatusTooManyRequests, "alice")
+	cancelJob(t, ts, queued.ID)
+	cancelJob(t, ts, running.ID)
+	pollUntil(t, ts, running.ID, func(v jobapi.JobView) bool { return v.Status.Terminal() })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	refuse("draining", http.StatusServiceUnavailable, "dave")
 }

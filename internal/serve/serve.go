@@ -72,6 +72,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -151,8 +152,6 @@ type Server struct {
 	logger        *slog.Logger
 	mux           *http.ServeMux
 
-	names nameTable // the rows' client names and worker URLs
-
 	mu sync.Mutex
 	// order is the job table, in submission order: job ids are
 	// idPrefix + %06d(seq), and job seq is order[seq-1].
@@ -162,6 +161,8 @@ type Server struct {
 	sseSubs      int                     // live SSE subscriber channels
 	statusCounts map[jobapi.Status]int64 // terminal outcomes
 	rejects      map[string]int64        // admission rejections by reason
+	names        interner[string]        // the rows' client names
+	outcomes     interner[rowOutcome]    // the rows' outcomes
 }
 
 // NewServer builds the job API over exec. idPrefix and metricPrefix
@@ -182,9 +183,10 @@ func NewServer(exec Executor, idPrefix, metricPrefix string,
 		progressEvery: progressEvery,
 		logger:        logger,
 		mux:           http.NewServeMux(),
-		names:         nameTable{ids: map[string]uint16{}},
 		statusCounts:  map[jobapi.Status]int64{},
 		rejects:       map[string]int64{"draining": 0},
+		names:         interner[string]{},
+		outcomes:      interner[rowOutcome]{},
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -262,14 +264,14 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobRow, string
 func (s *Server) view(row *jobRow, id string) jobapi.JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, _ := row.viewLocked(&s.names, id)
+	v, _ := row.viewLocked(id)
 	return v
 }
 
 // reply answers the job's current view.
 func (s *Server) reply(w http.ResponseWriter, status int, row *jobRow, id string) {
 	s.mu.Lock()
-	v, res := row.viewLocked(&s.names, id)
+	v, res := row.viewLocked(id)
 	s.mu.Unlock()
 	writeView(w, status, v, res)
 }
@@ -309,7 +311,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	//simlint:ignore ctxflow the job outlives the submitting request by design; cancellation comes from DELETE /jobs/{id} or drain, not the HTTP connection
 	ctx, cancel := context.WithCancel(context.Background())
 	row := &jobRow{prio: prio, specKey: runner.HashKeySum(key), trace: tr}
-	row.keep(&s.names, rowText{client: req.Client})
 	j := &Job{srv: s, row: row, client: req.Client, spec: norm, ctx: ctx, cancel: cancel, doneCh: make(chan struct{})}
 	row.live, row.spec = j, &j.spec
 	wait := r.URL.Query().Has("wait")
@@ -329,7 +330,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	adm.End()
 	if !wait { // the 202 answers the job as admitted
-		view, res = j.row.viewLocked(&s.names, j.id)
+		view, res = j.row.viewLocked(j.id)
 	}
 	s.mu.Unlock()
 	j.Log(r.Context(), slog.LevelInfo, "job accepted",
@@ -363,6 +364,7 @@ func (s *Server) admitLocked(j *Job, req jobapi.SubmitRequest, cfg config.Config
 	if rej := s.exec.Admit(j, req, cfg, key); rej != nil {
 		return rej
 	}
+	j.row.client, j.row.out = s.names.intern(j.client), s.outcomes.intern(rowOutcome{})
 	s.order = append(s.order, j.row)
 	return nil
 }
@@ -371,7 +373,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	views := make([]jobapi.JobView, 0, len(s.order))
 	for i, row := range s.order {
-		v, _ := row.viewLocked(&s.names, s.jobID(i+1))
+		v, _ := row.viewLocked(s.jobID(i + 1))
 		v.Result = nil // keep listings light; fetch the job for results
 		views = append(views, v)
 	}
@@ -444,12 +446,7 @@ func (s *Server) settleLocked(j *Job, out Outcome) {
 		// done job started, at the latest, when it finished.
 		row.started = row.finished
 	}
-	t := row.strings(&s.names)
-	t.source, t.err = out.Source, out.Error
-	if out.Worker != "" {
-		t.worker = out.Worker
-	}
-	row.keep(&s.names, t)
+	row.out = s.outcomes.intern(rowOutcome{cmp.Or(out.Worker, row.out.worker), out.Source, out.Error})
 	row.result = out.Result
 	// The row stops pointing at the live part. Its spec becomes the one
 	// its result echoes when that is equal (on the daemon it always is),
@@ -485,9 +482,8 @@ func (s *Server) closeTraceLocked(j *Job) {
 func (s *Server) retire(j *Job) {
 	row := j.row
 	j.cancel()
-	t := row.strings(&s.names)
-	j.Log(context.Background(), slog.LevelInfo, "job finished", "status", row.status(), "source", t.source, "error", t.err,
-		"worker", t.worker, "seconds", row.finished.Seconds())
+	j.Log(context.Background(), slog.LevelInfo, "job finished", "status", row.status(), "source", row.out.source, "error", row.out.err,
+		"worker", row.out.worker, "seconds", row.finished.Seconds())
 }
 
 // handleTrace exports a job's telemetry span tree. The default format
@@ -500,7 +496,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	view := row.traceViewLocked(&s.names, id)
+	view := row.traceViewLocked(id)
 	s.mu.Unlock()
 	if r.URL.Query().Get("format") == "tree" {
 		writeJSON(w, http.StatusOK, view)

@@ -22,7 +22,7 @@ func (s *Server) notifyLocked(j *Job) {
 	if len(j.subs) == 0 {
 		return
 	}
-	v, _ := j.row.viewLocked(&s.names, j.id)
+	v, _ := j.row.viewLocked(j.id)
 	ev := sseEvent{name: "status", data: v}
 	for ch := range j.subs {
 		select {

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
@@ -13,8 +12,7 @@ import (
 // A long run's trace is a runner.submit → engine.run whose 511
 // checkpoints each start a window span with a cycles_done attr (the
 // span cap keeps all but the last two): each such trace holds at most
-// 16 KB of live heap. Its window names are interned, as in a daemon:
-// FuzzTraceLog fills the name table, but fuzz targets run after tests.
+// 16 KB of live heap. Its window names are interned, as in a daemon.
 func TestLongRunTraceBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow state inflates every allocation")
@@ -100,21 +98,14 @@ func (in *fuzzOps) next() byte {
 	return b
 }
 
-// name is one of 16 interned names, or a name that arrives after the
-// table filled and so goes into the log literally.
-func (in *fuzzOps) name() string {
-	if b := in.next(); b < 128 {
-		return fmt.Sprintf("n%d", b%16)
-	} else {
-		return fmt.Sprintf("late %d", b)
-	}
-}
+// name is one of 16 names.
+func (in *fuzzOps) name() string { return fmt.Sprintf("n%d", in.next()%16) }
 
-// label is a string kind the log does not encode inline.
+// label is a string kind the log records as its text.
 type label string
 
-// value is an attr value of every kind the log encodes inline and of
-// some it keeps aside.
+// value is an attr value of every kind the log encodes and of some it
+// records as their text.
 func (in *fuzzOps) value() any {
 	switch in.next() % 10 {
 	case 0:
@@ -144,14 +135,23 @@ func (in *fuzzOps) value() any {
 	}
 }
 
-var fillNames sync.Once
+// logged is v as a view shows it: a value of a kind the log encodes
+// as itself, any other as its text.
+func logged(v any) any {
+	switch v.(type) {
+	case string, int, int64, bool:
+		return v
+	}
+	return fmt.Sprint(v)
+}
 
 // FuzzTraceLog drives a trace with Start, Set and End calls and clock
 // steps decoded from the input, and after each operation compares
 // Snapshot with a naive tree built from the same operations: nesting,
 // child order, first End wins, last Set wins, open spans running until
-// the snapshot, the span cap, and values of every kind coming back as
-// the type they went in as.
+// the snapshot, the span cap, and values of the four kinds the log
+// encodes coming back as the type they went in as, any other as its
+// fmt.Sprint text.
 // Its seed corpus is testdata/fuzz/FuzzTraceLog.
 func FuzzTraceLog(f *testing.F) {
 	f.Fuzz(checkTraceLog)
@@ -167,19 +167,8 @@ func checkTraceLog(t *testing.T, data []byte) {
 	if len(data) > maxInput {
 		return
 	}
-	// Intern the fuzz's own names, then fill the table, so every later
-	// name goes into the log literally.
-	fillNames.Do(func() {
-		fill := New("fill").Root()
-		for i := range 16 {
-			fill.Set(fmt.Sprintf("n%d", i), i)
-		}
-		for i := range maxNames {
-			fill.Set(fmt.Sprintf("filler %d", i), i)
-		}
-	})
 	in := fuzzOps(data)
-	// The root's attrs may put values aside before the clock is set.
+	// The root's attrs are recorded before the clock is set.
 	root := &modelSpan{name: in.name()}
 	var rootAttrs []Attr
 	for range in.next() % 3 {
@@ -187,7 +176,7 @@ func checkTraceLog(t *testing.T, data []byte) {
 		if root.attrs == nil {
 			root.attrs = map[string]any{}
 		}
-		root.attrs[a.Key] = a.Value
+		root.attrs[a.Key] = logged(a.Value)
 		rootAttrs = append(rootAttrs, a)
 	}
 	tr := New(root.name, rootAttrs...)
@@ -216,7 +205,7 @@ func checkTraceLog(t *testing.T, data []byte) {
 		if m.attrs == nil {
 			m.attrs = map[string]any{}
 		}
-		m.attrs[key] = v
+		m.attrs[key] = logged(v)
 	}
 	start := func(h handle, name string, attrs []Attr) {
 		var m *modelSpan

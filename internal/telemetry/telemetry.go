@@ -22,6 +22,7 @@ package telemetry
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -33,7 +34,9 @@ import (
 // counts the drop.
 const MaxSpans = 512
 
-// Attr is one key/value annotation on a span.
+// Attr is one key/value annotation on a span. Its value is a string,
+// an int, an int64 or a bool; a value of any other kind is recorded as
+// its fmt.Sprint text.
 type Attr struct {
 	Key   string
 	Value any
@@ -65,21 +68,14 @@ type Trace struct {
 	origin    time.Duration // the root span's start, since epoch
 	last      time.Duration // the newest record's time, since origin
 	log       []byte
-	aside     *aside // nil until the trace needs one
-}
-
-// aside is what few traces need: SetClock's clock, and attr values of
-// a kind the log does not encode.
-type aside struct {
-	now    func() time.Time
-	values []any
+	now       func() time.Time // SetClock's clock; nil reads time.Now
 }
 
 // A record is a tag byte and zigzag varints: a start holds the parent,
 // the time and the name, an end the span and the time, an attr the
 // span, the key and a value of the tag's kind. A time counts
 // nanoseconds since the previous record's time; a name or key is its
-// interned id, or 0, the length and the bytes.
+// interned id.
 const (
 	recStart byte = iota
 	recEnd
@@ -88,18 +84,13 @@ const (
 	recInt64
 	recFalse
 	recTrue
-	recOther // the value is an index into the trace's aside values
 )
 
-// maxNames bounds the process-wide table that names and keys are
-// interned in; one that arrives after it filled is logged literally.
-const maxNames = 4096
-
-// names is the table; its lock is taken under a trace's, never held
-// while taking one.
+// names is the process-wide table that names and keys are interned in.
+// Its lock is taken under a trace's, never held while taking one.
 var names = struct {
 	mu   sync.Mutex
-	ids  map[string]int64 // a name's index in list, plus one
+	ids  map[string]int64 // a name's index in list
 	list []string         // only grows
 }{ids: map[string]int64{}}
 
@@ -114,18 +105,10 @@ func New(name string, attrs ...Attr) *Trace {
 // sinceLocked is the trace clock's offset from the origin; the trace
 // mutex must be held.
 func (t *Trace) sinceLocked() time.Duration {
-	if t.aside != nil {
-		return t.aside.now().Sub(epoch) - t.origin
+	if t.now != nil {
+		return t.now().Sub(epoch) - t.origin
 	}
 	return time.Since(epoch) - t.origin
-}
-
-// asideLocked is the trace's aside, made on first use.
-func (t *Trace) asideLocked() *aside {
-	if t.aside == nil {
-		t.aside = &aside{now: time.Now}
-	}
-	return t.aside
 }
 
 // startLocked appends the newest span's start record and its attrs.
@@ -140,12 +123,11 @@ func (t *Trace) startLocked(parent int16, name string, at time.Duration, attrs [
 // setLocked appends an attr record.
 func (t *Trace) setLocked(i int16, key string, value any) {
 	tag := len(t.log)
-	t.log = append(t.log, recOther)
+	t.log = append(t.log, recString)
 	t.put(int64(i))
 	t.putName(key)
 	switch v := value.(type) {
 	case string:
-		t.log[tag] = recString
 		t.putString(v)
 	case int:
 		t.log[tag] = recInt
@@ -159,9 +141,7 @@ func (t *Trace) setLocked(i int16, key string, value any) {
 			t.log[tag] = recTrue
 		}
 	default:
-		a := t.asideLocked()
-		t.put(int64(len(a.values)))
-		a.values = append(a.values, value)
+		t.putString(fmt.Sprint(v))
 	}
 }
 
@@ -174,16 +154,14 @@ func (t *Trace) putString(s string) {
 
 func (t *Trace) putName(s string) {
 	names.mu.Lock()
-	id := names.ids[s]
-	if id == 0 && len(names.list) < maxNames {
-		names.list = append(names.list, s)
+	id, ok := names.ids[s]
+	if !ok {
 		id = int64(len(names.list))
+		names.list = append(names.list, s)
 		names.ids[s] = id
 	}
 	names.mu.Unlock()
-	if t.put(id); id == 0 {
-		t.putString(s)
-	}
+	t.put(id)
 }
 
 // stampLocked appends a start or end record's tag, span and time.
@@ -201,7 +179,7 @@ func (t *Trace) SetClock(now func() time.Time) {
 		return
 	}
 	t.mu.Lock()
-	t.asideLocked().now = now
+	t.now = now
 	t.mu.Unlock()
 }
 
@@ -256,7 +234,8 @@ func (s *Span) Start(name string, attrs ...Attr) *Span {
 	return child
 }
 
-// Set attaches (or overwrites) one attribute on the span.
+// Set attaches (or overwrites) one attribute on the span: a string, an
+// int, an int64 or a bool, or any other value as its fmt.Sprint text.
 func (s *Span) Set(key string, value any) {
 	if s == nil {
 		return
@@ -340,7 +319,7 @@ func (t *Trace) replayLocked(now time.Duration) SpanView {
 			if s.Attrs == nil {
 				s.Attrs = map[string]any{}
 			}
-			s.Attrs[key] = r.value(tag, t.aside)
+			s.Attrs[key] = r.value(tag)
 		}
 	}
 	// A child starts after its parent: walking back, each subtree is
@@ -378,18 +357,11 @@ func (r *logReader) string() string {
 }
 
 // name decodes a name against the interned list.
-func (r *logReader) name(list []string) string {
-	if id := r.int(); id != 0 {
-		return list[id-1]
-	}
-	return r.string()
-}
+func (r *logReader) name(list []string) string { return list[r.int()] }
 
 // value decodes an attr value of the tag's kind.
-func (r *logReader) value(tag byte, aside *aside) any {
+func (r *logReader) value(tag byte) any {
 	switch tag {
-	case recString:
-		return r.string()
 	case recInt:
 		return int(r.int())
 	case recInt64:
@@ -397,7 +369,7 @@ func (r *logReader) value(tag byte, aside *aside) any {
 	case recFalse, recTrue:
 		return tag == recTrue
 	}
-	return aside.values[r.int()]
+	return r.string()
 }
 
 // Find returns the first span view with the given name in a pre-order

@@ -226,6 +226,27 @@ func TestConcurrentTrace(t *testing.T) {
 	}
 }
 
+// Every name and key is interned, however many the process has seen:
+// a trace's log holds a new one's id, not its text, and a value of a
+// kind the log does not encode comes back as its text.
+func TestNamesAreInterned(t *testing.T) {
+	for i := range 5000 {
+		New(fmt.Sprintf("filler %d", i))
+	}
+	name, key := fmt.Sprintf("span %d", time.Now().UnixNano()), fmt.Sprintf("key %d", time.Now().UnixNano())
+	tr := New("job")
+	tr.Root().Start(name).Set(key, 2.5)
+	tr.mu.Lock()
+	literal := bytes.Contains(tr.log, []byte(name)) || bytes.Contains(tr.log, []byte(key))
+	tr.mu.Unlock()
+	if literal {
+		t.Errorf("the log holds a name or key literally")
+	}
+	if got := tr.Snapshot().Children; len(got) != 1 || got[0].Name != name || got[0].Attrs[key] != "2.5" {
+		t.Errorf("the trace's span is %+v, want %q with %s = \"2.5\"", got, name, key)
+	}
+}
+
 // The views of a trace, pinned on a fake clock in both formats:
 // nesting and child order, Set overwriting an attr given at Start and
 // one set before, a Set after End, a child that ends after the root
