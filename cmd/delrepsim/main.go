@@ -77,7 +77,7 @@ func main() {
 	flag.StringVar(&spec.Scheme, "scheme", "baseline", "baseline | delegated | rp; comma-separated list with -sweep")
 	flag.StringVar(&spec.Layout, "layout", "Baseline", "Baseline | B | C | D")
 	flag.StringVar(&spec.Topo, "topo", "mesh", "mesh | fbfly | dragonfly | crossbar")
-	flag.StringVar(&spec.Routing, "routing", "cdr", "cdr | dyxy | footprint | hare")
+	flag.StringVar(&spec.Routing, "routing", "cdr", "cdr | adaptive")
 	flag.StringVar(&spec.L1Org, "l1org", "private", "private | dcl1 | dyneb")
 	flag.IntVar(&spec.ChannelBytes, "channel", 16, "NoC channel width in bytes")
 	flag.IntVar(&spec.VCDepth, "vcdepth", 0, "override VC buffer depth in flits")

@@ -83,7 +83,7 @@ func TestFlagSpecParity(t *testing.T) {
 	// A non-default value per field, by JSON tag.
 	alt := map[string]any{
 		"gpu": "HS", "cpu": "dedup", "scheme": "rp", "layout": "C", "topo": "fbfly",
-		"routing": "dyxy", "l1org": "dyneb", "channel": 24, "vcdepth": 6,
+		"routing": "adaptive", "l1org": "dyneb", "channel": 24, "vcdepth": 6,
 		"warm": int64(150), "cycles": int64(300), "seed": int64(9), "parallel": 4,
 	}
 	base := simspec.Spec{GPU: "NN", CPU: "vips", Scheme: "delegated", Warmup: 200, Cycles: 450}
@@ -128,7 +128,7 @@ func TestRemoteJSONIsLocalJSON(t *testing.T) {
 	dir := t.TempDir()
 	for _, flags := range [][]string{
 		nil,
-		{"-gpu", "HS", "-cpu", "dedup", "-scheme", "rp", "-layout", "C", "-topo", "fbfly", "-routing", "dyxy",
+		{"-gpu", "HS", "-cpu", "dedup", "-scheme", "rp", "-layout", "C", "-topo", "fbfly", "-routing", "adaptive",
 			"-l1org", "dyneb", "-channel", "24", "-vcdepth", "6", "-seed", "9"},
 	} {
 		local, _ := delrepsim(t, append(flags, "-json")...)

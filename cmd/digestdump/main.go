@@ -85,6 +85,12 @@ func dump(w io.Writer, seeds string, warm, cycles int64) error {
 				return err
 			}
 		}
+		// Adaptive routing on the mesh: the one route that is not CDR.
+		cfg := config.Default()
+		cfg.Scheme, cfg.NoC.Routing = config.SchemeDelegatedReplies, config.RoutingAdaptive
+		if err := run(cfg, seed, "NN", "vips", cfg.NoC.Routing); err != nil {
+			return err
+		}
 	}
 	return nil
 }

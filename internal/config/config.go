@@ -153,25 +153,17 @@ const (
 	// RoutingCDR is class-based deterministic routing [3]: requests and
 	// replies may use different dimension orders (the baseline policy).
 	RoutingCDR RoutingAlg = iota
-	// RoutingDyXY is proximity-congestion-aware adaptive routing [45].
-	RoutingDyXY
-	// RoutingFootprint regulates routing adaptiveness [22].
-	RoutingFootprint
-	// RoutingHARE is history-aware adaptive routing for endpoint
-	// congestion [37].
-	RoutingHARE
+	// RoutingAdaptive is minimal adaptive routing: any productive port
+	// on all but the class's lowest VC, plus a DOR escape on that VC.
+	RoutingAdaptive
 )
 
 func (r RoutingAlg) String() string {
 	switch r {
 	case RoutingCDR:
 		return "CDR"
-	case RoutingDyXY:
-		return "DyXY"
-	case RoutingFootprint:
-		return "Footprint"
-	case RoutingHARE:
-		return "HARE"
+	case RoutingAdaptive:
+		return "Adaptive"
 	}
 	return "???"
 }

@@ -178,8 +178,8 @@ func TestStringers(t *testing.T) {
 	if TopoFlattenedButterfly.String() != "FlattenedButterfly" {
 		t.Fatal(TopoFlattenedButterfly.String())
 	}
-	if RoutingHARE.String() != "HARE" {
-		t.Fatal(RoutingHARE.String())
+	if RoutingAdaptive.String() != "Adaptive" {
+		t.Fatal(RoutingAdaptive.String())
 	}
 	if OrderYX.String() != "YX" || OrderXY.String() != "XY" {
 		t.Fatal("dim order strings")

@@ -167,7 +167,7 @@ func TestLivenessMatrix(t *testing.T) {
 		}
 	})
 	t.Run("adaptive-routing", func(t *testing.T) {
-		for _, alg := range []config.RoutingAlg{config.RoutingDyXY, config.RoutingFootprint, config.RoutingHARE} {
+		for _, alg := range []config.RoutingAlg{config.RoutingAdaptive} {
 			cfg := shortCfg(config.SchemeBaseline)
 			cfg.NoC.Routing = alg
 			r := runShort(t, cfg, "LPS", "x264")

@@ -173,18 +173,15 @@ func fig6(p *Plan) func() Report {
 	return g.build(p)
 }
 
-// fig7 evaluates the adaptive routing schemes against CDR.
+// fig7 evaluates adaptive routing against CDR.
 func fig7() gainTable {
-	g := gainTable{
+	return gainTable{
 		title:   "Figure 7: adaptive routing vs CDR baseline (relative GPU perf)",
 		headers: []string{"Routing", "Rel. GPU perf (HM)"},
 		reduce:  relGPU,
 		notes:   []string{"paper: adaptive routing reduces performance; the limitation is link bandwidth, not path choice"},
+		rows:    []row{vsBaseline(func(c *config.Config) { c.NoC.Routing = config.RoutingAdaptive }, config.RoutingAdaptive.String())},
 	}
-	for _, alg := range []config.RoutingAlg{config.RoutingDyXY, config.RoutingFootprint, config.RoutingHARE} {
-		g.rows = append(g.rows, vsBaseline(func(c *config.Config) { c.NoC.Routing = alg }, alg.String()))
-	}
-	return g
 }
 
 // onLayout places the machine on a chip layout under the given CDR

@@ -24,9 +24,7 @@ import (
 // skipped component would have touched is either provably unchanged
 // when idle or stuck, or derived from the cycle count (router
 // saPortPtr, NI class round-robin) — so results are bit-identical to
-// ungated execution. Under HARE routing every router still ticks its
-// EWMA congestion estimate (it decays per cycle), and only the
-// allocators are skipped.
+// ungated execution.
 type Network struct {
 	Label    string
 	topo     Topology
@@ -34,7 +32,6 @@ type Network struct {
 	numVCs   int
 	bufDepth int
 	hopDelay int
-	hare     bool
 
 	Routers []*Router
 	NIs     []*NI
@@ -107,7 +104,6 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 		numVCs:   numVCs,
 		bufDepth: cfg.FlitsPerVC,
 		hopDelay: cfg.RouterDelay + cfg.LinkDelay,
-		hare:     cfg.Routing == config.RoutingHARE,
 	}
 	n.Routers = make([]*Router, topo.NumRouters())
 	n.saStart = make([]modCounter, 0, len(n.Routers)) // never grows: routers point into it

@@ -2,7 +2,7 @@
 // input-queued virtual-channel routers with credit-based wormhole flow
 // control and separable (iSLIP-style) allocation, mesh / flattened
 // butterfly / dragonfly / crossbar topologies, deterministic (CDR) and
-// adaptive (DyXY, Footprint, HARE) routing, CPU-over-GPU priority
+// minimal adaptive routing, CPU-over-GPU priority
 // arbitration, and network interfaces with bounded injection buffers —
 // the substrate on which network clogging arises and Delegated Replies
 // operates.

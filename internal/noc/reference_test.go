@@ -295,8 +295,8 @@ func allocatorCases() []allocatorCase {
 	return []allocatorCase{
 		{"mesh5x2", NewMesh(5, 2, cdr), 10, 6, nil},
 		{"mesh5x2/1vc", NewMesh(5, 2, cdr), 10, 2, func(c *config.NoC) { c.VCsPerClass = 1 }},
-		{"mesh5x2/dyxy", NewMesh(5, 2, MeshPolicy{Alg: config.RoutingDyXY, ReqOrder: config.OrderXY, RepOrder: config.OrderXY}), 10, 7,
-			func(c *config.NoC) { c.VCsPerClass, c.Routing = 3, config.RoutingDyXY }},
+		{"mesh5x2/adaptive", NewMesh(5, 2, MeshPolicy{Alg: config.RoutingAdaptive, ReqOrder: config.OrderXY, RepOrder: config.OrderXY}), 10, 7,
+			func(c *config.NoC) { c.VCsPerClass, c.Routing = 3, config.RoutingAdaptive }},
 		{"mesh5x2/shared1+3", NewMesh(5, 2, cdr), 10, 3, shared(1, 3)},
 		{"mesh5x2/shared4+4", NewMesh(5, 2, cdr), 10, 8, shared(4, 4)},
 		{"dragonfly2x9", NewDragonfly(18, 9), 18, 5, nil},

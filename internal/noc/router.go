@@ -98,10 +98,6 @@ type Router struct {
 	// O(1) BufferedFlits/Quiet paths.
 	buffered int
 	vaDirty  bool // a VC-allocation input changed since allocateVCs last ran
-
-	// Adaptive routing state (see routing.go).
-	foot map[int]int
-	ewma []float64
 }
 
 func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
@@ -114,7 +110,6 @@ func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
 		vc:      make([]vcState, n),
 		flits:   make([]Flit, n*bufDepth),
 		candBuf: make([]Candidate, 0, 4),
-		ewma:    make([]float64, nports),
 	}
 	r.saInPtr, r.vaOutPtr = make([]int32, nports), make([]int32, nports)
 	words := make([]uint64, n*w+11*w+2*pw)

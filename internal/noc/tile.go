@@ -118,14 +118,6 @@ func (n *Network) Compute() {
 			n.injDue[node] = ni.nextReadyAt() // asleep until then or a wakeInject
 		}
 	}
-	// Under HARE every router, asleep or not, decays its congestion
-	// estimate; a router's estimate reads only its own credits, which no
-	// other router's tick writes, so estimating first changes nothing.
-	if n.hare {
-		for _, r := range n.Routers {
-			r.updateEWMA()
-		}
-	}
 	for w, word := range t.awake {
 		if n.DebugChecks { // tick the sleepers too: they must make no progress
 			word = ^uint64(0)

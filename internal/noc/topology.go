@@ -38,8 +38,8 @@ const (
 
 // MeshPolicy selects the mesh routing algorithm. RoutingCDR applies
 // ReqOrder to requests and RepOrder to replies (class-based
-// deterministic routing [3]); the adaptive algorithms use VC 0 of the
-// class range as a DOR escape channel and the remaining VCs adaptively.
+// deterministic routing [3]); RoutingAdaptive uses VC 0 of the class
+// range as a DOR escape channel and the remaining VCs adaptively.
 type MeshPolicy struct {
 	Alg      config.RoutingAlg
 	ReqOrder config.DimOrder
@@ -120,7 +120,7 @@ func dorPort(x, y, dx, dy int, order config.DimOrder) int {
 	return PortLocal
 }
 
-// Route implements CDR or the selected adaptive policy.
+// Route implements CDR or the adaptive policy.
 func (m *Mesh) Route(net *Network, r int, p *Packet, buf []Candidate) []Candidate {
 	lo, hi := net.VCRange(p.Class)
 	x, y := m.xy(r)
@@ -133,7 +133,7 @@ func (m *Mesh) Route(net *Network, r int, p *Packet, buf []Candidate) []Candidat
 	if m.Policy.Alg == config.RoutingCDR || hi == lo {
 		return append(buf, Candidate{Port: dor, VCLo: lo, VCHi: hi})
 	}
-	return adaptiveMeshRoute(net, m, r, p, x, y, dx, dy, dor, lo, hi, buf)
+	return adaptiveMeshRoute(x, y, dx, dy, dor, lo, hi, buf)
 }
 
 // FlattenedButterfly fully connects each row and each column [41];

@@ -174,7 +174,7 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	mutations := []func(*config.Config){
 		func(c *config.Config) { c.Scheme = config.SchemeDelegatedReplies },
 		func(c *config.Config) { c.NoC.Topology = config.TopoCrossbar },
-		func(c *config.Config) { c.NoC.Routing = config.RoutingDyXY },
+		func(c *config.Config) { c.NoC.Routing = config.RoutingAdaptive },
 		func(c *config.Config) { c.NoC.ChannelBytes = 32 },
 		func(c *config.Config) { c.NoC.InjectionBuf = 16 },
 		func(c *config.Config) { c.NoC.SharedPhys = true; c.NoC.ReqVCs, c.NoC.RepVCs = 1, 3 },

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"delrep/internal/jobapi"
@@ -67,8 +68,12 @@ type Job struct {
 	spec   simspec.Spec // canonical form, echoed back to clients
 	ctx    context.Context
 	cancel context.CancelFunc
-	// doneCh closes when the job reaches a terminal status.
+	// doneCh closes once the job is terminal and its "job finished" line
+	// is written.
 	doneCh chan struct{}
+	// logged is 1 once handleSubmit has logged "job accepted", 2 if the
+	// job retired before that (see Server.retire).
+	logged atomic.Uint32
 
 	// Guarded by Server.mu.
 	progress  func() (done, total int64) // nil until the executor has something to report
@@ -203,8 +208,9 @@ func (j *Job) SetProgress(src func() (done, total int64)) {
 }
 
 // Finish retires the job with its outcome: terminal status, counters,
-// subscriber and ?wait wake-up and the closed trace, in one locked
-// step. Only the first call transitions; later ones are no-ops.
+// subscriber events and the closed trace in one locked step, then the
+// log line and the ?wait wake-up. Only the first call transitions;
+// later ones are no-ops.
 func (j *Job) Finish(out Outcome) {
 	s := j.srv
 	s.mu.Lock()
@@ -213,7 +219,7 @@ func (j *Job) Finish(out Outcome) {
 		return
 	}
 	s.settleLocked(j, out)
-	s.publishLocked(j)
+	s.notifyLocked(j)
 	s.closeTraceLocked(j)
 	s.mu.Unlock()
 	s.retire(j)

@@ -196,7 +196,7 @@ func (x *local) finishQueuedLocked(j *Job, msg string) {
 	x.dropInflightLocked(j.client)
 	x.srv.settleLocked(j, Outcome{Status: jobapi.StatusCancelled, Error: msg})
 	x.totalTime[j.row.prio].Add(j.row.finished.Seconds())
-	x.srv.publishLocked(j)
+	x.srv.notifyLocked(j)
 	x.srv.closeTraceLocked(j)
 	x.srv.retire(j)
 }
@@ -310,7 +310,7 @@ func (x *local) runJob(j *Job, rspec runner.Spec) {
 	x.execTime[row.prio].Add((row.finished - row.started).Seconds())
 	x.totalTime[row.prio].Add(row.finished.Seconds())
 	reply := root.Start("reply")
-	s.publishLocked(j)
+	s.notifyLocked(j)
 	reply.End()
 	s.closeTraceLocked(j)
 	s.mu.Unlock()

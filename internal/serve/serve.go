@@ -333,8 +333,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		view, res = j.row.viewLocked(j.id)
 	}
 	s.mu.Unlock()
+	// A job that finished before this line left retiring to us.
 	j.Log(r.Context(), slog.LevelInfo, "job accepted",
 		"gpu", norm.GPU, "cpu", norm.CPU, "scheme", norm.Scheme, "priority", prio.String())
+	if !j.logged.CompareAndSwap(0, 1) {
+		s.retire(j)
+	}
 
 	if wait {
 		select {
@@ -429,9 +433,10 @@ func (s *Server) startLocked(j *Job) {
 // settleLocked is the first step of finishing a job: it records the
 // outcome in the job's row, detaches the row from the live part and
 // counts the outcome. The job is terminal afterwards but nobody has
-// been told; publishLocked tells, then closeTraceLocked ends the trace.
-// A caller takes all three in one hold of s.mu (the local executor
-// times its reply span in between), and every reader takes
+// been told; notifyLocked tells subscribers, then closeTraceLocked ends
+// the trace. A caller takes all three in one hold of s.mu (the local
+// executor times its reply span in between), then retires the job,
+// which wakes ?wait callers. Every reader takes
 // s.mu first, so whoever sees the terminal status also reads a closed
 // trace and finds the job on /debug/jobs.
 func (s *Server) settleLocked(j *Job, out Outcome) {
@@ -462,13 +467,6 @@ func (s *Server) settleLocked(j *Job, out Outcome) {
 	s.statusCounts[out.Status]++
 }
 
-// publishLocked tells subscribers and ?wait callers that the job is
-// terminal.
-func (s *Server) publishLocked(j *Job) {
-	s.notifyLocked(j)
-	close(j.doneCh)
-}
-
 // closeTraceLocked ends the job's trace: the last step of finishing
 // (lock order is s.mu → trace.mu, never reversed). Its root span's
 // outcome attr is the job's terminal status, rendered at export.
@@ -476,14 +474,20 @@ func (s *Server) closeTraceLocked(j *Job) {
 	j.row.trace.End()
 }
 
-// retire releases a finished job's context and logs the outcome. The
-// row fields read here are fixed once the job is terminal, so s.mu is
-// not needed; a caller may hold it.
+// retire releases a finished job's context, logs its outcome and then
+// wakes its waiters, so no ?wait reply precedes the line. Before
+// handleSubmit has logged the job as accepted it leaves both to that
+// handler, which calls it again. The row fields read here are fixed
+// once the job is terminal, so s.mu is not needed; a caller may hold it.
 func (s *Server) retire(j *Job) {
-	row := j.row
 	j.cancel()
+	if j.logged.CompareAndSwap(0, 2) {
+		return
+	}
+	row := j.row
 	j.Log(context.Background(), slog.LevelInfo, "job finished", "status", row.status(), "source", row.out.source, "error", row.out.err,
 		"worker", row.out.worker, "seconds", row.finished.Seconds())
+	close(j.doneCh)
 }
 
 // handleTrace exports a job's telemetry span tree. The default format

@@ -34,7 +34,7 @@ type Spec struct {
 	Scheme       string `json:"scheme,omitempty"`  // baseline | delegated | rp
 	Layout       string `json:"layout,omitempty"`  // Baseline | B | C | D
 	Topo         string `json:"topo,omitempty"`    // mesh | fbfly | dragonfly | crossbar
-	Routing      string `json:"routing,omitempty"` // cdr | dyxy | footprint | hare
+	Routing      string `json:"routing,omitempty"` // cdr | adaptive
 	L1Org        string `json:"l1org,omitempty"`   // private | dcl1 | dyneb
 	ChannelBytes int    `json:"channel,omitempty"` // NoC channel width in bytes
 	VCDepth      int    `json:"vcdepth,omitempty"` // VC buffer depth in flits (0 = default, ≤ config.MaxFlitsPerVC)
@@ -227,9 +227,7 @@ var (
 	}
 	routingTokens = []token[config.RoutingAlg]{
 		{"cdr", config.RoutingCDR},
-		{"dyxy", config.RoutingDyXY},
-		{"footprint", config.RoutingFootprint},
-		{"hare", config.RoutingHARE},
+		{"adaptive", config.RoutingAdaptive},
 	}
 	orgTokens = []token[config.L1Org]{
 		{"private", config.L1Private},
@@ -240,7 +238,8 @@ var (
 )
 
 // parse looks a token up (case-insensitively; empty means the default)
-// and returns its value and canonical spelling.
+// and returns its value and canonical spelling. An unknown token's error
+// lists the canonical spellings.
 func parse[T comparable](what string, toks []token[T], s string) (T, string, error) {
 	if s == "" {
 		s = toks[0].name
@@ -250,8 +249,14 @@ func parse[T comparable](what string, toks []token[T], s string) (T, string, err
 			return t.val, canon(toks, t.val), nil
 		}
 	}
+	var want []string
+	for _, t := range toks {
+		if canon(toks, t.val) == t.name {
+			want = append(want, t.name)
+		}
+	}
 	var zero T
-	return zero, "", fmt.Errorf("spec: unknown %s %q", what, s)
+	return zero, "", fmt.Errorf("spec: unknown %s %q (want %s)", what, s, strings.Join(want, " | "))
 }
 
 // canon returns the canonical spelling of a knob value.

@@ -36,14 +36,14 @@ func TestResolveDefaults(t *testing.T) {
 // Alias tokens canonicalize; resolving a canonical spec is idempotent.
 func TestResolveCanonicalizes(t *testing.T) {
 	in := Spec{GPU: "BP", CPU: "dedup", Scheme: "DelegatedReplies", Layout: "b",
-		Topo: "FBFLY", Routing: "HARE", L1Org: "DC-L1",
+		Topo: "FBFLY", Routing: "ADAPTIVE", L1Org: "DC-L1",
 		Warmup: 1000, Cycles: 4000, Seed: 7}
 	cfg, norm, err := in.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm.Scheme != "delegated" || norm.Layout != "B" || norm.Topo != "fbfly" ||
-		norm.Routing != "hare" || norm.L1Org != "dcl1" {
+		norm.Routing != "adaptive" || norm.L1Org != "dcl1" {
 		t.Fatalf("canonical tokens = %+v", norm)
 	}
 	if cfg.Scheme != config.SchemeDelegatedReplies || cfg.NoC.Topology != config.TopoFlattenedButterfly {
@@ -94,6 +94,9 @@ func TestResolveErrors(t *testing.T) {
 		{GPU: "HS", CPU: "vips", Layout: "Z"},
 		{GPU: "HS", CPU: "vips", Topo: "torus"},
 		{GPU: "HS", CPU: "vips", Routing: "oddeven"},
+		{GPU: "HS", CPU: "vips", Routing: "dyxy"},
+		{GPU: "HS", CPU: "vips", Routing: "footprint"},
+		{GPU: "HS", CPU: "vips", Routing: "HARE"},
 		{GPU: "HS", CPU: "vips", L1Org: "shared"},
 		{GPU: "HS", CPU: "vips", Cycles: -5}, // Validate rejects
 		{GPU: "HS", CPU: "vips", VCDepth: 1_000_000},
@@ -103,6 +106,21 @@ func TestResolveErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, _, err := c.Resolve(); err == nil {
 			t.Errorf("Resolve(%+v) succeeded, want error", c)
+		}
+	}
+}
+
+// An unknown token's error names the canonical values, aliases left out.
+func TestUnknownTokenNamesCanonical(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{GPU: "HS", CPU: "vips", Routing: "HARE"}, `spec: unknown routing "HARE" (want cdr | adaptive)`},
+		{Spec{GPU: "HS", CPU: "vips", L1Org: "shared"}, `spec: unknown L1 organisation "shared" (want private | dcl1 | dyneb)`},
+	} {
+		if _, _, err := c.spec.Resolve(); err == nil || err.Error() != c.want {
+			t.Errorf("Resolve(%+v) = %v, want %s", c.spec, err, c.want)
 		}
 	}
 }
@@ -150,7 +168,7 @@ func TestFromConfigRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{GPU: "HS", CPU: "vips"},
 		{GPU: "BP", CPU: "dedup", Scheme: "delegated", Layout: "B",
-			Topo: "fbfly", Routing: "hare", L1Org: "dcl1",
+			Topo: "fbfly", Routing: "adaptive", L1Org: "dcl1",
 			ChannelBytes: 32, VCDepth: 8, Warmup: 1000, Cycles: 4000, Seed: 7},
 		{GPU: "LUD", CPU: "x264", Scheme: "rp", Warmup: 500, Cycles: 2500, Seed: 3},
 	}
