@@ -339,3 +339,27 @@ func TestInstrumentFlagsRejected(t *testing.T) {
 		t.Errorf("a rejected flag still wrote %s", out)
 	}
 }
+
+// TestClogNarrativeGolden pins Figure 1's episode-by-episode narrative:
+// what -clog prints after the report for 2DCON + blackscholes at the
+// -quick record's windows (EXPERIMENTS.md, "Figure 1"), under the
+// baseline and under Delegated Replies.
+func TestClogNarrativeGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two 17 000-cycle simulations")
+	}
+	for _, scheme := range []string{"baseline", "delegated"} {
+		t.Run(scheme, func(t *testing.T) {
+			stdout, _ := delrepsim(t, "-cache", "off", "-gpu", "2DCON", "-cpu", "blackscholes", "-scheme", scheme,
+				"-warm", "5000", "-cycles", "12000", "-metrics-window", "500", "-clog", "-clog-util", "0.5")
+			golden := filepath.Join("testdata", "clog-2dcon-"+scheme+".golden")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, got, _ := strings.Cut(stdout, "\n\n"); got != string(want) {
+				t.Errorf("-clog narrative differs from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+			}
+		})
+	}
+}

@@ -39,8 +39,8 @@ type MemNode struct {
 	llc   *cache.Cache
 	mshr  *cache.MSHR[replyTarget]
 	mc    *dram.Controller
-	wbQ   []cache.Addr    // dirty victims awaiting DRAM write
-	compQ []*dram.Request // DRAM completions awaiting reply injection
+	wbQ   []cache.Addr // dirty victims awaiting DRAM write
+	compQ []cache.Addr // lines DRAM filled, awaiting reply injection
 
 	llcQuota int
 	refused  bool
@@ -63,7 +63,7 @@ func newMemNode(sys *System, node, idx int) *MemNode {
 		mshr:  cache.NewMSHR[replyTarget](sys.Cfg.LLC.MSHRs),
 		mc:    dram.New(sys.Cfg.DRAM),
 		wbQ:   make([]cache.Addr, 0, wbQCap),
-		compQ: make([]*dram.Request, 0, wbQCap),
+		compQ: make([]cache.Addr, 0, wbQCap),
 	}
 }
 
@@ -163,7 +163,7 @@ func (m *MemNode) handleRead(msg *Msg) bool {
 	m.Stats.LLCMisses++
 	m.llc.RecordMiss()
 	m.mshr.Allocate(msg.Line, replyTarget{Node: msg.Requester, CPU: isCPU, Born: msg.Born, Acct: msg.Acct})
-	m.mc.Enqueue(&dram.Request{Line: msg.Line, Arrived: m.sys.cycle})
+	m.mc.Enqueue(dram.Request{Line: msg.Line, Arrived: m.sys.cycle})
 	return true
 }
 
@@ -189,7 +189,7 @@ func (m *MemNode) handleWrite(msg *Msg) bool {
 			return false
 		}
 		m.llc.RecordMiss()
-		m.mc.Enqueue(&dram.Request{Line: msg.Line, Write: true, Arrived: m.sys.cycle})
+		m.mc.Enqueue(dram.Request{Line: msg.Line, Write: true, Arrived: m.sys.cycle})
 	}
 	m.llcQuota--
 	m.Stats.Requests++
@@ -233,7 +233,7 @@ func (m *MemNode) Tick() {
 			if r.Write {
 				continue
 			}
-			m.compQ = append(m.compQ, r)
+			m.compQ = append(m.compQ, r.Line)
 		}
 	}
 	if len(m.compQ) > 0 {
@@ -253,8 +253,8 @@ func (m *MemNode) Tick() {
 func (m *MemNode) drainCompletions() {
 	repNI := m.sys.repNI(m.Node)
 	for len(m.compQ) > 0 {
-		r := m.compQ[0]
-		entry, ok := m.mshr.Lookup(r.Line)
+		line := m.compQ[0]
+		entry, ok := m.mshr.Lookup(line)
 		if !ok {
 			m.compQ, _ = fifo.PopFront(m.compQ)
 			continue // duplicate completion; nothing outstanding
@@ -271,11 +271,11 @@ func (m *MemNode) drainCompletions() {
 				aux = auxOf(tgt.Node)
 			}
 		}
-		if victim, dirty, evicted := m.llc.Insert(r.Line, aux, false); evicted && dirty {
+		if victim, dirty, evicted := m.llc.Insert(line, aux, false); evicted && dirty {
 			m.wbQ = append(m.wbQ, victim)
 		}
-		for _, tgt := range m.mshr.Release(r.Line) {
-			m.injectReply(r.Line, tgt.Node, tgt.CPU, ReplyDRAM, -1, false, tgt.Born, tgt.Acct)
+		for _, tgt := range m.mshr.Release(line) {
+			m.injectReply(line, tgt.Node, tgt.CPU, ReplyDRAM, -1, false, tgt.Born, tgt.Acct)
 		}
 		m.compQ, _ = fifo.PopFront(m.compQ)
 	}
@@ -283,7 +283,7 @@ func (m *MemNode) drainCompletions() {
 
 func (m *MemNode) drainWriteBacks() {
 	for len(m.wbQ) > 0 && m.mc.CanAccept() {
-		m.mc.Enqueue(&dram.Request{Line: m.wbQ[0], Write: true, Arrived: m.sys.cycle})
+		m.mc.Enqueue(dram.Request{Line: m.wbQ[0], Write: true, Arrived: m.sys.cycle})
 		m.wbQ, _ = fifo.PopFront(m.wbQ)
 	}
 }

@@ -35,3 +35,33 @@ func TestZeroDelegationBudgetIsBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestNoGPUSchemesAgree is a metamorphic relation: on a chip with no
+// GPU cores there is no GPU reply to delegate and no GPU L1 to probe,
+// and CPU replies are never delegated, so baseline, RP and DR must end
+// on one end-state digest per seed, with zero delegations and probes.
+func TestNoGPUSchemesAgree(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		t.Run(fmt.Sprintf("HS+vips/s%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := config.Default()
+			cfg.Layout = config.LayoutFromCounts("nogpu", 8, 8, 56, 8)
+			cfg.WarmupCycles, cfg.MeasureCycles, cfg.Seed = 2000, 6000, seed
+			schemes := []config.Scheme{config.SchemeBaseline, config.SchemeRP, config.SchemeDelegatedReplies}
+			var base AuditRun
+			for i, scheme := range schemes {
+				cfg.Scheme = scheme
+				run := RunAudit(cfg, "HS", "vips")
+				if run.Results.Delegations != 0 || run.Results.ProbesSent != 0 {
+					t.Errorf("%v with no GPU: %d delegations, %d probes", scheme, run.Results.Delegations, run.Results.ProbesSent)
+				}
+				if i == 0 {
+					base = run
+				} else if run.Cycles != base.Cycles || run.Digest != base.Digest {
+					t.Errorf("%v ended at (%d, %#016x), %v at (%d, %#016x)",
+						scheme, run.Cycles, run.Digest, schemes[0], base.Cycles, base.Digest)
+				}
+			}
+		})
+	}
+}

@@ -10,6 +10,7 @@ package cpu
 
 import (
 	"math/rand"
+	"slices"
 
 	"delrep/internal/cache"
 	"delrep/internal/stats"
@@ -35,18 +36,23 @@ type Core struct {
 	rng  *rand.Rand
 	out  Sender
 
-	gap         int64
-	sinceIssue  int64
-	outstanding int
-	sent        map[cache.Addr][]int64 // line -> issue cycles (FIFO per line)
-	seq         uint64
-	now         int64
+	gap        int64
+	sinceIssue int64
+	sent       []issued // the MLP window: outstanding reads, in issue order
+	seq        uint64
+	now        int64
 
 	// Statistics.
 	Completed   int64
 	Issued      int64
 	Lat         stats.Sampler
 	ThrottleMLP int64
+}
+
+// issued is one outstanding read: its line and issue cycle.
+type issued struct {
+	line cache.Addr
+	at   int64
 }
 
 // New builds a CPU core for the given node running the profile.
@@ -62,7 +68,7 @@ func New(node int, prof workload.CPUProfile, out Sender, seed int64) *Core {
 		Node: node, prof: prof, out: out,
 		rng:  rand.New(rand.NewSource(seed ^ int64(node)*0x51 + 7)),
 		gap:  gap,
-		sent: make(map[cache.Addr][]int64),
+		sent: make([]issued, 0, prof.MLP),
 	}
 }
 
@@ -86,7 +92,7 @@ func (c *Core) Tick() {
 	if c.sinceIssue < c.gap {
 		return
 	}
-	if c.outstanding >= c.prof.MLP {
+	if len(c.sent) >= c.prof.MLP {
 		c.ThrottleMLP++
 		return
 	}
@@ -94,30 +100,25 @@ func (c *Core) Tick() {
 	if !c.out.SendCPURead(c.Node, line) {
 		return // network interface full; retry next cycle
 	}
-	c.sent[line] = append(c.sent[line], c.now)
-	c.outstanding++
+	c.sent = append(c.sent, issued{line, c.now})
 	c.Issued++
 	c.sinceIssue = 0
 }
 
-// ReplyArrived records the completion of an outstanding read.
+// ReplyArrived records the completion of an outstanding read: the
+// oldest one of the line, so same-line reads complete in FIFO order.
 func (c *Core) ReplyArrived(line cache.Addr) {
-	times := c.sent[line]
-	if len(times) == 0 {
+	i := slices.IndexFunc(c.sent, func(s issued) bool { return s.line == line })
+	if i < 0 {
 		panic("cpu: reply for line with no outstanding request")
 	}
-	c.Lat.Add(float64(c.now - times[0]))
-	if len(times) == 1 {
-		delete(c.sent, line)
-	} else {
-		c.sent[line] = times[1:]
-	}
-	c.outstanding--
+	c.Lat.Add(float64(c.now - c.sent[i].at))
+	c.sent = slices.Delete(c.sent, i, i+1)
 	c.Completed++
 }
 
 // Outstanding returns the in-flight request count.
-func (c *Core) Outstanding() int { return c.outstanding }
+func (c *Core) Outstanding() int { return len(c.sent) }
 
 // Throughput returns completed requests per cycle over the window.
 func (c *Core) Throughput(cycles int64) float64 {

@@ -103,10 +103,9 @@ func TestDuplicateLineRequests(t *testing.T) {
 		// Funnel all requests onto one line by completing none.
 	}
 	// Synthesize duplicates directly: the generator may not repeat, so
-	// exercise ReplyArrived with stacked timestamps via the map.
+	// exercise ReplyArrived with two outstanding reads of one line.
 	line := s.lines[0]
-	c.sent[line] = append(c.sent[line], c.now)
-	c.outstanding++
+	c.sent = append(c.sent, issued{line, c.now})
 	before := c.Completed
 	c.ReplyArrived(line)
 	c.ReplyArrived(line)

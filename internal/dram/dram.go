@@ -13,31 +13,29 @@ import (
 type Request struct {
 	Line    cache.Addr
 	Write   bool
-	Meta    any   // opaque caller context returned on completion
 	Arrived int64 // cycle the request entered the queue
 	Done    int64 // cycle the request completed (set by the controller)
 }
 
 type bank struct {
-	openRow     int64
-	rowValid    bool
-	readyAt     int64 // earliest cycle the bank can issue a new column access
-	lastActAt   int64 // for tRC/tRRD accounting
-	pendingDone int64
+	openRow   int64
+	rowValid  bool
+	readyAt   int64 // earliest cycle the bank can issue a new column access
+	lastActAt int64 // for tRC/tRRD accounting
 }
 
 // Controller is one FR-FCFS memory controller.
 type Controller struct {
 	cfg   config.DRAM
 	banks []bank
-	queue []*Request
+	queue []Request
 	// busFreeAt is the earliest cycle the shared data bus is free.
 	busFreeAt int64
 	// lastActGlobal enforces tRRD across banks.
 	lastActGlobal int64
-	inflight      []*Request // issued, waiting for completion time
+	inflight      []Request // issued, waiting for completion time
 	// doneBuf backs Tick's completion slice; valid until the next Tick.
-	doneBuf []*Request
+	doneBuf []Request
 
 	ServedReads  int64
 	ServedWrites int64
@@ -63,7 +61,7 @@ func New(cfg config.DRAM) *Controller {
 func (c *Controller) CanAccept() bool { return len(c.queue) < c.cfg.QueueCap }
 
 // Enqueue adds a request; callers must check CanAccept first.
-func (c *Controller) Enqueue(r *Request) bool {
+func (c *Controller) Enqueue(r Request) bool {
 	if !c.CanAccept() {
 		c.QueueFullEv++
 		return false
@@ -85,7 +83,7 @@ func (c *Controller) rowOf(line cache.Addr) int64 {
 // FR-FCFS: among queued requests whose bank is ready, prefer row hits;
 // break ties by arrival order. The returned slice is reused by the next
 // Tick; callers must consume it before ticking again.
-func (c *Controller) Tick(now int64) []*Request {
+func (c *Controller) Tick(now int64) []Request {
 	// Collect completions.
 	done := c.doneBuf[:0]
 	remaining := c.inflight[:0]

@@ -49,7 +49,7 @@ func Figures() []Figure {
 			acrossLayouts("paper CPU gains: Baseline +3.8%, B +13.4%, C +2.2%, D +20.9% (interference-heavy layouts gain most)").build},
 		{"fig19", "sensitivity: L1/LLC size, NoC bandwidth, VCs, nodes, buffers", fig19().build},
 		{"breakdown", "load latency attribution by phase (Figure 4 analogue)", breakdown},
-		{"clog", "Figure-1 clog-detector narrative: baseline vs Delegated Replies", clogExp},
+		{"clog", "Figure-1 memory-node clogging: baseline vs Delegated Replies", clogExp},
 		{"nodemix", "CPU/GPU/memory node mix study", nodeMix().build},
 		{"ablation", "Delegated Replies design-space ablations", ablation().build},
 		{"energy", "NoC dynamic energy and system energy", energy},

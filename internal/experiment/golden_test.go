@@ -45,7 +45,7 @@ func TestGoldenRecord(t *testing.T) {
 		// ~45 s on two cores, ~7 min under the race detector — where
 		// internal/runner's own tests already cover the engine this
 		// would exercise.
-		t.Skip("runs the whole quick evaluation (163 simulations)")
+		t.Skip("runs the whole quick evaluation (161 simulations)")
 	}
 	plan := NewPlan(true, 1, runner.New(runner.Options{}))
 	for _, f := range Figures() {

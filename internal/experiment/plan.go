@@ -57,13 +57,11 @@ type Plan struct {
 	Measure int64
 	Seed    int64
 	Quick   bool
-	// Log receives progress of observed runs, per-figure accounting
-	// and the exit summary (the CLIs' stderr); NewPlan discards it.
+	// Log receives per-figure accounting and the exit summary (the
+	// CLIs' stderr); NewPlan discards it.
 	Log io.Writer
 
 	eng      *runner.Engine
-	observed int // observer-attached replays delivered (simulated or cached)
-	obsSims  int // observer-attached replays that actually simulated
 	failures []failedRun
 }
 
@@ -158,13 +156,12 @@ func (p *Plan) Eval(f Figure) Report {
 // vs shared, wall time) goes to Log.
 func (p *Plan) Render(w io.Writer, f Figure) {
 	start := time.Now()
-	c0, obs0, sims0 := p.eng.Snapshot(), p.observed, p.obsSims
+	c0 := p.eng.Snapshot()
 	fmt.Fprintf(w, "### %s — %s\n\n", f.Name, f.About)
 	rep := p.Eval(f)
 	c := p.eng.Snapshot()
-	obsSims := int64(p.obsSims - sims0)
-	simulated := c.Executed - c0.Executed + obsSims
-	disk := c.DiskHits - c0.DiskHits + int64(p.observed-obs0) - obsSims
+	simulated := c.Executed - c0.Executed
+	disk := c.DiskHits - c0.DiskHits
 	shared := c.MemoHits - c0.MemoHits
 	fmt.Fprintf(w, "%s(%s, %d runs)\n\n", rep, f.Name, simulated+disk+shared)
 	fmt.Fprintf(p.Log, "  %s: %d simulated, %d from disk cache, %d shared in-process, %s\n",
@@ -184,7 +181,7 @@ func (p *Plan) Finish(prog string) int {
 		where = cache.Dir()
 	}
 	fmt.Fprintf(p.Log, "%s: %d simulations executed, %d disk-cache hits, %d in-process shares (-j %d, cache %s)\n",
-		prog, c.Executed+int64(p.obsSims), c.DiskHits+int64(p.observed-p.obsSims), c.MemoHits,
+		prog, c.Executed, c.DiskHits, c.MemoHits,
 		p.eng.Workers(), where)
 	if c.Failed == 0 {
 		return 0

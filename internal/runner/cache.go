@@ -31,26 +31,24 @@ import (
 const Version = "delrep-run-v3"
 
 // DiskCache is an on-disk, content-addressed store of simulation
-// results (and small observed-run artifacts). Entries are fixed binary
-// records (see encodeEntry) named by the SHA-256 of Version plus the
-// run Key; every Results field is stored as its little-endian bits, so
-// a cache hit is byte-for-byte indistinguishable from re-running the
-// simulation. Writes go through a temp file plus rename, so concurrent
-// processes sharing a cache directory never observe torn entries. Any
-// unreadable, mismatched, or corrupt entry is treated as a miss and
-// overwritten by the next Put.
+// results. Entries are fixed binary records (see encodeEntry) named by
+// the SHA-256 of Version plus the run Key; every Results field is
+// stored as its little-endian bits, so a cache hit is byte-for-byte
+// indistinguishable from re-running the simulation. Writes go through
+// a temp file plus rename, so concurrent processes sharing a cache
+// directory never observe torn entries. Any unreadable, mismatched, or
+// corrupt entry is treated as a miss and overwritten by the next Put.
 type DiskCache struct {
 	dir string
 
-	// Result-lookup accounting (Get, GetAddr, HasAddr; blob artifacts
-	// are not counted). Atomics, so readers never contend with the hot
-	// path.
+	// Lookup accounting (Get, GetAddr, HasAddr). Atomics, so readers
+	// never contend with the hot path.
 	hits    atomic.Int64
 	misses  atomic.Int64
 	corrupt atomic.Int64
 }
 
-// CacheStats is a point-in-time snapshot of the cache's result-lookup
+// CacheStats is a point-in-time snapshot of the cache's lookup
 // accounting. Corrupt counts entries that existed but failed to decode
 // or verify (stale format, truncated write, SHA collision) — each one
 // degraded to a miss rather than a wrong result, but a nonzero rate is
@@ -130,12 +128,11 @@ func (c *DiskCache) Dir() string { return c.dir }
 //
 //	magic | layout fingerprint (uint64) | uvarint len, Version | uvarint len, key | payload
 //
-// A run entry's payload is the digest (uint64) followed by core.Results
-// through encoding/binary; a blob entry's payload is the artifact's
-// bytes. Version and the key are stored verbatim and verified on read:
-// a SHA-256 filename collision or a stale-format file (a gob entry of
-// an older build among them) therefore degrades to a miss, never to a
-// wrong result.
+// The payload is the digest (uint64) followed by core.Results through
+// encoding/binary. Version and the key are stored verbatim and verified
+// on read: a SHA-256 filename collision or a stale-format file (a gob
+// entry of an older build among them) therefore degrades to a miss,
+// never to a wrong result.
 const entryMagic = "DRc\x01"
 
 // entryPrefix is the header every entry of this build starts with: the
@@ -178,7 +175,7 @@ func appendHeader(dst []byte, key string) []byte {
 	return append(dst, key...)
 }
 
-// encodeEntry renders the run entry Put stores.
+// encodeEntry renders the entry Put stores.
 func encodeEntry(key string, digest uint64, res *core.Results) ([]byte, error) {
 	b := appendHeader(make([]byte, 0, len(entryPrefix)+binary.MaxVarintLen64+len(key)+8+resultsSize), key)
 	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint64(b, digest))
@@ -188,42 +185,36 @@ func encodeEntry(key string, digest uint64, res *core.Results) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeHeader splits an entry of this build into its stored key and
-// payload; ok=false if b has another magic, fingerprint or Version, or
-// ends inside the header.
-func decodeHeader(b []byte) (key, payload []byte, ok bool) {
+// decodeEntry is encodeEntry's inverse: it accepts exactly the records
+// encodeEntry writes under this build's header, so another magic,
+// fingerprint or Version, or a record cut or padded anywhere, is ok=false.
+func decodeEntry(b []byte) (key []byte, digest uint64, res core.Results, ok bool) {
 	if !bytes.HasPrefix(b, entryPrefix) {
-		return nil, nil, false
+		return nil, 0, core.Results{}, false
 	}
 	b = b[len(entryPrefix):]
 	n, w := binary.Uvarint(b)
 	// w <= 0 is a cut or overflowing length; a zero last byte an
 	// overlong one, which appendHeader would not have written.
 	if w <= 0 || (w > 1 && b[w-1] == 0) || n > uint64(len(b)-w) {
-		return nil, nil, false
+		return nil, 0, core.Results{}, false
 	}
-	return b[w : w+int(n)], b[w+int(n):], true
-}
-
-// decodeEntry is encodeEntry's inverse: it accepts exactly the records
-// encodeEntry writes under this build's header.
-func decodeEntry(b []byte) (key []byte, digest uint64, res core.Results, ok bool) {
-	key, payload, ok := decodeHeader(b)
-	if !ok || len(payload) != 8+resultsSize ||
+	key, payload := b[w:w+int(n)], b[w+int(n):]
+	if len(payload) != 8+resultsSize ||
 		binary.Read(bytes.NewReader(payload[8:]), binary.LittleEndian, &res) != nil {
 		return nil, 0, core.Results{}, false
 	}
 	return key, binary.LittleEndian.Uint64(payload), res, true
 }
 
-func (c *DiskCache) path(key, ext string) string {
-	return filepath.Join(c.dir, CacheAddr(key)+ext)
+func (c *DiskCache) path(key string) string {
+	return filepath.Join(c.dir, CacheAddr(key)+".run")
 }
 
 // Get returns the cached results and end-state digest for a run key,
 // or ok=false on any miss, mismatch, or decoding failure.
 func (c *DiskCache) Get(key string) (res core.Results, digest uint64, ok bool) {
-	return c.read(c.path(key, ".run"), func(stored []byte) bool { return string(stored) == key })
+	return c.read(c.path(key), func(stored []byte) bool { return string(stored) == key })
 }
 
 // GetAddr returns the cached results and digest for a content address
@@ -293,30 +284,11 @@ func (c *DiskCache) Put(key string, digest uint64, res core.Results) error {
 	if err != nil {
 		return err
 	}
-	return c.write(c.path(key, ".run"), b)
+	return c.write(c.path(key), b)
 }
 
-// GetBlob returns a cached artifact (for example an observed run's
-// clog narrative) stored under an arbitrary key, or ok=false on miss.
-func (c *DiskCache) GetBlob(key string) (data []byte, ok bool) {
-	b, err := os.ReadFile(c.path(key, ".blob"))
-	if err != nil {
-		return nil, false
-	}
-	stored, data, ok := decodeHeader(b)
-	if !ok || string(stored) != key {
-		return nil, false
-	}
-	return data, true
-}
-
-// PutBlob stores an artifact under a key.
-func (c *DiskCache) PutBlob(key string, data []byte) error {
-	return c.write(c.path(key, ".blob"), append(appendHeader(nil, key), data...))
-}
-
-// Size returns the total bytes currently held by cache entries (.run
-// and .blob files; in-flight temp files are excluded).
+// Size returns the total bytes currently held by cache entries
+// (in-flight temp files are excluded).
 func (c *DiskCache) Size() (int64, error) {
 	files, err := c.entries()
 	if err != nil {
@@ -336,7 +308,7 @@ type cacheFile struct {
 	mtime time.Time
 }
 
-// entries lists the cache's .run and .blob files.
+// entries lists the cache's entry files.
 func (c *DiskCache) entries() ([]cacheFile, error) {
 	ents, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -348,6 +320,7 @@ func (c *DiskCache) entries() ([]cacheFile, error) {
 			continue
 		}
 		name := de.Name()
+		// .blob files are an older build's entries; -cache-max still prunes them.
 		if !strings.HasSuffix(name, ".run") && !strings.HasSuffix(name, ".blob") {
 			continue
 		}

@@ -75,24 +75,6 @@ func TestDiskCacheCorruptionTolerance(t *testing.T) {
 	}
 }
 
-func TestDiskCacheBlob(t *testing.T) {
-	c := openTestCache(t)
-	if _, ok := c.GetBlob("narrative"); ok {
-		t.Fatal("empty cache hit")
-	}
-	if err := c.PutBlob("narrative", []byte("episode 1\n")); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.GetBlob("narrative")
-	if !ok || string(got) != "episode 1\n" {
-		t.Fatalf("blob roundtrip: ok=%v got=%q", ok, got)
-	}
-	// Blobs and runs live in separate namespaces.
-	if _, _, ok := c.Get("narrative"); ok {
-		t.Fatal("blob served as a run")
-	}
-}
-
 // TestEngineWarmCache checks the cross-process reuse contract: a
 // second engine sharing the cache directory performs zero simulations
 // and returns bit-identical results and digests.

@@ -93,7 +93,7 @@ func TestEntryBitExact(t *testing.T) {
 	if err := c.Put("k", digest, res); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(c.path("k", ".run"))
+	b, err := os.ReadFile(c.path("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestStaleEntryIsCorruptMiss(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := openTestCache(t)
 			const key = "HS|vips|k"
-			if err := os.WriteFile(c.path(key, ".run"), entry(t, key), 0o644); err != nil {
+			if err := os.WriteFile(c.path(key), entry(t, key), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			for read, get := range map[string]func() bool{

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"delrep/internal/core"
 )
 
 func TestDefaultCacheDirEnvOverride(t *testing.T) {
@@ -24,15 +26,24 @@ func TestPruneOldestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The oldest file is a .blob entry an older build left in a shared
+	// directory: Size counts it and Prune removes it like any entry.
+	stale := filepath.Join(dir, CacheAddr("narrative")+".blob")
+	if err := os.WriteFile(stale, make([]byte, 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	keys := []string{"old", "mid", "new"}
-	var sizes []int64
-	base := time.Now().Add(-time.Hour)
+	paths := []string{stale}
 	for i, k := range keys {
-		if err := cache.PutBlob(k, make([]byte, 100*(i+1))); err != nil {
+		if err := cache.Put(k, uint64(i), core.Results{Cycles: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
+		paths = append(paths, cache.path(k))
+	}
+	var sizes []int64
+	base := time.Now().Add(-time.Hour)
+	for i, path := range paths {
 		// Stamp distinct mtimes so the eviction order is deterministic.
-		path := cache.path(k, ".blob")
 		mt := base.Add(time.Duration(i) * time.Minute)
 		if err := os.Chtimes(path, mt, mt); err != nil {
 			t.Fatal(err)
@@ -47,23 +58,29 @@ func TestPruneOldestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sizes[0] + sizes[1] + sizes[2]; total != want {
+	if want := sizes[0] + sizes[1] + sizes[2] + sizes[3]; total != want {
 		t.Fatalf("Size = %d, want %d", total, want)
 	}
 
-	// Prune to a budget that forces exactly the oldest entry out.
-	removed, freed, err := cache.Prune(total - 1)
-	if err != nil {
-		t.Fatal(err)
+	// Prune to budgets that force exactly the oldest file out, then the
+	// oldest run entry.
+	for i, budget := range []int64{total - 1, total - sizes[0] - 1} {
+		removed, freed, err := cache.Prune(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if removed != 1 || freed != sizes[i] {
+			t.Fatalf("Prune(%d) removed %d (freed %d), want 1 (freed %d)", budget, removed, freed, sizes[i])
+		}
 	}
-	if removed != 1 || freed != sizes[0] {
-		t.Fatalf("Prune removed %d (freed %d), want 1 (freed %d)", removed, freed, sizes[0])
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale .blob entry survived the prune: %v", err)
 	}
-	if _, ok := cache.GetBlob("old"); ok {
-		t.Fatal("oldest entry survived the prune")
+	if _, _, ok := cache.Get("old"); ok {
+		t.Fatal("oldest run entry survived the prune")
 	}
 	for _, k := range keys[1:] {
-		if _, ok := cache.GetBlob(k); !ok {
+		if _, _, ok := cache.Get(k); !ok {
 			t.Fatalf("entry %q was pruned out of order", k)
 		}
 	}
@@ -75,10 +92,10 @@ func TestPruneOldestFirst(t *testing.T) {
 	if total, _ := cache.Size(); total != 0 {
 		t.Fatalf("Size after Prune(0) = %d, want 0", total)
 	}
-	if err := cache.PutBlob("again", []byte("x")); err != nil {
+	if err := cache.Put("again", 0, core.Results{}); err != nil {
 		t.Fatalf("cache unusable after full prune: %v", err)
 	}
-	if filepath.Dir(cache.path("again", ".blob")) != dir {
+	if filepath.Dir(cache.path("again")) != dir {
 		t.Fatal("cache path escaped its directory")
 	}
 }

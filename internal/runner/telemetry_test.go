@@ -94,7 +94,7 @@ func TestDiskCacheStats(t *testing.T) {
 	}
 	// Corrupt the entry in place: the next Get degrades to a miss and
 	// counts the corruption.
-	path := c.path("k", ".run")
+	path := c.path("k")
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
