@@ -266,3 +266,37 @@ func TestDigestSeedSensitivity(t *testing.T) {
 		t.Fatal("different seeds produced identical digests: digest is not state-sensitive")
 	}
 }
+
+// TestDebugChecksClogged runs the networks' self-checks where the audit
+// matrix's 650 cycles do not reach: the clogged HS+vips baseline mesh
+// (sim-serial's first spec) and BT+dedup under Delegated Replies, seed
+// 1, 3 000 warm-up and 3 000 measured cycles, with both networks'
+// DebugChecks on. Every sleeping router and NI is ticked anyway and
+// every activity counter recounted; the checked run must end on the
+// unchecked run's digest.
+func TestDebugChecksClogged(t *testing.T) {
+	for _, c := range []struct {
+		gpu, cpu string
+		scheme   config.Scheme
+	}{
+		{"HS", "vips", config.SchemeBaseline},
+		{"BT", "dedup", config.SchemeDelegatedReplies},
+	} {
+		t.Run(fmt.Sprintf("%s+%s/%v", c.gpu, c.cpu, c.scheme), func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Scheme, cfg.Seed = c.scheme, 1
+			cfg.WarmupCycles, cfg.MeasureCycles = 3_000, 3_000
+			run := func(checked bool) string {
+				sys := NewSystem(cfg, c.gpu, c.cpu)
+				sys.ReqNet.DebugChecks, sys.RepNet.DebugChecks = checked, checked
+				if _, err := sys.RunWorkloadCtx(RunControl{}); err != nil {
+					t.Fatal(err)
+				}
+				return goldenLine(sys.Cycle(), sys.StatsDigest())
+			}
+			if checked, plain := run(true), run(false); checked != plain {
+				t.Fatalf("checked run %s, unchecked %s", checked, plain)
+			}
+		})
+	}
+}

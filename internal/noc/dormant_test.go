@@ -55,13 +55,23 @@ func newWakeRig(t *testing.T, workers int, awake bool) *wakeRig {
 func awake(r *Router) bool { return *r.awakeWord&r.awakeBit != 0 }
 
 func (g *wakeRig) step() {
+	g.compute()
+	g.net.Commit()
+}
+
+// compute runs the compute step of the next cycle, in the reference run
+// with every router and NI woken first.
+func (g *wakeRig) compute() {
 	if g.awake {
 		for _, r := range g.net.Routers {
 			r.wake()
 		}
 		clear(g.net.injDue)
+		for node := range g.net.ejBusy {
+			g.net.ejBusy[node] = true
+		}
 	}
-	g.net.Tick()
+	g.net.Compute()
 }
 
 func (g *wakeRig) packet(src, dst, flits int) *Packet {
@@ -349,6 +359,73 @@ func TestDormantNIWakeReadyAt(t *testing.T) {
 		}
 		return g.deliver(p)
 	})
+}
+
+// An NI's ejection is due only once a whole packet waits: while the
+// body flits of a 9-flit packet land, the NI stays off the commit loop,
+// and the tail's arrival ejects the packet in the cycle the
+// never-dormant reference (which visits every NI) ejects it.
+func TestDormantNIEjectionWaitsForTail(t *testing.T) {
+	runWakeScenario(t, func(g *wakeRig) []int64 {
+		p := g.inject(g.packet(niSrc, 47, 9))
+		ni := g.net.NI(47)
+		partial := int64(0)
+		for p.Ejected == 0 && g.net.now < 2000 {
+			g.compute()
+			flits := 0
+			for v := range ni.ejBuf {
+				flits += ni.ejBuf[v].Len()
+			}
+			if flits > 0 && ni.whole == 0 {
+				if partial++; !g.awake && g.net.ejBusy[47] {
+					g.t.Fatalf("cycle %d: NI 47 holds part of a packet and is on the commit loop", g.net.now)
+				}
+			}
+			g.net.Commit()
+		}
+		if partial == 0 {
+			g.t.Fatal("no cycle saw the packet partly buffered at its NI")
+		}
+		return []int64{p.Injected, p.Ejected, partial}
+	})
+}
+
+// A flit queued behind a stuck front changes nothing the allocators
+// read, so it leaves the router dormant, and ticking the sleeper anyway
+// (DebugChecks) finds no progress; a flit into an empty VC wakes it.
+// The router is driven alone: its flits leave into the delay rings and
+// no credit ever returns.
+func TestDormantFlitBehindFront(t *testing.T) {
+	net := twoNodeNet()
+	net.DebugChecks = true
+	r0 := net.Routers[0]
+	in := PortLocal * r0.numVCs
+	a := &Packet{ID: 1, Src: 0, Dst: 1, Class: ClassRequest, SizeFlits: r0.depth + 3}
+	seq := 0
+	push := func(i int, f Flit) {
+		net.begin()
+		r0.pushFlit(i, f)
+		r0.tick()
+	}
+	for ; seq <= r0.depth; seq++ { // the east VC's credits run out under flit `depth`
+		push(in, Flit{Pkt: a, Seq: seq})
+	}
+	if r0.buffered != 1 || awake(r0) {
+		t.Fatalf("router holds %d flits, awake %v: want one stuck front and a dormant router", r0.buffered, awake(r0))
+	}
+	r0.pushFlit(in, Flit{Pkt: a, Seq: seq})
+	if awake(r0) {
+		t.Fatal("a flit behind the stuck front woke the router")
+	}
+	net.begin()
+	r0.tick() // a sleeper ticked anyway must make no progress
+	if awake(r0) || r0.buffered != 2 {
+		t.Fatalf("router awake %v holding %d flits after the checked tick", awake(r0), r0.buffered)
+	}
+	r0.pushFlit(in+1, Flit{Pkt: &Packet{ID: 2, Src: 0, Dst: 1, Class: ClassRequest, SizeFlits: 1}})
+	if !awake(r0) {
+		t.Fatal("a flit into an empty VC left the router dormant")
+	}
 }
 
 // TestDormantNIDebugCheckPanics plants a missing wake: a ready packet

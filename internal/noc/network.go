@@ -54,7 +54,7 @@ type Network struct {
 	// tile holds the delay rings and the awake set (see tile.go).
 	tile tile
 
-	// DebugChecks enables the slow cross-checks: Quiet and
+	// DebugChecks enables the slow cross-checks: Quiet, Commit and
 	// CheckCreditInvariant re-derive the activity counters by full
 	// scan and panic/error on divergence, and dormant routers and NIs
 	// are ticked anyway and panic if they make progress. Tests switch
@@ -110,6 +110,7 @@ func NewNetwork(label string, topo Topology, cfg config.NoC, nodes int, p Params
 	for r := range n.Routers {
 		k := topo.NumPorts(r)
 		n.Routers[r] = newRouter(n, r, k, numVCs, n.bufDepth)
+		n.Routers[r].buildRoutes(nodes)
 		c := slices.IndexFunc(n.saStart, func(c modCounter) bool { return int(c.k) == k })
 		if c < 0 { // a new port count: start at (0-1) mod k
 			c, n.saStart = len(n.saStart), append(n.saStart, modCounter{v: int32(k - 1), k: int32(k)})

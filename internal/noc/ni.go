@@ -34,10 +34,10 @@ type NI struct {
 	rrStream int
 	blocked  [2]bool
 
-	ejBuf   []fifo.Ring[Flit]
-	ejFlits int // flits across all ejection rings (activity gate)
-	asm     []*Packet
-	asmCap  int
+	ejBuf  []fifo.Ring[Flit]
+	whole  int // whole packets across all ejection rings (activity gate)
+	asm    []*Packet
+	asmCap int
 
 	// Handler consumes an ejected packet; returning false leaves the
 	// packet queued and back-pressures the network (node blocking).
@@ -135,16 +135,16 @@ func (ni *NI) nextReadyAt() int64 {
 // (blocked is always false once the streams drain, and the class
 // round-robin is derived from the cycle count, see startStreams). The
 // tick loops ask only the NIs flagged in Network.injDue/ejBusy — set
-// by Inject and accept, the only sources of new work (injDue also by
-// the wake sources of a refused tick), and dropped by the first visit
-// that finds none (CheckCreditInvariant cross-checks ejBusy).
+// by Inject and a tail's accept, the only sources of new work (injDue
+// also by the wake sources of a refused tick), and dropped by the first
+// visit that finds none (CheckCreditInvariant cross-checks ejBusy).
 func (ni *NI) injActive() bool {
 	return len(ni.injQ[0]) > 0 || len(ni.injQ[1]) > 0 || len(ni.streams) > 0
 }
 
-// ejActive reports whether ejection-side work exists (buffered flits
-// or assembled packets awaiting delivery).
-func (ni *NI) ejActive() bool { return ni.ejFlits > 0 || len(ni.asm) > 0 }
+// ejActive reports whether ejection-side work exists: a whole packet
+// buffered (none can be assembled before its tail lands) or assembled.
+func (ni *NI) ejActive() bool { return ni.whole > 0 || len(ni.asm) > 0 }
 
 // headReady returns the class's head packet if it is ready to send.
 func (ni *NI) headReady(c int) *Packet {
@@ -248,8 +248,10 @@ func (ni *NI) tickInject() bool {
 // accept receives a flit from the router's ejection port.
 func (ni *NI) accept(f Flit, vc int) {
 	ni.ejBuf[vc].PushBack(f)
-	ni.net.ejBusy[ni.Node] = true
-	ni.ejFlits++
+	if f.Tail() {
+		ni.whole++
+		ni.net.ejBusy[ni.Node] = true
+	}
 	ni.net.ctr.ejFlits[f.Pkt.Class]++
 	ni.EjFlitsByClass[f.Pkt.Class]++
 }
@@ -276,7 +278,7 @@ func (ni *NI) tickEject() {
 			for i := 0; i < pkt.SizeFlits; i++ {
 				buf.PopFront()
 			}
-			ni.ejFlits -= pkt.SizeFlits
+			ni.whole--
 			rtr.addCredit(ni.base+v, pkt.SizeFlits)
 			pkt.Ejected = ni.net.now
 			ni.net.PktLat[pkt.Prio].Add(float64(pkt.Ejected - pkt.Enqueued))

@@ -27,6 +27,7 @@ type vcState struct {
 	credits    int32 // output VC: downstream credits (unconnected ports keep zero forever)
 	owner      int32 // output VC: the input VC holding it, or ownerFree
 	port       int32 // i / numVCs, sparing the hot paths a division
+	row        int32 // input VC: offset in routes of the routed head's candidate mask
 }
 
 // Router is an input-queued virtual-channel router with credit-based
@@ -54,9 +55,9 @@ type Router struct {
 
 	vc    []vcState
 	flits []Flit // input VC i's ring is flits[i*depth:(i+1)*depth]
-	// mask[i*W:(i+1)*W] (W = len(occ)) is the candidate output-VC set of
-	// the routed head of input VC i, folded once at route time.
-	mask []uint64
+	// routes: the distinct candidate masks, len(occ) words each; routeOf[dst*2+class] indexes them.
+	routes  []uint64
+	routeOf []uint16
 
 	// State words (DESIGN.md §9 tabulates who sets and clears each and
 	// the skipped work it licenses). Input side: occ, ring non-empty;
@@ -78,17 +79,16 @@ type Router struct {
 	req                   [3][]uint64
 	send                  []uint64
 	used, inUsed, outUsed []uint64
-	candBuf               []Candidate
 
 	// awakeWord/awakeBit address this router's bit in the network's
 	// awake set. A tick that changed nothing (no route computed, no VC
-	// granted, no flit traversed) would repeat identically until a flit
-	// arrives or a credit returns — the rotating pointers move only on
-	// grants, and the one cycle-derived input, the switch-allocation
-	// port order, only orders candidates that all fail — so it clears
-	// the bit and the router sleeps until pushFlit or addCredit sets it.
-	// So does a tick that leaves it empty; addCredit wakes a router only
-	// if it holds flits and gains an avail or ready bit (awake implies
+	// granted, no flit traversed) would repeat identically until a ring
+	// gains a front or a credit returns — the pointers move only on
+	// grants, and the switch-allocation port order only orders
+	// candidates that all fail — so it clears the bit and the router
+	// sleeps until pushFlit into an empty ring or addCredit sets it. So
+	// does a tick that leaves it empty; addCredit wakes a router only if
+	// it holds flits and gains an avail or ready bit (awake implies
 	// buffered > 0). With Network.DebugChecks a sleeping router is
 	// ticked anyway and must make no progress.
 	awakeWord *uint64
@@ -106,19 +106,18 @@ func newRouter(net *Network, id, nports, numVCs, bufDepth int) *Router {
 	pw := (nports + 63) / 64
 	r := &Router{
 		net: net, ID: id, numVCs: numVCs, depth: bufDepth,
-		ports:   make([]port, nports),
-		vc:      make([]vcState, n),
-		flits:   make([]Flit, n*bufDepth),
-		candBuf: make([]Candidate, 0, 4),
+		ports: make([]port, nports),
+		vc:    make([]vcState, n),
+		flits: make([]Flit, n*bufDepth),
 	}
 	r.saInPtr, r.vaOutPtr = make([]int32, nports), make([]int32, nports)
-	words := make([]uint64, n*w+11*w+2*pw)
+	words := make([]uint64, 11*w+2*pw)
 	carve := func(k int) []uint64 { s := words[:k:k]; words = words[k:]; return s }
 	r.occ, r.held, r.ready, r.avail, r.send = carve(w), carve(w), carve(w), carve(w), carve(w)
 	for p := range r.pri {
 		r.pri[p], r.req[p] = carve(w), carve(w)
 	}
-	r.used, r.mask = carve(2*pw), carve(n*w)
+	r.used = carve(2 * pw)
 	r.inUsed, r.outUsed = r.used[:pw], r.used[pw:]
 	for i := range r.vc {
 		r.vc[i] = vcState{outVC: -1, owner: ownerFree, port: int32(i / numVCs)}
@@ -157,8 +156,8 @@ func (r *Router) vcLen(i int) int { return int(r.vc[i].qlen) }
 // front returns the flit at the front of the non-empty input VC i.
 func (r *Router) front(i int) *Flit { return &r.flits[i*r.depth+int(r.vc[i].head)] }
 
-// candidates returns the candidate output-VC mask of input VC i.
-func (r *Router) candidates(i int) []uint64 { return r.mask[i*len(r.occ) : (i+1)*len(r.occ)] }
+// candidates returns the candidate output-VC mask of the routed input VC i.
+func (r *Router) candidates(i int) []uint64 { return r.routes[r.vc[i].row:][:len(r.occ)] }
 
 // wake puts the router into the network's awake set.
 func (r *Router) wake() { *r.awakeWord |= r.awakeBit }
@@ -181,12 +180,14 @@ func (r *Router) pushFlit(i int, f Flit) {
 		f.Pkt.Trace.arrive(r.ID, r.net.now)
 	}
 	r.flits[i*r.depth+pos] = f
-	r.vaDirty = r.vaDirty || v.qlen == 0 // a new head
+	if v.qlen == 0 { // a new front; a flit behind one changes nothing the allocators read
+		r.vaDirty = r.vaDirty || f.Head() // a body flit's VC is already held
+		r.wake()
+	}
 	v.qlen++
 	r.occ[i>>6] |= bit(i)
 	r.buffered++
 	r.net.ctr.bufFlits++
-	r.wake()
 }
 
 // addCredit returns n credits to output VC o. Every credit return —
@@ -324,23 +325,20 @@ func (r *Router) allocateVCs() bool {
 	return progress
 }
 
-// route computes the routing candidates of the new head packet at the
-// front of input VC i, folds them into the VC's candidate mask and
-// records the packet's priority.
+// route points input VC i at the table row of the new head packet at
+// its front and records the packet's priority.
 func (r *Router) route(i int) {
 	head := r.front(i)
 	if !head.Head() {
 		panic("noc: body flit at VC front without allocated route")
 	}
-	cands := r.net.topo.Route(r.net, r.ID, head.Pkt, r.candBuf[:0])
-	mask := r.candidates(i)
-	for _, c := range cands {
-		for o := c.Port*r.numVCs + c.VCLo; o <= c.Port*r.numVCs+c.VCHi; o++ {
-			mask[o>>6] |= bit(o)
-		}
-	}
-	r.candBuf = cands[:0] // keep a grown buffer for reuse
+	r.vc[i].row = r.rowOf(head.Pkt)
 	r.pri[head.Pkt.Prio][i>>6] |= bit(i)
+}
+
+// rowOf returns the offset in routes of packet p's candidate mask.
+func (r *Router) rowOf(p *Packet) int32 {
+	return int32(r.routeOf[p.Dst*2+int(p.Class)]) * int32(len(r.occ))
 }
 
 // requester returns the first input VC at or cyclically after index
@@ -521,7 +519,6 @@ func (r *Router) traverse(i int) {
 		for _, pri := range r.pri {
 			pri[i>>6] &^= bit(i)
 		}
-		clear(r.candidates(i))
 	} else if ov.credits <= 0 {
 		r.ready[i>>6] &^= bit(i)
 	}
@@ -561,10 +558,7 @@ func (r *Router) recount() {
 			(r.ready[w]&b != 0) == (held && r.vc[v.outVC].credits > 0) &&
 			(v.owner == ownerFree || r.vc[v.owner].outVC == int32(i)) &&
 			(r.avail[w]&b != 0) == (v.owner == ownerFree && v.credits > 0) &&
-			(!routed || v.qlen == 0 || prio == int(r.front(i).Pkt.Prio))
-		for _, c := range r.candidates(i) {
-			ok = ok && (routed || c == 0)
-		}
+			(!routed || v.qlen == 0 || prio == int(r.front(i).Pkt.Prio) && v.row == r.rowOf(r.front(i).Pkt))
 		if !ok {
 			panic(fmt.Sprintf("noc: router %d state words drifted from rings/owner/credits at VC %d, cycle %d", r.ID, i, r.net.now))
 		}

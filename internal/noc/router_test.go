@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
 	"delrep/internal/config"
@@ -26,7 +27,7 @@ func twoNodeNet() *Network {
 func allows(r *Router, i, o int) bool { return r.candidates(i)[o>>6]&bit(o) != 0 }
 
 func TestClaimedBitmapCoversCandidates(t *testing.T) {
-	// The candidate mask route() folds must answer exactly the question
+	// The candidate mask route() points at must answer exactly the question
 	// a linear candidate scan answers: does any candidate permit output
 	// (port, vc)? The mesh DOR route of a packet 0 -> 1 at router 0 is
 	// the single candidate (PortE, every VC of the class).
@@ -52,11 +53,76 @@ func TestClaimedBitmapCoversCandidates(t *testing.T) {
 	if !allows(r0, in, PortE*numVCs) {
 		t.Fatal("DOR candidate missing from the mask")
 	}
-	// The tail's departure clears the mask with the route.
+	// The tail's departure clears the pri bits: the VC is unrouted, and
+	// no allocator reads its row.
 	r0.allocateVCs()
 	r0.traverse(in)
-	if allows(r0, in, PortE*numVCs) || (r0.pri[0][0]|r0.pri[1][0]|r0.pri[2][0])&bit(in) != 0 {
-		t.Error("candidate mask survives the tail's departure")
+	if (r0.pri[0][0]|r0.pri[1][0]|r0.pri[2][0])&bit(in) != 0 {
+		t.Error("the route survives the tail's departure")
+	}
+}
+
+// TestRouteTableMatchesTopology pins the routing table NewNetwork
+// builds to the function it tabulates: for every router, destination
+// and class, the row a head is pointed at is the fold of Topology.Route
+// into output VCs, and no two rows are equal.
+func TestRouteTableMatchesTopology(t *testing.T) {
+	mesh := func(alg config.RoutingAlg, req, rep config.DimOrder) Topology {
+		return NewMesh(5, 2, MeshPolicy{Alg: alg, ReqOrder: req, RepOrder: rep})
+	}
+	topos := []struct {
+		name  string
+		topo  Topology
+		nodes int
+	}{
+		{"mesh5x2/cdr-xy-yx", mesh(config.RoutingCDR, config.OrderXY, config.OrderYX), 10},
+		{"mesh5x2/cdr-yx-xy", mesh(config.RoutingCDR, config.OrderYX, config.OrderXY), 10},
+		{"mesh5x2/adaptive", mesh(config.RoutingAdaptive, config.OrderXY, config.OrderXY), 10},
+		{"fbfly4x4", NewFlattenedButterfly(4, 4, config.OrderXY, config.OrderYX), 16},
+		{"dragonfly2x9", NewDragonfly(18, 9), 18},
+		{"crossbar70", NewCrossbar(70), 70},
+	}
+	ranges := []struct {
+		name string
+		set  func(*config.NoC)
+	}{
+		{"split3", func(c *config.NoC) { c.VCsPerClass = 3 }},
+		{"shared2+4", func(c *config.NoC) { c.SharedPhys, c.ReqVCs, c.RepVCs = true, 2, 4 }},
+	}
+	for _, tc := range topos {
+		for _, vr := range ranges {
+			t.Run(tc.name+"/"+vr.name, func(t *testing.T) {
+				cfg := defaultNoC()
+				vr.set(&cfg)
+				net := NewNetwork("routes", tc.topo, cfg, tc.nodes, Params{InjCapCore: 8, InjCapMem: 8, EjCap: 6, AsmCap: 4})
+				for id, r := range net.Routers {
+					w := len(r.occ)
+					for a := 0; a < len(r.routes); a += w {
+						for b := a + w; b < len(r.routes); b += w {
+							if slices.Equal(r.routes[a:a+w], r.routes[b:b+w]) {
+								t.Fatalf("router %d: rows at %d and %d are equal", id, a, b)
+							}
+						}
+					}
+					for dst := 0; dst < tc.nodes; dst++ {
+						for _, cls := range []Class{ClassRequest, ClassReply} {
+							p := &Packet{Dst: dst, Class: cls}
+							want := make([]uint64, w)
+							for _, c := range tc.topo.Route(net, id, p, nil) {
+								for vc := c.VCLo; vc <= c.VCHi; vc++ {
+									o := c.Port*r.numVCs + vc
+									want[o>>6] |= bit(o)
+								}
+							}
+							row := int(r.rowOf(p))
+							if got := r.routes[row : row+w]; !slices.Equal(got, want) {
+								t.Fatalf("router %d, dst %d, %v: row %x, Topology.Route folds to %x", id, dst, cls, got, want)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

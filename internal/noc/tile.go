@@ -132,6 +132,21 @@ func (n *Network) Compute() {
 
 // Commit closes the cycle: eject packets in node order.
 func (n *Network) Commit() {
+	if n.DebugChecks { // recount whole packets (a VC carries one packet at a time: one per tail)
+		for node, ni := range n.NIs {
+			whole := 0
+			for v := range ni.ejBuf {
+				for k := range ni.ejBuf[v].Len() {
+					if ni.ejBuf[v].At(k).Tail() {
+						whole++
+					}
+				}
+			}
+			if whole != ni.whole || whole > 0 && !n.ejBusy[node] {
+				panic(fmt.Sprintf("noc: NI %d at cycle %d holds %d whole packets, counts %d, busy %v", node, n.now, whole, ni.whole, n.ejBusy[node]))
+			}
+		}
+	}
 	for node, busy := range n.ejBusy {
 		if busy {
 			if ni := n.NIs[node]; ni.ejActive() {

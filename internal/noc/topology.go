@@ -20,10 +20,9 @@ type Topology interface {
 	Wire(r, port int) (peer, peerPort int, ok bool)
 	// NodePort returns the router and local port a node attaches to.
 	NodePort(node int) (router, port int)
-	// Route appends candidate output ports (tried in order) for packet
-	// p at router r to buf and returns the result. Implementations
-	// must not retain buf: the router passes a per-router scratch
-	// buffer so route computation is allocation-free.
+	// Route appends the candidate output ports for packet p at router r
+	// to buf. It must be a pure function of (r, p.Dst, p.Class):
+	// NewNetwork tabulates it per router, and a head's route is a row.
 	Route(net *Network, r int, p *Packet, buf []Candidate) []Candidate
 }
 
