@@ -72,6 +72,14 @@ serve:
 
 # record refreshes the checked-in quick-windows evaluation record
 # (parallel, cached; stdout is byte-identical at any -j value, and
-# `go test ./internal/experiment` holds every figure to it).
+# `go test ./internal/experiment` holds every figure to it). The new
+# record replaces the old only when expdriver exits 0 and no claim
+# reads FAIL; otherwise the failing lines are printed and
+# experiments_output.txt is left as it was.
 record:
-	$(GO) run ./cmd/expdriver -quick -j $$(nproc) all > experiments_output.txt
+	@tmp=experiments_output.txt.new; trap 'rm -f $$tmp' EXIT; \
+	$(GO) run ./cmd/expdriver -quick -j $$(nproc) all > $$tmp || { \
+		echo "record: expdriver failed; experiments_output.txt unchanged" >&2; exit 1; }; \
+	if grep 'FAIL]' $$tmp; then \
+		echo "record: the claims above FAIL; experiments_output.txt unchanged" >&2; exit 1; fi; \
+	mv $$tmp experiments_output.txt

@@ -20,7 +20,7 @@ func clogExp(p *Plan) func() Report {
 			r := futs[0][si][0].Results()
 			t.AddRow(scheme, r.GPUIPC, 100*r.MemBlockedRate, 100*r.MemReplyLinkUtil, r.Delegations)
 		}
-		return Report{[]*stats.Table{t}, []string{
-			"paper: Figure 1 — memory-node reply ports clog under the baseline; Delegated Replies drains them"}}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{{ID: "clog",
+			Paper: "paper: Figure 1 — memory-node reply ports clog under the baseline; Delegated Replies drains them"}}}
 	}
 }

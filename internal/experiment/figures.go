@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"delrep/internal/config"
 	"delrep/internal/core"
@@ -30,7 +31,8 @@ func Figures() []Figure {
 			headers: []string{"CPU bench", "RP", "DR"},
 			metric:  func(r core.Results) float64 { return r.CPULatAvg },
 			mean:    "MEAN",
-			note:    "paper: DR reduces CPU network latency by 44.2% on average (up to 59.7%)",
+			claim:   Claim{ID: "fig12", Paper: "paper: DR reduces CPU network latency by 44.2% on average (up to 59.7%)"},
+			check:   func(mean float64) bool { return mean < 1 },
 		}.build},
 		{"fig13", "CPU performance", cpuFigure{
 			title:   "Figure 13: CPU performance normalized to baseline (mean [max] across GPU co-runners)",
@@ -38,15 +40,15 @@ func Figures() []Figure {
 			metric:  cpuTput,
 			max:     true,
 			mean:    "MEAN of max (clogged co-runs)",
-			note:    "paper: +3.8% avg across all co-runs; +8.8% avg (up to 19.8%) across clogged workloads",
+			claim:   Claim{ID: "fig13", Paper: "paper: +3.8% avg across all co-runs; +8.8% avg (up to 19.8%) across clogged workloads"},
 		}.build},
 		{"fig14", "L1 miss breakdown (LLC hit / remote hit / remote miss)", fig14},
 		{"fig15", "Delegated Replies on shared-L1 organisations", fig15().build},
 		{"fig16", "Delegated Replies across NoC topologies", fig16().build},
 		{"fig17", "GPU performance across chip layouts",
-			acrossLayouts("paper GPU gains: Baseline +25.8%, B +25.3%, C +29.0%, D +27.0%").build},
+			acrossLayouts(Claim{ID: "fig17", Paper: "paper GPU gains: Baseline +25.8%, B +25.3%, C +29.0%, D +27.0%"}).build},
 		{"fig18", "CPU performance across chip layouts",
-			acrossLayouts("paper CPU gains: Baseline +3.8%, B +13.4%, C +2.2%, D +20.9% (interference-heavy layouts gain most)").build},
+			acrossLayouts(Claim{ID: "fig18", Paper: "paper CPU gains: Baseline +3.8%, B +13.4%, C +2.2%, D +20.9% (interference-heavy layouts gain most)"}).build},
 		{"fig19", "sensitivity: L1/LLC size, NoC bandwidth, VCs, nodes, buffers", fig19().build},
 		{"breakdown", "load latency attribution by phase (Figure 4 analogue)", breakdown},
 		{"clog", "Figure-1 memory-node clogging: baseline vs Delegated Replies", clogExp},
@@ -77,7 +79,7 @@ func tableI(*Plan) func() Report {
 		cfg.NoC.ChannelBytes, cfg.NoC.VCsPerClass, cfg.NoC.FlitsPerVC, cfg.NoC.RouterDelay))
 	t.AddRow("Delegated Replies", fmt.Sprintf("FRQ %d entries/core, <=%d delegation/cycle/memnode, DNF remote-miss path",
 		cfg.GPU.FRQEntries, cfg.DelRep.MaxDelegationsPerCycle))
-	return static(Report{[]*stats.Table{t}, []string{cfg.Layout.String()}})
+	return static(Report{Tables: []*stats.Table{t}, Notes: []string{cfg.Layout.String()}})
 }
 
 // tableII prints the workload pairings (paper Table II).
@@ -135,7 +137,7 @@ func fig2(p *Plan) func() Report {
 			loc = append(loc, res.InterCoreLocal)
 		}
 		t.AddRow("MEAN", 100*stats.Mean(loc), "")
-		return Report{[]*stats.Table{t}, []string{"paper: >57% of L1 misses are duplicated in remote L1s on average"}}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{{ID: "fig2", Paper: "paper: >57% of L1 misses are duplicated in remote L1s on average"}}}
 	}
 }
 
@@ -165,12 +167,11 @@ func fig10(p *Plan) func() Report {
 			rpAll = append(rpAll, rp.Mean())
 			drAll = append(drAll, dr.Mean())
 		}
-		t.AddRow("HM", stats.HarmonicMean(rpAll), stats.HarmonicMean(drAll), "", "")
-		return Report{[]*stats.Table{t}, []string{
-			"paper: DR +25.7% avg (up to 65.9%) vs baseline; +14.2% (up to 30.6%) vs RP; RP +10.1% vs baseline",
-			fmt.Sprintf("measured: DR %+0.1f%%, RP %+0.1f%% vs baseline (HM)",
-				100*(stats.HarmonicMean(drAll)-1), 100*(stats.HarmonicMean(rpAll)-1)),
-		}}
+		rpHM, drHM := stats.HarmonicMean(rpAll), stats.HarmonicMean(drAll)
+		t.AddRow("HM", rpHM, drHM, "", "")
+		claim := Claim{ID: "fig10", Paper: "paper: DR +25.7% avg (up to 65.9%) vs baseline; +14.2% (up to 30.6%) vs RP; RP +10.1% vs baseline"}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{claim.Check(drHM > rpHM && rpHM >= 1)},
+			Notes: []string{fmt.Sprintf("measured: DR %+0.1f%%, RP %+0.1f%% vs baseline (HM)", 100*(drHM-1), 100*(rpHM-1))}}
 	}
 }
 
@@ -182,11 +183,13 @@ func fig11(p *Plan) func() Report {
 		t := stats.NewTable("Figure 11: received data rate (reply flits/cycle/GPU core)",
 			"GPU bench", "Baseline", "RP", "DR", "DR gain %")
 		var gains []float64
+		var all [3]stats.Sampler // per scheme, over every run
 		for bi, g := range benches {
 			var rate [3]stats.Sampler // per scheme, over co-runners
 			for si := range rate {
 				for _, r := range results(futs[bi][si]) {
 					rate[si].Add(r.GPURecvRate)
+					all[si].Add(r.GPURecvRate)
 				}
 			}
 			b, d := rate[0].Mean(), rate[2].Mean()
@@ -198,21 +201,24 @@ func fig11(p *Plan) func() Report {
 			gains = append(gains, gain)
 		}
 		t.AddRow("MEAN", "", "", "", stats.Mean(gains))
-		return Report{[]*stats.Table{t}, []string{"paper: DR improves effective NoC bandwidth by 26.5% on average (up to 70.9%); RP by 11.9%"}}
+		claim := Claim{ID: "fig11", Paper: "paper: DR improves effective NoC bandwidth by 26.5% on average (up to 70.9%); RP by 11.9%"}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{claim.Check(all[2].Mean() > all[1].Mean() && all[1].Mean() >= all[0].Mean())}}
 	}
 }
 
 // cpuFigure is Figures 12 and 13: a CPU-side metric under RP and DR,
 // normalized to the baseline per co-run and averaged per CPU
 // benchmark. With max, each benchmark's best co-run gets a column and
-// the summary row averages that instead of the means.
+// the summary row averages that instead of the means. check, when set,
+// answers the claim from the summary row's value.
 type cpuFigure struct {
 	title   string
 	headers []string
 	metric  func(core.Results) float64
 	max     bool
 	mean    string // label of the summary row
-	note    string
+	claim   Claim
+	check   func(mean float64) bool
 }
 
 func (f cpuFigure) build(p *Plan) func() Report {
@@ -247,8 +253,12 @@ func (f cpuFigure) build(p *Plan) func() Report {
 			t.AddRow(row...)
 		}
 		last := []any{f.mean, "", ""}[:len(f.headers)-1] // blank up to the summarized column
-		t.AddRow(append(last, stats.Mean(summary))...)
-		return Report{[]*stats.Table{t}, []string{f.note}}
+		mean, claim := stats.Mean(summary), f.claim
+		t.AddRow(append(last, mean)...)
+		if f.check != nil {
+			claim = claim.Check(f.check(mean))
+		}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{claim}}
 	}
 }
 
@@ -280,7 +290,8 @@ func fig14(p *Plan) func() Report {
 			rh = append(rh, b.RemoteHitFrac())
 		}
 		t.AddRow("MEAN", "", "", "", 100*stats.Mean(fwd), 100*stats.Mean(rh))
-		return Report{[]*stats.Table{t}, []string{"paper: 54.8% of misses forwarded on average; 74.4% of forwarded misses hit remotely"}}
+		claim := Claim{ID: "fig14", Paper: "paper: 54.8% of misses forwarded on average; 74.4% of forwarded misses hit remotely"}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{claim.Check(stats.Mean(fwd) > 0)}}
 	}
 }
 
@@ -315,8 +326,8 @@ func breakdown(p *Plan) func() Report {
 			notes = append(notes, fmt.Sprintf("%-10s queueing share of load latency: %.1f%% (mean)",
 				scheme, 100*stats.Mean(queueShare[si])))
 		}
-		return Report{[]*stats.Table{t}, append(notes,
-			"paper: reply queueing at the memory nodes dominates baseline load latency; Delegated Replies removes it")}
+		return Report{Tables: []*stats.Table{t}, Notes: notes, Claims: []Claim{{ID: "breakdown",
+			Paper: "paper: reply queueing at the memory nodes dominates baseline load latency; Delegated Replies removes it"}}}
 	}
 }
 
@@ -347,10 +358,9 @@ func energy(p *Plan) func() Report {
 			drRel = append(drRel, d/b)
 		}
 		t.AddRow("MEAN", "", "", "", stats.Mean(rpRel), stats.Mean(drRel))
-		return Report{[]*stats.Table{t}, []string{
-			"paper: DR reduces NoC dynamic energy 1.1% (shorter data paths); RP increases it 9.4% (probe traffic);",
-			"       system energy falls 13.6% (DR) / 7.4% (RP) mostly from shorter execution time",
-		}}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{{ID: "energy",
+			Paper: "paper: DR reduces NoC dynamic energy 1.1% (shorter data paths); RP increases it 9.4% (probe traffic);\n" +
+				"       system energy falls 13.6% (DR) / 7.4% (RP) mostly from shorter execution time"}}}
 	}
 }
 
@@ -371,5 +381,8 @@ func area(*Plan) func() Report {
 	t.AddRow("LLC/MSHR core pointers (6 bit)", ptr, "0.08")
 	t.AddRow("Delegated Replies total", frq+ptr, "0.172")
 	t.AddRow("DR / extra NoC-doubling area", (frq+ptr)/(dbl-base), "~0.05")
-	return static(Report{Tables: []*stats.Table{t}})
+	return static(Report{Tables: []*stats.Table{t}, Claims: []Claim{
+		Claim{ID: "area-noc2x", Paper: "paper: doubling the mesh NoC's bandwidth costs 2.5x its area (5.76 vs 2.27 mm^2)"}.Check(math.Abs(dbl/base/2.5-1) <= 0.05),
+		Claim{ID: "area-dr", Paper: "paper: Delegated Replies cost 0.172 mm^2 (FRQs 0.092, core pointers 0.08), ~5% of the doubling"}.Check(math.Abs((frq+ptr)/0.172-1) <= 0.05),
+	}})
 }

@@ -41,13 +41,15 @@ type pair struct{ v, ref core.Results }
 // benchmark, and reduce turns the row's result pairs into the cells
 // after the labels (mostly the harmonic mean of a ratio). With toFirst
 // the rows carry no references: each is normalized to the first row.
+// check, when set, answers the claim from every row's reduced cells.
 type gainTable struct {
 	title   string
 	headers []string
 	rows    []row
 	toFirst bool
 	reduce  func([]pair) []any
-	notes   []string
+	claim   Claim
+	check   func(cells [][]any) bool
 }
 
 func (g gainTable) build(p *Plan) func() Report {
@@ -73,14 +75,19 @@ func (g gainTable) build(p *Plan) func() Report {
 	}
 	return func() Report {
 		t := stats.NewTable(g.title, g.headers...)
+		cells, claim := make([][]any, len(g.rows)), g.claim
 		for i, r := range g.rows {
 			ps := make([]pair, len(futs[i]))
 			for j, f := range futs[i] {
 				ps[j] = pair{f[0].Results(), f[1].Results()}
 			}
-			t.AddRow(append(append([]any{}, r.cells...), g.reduce(ps)...)...)
+			cells[i] = g.reduce(ps)
+			t.AddRow(append(append([]any{}, r.cells...), cells[i]...)...)
 		}
-		return Report{[]*stats.Table{t}, g.notes}
+		if g.check != nil {
+			claim = claim.Check(g.check(cells))
+		}
+		return Report{Tables: []*stats.Table{t}, Claims: []Claim{claim}}
 	}
 }
 
@@ -123,7 +130,7 @@ func fig5() gainTable {
 			}
 			return append(relGPU(ps), 100*blocked.Mean())
 		},
-		notes: []string{"paper: changing topology hardly helps (blocking stays 72-79%); doubling bandwidth helps but costs 2.5x area"},
+		claim: Claim{ID: "fig5", Paper: "paper: changing topology hardly helps (blocking stays 72-79%); doubling bandwidth helps but costs 2.5x area"},
 	}
 	for _, mult := range []int{1, 2} {
 		for _, t := range []struct {
@@ -165,7 +172,7 @@ func fig6(p *Plan) func() Report {
 			}
 			return append(cells, relGPU(ps)...)
 		},
-		notes: []string{"paper: AVCP is ineffective (<=3% best case, HM unchanged; BP hurt by request-network pressure)"},
+		claim: Claim{ID: "fig6", Paper: "paper: AVCP is ineffective (<=3% best case, HM unchanged; BP hurt by request-network pressure)"},
 	}
 	for _, sp := range [][2]int{{1, 3}, {2, 2}, {3, 1}} {
 		g.rows = append(g.rows, vsBaseline(sharedPhys(sp[0], sp[1]), fmt.Sprintf("AVCP-%d:%d", sp[0], sp[1])))
@@ -179,7 +186,8 @@ func fig7() gainTable {
 		title:   "Figure 7: adaptive routing vs CDR baseline (relative GPU perf)",
 		headers: []string{"Routing", "Rel. GPU perf (HM)"},
 		reduce:  relGPU,
-		notes:   []string{"paper: adaptive routing reduces performance; the limitation is link bandwidth, not path choice"},
+		claim:   Claim{ID: "fig7", Paper: "paper: adaptive routing reduces performance; the limitation is link bandwidth, not path choice"},
+		check:   func(cells [][]any) bool { return cells[0][0].(float64) <= 1 },
 		rows:    []row{vsBaseline(func(c *config.Config) { c.NoC.Routing = config.RoutingAdaptive }, config.RoutingAdaptive.String())},
 	}
 }
@@ -201,7 +209,7 @@ func fig9() gainTable {
 		headers: []string{"Layout", "Routing", "GPU perf", "CPU perf"},
 		toFirst: true,
 		reduce:  func(ps []pair) []any { return []any{rel(ps, gpuIPC), rel(ps, cpuTput)} },
-		notes:   []string{"paper: only the Baseline layout provides both high CPU and GPU performance"},
+		claim:   Claim{ID: "fig9", Paper: "paper: only the Baseline layout provides both high CPU and GPU performance"},
 	}
 	for _, v := range []struct {
 		layout   config.Layout
@@ -239,7 +247,7 @@ func fig15() gainTable {
 			vsBaseline(sharedL1(config.L1DynEB, config.CTADistributed, config.SchemeDelegatedReplies), "DynEB dist + DR"),
 		},
 		reduce: relGPU,
-		notes:  []string{"paper: locality optimizations do not remove clogging; DR adds +23.5% on DynEB-rr, +9.9% on DynEB-dist"},
+		claim:  Claim{ID: "fig15", Paper: "paper: locality optimizations do not remove clogging; DR adds +23.5% on DynEB-rr, +9.9% on DynEB-dist"},
 	}
 }
 
@@ -249,7 +257,7 @@ func fig16() gainTable {
 		title:   "Figure 16: Delegated Replies across topologies (normalized per topology, HM)",
 		headers: []string{"Topology", "DR gain %"},
 		reduce:  gpuGainPct,
-		notes:   []string{"paper: +25.8% mesh, +21.9% fbfly, +23.9% dragonfly, +28.3% crossbar"},
+		claim:   Claim{ID: "fig16", Paper: "paper: +25.8% mesh, +21.9% fbfly, +23.9% dragonfly, +28.3% crossbar"},
 	}
 	for _, topo := range []config.Topology{config.TopoMesh, config.TopoFlattenedButterfly,
 		config.TopoDragonfly, config.TopoCrossbar} {
@@ -259,13 +267,13 @@ func fig16() gainTable {
 }
 
 // acrossLayouts runs DR across layouts: one table of GPU and CPU gains,
-// printed as Figure 17 and as Figure 18 under the paper's two notes.
-func acrossLayouts(note string) gainTable {
+// printed as Figure 17 and as Figure 18 under the paper's two claims.
+func acrossLayouts(claim Claim) gainTable {
 	g := gainTable{
 		title:   "Figures 17/18: Delegated Replies across chip layouts (normalized per layout, HM)",
 		headers: []string{"Layout", "GPU gain %", "CPU gain %"},
 		reduce:  func(ps []pair) []any { return append(gpuGainPct(ps), 100*(rel(ps, cpuTput)-1)) },
-		notes:   []string{note},
+		claim:   claim,
 	}
 	for _, l := range config.AllLayouts() {
 		g.rows = append(g.rows, drVsBaseline(onLayout(l, l.ReqOrder, l.RepOrder), l.Name))
@@ -279,9 +287,9 @@ func fig19() gainTable {
 		title:   "Figure 19: Delegated Replies sensitivity (HM GPU gain %)",
 		headers: []string{"Knob", "Setting", "DR gain %"},
 		reduce:  gpuGainPct,
-		notes: []string{
-			"paper: gains grow with L1 size (22.9->30.2%), insensitive to LLC size (25-26%) and injection buffers,",
-			"       shrink with NoC bandwidth (still +13.9% at 537 GB/s), hold across VCs (23.4-26.9%) and mesh sizes"},
+		claim: Claim{ID: "fig19",
+			Paper: "paper: gains grow with L1 size (22.9->30.2%), insensitive to LLC size (25-26%) and injection buffers,\n" +
+				"       shrink with NoC bandwidth (still +13.9% at 537 GB/s), hold across VCs (23.4-26.9%) and mesh sizes"},
 	}
 	add := func(m mutation, knob, setting string, v ...any) {
 		g.rows = append(g.rows, drVsBaseline(m, knob, fmt.Sprintf(setting, v...)))
@@ -317,7 +325,7 @@ func nodeMix() gainTable {
 		title:   "Node mix: Delegated Replies GPU gain across 64-node mixes (HM %)",
 		headers: []string{"CPUs", "GPUs", "MemNodes", "DR gain %"},
 		reduce:  gpuGainPct,
-		notes:   []string{"paper: +30.5/25.8/22.6% with 8/16/24 CPUs; +38.2/30.5/10.7% with 4/8/16 memory nodes"},
+		claim:   Claim{ID: "nodemix", Paper: "paper: +30.5/25.8/22.6% with 8/16/24 CPUs; +38.2/30.5/10.7% with 4/8/16 memory nodes"},
 	}
 	for _, m := range []struct{ cpu, mem int }{{8, 8}, {16, 8}, {24, 8}, {8, 4}, {8, 16}} {
 		g.rows = append(g.rows, drVsBaseline(func(c *config.Config) {
@@ -342,9 +350,9 @@ func ablation() gainTable {
 			drVsBaseline(func(c *config.Config) { c.DelRep.AlwaysDelegate = true }, "trigger", "always-delegate"),
 		},
 		reduce: gpuGainPct,
-		notes: []string{
-			"paper: delegates only when the reply network blocks (avoids needless latency);",
-			"       FRQ = 8 entries; merging skipped because only 4.8% of entries share a line"},
+		claim: Claim{ID: "ablation",
+			Paper: "paper: delegates only when the reply network blocks (avoids needless latency);\n" +
+				"       FRQ = 8 entries; merging skipped because only 4.8% of entries share a line"},
 	}
 	for _, n := range []int{1, 2, 4} {
 		g.rows = append(g.rows, drVsBaseline(func(c *config.Config) { c.DelRep.MaxDelegationsPerCycle = n },

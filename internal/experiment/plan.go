@@ -1,8 +1,8 @@
 // Package experiment is the paper's evaluation, declared once. Every
 // table and figure is a Figure value (Figures lists them in paper
 // order); a Plan stamps the driver-wide windows and seed onto the runs
-// a figure declares; a Report — tables and note lines — comes back for
-// the caller to render. cmd/expdriver prints them, delrepsim -sweep
+// a figure declares; a Report — tables, claims and notes — comes back
+// for the caller to render. cmd/expdriver prints them, delrepsim -sweep
 // runs one more (Sweep), the root benchmarks time them, and the golden
 // test holds them to experiments_output.txt.
 package experiment
@@ -29,19 +29,41 @@ type Figure struct {
 	Build func(*Plan) func() Report
 }
 
-// Report is an evaluated figure: its tables, then its note lines (the
-// paper's reference values, "measured:" summaries, narratives).
+// Report is an evaluated figure: its tables, the paper's claims about
+// it, then its other note lines ("measured:" summaries, narratives).
 type Report struct {
 	Tables []*stats.Table
+	Claims []Claim
 	Notes  []string
 }
 
+// Claim is one paper sentence, the only place it is written, under an
+// id unique across Figures. A figure whose numbers can answer it sets
+// Verdict through Check.
+type Claim struct {
+	ID, Paper string
+	Verdict   string // "PASS" or "FAIL"; "" when unchecked
+}
+
+// Check returns the claim with the verdict ok gives it.
+func (c Claim) Check(ok bool) Claim {
+	c.Verdict = map[bool]string{true: "PASS", false: "FAIL"}[ok]
+	return c
+}
+
 // String renders the report as expdriver prints it: each table
-// followed by a blank line, then one line per note.
+// followed by a blank line, then one line per claim — its sentence, and
+// the id and verdict in brackets when checked — and per note.
 func (r Report) String() string {
 	var b strings.Builder
 	for _, t := range r.Tables {
 		fmt.Fprintln(&b, t)
+	}
+	for _, c := range r.Claims {
+		if c.Verdict != "" {
+			c.Paper += fmt.Sprintf(" [%s %s]", c.ID, c.Verdict)
+		}
+		fmt.Fprintln(&b, c.Paper)
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintln(&b, n)
@@ -150,11 +172,11 @@ func (p *Plan) Eval(f Figure) Report {
 	return rep
 }
 
-// Render evaluates one figure and writes its section of the record to
-// w: header, report, and the number of runs consumed, however they were
-// obtained. What varies with -j or the cache state (simulated vs cached
-// vs shared, wall time) goes to Log.
-func (p *Plan) Render(w io.Writer, f Figure) {
+// Render evaluates one figure, writes its section of the record to w —
+// header, report, and the number of runs consumed, however they were
+// obtained — and returns the report. What varies with -j or the cache
+// state (simulated vs cached vs shared, wall time) goes to Log.
+func (p *Plan) Render(w io.Writer, f Figure) Report {
 	start := time.Now()
 	c0 := p.eng.Snapshot()
 	fmt.Fprintf(w, "### %s — %s\n\n", f.Name, f.About)
@@ -169,6 +191,7 @@ func (p *Plan) Render(w io.Writer, f Figure) {
 	if d := c.Failed - c0.Failed; d > 0 {
 		fmt.Fprintf(p.Log, "  %s: %d simulation(s) FAILED\n", f.Name, d)
 	}
+	return rep
 }
 
 // Finish writes the exit summary to Log — the engine's totals, then
