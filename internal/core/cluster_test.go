@@ -66,7 +66,7 @@ func TestClusterSliceQueueBlocks(t *testing.T) {
 	}
 	g.BeginCycle()
 	// The refusal is counted each time it is met, so it must be the
-	// every-cycle kind (AccessBusy), never the memoised AccessBlocked.
+	// every-cycle kind (AccessBusy), never a memoised named refusal.
 	if res := c.Access(g, lines[sliceQCap], false, 0); res != gpu.AccessBusy {
 		t.Fatalf("access on full slice queue = %v, want busy", res)
 	}

@@ -80,13 +80,23 @@ func auditSharedL1() []auditCase {
 	return cases
 }
 
-// runCase runs one audit case with both networks' DebugChecks on
-// (activity counters cross-checked by full scan, dormant routers
-// ticked anyway) and returns the audit summary.
+// debugChecks switches the self-checks of both networks (activity
+// counters cross-checked by full scan, dormant routers ticked anyway)
+// and of every SM (warps the refusal memo passes over presented
+// anyway, and required to be refused).
+func debugChecks(sys *System, on bool) {
+	sys.ReqNet.DebugChecks, sys.RepNet.DebugChecks = on, on
+	for _, g := range sys.GPUs {
+		g.SM.DebugChecks = on
+	}
+}
+
+// runCase runs one audit case with debugChecks on and returns the
+// audit summary.
 func runCase(t *testing.T, c auditCase) AuditRun {
 	t.Helper()
 	sys := NewSystem(c.cfg, c.gpu, c.cpu)
-	sys.ReqNet.DebugChecks, sys.RepNet.DebugChecks = true, true
+	debugChecks(sys, true)
 	res, err := sys.RunWorkloadCtx(RunControl{})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +202,7 @@ func runCompat(t *testing.T, c auditCase) AuditRun {
 	t.Helper()
 	goroutines := runtime.NumGoroutine()
 	sys := NewSystem(c.cfg, c.gpu, c.cpu)
-	sys.ReqNet.DebugChecks, sys.RepNet.DebugChecks = true, true
+	debugChecks(sys, true)
 	pool := par.NewPool(compatWorkers)
 	sys.ReqNet.SetParallel(pool, compatWorkers)
 	sys.RepNet.SetParallel(pool, compatWorkers)
@@ -267,13 +277,13 @@ func TestDigestSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestDebugChecksClogged runs the networks' self-checks where the audit
-// matrix's 650 cycles do not reach: the clogged HS+vips baseline mesh
+// TestDebugChecksClogged runs the self-checks where the audit matrix's
+// 650 cycles do not reach: the clogged HS+vips baseline mesh
 // (sim-serial's first spec) and BT+dedup under Delegated Replies, seed
-// 1, 3 000 warm-up and 3 000 measured cycles, with both networks'
-// DebugChecks on. Every sleeping router and NI is ticked anyway and
-// every activity counter recounted; the checked run must end on the
-// unchecked run's digest.
+// 1, 3 000 warm-up and 3 000 measured cycles, with debugChecks on.
+// Every sleeping router and NI is ticked anyway, every activity counter
+// recounted and every memoised refusal presented again; the checked run
+// must end on the unchecked run's digest.
 func TestDebugChecksClogged(t *testing.T) {
 	for _, c := range []struct {
 		gpu, cpu string
@@ -288,7 +298,7 @@ func TestDebugChecksClogged(t *testing.T) {
 			cfg.WarmupCycles, cfg.MeasureCycles = 3_000, 3_000
 			run := func(checked bool) string {
 				sys := NewSystem(cfg, c.gpu, c.cpu)
-				sys.ReqNet.DebugChecks, sys.RepNet.DebugChecks = checked, checked
+				debugChecks(sys, checked)
 				if _, err := sys.RunWorkloadCtx(RunControl{}); err != nil {
 					t.Fatal(err)
 				}

@@ -7,8 +7,9 @@ import (
 	"delrep/internal/noc"
 )
 
-// outboxCap bounds per-class pending sends at a core; Access returns
-// Blocked when full, back-pressuring the SM.
+// outboxCap bounds per-class pending sends at a core; Access refuses
+// with AccessOutboxFull when the request outbox is full,
+// back-pressuring the SM.
 const outboxCap = 16
 
 // mshrTarget identifies who is waiting on an outstanding L1 miss:
@@ -115,11 +116,12 @@ func (g *GPUCore) Access(sm int, line cache.Addr, write bool, warp int) gpu.Acce
 	return g.accessPrivate(line, write, warp)
 }
 
-// accessPrivate is the private-L1 path. Its AccessBlocked refusals
-// depend only on the L1 tags, the MSHR file, outWrites and the request
-// outbox; every event that can turn one into an acceptance calls
-// SM.Unblock (the inventory is DESIGN.md §9). An exhausted port budget
-// refills next cycle on its own, so that refusal is AccessBusy.
+// accessPrivate is the private-L1 path. Its named refusals depend only
+// on the L1 tags, the MSHR file, outWrites and the request outbox, and
+// mutate nothing: the resource's note* call and the line wake in
+// Allocate and fillAndWake tell the SM when one may lapse (the table
+// is DESIGN.md §9). An exhausted port budget refills next cycle on its
+// own, so that refusal is AccessBusy.
 func (g *GPUCore) accessPrivate(line cache.Addr, write bool, warp int) gpu.AccessResult {
 	if g.budget <= 0 {
 		return gpu.AccessBusy
@@ -141,8 +143,11 @@ func (g *GPUCore) accessPrivate(line cache.Addr, write bool, warp int) gpu.Acces
 		g.mshr.Merge(line, mshrTarget{Warp: warp, Remote: -1})
 		return gpu.AccessMiss
 	}
-	if g.mshr.FullNow() || len(g.outReq) >= outboxCap {
-		return gpu.AccessBlocked
+	if g.mshr.FullNow() {
+		return gpu.AccessMSHRFull
+	}
+	if len(g.outReq) >= outboxCap {
+		return gpu.AccessOutboxFull
 	}
 	g.budget--
 	g.Stats.L1Accesses++
@@ -150,7 +155,8 @@ func (g *GPUCore) accessPrivate(line cache.Addr, write bool, warp int) gpu.Acces
 	g.l1.RecordMiss()
 	g.sys.sampleLocality(g, line)
 	g.mshr.Allocate(line, mshrTarget{Warp: warp, Remote: -1})
-	g.SM.Unblock() // a refused read of this line now merges
+	g.noteMSHR()
+	g.SM.UnblockLine(line) // a refused read of this line now merges
 	if g.sys.isRP() && g.predictProbe() {
 		g.sendProbes(line)
 	} else {
@@ -161,14 +167,18 @@ func (g *GPUCore) accessPrivate(line cache.Addr, write bool, warp int) gpu.Acces
 
 // writeThrough performs a write-through, no-write-allocate store.
 func (g *GPUCore) writeThrough(line cache.Addr) gpu.AccessResult {
-	if g.outWrites >= g.sys.Cfg.GPU.MaxOutWrites || len(g.outReq) >= outboxCap {
-		return gpu.AccessBlocked
+	if g.outWrites >= g.sys.Cfg.GPU.MaxOutWrites {
+		return gpu.AccessStoresFull
+	}
+	if len(g.outReq) >= outboxCap {
+		return gpu.AccessOutboxFull
 	}
 	g.budget--
 	g.Stats.L1Accesses++
 	g.Stats.Writes++
 	// The local copy is updated in place (write-through keeps it clean).
 	g.outWrites++
+	g.noteStores()
 	g.send(Msg{Type: MsgGPUWrite, Line: line, Requester: g.Node},
 		g.sys.memNodeFor(line), noc.ClassRequest, noc.PrioGPU, g.sys.writeFlits)
 	return gpu.AccessHit
@@ -191,9 +201,20 @@ func (g *GPUCore) send(m Msg, dst int, class noc.Class, prio noc.Priority, flits
 	p := g.sys.newPacket(g.Node, dst, class, prio, flits, g.sys.al.msgOf(m))
 	if class == noc.ClassRequest {
 		g.outReq = append(g.outReq, p)
+		g.noteOutbox()
 	} else {
 		g.outRep = append(g.outRep, p)
 	}
+}
+
+// noteMSHR, noteOutbox and noteStores report whether the MSHR file,
+// the request outbox and the store budget are exhausted to the SM; each
+// is called wherever its resource's occupancy changes, so a warp
+// refused for it waits exactly while it stays full.
+func (g *GPUCore) noteMSHR()   { g.SM.SetFull(gpu.MSHRFile, g.mshr.FullNow()) }
+func (g *GPUCore) noteOutbox() { g.SM.SetFull(gpu.RequestOutbox, len(g.outReq) >= outboxCap) }
+func (g *GPUCore) noteStores() {
+	g.SM.SetFull(gpu.StoreBudget, g.outWrites >= g.sys.Cfg.GPU.MaxOutWrites)
 }
 
 // reqFree and repFree report remaining outbox capacity.
@@ -236,7 +257,7 @@ func (g *GPUCore) HandlePacket(p *noc.Packet) bool {
 		return false
 	case MsgWriteAck:
 		g.outWrites--
-		g.SM.Unblock()
+		g.noteStores()
 		g.sys.al.retire(p)
 		return true
 	}
@@ -325,8 +346,10 @@ func (g *GPUCore) handleReply(m *Msg) bool {
 // waking local warps and forwarding delayed-hit replies.
 func (g *GPUCore) fillAndWake(line cache.Addr) {
 	g.l1.Insert(line, 0, false)
-	g.SM.Unblock() // the line now hits and an MSHR entry is free
-	for _, tgt := range g.mshr.Release(line) {
+	g.SM.UnblockLine(line) // a refused read of this line now hits
+	targets := g.mshr.Release(line)
+	g.noteMSHR()
+	for _, tgt := range targets {
 		if tgt.Warp >= 0 {
 			g.SM.LoadDone(tgt.Warp)
 		}
@@ -367,7 +390,7 @@ func (g *GPUCore) drainOutbox() {
 			break
 		}
 		g.outReq, _ = fifo.PopFront(g.outReq)
-		g.SM.Unblock() // request outbox space
+		g.noteOutbox()
 	}
 	repNI := g.sys.repNI(g.Node)
 	for len(g.outRep) > 0 && repNI.CanInject(noc.ClassReply) {
@@ -456,6 +479,8 @@ func (g *GPUCore) sendProbes(line cache.Addr) {
 }
 
 // FlushL1 invalidates the local L1 (kernel-boundary software coherence).
+// Invalidation cannot turn a refusal into an acceptance; the Unblock is
+// a conservative wake at a rare event.
 func (g *GPUCore) FlushL1() {
 	g.l1.InvalidateAll()
 	g.SM.Unblock()

@@ -365,24 +365,28 @@ func energy(p *Plan) func() Report {
 }
 
 // area prints the DSENT/CACTI-analogue cost model (Section III/IV).
-func area(*Plan) func() Report {
-	cfg := config.Default()
+func area(*Plan) func() Report { return static(areaReport(config.Default())) }
+
+// areaReport is the cost model of one configuration; each row's label
+// is built from the numbers its model call is given.
+func areaReport(cfg config.Config) Report {
+	gpus, _, _ := cfg.Layout.Counts()
 	base := power.MeshNoCArea(cfg.Layout.Width, cfg.Layout.Height, cfg.NoC)
 	double := cfg.NoC
 	double.ChannelBytes *= 2
 	dbl := power.MeshNoCArea(cfg.Layout.Width, cfg.Layout.Height, double)
-	frq := power.FRQArea(40, cfg.GPU.FRQEntries)
+	frq := power.FRQArea(gpus, cfg.GPU.FRQEntries)
 	ptr := power.PointerArea(8<<20, cfg.LLC.LineBytes, 6)
 	t := stats.NewTable("Area model (22 nm)", "Component", "mm^2", "Paper")
 	t.AddRow("baseline mesh NoC (2 phys networks)", base, "2.27")
 	t.AddRow("double-bandwidth mesh NoC", dbl, "5.76")
 	t.AddRow("double/baseline ratio", dbl/base, "2.5x")
-	t.AddRow("FRQs (40 cores x 8 entries)", frq, "0.092")
+	t.AddRow(fmt.Sprintf("FRQs (%d cores x %d entries)", gpus, cfg.GPU.FRQEntries), frq, "0.092")
 	t.AddRow("LLC/MSHR core pointers (6 bit)", ptr, "0.08")
 	t.AddRow("Delegated Replies total", frq+ptr, "0.172")
 	t.AddRow("DR / extra NoC-doubling area", (frq+ptr)/(dbl-base), "~0.05")
-	return static(Report{Tables: []*stats.Table{t}, Claims: []Claim{
+	return Report{Tables: []*stats.Table{t}, Claims: []Claim{
 		Claim{ID: "area-noc2x", Paper: "paper: doubling the mesh NoC's bandwidth costs 2.5x its area (5.76 vs 2.27 mm^2)"}.Check(math.Abs(dbl/base/2.5-1) <= 0.05),
 		Claim{ID: "area-dr", Paper: "paper: Delegated Replies cost 0.172 mm^2 (FRQs 0.092, core pointers 0.08), ~5% of the doubling"}.Check(math.Abs((frq+ptr)/0.172-1) <= 0.05),
-	}})
+	}}
 }

@@ -6,39 +6,81 @@
 package gpu
 
 import (
+	"fmt"
+
 	"delrep/internal/cache"
 	"delrep/internal/config"
 	"delrep/internal/workload"
 )
 
 // AccessResult is the immediate outcome of an L1 access.
-type AccessResult int
+type AccessResult uint8
 
 const (
 	// AccessHit completed in the L1; the warp continues.
 	AccessHit AccessResult = iota
 	// AccessMiss is outstanding; LoadDone will be called later.
 	AccessMiss
-	// AccessBlocked means a resource (MSHR, write budget, outbox) is
-	// unavailable and stays so until the memory port's owner calls
-	// SM.Unblock: the refusal is memoised, and the instruction is not
-	// presented again before then.
-	AccessBlocked
 	// AccessBusy is a refusal that can lapse on its own (the per-cycle
 	// L1 port budget) or that the port counts (a full shared-L1 slice
 	// queue): the instruction is presented again every cycle.
 	AccessBusy
+	// AccessMSHRFull refuses a read that neither hits nor merges while
+	// every MSHR entry is in use.
+	AccessMSHRFull
+	// AccessOutboxFull refuses a read that neither hits nor merges, or a
+	// store, while the request outbox is full.
+	AccessOutboxFull
+	// AccessStoresFull refuses a store while the outstanding
+	// write-through budget is spent.
+	AccessStoresFull
+	accessResults
 )
 
+// Refused reports whether the access was turned away: the instruction
+// did not issue and is presented again later.
+func (r AccessResult) Refused() bool { return r >= AccessBusy }
+
+// String names the result (panic messages, test failures).
+func (r AccessResult) String() string {
+	if r < accessResults {
+		return [...]string{"hit", "miss", "busy", "MSHR full", "outbox full", "stores full"}[r]
+	}
+	return "???"
+}
+
+// Resource is a memory-port resource whose exhaustion one named
+// refusal reports: MSHRFile refuses with AccessMSHRFull, RequestOutbox
+// with AccessOutboxFull, StoreBudget with AccessStoresFull.
+type Resource uint8
+
+const (
+	MSHRFile Resource = iota
+	RequestOutbox
+	StoreBudget
+)
+
+// refusal is the named refusal that reports r full.
+func (r Resource) refusal() AccessResult { return AccessMSHRFull + AccessResult(r) }
+
 // MemPort is the SM's interface to the memory system (implemented by
-// the core package's GPU core, which owns the L1 organisation). An
-// implementation that returns AccessBlocked promises that presenting
-// the same access again would do nothing but refuse it until the
-// implementation calls SM.Unblock: every event that could turn the
-// refusal into an acceptance (or into a refusal with a side effect)
-// must call it.
+// the core package's GPU core, which owns the L1 organisation). A
+// named refusal (AccessMSHRFull, AccessOutboxFull, AccessStoresFull)
+// is a promise: while the port reports its resource full through
+// SM.SetFull, presenting the same access again would do nothing but
+// refuse it — unless the refused access is a read whose line has since
+// become resident or outstanding, which the port reports through
+// SM.UnblockLine. Every event that could turn a named refusal into an
+// acceptance (or into a refusal with a side effect) must make one of
+// those calls, or SM.Unblock when it changes every access's path.
 type MemPort interface {
 	Access(sm int, line cache.Addr, write bool, warp int) AccessResult
+}
+
+// AddrSource draws the address of each memory instruction the SM
+// issues (workload.AddrGen; tests script it).
+type AddrSource interface {
+	Next() (line cache.Addr, write bool)
 }
 
 type warpState uint8
@@ -51,10 +93,11 @@ const (
 
 // warp is one concurrent warp's phase state machine. A drawn memory
 // address is held in pending state until the access is accepted, so a
-// Blocked access retries the same address (discarding it would bias the
-// reference stream toward hits under resource pressure). refusedAt is
-// the SM epoch at which that access last returned AccessBlocked (0:
-// never); while it equals the current epoch the warp is passed over.
+// refused access retries the same address (discarding it would bias the
+// reference stream toward hits under resource pressure). refusal is the
+// named refusal that access last met (AccessHit: none, or presented
+// since); while the SM holds that refusal's resource full the warp is
+// passed over.
 type warp struct {
 	state       warpState
 	computeLeft int
@@ -63,7 +106,7 @@ type warp struct {
 	hasPending  bool
 	pendLine    cache.Addr
 	pendWrite   bool
-	refusedAt   uint64
+	refusal     AccessResult
 }
 
 // SM is one streaming multiprocessor.
@@ -71,22 +114,29 @@ type SM struct {
 	ID    int // GPU core index (0-based among GPU cores)
 	cfg   config.GPU
 	prof  workload.GPUProfile
-	gen   *workload.AddrGen
+	gen   AddrSource
 	mem   MemPort
 	warps []warp
 	cur   int // GTO scheduler pointer
 	// barriered counts warps in warpBarrier; when every warp is
 	// barriered the Tick fast path skips the scheduler scan entirely.
 	barriered int
-	// epoch is the refusal epoch, advanced by Unblock. A refusal whose
-	// inputs have not changed is not re-evaluated: a warp refused at the
-	// current epoch is skipped, and an SM whose whole scan issued
-	// nothing at the current epoch (stalledAt; cleared by a LoadDone
-	// wake) stalls without scanning. Skipping is exact because a
-	// memoised refusal mutates nothing and the scan it shortens leaves
+	// full is the port's report of which resources are exhausted,
+	// indexed by the named refusal (SetFull); the other entries stay
+	// false. A warp whose memoised refusal is full is passed over.
+	full [accessResults]bool
+	// epoch advances whenever a memoised refusal may have lapsed (a
+	// resource no longer full, a line wake, Unblock). An SM whose whole
+	// scan issued nothing at the current epoch (stalledAt; cleared by a
+	// LoadDone wake) stalls without scanning. Skipping is exact because
+	// a memoised refusal mutates nothing and the scan it shortens leaves
 	// cur where it started.
 	epoch     uint64
 	stalledAt uint64
+	// DebugChecks presents every warp the memo passes over anyway and
+	// panics unless the port refuses it: a missed SetFull or UnblockLine
+	// site shows up here rather than as a digest drift.
+	DebugChecks bool
 
 	// Statistics.
 	Insts       int64
@@ -96,7 +146,7 @@ type SM struct {
 }
 
 // NewSM builds an SM running the given benchmark profile.
-func NewSM(id int, cfg config.GPU, prof workload.GPUProfile, gen *workload.AddrGen, mem MemPort) *SM {
+func NewSM(id int, cfg config.GPU, prof workload.GPUProfile, gen AddrSource, mem MemPort) *SM {
 	sm := &SM{ID: id, cfg: cfg, prof: prof, gen: gen, mem: mem,
 		warps: make([]warp, cfg.WarpsPerSM), epoch: 1}
 	for i := range sm.warps {
@@ -106,15 +156,45 @@ func NewSM(id int, cfg config.GPU, prof workload.GPUProfile, gen *workload.AddrG
 	return sm
 }
 
-// Unblock tells the SM that a resource an AccessBlocked refusal waited
-// on may have become available: refused warps are presented again. It
+// SetFull records whether resource r is exhausted. While it is, a warp
+// refused for r is passed over; the port calls it wherever r's
+// occupancy changes. It may be called at any time, including from
+// inside Access.
+func (s *SM) SetFull(r Resource, full bool) {
+	i := r.refusal()
+	if s.full[i] && !full {
+		s.epoch++
+	}
+	s.full[i] = full
+}
+
+// UnblockLine tells the SM that line has become resident or
+// outstanding: a read of it refused for a full MSHR file or outbox
+// would now hit or merge, so it is presented again.
+func (s *SM) UnblockLine(line cache.Addr) {
+	for i := range s.warps {
+		w := &s.warps[i]
+		if w.refusal != AccessHit && w.pendLine == line && !w.pendWrite {
+			w.refusal = AccessHit
+			s.epoch++
+		}
+	}
+}
+
+// Unblock tells the SM that every access's path may have changed (an
+// L1 organisation switch): all refused warps are presented again. It
 // may be called at any time, including from inside Access.
-func (s *SM) Unblock() { s.epoch++ }
+func (s *SM) Unblock() {
+	for i := range s.warps {
+		s.warps[i].refusal = AccessHit
+	}
+	s.epoch++
+}
 
 // Tick issues up to IssueWidth instructions using GTO scheduling:
 // stick with the current warp while it can issue, else advance.
 func (s *SM) Tick() {
-	if s.barriered == len(s.warps) || s.stalledAt == s.epoch {
+	if s.barriered == len(s.warps) || (s.stalledAt == s.epoch && !s.DebugChecks) {
 		// Every warp waits on outstanding loads or on a refusal that
 		// cannot have lapsed: the scheduler scan would try each warp
 		// once, issue nothing, and leave cur where it started (n
@@ -129,12 +209,23 @@ func (s *SM) Tick() {
 	busy := false
 	for issued < s.cfg.IssueWidth && tried < n {
 		w := &s.warps[s.cur]
-		if w.state != warpBarrier && w.refusedAt != s.epoch {
-			switch s.issueOne(s.cur, w) {
-			case AccessBlocked:
-				w.refusedAt = s.epoch
+		switch {
+		case w.state == warpBarrier:
+		case s.full[w.refusal]:
+			if s.DebugChecks {
+				s.checkMemo(s.cur, w)
+			}
+		default:
+			res := s.issueOne(s.cur, w)
+			w.refusal = AccessHit // presented: an older memo is void
+			switch res {
 			case AccessBusy:
 				busy = true
+			case AccessMSHRFull, AccessOutboxFull, AccessStoresFull:
+				w.refusal = res
+				// A refusal whose resource the port does not report
+				// full is not passed over: the SM must scan next cycle.
+				busy = busy || !s.full[res]
 			default:
 				issued++
 				tried = 0
@@ -156,9 +247,21 @@ func (s *SM) Tick() {
 	}
 	s.StallCycles++
 	if !busy && s.epoch == start {
-		// Every non-barriered warp holds a refusal memoised at this
-		// epoch: until Unblock or a LoadDone wake, the scan is a no-op.
+		// Every non-barriered warp holds a refusal whose resource is
+		// full: until a resource frees, a line wake, Unblock or a
+		// LoadDone wake, the scan is a no-op.
 		s.stalledAt = start
+	}
+}
+
+// checkMemo presents a warp the memo passed over and panics unless the
+// port refuses it. AccessBusy counts as a refusal: the port budget may
+// already be spent this cycle.
+func (s *SM) checkMemo(idx int, w *warp) {
+	memo := w.refusal // an accepted access may clear it
+	if res := s.mem.Access(s.ID, w.pendLine, w.pendWrite, idx); !res.Refused() {
+		panic(fmt.Sprintf("gpu: SM %d warp %d passed over while %s (line %#x, write %v), but the port answered %s",
+			s.ID, idx, memo, uint64(w.pendLine), w.pendWrite, res))
 	}
 }
 
@@ -181,7 +284,7 @@ func (s *SM) issueOne(idx int, w *warp) AccessResult {
 		w.hasPending = true
 	}
 	res := s.mem.Access(s.ID, w.pendLine, w.pendWrite, idx)
-	if res == AccessBlocked || res == AccessBusy {
+	if res.Refused() {
 		return res
 	}
 	w.hasPending = false

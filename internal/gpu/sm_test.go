@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"delrep/internal/cache"
@@ -129,24 +131,26 @@ func (b *blockThenHit) Access(sm int, line cache.Addr, write bool, warp int) Acc
 
 // TestBlockedRetainsAddress is the regression test for the re-roll
 // bias: a refused access must retry the same address, not draw afresh —
-// every cycle for AccessBusy, after each Unblock for AccessBlocked.
+// every cycle for AccessBusy, after each Unblock for a named refusal
+// whose resource the port reports full.
 func TestBlockedRetainsAddress(t *testing.T) {
-	for _, refusal := range []AccessResult{AccessBusy, AccessBlocked} {
+	for _, refusal := range []AccessResult{AccessBusy, AccessMSHRFull} {
 		mem := &blockThenHit{refusal: refusal, blocks: 5}
 		sm := newTestSM(mem, 1)
+		sm.SetFull(MSHRFile, true)
 		for i := 0; i < 50; i++ {
-			if refusal == AccessBlocked {
+			if refusal == AccessMSHRFull {
 				sm.Unblock()
 			}
 			sm.Tick()
 		}
 		if len(mem.accesses) < 6 {
-			t.Fatalf("refusal %d: only %d accesses", refusal, len(mem.accesses))
+			t.Fatalf("refusal %v: only %d accesses", refusal, len(mem.accesses))
 		}
 		first := mem.accesses[0]
 		for i := 1; i <= 5; i++ {
 			if mem.accesses[i] != first {
-				t.Fatalf("refusal %d: retry %d used address %d, want %d", refusal, i, mem.accesses[i], first)
+				t.Fatalf("refusal %v: retry %d used address %d, want %d", refusal, i, mem.accesses[i], first)
 			}
 		}
 	}
@@ -155,7 +159,7 @@ func TestBlockedRetainsAddress(t *testing.T) {
 func TestGTOSwitchesOnBlock(t *testing.T) {
 	// With many warps and a blocking memory system, multiple warps
 	// should still make compute progress.
-	mem := &fakeMem{result: AccessBlocked}
+	mem := &fakeMem{result: AccessMSHRFull}
 	sm := newTestSM(mem, 8)
 	for i := 0; i < 200; i++ {
 		sm.Tick()
@@ -177,5 +181,47 @@ func TestResetStats(t *testing.T) {
 	sm.ResetStats()
 	if sm.Insts != 0 || sm.MemOps != 0 || sm.IPC(10) != 0 {
 		t.Fatal("stats not reset")
+	}
+}
+
+// missedWakeMem refuses the first access for a full MSHR file and then
+// accepts everything while still reporting the file full: a port with
+// a missed wake site.
+type missedWakeMem struct {
+	sm    *SM
+	calls int
+}
+
+func (m *missedWakeMem) Access(sm int, line cache.Addr, write bool, warp int) AccessResult {
+	m.calls++
+	if m.calls == 1 {
+		m.sm.SetFull(MSHRFile, true)
+		return AccessMSHRFull
+	}
+	return AccessHit
+}
+
+// TestDebugChecksCatchesMissedWake: the memo passes the refused warp
+// over for as long as the port reports its resource full; DebugChecks
+// presents it anyway and panics on the acceptance.
+func TestDebugChecksCatchesMissedWake(t *testing.T) {
+	for _, checked := range []bool{false, true} {
+		mem := &missedWakeMem{}
+		sm := newTestSM(mem, 1)
+		mem.sm = sm
+		sm.DebugChecks = checked
+		panicked := func() (msg any) {
+			defer func() { msg = recover() }()
+			for i := 0; i < 50; i++ {
+				sm.Tick()
+			}
+			return nil
+		}()
+		switch {
+		case !checked && (panicked != nil || mem.calls != 1):
+			t.Fatalf("unchecked: %d accesses (panic %v), want the refused one only", mem.calls, panicked)
+		case checked && !strings.Contains(fmt.Sprint(panicked), "passed over while MSHR full"):
+			t.Fatalf("checked: panic %v, want the missed wake named", panicked)
+		}
 	}
 }
